@@ -1,29 +1,37 @@
-//! Uniform-grid neighbor discovery with incremental maintenance.
+//! Uniform-grid neighbor discovery, rebuilt by counting sort.
 //!
-//! The grid survives across epochs: [`NeighborGrid::refresh_active`]
-//! re-bins only the hosts whose cell (or online flag) changed since the
-//! last refresh, against retained buffers — no per-epoch clone of the
-//! position column and no from-scratch rebuild. Member lists are kept
-//! sorted by host id, which makes an incrementally-maintained grid
-//! *enumerate neighbors in exactly the order* a full
-//! [`NeighborGrid::build_active`] would: the full rebuild inserts hosts
-//! in increasing id order, so per-cell lists come out id-sorted either
-//! way. That ordering invariant is what keeps the simulator's reports
-//! bit-identical whichever maintenance path produced the grid (the
-//! debug-assert oracle in `refresh_active` checks it on every refresh).
+//! With 200 m cells and the paper's vehicle speeds, 88 % of a
+//! million-host fleet changes cell at every epoch boundary (measured),
+//! so there is no delta worth tracking: [`NeighborGrid::refresh_active`]
+//! re-bins *every* online host, each epoch, into two flat arrays — a
+//! CSR layout of `offsets` per cell and host-id `members` — in three
+//! linear passes over the position column. Hosts are scattered in
+//! ascending id, so every cell comes out id-sorted for free, and the
+//! buffers are retained, so a warm refresh allocates nothing.
+//!
+//! Cells are numbered column-major (`x` outer, `y` inner) — the order
+//! [`NeighborGrid::neighbors_within`] enumerates them in — so each
+//! column of a query's ring is one contiguous run of `members`.
 
 use airshare_geom::{Point, Rect};
-use std::collections::HashMap;
 
-/// Sentinel cell for hosts that are not indexed (offline, or not yet
-/// refreshed in).
-const NOT_INDEXED: (i64, i64) = (i64::MIN, i64::MIN);
+/// Slot of a host that has no cell.
+const NO_SLOT: u32 = u32::MAX;
 
-/// Dense storage is used while the extent stays under this many cells
-/// per host (with a floor for small fleets); past it the grid falls
-/// back to a sparse hash map, trading lookup speed for bounded memory.
-fn dense_cell_cap(hosts: usize) -> i128 {
-    (8 * hosts.max(8_192)) as i128
+/// Cell key: `floor(coordinate / cell)` per axis.
+type Key = (i64, i64);
+
+/// Cells in the inclusive key extent `[min, max]`, if few enough to
+/// index directly: at most 8 per host, with a floor for small fleets.
+/// `None` means the extent is indexed by its occupied cells instead.
+fn dense_cells(min: Key, max: Key, hosts: usize) -> Option<usize> {
+    if min.0 > max.0 || min.1 > max.1 {
+        return Some(0);
+    }
+    let nx = max.0 as i128 - min.0 as i128 + 1;
+    let ny = max.1 as i128 - min.1 as i128 + 1;
+    let cap = (8 * hosts.max(8_192)).min(NO_SLOT as usize) as i128;
+    nx.checked_mul(ny).filter(|&c| c <= cap).map(|c| c as usize)
 }
 
 /// A spatial hash over host positions.
@@ -32,149 +40,35 @@ fn dense_cell_cap(hosts: usize) -> i128 {
 /// `⌈r/cell⌉`-ring of cells around the query point. Pick `cell` equal to
 /// the maximum transmission range for O(occupants) queries.
 ///
-/// Per-cell member lists are stored in a *counting-sort/bucket* layout:
-/// a dense `Vec` of cells spanning the world's extent (direct indexing,
-/// no hashing on the hot path), with id-sorted members per cell. Inputs
-/// whose extent would need an unreasonable number of cells fall back to
-/// a sparse `HashMap` with identical semantics.
+/// Cell `s` holds `members[offsets[s]..offsets[s + 1]]`, ascending by
+/// host id. While the extent of the online hosts stays within 8 cells
+/// per host, `s` is computed from the key; past that (a transmission
+/// range far below the host spacing) only occupied cells get a slot and
+/// `s` is the key's rank in the sorted `keys`. Both numberings are
+/// `(x, y)`-lexicographic, so queries answer identically in either.
 #[derive(Clone, Debug)]
 pub struct NeighborGrid {
     cell: f64,
     positions: Vec<Point>,
-    /// Each host's current cell, or [`NOT_INDEXED`]. This is the delta
-    /// detector: a refresh re-bins host `i` iff its recomputed cell
-    /// differs from `cell_of[i]`.
-    cell_of: Vec<(i64, i64)>,
-    store: BucketStore,
-}
-
-/// The per-cell member lists behind the grid.
-#[derive(Clone, Debug)]
-enum BucketStore {
-    /// Cells spanning `[base, base + (nx, ny))`, row-major. Lists keep
-    /// their allocations across refreshes.
-    Dense {
-        base: (i64, i64),
-        nx: i64,
-        ny: i64,
-        cells: Vec<Vec<u32>>,
-    },
-    /// Unbounded-extent fallback; stale empty lists are retained so
-    /// their allocations get reused.
-    Sparse(HashMap<(i64, i64), Vec<u32>>),
-}
-
-impl BucketStore {
-    /// An empty store sized for keys in `[min, max]` (inclusive), dense
-    /// when the extent fits the cap for `hosts`.
-    fn with_extent(min: (i64, i64), max: (i64, i64), hosts: usize) -> Self {
-        if min.0 > max.0 || min.1 > max.1 {
-            // No indexed hosts: a zero-extent dense store; any later
-            // insert grows it.
-            return BucketStore::Dense {
-                base: (0, 0),
-                nx: 0,
-                ny: 0,
-                cells: Vec::new(),
-            };
-        }
-        let nx = (max.0 as i128 - min.0 as i128) + 1;
-        let ny = (max.1 as i128 - min.1 as i128) + 1;
-        if nx * ny <= dense_cell_cap(hosts) {
-            let total = (nx * ny) as usize;
-            BucketStore::Dense {
-                base: min,
-                nx: nx as i64,
-                ny: ny as i64,
-                cells: (0..total).map(|_| Vec::new()).collect(),
-            }
-        } else {
-            BucketStore::Sparse(HashMap::new())
-        }
-    }
-
-    /// Whether `key` can be stored without growing the extent.
-    fn in_range(&self, key: (i64, i64)) -> bool {
-        match self {
-            BucketStore::Dense { base, nx, ny, .. } => {
-                let dx = key.0 as i128 - base.0 as i128;
-                let dy = key.1 as i128 - base.1 as i128;
-                dx >= 0 && dx < *nx as i128 && dy >= 0 && dy < *ny as i128
-            }
-            BucketStore::Sparse(_) => true,
-        }
-    }
-
-    /// Members of `key`'s cell, id-sorted; empty when out of range.
-    fn get(&self, key: (i64, i64)) -> &[u32] {
-        match self {
-            BucketStore::Dense { base, nx, ny, cells } => {
-                let dx = key.0 as i128 - base.0 as i128;
-                let dy = key.1 as i128 - base.1 as i128;
-                if dx >= 0 && dx < *nx as i128 && dy >= 0 && dy < *ny as i128 {
-                    &cells[(dy * *nx as i128 + dx) as usize]
-                } else {
-                    &[]
-                }
-            }
-            BucketStore::Sparse(map) => map.get(&key).map_or(&[], Vec::as_slice),
-        }
-    }
-
-    /// The cell behind `key`, which must be in range.
-    fn cell_mut(&mut self, key: (i64, i64)) -> &mut Vec<u32> {
-        match self {
-            BucketStore::Dense { base, nx, cells, .. } => {
-                let dx = key.0 - base.0;
-                let dy = key.1 - base.1;
-                &mut cells[(dy * *nx + dx) as usize]
-            }
-            BucketStore::Sparse(map) => map.entry(key).or_default(),
-        }
-    }
-
-    /// Inserts `host` into `key`'s cell, keeping the list id-sorted.
-    /// The key must be in range.
-    fn insert(&mut self, key: (i64, i64), host: u32) {
-        let v = self.cell_mut(key);
-        match v.binary_search(&host) {
-            Ok(_) => {}
-            Err(at) => v.insert(at, host),
-        }
-    }
-
-    /// Appends `host` to `key`'s cell. Only valid when hosts are pushed
-    /// in increasing id order (the full-rebuild path), which keeps the
-    /// list sorted without a search.
-    fn push_ascending(&mut self, key: (i64, i64), host: u32) {
-        let v = self.cell_mut(key);
-        debug_assert!(v.last().is_none_or(|&last| last < host));
-        v.push(host);
-    }
-
-    /// Removes `host` from `key`'s cell (a no-op if absent).
-    fn remove(&mut self, key: (i64, i64), host: u32) {
-        if !self.in_range(key) {
-            return;
-        }
-        let v = self.cell_mut(key);
-        if let Ok(at) = v.binary_search(&host) {
-            v.remove(at);
-        }
-    }
-
-    /// Empties `key`'s cell, keeping its allocation.
-    fn clear_cell(&mut self, key: (i64, i64)) {
-        if self.in_range(key) {
-            self.cell_mut(key).clear();
-        }
-    }
+    /// Inclusive key extent of the hosts with a cell (`min > max` when
+    /// there are none).
+    min: Key,
+    max: Key,
+    /// Occupied cell keys, sorted; empty while cells are indexed directly.
+    keys: Vec<Key>,
+    /// Per-cell start into `members`; two entries longer than the cell
+    /// count, which lets the counting sort use it as its own cursor.
+    offsets: Vec<u32>,
+    members: Vec<u32>,
+    /// Each host's slot (or [`NO_SLOT`]), kept from count to scatter.
+    slots: Vec<u32>,
 }
 
 impl NeighborGrid {
     /// Builds a grid over host positions (index = host id).
     pub fn build(positions: Vec<Point>, cell: f64) -> Self {
-        Self::build_filtered(positions, cell, |_| true)
+        let online = vec![true; positions.len()];
+        Self::build_active(positions, cell, &online)
     }
 
     /// Builds a grid where only hosts with `online[i] == true` are
@@ -183,57 +77,54 @@ impl NeighborGrid {
     /// it), but offline hosts never appear in any neighbor query:
     /// a crashed or not-yet-joined host is radio-silent.
     pub fn build_active(positions: Vec<Point>, cell: f64, online: &[bool]) -> Self {
-        assert_eq!(positions.len(), online.len(), "one flag per host");
-        Self::build_filtered(positions, cell, |i| online[i])
+        let mut grid = Self::empty(cell);
+        grid.positions = positions;
+        grid.rebuild(online);
+        grid
     }
 
-    fn build_filtered(positions: Vec<Point>, cell: f64, keep: impl Fn(usize) -> bool) -> Self {
-        assert!(cell > 0.0 && cell.is_finite(), "cell size must be positive");
-        assert!(positions.len() < u32::MAX as usize, "host ids must fit u32");
-        let n = positions.len();
-        let mut min = (i64::MAX, i64::MAX);
-        let mut max = (i64::MIN, i64::MIN);
-        let mut cell_of = vec![NOT_INDEXED; n];
-        for (i, p) in positions.iter().enumerate() {
-            if keep(i) {
-                let k = Self::key(*p, cell);
-                min = (min.0.min(k.0), min.1.min(k.1));
-                max = (max.0.max(k.0), max.1.max(k.1));
-                cell_of[i] = k;
-            }
-        }
-        let mut store = BucketStore::with_extent(min, max, n);
-        for (i, &k) in cell_of.iter().enumerate() {
-            if k != NOT_INDEXED {
-                store.push_ascending(k, i as u32);
-            }
-        }
-        Self {
-            cell,
-            positions,
-            cell_of,
-            store,
-        }
-    }
-
-    /// An empty grid pre-sized to `bounds` so refreshes of a
-    /// `hosts`-sized fleet whose positions stay inside `bounds` never
-    /// reallocate the cell array. The first
-    /// [`NeighborGrid::refresh_active`] populates it.
+    /// An empty grid with buffers reserved for a `hosts`-sized fleet
+    /// spread over `bounds`, so that its refreshes do not allocate. The
+    /// first [`NeighborGrid::refresh_active`] populates it.
     pub fn with_bounds(bounds: &Rect, cell: f64, hosts: usize) -> Self {
-        assert!(cell > 0.0 && cell.is_finite(), "cell size must be positive");
+        let mut grid = Self::empty(cell);
         let min = Self::key(Point::new(bounds.x1, bounds.y1), cell);
         let max = Self::key(Point::new(bounds.x2, bounds.y2), cell);
+        let dense = dense_cells(min, max, hosts);
+        if dense.is_none() {
+            grid.keys.reserve(hosts);
+        }
+        grid.offsets.reserve(dense.unwrap_or(hosts) + 2);
+        grid.positions.reserve(hosts);
+        grid.members.reserve(hosts);
+        grid.slots.reserve(hosts);
+        grid
+    }
+
+    fn empty(cell: f64) -> Self {
+        assert!(cell > 0.0 && cell.is_finite(), "cell size must be positive");
         Self {
             cell,
             positions: Vec::new(),
-            cell_of: Vec::new(),
-            store: BucketStore::with_extent(min, max, hosts),
+            min: (i64::MAX, i64::MAX),
+            max: (i64::MIN, i64::MIN),
+            keys: Vec::new(),
+            offsets: Vec::new(),
+            members: Vec::new(),
+            slots: Vec::new(),
         }
     }
 
-    fn key(p: Point, cell: f64) -> (i64, i64) {
-        ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
+    fn key(p: Point, cell: f64) -> Key {
+        // `(q.floor() as i64)` for every `q`, NaN and infinities
+        // included, without the libm call `floor` compiles to on
+        // baseline x86-64 (a quarter of a refresh, measured): truncate,
+        // then step down where truncation rounded up.
+        let floor = |q: f64| {
+            let t = q as i64;
+            t.saturating_sub((q < t as f64) as i64)
+        };
+        (floor(p.x / cell), floor(p.y / cell))
     }
 
     /// Number of indexed hosts.
@@ -252,129 +143,100 @@ impl NeighborGrid {
     }
 
     /// Brings the grid up to date with the fleet's current positions and
-    /// online flags, re-binning only hosts whose cell or online state
-    /// changed since the last refresh — the steady-state maintenance
-    /// path of the epoch loop. Positions are copied into the grid's
-    /// retained buffer (no allocation once sized); the result is
-    /// *identical* — same members, same per-cell id order, hence the
-    /// same [`NeighborGrid::neighbors_within`] output order — to a
-    /// from-scratch [`NeighborGrid::build_active`] over the same input,
-    /// which `debug_assert!`s verify on every refresh.
+    /// online flags — the epoch loop's maintenance step. Positions are
+    /// copied into the grid's retained buffer and every online host is
+    /// re-binned; nothing is carried over from the previous refresh, so
+    /// the result depends on this call's arguments alone.
     pub fn refresh_active(&mut self, positions: &[Point], online: &[bool]) {
-        assert_eq!(positions.len(), online.len(), "one flag per host");
-        assert!(positions.len() < u32::MAX as usize, "host ids must fit u32");
-        if self.positions.len() != positions.len() {
-            // Fleet size changed (first refresh, usually): evict
-            // everything and start over at the new size.
-            for i in 0..self.cell_of.len() {
-                let k = self.cell_of[i];
-                if k != NOT_INDEXED {
-                    self.store.clear_cell(k);
-                }
-            }
-            self.positions.clear();
-            self.positions.extend_from_slice(positions);
-            self.cell_of.clear();
-            self.cell_of.resize(positions.len(), NOT_INDEXED);
-            self.rebin_all(online);
-        } else {
-            self.positions.copy_from_slice(positions);
-            // A host drifting past the pre-sized extent forces a grown
-            // rebuild; world-clamped mobility never does.
-            let grow = online.iter().enumerate().any(|(i, &on)| {
-                on && !self.store.in_range(Self::key(self.positions[i], self.cell))
-            });
-            if grow {
-                for k in self.cell_of.iter_mut() {
-                    if *k != NOT_INDEXED {
-                        self.store.clear_cell(*k);
-                    }
-                    *k = NOT_INDEXED;
-                }
-                self.rebin_all(online);
-            } else {
-                for (i, &on) in online.iter().enumerate() {
-                    let new_key = if on {
-                        Self::key(self.positions[i], self.cell)
-                    } else {
-                        NOT_INDEXED
-                    };
-                    let old_key = self.cell_of[i];
-                    if old_key == new_key {
-                        continue;
-                    }
-                    if old_key != NOT_INDEXED {
-                        self.store.remove(old_key, i as u32);
-                    }
-                    if new_key != NOT_INDEXED {
-                        self.store.insert(new_key, i as u32);
-                    }
-                    self.cell_of[i] = new_key;
-                }
-            }
-        }
-        // Full-rebuild oracle: in debug builds, every refresh is checked
-        // against a from-scratch build over the same input.
-        debug_assert!(self.matches_full_rebuild(online));
+        self.positions.clear();
+        self.positions.extend_from_slice(positions);
+        self.rebuild(online);
     }
 
-    /// Re-bins every online host from scratch into a store sized to the
-    /// current positions. `cell_of` must be all-[`NOT_INDEXED`] and the
-    /// store's occupied cells already cleared.
-    fn rebin_all(&mut self, online: &[bool]) {
-        let mut min = (i64::MAX, i64::MAX);
-        let mut max = (i64::MIN, i64::MIN);
-        for (i, p) in self.positions.iter().enumerate() {
-            if online[i] {
-                let k = Self::key(*p, self.cell);
-                min = (min.0.min(k.0), min.1.min(k.1));
-                max = (max.0.max(k.0), max.1.max(k.1));
-                self.cell_of[i] = k;
+    /// Counting sort of the online hosts of `self.positions` into
+    /// `offsets`/`members`.
+    fn rebuild(&mut self, online: &[bool]) {
+        let n = self.positions.len();
+        assert_eq!(n, online.len(), "one flag per host");
+        assert!(n < NO_SLOT as usize, "host ids must fit u32");
+        let cell = self.cell;
+
+        // A host with a NaN coordinate is at no distance from anything:
+        // it gets no cell, like an offline one.
+        let indexed = |p: &Point, on: bool| on && !p.x.is_nan() && !p.y.is_nan();
+
+        // Pass 1: the extent, taken over coordinates (the key is
+        // monotonic in each) so that the loop carries no division.
+        let inf = f64::INFINITY;
+        let (mut lo, mut hi) = (Point::new(inf, inf), Point::new(-inf, -inf));
+        for (p, &on) in self.positions.iter().zip(online) {
+            if indexed(p, on) {
+                lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
+                hi = Point::new(hi.x.max(p.x), hi.y.max(p.y));
             }
         }
-        if !self
-            .cell_of
-            .iter()
-            .all(|&k| k == NOT_INDEXED || self.store.in_range(k))
-        {
-            self.store = BucketStore::with_extent(min, max, self.positions.len());
+        let (min, max) = (Self::key(lo, cell), Self::key(hi, cell));
+        (self.min, self.max) = (min, max);
+
+        // Past the direct-indexing cap, slots are ranks among the
+        // occupied keys.
+        self.keys.clear();
+        let dense = dense_cells(min, max, n);
+        if dense.is_none() {
+            let hosts = self.positions.iter().zip(online);
+            let hosts = hosts.filter(|&(p, &on)| indexed(p, on));
+            self.keys.extend(hosts.map(|(p, _)| Self::key(*p, cell)));
+            self.keys.sort_unstable();
+            self.keys.dedup();
         }
-        for (i, &k) in self.cell_of.iter().enumerate() {
-            if k != NOT_INDEXED {
-                self.store.push_ascending(k, i as u32);
+        let cells = dense.unwrap_or(self.keys.len());
+        let keys = &self.keys;
+        let slot_of = |k: Key| match dense {
+            Some(_) => ((k.0 - min.0) * (max.1 - min.1 + 1) + (k.1 - min.1)) as usize,
+            None => keys
+                .binary_search(&k)
+                .expect("every indexed key was collected"),
+        };
+
+        // Pass 2: each host's slot, counted two entries ahead of its
+        // cell so that pass 3 can advance `offsets[slot + 1]` in place.
+        self.offsets.clear();
+        self.offsets.resize(cells + 2, 0);
+        self.slots.clear();
+        self.slots.resize(n, NO_SLOT);
+        for ((slot, p), &on) in self.slots.iter_mut().zip(&self.positions).zip(online) {
+            if indexed(p, on) {
+                let s = slot_of(Self::key(*p, cell));
+                *slot = s as u32;
+                self.offsets[s + 2] += 1;
+            }
+        }
+        for s in 2..self.offsets.len() {
+            self.offsets[s] += self.offsets[s - 1];
+        }
+
+        // Pass 3: scatter in ascending host id, which leaves every cell
+        // id-sorted and `offsets[s]..offsets[s + 1]` spanning cell `s`.
+        self.members.clear();
+        self.members.resize(self.offsets[cells + 1] as usize, 0);
+        for (i, &s) in self.slots.iter().enumerate() {
+            if s != NO_SLOT {
+                let at = &mut self.offsets[s as usize + 1];
+                self.members[*at as usize] = i as u32;
+                *at += 1;
             }
         }
     }
 
-    /// Whether this grid is member-for-member identical (same cells,
-    /// same id order) to a fresh [`NeighborGrid::build_active`] over its
-    /// current positions. The incremental paths `debug_assert!` this.
-    fn matches_full_rebuild(&self, online: &[bool]) -> bool {
-        let fresh = Self::build_active(self.positions.clone(), self.cell, online);
-        let mut indexed = 0usize;
-        for (i, &k) in fresh.cell_of.iter().enumerate() {
-            if self.cell_of[i] != k {
-                return false;
-            }
-            if k != NOT_INDEXED {
-                indexed += 1;
-                if self.store.get(k) != fresh.store.get(k) {
-                    return false;
-                }
-            }
-        }
-        // No phantom members: every indexed host was visited above, so
-        // matching list contents plus a matching total rules out strays.
-        let total: usize = self
-            .cell_of
-            .iter()
-            .filter(|&&k| k != NOT_INDEXED)
-            .count();
-        total == indexed
-    }
-
-    /// Host ids within Euclidean distance `range` of `center`, excluding
-    /// `exclude` (the querying host itself). Order is unspecified.
+    /// Online host ids within Euclidean distance `range` (inclusive) of
+    /// `center`, excluding `exclude` (the querying host itself); empty
+    /// for a negative or NaN `range`.
+    ///
+    /// The order is part of the contract — reply streams, and so every
+    /// report, depend on it: cells of the `⌈range/cell⌉`-ring around
+    /// `center` by ascending `x` key, then ascending `y` key, then
+    /// ascending host id within a cell. It is a function of the last
+    /// refresh's positions and flags only, never of refresh history.
     pub fn neighbors_within(
         &self,
         center: Point,
@@ -382,72 +244,50 @@ impl NeighborGrid {
         exclude: Option<usize>,
     ) -> Vec<usize> {
         let mut out = Vec::new();
-        let r_sq = range * range;
+        if range.is_nan() || range < 0.0 {
+            return out;
+        }
+        // The ring, clamped to the extent: cells outside it are empty,
+        // and an unclamped ring is unbounded work for a large `range`.
         let reach = (range / self.cell).ceil() as i64;
         let (cx, cy) = Self::key(center, self.cell);
-        for dx in -reach..=reach {
-            for dy in -reach..=reach {
-                for &i in self.store.get((cx.saturating_add(dx), cy.saturating_add(dy))) {
-                    let i = i as usize;
-                    if Some(i) != exclude && self.positions[i].distance_sq(center) <= r_sq {
-                        out.push(i);
-                    }
+        let x_lo = cx.saturating_sub(reach).max(self.min.0);
+        let x_hi = cx.saturating_add(reach).min(self.max.0);
+        let y_lo = cy.saturating_sub(reach).max(self.min.1);
+        let y_hi = cy.saturating_add(reach).min(self.max.1);
+        if x_lo > x_hi || y_lo > y_hi {
+            return out;
+        }
+        let r_sq = range * range;
+        // Slots `lo..hi` are one column's cells, contiguous in `members`.
+        let mut scan = |lo: usize, hi: usize| {
+            for &i in &self.members[self.offsets[lo] as usize..self.offsets[hi] as usize] {
+                let i = i as usize;
+                if Some(i) != exclude && self.positions[i].distance_sq(center) <= r_sq {
+                    out.push(i);
                 }
+            }
+        };
+        if self.keys.is_empty() {
+            let ny = self.max.1 - self.min.1 + 1;
+            for kx in x_lo..=x_hi {
+                let column = (kx - self.min.0) * ny;
+                scan(
+                    (column + (y_lo - self.min.1)) as usize,
+                    (column + (y_hi - self.min.1)) as usize + 1,
+                );
+            }
+        } else {
+            // Walk the occupied columns of the sorted keys in range.
+            let mut at = self.keys.partition_point(|&k| k < (x_lo, y_lo));
+            while let Some(&(kx, _)) = self.keys.get(at).filter(|k| k.0 <= x_hi) {
+                let lo = at + self.keys[at..].partition_point(|&k| k < (kx, y_lo));
+                let hi = lo + self.keys[lo..].partition_point(|&k| k <= (kx, y_hi));
+                scan(lo, hi);
+                at = hi + self.keys[hi..].partition_point(|&k| k.0 <= kx);
             }
         }
         out
-    }
-
-    /// Moves one host to a new position (rebuilding its bucket links).
-    pub fn update_position(&mut self, i: usize, new_pos: Point) {
-        let new_key = Self::key(new_pos, self.cell);
-        self.positions[i] = new_pos;
-        let old_key = self.cell_of[i];
-        if old_key == new_key {
-            return;
-        }
-        if old_key != NOT_INDEXED {
-            self.store.remove(old_key, i as u32);
-        }
-        if !self.store.in_range(new_key) {
-            self.grow_to(new_key);
-        }
-        self.store.insert(new_key, i as u32);
-        self.cell_of[i] = new_key;
-    }
-
-    /// Expands a dense store's extent to cover `key` (or degrades to
-    /// sparse past the cell cap), preserving every member list.
-    fn grow_to(&mut self, key: (i64, i64)) {
-        let BucketStore::Dense { base, nx, ny, cells } = &mut self.store else {
-            return;
-        };
-        let (min, max) = if *nx == 0 || *ny == 0 {
-            (key, key)
-        } else {
-            (
-                (base.0.min(key.0), base.1.min(key.1)),
-                (
-                    (base.0 + *nx - 1).max(key.0),
-                    (base.1 + *ny - 1).max(key.1),
-                ),
-            )
-        };
-        let old_cells = std::mem::take(cells);
-        let (old_base, old_nx, old_ny) = (*base, *nx, *ny);
-        let mut grown = BucketStore::with_extent(min, max, self.positions.len());
-        for (idx, members) in old_cells.into_iter().enumerate() {
-            if members.is_empty() {
-                continue;
-            }
-            let k = (
-                old_base.0 + (idx as i64 % old_nx.max(1)),
-                old_base.1 + (idx as i64 / old_nx.max(1)),
-            );
-            debug_assert!(idx as i64 / old_nx.max(1) < old_ny);
-            *grown.cell_mut(k) = members;
-        }
-        self.store = grown;
     }
 }
 
@@ -468,22 +308,31 @@ mod tests {
             .collect()
     }
 
+    /// What `neighbors_within` promises, computed the slow way: filter
+    /// by distance, order by cell column, cell row, host id.
+    fn brute_force(pts: &[Point], cell: f64, center: Point, range: f64) -> Vec<usize> {
+        let mut want: Vec<usize> = (0..pts.len())
+            .filter(|&i| pts[i].distance_sq(center) <= range * range)
+            .collect();
+        want.sort_by_key(|&i| (NeighborGrid::key(pts[i], cell), i));
+        want
+    }
+
     #[test]
     fn neighbors_match_brute_force() {
         let pts = scatter(500);
-        let g = NeighborGrid::build(pts.clone(), 1.0);
         let center = Point::new(5.0, 5.0);
-        for range in [0.3, 1.0, 2.5] {
-            let mut got = g.neighbors_within(center, range, None);
-            got.sort_unstable();
-            let mut want: Vec<usize> = pts
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.distance(center) <= range)
-                .map(|(i, _)| i)
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "range {range}");
+        // 1.0 indexes the 10 x 10 world directly; 0.01 puts a million
+        // cells under 500 hosts, past the cap.
+        for cell in [1.0, 0.01] {
+            let g = NeighborGrid::build(pts.clone(), cell);
+            for range in [0.0, 0.3, 1.0, 2.5] {
+                assert_eq!(
+                    g.neighbors_within(center, range, None),
+                    brute_force(&pts, cell, center, range),
+                    "cell {cell}, range {range}"
+                );
+            }
         }
     }
 
@@ -504,30 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn update_position_relocates_host() {
-        let pts = vec![Point::new(0.0, 0.0), Point::new(10.0, 10.0)];
-        let mut g = NeighborGrid::build(pts, 1.0);
-        assert!(g.neighbors_within(Point::new(10.0, 10.0), 0.5, None).contains(&1));
-        g.update_position(1, Point::new(0.2, 0.0));
-        assert!(g.neighbors_within(Point::new(10.0, 10.0), 0.5, None).is_empty());
-        let near_origin = g.neighbors_within(Point::ORIGIN, 0.5, None);
-        assert!(near_origin.contains(&0) && near_origin.contains(&1));
-        assert_eq!(g.position(1), Point::new(0.2, 0.0));
-    }
-
-    #[test]
-    fn update_position_can_leave_the_built_extent() {
-        let pts = vec![Point::new(0.0, 0.0), Point::new(3.0, 3.0)];
-        let mut g = NeighborGrid::build(pts, 1.0);
-        g.update_position(0, Point::new(-50.0, 120.0));
-        assert_eq!(
-            g.neighbors_within(Point::new(-50.0, 120.0), 0.5, None),
-            vec![0]
-        );
-        assert_eq!(g.neighbors_within(Point::new(3.0, 3.0), 0.5, None), vec![1]);
-    }
-
-    #[test]
     fn negative_coordinates_hash_correctly() {
         let pts = vec![Point::new(-0.5, -0.5), Point::new(0.5, 0.5)];
         let g = NeighborGrid::build(pts, 1.0);
@@ -537,24 +362,18 @@ mod tests {
 
     #[test]
     fn offline_hosts_are_invisible_but_addressable() {
-        let pts = vec![Point::new(0.0, 0.0), Point::new(0.1, 0.0), Point::new(0.2, 0.0)];
+        let pts = vec![
+            Point::new(0.0, 0.0),
+            Point::new(0.1, 0.0),
+            Point::new(0.2, 0.0),
+        ];
         let online = [true, false, true];
         let g = NeighborGrid::build_active(pts, 1.0, &online);
-        let mut n = g.neighbors_within(Point::ORIGIN, 1.0, None);
-        n.sort_unstable();
+        let n = g.neighbors_within(Point::ORIGIN, 1.0, None);
         assert_eq!(n, vec![0, 2], "offline host 1 must not be discoverable");
         // Positions stay total: relays can still be located by id.
         assert_eq!(g.position(1), Point::new(0.1, 0.0));
         assert_eq!(g.len(), 3);
-        // All-online build_active matches plain build.
-        let pts2 = vec![Point::new(0.0, 0.0), Point::new(0.1, 0.0)];
-        let a = NeighborGrid::build_active(pts2.clone(), 1.0, &[true, true]);
-        let b = NeighborGrid::build(pts2, 1.0);
-        let mut na = a.neighbors_within(Point::ORIGIN, 1.0, None);
-        let mut nb = b.neighbors_within(Point::ORIGIN, 1.0, None);
-        na.sort_unstable();
-        nb.sort_unstable();
-        assert_eq!(na, nb);
     }
 
     #[test]
@@ -562,74 +381,136 @@ mod tests {
         let g = NeighborGrid::build(Vec::new(), 1.0);
         assert!(g.is_empty());
         assert!(g.neighbors_within(Point::ORIGIN, 10.0, None).is_empty());
+        // Hosts, but none on the air.
+        let g = NeighborGrid::build_active(vec![Point::ORIGIN], 1.0, &[false]);
+        assert_eq!(g.len(), 1);
+        assert!(g.neighbors_within(Point::ORIGIN, 10.0, None).is_empty());
     }
 
     #[test]
-    fn refresh_matches_fresh_build() {
-        let mut pts = scatter(200);
-        let mut online = vec![true; 200];
+    fn refresh_forgets_the_previous_epoch() {
         let world = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
         let mut g = NeighborGrid::with_bounds(&world, 1.0, 200);
-        let mut state = 77u64;
-        let mut rng = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state >> 16
-        };
-        for round in 0..12 {
-            // Drift some hosts, toggle some flags.
-            for _ in 0..40 {
-                let i = (rng() as usize) % pts.len();
-                pts[i] = Point::new((rng() % 10_000) as f64 / 1000.0, (rng() % 10_000) as f64 / 1000.0);
-            }
-            for _ in 0..10 {
-                let i = (rng() as usize) % online.len();
-                online[i] = !online[i];
-            }
-            g.refresh_active(&pts, &online);
-            let fresh = NeighborGrid::build_active(pts.clone(), 1.0, &online);
-            for probe in 0..20 {
-                let c = Point::new(
-                    (probe % 5) as f64 * 2.0 + 0.5,
-                    (probe / 5) as f64 * 2.0 + 0.5,
-                );
-                assert_eq!(
-                    g.neighbors_within(c, 1.5, Some(probe)),
-                    fresh.neighbors_within(c, 1.5, Some(probe)),
-                    "round {round}, probe {probe}: incremental grid diverged \
-                     from full rebuild (order included)"
-                );
-            }
-        }
+        let pts = scatter(200);
+        g.refresh_active(&pts, &[true; 200]);
+        // A smaller fleet, half of it offline, somewhere else.
+        let moved: Vec<Point> = pts[..50].iter().map(|p| Point::new(p.y, p.x)).collect();
+        let online: Vec<bool> = (0..50).map(|i| i % 2 == 0).collect();
+        g.refresh_active(&moved, &online);
+        assert_eq!(g.len(), 50);
+        let got = g.neighbors_within(Point::new(5.0, 5.0), 20.0, None);
+        assert_eq!(got.len(), 25);
+        assert!(got.iter().all(|&i| online[i]));
+        assert_eq!(g.position(7), moved[7]);
     }
 
     #[test]
     fn refresh_grows_past_the_declared_bounds() {
         let world = Rect::from_coords(0.0, 0.0, 4.0, 4.0);
         let mut g = NeighborGrid::with_bounds(&world, 1.0, 3);
-        let pts = vec![Point::new(1.0, 1.0), Point::new(3.0, 3.0), Point::new(2.0, 2.0)];
+        let pts = vec![
+            Point::new(1.0, 1.0),
+            Point::new(3.0, 3.0),
+            Point::new(2.0, 2.0),
+        ];
         g.refresh_active(&pts, &[true, true, true]);
         // One host escapes the declared world; the grid must follow it.
-        let pts2 = vec![Point::new(1.0, 1.0), Point::new(90.0, -6.0), Point::new(2.0, 2.0)];
+        let pts2 = vec![
+            Point::new(1.0, 1.0),
+            Point::new(90.0, -6.0),
+            Point::new(2.0, 2.0),
+        ];
         g.refresh_active(&pts2, &[true, true, true]);
-        assert_eq!(g.neighbors_within(Point::new(90.0, -6.0), 0.5, None), vec![1]);
+        assert_eq!(
+            g.neighbors_within(Point::new(90.0, -6.0), 0.5, None),
+            vec![1]
+        );
         assert_eq!(g.neighbors_within(Point::new(1.0, 1.0), 0.5, None), vec![0]);
     }
 
     #[test]
-    fn huge_extent_falls_back_to_sparse_storage() {
-        // Two points ~1e9 cells apart: a dense array would be absurd;
-        // the sparse fallback must answer identically.
-        let pts = vec![Point::new(0.0, 0.0), Point::new(1e9, 1e9)];
+    fn huge_extent_answers_like_a_small_one() {
+        // Two points ~1e9 cells apart, and one at infinity: an array
+        // over that extent would be absurd, and a ring walked cell by
+        // cell across it would never finish.
+        let pts = vec![
+            Point::new(0.0, 0.0),
+            Point::new(1e9, 1e9),
+            Point::new(f64::NEG_INFINITY, f64::INFINITY),
+        ];
         let g = NeighborGrid::build(pts, 1.0);
-        assert!(matches!(g.store, BucketStore::Sparse(_)));
         assert_eq!(g.neighbors_within(Point::new(0.1, 0.1), 1.0, None), vec![0]);
         assert_eq!(g.neighbors_within(Point::new(1e9, 1e9), 1.0, None), vec![1]);
+        assert_eq!(g.neighbors_within(Point::ORIGIN, 1e10, None), vec![0, 1]);
     }
 
     #[test]
-    fn dense_layout_is_used_for_world_sized_extents() {
-        let pts = scatter(500);
-        let g = NeighborGrid::build(pts, 1.0);
-        assert!(matches!(g.store, BucketStore::Dense { .. }));
+    fn unbounded_range_returns_everyone_in_contract_order() {
+        let pts = scatter(300);
+        let online: Vec<bool> = (0..300).map(|i| i % 7 != 0).collect();
+        let center = Point::new(2.0, 8.0);
+        for cell in [1.0, 0.01] {
+            let g = NeighborGrid::build_active(pts.clone(), cell, &online);
+            let mut everyone: Vec<usize> = (0..300).filter(|&i| online[i]).collect();
+            everyone.sort_by_key(|&i| (NeighborGrid::key(pts[i], cell), i));
+            for range in [1e12, f64::INFINITY] {
+                assert_eq!(g.neighbors_within(center, range, None), everyone);
+            }
+        }
+    }
+
+    #[test]
+    fn negative_and_nan_ranges_match_nothing() {
+        let g = NeighborGrid::build(scatter(50), 1.0);
+        for range in [f64::NAN, -1.0, f64::NEG_INFINITY] {
+            assert!(g
+                .neighbors_within(Point::new(5.0, 5.0), range, None)
+                .is_empty());
+        }
+    }
+
+    #[test]
+    fn nan_positions_are_kept_but_never_neighbors() {
+        // Clients report their own positions; nothing upstream rejects
+        // a NaN. Such a host must not break the others' cells.
+        let mut pts = scatter(100);
+        pts[3] = Point::new(f64::NAN, 4.0);
+        pts[60] = Point::new(2.0, f64::NAN);
+        for cell in [1.0, 0.01] {
+            let g = NeighborGrid::build(pts.clone(), cell);
+            assert!(g.position(3).x.is_nan());
+            let center = Point::new(5.0, 5.0);
+            assert_eq!(
+                g.neighbors_within(center, f64::INFINITY, None),
+                brute_force(&pts, cell, center, f64::INFINITY)
+            );
+        }
+    }
+
+    #[test]
+    fn key_is_floor_for_every_float() {
+        let edge = [
+            0.0, -0.0, 0.5, -0.5, -2.0, 2.0, 1e30, -1e30, 9.3e18, -9.3e18,
+        ];
+        let odd = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+        ];
+        for q in edge
+            .into_iter()
+            .chain(odd)
+            .chain(scatter(200).iter().map(|p| p.x - 5.0))
+        {
+            for cell in [1.0, 0.3, 1e-3] {
+                let want = (q / cell).floor() as i64;
+                assert_eq!(
+                    NeighborGrid::key(Point::new(q, -q), cell).0,
+                    want,
+                    "{q} / {cell}"
+                );
+            }
+        }
     }
 }

@@ -24,6 +24,9 @@ pub enum ConfigError {
     NoHosts,
     /// Per-host query rate is non-positive or non-finite.
     BadQueryRate(f64),
+    /// Transmission range is negative or non-finite (`0.0` is legal: it
+    /// disables sharing). Carries the offending value.
+    BadTxRange(f64),
     /// `ticks_per_min == 0` (no channel time would ever pass).
     ZeroTicksPerMinute,
     /// A duration knob (`measure_min` / `warmup_min`) is negative or
@@ -58,6 +61,12 @@ impl fmt::Display for ConfigError {
             ConfigError::NoHosts => write!(f, "params.mh_number must be ≥ 1"),
             ConfigError::BadQueryRate(r) => {
                 write!(f, "params.query_rate must be positive and finite, got {r}")
+            }
+            ConfigError::BadTxRange(r) => {
+                write!(
+                    f,
+                    "params.tx_range_m must be non-negative and finite, got {r}"
+                )
             }
             ConfigError::ZeroTicksPerMinute => write!(f, "ticks_per_min must be ≥ 1"),
             ConfigError::BadDuration(name) => {
@@ -417,6 +426,10 @@ impl SimConfig {
         if !(rate.is_finite() && rate > 0.0) {
             return Err(ConfigError::BadQueryRate(rate));
         }
+        let range = self.params.tx_range_m;
+        if !(range.is_finite() && range >= 0.0) {
+            return Err(ConfigError::BadTxRange(range));
+        }
         if self.ticks_per_min == 0 {
             return Err(ConfigError::ZeroTicksPerMinute);
         }
@@ -629,6 +642,18 @@ mod tests {
         let mut c = good();
         c.params.query_rate = f64::NAN;
         assert!(matches!(c.check(), Err(ConfigError::BadQueryRate(_))));
+
+        // An infinite range used to pass and then panic in the grid.
+        let mut c = good();
+        c.params.tx_range_m = f64::INFINITY;
+        assert_eq!(c.check(), Err(ConfigError::BadTxRange(f64::INFINITY)));
+        c.params.tx_range_m = -1.0;
+        assert_eq!(c.check(), Err(ConfigError::BadTxRange(-1.0)));
+        c.params.tx_range_m = f64::NAN;
+        assert!(matches!(c.check(), Err(ConfigError::BadTxRange(_))));
+        // Zero is "no sharing", not an error.
+        c.params.tx_range_m = 0.0;
+        assert_eq!(c.check(), Ok(()));
 
         let mut c = good();
         c.ticks_per_min = 0;

@@ -87,8 +87,8 @@ impl LiveWorld {
         let range = meters_to_miles(cfg.params.tx_range_m);
         let cell = range.max(1e-3);
         // All sessions start offline; `connect` admits them. The grid
-        // is retained for the world's lifetime and delta-refreshed at
-        // each boundary — no per-epoch position clone.
+        // is retained for the world's lifetime and rebuilt into its own
+        // buffers at each boundary.
         core.fleet.online = vec![false; n];
         let mut grid = NeighborGrid::with_bounds(&core.world, cell, n);
         grid.refresh_active(&core.fleet.positions, &core.fleet.online);
@@ -181,9 +181,9 @@ impl LiveWorld {
         self.fleet.positions[host] = pos;
     }
 
-    /// Commits the epoch boundary: refreshes the retained neighbor grid
-    /// over the online fleet at their reported positions (re-binning
-    /// only hosts whose cell or online flag changed) and snapshots the
+    /// Commits the epoch boundary: rebuilds the retained neighbor grid
+    /// over the online fleet at their reported positions (a counting
+    /// sort of every online host into reused buffers) and snapshots the
     /// committed caches peers will see. Must run after this boundary's
     /// churn and position updates, before the epoch's batch.
     pub fn begin_epoch(&mut self, epoch: u64) {
