@@ -210,17 +210,6 @@ impl HostCache {
         crate::HostCacheRef::new(self, table)
     }
 
-    /// The verified regions currently cached for a category, resolved to
-    /// owned [`RegionEntry`] values through `table`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "POI payloads live in the PoiTable now; iterate `entries()` \
-                or use `with_table(...)` (HostCacheRef) to resolve handles"
-    )]
-    pub fn regions(&self, table: &PoiTable, category: PoiCategory) -> Vec<RegionEntry> {
-        self.entries(category).map(|v| v.resolve(table)).collect()
-    }
-
     /// Inserts a verified entry for `category`, evicting per policy until
     /// the capacity holds. An entry larger than the whole capacity is
     /// shrunk around the host position first.
@@ -476,21 +465,6 @@ impl HostCache {
                 }
             }
         }
-    }
-
-    /// The share snapshot as owned `(region, POIs)` pairs, resolved
-    /// through `table`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "peers exchange PoiId handles now; use `share_regions()` \
-                or `with_table(...).share_snapshot(...)`"
-    )]
-    pub fn share_snapshot(
-        &self,
-        table: &PoiTable,
-        category: PoiCategory,
-    ) -> Vec<(Rect, Vec<Poi>)> {
-        self.with_table(table).share_snapshot(category)
     }
 
     /// Drops everything (e.g. on simulation reset).

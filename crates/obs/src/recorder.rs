@@ -34,6 +34,18 @@ pub struct NoopRecorder;
 
 impl Recorder for NoopRecorder {}
 
+/// A borrowed recorder records into its referent, so a caller-owned
+/// sink (`&mut dyn Recorder` included) can sit in a worker context
+/// that is generic over its recorder.
+impl<R: Recorder + ?Sized> Recorder for &mut R {
+    fn begin_query(&mut self, id: u64, tick: u64) {
+        (**self).begin_query(id, tick);
+    }
+    fn record(&mut self, event: TraceEvent) {
+        (**self).record(event);
+    }
+}
+
 /// Aggregated view of a [`MetricsRecorder`], as plain numbers.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {

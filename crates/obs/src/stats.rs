@@ -107,10 +107,12 @@ impl FaultStats {
 /// Wall-clock time spent in each phase of the engine's epoch loop,
 /// in nanoseconds, summed across epochs.
 ///
-/// Phase attribution follows the loop's structure: `advance` is churn
-/// application plus per-host mobility stepping, `grid` is the neighbor
-/// grid refresh, `snapshot` is the committed-cache snapshot rebuild,
-/// and `query` is query sharding, execution, and the barrier commit.
+/// Phase attribution follows the loop's structure: `advance` is the
+/// client fleet's share — churn application, per-host mobility stepping
+/// and deriving each query's inputs from the mobility and window
+/// streams; `grid` is the neighbor grid refresh, `snapshot` is the
+/// committed-cache snapshot refresh, and `query` is query sharding,
+/// execution, and the barrier commit.
 ///
 /// These are *measurements of* the run, not *outputs of* the
 /// simulation: two bit-identical runs will record different wall
@@ -120,7 +122,8 @@ impl FaultStats {
 /// counts, and wall-clock jitter must not fail them.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseTimes {
-    /// Churn application + mobility advance, in nanoseconds.
+    /// Churn application, mobility advance and query-input derivation,
+    /// in nanoseconds.
     pub advance_ns: u64,
     /// Neighbor-grid refresh, in nanoseconds.
     pub grid_ns: u64,

@@ -11,9 +11,12 @@
 //! * [`NeighborGrid`] — a uniform spatial hash answering "which hosts are
 //!   within `r` of this point" in O(output) for `r ≤ cell size`; the
 //!   simulator rebuilds it as hosts move.
-//! * [`gather_peer_data`] — the request/reply exchange, with
-//!   [`airshare_obs::ShareStats`] accounting (peers contacted, regions
-//!   and POIs transferred) so experiments can report P2P traffic.
+//! * [`share_exchange`] — the request/reply exchange in full (hop
+//!   count, reply validation, fault injection, quarantine, tracing),
+//!   with [`airshare_obs::ShareStats`] accounting (peers contacted,
+//!   regions and POIs transferred) so experiments can report P2P
+//!   traffic. [`gather_peer_data`] and [`gather_peer_data_checked`] are
+//!   its single-hop, untraced short forms.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,10 +26,6 @@ mod protocol;
 
 pub use grid::NeighborGrid;
 pub use protocol::{
-    gather_peer_data, gather_peer_data_checked, gather_peer_data_checked_rec,
-    gather_peer_data_guarded_rec, gather_peer_data_multihop, gather_peer_data_multihop_checked,
-    gather_peer_data_multihop_checked_rec, gather_peer_data_multihop_guarded_rec,
-    sanitize_id_regions, PeerReply, QuarantineGuard, ShareFaults,
+    gather_peer_data, gather_peer_data_checked, sanitize_id_regions, share_exchange, PeerReply,
+    QuarantineGuard, ShareFaults,
 };
-#[allow(deprecated)]
-pub use protocol::sanitize_regions;

@@ -96,50 +96,6 @@ impl ShareFaults<'_> {
     }
 }
 
-/// Validates one reply's regions: structurally malformed regions and
-/// regions whose POIs fall outside their claimed rectangle are rejected
-/// outright (an inconsistent claim means the peer cannot be trusted about
-/// that region); survivors are clipped to `world` with their POIs
-/// restricted accordingly. Returns the sanitized regions and the number
-/// rejected.
-#[deprecated(
-    since = "0.2.0",
-    note = "replies carry PoiId handles now; use `sanitize_id_regions` \
-            with the canonical PoiTable"
-)]
-pub fn sanitize_regions(
-    regions: Vec<(Rect, Vec<Poi>)>,
-    world: Option<&Rect>,
-) -> (Vec<(Rect, Vec<Poi>)>, usize) {
-    let mut out = Vec::with_capacity(regions.len());
-    let mut rejected = 0usize;
-    for (r, pois) in regions {
-        let well_formed = r.x1.is_finite()
-            && r.y1.is_finite()
-            && r.x2.is_finite()
-            && r.y2.is_finite()
-            && r.x1 <= r.x2
-            && r.y1 <= r.y2;
-        if !well_formed || pois.iter().any(|p| !r.contains(p.pos)) {
-            rejected += 1;
-            continue;
-        }
-        let clipped = match world {
-            Some(w) => match r.intersection(w) {
-                Some(c) => c,
-                None => {
-                    rejected += 1;
-                    continue;
-                }
-            },
-            None => r,
-        };
-        let pois: Vec<Poi> = pois.into_iter().filter(|p| clipped.contains(p.pos)).collect();
-        out.push((clipped, pois));
-    }
-    (out, rejected)
-}
-
 /// Validates one reply's handle-based regions against the canonical
 /// `table`: a region is rejected whole when it is structurally
 /// malformed, claims a handle the table cannot resolve, or claims a POI
@@ -187,20 +143,46 @@ pub fn sanitize_id_regions(
     (out, rejected)
 }
 
-/// Collects validated replies from `peers`, applying drop and malform
-/// decisions and accumulating traffic stats. Each contact, dropped
-/// reply, and data-bearing reply (as a `CacheHit` with the contributed
-/// region count) is traced into `rec`.
+/// The share exchange in full: discovers the peers within `hops`
+/// wireless hops of the querier, collects and validates their replies,
+/// and accumulates traffic stats. Each contact, dropped reply, and
+/// data-bearing reply (as a `CacheHit` with the contributed region
+/// count) is traced into `rec`.
+///
+/// `caches[i]` must be host `i`'s cache; `grid` must reflect current
+/// positions; `table` is the canonical POI store claims resolve
+/// against. With `hops == 1` the grid's neighbor list is taken as is —
+/// the paper's single-hop exchange. With `hops > 1` peers relay the
+/// request (flooding with duplicate suppression, relay positions from
+/// `grid`, each peer contacted once); the paper names richer
+/// cooperation as future work, and this is the obvious next step so
+/// its benefit can be measured (see the `exp_ablations` experiment).
+///
+/// Each contacted peer's reply may be dropped or malformed per
+/// `faults`, and surviving replies are sanitized against `world` (see
+/// [`sanitize_id_regions`]), so a flaky or inconsistent peer degrades
+/// the querier to on-air retrieval instead of poisoning its cache.
+/// Empty-handed peers are counted as contacted (they cost a request
+/// message) but transfer nothing.
 ///
 /// When a quarantine `guard` is present, currently-quarantined peers
-/// are skipped *before* any contact (they cost no request message), and
-/// a peer whose reply fails sanitation is struck and quarantined with
-/// seeded exponential backoff. With `guard: None` (or an empty ledger)
-/// the exchange is byte-identical to the pre-quarantine protocol.
+/// are skipped *before* any contact (they cost no request message, but
+/// still relay a flood — quarantine distrusts a peer's *data*, not its
+/// radio), and a peer whose reply fails sanitation is struck and
+/// quarantined with seeded exponential backoff. With `guard: None` (or
+/// an empty ledger) the exchange is byte-identical to the unguarded
+/// protocol.
+///
+/// # Panics
+/// Panics if `hops == 0`.
 #[allow(clippy::too_many_arguments)]
-fn collect_replies(
-    peers: Vec<usize>,
+pub fn share_exchange(
+    querier: usize,
+    querier_pos: Point,
+    range: f64,
+    hops: usize,
     category: PoiCategory,
+    grid: &NeighborGrid,
     caches: &[HostCache],
     table: &PoiTable,
     world: Option<&Rect>,
@@ -208,6 +190,34 @@ fn collect_replies(
     mut guard: QuarantineGuard<'_>,
     rec: &mut dyn Recorder,
 ) -> (Vec<PeerReply>, ShareStats) {
+    assert!(hops >= 1, "at least one hop");
+    let mut peers = grid.neighbors_within(querier_pos, range, Some(querier));
+    if hops > 1 {
+        let mut visited = vec![false; caches.len()];
+        if querier < visited.len() {
+            visited[querier] = true;
+        }
+        for &i in &peers {
+            visited[i] = true;
+        }
+        let mut frontier = peers.clone();
+        for _ in 1..hops {
+            let mut next = Vec::new();
+            for &relay in &frontier {
+                for i in grid.neighbors_within(grid.position(relay), range, Some(relay)) {
+                    if !std::mem::replace(&mut visited[i], true) {
+                        next.push(i);
+                    }
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            peers.extend(next.iter().copied());
+            frontier = next;
+        }
+    }
+
     let mut stats = ShareStats::default();
     let mut replies = Vec::new();
     for peer in peers {
@@ -266,13 +276,9 @@ fn collect_replies(
     (replies, stats)
 }
 
-/// Performs the single-hop share exchange for a querying host.
-///
-/// `caches[i]` must be host `i`'s cache; `grid` must reflect current
-/// positions; `table` is the canonical POI store claims resolve
-/// against. Returns every non-empty peer reply plus traffic stats.
-/// Empty-handed peers are counted as contacted (they cost a request
-/// message) but transfer nothing.
+/// The paper's exchange as a querying host poses it: [`share_exchange`]
+/// over single-hop peers, with no reply validation against a world
+/// rectangle, no fault injection, no quarantine, and no tracing.
 pub fn gather_peer_data(
     querier: usize,
     querier_pos: Point,
@@ -295,11 +301,8 @@ pub fn gather_peer_data(
     )
 }
 
-/// [`gather_peer_data`] with reply validation and fault injection: each
-/// contacted peer's reply may be dropped per `faults`, and surviving
-/// replies are sanitized against `world` (see [`sanitize_id_regions`]),
-/// so a flaky or inconsistent peer degrades the querier to on-air
-/// retrieval instead of poisoning its cache.
+/// [`gather_peer_data`] with reply validation against `world` and fault
+/// injection per `faults` (see [`share_exchange`]).
 #[allow(clippy::too_many_arguments)]
 pub fn gather_peer_data_checked(
     querier: usize,
@@ -312,216 +315,20 @@ pub fn gather_peer_data_checked(
     world: Option<&Rect>,
     faults: ShareFaults<'_>,
 ) -> (Vec<PeerReply>, ShareStats) {
-    gather_peer_data_checked_rec(
+    share_exchange(
         querier,
         querier_pos,
         range,
+        1,
         category,
         grid,
         caches,
         table,
         world,
         faults,
+        None,
         &mut NoopRecorder,
     )
-}
-
-/// [`gather_peer_data_checked`], tracing peer contacts, dropped replies,
-/// and cache contributions into `rec`.
-#[allow(clippy::too_many_arguments)]
-pub fn gather_peer_data_checked_rec(
-    querier: usize,
-    querier_pos: Point,
-    range: f64,
-    category: PoiCategory,
-    grid: &NeighborGrid,
-    caches: &[HostCache],
-    table: &PoiTable,
-    world: Option<&Rect>,
-    faults: ShareFaults<'_>,
-    rec: &mut dyn Recorder,
-) -> (Vec<PeerReply>, ShareStats) {
-    gather_peer_data_guarded_rec(
-        querier,
-        querier_pos,
-        range,
-        category,
-        grid,
-        caches,
-        table,
-        world,
-        faults,
-        None,
-        rec,
-    )
-}
-
-/// [`gather_peer_data_checked_rec`] with a quarantine `guard`: peers the
-/// querier's ledger currently quarantines are skipped before contact,
-/// and peers whose replies fail sanitation are struck (see
-/// [`QuarantineLedger`]). A `None` guard reproduces the unguarded
-/// exchange exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn gather_peer_data_guarded_rec(
-    querier: usize,
-    querier_pos: Point,
-    range: f64,
-    category: PoiCategory,
-    grid: &NeighborGrid,
-    caches: &[HostCache],
-    table: &PoiTable,
-    world: Option<&Rect>,
-    faults: ShareFaults<'_>,
-    guard: QuarantineGuard<'_>,
-    rec: &mut dyn Recorder,
-) -> (Vec<PeerReply>, ShareStats) {
-    let peers = grid.neighbors_within(querier_pos, range, Some(querier));
-    collect_replies(peers, category, caches, table, world, faults, guard, rec)
-}
-
-/// Multi-hop extension of [`gather_peer_data`]: peers relay the share
-/// request up to `hops` wireless hops away (flooding with duplicate
-/// suppression). The paper confines itself to single-hop exchange and
-/// names richer cooperation as future work; this implements the obvious
-/// next step so its benefit can be measured (see the `exp_ablations`
-/// experiment).
-///
-/// Positions come from `grid`; contacted peers are counted once each.
-/// With `hops == 1` this reduces exactly to [`gather_peer_data`].
-#[allow(clippy::too_many_arguments)]
-pub fn gather_peer_data_multihop(
-    querier: usize,
-    querier_pos: Point,
-    range: f64,
-    hops: usize,
-    category: PoiCategory,
-    grid: &NeighborGrid,
-    caches: &[HostCache],
-    table: &PoiTable,
-) -> (Vec<PeerReply>, ShareStats) {
-    gather_peer_data_multihop_checked(
-        querier,
-        querier_pos,
-        range,
-        hops,
-        category,
-        grid,
-        caches,
-        table,
-        None,
-        ShareFaults::default(),
-    )
-}
-
-/// [`gather_peer_data_multihop`] with reply validation and fault
-/// injection (see [`gather_peer_data_checked`]).
-#[allow(clippy::too_many_arguments)]
-pub fn gather_peer_data_multihop_checked(
-    querier: usize,
-    querier_pos: Point,
-    range: f64,
-    hops: usize,
-    category: PoiCategory,
-    grid: &NeighborGrid,
-    caches: &[HostCache],
-    table: &PoiTable,
-    world: Option<&Rect>,
-    faults: ShareFaults<'_>,
-) -> (Vec<PeerReply>, ShareStats) {
-    gather_peer_data_multihop_checked_rec(
-        querier,
-        querier_pos,
-        range,
-        hops,
-        category,
-        grid,
-        caches,
-        table,
-        world,
-        faults,
-        &mut NoopRecorder,
-    )
-}
-
-/// [`gather_peer_data_multihop_checked`], tracing peer contacts, dropped
-/// replies, and cache contributions into `rec`.
-#[allow(clippy::too_many_arguments)]
-pub fn gather_peer_data_multihop_checked_rec(
-    querier: usize,
-    querier_pos: Point,
-    range: f64,
-    hops: usize,
-    category: PoiCategory,
-    grid: &NeighborGrid,
-    caches: &[HostCache],
-    table: &PoiTable,
-    world: Option<&Rect>,
-    faults: ShareFaults<'_>,
-    rec: &mut dyn Recorder,
-) -> (Vec<PeerReply>, ShareStats) {
-    gather_peer_data_multihop_guarded_rec(
-        querier,
-        querier_pos,
-        range,
-        hops,
-        category,
-        grid,
-        caches,
-        table,
-        world,
-        faults,
-        None,
-        rec,
-    )
-}
-
-/// [`gather_peer_data_multihop_checked_rec`] with a quarantine `guard`
-/// (see [`gather_peer_data_guarded_rec`]). Quarantined peers still relay
-/// the flood — quarantine distrusts a peer's *data*, not its radio —
-/// but their own replies are skipped.
-#[allow(clippy::too_many_arguments)]
-pub fn gather_peer_data_multihop_guarded_rec(
-    querier: usize,
-    querier_pos: Point,
-    range: f64,
-    hops: usize,
-    category: PoiCategory,
-    grid: &NeighborGrid,
-    caches: &[HostCache],
-    table: &PoiTable,
-    world: Option<&Rect>,
-    faults: ShareFaults<'_>,
-    guard: QuarantineGuard<'_>,
-    rec: &mut dyn Recorder,
-) -> (Vec<PeerReply>, ShareStats) {
-    assert!(hops >= 1, "at least one hop");
-    let mut visited = vec![false; caches.len()];
-    if querier < visited.len() {
-        visited[querier] = true;
-    }
-    let mut frontier: Vec<usize> = grid
-        .neighbors_within(querier_pos, range, Some(querier))
-        .into_iter()
-        .filter(|&i| !std::mem::replace(&mut visited[i], true))
-        .collect();
-    let mut reached = frontier.clone();
-    for _ in 1..hops {
-        let mut next = Vec::new();
-        for &relay in &frontier {
-            for i in grid.neighbors_within(grid.position(relay), range, Some(relay)) {
-                if !std::mem::replace(&mut visited[i], true) {
-                    next.push(i);
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        reached.extend(next.iter().copied());
-        frontier = next;
-    }
-
-    collect_replies(reached, category, caches, table, world, faults, guard, rec)
 }
 
 #[cfg(test)]
@@ -630,7 +437,7 @@ mod tests {
         let table = PoiTable::from_pois([poi]);
         let grid = NeighborGrid::build(positions, 1.0);
         for (hops, expect_contacted, expect_replies) in [(1, 1, 0), (2, 2, 0), (3, 3, 1)] {
-            let (replies, stats) = gather_peer_data_multihop(
+            let (replies, stats) = share_exchange(
                 0,
                 Point::new(0.0, 0.0),
                 1.0,
@@ -639,6 +446,10 @@ mod tests {
                 &grid,
                 &caches,
                 &table,
+                None,
+                ShareFaults::default(),
+                None,
+                &mut NoopRecorder,
             );
             assert_eq!(stats.peers_contacted, expect_contacted, "hops {hops}");
             assert_eq!(replies.len(), expect_replies, "hops {hops}");
@@ -652,7 +463,7 @@ mod tests {
         let grid = NeighborGrid::build(positions, 1.0);
         let (r1, s1) =
             gather_peer_data(0, Point::new(0.0, 0.0), 1.0, CAT, &grid, &caches, &table);
-        let (r2, s2) = gather_peer_data_multihop(
+        let (r2, s2) = share_exchange(
             0,
             Point::new(0.0, 0.0),
             1.0,
@@ -661,6 +472,10 @@ mod tests {
             &grid,
             &caches,
             &table,
+            None,
+            ShareFaults::default(),
+            None,
+            &mut NoopRecorder,
         );
         assert_eq!(s1, s2);
         assert_eq!(r1.len(), r2.len());
@@ -680,7 +495,7 @@ mod tests {
         let caches: Vec<HostCache> = pois.iter().map(|&p| cache_with_poi(p)).collect();
         let table = PoiTable::from_pois(pois);
         let grid = NeighborGrid::build(positions, 1.0);
-        let (replies, stats) = gather_peer_data_multihop(
+        let (replies, stats) = share_exchange(
             2,
             Point::new(0.2, 0.0),
             1.0,
@@ -689,6 +504,10 @@ mod tests {
             &grid,
             &caches,
             &table,
+            None,
+            ShareFaults::default(),
+            None,
+            &mut NoopRecorder,
         );
         assert_eq!(stats.peers_contacted, 5);
         assert!(replies.iter().all(|r| r.peer != 2));
@@ -806,26 +625,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_poi_sanitizer_still_works() {
-        let world = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
-        let regions = vec![
-            (
-                Rect::from_coords(0.0, 0.0, 1.0, 1.0),
-                vec![Poi::new(1, Point::new(5.0, 5.0))],
-            ),
-            (
-                Rect::from_coords(2.0, 2.0, 4.0, 4.0),
-                vec![Poi::new(5, Point::new(3.0, 3.0))],
-            ),
-        ];
-        let (kept, rejected) = sanitize_regions(regions, Some(&world));
-        assert_eq!(rejected, 1);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].1[0].id, 5);
-    }
-
-    #[test]
     fn inconsistent_peer_cache_degrades_to_no_reply() {
         // A peer whose cache claims a POI inside a VR the canonical
         // position contradicts (possible only by constructing the entry
@@ -875,16 +674,18 @@ mod tests {
             nonce: 42,
         };
         let mut rec = MetricsRecorder::new();
-        let (replies, stats) = gather_peer_data_checked_rec(
+        let (replies, stats) = share_exchange(
             0,
             Point::new(0.0, 0.0),
             1.0,
+            1,
             CAT,
             &grid,
             &caches,
             &table,
             None,
             some,
+            None,
             &mut rec,
         );
         let snap = rec.snapshot();
@@ -956,10 +757,11 @@ mod tests {
         let mut ledger = QuarantineLedger::new(QuarantineConfig::default(), 7);
 
         // Exchange 1 at epoch 0: every reply malforms, every peer struck.
-        let (replies, stats) = gather_peer_data_guarded_rec(
+        let (replies, stats) = share_exchange(
             0,
             Point::new(0.0, 0.0),
             1.0,
+            1,
             CAT,
             &grid,
             &caches,
@@ -977,10 +779,11 @@ mod tests {
 
         // Exchange 2 at epoch 1: all three peers are quarantined and
         // skipped before contact — no request messages at all.
-        let (replies2, stats2) = gather_peer_data_guarded_rec(
+        let (replies2, stats2) = share_exchange(
             0,
             Point::new(0.0, 0.0),
             1.0,
+            1,
             CAT,
             &grid,
             &caches,
@@ -1010,10 +813,11 @@ mod tests {
             nonce: 42,
         };
         let mut ledger = QuarantineLedger::new(QuarantineConfig::default(), 7);
-        let (rg, sg) = gather_peer_data_guarded_rec(
+        let (rg, sg) = share_exchange(
             0,
             Point::new(0.0, 0.0),
             1.0,
+            1,
             CAT,
             &grid,
             &caches,

@@ -27,6 +27,9 @@ pub enum ConfigError {
     /// Transmission range is negative or non-finite (`0.0` is legal: it
     /// disables sharing). Carries the offending value.
     BadTxRange(f64),
+    /// `p2p_hops == 0`: a share request that travels no hop reaches
+    /// nobody (`tx_range_m = 0.0` is the knob that disables sharing).
+    ZeroP2pHops,
     /// `ticks_per_min == 0` (no channel time would ever pass).
     ZeroTicksPerMinute,
     /// A duration knob (`measure_min` / `warmup_min`) is negative or
@@ -68,6 +71,7 @@ impl fmt::Display for ConfigError {
                     "params.tx_range_m must be non-negative and finite, got {r}"
                 )
             }
+            ConfigError::ZeroP2pHops => write!(f, "p2p_hops must be ≥ 1"),
             ConfigError::ZeroTicksPerMinute => write!(f, "ticks_per_min must be ≥ 1"),
             ConfigError::BadDuration(name) => {
                 write!(f, "{name} must be non-negative and finite")
@@ -430,6 +434,9 @@ impl SimConfig {
         if !(range.is_finite() && range >= 0.0) {
             return Err(ConfigError::BadTxRange(range));
         }
+        if self.p2p_hops == 0 {
+            return Err(ConfigError::ZeroP2pHops);
+        }
         if self.ticks_per_min == 0 {
             return Err(ConfigError::ZeroTicksPerMinute);
         }
@@ -654,6 +661,11 @@ mod tests {
         // Zero is "no sharing", not an error.
         c.params.tx_range_m = 0.0;
         assert_eq!(c.check(), Ok(()));
+
+        // Zero hops used to pass and run as a single-hop exchange.
+        let mut c = good();
+        c.p2p_hops = 0;
+        assert_eq!(c.check(), Err(ConfigError::ZeroP2pHops));
 
         let mut c = good();
         c.ticks_per_min = 0;

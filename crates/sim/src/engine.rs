@@ -1,9 +1,18 @@
-//! The simulation event loop: epoch-sharded, deterministically parallel.
+//! The closed-loop simulator and the query-resolution path.
+//!
+//! [`Simulation`] is the paper's mobile-host module (§4.1): it moves
+//! hosts, schedules their queries and plans their churn — and nothing
+//! else. Everything a base station and its sessions own lives in the
+//! [`LiveWorld`] it holds, and each epoch it does what any client fleet
+//! does: churn, position updates, `begin_epoch`, one batch. The barrier
+//! itself (grid, snapshot, by-host sharding, commit, report fold) is in
+//! `live.rs`; what stays here is `EpochCtx::process_query`, the
+//! resolution of one query against one epoch's committed world.
 //!
 //! Queries are grouped by *epoch* (the neighbor-grid refresh interval).
 //! Within one epoch every host observes the same committed world: peer
-//! positions from the epoch-start [`NeighborGrid`] and peer caches from
-//! the epoch-start snapshot. A host's own cache stays live to itself, and
+//! positions from the epoch-start grid and peer caches from the
+//! epoch-start snapshot. A host's own cache stays live to itself, and
 //! its writes commit at the epoch barrier in host-id order. Per-query
 //! randomness comes from RNG streams seed-split per `(host, epoch)`, and
 //! per-query outcomes are folded into the report in global event order —
@@ -11,18 +20,19 @@
 //! [`Simulation::run`] for every thread count.
 
 use crate::fleet::FleetStore;
+use crate::live::{LiveQuery, LiveWorld};
 use crate::traffic::{EpochRecord, RecordedQuery, TrafficTrace};
-use crate::{BackendKind, ConfigError, MobilityModel, QueryKind, SimConfig, SimReport};
+use crate::{ConfigError, MobilityModel, ParamSet, QueryKind, SimConfig, SimReport};
 use airshare_broadcast::{
-    wire, AirIndex, AirIndexBackend, BuildParams, ChannelFaults, OnAirClient, OutageSchedule, Poi,
-    PoiCategory, PoiId, PoiTable, QueryScratch, RtreeAirIndex, Schedule,
+    AirIndexBackend, ChannelFaults, OnAirClient, OutageSchedule, Poi, PoiCategory, PoiId, PoiTable,
+    QueryScratch, Schedule,
 };
-use airshare_cache::{CacheContext, HostCache, QuarantineConfig, QuarantineLedger};
+use airshare_cache::{CacheContext, HostCache, QuarantineLedger};
 use airshare_core::{
     sbnn_rec, sbwq_rec, MergedRegion, ResolvedBy, SbnnConfig, SbnnOutcome, SbwqConfig, SbwqOutcome,
 };
 use airshare_exec::{split_seed, ExecPool};
-use airshare_geom::{meters_to_miles, Point, Rect};
+use airshare_geom::{Point, Rect};
 use airshare_mobility::{
     GridRoadWaypoint, Mobility, MobilityConfig, QueryEvent, QueryScheduler, RandomWaypoint,
 };
@@ -34,7 +44,6 @@ use airshare_p2p::{NeighborGrid, ShareFaults};
 use airshare_rtree::RTree;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// The single POI category the paper's experiments use (gas stations).
@@ -53,9 +62,6 @@ const RESTART_KEY_SALT: u64 = 0x9E57_A27A_0000_0002;
 
 /// Seed domain for late-joiner admission epochs.
 const JOIN_SEED_SALT: u64 = 0x10A7_5EED_0000_0003;
-
-/// Seed domain for per-host quarantine backoff jitter.
-const QUARANTINE_SEED_SALT: u64 = 0x0A42_A7F1_5EED_0005;
 
 /// A host's relationship to the broadcast channel.
 #[derive(Clone, Copy, Debug)]
@@ -106,9 +112,6 @@ enum HostMobility {
     /// stream is pure pointer-chasing overhead.
     Waypoint(RandomWaypoint),
     Roads(Box<GridRoadWaypoint>),
-    /// Placeholder left behind while the host's state is moved into an
-    /// epoch task; restored at the barrier, never observed in between.
-    Vacant,
 }
 
 impl Mobility for HostMobility {
@@ -116,14 +119,12 @@ impl Mobility for HostMobility {
         match self {
             HostMobility::Waypoint(m) => m.position_at(t),
             HostMobility::Roads(m) => m.position_at(t),
-            HostMobility::Vacant => unreachable!("host state vacated into an epoch task"),
         }
     }
     fn velocity_at(&mut self, t: f64) -> (f64, f64) {
         match self {
             HostMobility::Waypoint(m) => m.velocity_at(t),
             HostMobility::Roads(m) => m.velocity_at(t),
-            HostMobility::Vacant => unreachable!("host state vacated into an epoch task"),
         }
     }
 }
@@ -161,45 +162,17 @@ pub(crate) struct QueryOutcome {
     mismatch: bool,
 }
 
-/// One host's slice of an epoch: its mutable state moved out of the
-/// simulation, plus its time-ordered events.
-struct HostTask {
-    host: usize,
-    mobility: HostMobility,
-    cache: HostCache,
-    rng: SmallRng,
-    sync: SyncState,
-    quarantine: QuarantineLedger,
-    /// `(global event index, query time)`, time-ordered.
-    events: Vec<(u64, f64)>,
-}
-
-/// One host's mutable state, borrowed for a single query. Position,
-/// heading, and the query spec are inputs to `process_query` instead —
-/// the closed loop derives them from mobility + the window stream, the
-/// live service takes them straight off the wire.
+/// One host's mutable state, borrowed for a single query. The query's
+/// inputs arrive beside it as a [`LiveQuery`].
 pub(crate) struct QueryHostState<'a> {
-    host: usize,
     cache: &'a mut HostCache,
     sync: &'a mut SyncState,
     quarantine: &'a mut QuarantineLedger,
     resyncs: &'a mut u64,
 }
 
-struct HostDone {
-    host: usize,
-    mobility: HostMobility,
-    cache: HostCache,
-    sync: SyncState,
-    quarantine: QuarantineLedger,
-    /// Resync transitions this shard performed (warm-up included).
-    resyncs: u64,
-    outcomes: Vec<(u64, QueryOutcome)>,
-}
-
-/// The immutable world every worker shares within one epoch. Shared by
-/// the closed-loop engine and the serving layer's `LiveWorld`, which is
-/// what makes replay parity a structural property rather than a test.
+/// The immutable world every worker shares within one epoch: a borrow
+/// of the [`LiveWorld`] minus the per-host state its tasks carry.
 pub(crate) struct EpochCtx<'a> {
     pub(crate) cfg: &'a SimConfig,
     pub(crate) world: &'a Rect,
@@ -219,24 +192,15 @@ pub(crate) struct EpochCtx<'a> {
     pub(crate) outage: &'a OutageSchedule,
 }
 
-/// One query handed to the engine by the serving layer: inputs only,
-/// everything the closed loop would have derived from mobility.
-pub(crate) struct LiveBatchItem {
-    pub(crate) nonce: u64,
-    pub(crate) at_min: f64,
-    pub(crate) pos: Point,
-    pub(crate) heading: Option<(f64, f64)>,
-    pub(crate) spec: QuerySpec,
-}
-
-/// One host's slice of a service epoch batch.
+/// One host's slice of an epoch batch: its mutable state moved out of
+/// the world, plus its queries.
 pub(crate) struct LiveTask {
     pub(crate) host: usize,
     pub(crate) cache: HostCache,
     pub(crate) sync: SyncState,
     pub(crate) quarantine: QuarantineLedger,
     /// Nonce-ordered queries for this host.
-    pub(crate) queries: Vec<LiveBatchItem>,
+    pub(crate) queries: Vec<LiveQuery>,
 }
 
 /// A [`LiveTask`]'s committed result.
@@ -245,72 +209,45 @@ pub(crate) struct LiveDone {
     pub(crate) cache: HostCache,
     pub(crate) sync: SyncState,
     pub(crate) quarantine: QuarantineLedger,
+    /// Resync transitions this shard performed (warm-up included).
     pub(crate) resyncs: u64,
     pub(crate) outcomes: Vec<(u64, QueryOutcome)>,
+    /// One per query when the batch wants answers, else empty.
     pub(crate) answers: Vec<QueryAnswer>,
 }
 
-/// Who executes the epoch's host tasks.
-enum Driver<'d> {
-    /// One thread, one recorder, tasks in host-id order.
-    Sequential(&'d mut dyn Recorder),
-    /// Sequential, additionally capturing the full workload (per-epoch
-    /// fleet state + per-query inputs and answers) into a trace.
-    Recording {
-        rec: &'d mut dyn Recorder,
-        trace: &'d mut TrafficTrace,
-    },
-    /// Pool workers with inert recorders.
-    Parallel { pool: &'d ExecPool },
-    /// Pool workers, each folding into its own shard-local recorder.
-    ParallelMetrics {
-        pool: &'d ExecPool,
-        recorders: &'d mut Vec<MetricsRecorder>,
-    },
-}
-
 /// One full system: base station, channel, fleet, caches.
+///
+/// The simulation owns the *client* side — mobility, the query
+/// scheduler, the churn plan — and drives a [`LiveWorld`] that owns
+/// everything else.
+///
+/// Every `run*` entry point simulates the whole configured horizon from
+/// a pristine world. A `Simulation` that has already run rebuilds itself
+/// from its own configuration first, so `sim.run()` twice — or `run()`
+/// then `run_parallel(..)` — returns equal reports; accessors such as
+/// [`Simulation::fleet`] show the state the most recent run ended in.
 pub struct Simulation {
-    cfg: SimConfig,
-    world: Rect,
-    /// The canonical POI table: the one copy of every POI payload.
-    /// Caches, peer replies, and the index all refer into it by handle.
-    table: PoiTable,
-    /// The broadcast organization, behind the backend trait: the
-    /// `BackendKind` knob picks the concrete index at build time.
-    index: Box<dyn AirIndexBackend>,
-    schedule: Schedule,
-    oracle: RTree<u32>,
+    /// The base station and every host's session state.
+    world: LiveWorld,
     hosts: Vec<HostMobility>,
-    /// Columnar per-host mutable state (online flags, positions, sync
-    /// scalars, caches, quarantine ledgers).
-    fleet: FleetStore,
-    /// Deterministic fault decision source; `None` when the fault config
-    /// is inert, so the ideal-channel path pays nothing.
-    faults: Option<ChannelFaults>,
     /// Precomputed churn transitions `(epoch, host, comes_online)`,
     /// sorted by `(epoch, host)`; a pure function of the master seed.
     churn_plan: Vec<(u64, usize, bool)>,
-    /// First `churn_plan` entry not yet applied.
-    churn_cursor: usize,
-    /// Base-station silence windows over epoch numbers.
-    outage: OutageSchedule,
-    /// Wall-clock phase breakdown of the most recent run (advance /
-    /// grid / query / snapshot). Measurement only — never part of the
-    /// simulation's output.
-    phases: PhaseTimes,
+    /// A run has consumed the mobility streams and the world.
+    ran: bool,
 }
 
 impl Simulation {
-    /// Builds the world: POIs placed uniformly at random (the paper's
-    /// own Poisson-field assumption), the Hilbert air index over them,
-    /// the `(1, m)` schedule, the ground-truth R-tree, and the host
-    /// fleet with empty caches. Validates the configuration first, so a
-    /// bad knob surfaces as a typed [`ConfigError`] instead of a panic
-    /// deep inside a substrate crate.
+    /// Builds the world (see [`LiveWorld::try_new`]) and the host fleet:
+    /// one mobility stream per host and the churn plan, with every host
+    /// the plan starts online admitted. Validates the configuration
+    /// first, so a bad knob surfaces as a typed [`ConfigError`] instead
+    /// of a panic deep inside a substrate crate.
     pub fn try_new(cfg: SimConfig) -> Result<Self, ConfigError> {
-        let mut core = build_world_core(&cfg)?;
-        let mut mobility_cfg = MobilityConfig::vehicular(core.world);
+        let mut world = LiveWorld::try_new(cfg)?;
+        let cfg = world.config();
+        let mut mobility_cfg = MobilityConfig::vehicular(world.bounds);
         mobility_cfg.speed_min *= cfg.params.speed_scale;
         mobility_cfg.speed_max *= cfg.params.speed_scale;
         // Every stream is seeded per host, independent of construction
@@ -332,44 +269,35 @@ impl Simulation {
                     }
                 }
             });
-        let (online, churn_plan) = plan_churn(&cfg);
-        core.fleet.online = online;
+        let (online, churn_plan) = plan_churn(cfg);
+        world.fleet.online = online;
         Ok(Self {
-            cfg,
-            world: core.world,
-            table: core.table,
-            index: core.index,
-            schedule: core.schedule,
-            oracle: core.oracle,
+            world,
             hosts,
-            fleet: core.fleet,
-            faults: core.faults,
             churn_plan,
-            churn_cursor: 0,
-            outage: core.outage,
-            phases: PhaseTimes::default(),
+            ran: false,
         })
     }
 
     /// The configuration.
     pub fn config(&self) -> &SimConfig {
-        &self.cfg
+        self.world.config()
     }
 
     /// The global POI set (for external validation).
     pub fn pois(&self) -> &[Poi] {
-        self.table.as_slice()
+        self.world.poi_table().as_slice()
     }
 
     /// The canonical POI table every cached or peer-shared handle
     /// resolves against.
     pub fn poi_table(&self) -> &PoiTable {
-        &self.table
+        self.world.poi_table()
     }
 
     /// Read-only view of the fleet's columnar state.
     pub fn fleet(&self) -> &FleetStore {
-        &self.fleet
+        self.world.fleet()
     }
 
     /// Wall-clock breakdown of the most recent run's epoch loop
@@ -378,7 +306,7 @@ impl Simulation {
     /// including the plain [`Simulation::run`]; the `run_*metrics`
     /// variants additionally copy it into the report's snapshot.
     pub fn phase_times(&self) -> PhaseTimes {
-        self.phases
+        self.world.phases
     }
 
     /// Runs the simulation to completion and returns the report.
@@ -391,12 +319,7 @@ impl Simulation {
     /// view (per-event counters plus tuning/latency percentiles over
     /// *every* query, peer-resolved ones included as zeros).
     pub fn run_metrics(&mut self) -> SimReport {
-        let mut rec = MetricsRecorder::new();
-        let mut report = self.run_engine(Driver::Sequential(&mut rec));
-        let mut snapshot = rec.snapshot();
-        snapshot.phases = self.phases;
-        report.metrics = Some(snapshot);
-        report
+        self.run_parallel_metrics(&ExecPool::sequential())
     }
 
     /// [`Simulation::run`], tracing every query's resolution path into
@@ -408,8 +331,9 @@ impl Simulation {
     /// epoch), which is also deterministic.
     ///
     /// [`run`]: Simulation::run
-    pub fn run_with(&mut self, rec: &mut dyn Recorder) -> SimReport {
-        self.run_engine(Driver::Sequential(rec))
+    pub fn run_with(&mut self, rec: &mut (dyn Recorder + Send)) -> SimReport {
+        let mut ctxs = [(rec, QueryScratch::new())];
+        self.run_engine(&ExecPool::sequential(), &mut ctxs, None)
     }
 
     /// Runs sequentially while recording the full workload into a
@@ -420,20 +344,15 @@ impl Simulation {
     /// what `airshare-serve`'s replay client drives against the live
     /// service, asserting answer-set parity.
     pub fn run_recording(&mut self) -> (SimReport, TrafficTrace) {
+        let cfg = self.config();
         let mut trace = TrafficTrace {
-            seed: self.cfg.seed,
-            hosts: self.cfg.params.mh_number,
-            epoch_min: self.cfg.epoch_min,
+            seed: cfg.seed,
+            hosts: cfg.params.mh_number,
+            epoch_min: cfg.epoch_min,
             ..TrafficTrace::default()
         };
-        let mut noop = NoopRecorder;
-        let report = self.run_engine(Driver::Recording {
-            rec: &mut noop,
-            trace: &mut trace,
-        });
-        // Per-epoch recording appends in host-id order; replay wants
-        // global (nonce) order, which is also time order.
-        trace.queries.sort_by_key(|q| q.nonce);
+        let mut ctxs = [(NoopRecorder, QueryScratch::new())];
+        let report = self.run_engine(&ExecPool::sequential(), &mut ctxs, Some(&mut trace));
         (report, trace)
     }
 
@@ -447,7 +366,10 @@ impl Simulation {
     /// event order at the barrier. Scheduling affects only wall-clock
     /// time. `tests/parallel.rs` asserts this end to end.
     pub fn run_parallel(&mut self, pool: &ExecPool) -> SimReport {
-        self.run_engine(Driver::Parallel { pool })
+        let mut ctxs: Vec<_> = (0..pool.threads())
+            .map(|_| (NoopRecorder, QueryScratch::new()))
+            .collect();
+        self.run_engine(pool, &mut ctxs, None)
     }
 
     /// [`Simulation::run_parallel`] with per-worker [`MetricsRecorder`]s:
@@ -455,97 +377,54 @@ impl Simulation {
     /// associatively into the report's `metrics` snapshot — equal to the
     /// snapshot a sequential [`Simulation::run_metrics`] produces.
     pub fn run_parallel_metrics(&mut self, pool: &ExecPool) -> SimReport {
-        let mut recorders: Vec<MetricsRecorder> =
-            (0..pool.threads()).map(|_| MetricsRecorder::new()).collect();
-        let mut report = self.run_engine(Driver::ParallelMetrics {
-            pool,
-            recorders: &mut recorders,
-        });
+        let mut ctxs: Vec<_> = (0..pool.threads())
+            .map(|_| (MetricsRecorder::new(), QueryScratch::new()))
+            .collect();
+        let mut report = self.run_engine(pool, &mut ctxs, None);
         let mut merged = MetricsRecorder::new();
-        for rec in &recorders {
+        for (rec, _) in &ctxs {
             merged.merge(rec);
         }
         let mut snapshot = merged.snapshot();
-        snapshot.phases = self.phases;
+        snapshot.phases = self.world.phases;
         report.metrics = Some(snapshot);
         report
     }
 
-    /// The epoch loop shared by every public entry point.
+    /// The client loop behind every public entry point.
     ///
-    /// Per epoch: rebuild the neighbor grid at the epoch boundary,
-    /// snapshot the committed caches, move each active host's state into
-    /// its shard task, execute the shards (inline or on the pool), then
-    /// commit state back in host-id order and fold outcomes in global
-    /// event order.
-    fn run_engine(&mut self, driver: Driver<'_>) -> SimReport {
-        // Per-worker `(recorder, scratch)` state, hoisted out of the
-        // epoch loop: the scratch buffers reach their high-water marks
-        // during warm-up and every later index-path query runs without
-        // heap allocation.
-        enum Workers<'d> {
-            Sequential(&'d mut dyn Recorder, QueryScratch),
-            Recording(&'d mut dyn Recorder, QueryScratch, &'d mut TrafficTrace),
-            Parallel(&'d ExecPool, Vec<(NoopRecorder, QueryScratch)>),
-            ParallelMetrics(&'d ExecPool, Vec<(&'d mut MetricsRecorder, QueryScratch)>),
+    /// Per epoch, in the world's barrier order: apply due churn, advance
+    /// mobility into the position column, `begin_epoch`, derive each
+    /// online event's query inputs from mobility and the per-`(host,
+    /// epoch)` window stream, and hand the batch to the world. `ctxs`
+    /// holds one `(recorder, scratch)` per worker — hoisted out of the
+    /// epoch loop so the scratch buffers reach their high-water marks
+    /// during warm-up and every later index-path query runs without heap
+    /// allocation. With `trace` set, the fleet's per-epoch state and
+    /// every query's inputs and answer are captured for service replay.
+    fn run_engine<R: Recorder + Send>(
+        &mut self,
+        pool: &ExecPool,
+        ctxs: &mut [(R, QueryScratch)],
+        mut trace: Option<&mut TrafficTrace>,
+    ) -> SimReport {
+        if self.ran {
+            *self = Self::try_new(self.config().clone()).expect("validated at construction");
         }
-        // The pool the *fleet* phases (advance, churn application) fan
-        // out on — the same pool the query shards use. Sequential and
-        // recording drivers advance inline.
-        let fleet_pool: Option<ExecPool> = match &driver {
-            Driver::Parallel { pool } => Some((*pool).clone()),
-            Driver::ParallelMetrics { pool, .. } => Some((*pool).clone()),
-            _ => None,
-        };
-        let mut workers = match driver {
-            Driver::Sequential(rec) => Workers::Sequential(rec, QueryScratch::new()),
-            Driver::Recording { rec, trace } => {
-                Workers::Recording(rec, QueryScratch::new(), trace)
-            }
-            Driver::Parallel { pool } => Workers::Parallel(
-                pool,
-                (0..pool.threads())
-                    .map(|_| (NoopRecorder, QueryScratch::new()))
-                    .collect(),
-            ),
-            Driver::ParallelMetrics { pool, recorders } => Workers::ParallelMetrics(
-                pool,
-                recorders
-                    .iter_mut()
-                    .map(|r| (r, QueryScratch::new()))
-                    .collect(),
-            ),
-        };
-
-        let cfg = self.cfg.clone();
-        let range = meters_to_miles(cfg.params.tx_range_m);
-        let cell = range.max(1e-3);
+        self.ran = true;
+        let cfg = self.config().clone();
         let epoch_len = cfg.epoch_min;
-
         let mut scheduler =
             QueryScheduler::new(cfg.params.query_rate, cfg.params.mh_number, cfg.seed ^ 0xA5);
         let horizon = cfg.total_min();
 
-        if let Workers::Recording(_, _, trace) = &mut workers {
+        if let Some(trace) = &mut trace {
             // Pristine churn-plan state: who is on the air before the
             // first epoch's transitions apply.
-            trace.initial_online = self.fleet.online.clone();
+            trace.initial_online = self.world.fleet.online.clone();
         }
-
-        let mut report = SimReport::default();
-        let mut phases = PhaseTimes::default();
-        // The neighbor grid's buffers are *retained* across epochs:
-        // reserved for the world's extent once, then refilled at each
-        // boundary by a counting-sort rebuild of the whole fleet (88 %
-        // of hosts change cell per epoch, so a delta would save nothing).
-        let mut grid = NeighborGrid::with_bounds(&self.world, cell, cfg.params.mh_number);
-        // The committed cache state peers observe, maintained
-        // *incrementally*: cloned whole once, then only hosts whose
-        // cache changed (a commit or a crash wipe) are re-cloned at the
-        // next boundary. `HostCache::clone_from` reuses the snapshot's
-        // buffers, so a warm steady state refreshes without allocating.
-        let mut snapshot: Vec<HostCache> = self.fleet.caches.clone();
-        let mut dirty: Vec<usize> = Vec::new();
+        // First `churn_plan` entry not yet applied.
+        let mut churn_cursor = 0;
         // Events are pulled from the scheduler one epoch at a time into
         // a reused buffer — memory stays O(hosts + live epoch) instead
         // of materializing the whole run's event list. The draw sequence
@@ -555,8 +434,13 @@ impl Simulation {
         let mut next_index: u64 = 0;
         // Recording keeps the previous epoch's recorded positions so
         // the trace can carry per-epoch *deltas* instead of full
-        // position vectors.
-        let mut last_rec_positions: Option<Vec<Point>> = None;
+        // position vectors. NaN never equals a position, so the first
+        // record carries every host.
+        let mut last_rec_positions = match &trace {
+            Some(_) => vec![Point::new(f64::NAN, f64::NAN); self.hosts.len()],
+            None => Vec::new(),
+        };
+        let mut answers: Vec<QueryAnswer> = Vec::new();
         while scheduler.peek_time() < horizon {
             let first = scheduler.next_query();
             let epoch = (first.time / epoch_len) as u64;
@@ -569,335 +453,175 @@ impl Simulation {
             }
 
             // Churn transitions due at or before this epoch's boundary
-            // (epochs without events are caught up lazily). This serial
-            // pass records events and counters in plan order —
-            // identically under every driver, so trace logs stay
-            // byte-identical — and *collects* the per-host state
-            // mutations for the chunked fleet-advance pass below.
+            // (epochs without events are caught up lazily), in plan
+            // order — identically for every pool, so trace logs stay
+            // byte-identical.
             let t_phase = Instant::now();
             let mut epoch_churn: Vec<(u32, u64, bool)> = Vec::new();
-            let mut transitions: Vec<(usize, u64, bool)> = Vec::new();
-            while self.churn_cursor < self.churn_plan.len()
-                && self.churn_plan[self.churn_cursor].0 <= epoch
+            while let Some(&(e, h, up)) = self
+                .churn_plan
+                .get(churn_cursor)
+                .filter(|&&(e, _, _)| e <= epoch)
             {
-                let (e, h, up) = self.churn_plan[self.churn_cursor];
-                self.churn_cursor += 1;
-                transitions.push((h, e, up));
-                let event = if up {
-                    report.hosts_restarted += 1;
-                    TraceEvent::HostRestarted {
-                        host: h as u32,
-                        epoch: e,
-                    }
+                churn_cursor += 1;
+                if up {
+                    self.world.reconnect(h, e, &mut ctxs[0].0);
                 } else {
-                    // Crash wipes all volatile state; the peer-visible
-                    // snapshot must reflect the wipe this epoch.
-                    dirty.push(h);
-                    report.hosts_crashed += 1;
-                    TraceEvent::HostCrashed {
-                        host: h as u32,
-                        epoch: e,
-                    }
-                };
-                match &mut workers {
-                    Workers::Sequential(rec, _) => rec.record(event),
-                    Workers::Recording(rec, _, _) => {
-                        // The trace keeps the *planned* epoch `e`, not the
-                        // barrier epoch: a restart's sync clock is pinned
-                        // to when the host actually came online.
-                        epoch_churn.push((h as u32, e, up));
-                        rec.record(event);
-                    }
-                    Workers::Parallel(..) => {}
-                    Workers::ParallelMetrics(_, ctxs) => {
-                        if let Some((rec, _)) = ctxs.first_mut() {
-                            rec.record(event);
-                        }
-                    }
+                    self.world.disconnect(h, e, &mut ctxs[0].0);
+                }
+                if trace.is_some() {
+                    // The trace keeps the *planned* epoch `e`, not the
+                    // barrier epoch: a restart's sync clock is pinned
+                    // to when the host actually came online.
+                    epoch_churn.push((h as u32, e, up));
                 }
             }
 
             // Grid positions at the epoch boundary; clamped to the first
             // event so host clocks never run backwards on the boundary's
-            // floating-point edge. The stable host sort keeps each
-            // host's transitions in plan (epoch) order, so the chunked
-            // pass lands on the same final state the in-order walk did.
+            // floating-point edge.
             let t_build = (epoch as f64 * epoch_len).min(epoch_events[0].time);
-            transitions.sort_by_key(|&(h, _, _)| h);
             advance_fleet(
                 &mut self.hosts,
-                &mut self.fleet,
-                &transitions,
+                &mut self.world.fleet.positions,
                 t_build,
-                epoch_len,
-                fleet_pool.as_ref(),
+                pool,
             );
-            phases.advance_ns += t_phase.elapsed().as_nanos() as u64;
-            if let Workers::Recording(_, _, trace) = &mut workers {
-                // Position deltas against the previous recorded epoch:
-                // the first record carries every host, later ones only
-                // hosts whose position actually changed (a paused
-                // waypoint host costs nothing).
-                let moved: Vec<(u32, Point)> = match &mut last_rec_positions {
-                    None => {
-                        last_rec_positions = Some(self.fleet.positions.clone());
-                        self.fleet
-                            .positions
-                            .iter()
-                            .enumerate()
-                            .map(|(h, &p)| (h as u32, p))
-                            .collect()
-                    }
-                    Some(prev) => self
-                        .fleet
-                        .positions
-                        .iter()
-                        .zip(prev.iter_mut())
-                        .enumerate()
-                        .filter_map(|(h, (&now, old))| {
-                            (now != *old).then(|| {
-                                *old = now;
-                                (h as u32, now)
-                            })
+            self.world.phases.advance_ns += t_phase.elapsed().as_nanos() as u64;
+            if let Some(trace) = &mut trace {
+                // Only hosts whose position actually changed since the
+                // previous recorded epoch (a paused waypoint host costs
+                // nothing).
+                let moved = (self.world.fleet.positions.iter())
+                    .zip(last_rec_positions.iter_mut())
+                    .enumerate()
+                    .filter_map(|(h, (&now, old))| {
+                        (now != *old).then(|| {
+                            *old = now;
+                            (h as u32, now)
                         })
-                        .collect(),
-                };
+                    })
+                    .collect();
                 trace.epochs.push(EpochRecord {
                     epoch,
                     moved,
-                    online: self.fleet.online.clone(),
-                    churn: std::mem::take(&mut epoch_churn),
+                    online: self.world.fleet.online.clone(),
+                    churn: epoch_churn,
                 });
             }
-            let t_phase = Instant::now();
-            grid.refresh_active(&self.fleet.positions, &self.fleet.online);
-            phases.grid_ns += t_phase.elapsed().as_nanos() as u64;
+            self.world.begin_epoch(epoch);
 
-            // Refresh the peer-visible snapshot: only hosts dirtied
-            // since the last boundary (commits and crash wipes). A
-            // host's *own* inserts stay visible to itself immediately;
-            // everyone else sees them from the next epoch on.
+            // Each online event's query inputs, host-major (the stable
+            // sort keeps a host's events in time order, which its
+            // mobility and window streams require). Offline hosts pose
+            // no queries — their events vanish, but the global index
+            // numbering `next_index + k` is untouched, so the fold order
+            // of surviving outcomes is churn-independent.
             let t_phase = Instant::now();
-            dirty.sort_unstable();
-            dirty.dedup();
-            for &h in &dirty {
-                snapshot[h].clone_from(&self.fleet.caches[h]);
-            }
-            dirty.clear();
-            phases.snapshot_ns += t_phase.elapsed().as_nanos() as u64;
-
-            // Shard by host: all of one host's events stay on one worker,
-            // in time order. BTreeMap gives host-id task order. Offline
-            // hosts pose no queries — their events vanish, but the
-            // global index numbering `(i + k)` is untouched, so the
-            // fold order of surviving outcomes is churn-independent.
-            let t_phase = Instant::now();
-            let mut by_host: BTreeMap<usize, Vec<(u64, f64)>> = BTreeMap::new();
-            for (k, ev) in epoch_events.iter().enumerate() {
-                if !self.fleet.online[ev.host] {
-                    continue;
-                }
-                by_host
-                    .entry(ev.host)
-                    .or_default()
-                    .push((next_index + k as u64, ev.time));
-            }
-            let tasks: Vec<HostTask> = by_host
-                .into_iter()
-                .map(|(host, evs)| HostTask {
-                    host,
-                    mobility: std::mem::replace(&mut self.hosts[host], HostMobility::Vacant),
-                    cache: std::mem::replace(
-                        &mut self.fleet.caches[host],
-                        HostCache::new(0, cfg.policy),
-                    ),
-                    rng: SmallRng::seed_from_u64(split_seed(
-                        cfg.seed ^ WINDOW_SEED_SALT,
-                        host as u64,
-                        epoch,
-                    )),
-                    sync: self.fleet.sync_state(host),
-                    quarantine: std::mem::replace(
-                        &mut self.fleet.quarantines[host],
-                        QuarantineLedger::new(QuarantineConfig::default(), 0),
-                    ),
-                    events: evs,
-                })
+            let mut order: Vec<usize> = (0..epoch_events.len())
+                .filter(|&k| self.world.is_online(epoch_events[k].host))
                 .collect();
-
-            let ctx = EpochCtx {
-                cfg: &cfg,
-                world: &self.world,
-                table: &self.table,
-                index: self.index.as_ref(),
-                schedule: &self.schedule,
-                oracle: &self.oracle,
-                faults: self.faults.as_ref(),
-                grid: &grid,
-                snapshot: &snapshot,
-                range,
-                epoch,
-                outage: &self.outage,
-            };
-            let done: Vec<HostDone> = match &mut workers {
-                Workers::Sequential(rec, scratch) => {
-                    let mut v = Vec::with_capacity(tasks.len());
-                    for task in tasks {
-                        v.push(ctx.run_host(task, scratch, &mut **rec, None));
-                    }
-                    v
+            order.sort_by_key(|&k| epoch_events[k].host);
+            let mut batch: Vec<LiveQuery> = Vec::with_capacity(order.len());
+            for run in order.chunk_by(|&a, &b| epoch_events[a].host == epoch_events[b].host) {
+                let host = epoch_events[run[0]].host;
+                let mobility = &mut self.hosts[host];
+                // The stream's only consumer is window sampling.
+                let mut rng = SmallRng::seed_from_u64(split_seed(
+                    cfg.seed ^ WINDOW_SEED_SALT,
+                    host as u64,
+                    epoch,
+                ));
+                for &k in run {
+                    let at_min = epoch_events[k].time;
+                    let pos = mobility.position_at(at_min);
+                    batch.push(LiveQuery {
+                        nonce: next_index + k as u64,
+                        host,
+                        at_min,
+                        pos,
+                        heading: mobility.heading_at(at_min),
+                        spec: match cfg.query_kind {
+                            QueryKind::Knn => QuerySpec::Knn {
+                                k: cfg.params.knn_k,
+                            },
+                            QueryKind::Window => QuerySpec::Window {
+                                rect: sample_window(&cfg.params, &self.world.bounds, pos, &mut rng),
+                            },
+                        },
+                    });
                 }
-                Workers::Recording(rec, scratch, trace) => {
-                    let mut v = Vec::with_capacity(tasks.len());
-                    for task in tasks {
-                        v.push(ctx.run_host(
-                            task,
-                            scratch,
-                            &mut **rec,
-                            Some(&mut trace.queries),
-                        ));
-                    }
-                    v
-                }
-                Workers::Parallel(pool, ctxs) => {
-                    pool.map_with(ctxs, tasks, |(rec, scratch), _, task| {
-                        ctx.run_host(task, scratch, rec, None)
-                    })
-                }
-                Workers::ParallelMetrics(pool, ctxs) => {
-                    pool.map_with(ctxs, tasks, |(rec, scratch), _, task| {
-                        ctx.run_host(task, scratch, &mut **rec, None)
-                    })
-                }
-            };
-
-            // Barrier: commit host state in host-id order (`map` returns
-            // results in task order), then fold outcomes in global event
-            // order so every accumulation is scheduling-independent.
-            let mut outcomes: Vec<(u64, QueryOutcome)> = Vec::new();
-            for d in done {
-                self.hosts[d.host] = d.mobility;
-                self.fleet.caches[d.host] = d.cache;
-                self.fleet.set_sync_state(d.host, d.sync);
-                self.fleet.quarantines[d.host] = d.quarantine;
-                dirty.push(d.host);
-                report.outage_resyncs += d.resyncs;
-                outcomes.extend(d.outcomes);
             }
-            outcomes.sort_by_key(|&(idx, _)| idx);
-            for (_, o) in outcomes {
-                fold_outcome(&mut report, cfg.calibration_cap, o);
-            }
-            phases.query_ns += t_phase.elapsed().as_nanos() as u64;
+            self.world.phases.advance_ns += t_phase.elapsed().as_nanos() as u64;
             next_index += epoch_events.len() as u64;
+
+            match &mut trace {
+                None => self.world.execute_batch(batch, pool, ctxs, None),
+                Some(trace) => {
+                    // Answers come back nonce-ordered; pair them with
+                    // their inputs in the same order, the trace's own.
+                    self.world
+                        .execute_batch(batch.clone(), pool, ctxs, Some(&mut answers));
+                    batch.sort_by_key(|q| q.nonce);
+                    for (q, a) in batch.into_iter().zip(answers.drain(..)) {
+                        debug_assert_eq!(q.nonce, a.nonce);
+                        trace.queries.push(RecordedQuery {
+                            nonce: q.nonce,
+                            host: a.host,
+                            at_min: q.at_min,
+                            epoch,
+                            pos: q.pos,
+                            heading: q.heading,
+                            spec: q.spec,
+                            ids: a.ids,
+                            quality: a.quality,
+                            measured: q.at_min >= cfg.warmup_min,
+                        });
+                    }
+                }
+            }
         }
-        self.phases = phases;
-        report
+        self.world.report().clone()
     }
 }
 
-impl EpochCtx<'_> {
-    /// Runs one host's epoch shard: its events in time order, against
-    /// the shared epoch snapshot, with all mutations host-local.
-    ///
-    /// Each event's query inputs (position, heading, window sample) are
-    /// derived here from the host's mobility and window streams, then
-    /// handed to the stream-free [`EpochCtx::process_query`]. When `tap`
-    /// is set, every query's inputs and answer are captured as a
-    /// [`RecordedQuery`] for service replay.
-    fn run_host(
-        &self,
-        task: HostTask,
-        scratch: &mut QueryScratch,
-        rec: &mut dyn Recorder,
-        mut tap: Option<&mut Vec<RecordedQuery>>,
-    ) -> HostDone {
-        let HostTask {
-            host,
-            mut mobility,
-            mut cache,
-            mut rng,
-            mut sync,
-            mut quarantine,
-            events,
-        } = task;
-        let mut outcomes = Vec::new();
-        let mut resyncs = 0u64;
-        for (idx, t) in events {
-            let qpos = mobility.position_at(t);
-            let heading = mobility.heading_at(t);
-            // The per-(host, epoch) stream's only consumer is window
-            // sampling, so drawing here (instead of mid-query) leaves
-            // the draw sequence untouched.
-            let spec = match self.cfg.query_kind {
-                QueryKind::Knn => QuerySpec::Knn {
-                    k: self.cfg.params.knn_k,
-                },
-                QueryKind::Window => QuerySpec::Window {
-                    rect: self.sample_window(qpos, &mut rng),
-                },
-            };
-            let mut q = QueryHostState {
-                host,
-                cache: &mut cache,
-                sync: &mut sync,
-                quarantine: &mut quarantine,
-                resyncs: &mut resyncs,
-            };
-            let mut answer = tap.as_deref_mut().map(|_| QueryAnswer {
-                nonce: idx,
-                host: host as u32,
-                ids: Vec::new(),
-                quality: AnswerQuality::Failed,
-            });
-            let out = self.process_query(
-                idx,
-                t,
-                qpos,
-                heading,
-                &spec,
-                &mut q,
-                scratch,
-                rec,
-                answer.as_mut(),
-            );
-            if let Some(sink) = tap.as_deref_mut() {
-                let ans = answer.expect("answer sink allocated when recording");
-                sink.push(RecordedQuery {
-                    nonce: idx,
-                    host: host as u32,
-                    at_min: t,
-                    epoch: self.epoch,
-                    pos: qpos,
-                    heading,
-                    spec,
-                    ids: ans.ids,
-                    quality: ans.quality,
-                    measured: t >= self.cfg.warmup_min,
-                });
-            }
-            if let Some(o) = out {
-                outcomes.push((idx, o));
-            }
+/// Advances every host's mobility stream to `t`, writing the position
+/// column. Offline hosts advance too, so mobility streams stay aligned
+/// across churn configurations; they are merely undiscoverable.
+///
+/// Hosts are mutually independent here, so the work is chunked over
+/// contiguous host ranges and fanned out on `pool` — chunk scheduling
+/// cannot affect the result. Small fleets run as one inline chunk.
+fn advance_fleet(hosts: &mut [HostMobility], positions: &mut [Point], t: f64, pool: &ExecPool) {
+    let n = hosts.len();
+    // Oversplit ~4× past the worker count so stealing can level uneven
+    // chunks (waypoint hosts mid-pause advance much faster than ones
+    // mid-leg).
+    let chunk_len = if n < 4096 {
+        n
+    } else {
+        n.div_ceil(pool.threads() * 4).max(1024)
+    };
+    let chunks: Vec<_> = hosts
+        .chunks_mut(chunk_len)
+        .zip(positions.chunks_mut(chunk_len))
+        .collect();
+    pool.map(chunks, |_, (hosts, positions)| {
+        for (m, p) in hosts.iter_mut().zip(positions) {
+            *p = m.position_at(t);
         }
-        HostDone {
-            host,
-            mobility,
-            cache,
-            sync,
-            quarantine,
-            resyncs,
-            outcomes,
-        }
-    }
+    });
+}
 
-    /// Runs one host's slice of a *service* epoch batch: the same
-    /// resolution path as [`EpochCtx::run_host`], but with every query's
-    /// inputs supplied by the client instead of derived from mobility,
-    /// and with an answer produced for every query.
+impl EpochCtx<'_> {
+    /// Runs one host's slice of an epoch batch: its queries in nonce
+    /// order, against the shared epoch snapshot, with all mutations
+    /// host-local. An answer is assembled per query only when the batch
+    /// wants them.
     pub(crate) fn run_live_host(
         &self,
         task: LiveTask,
+        want_answers: bool,
         scratch: &mut QueryScratch,
         rec: &mut dyn Recorder,
     ) -> LiveDone {
@@ -909,37 +633,25 @@ impl EpochCtx<'_> {
             queries,
         } = task;
         let mut outcomes = Vec::new();
-        let mut answers = Vec::with_capacity(queries.len());
+        let mut answers = Vec::with_capacity(if want_answers { queries.len() } else { 0 });
         let mut resyncs = 0u64;
-        for item in queries {
+        for item in &queries {
             let mut q = QueryHostState {
-                host,
                 cache: &mut cache,
                 sync: &mut sync,
                 quarantine: &mut quarantine,
                 resyncs: &mut resyncs,
             };
-            let mut answer = QueryAnswer {
+            let mut answer = want_answers.then(|| QueryAnswer {
                 nonce: item.nonce,
                 host: host as u32,
                 ids: Vec::new(),
                 quality: AnswerQuality::Failed,
-            };
-            let out = self.process_query(
-                item.nonce,
-                item.at_min,
-                item.pos,
-                item.heading,
-                &item.spec,
-                &mut q,
-                scratch,
-                rec,
-                Some(&mut answer),
-            );
-            if let Some(o) = out {
+            });
+            if let Some(o) = self.process_query(item, &mut q, scratch, rec, answer.as_mut()) {
                 outcomes.push((item.nonce, o));
             }
-            answers.push(answer);
+            answers.extend(answer);
         }
         LiveDone {
             host,
@@ -956,27 +668,29 @@ impl EpochCtx<'_> {
     /// `None` during warm-up (cache effects still apply).
     ///
     /// The query's inputs — position, heading, and the fully-sampled
-    /// [`QuerySpec`] — are supplied by the caller (derived from mobility
-    /// in the simulator, client-submitted in the serving layer), so this
-    /// path is identical for both. When `answer` is set, the answer's
-    /// POI ids and [`AnswerQuality`] are always filled in, warm-up or
-    /// not: the service answers every query, while the report only
-    /// counts measured ones.
-    #[allow(clippy::too_many_arguments)]
+    /// [`QuerySpec`] — are supplied by the client fleet (derived from
+    /// mobility in the simulator, submitted over the wire in the serving
+    /// layer). When `answer` is set, the answer's POI ids and
+    /// [`AnswerQuality`] are always filled in, warm-up or not: the
+    /// service answers every query, while the report only counts
+    /// measured ones.
     pub(crate) fn process_query(
         &self,
-        nonce: u64,
-        t: f64,
-        qpos: Point,
-        heading: Option<(f64, f64)>,
-        spec: &QuerySpec,
+        item: &LiveQuery,
         q: &mut QueryHostState<'_>,
         scratch: &mut QueryScratch,
         rec: &mut dyn Recorder,
         mut answer: Option<&mut QueryAnswer>,
     ) -> Option<QueryOutcome> {
         let cfg = self.cfg;
-        let host = q.host;
+        let &LiveQuery {
+            nonce,
+            host,
+            at_min: t,
+            pos: qpos,
+            heading,
+            ref spec,
+        } = item;
         let measuring = t >= cfg.warmup_min;
         let tune_in = (t * cfg.ticks_per_min as f64) as u64;
         rec.begin_query(nonce, tune_in);
@@ -1002,36 +716,20 @@ impl EpochCtx<'_> {
         // (fault layer) and region validation, so a flaky or inconsistent
         // peer costs coverage, never correctness. ---
         let guard = Some((&mut *q.quarantine, self.epoch));
-        let (replies, share) = if cfg.p2p_hops > 1 {
-            airshare_p2p::gather_peer_data_multihop_guarded_rec(
-                host,
-                qpos,
-                self.range,
-                cfg.p2p_hops,
-                CAT,
-                self.grid,
-                self.snapshot,
-                self.table,
-                Some(self.world),
-                share_faults,
-                guard,
-                rec,
-            )
-        } else {
-            airshare_p2p::gather_peer_data_guarded_rec(
-                host,
-                qpos,
-                self.range,
-                CAT,
-                self.grid,
-                self.snapshot,
-                self.table,
-                Some(self.world),
-                share_faults,
-                guard,
-                rec,
-            )
-        };
+        let (replies, share) = airshare_p2p::share_exchange(
+            host,
+            qpos,
+            self.range,
+            cfg.p2p_hops,
+            CAT,
+            self.grid,
+            self.snapshot,
+            self.table,
+            Some(self.world),
+            share_faults,
+            guard,
+            rec,
+        );
         if cfg.use_own_cache {
             // Own reads are live — a host always trusts its freshest self.
             let own_regions = q.cache.region_count(CAT);
@@ -1139,7 +837,7 @@ impl EpochCtx<'_> {
                 };
                 let degraded = res.air.is_some_and(|a| a.is_degraded());
                 if res.air.is_some() {
-                    self.note_sync(q, t, rec);
+                    self.note_sync(q, item, rec);
                 }
 
                 // A degraded retrieval may be missing POIs; adopting its
@@ -1310,7 +1008,7 @@ impl EpochCtx<'_> {
                 };
                 let degraded = res.air.is_some_and(|a| a.is_degraded());
                 if res.air.is_some() {
-                    self.note_sync(q, t, rec);
+                    self.note_sync(q, item, rec);
                 }
 
                 // A resolved window is fully known: cache it — unless
@@ -1387,157 +1085,33 @@ impl EpochCtx<'_> {
     /// Marks a successful channel access: refreshes the host's sync
     /// clock and, if it was answering through an outage or restart,
     /// records the resynchronization.
-    fn note_sync(&self, q: &mut QueryHostState<'_>, t: f64, rec: &mut dyn Recorder) {
-        q.sync.last_sync_min = t;
+    fn note_sync(&self, q: &mut QueryHostState<'_>, item: &LiveQuery, rec: &mut dyn Recorder) {
+        q.sync.last_sync_min = item.at_min;
         if q.sync.needs_resync {
             q.sync.needs_resync = false;
             *q.resyncs += 1;
             rec.record(TraceEvent::Resynced {
-                host: q.host as u32,
+                host: item.host as u32,
             });
         }
     }
-
-    /// Samples a query window per Table 4: mean area = `window_pct` % of
-    /// the search space; centre at a normally-distributed distance from
-    /// the host in a uniform direction, clamped into the world. Draws
-    /// come from the caller's `(host, epoch)` stream.
-    fn sample_window(&self, qpos: Point, rng: &mut SmallRng) -> Rect {
-        let p = &self.cfg.params;
-        let side = (p.window_pct / 100.0).sqrt() * p.world_mi;
-        let dist = sample_normal(rng, p.distance_mi, p.distance_mi / 3.0).abs();
-        let theta = rng.gen_range(0.0..std::f64::consts::TAU);
-        let center = self.world.clamp_point(Point::new(
-            qpos.x + dist * theta.cos(),
-            qpos.y + dist * theta.sin(),
-        ));
-        let half = side / 2.0;
-        let w = Rect::centered_square(center, half);
-        w.intersection(self.world).unwrap_or(w)
-    }
 }
 
-/// One contiguous host range of the fleet's columns, plus the churn
-/// transitions that fall inside it — the unit of work for the parallel
-/// fleet-advance pass.
-struct AdvanceChunk<'a> {
-    /// First host id in the chunk (columns below are `start`-offset).
-    start: usize,
-    mobility: &'a mut [HostMobility],
-    online: &'a mut [bool],
-    last_sync_min: &'a mut [f64],
-    needs_resync: &'a mut [bool],
-    caches: &'a mut [HostCache],
-    quarantines: &'a mut [QuarantineLedger],
-    positions: &'a mut [Point],
-    /// `(host, planned_epoch, comes_online)`, sorted by host with each
-    /// host's transitions in plan (epoch) order.
-    transitions: &'a [(usize, u64, bool)],
-}
-
-/// Applies one epoch boundary to the whole fleet: the collected churn
-/// transitions (state mutations only — events and counters were already
-/// recorded serially, in plan order, by the caller) and the mobility
-/// advance to `t_build`. Positions are advanced for *every* host —
-/// offline ones included — so mobility streams stay aligned across
-/// churn configurations; offline hosts are merely undiscoverable.
-///
-/// Hosts are mutually independent here: every mutation touches only
-/// host-indexed state, and each host's own transitions arrive in epoch
-/// order. The work is therefore chunked over contiguous host ranges and
-/// fanned out on `pool` when one is supplied — chunk scheduling cannot
-/// affect the result, which is bit-identical to the sequential column
-/// walk for any chunking and any thread count.
-fn advance_fleet(
-    hosts: &mut [HostMobility],
-    fleet: &mut FleetStore,
-    transitions: &[(usize, u64, bool)],
-    t_build: f64,
-    epoch_len: f64,
-    pool: Option<&ExecPool>,
-) {
-    let n = hosts.len();
-    let apply = |c: &mut AdvanceChunk<'_>| {
-        for &(h, e, up) in c.transitions {
-            let i = h - c.start;
-            if up {
-                // Came online cold: nothing cached, channel unheard.
-                c.online[i] = true;
-                c.last_sync_min[i] = e as f64 * epoch_len;
-                c.needs_resync[i] = true;
-            } else {
-                // Crash wipes all volatile state (the caller already
-                // marked the host dirty for the snapshot refresh).
-                c.online[i] = false;
-                c.caches[i].clear();
-                c.quarantines[i].clear();
-            }
-        }
-        for (i, m) in c.mobility.iter_mut().enumerate() {
-            c.positions[i] = m.position_at(t_build);
-        }
-    };
-
-    let threads = pool.map_or(1, ExecPool::threads);
-    if threads <= 1 || n < 4096 {
-        apply(&mut AdvanceChunk {
-            start: 0,
-            mobility: hosts,
-            online: &mut fleet.online,
-            last_sync_min: &mut fleet.last_sync_min,
-            needs_resync: &mut fleet.needs_resync,
-            caches: &mut fleet.caches,
-            quarantines: &mut fleet.quarantines,
-            positions: &mut fleet.positions,
-            transitions,
-        });
-        return;
-    }
-
-    // Oversplit ~4× past the worker count so stealing can level uneven
-    // chunks (waypoint hosts mid-pause advance much faster than ones
-    // mid-leg).
-    let chunk_len = n.div_ceil(threads * 4).max(1024);
-    let mut chunks: Vec<AdvanceChunk<'_>> = Vec::with_capacity(n.div_ceil(chunk_len));
-    let mut rest = (
-        hosts,
-        fleet.online.as_mut_slice(),
-        fleet.last_sync_min.as_mut_slice(),
-        fleet.needs_resync.as_mut_slice(),
-        fleet.caches.as_mut_slice(),
-        fleet.quarantines.as_mut_slice(),
-        fleet.positions.as_mut_slice(),
-    );
-    let mut tr = transitions;
-    let mut start = 0usize;
-    while start < n {
-        let len = chunk_len.min(n - start);
-        let (mob, mob_rest) = rest.0.split_at_mut(len);
-        let (onl, onl_rest) = rest.1.split_at_mut(len);
-        let (lsm, lsm_rest) = rest.2.split_at_mut(len);
-        let (nrs, nrs_rest) = rest.3.split_at_mut(len);
-        let (cch, cch_rest) = rest.4.split_at_mut(len);
-        let (qua, qua_rest) = rest.5.split_at_mut(len);
-        let (pos, pos_rest) = rest.6.split_at_mut(len);
-        let cut = tr.partition_point(|&(h, _, _)| h < start + len);
-        let (mine, later) = tr.split_at(cut);
-        tr = later;
-        chunks.push(AdvanceChunk {
-            start,
-            mobility: mob,
-            online: onl,
-            last_sync_min: lsm,
-            needs_resync: nrs,
-            caches: cch,
-            quarantines: qua,
-            positions: pos,
-            transitions: mine,
-        });
-        rest = (mob_rest, onl_rest, lsm_rest, nrs_rest, cch_rest, qua_rest, pos_rest);
-        start += len;
-    }
-    pool.expect("threads > 1 implies a pool")
-        .map(chunks, |_, mut c| apply(&mut c));
+/// Samples a query window per Table 4: mean area = `window_pct` % of
+/// the search space; centre at a normally-distributed distance from
+/// the host in a uniform direction, clamped into the world. Draws
+/// come from the caller's `(host, epoch)` stream.
+fn sample_window(p: &ParamSet, world: &Rect, qpos: Point, rng: &mut SmallRng) -> Rect {
+    let side = (p.window_pct / 100.0).sqrt() * p.world_mi;
+    let dist = sample_normal(rng, p.distance_mi, p.distance_mi / 3.0).abs();
+    let theta = rng.gen_range(0.0..std::f64::consts::TAU);
+    let center = world.clamp_point(Point::new(
+        qpos.x + dist * theta.cos(),
+        qpos.y + dist * theta.sin(),
+    ));
+    let half = side / 2.0;
+    let w = Rect::centered_square(center, half);
+    w.intersection(world).unwrap_or(w)
 }
 
 /// Order-preserving parallel initialization: `(0..n).map(f).collect()`
@@ -1545,7 +1119,11 @@ fn advance_fleet(
 /// function of the index (every per-host constructor in this crate is —
 /// seeds are split per host, never drawn from a shared stream), which
 /// makes the result independent of chunking and thread count.
-fn par_init<T: Send>(pool: &ExecPool, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+pub(crate) fn par_init<T: Send>(
+    pool: &ExecPool,
+    n: usize,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
     if pool.threads() <= 1 || n < 4096 {
         return (0..n).map(f).collect();
     }
@@ -1558,121 +1136,6 @@ fn par_init<T: Send>(pool: &ExecPool, n: usize, f: impl Fn(usize) -> T + Sync) -
         .into_iter()
         .flatten()
         .collect()
-}
-
-/// Everything the base-station side of a run owns, minus the fleet's
-/// mobility. Built identically for the closed-loop [`Simulation`] and
-/// the serving layer's [`crate::LiveWorld`]: same POI draws, same
-/// backend build, same fault/outage/quarantine seeds — so both resolve
-/// queries over the *same* world and replay parity is structural.
-pub(crate) struct WorldCore {
-    pub(crate) world: Rect,
-    /// The canonical POI table (dense: ids are `0..poi_number`).
-    pub(crate) table: PoiTable,
-    pub(crate) index: Box<dyn AirIndexBackend>,
-    pub(crate) schedule: Schedule,
-    pub(crate) oracle: RTree<u32>,
-    pub(crate) faults: Option<ChannelFaults>,
-    pub(crate) outage: OutageSchedule,
-    /// Columnar per-host state: everyone online, at the origin, in
-    /// sync, with empty caches and pristine ledgers. Callers overwrite
-    /// the online column with their own admission policy.
-    pub(crate) fleet: FleetStore,
-}
-
-/// Builds the shared world: POIs placed uniformly at random (the
-/// paper's Poisson-field assumption), the air index behind the
-/// configured backend, the `(1, m)` schedule, the ground-truth R-tree,
-/// and per-host caches/sync/quarantine state. Validates the
-/// configuration first.
-pub(crate) fn build_world_core(cfg: &SimConfig) -> Result<WorldCore, ConfigError> {
-    cfg.check()?;
-    let side = cfg.params.world_mi;
-    let world = Rect::from_coords(0.0, 0.0, side, side);
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let table = PoiTable::from_pois((0..cfg.params.poi_number).map(|i| {
-        Poi::new(
-            i as u32,
-            Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)),
-        )
-    }));
-    let build = BuildParams {
-        world,
-        hilbert_order: cfg.hilbert_order,
-        bucket_capacity: cfg.bucket_capacity,
-    };
-    // The two big POI structures — the air index and the ground-truth
-    // R-tree — are independent reads of the finished table, so they
-    // build concurrently. Each build is a pure function of the table,
-    // so the pool affects wall time only.
-    let pool = ExecPool::from_env();
-    // cfg.check() already vetted the capacity, so a build error here
-    // is unreachable; map it anyway rather than panic.
-    let (index, oracle) = pool.join(
-        || -> Result<Box<dyn AirIndexBackend>, ConfigError> {
-            Ok(match cfg.backend {
-                BackendKind::Hilbert => Box::new(
-                    <AirIndex as AirIndexBackend>::try_build(&table, &build)
-                        .map_err(|_| ConfigError::ZeroBucketCapacity)?,
-                ),
-                BackendKind::Rtree => Box::new(
-                    <RtreeAirIndex as AirIndexBackend>::try_build(&table, &build)
-                        .map_err(|_| ConfigError::ZeroBucketCapacity)?,
-                ),
-            })
-        },
-        || RTree::bulk_load(table.iter().map(|p| (p.pos, p.id)).collect()),
-    );
-    let index = index?;
-    let schedule = Schedule::try_for_backend(index.as_ref(), cfg.index_m)
-        .map_err(|_| ConfigError::ZeroIndexReplication)?;
-    let n = cfg.params.mh_number;
-    // Per-host state is constructed in parallel chunks: caches take no
-    // seed at all, and quarantine seeds are split per host — both are
-    // pure functions of the host id, so chunking is invisible.
-    let caches = par_init(&pool, n, |_| {
-        let c = HostCache::new(cfg.params.cache_size, cfg.policy)
-            .with_subsume_overlap(cfg.subsume_overlap);
-        if cfg.max_regions == usize::MAX {
-            c
-        } else {
-            c.with_max_regions(cfg.max_regions)
-        }
-    });
-    // Fault decisions are hashed from their own seed (derived from
-    // the master seed), never drawn from an RNG stream: an inert
-    // fault config leaves every other random stream untouched.
-    let faults = (!cfg.faults.is_inert()).then(|| {
-        cfg.faults.channel_faults(
-            cfg.seed ^ 0xFA17_5EED_0000_0001,
-            wire::bucket_frame_bytes(cfg.bucket_capacity),
-        )
-    });
-    let outage = OutageSchedule::new(cfg.outages.clone());
-    let quarantines = par_init(&pool, n, |h| {
-        QuarantineLedger::new(
-            QuarantineConfig::default(),
-            split_seed(cfg.seed ^ QUARANTINE_SEED_SALT, h as u64, 0),
-        )
-    });
-    let fleet = FleetStore {
-        online: vec![true; n],
-        positions: vec![Point::new(0.0, 0.0); n],
-        last_sync_min: vec![0.0; n],
-        needs_resync: vec![false; n],
-        caches,
-        quarantines,
-    };
-    Ok(WorldCore {
-        world,
-        table,
-        index,
-        schedule,
-        oracle,
-        faults,
-        outage,
-        fleet,
-    })
 }
 
 /// Precomputes the churn schedule: each host's initial online flag and
@@ -2090,6 +1553,18 @@ mod tests {
                 .run_parallel(&ExecPool::fixed(threads));
             assert_eq!(parallel, sequential, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn a_second_run_starts_from_a_pristine_world() {
+        // The second run used to die in the waypoint model ("mobility
+        // time went backwards"): the scheduler restarted at t = 0 over
+        // mobility, caches and a churn cursor left at the horizon.
+        let mut sim = Simulation::try_new(chaos_cfg(QueryKind::Knn)).unwrap();
+        let first = sim.run();
+        assert!(first.hosts_crashed > 0, "churn must be active");
+        assert_eq!(sim.run(), first);
+        assert_eq!(sim.run_parallel(&ExecPool::fixed(4)), first);
     }
 
     #[test]

@@ -6,15 +6,16 @@
 //! as its own flat column — instead of an array of per-host structs —
 //! means a sweep reads exactly the bytes it needs and nothing else.
 //!
-//! [`FleetStore`] is that storage. The engine and the live world both
-//! own one, built by the same `build_world_core`, so the closed-loop
-//! simulator and `airshare-serve` ride the same arenas. The scalar
+//! [`FleetStore`] is that storage. [`crate::LiveWorld`] owns the one
+//! instance of a run — the closed-loop simulator drives that world as a
+//! client, so it and `airshare-serve` ride the same arenas. The scalar
 //! columns (`online`, `positions`, sync state) are plain `Vec`s; the
 //! per-host caches and quarantine ledgers are arena-backed structures
 //! from `airshare-cache` (see `EntryArena`), indexed by host id.
 //!
-//! Mutation stays inside the crate (the engine's epoch barrier is the
-//! only writer); external callers get read-only column views.
+//! Mutation stays inside the crate (the world's epoch barrier, plus the
+//! simulator writing the position column); external callers get
+//! read-only column views.
 
 use crate::engine::SyncState;
 use airshare_cache::{HostCache, QuarantineLedger};
@@ -73,7 +74,7 @@ impl FleetStore {
         self.positions[host]
     }
 
-    /// One host's cache (read-only; mutation is the engine's job).
+    /// One host's cache (read-only; mutation is the barrier's job).
     pub fn cache(&self, host: usize) -> &HostCache {
         &self.caches[host]
     }

@@ -1,35 +1,45 @@
-//! The base-station side of a run, opened up for online serving.
+//! The base-station side of a run: the world and its one epoch barrier.
 //!
-//! [`LiveWorld`] owns exactly what the closed-loop [`crate::Simulation`]
-//! owns minus the fleet's mobility: the POI world, the air index behind
-//! the configured backend, the `(1, m)` schedule, the chaos oracle, the
-//! fault/outage layers, and per-host session state (cache, sync clock,
-//! quarantine ledger). It is built by the same `build_world_core` the
-//! simulator uses — same seed, same draws — and resolves queries through
-//! the same `EpochCtx::process_query`, so a recorded workload replayed
-//! against it is answered identically by construction (DESIGN.md §14).
+//! [`LiveWorld`] is the paper's base-station module (§4.1) plus per-host
+//! session state: the POI world, the air index behind the configured
+//! backend, the `(1, m)` schedule, the chaos oracle, the fault/outage
+//! layers, each host's cache, sync clock and quarantine ledger, the
+//! epoch-start neighbor grid and the epoch-start cache snapshot. It has
+//! no mobility and poses no queries — a *client fleet* supplies those,
+//! in barrier order: churn (`connect`/`reconnect`/`disconnect`), then
+//! position updates, then [`LiveWorld::begin_epoch`] (grid + cache
+//! snapshot), then one or more [`LiveWorld::execute_epoch`] batches.
 //!
-//! The serving layer (`airshare-serve`) drives it in barrier order:
-//! churn (`connect`/`reconnect`/`disconnect`), then position updates,
-//! then [`LiveWorld::begin_epoch`] (grid + cache snapshot), then one
-//! [`LiveWorld::execute_epoch`] batch.
+//! Two client fleets drive it: the serving layer (`airshare-serve`),
+//! whose clients are sessions on the wire, and the closed-loop
+//! [`crate::Simulation`], whose clients are its own mobility models and
+//! query scheduler. Both run this file's barrier and resolve queries
+//! through the same `EpochCtx::process_query`, so a recorded workload
+//! replayed against a `LiveWorld` is answered identically by
+//! construction (DESIGN.md §14).
 
 use crate::engine::{
-    build_world_core, fold_outcome, EpochCtx, LiveBatchItem, LiveTask, QueryAnswer, QuerySpec,
-    SyncState,
+    fold_outcome, par_init, EpochCtx, LiveTask, QueryAnswer, QuerySpec, SyncState,
 };
 use crate::fleet::FleetStore;
-use crate::{ConfigError, SimConfig, SimReport};
+use crate::{BackendKind, ConfigError, SimConfig, SimReport};
 use airshare_broadcast::{
-    AirIndexBackend, ChannelFaults, OutageSchedule, PoiTable, QueryScratch, Schedule,
+    wire, AirIndex, AirIndexBackend, BuildParams, ChannelFaults, OutageSchedule, Poi, PoiTable,
+    QueryScratch, RtreeAirIndex, Schedule,
 };
 use airshare_cache::{HostCache, QuarantineConfig, QuarantineLedger};
-use airshare_exec::ExecPool;
+use airshare_exec::{split_seed, ExecPool};
 use airshare_geom::{meters_to_miles, Point, Rect};
-use airshare_obs::{AnswerQuality, Recorder, TraceEvent};
+use airshare_obs::{AnswerQuality, PhaseTimes, Recorder, TraceEvent};
 use airshare_p2p::NeighborGrid;
 use airshare_rtree::RTree;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::time::Instant;
+
+/// Seed domain for per-host quarantine backoff jitter.
+const QUARANTINE_SEED_SALT: u64 = 0x0A42_A7F1_5EED_0005;
 
 /// One query submitted to the live world: pure inputs, exactly what the
 /// closed loop would have derived from mobility and the window stream.
@@ -53,60 +63,154 @@ pub struct LiveQuery {
 /// The base station as a long-lived, incrementally-driven world.
 pub struct LiveWorld {
     cfg: SimConfig,
-    world: Rect,
-    /// The canonical POI table session caches hold handles into.
+    pub(crate) bounds: Rect,
+    /// The canonical POI table: the one copy of every POI payload.
+    /// Caches, peer replies, and the index all refer into it by handle.
     table: PoiTable,
+    /// The broadcast organization, behind the backend trait: the
+    /// `BackendKind` knob picks the concrete index at build time.
     index: Box<dyn AirIndexBackend>,
     schedule: Schedule,
     oracle: RTree<u32>,
+    /// Deterministic fault decision source; `None` when the fault config
+    /// is inert, so the ideal-channel path pays nothing.
     faults: Option<ChannelFaults>,
+    /// Base-station silence windows over epoch numbers.
     outage: OutageSchedule,
     /// Columnar per-session state: online flags, last reported
     /// positions (offline hosts keep theirs), sync clocks, arena-backed
-    /// caches, quarantine ledgers — the same [`FleetStore`] the
-    /// closed-loop engine rides.
-    fleet: FleetStore,
-    /// Epoch-start neighbor grid over online hosts.
+    /// caches, quarantine ledgers.
+    pub(crate) fleet: FleetStore,
+    /// Epoch-start neighbor grid over online hosts. Its buffers are
+    /// reserved for the world's extent once and refilled at each
+    /// boundary by a counting-sort rebuild of the whole fleet (88 % of
+    /// hosts change cell per epoch, so a delta would save nothing).
     grid: NeighborGrid,
     /// Epoch-start committed caches — what peers see this epoch.
+    /// Maintained *incrementally*: cloned whole at the first boundary,
+    /// then only `dirty` hosts are re-cloned at each later one.
     snapshot: Vec<HostCache>,
+    /// Hosts whose cache changed since the last boundary (a batch
+    /// commit or a crash wipe).
+    dirty: Vec<usize>,
     /// The epoch currently being served.
     epoch: u64,
     range: f64,
     report: SimReport,
+    /// Wall-clock grid / snapshot / query time of every barrier so far
+    /// (`advance` belongs to whoever moves the fleet). Measurement
+    /// only — never part of the world's output.
+    pub(crate) phases: PhaseTimes,
 }
 
 impl LiveWorld {
-    /// Builds the world from a validated configuration — identical
-    /// draws to [`crate::Simulation::try_new`] with the same config, so
-    /// both sides agree on every POI, bucket, fault seed, and ledger.
-    /// All sessions start offline with empty caches.
+    /// Builds the world from a validated configuration: POIs placed
+    /// uniformly at random (the paper's own Poisson-field assumption),
+    /// the air index behind the configured backend, the `(1, m)`
+    /// schedule, the ground-truth R-tree, and per-host caches, sync
+    /// clocks and quarantine ledgers. Every draw is a function of the
+    /// configuration's seed alone, so two worlds built from one config
+    /// agree on every POI, bucket, fault seed, and ledger. All sessions
+    /// start offline with empty caches.
     pub fn try_new(cfg: SimConfig) -> Result<Self, ConfigError> {
-        let mut core = build_world_core(&cfg)?;
+        cfg.check()?;
+        let side = cfg.params.world_mi;
+        let bounds = Rect::from_coords(0.0, 0.0, side, side);
+        let mut rng = SmallRng::seed_from_u64(cfg.seed);
+        let table = PoiTable::from_pois((0..cfg.params.poi_number).map(|i| {
+            Poi::new(
+                i as u32,
+                Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)),
+            )
+        }));
+        let build = BuildParams {
+            world: bounds,
+            hilbert_order: cfg.hilbert_order,
+            bucket_capacity: cfg.bucket_capacity,
+        };
+        // The two big POI structures — the air index and the ground-truth
+        // R-tree — are independent reads of the finished table, so they
+        // build concurrently. Each build is a pure function of the table,
+        // so the pool affects wall time only.
+        let pool = ExecPool::from_env();
+        // cfg.check() already vetted the capacity, so a build error here
+        // is unreachable; map it anyway rather than panic.
+        let (index, oracle) = pool.join(
+            || -> Result<Box<dyn AirIndexBackend>, ConfigError> {
+                Ok(match cfg.backend {
+                    BackendKind::Hilbert => Box::new(
+                        <AirIndex as AirIndexBackend>::try_build(&table, &build)
+                            .map_err(|_| ConfigError::ZeroBucketCapacity)?,
+                    ),
+                    BackendKind::Rtree => Box::new(
+                        <RtreeAirIndex as AirIndexBackend>::try_build(&table, &build)
+                            .map_err(|_| ConfigError::ZeroBucketCapacity)?,
+                    ),
+                })
+            },
+            || RTree::bulk_load(table.iter().map(|p| (p.pos, p.id)).collect()),
+        );
+        let index = index?;
+        let schedule = Schedule::try_for_backend(index.as_ref(), cfg.index_m)
+            .map_err(|_| ConfigError::ZeroIndexReplication)?;
         let n = cfg.params.mh_number;
+        // Per-host state is constructed in parallel chunks: caches take no
+        // seed at all, and quarantine seeds are split per host — both are
+        // pure functions of the host id, so chunking is invisible.
+        let caches = par_init(&pool, n, |_| {
+            let c = HostCache::new(cfg.params.cache_size, cfg.policy)
+                .with_subsume_overlap(cfg.subsume_overlap);
+            if cfg.max_regions == usize::MAX {
+                c
+            } else {
+                c.with_max_regions(cfg.max_regions)
+            }
+        });
+        let quarantines = par_init(&pool, n, |h| {
+            QuarantineLedger::new(
+                QuarantineConfig::default(),
+                split_seed(cfg.seed ^ QUARANTINE_SEED_SALT, h as u64, 0),
+            )
+        });
+        // Fault decisions are hashed from their own seed (derived from
+        // the master seed), never drawn from an RNG stream: an inert
+        // fault config leaves every other random stream untouched.
+        let faults = (!cfg.faults.is_inert()).then(|| {
+            cfg.faults.channel_faults(
+                cfg.seed ^ 0xFA17_5EED_0000_0001,
+                wire::bucket_frame_bytes(cfg.bucket_capacity),
+            )
+        });
+        // All sessions start offline, at the origin, in sync; `connect`
+        // admits them.
+        let fleet = FleetStore {
+            online: vec![false; n],
+            positions: vec![Point::new(0.0, 0.0); n],
+            last_sync_min: vec![0.0; n],
+            needs_resync: vec![false; n],
+            caches,
+            quarantines,
+        };
         let range = meters_to_miles(cfg.params.tx_range_m);
-        let cell = range.max(1e-3);
-        // All sessions start offline; `connect` admits them. The grid
-        // is retained for the world's lifetime and rebuilt into its own
-        // buffers at each boundary.
-        core.fleet.online = vec![false; n];
-        let mut grid = NeighborGrid::with_bounds(&core.world, cell, n);
-        grid.refresh_active(&core.fleet.positions, &core.fleet.online);
+        let mut grid = NeighborGrid::with_bounds(&bounds, range.max(1e-3), n);
+        grid.refresh_active(&fleet.positions, &fleet.online);
         Ok(LiveWorld {
+            outage: OutageSchedule::new(cfg.outages.clone()),
             cfg,
-            world: core.world,
-            table: core.table,
-            index: core.index,
-            schedule: core.schedule,
-            oracle: core.oracle,
-            faults: core.faults,
-            outage: core.outage,
-            fleet: core.fleet,
+            bounds,
+            table,
+            index,
+            schedule,
+            oracle,
+            faults,
+            fleet,
             grid,
             snapshot: Vec::new(),
+            dirty: Vec::new(),
             epoch: 0,
             range,
             report: SimReport::default(),
+            phases: PhaseTimes::default(),
         })
     }
 
@@ -136,15 +240,14 @@ impl LiveWorld {
     }
 
     /// Opens a session for a host that was never online (initial join).
-    /// Its sync clock stays at the world's origin — the simulator's
-    /// pristine state for hosts online from the start.
+    /// Its sync clock stays at the world's origin — the pristine state
+    /// of a host online from the start.
     pub fn connect(&mut self, host: usize) {
         self.fleet.online[host] = true;
     }
 
     /// Reopens a session after a crash: the host comes back cold at
     /// `planned_epoch`'s boundary, channel unheard, owing a resync.
-    /// Mirrors the simulator's restart transition exactly.
     pub fn reconnect(&mut self, host: usize, planned_epoch: u64, rec: &mut dyn Recorder) {
         self.fleet.online[host] = true;
         self.fleet.set_sync_state(
@@ -162,12 +265,13 @@ impl LiveWorld {
     }
 
     /// Closes a session as a crash: the host goes dark and all volatile
-    /// state (cache, quarantine memory) is wiped, exactly as the
-    /// simulator's crash transition does.
+    /// state (cache, quarantine memory) is wiped. The peer-visible
+    /// snapshot reflects the wipe from the next boundary on.
     pub fn disconnect(&mut self, host: usize, planned_epoch: u64, rec: &mut dyn Recorder) {
         self.fleet.online[host] = false;
         self.fleet.caches[host].clear();
         self.fleet.quarantines[host].clear();
+        self.dirty.push(host);
         self.report.hosts_crashed += 1;
         rec.record(TraceEvent::HostCrashed {
             host: host as u32,
@@ -175,35 +279,47 @@ impl LiveWorld {
         });
     }
 
-    /// Records a host's position (kept while offline too, matching the
-    /// simulator's always-advancing mobility streams).
+    /// Records a host's position (kept while offline too: offline hosts
+    /// are merely undiscoverable).
     pub fn update_position(&mut self, host: usize, pos: Point) {
         self.fleet.positions[host] = pos;
     }
 
     /// Commits the epoch boundary: rebuilds the retained neighbor grid
     /// over the online fleet at their reported positions (a counting
-    /// sort of every online host into reused buffers) and snapshots the
-    /// committed caches peers will see. Must run after this boundary's
-    /// churn and position updates, before the epoch's batch.
+    /// sort of every online host into reused buffers) and refreshes the
+    /// committed-cache snapshot peers will see. Must run after this
+    /// boundary's churn and position updates, before the epoch's batch.
     pub fn begin_epoch(&mut self, epoch: u64) {
+        let t_phase = Instant::now();
         self.grid
             .refresh_active(&self.fleet.positions, &self.fleet.online);
-        // Buffer-reusing refresh: `clone_from` keeps each snapshot
-        // cache's arena allocations across epochs.
+        self.phases.grid_ns += t_phase.elapsed().as_nanos() as u64;
+
+        // Only hosts dirtied since the last boundary are re-cloned. A
+        // host's *own* inserts stay visible to itself immediately;
+        // everyone else sees them from this boundary on. `clone_from`
+        // reuses the snapshot cache's arena, so a warm steady state
+        // refreshes without allocating.
+        let t_phase = Instant::now();
         if self.snapshot.len() == self.fleet.caches.len() {
-            for (s, c) in self.snapshot.iter_mut().zip(&self.fleet.caches) {
-                s.clone_from(c);
+            self.dirty.sort_unstable();
+            self.dirty.dedup();
+            for &h in &self.dirty {
+                self.snapshot[h].clone_from(&self.fleet.caches[h]);
             }
         } else {
             self.snapshot = self.fleet.caches.clone();
         }
+        self.dirty.clear();
+        self.phases.snapshot_ns += t_phase.elapsed().as_nanos() as u64;
         self.epoch = epoch;
     }
 
-    /// Executes one epoch's admitted batch on the pool and commits the
-    /// barrier: host state in host-id order, report outcomes in nonce
-    /// order — the same commit discipline as the simulator's engine.
+    /// Executes one admitted batch on the pool and commits the barrier:
+    /// host state in host-id order, report outcomes in nonce order.
+    /// An epoch may take several batches; peers keep seeing the
+    /// epoch-start snapshot throughout.
     ///
     /// Queries from offline sessions are answered `Failed`/empty without
     /// touching the world. Returns every query's answer, nonce-ordered.
@@ -213,32 +329,44 @@ impl LiveWorld {
         pool: &ExecPool,
         ctxs: &mut [(R, QueryScratch)],
     ) -> Vec<QueryAnswer> {
-        let mut answers: Vec<QueryAnswer> = Vec::with_capacity(queries.len());
-        let mut by_host: BTreeMap<usize, Vec<LiveBatchItem>> = BTreeMap::new();
+        let mut answers = Vec::with_capacity(queries.len());
+        self.execute_batch(queries, pool, ctxs, Some(&mut answers));
+        answers
+    }
+
+    /// [`LiveWorld::execute_epoch`] with the answers optional: a closed
+    /// loop that only wants the report passes `None` and no answer is
+    /// ever assembled. Answers are appended to the sink, which is then
+    /// sorted by nonce.
+    pub(crate) fn execute_batch<R: Recorder + Send>(
+        &mut self,
+        queries: Vec<LiveQuery>,
+        pool: &ExecPool,
+        ctxs: &mut [(R, QueryScratch)],
+        mut answers: Option<&mut Vec<QueryAnswer>>,
+    ) {
+        let t_phase = Instant::now();
+        // Shard by host: all of one host's queries stay on one worker.
+        // BTreeMap gives host-id task order.
+        let mut by_host: BTreeMap<usize, Vec<LiveQuery>> = BTreeMap::new();
         for q in queries {
-            if !self.is_online(q.host) {
-                answers.push(QueryAnswer {
+            if self.is_online(q.host) {
+                by_host.entry(q.host).or_default().push(q);
+            } else if let Some(sink) = answers.as_deref_mut() {
+                sink.push(QueryAnswer {
                     nonce: q.nonce,
                     host: q.host as u32,
                     ids: Vec::new(),
                     quality: AnswerQuality::Failed,
                 });
-                continue;
             }
-            by_host.entry(q.host).or_default().push(LiveBatchItem {
-                nonce: q.nonce,
-                at_min: q.at_min,
-                pos: q.pos,
-                heading: q.heading,
-                spec: q.spec,
-            });
         }
         // Move host state out *before* the EpochCtx borrows the world;
         // per-host queries run in nonce (= admission) order.
         let tasks: Vec<LiveTask> = by_host
             .into_iter()
-            .map(|(host, mut items)| {
-                items.sort_by_key(|it| it.nonce);
+            .map(|(host, mut queries)| {
+                queries.sort_by_key(|q| q.nonce);
                 LiveTask {
                     host,
                     cache: std::mem::replace(
@@ -250,14 +378,14 @@ impl LiveWorld {
                         &mut self.fleet.quarantines[host],
                         QuarantineLedger::new(QuarantineConfig::default(), 0),
                     ),
-                    queries: items,
+                    queries,
                 }
             })
             .collect();
 
         let ctx = EpochCtx {
             cfg: &self.cfg,
-            world: &self.world,
+            world: &self.bounds,
             table: &self.table,
             index: self.index.as_ref(),
             schedule: &self.schedule,
@@ -269,31 +397,122 @@ impl LiveWorld {
             epoch: self.epoch,
             outage: &self.outage,
         };
+        let want_answers = answers.is_some();
         let done = pool.map_with(ctxs, tasks, |(rec, scratch), _, task| {
-            ctx.run_live_host(task, scratch, rec)
+            ctx.run_live_host(task, want_answers, scratch, rec)
         });
 
+        // Barrier: commit host state in host-id order (`map_with`
+        // returns results in task order), then fold outcomes in nonce
+        // order so every accumulation is scheduling-independent.
         let mut outcomes = Vec::new();
         for d in done {
             self.fleet.caches[d.host] = d.cache;
             self.fleet.set_sync_state(d.host, d.sync);
             self.fleet.quarantines[d.host] = d.quarantine;
+            self.dirty.push(d.host);
             self.report.outage_resyncs += d.resyncs;
             outcomes.extend(d.outcomes);
-            answers.extend(d.answers);
+            if let Some(sink) = answers.as_deref_mut() {
+                sink.extend(d.answers);
+            }
         }
         outcomes.sort_by_key(|&(nonce, _)| nonce);
         for (_, o) in outcomes {
             fold_outcome(&mut self.report, self.cfg.calibration_cap, o);
         }
-        answers.sort_by_key(|a| a.nonce);
-        answers
+        if let Some(sink) = answers {
+            sink.sort_by_key(|a| a.nonce);
+        }
+        self.phases.query_ns += t_phase.elapsed().as_nanos() as u64;
     }
 
-    /// The accumulated service report: the same `SimReport` the
-    /// simulator produces, so a full replay's report can be compared
-    /// field-for-field against the recording run's.
+    /// The accumulated report of every batch executed so far: what
+    /// [`crate::Simulation::run`] returns, so a full replay's report can
+    /// be compared field-for-field against the recording run's.
     pub fn report(&self) -> &SimReport {
         &self.report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{params, QueryKind};
+    use airshare_broadcast::PoiCategory;
+    use airshare_obs::NoopRecorder;
+
+    const CAT: PoiCategory = PoiCategory::GAS_STATION;
+
+    /// The snapshot is refreshed from a dirty list; a full clone of the
+    /// live caches at the same instant is the reference. Two batches
+    /// per epoch (as the scaled service submits them), a crash and a
+    /// restart between barriers.
+    #[test]
+    fn snapshot_delta_refresh_matches_a_full_clone() {
+        let mut p = params::la_city().scaled(0.005);
+        p.cache_size = 30;
+        let mut cfg = SimConfig::paper_defaults(p, QueryKind::Knn, 9);
+        cfg.hilbert_order = 6;
+        let epoch_min = cfg.epoch_min;
+        let mut world = LiveWorld::try_new(cfg).unwrap();
+        let side = world.bounds.x2;
+        let hosts = 12.min(world.hosts());
+        for h in 0..hosts {
+            world.connect(h);
+        }
+        let pool = ExecPool::fixed(2);
+        let mut ctxs = vec![(NoopRecorder, QueryScratch::new()); 2];
+        let mut nonce = 0u64;
+        for epoch in 0..6u64 {
+            match epoch {
+                2 => {
+                    assert!(
+                        world.fleet.caches[1].region_count(CAT) > 0,
+                        "the crash must wipe something peers could see"
+                    );
+                    world.disconnect(1, epoch, &mut NoopRecorder);
+                }
+                4 => world.reconnect(1, epoch, &mut NoopRecorder),
+                _ => {}
+            }
+            let at = |h: usize| {
+                let f = (h as f64 + 0.5 + 0.1 * epoch as f64) / (hosts as f64 + 1.0);
+                Point::new(f * side, (1.0 - f) * side)
+            };
+            for h in 0..hosts {
+                world.update_position(h, at(h));
+            }
+            world.begin_epoch(epoch);
+            for h in 0..world.hosts() {
+                let seen: Vec<_> = world.snapshot[h].share_regions(CAT).collect();
+                let live: Vec<_> = world.fleet.caches[h].share_regions(CAT).collect();
+                assert_eq!(seen, live, "host {h} stale in epoch {epoch}'s snapshot");
+            }
+            for half in 0..2 {
+                // Host 1 sits out the epoch before its crash, so only
+                // `disconnect` itself can have marked it dirty.
+                let batch: Vec<LiveQuery> = (0..hosts)
+                    .filter(|&h| h % 2 == half && (h, epoch) != (1, 1))
+                    .map(|host| {
+                        nonce += 1;
+                        LiveQuery {
+                            nonce,
+                            host,
+                            at_min: (epoch as f64 + 0.25 + 0.5 * half as f64) * epoch_min,
+                            pos: at(host),
+                            heading: None,
+                            spec: QuerySpec::Knn { k: 3 },
+                        }
+                    })
+                    .collect();
+                let posed = batch.len();
+                assert_eq!(world.execute_epoch(batch, &pool, &mut ctxs).len(), posed);
+            }
+        }
+        assert!(
+            world.snapshot.iter().any(|c| c.region_count(CAT) > 0),
+            "no cache ever committed a region"
+        );
     }
 }

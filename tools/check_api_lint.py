@@ -13,9 +13,10 @@ exception, reserved for the sanctioned payload boundaries:
 
 Everything else must speak handles. This script scans every `pub fn`
 signature in the library sources and fails if `Vec<Poi>` appears in one
-that is neither `#[deprecated]` (the migration shims) nor on the
-explicit allowlist below. Adding a new owned-POI public API therefore
-requires touching this file — which is the point.
+that is not on the explicit allowlist below — `#[deprecated]` buys no
+exemption, so an owned-POI API cannot come back as a "shim". Adding a
+new owned-POI public API therefore requires touching this file — which
+is the point.
 
 Usage: python3 tools/check_api_lint.py  (run from the repo root)
 """
@@ -46,11 +47,10 @@ SRC_GLOBS = ["src/**/*.rs", "crates/*/src/**/*.rs"]
 
 
 def signatures(text):
-    """Yields (line_no, fn_name, signature, deprecated) for each pub fn.
+    """Yields (line_no, fn_name, signature) for each pub fn.
 
     A signature runs from its `pub fn` line to the first `{` or `;` at
-    paren depth zero; `deprecated` is True when the contiguous
-    attribute/doc block directly above contains `#[deprecated`.
+    paren depth zero.
     """
     lines = text.splitlines()
     for i, line in enumerate(lines):
@@ -70,19 +70,7 @@ def signatures(text):
         m = FN_NAME.search(flat)
         if not m:
             continue
-        deprecated = False
-        k = i - 1
-        while k >= 0:
-            above = lines[k].strip()
-            if above.startswith(("#[", "#!", "///", "//!")) or (
-                above and not above.endswith(("{", "}", ";"))
-            ):
-                if "#[deprecated" in above:
-                    deprecated = True
-                k -= 1
-            else:
-                break
-        yield i + 1, m.group(1), flat, deprecated
+        yield i + 1, m.group(1), flat
 
 
 def main():
@@ -92,7 +80,7 @@ def main():
     for glob in SRC_GLOBS:
         for path in sorted(root.glob(glob)):
             rel = path.relative_to(root).as_posix()
-            for line_no, name, sig, deprecated in signatures(path.read_text()):
+            for line_no, name, sig in signatures(path.read_text()):
                 if "Vec<Poi>" not in sig.replace(" ", "").replace(
                     "Vec < Poi >", "Vec<Poi>"
                 ):
@@ -100,7 +88,7 @@ def main():
                 key = f"{rel}::{name}"
                 if key in ALLOWED:
                     seen_allowed.add(key)
-                elif not deprecated:
+                else:
                     violations.append(f"{rel}:{line_no}: pub fn {name}: {sig}")
     stale = ALLOWED - seen_allowed
     if stale:
@@ -115,7 +103,7 @@ def main():
             "\nNew public APIs must speak PoiId handles against the canonical\n"
             "PoiTable (DESIGN.md §15). If this boundary genuinely transfers\n"
             "payloads, add it to ALLOWED in tools/check_api_lint.py with a\n"
-            "justifying comment; migration shims must be #[deprecated]."
+            "justifying comment."
         )
     if stale or violations:
         return 1
