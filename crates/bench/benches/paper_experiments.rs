@@ -6,8 +6,8 @@
 //! fast smoke pass; `AIRSHARE_FULL=1` runs the paper's full scale.
 //!
 //! This is a `harness = false` bench target: the output is the set of
-//! series the paper plots, not criterion statistics (those live in the
-//! `micro` bench).
+//! series the paper plots, not timings (those are `airbench`'s, in
+//! `benchmark/`).
 
 use std::time::Instant;
 

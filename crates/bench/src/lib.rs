@@ -10,9 +10,8 @@
 //!   (days of CPU; provided for completeness).
 //!
 //! `AIRSHARE_BACKEND=hilbert|rtree` selects the air-index backend for
-//! every experiment built through [`ExpScale::config`] (experiments
-//! that sweep backends themselves, like `exp_backends`, override it
-//! per cell).
+//! every experiment built through [`ExpScale::config`] (the two R-tree
+//! rows of [`ablations`] pin their backend themselves).
 //!
 //! All functions return their rows so tests and the `cargo bench` driver
 //! can assert on trends, and print them in a fixed, grep-friendly format.
@@ -22,7 +21,9 @@
 use airshare_cache::ReplacementPolicy;
 use airshare_core::VrPolicy;
 use airshare_exec::{ExecPool, Parallelism};
-use airshare_sim::{params, MobilityModel, ParamSet, QueryKind, SimConfig, SimReport, Simulation};
+use airshare_sim::{
+    params, BackendKind, MobilityModel, ParamSet, QueryKind, SimConfig, SimReport, Simulation,
+};
 
 /// Sizing of every experiment run.
 #[derive(Clone, Copy, Debug)]
@@ -586,6 +587,12 @@ pub fn ablations(scale: &ExpScale) -> Vec<AblationRow> {
     c.p2p_hops = 2;
     ablation_run("2-hop sharing (extension)", c, &mut rows);
 
+    // The alternative air index answers the same queries exactly; what
+    // moves is the channel cost (buckets, tuning) of the broadcast share.
+    let mut c = base(1);
+    c.backend = BackendKind::Rtree;
+    ablation_run("air index: STR R-tree", c, &mut rows);
+
     // Window-reduction ablation runs the window workload.
     let mut c = scale.config(p, QueryKind::Window, 1);
     c.validate = true;
@@ -594,6 +601,10 @@ pub fn ablations(scale: &ExpScale) -> Vec<AblationRow> {
     c.validate = true;
     c.use_window_reduction = false;
     ablation_run("window: reduction OFF", c, &mut rows);
+    let mut c = scale.config(p, QueryKind::Window, 1);
+    c.validate = true;
+    c.backend = BackendKind::Rtree;
+    ablation_run("window: air index STR R-tree", c, &mut rows);
 
     rows
 }

@@ -8,7 +8,7 @@
 //! information alone. [`AirIndexBackend`] captures exactly that contract
 //! so [`crate::OnAirClient`], the SBNN/SBWQ algorithms, and the
 //! simulator run unchanged over any backend, and backends can be
-//! ablated against each other (`exp_backends`).
+//! ablated against each other (the R-tree rows of `exp_ablations`).
 //!
 //! Two backends ship in-tree:
 //!
@@ -18,7 +18,7 @@
 //!   buckets in STR bulk-load order, internal-node descriptors as the
 //!   index segment, MBR intersection as the predicate map.
 
-use crate::{Bucket, BucketId, IndexError, PoiTable, QueryScratch};
+use crate::{Bucket, IndexError, PoiTable, QueryScratch};
 use airshare_geom::{Point, Rect};
 use bytes::Bytes;
 
@@ -147,34 +147,4 @@ pub trait AirIndexBackend: std::fmt::Debug + Send + Sync {
     /// `segment_bucket` indexes into `0..self.index_buckets()`; an
     /// out-of-range index is a caller bug and panics.
     fn encode_index_bucket(&self, segment_bucket: usize) -> Result<Bytes, crate::wire::WireError>;
-
-    /// Allocating convenience over [`AirIndexBackend::buckets_for_window_scratch`].
-    fn buckets_for_window(&self, w: &Rect) -> Vec<BucketId> {
-        let mut scratch = QueryScratch::new();
-        self.buckets_for_window_scratch(w, &mut scratch);
-        scratch.take_buckets()
-    }
-
-    /// Allocating convenience over [`AirIndexBackend::buckets_for_knn_scratch`].
-    fn buckets_for_knn(&self, q: Point, radius: f64) -> Vec<BucketId> {
-        let mut scratch = QueryScratch::new();
-        self.buckets_for_knn_scratch(q, radius, &mut scratch);
-        scratch.take_buckets()
-    }
-
-    /// Allocating convenience over
-    /// [`AirIndexBackend::buckets_for_knn_filtered_scratch`].
-    fn buckets_for_knn_filtered(&self, q: Point, outer: f64, inner: Option<f64>) -> Vec<BucketId> {
-        let mut scratch = QueryScratch::new();
-        self.buckets_for_knn_filtered_scratch(q, outer, inner, &mut scratch);
-        scratch.take_buckets()
-    }
-
-    /// Allocating convenience over
-    /// [`AirIndexBackend::buckets_for_windows_scratch`].
-    fn buckets_for_windows(&self, windows: &[Rect]) -> Vec<BucketId> {
-        let mut scratch = QueryScratch::new();
-        self.buckets_for_windows_scratch(windows, &mut scratch);
-        scratch.take_buckets()
-    }
 }

@@ -95,17 +95,8 @@ impl AirIndex {
     }
 
     /// Buckets (sorted, deduplicated) whose Hilbert ranges intersect any
-    /// of the given inclusive curve intervals.
-    ///
-    /// Allocating wrapper over [`AirIndex::buckets_for_intervals_into`].
-    pub fn buckets_for_intervals(&self, intervals: &[(u64, u64)]) -> Vec<BucketId> {
-        let mut out = Vec::new();
-        self.buckets_for_intervals_into(intervals, &mut out);
-        out
-    }
-
-    /// Like [`AirIndex::buckets_for_intervals`], writing into `out`
-    /// (cleared first) so a reused buffer makes the call allocation-free.
+    /// of the given inclusive curve intervals, written into `out` (cleared
+    /// first) so a reused buffer makes the call allocation-free.
     pub fn buckets_for_intervals_into(&self, intervals: &[(u64, u64)], out: &mut Vec<BucketId>) {
         out.clear();
         for &(lo, hi) in intervals {
@@ -124,16 +115,8 @@ impl AirIndex {
         out.dedup();
     }
 
-    /// Buckets needed for a world-space window query.
-    ///
-    /// Allocating wrapper over [`AirIndex::buckets_for_window_scratch`].
-    pub fn buckets_for_window(&self, w: &Rect) -> Vec<BucketId> {
-        let mut scratch = QueryScratch::new();
-        self.buckets_for_window_scratch(w, &mut scratch);
-        scratch.buckets
-    }
-
-    /// Window-query bucket set, left in `scratch.buckets()`.
+    /// Buckets needed for a world-space window query, left in
+    /// `scratch.buckets()`.
     pub fn buckets_for_window_scratch(&self, w: &Rect, scratch: &mut QueryScratch) {
         self.grid
             .intervals_for_world_rect_into(w, &mut scratch.intervals);
@@ -186,15 +169,7 @@ impl AirIndex {
     /// Buckets needed to answer a kNN query exactly, given the search
     /// radius from [`AirIndex::knn_search_radius`]: all buckets covering
     /// the MBR of the search circle (the paper's Figure 4 range).
-    ///
-    /// Allocating wrapper over [`AirIndex::buckets_for_knn_scratch`].
-    pub fn buckets_for_knn(&self, q: Point, radius: f64) -> Vec<BucketId> {
-        let mut scratch = QueryScratch::new();
-        self.buckets_for_knn_scratch(q, radius, &mut scratch);
-        scratch.buckets
-    }
-
-    /// kNN bucket set, left in `scratch.buckets()`.
+    /// The set is left in `scratch.buckets()`.
     pub fn buckets_for_knn_scratch(&self, q: Point, radius: f64, scratch: &mut QueryScratch) {
         let mbr = Rect::centered_square(q, radius);
         self.buckets_for_window_scratch(&mbr, scratch);
@@ -204,21 +179,7 @@ impl AirIndex {
     /// search MBR, *minus* buckets whose MBR lies entirely within the
     /// verified inner circle `C_i` of radius `inner` around `q` — their
     /// contents are already known to the client.
-    ///
-    /// Allocating wrapper over
-    /// [`AirIndex::buckets_for_knn_filtered_scratch`].
-    pub fn buckets_for_knn_filtered(
-        &self,
-        q: Point,
-        outer: f64,
-        inner: Option<f64>,
-    ) -> Vec<BucketId> {
-        let mut scratch = QueryScratch::new();
-        self.buckets_for_knn_filtered_scratch(q, outer, inner, &mut scratch);
-        scratch.buckets
-    }
-
-    /// Bound-filtered kNN bucket set, left in `scratch.buckets()`.
+    /// The set is left in `scratch.buckets()`.
     pub fn buckets_for_knn_filtered_scratch(
         &self,
         q: Point,
@@ -235,16 +196,7 @@ impl AirIndex {
     }
 
     /// Bucket set for a collection of reduced windows (§3.4.2): the union
-    /// of the buckets of each window `w′`.
-    ///
-    /// Allocating wrapper over [`AirIndex::buckets_for_windows_scratch`].
-    pub fn buckets_for_windows(&self, windows: &[Rect]) -> Vec<BucketId> {
-        let mut scratch = QueryScratch::new();
-        self.buckets_for_windows_scratch(windows, &mut scratch);
-        scratch.buckets
-    }
-
-    /// Reduced-window bucket set, left in `scratch.buckets()`.
+    /// of the buckets of each window `w′`, left in `scratch.buckets()`.
     ///
     /// The interval lists of all windows are merged *before* mapping to
     /// buckets, so overlapping reduced windows — SBWQ routinely produces
@@ -403,7 +355,7 @@ mod tests {
     fn window_buckets_cover_all_window_pois() {
         let idx = setup(500, 8);
         let w = Rect::from_coords(10.0, 10.0, 30.0, 25.0);
-        let chosen = idx.buckets_for_window(&w);
+        let chosen = QueryScratch::planned(|s| idx.buckets_for_window_scratch(&w, s));
         // Every POI inside the window must live in a chosen bucket.
         let chosen_pois: Vec<u32> = chosen
             .iter()
@@ -446,8 +398,11 @@ mod tests {
         let idx = setup(500, 4);
         let q = Point::new(32.0, 32.0);
         let outer = 20.0;
-        let all = idx.buckets_for_knn_filtered(q, outer, None);
-        let filt = idx.buckets_for_knn_filtered(q, outer, Some(10.0));
+        let mut scratch = QueryScratch::new();
+        idx.buckets_for_knn_filtered_scratch(q, outer, None, &mut scratch);
+        let all = scratch.buckets().to_vec();
+        idx.buckets_for_knn_filtered_scratch(q, outer, Some(10.0), &mut scratch);
+        let filt = scratch.buckets();
         assert!(filt.len() <= all.len());
         // Dropped buckets are exactly those fully inside the inner circle.
         for id in &all {
@@ -461,9 +416,9 @@ mod tests {
         let world = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
         let idx = AirIndex::try_build(Vec::new(), Grid::new(world, 3), 4).unwrap();
         assert_eq!(idx.data_buckets(), 0);
-        assert!(idx
-            .buckets_for_window(&Rect::from_coords(0.0, 0.0, 1.0, 1.0))
-            .is_empty());
+        let everything = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
+        let chosen = QueryScratch::planned(|s| idx.buckets_for_window_scratch(&everything, s));
+        assert!(chosen.is_empty());
     }
 
     #[test]
@@ -481,26 +436,24 @@ mod tests {
         // routinely produce.
         let w1 = Rect::from_coords(10.0, 10.0, 30.0, 25.0);
         let w2 = Rect::from_coords(20.0, 15.0, 40.0, 35.0);
-        let merged = idx.buckets_for_windows(&[w1, w2]);
-        // Oracle: per-window mapping, concatenated and deduplicated.
-        let mut naive: Vec<BucketId> = idx
-            .buckets_for_window(&w1)
-            .into_iter()
-            .chain(idx.buckets_for_window(&w2))
-            .collect();
-        naive.sort_unstable();
-        naive.dedup();
-        assert_eq!(merged, naive);
-        // The merged interval list must itself be disjoint: no curve
-        // position is scanned twice.
         let mut scratch = QueryScratch::new();
         idx.buckets_for_windows_scratch(&[w1, w2], &mut scratch);
+        // Oracle: per-window mapping, concatenated and deduplicated.
+        let single = |w: &Rect| QueryScratch::planned(|s| idx.buckets_for_window_scratch(w, s));
+        let mut naive: Vec<BucketId> = single(&w1).into_iter().chain(single(&w2)).collect();
+        naive.sort_unstable();
+        naive.dedup();
+        assert_eq!(scratch.buckets(), naive);
+        // The merged interval list must itself be disjoint: no curve
+        // position is scanned twice.
         for w in scratch.intervals.windows(2) {
             assert!(w[1].0 > w[0].1 + 1, "intervals overlap or abut: {w:?}");
         }
         // Duplicated and disjoint window lists behave too.
-        assert_eq!(idx.buckets_for_windows(&[w1, w1]), idx.buckets_for_window(&w1));
-        assert!(idx.buckets_for_windows(&[]).is_empty());
+        idx.buckets_for_windows_scratch(&[w1, w1], &mut scratch);
+        assert_eq!(scratch.buckets(), single(&w1));
+        idx.buckets_for_windows_scratch(&[], &mut scratch);
+        assert!(scratch.buckets().is_empty());
     }
 
     #[test]
@@ -508,27 +461,30 @@ mod tests {
         let idx = setup(400, 6);
         let q = Point::new(30.0, 20.0);
         let w = Rect::from_coords(5.0, 40.0, 25.0, 60.0);
+        let w2 = Rect::from_coords(20.0, 15.0, 40.0, 35.0);
+        // Interleave different planners through ONE warm scratch: each
+        // result must equal the same call through a fresh scratch, so no
+        // state leaks between calls.
+        let plans: [&dyn Fn(&mut QueryScratch); 5] = [
+            &|s| idx.buckets_for_window_scratch(&w, s),
+            &|s| idx.buckets_for_knn_scratch(q, 9.0, s),
+            &|s| idx.buckets_for_windows_scratch(&[w, w2], s),
+            &|s| idx.buckets_for_knn_filtered_scratch(q, 9.0, Some(4.0), s),
+            &|s| idx.buckets_for_window_scratch(&w, s),
+        ];
         let mut scratch = QueryScratch::new();
-        // Interleave different query kinds through ONE scratch to prove
-        // no state leaks between calls.
-        idx.buckets_for_window_scratch(&w, &mut scratch);
-        assert_eq!(scratch.buckets(), idx.buckets_for_window(&w));
-        idx.buckets_for_knn_scratch(q, 9.0, &mut scratch);
-        assert_eq!(scratch.buckets(), idx.buckets_for_knn(q, 9.0));
-        idx.buckets_for_knn_filtered_scratch(q, 9.0, Some(4.0), &mut scratch);
-        assert_eq!(
-            scratch.buckets(),
-            idx.buckets_for_knn_filtered(q, 9.0, Some(4.0))
-        );
-        idx.buckets_for_window_scratch(&w, &mut scratch);
-        assert_eq!(scratch.buckets(), idx.buckets_for_window(&w));
+        for plan in plans {
+            plan(&mut scratch);
+            assert_eq!(scratch.buckets(), QueryScratch::planned(plan));
+        }
     }
 
     #[test]
     fn buckets_for_intervals_dedups_and_sorts() {
         let idx = setup(100, 5);
         let max_h = idx.buckets().last().unwrap().hilbert_range.1;
-        let a = idx.buckets_for_intervals(&[(0, max_h), (0, max_h)]);
+        let mut a = Vec::new();
+        idx.buckets_for_intervals_into(&[(0, max_h), (0, max_h)], &mut a);
         assert_eq!(a.len(), idx.data_buckets());
         for w in a.windows(2) {
             assert!(w[0] < w[1]);

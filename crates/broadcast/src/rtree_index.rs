@@ -288,7 +288,7 @@ mod tests {
     fn window_buckets_cover_all_window_pois() {
         let idx = setup(500, 8);
         let w = Rect::from_coords(10.0, 10.0, 30.0, 25.0);
-        let chosen = idx.buckets_for_window(&w);
+        let chosen = QueryScratch::planned(|s| idx.buckets_for_window_scratch(&w, s));
         let chosen_pois: Vec<u32> = chosen
             .iter()
             .flat_map(|&id| idx.buckets()[id].pois.iter().map(|p| p.id))
@@ -329,8 +329,11 @@ mod tests {
         let idx = setup(500, 4);
         let q = Point::new(32.0, 32.0);
         let outer = 20.0;
-        let all = idx.buckets_for_knn_filtered(q, outer, None);
-        let filt = idx.buckets_for_knn_filtered(q, outer, Some(10.0));
+        let mut scratch = QueryScratch::new();
+        idx.buckets_for_knn_filtered_scratch(q, outer, None, &mut scratch);
+        let all = scratch.buckets().to_vec();
+        idx.buckets_for_knn_filtered_scratch(q, outer, Some(10.0), &mut scratch);
+        let filt = scratch.buckets();
         assert!(filt.len() <= all.len());
         for id in &all {
             let inside = idx.buckets()[*id].mbr.max_distance_to_point(q) <= 10.0;
@@ -343,16 +346,15 @@ mod tests {
         let idx = setup(500, 8);
         let w1 = Rect::from_coords(10.0, 10.0, 30.0, 25.0);
         let w2 = Rect::from_coords(20.0, 15.0, 40.0, 35.0);
-        let merged = idx.buckets_for_windows(&[w1, w2]);
-        let mut naive: Vec<_> = idx
-            .buckets_for_window(&w1)
-            .into_iter()
-            .chain(idx.buckets_for_window(&w2))
-            .collect();
+        let mut scratch = QueryScratch::new();
+        idx.buckets_for_windows_scratch(&[w1, w2], &mut scratch);
+        let single = |w: &Rect| QueryScratch::planned(|s| idx.buckets_for_window_scratch(w, s));
+        let mut naive: Vec<_> = single(&w1).into_iter().chain(single(&w2)).collect();
         naive.sort_unstable();
         naive.dedup();
-        assert_eq!(merged, naive);
-        assert!(idx.buckets_for_windows(&[]).is_empty());
+        assert_eq!(scratch.buckets(), naive);
+        idx.buckets_for_windows_scratch(&[], &mut scratch);
+        assert!(scratch.buckets().is_empty());
     }
 
     #[test]
@@ -393,9 +395,9 @@ mod tests {
         let idx = RtreeAirIndex::try_build(&crate::PoiTable::new(), &params(4)).unwrap();
         assert_eq!(idx.data_buckets(), 0);
         assert_eq!(idx.index_buckets(), 1);
-        assert!(idx
-            .buckets_for_window(&Rect::from_coords(0.0, 0.0, 1.0, 1.0))
-            .is_empty());
+        let everything = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
+        let chosen = QueryScratch::planned(|s| idx.buckets_for_window_scratch(&everything, s));
+        assert!(chosen.is_empty());
         assert!(idx.knn_search_radius(Point::ORIGIN, 1).is_none());
         let frame = idx.encode_index_bucket(0).unwrap();
         assert!(verify_payload(&frame).unwrap().is_empty());

@@ -41,12 +41,14 @@ impl QueryScratch {
     pub fn buckets(&self) -> &[BucketId] {
         &self.buckets
     }
+}
 
-    /// Moves the bucket ids of the most recent `*_scratch` call out of
-    /// the scratch, leaving an empty buffer behind. Used by the
-    /// allocating convenience wrappers on
-    /// [`crate::AirIndexBackend`].
-    pub fn take_buckets(&mut self) -> Vec<BucketId> {
-        std::mem::take(&mut self.buckets)
+#[cfg(test)]
+impl QueryScratch {
+    /// The bucket set one planner call leaves in a fresh scratch.
+    pub(crate) fn planned(plan: impl FnOnce(&mut Self)) -> Vec<BucketId> {
+        let mut scratch = Self::new();
+        plan(&mut scratch);
+        scratch.buckets
     }
 }

@@ -4,7 +4,6 @@ use core::fmt;
 
 /// A point in the plane. Coordinates are in miles across the workspace.
 #[derive(Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Horizontal coordinate (miles).
     pub x: f64,

@@ -9,7 +9,6 @@ use core::fmt;
 ///
 /// Invariant: `x1 <= x2 && y1 <= y2` (enforced by constructors).
 #[derive(Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rect {
     /// Left edge.
     pub x1: f64,

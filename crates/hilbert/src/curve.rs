@@ -291,8 +291,7 @@ impl HilbertCurve {
     }
 
     /// Reference encoder: the classic per-level quadrant-rotation loop.
-    /// Oracle for property tests and the `exp_hotpath` before/after
-    /// benchmark; not used on any query path.
+    /// Oracle for property tests; not used on any query path.
     #[doc(hidden)]
     pub fn encode_reference(&self, mut x: u32, mut y: u32) -> u64 {
         debug_assert!(x < self.side() && y < self.side());
@@ -399,8 +398,7 @@ impl HilbertCurve {
 
     /// Reference decomposition: the original recursive descent with a
     /// post-hoc sort+merge, its child geometry recovered via
-    /// [`HilbertCurve::decode_reference`]. Oracle for property tests and
-    /// the `exp_hotpath` before/after benchmark.
+    /// [`HilbertCurve::decode_reference`]. Oracle for property tests.
     #[doc(hidden)]
     pub fn intervals_for_rect_reference(&self, rect: &CellRect) -> Vec<(u64, u64)> {
         debug_assert!(rect.x2 < self.side() && rect.y2 < self.side());

@@ -24,12 +24,18 @@ pub enum ConfigError {
     NoHosts,
     /// Per-host query rate is non-positive or non-finite.
     BadQueryRate(f64),
+    /// `params.speed_scale` is non-positive or non-finite: every host's
+    /// speed range is multiplied by it. Carries the offending value.
+    BadSpeedScale(f64),
     /// Transmission range is negative or non-finite (`0.0` is legal: it
     /// disables sharing). Carries the offending value.
     BadTxRange(f64),
     /// `p2p_hops == 0`: a share request that travels no hop reaches
     /// nobody (`tx_range_m = 0.0` is the knob that disables sharing).
     ZeroP2pHops,
+    /// `MobilityModel::GridRoads { spacing_milli_mi: 0 }`: a street grid
+    /// needs a positive pitch.
+    ZeroRoadSpacing,
     /// `ticks_per_min == 0` (no channel time would ever pass).
     ZeroTicksPerMinute,
     /// A duration knob (`measure_min` / `warmup_min`) is negative or
@@ -65,6 +71,9 @@ impl fmt::Display for ConfigError {
             ConfigError::BadQueryRate(r) => {
                 write!(f, "params.query_rate must be positive and finite, got {r}")
             }
+            ConfigError::BadSpeedScale(v) => {
+                write!(f, "params.speed_scale must be positive and finite, got {v}")
+            }
             ConfigError::BadTxRange(r) => {
                 write!(
                     f,
@@ -72,6 +81,9 @@ impl fmt::Display for ConfigError {
                 )
             }
             ConfigError::ZeroP2pHops => write!(f, "p2p_hops must be ≥ 1"),
+            ConfigError::ZeroRoadSpacing => {
+                write!(f, "mobility GridRoads spacing_milli_mi must be ≥ 1")
+            }
             ConfigError::ZeroTicksPerMinute => write!(f, "ticks_per_min must be ≥ 1"),
             ConfigError::BadDuration(name) => {
                 write!(f, "{name} must be non-negative and finite")
@@ -390,17 +402,6 @@ impl SimConfig {
         }
     }
 
-    /// A laptop-scale configuration: the same densities on a smaller
-    /// area, shorter run. This is what `cargo bench` uses by default;
-    /// set `AIRSHARE_FULL=1` to run paper scale.
-    pub fn bench_defaults(params: ParamSet, query_kind: QueryKind, seed: u64) -> Self {
-        let scaled = params.scaled(0.02).with_hours(1.0);
-        let mut cfg = Self::paper_defaults(scaled, query_kind, seed);
-        cfg.measure_min = 40.0;
-        cfg.warmup_min = 20.0;
-        cfg
-    }
-
     /// Total simulated minutes (warm-up + measurement).
     pub fn total_min(&self) -> f64 {
         self.warmup_min + self.measure_min
@@ -430,12 +431,19 @@ impl SimConfig {
         if !(rate.is_finite() && rate > 0.0) {
             return Err(ConfigError::BadQueryRate(rate));
         }
+        let speed = self.params.speed_scale;
+        if !(speed.is_finite() && speed > 0.0) {
+            return Err(ConfigError::BadSpeedScale(speed));
+        }
         let range = self.params.tx_range_m;
         if !(range.is_finite() && range >= 0.0) {
             return Err(ConfigError::BadTxRange(range));
         }
         if self.p2p_hops == 0 {
             return Err(ConfigError::ZeroP2pHops);
+        }
+        if self.mobility == (MobilityModel::GridRoads { spacing_milli_mi: 0 }) {
+            return Err(ConfigError::ZeroRoadSpacing);
         }
         if self.ticks_per_min == 0 {
             return Err(ConfigError::ZeroTicksPerMinute);
@@ -471,101 +479,6 @@ impl SimConfig {
             }
         }
         Ok(())
-    }
-
-    /// Starts a validated builder from [`SimConfig::paper_defaults`].
-    /// Every knob has a setter; [`SimConfigBuilder::build`] runs
-    /// [`SimConfig::check`] so an invalid combination surfaces as a
-    /// [`ConfigError`] at construction instead of inside
-    /// `Simulation::try_new`. Struct-literal construction keeps working
-    /// for code that wants it.
-    pub fn builder(params: ParamSet, query_kind: QueryKind, seed: u64) -> SimConfigBuilder {
-        SimConfigBuilder {
-            cfg: SimConfig::paper_defaults(params, query_kind, seed),
-        }
-    }
-}
-
-/// Builder for [`SimConfig`] — see [`SimConfig::builder`].
-///
-/// Setters are chainable and unvalidated individually; validation runs
-/// once in [`SimConfigBuilder::build`], which wraps [`SimConfig::check`].
-#[derive(Clone, Debug)]
-pub struct SimConfigBuilder {
-    cfg: SimConfig,
-}
-
-macro_rules! builder_setters {
-    ($( $(#[$doc:meta])* $name:ident : $ty:ty ),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $name(mut self, v: $ty) -> Self {
-                self.cfg.$name = v;
-                self
-            }
-        )*
-    };
-}
-
-impl SimConfigBuilder {
-    builder_setters! {
-        /// Sets the simulated minutes measured after warm-up.
-        measure_min: f64,
-        /// Sets the warm-up minutes before measurement starts.
-        warmup_min: f64,
-        /// Sets the broadcast ticks per simulated minute.
-        ticks_per_min: u64,
-        /// Sets the POIs per broadcast bucket.
-        bucket_capacity: usize,
-        /// Sets the `(1, m)` index replication factor.
-        index_m: usize,
-        /// Sets the Hilbert curve order for the air index.
-        hilbert_order: u32,
-        /// Sets the air-index backend the channel carries.
-        backend: BackendKind,
-        /// Sets the cache replacement policy.
-        policy: ReplacementPolicy,
-        /// Sets the bound on cached regions per host.
-        max_regions: usize,
-        /// Sets the anti-fragmentation overlap threshold.
-        subsume_overlap: f64,
-        /// Sets the verified-region construction policy.
-        vr_policy: VrPolicy,
-        /// Sets whether Lemma 3.2 areas are clipped to the world.
-        clip_domain: bool,
-        /// Sets whether hosts accept approximate kNN answers.
-        accept_approx: bool,
-        /// Sets the correctness threshold for approximate acceptance.
-        min_correctness: f64,
-        /// Sets whether §3.3.3 bound filtering applies on fallback.
-        use_bound_filtering: bool,
-        /// Sets whether §3.4.2 window reduction applies on fallback.
-        use_window_reduction: bool,
-        /// Sets whether the querying host's own cache joins the MVR.
-        use_own_cache: bool,
-        /// Sets how many wireless hops the share request travels.
-        p2p_hops: usize,
-        /// Sets the mobility model.
-        mobility: MobilityModel,
-        /// Sets the epoch length in minutes.
-        epoch_min: f64,
-        /// Sets whether every resolved query is oracle-checked.
-        validate: bool,
-        /// Sets the calibration sample cap.
-        calibration_cap: usize,
-        /// Sets the fault-injection knobs.
-        faults: FaultConfig,
-        /// Sets the host-churn knobs.
-        churn: ChurnConfig,
-        /// Sets the base-station outage windows (epoch ranges).
-        outages: Vec<(u64, u64)>,
-    }
-
-    /// Validates the assembled configuration ([`SimConfig::check`]) and
-    /// returns it, or the first offending knob.
-    pub fn build(self) -> Result<SimConfig, ConfigError> {
-        self.cfg.check()?;
-        Ok(self.cfg)
     }
 }
 
@@ -667,6 +580,21 @@ mod tests {
         c.p2p_hops = 0;
         assert_eq!(c.check(), Err(ConfigError::ZeroP2pHops));
 
+        // Both used to pass and then panic in the mobility constructors.
+        let mut c = good();
+        for bad in [0.0, -1.0, f64::INFINITY] {
+            c.params.speed_scale = bad;
+            assert_eq!(c.check(), Err(ConfigError::BadSpeedScale(bad)));
+        }
+        c.params.speed_scale = f64::NAN;
+        assert!(matches!(c.check(), Err(ConfigError::BadSpeedScale(_))));
+
+        let mut c = good();
+        c.mobility = MobilityModel::GridRoads { spacing_milli_mi: 0 };
+        assert_eq!(c.check(), Err(ConfigError::ZeroRoadSpacing));
+        c.mobility = MobilityModel::GridRoads { spacing_milli_mi: 1 };
+        assert_eq!(c.check(), Ok(()));
+
         let mut c = good();
         c.ticks_per_min = 0;
         assert_eq!(c.check(), Err(ConfigError::ZeroTicksPerMinute));
@@ -762,64 +690,5 @@ mod tests {
             ..FaultConfig::default()
         };
         assert!(!f.is_inert());
-    }
-
-    #[test]
-    fn builder_matches_defaults_and_validates() {
-        // An untouched builder is exactly paper_defaults.
-        let built = SimConfig::builder(params::la_city(), QueryKind::Knn, 7)
-            .build()
-            .unwrap();
-        let defaults = SimConfig::paper_defaults(params::la_city(), QueryKind::Knn, 7);
-        assert_eq!(format!("{built:?}"), format!("{defaults:?}"));
-        assert_eq!(built.backend, BackendKind::Hilbert);
-
-        // Setters chain and stick.
-        let cfg = SimConfig::builder(params::la_city(), QueryKind::Window, 7)
-            .backend(BackendKind::Rtree)
-            .bucket_capacity(20)
-            .index_m(2)
-            .validate(true)
-            .faults(FaultConfig {
-                bucket_loss_prob: 0.1,
-                ..FaultConfig::default()
-            })
-            .build()
-            .unwrap();
-        assert_eq!(cfg.backend, BackendKind::Rtree);
-        assert_eq!(cfg.bucket_capacity, 20);
-        assert_eq!(cfg.index_m, 2);
-        assert!(cfg.validate);
-        assert_eq!(cfg.faults.bucket_loss_prob, 0.1);
-
-        // build() rejects what check() rejects.
-        assert_eq!(
-            SimConfig::builder(params::la_city(), QueryKind::Knn, 7)
-                .bucket_capacity(0)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroBucketCapacity
-        );
-        assert_eq!(
-            SimConfig::builder(params::la_city(), QueryKind::Knn, 7)
-                .epoch_min(0.0)
-                .build()
-                .unwrap_err(),
-            ConfigError::BadEpoch(0.0)
-        );
-        assert!(matches!(
-            SimConfig::builder(params::la_city(), QueryKind::Knn, 7)
-                .outages(vec![(9, 3)])
-                .build(),
-            Err(ConfigError::BadOutageWindow(9, 3))
-        ));
-    }
-
-    #[test]
-    fn bench_defaults_shrink_the_world() {
-        let cfg = SimConfig::bench_defaults(params::la_city(), QueryKind::Knn, 1);
-        assert!(cfg.params.world_mi < 4.0);
-        assert!(cfg.params.mh_number < 5000);
-        assert!(cfg.total_min() <= 60.0 + 1e-9);
     }
 }

@@ -1629,4 +1629,16 @@ mod tests {
         assert_eq!(with_inert.quality.stale, 0);
         assert_eq!(with_inert.quality.failed, 0);
     }
+
+    #[test]
+    fn par_init_is_thread_count_invariant_above_the_inline_threshold() {
+        // Every determinism pin builds fewer than 4,096 hosts, where
+        // `par_init` runs inline; this is the chunked path.
+        let n = 10_000;
+        let f = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
+        let serial: Vec<u64> = (0..n).map(f).collect();
+        for threads in [1, 2, 8] {
+            assert_eq!(par_init(&ExecPool::fixed(threads), n, f), serial, "{threads} threads");
+        }
+    }
 }

@@ -34,7 +34,7 @@ mod traffic;
 pub use airshare_obs::{AnswerQuality, FaultStats, MetricsSnapshot};
 pub use config::{
     BackendKind, ChurnConfig, ConfigError, FaultConfig, MobilityModel, ParseBackendError,
-    QueryKind, SimConfig, SimConfigBuilder,
+    QueryKind, SimConfig,
 };
 pub use engine::{QueryAnswer, QuerySpec, Simulation};
 pub use fleet::FleetStore;

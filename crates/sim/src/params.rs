@@ -77,12 +77,6 @@ impl ParamSet {
             ..*self
         }
     }
-
-    /// Shortens the run (hours) without touching densities.
-    pub fn with_hours(mut self, hours: f64) -> ParamSet {
-        self.t_execution_hr = hours;
-        self
-    }
 }
 
 /// Table 3, column 1: a very dense urban area.

@@ -172,6 +172,6 @@ pub mod prelude {
     };
     pub use airshare_sim::{
         params, BackendKind, ChurnConfig, FleetStore, QualityStats, QueryAnswer, QueryKind,
-        QuerySpec, SimConfig, SimConfigBuilder, SimReport, Simulation,
+        QuerySpec, SimConfig, SimReport, Simulation,
     };
 }
