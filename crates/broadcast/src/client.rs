@@ -1,4 +1,17 @@
 //! The client access protocol and the on-air spatial query baselines.
+//!
+//! Each baseline comes in two forms over one schedule walk:
+//!
+//! * **Retrieval** — [`OnAirClient::knn_rec`], [`OnAirClient::window_rec`]
+//!   and the filtered / reduced variants (plus their untraced
+//!   shorthands): for a query that really goes on air. They download the
+//!   buckets, rank or filter the POIs and trace every protocol step.
+//! * **Cost only** — [`OnAirClient::knn_cost`],
+//!   [`OnAirClient::window_cost`]: for asking what the on-air algorithm
+//!   *would have paid* (the counterfactual baseline beside every
+//!   peer-resolved query). Same radius, bucket plan, timing and fault
+//!   coin flips, so the [`AccessStats`] are equal field for field; no POI
+//!   is copied and nothing is traced.
 
 use crate::{AirIndex, AirIndexBackend, BucketId, ChannelFaults, Poi, QueryScratch, Schedule};
 use airshare_geom::{Point, Rect};
@@ -27,6 +40,15 @@ pub struct OnAirWindowResult {
     pub pois: Vec<Poi>,
     /// Broadcast-access cost.
     pub stats: AccessStats,
+}
+
+/// One on-air appearance of a requested bucket, as the schedule walk
+/// hands it to its sink.
+enum Appearance {
+    /// The bucket arrived intact; its download completed at `tick`.
+    Intact { tick: u64 },
+    /// The CRC failed; `retry` re-fetches of this bucket came before.
+    Corrupt { retry: u32 },
 }
 
 /// A client of the broadcast channel: owns no state beyond references to
@@ -145,13 +167,41 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
         rec: &mut dyn Recorder,
     ) -> (Vec<Poi>, AccessStats) {
         rec.record(TraceEvent::ProbeStarted { tick: tune_in });
-        let idx_start = self.schedule.next_index_start(tune_in);
-        let idx_done = idx_start + self.schedule.index_buckets() as u64;
         rec.record(TraceEvent::IndexBucketTuned {
             count: self.schedule.index_buckets() as u32,
         });
-        let mut last = idx_done;
         let mut pois = Vec::new();
+        let stats = self.walk(tune_in, buckets, |b, appearance| match appearance {
+            Appearance::Intact { tick } => {
+                rec.record(TraceEvent::DataBucketTuned {
+                    bucket: b as u32,
+                    tick,
+                });
+                pois.extend(self.index.buckets()[b].pois.iter().copied());
+            }
+            Appearance::Corrupt { retry } => rec.record(TraceEvent::FrameLost {
+                bucket: b as u32,
+                retry,
+            }),
+        });
+        (pois, stats)
+    }
+
+    /// The schedule walk behind every retrieval and every cost query:
+    /// wait for the next index segment, then take each bucket at its
+    /// next airing, re-fetching corrupt appearances a cycle later until
+    /// the retry budget runs out. `sink` sees every appearance the
+    /// client listened to, in protocol order; the returned stats do not
+    /// depend on what it does with them.
+    fn walk(
+        &self,
+        tune_in: u64,
+        buckets: &[BucketId],
+        mut sink: impl FnMut(BucketId, Appearance),
+    ) -> AccessStats {
+        let idx_start = self.schedule.next_index_start(tune_in);
+        let idx_done = idx_start + self.schedule.index_buckets() as u64;
+        let mut last = idx_done;
         let mut tuning = 1 + self.schedule.index_buckets() as u64 + buckets.len() as u64;
         let mut retries = 0u64;
         let mut lost_buckets = 0u64;
@@ -159,49 +209,36 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
         let cycle = self.schedule.cycle_len();
         for &b in buckets {
             let mut done = self.schedule.bucket_completion_after(b, idx_done);
+            let mut arrived = true;
             if let Some(f) = faults {
                 // A bucket airs once per cycle, so the completion tick's
                 // cycle number identifies the on-air appearance.
-                let mut attempts_left = f.retry_budget();
-                loop {
-                    if !f.bucket_lost(b, done / cycle) {
-                        rec.record(TraceEvent::DataBucketTuned {
-                            bucket: b as u32,
-                            tick: done,
-                        });
-                        pois.extend(self.index.buckets()[b].pois.iter().copied());
-                        break;
-                    }
-                    rec.record(TraceEvent::FrameLost {
-                        bucket: b as u32,
-                        retry: f.retry_budget() - attempts_left,
-                    });
-                    if attempts_left == 0 {
+                let mut retry = 0;
+                while f.bucket_lost(b, done / cycle) {
+                    sink(b, Appearance::Corrupt { retry });
+                    if retry == f.retry_budget() {
                         lost_buckets += 1;
+                        arrived = false;
                         break;
                     }
-                    attempts_left -= 1;
+                    retry += 1;
                     retries += 1;
                     tuning += 1;
                     done += cycle;
                 }
-            } else {
-                rec.record(TraceEvent::DataBucketTuned {
-                    bucket: b as u32,
-                    tick: done,
-                });
-                pois.extend(self.index.buckets()[b].pois.iter().copied());
+            }
+            if arrived {
+                sink(b, Appearance::Intact { tick: done });
             }
             last = last.max(done);
         }
-        let stats = AccessStats {
+        AccessStats {
             latency: last - tune_in,
             tuning,
             buckets: buckets.len() as u64,
             retries,
             lost_buckets,
-        };
-        (pois, stats)
+        }
     }
 
     /// The on-air kNN baseline (paper Figure 4, after Zheng et al.):
@@ -239,6 +276,22 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
             retrieved: pois,
             stats,
         })
+    }
+
+    /// What [`OnAirClient::knn_rec`] at the same arguments would report
+    /// as its `stats`, without retrieving anything: the same search
+    /// radius, bucket plan and schedule walk (fault coin flips
+    /// included), no POI copied, nothing ranked, nothing traced.
+    pub fn knn_cost(
+        &self,
+        tune_in: u64,
+        q: Point,
+        k: usize,
+        scratch: &mut QueryScratch,
+    ) -> Option<AccessStats> {
+        let radius = self.index.knn_search_radius(q, k)?;
+        self.index.buckets_for_knn_scratch(q, radius, scratch);
+        Some(self.walk(tune_in, &scratch.buckets, |_, _| {}))
     }
 
     /// Bound-filtered kNN completion (§3.3.3): the client already holds
@@ -334,6 +387,14 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
         let (pois, stats) = self.retrieve_rec(tune_in, &scratch.buckets, rec);
         let pois = pois.into_iter().filter(|p| w.contains(p.pos)).collect();
         OnAirWindowResult { pois, stats }
+    }
+
+    /// What [`OnAirClient::window_rec`] at the same arguments would
+    /// report as its `stats`, without retrieving anything (see
+    /// [`OnAirClient::knn_cost`]).
+    pub fn window_cost(&self, tune_in: u64, w: &Rect, scratch: &mut QueryScratch) -> AccessStats {
+        self.index.buckets_for_window_scratch(w, scratch);
+        self.walk(tune_in, &scratch.buckets, |_, _| {})
     }
 
     /// Reduced-window retrieval (§3.4.2): one on-air pass over the union

@@ -4,7 +4,7 @@ use crate::BucketId;
 
 /// Scratch buffers threaded through the index-path query APIs
 /// ([`crate::AirIndex`]'s `*_scratch` methods and
-/// [`crate::OnAirClient`]'s `*_rec` methods) so that steady-state
+/// [`crate::OnAirClient`]'s `*_rec` and `*_cost` methods) so that steady-state
 /// queries perform no heap allocation: after a few warm-up queries the
 /// buffers reach their high-water marks and every later decomposition,
 /// interval merge, and bucket mapping reuses them in place.

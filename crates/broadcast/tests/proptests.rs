@@ -1,13 +1,18 @@
 //! Property tests for the broadcast substrate: schedule timing
-//! invariants, on-air query exactness against brute force, and wire
-//! format roundtrips.
+//! invariants, on-air query exactness against brute force, the cost-only
+//! baselines against the retrievals they shadow, and wire format
+//! roundtrips.
 
 use airshare_broadcast::wire::{
     decode_bucket, encode_bucket, frame_payload, verify_payload, WireError,
 };
-use airshare_broadcast::{AirIndex, OnAirClient, Poi, Schedule};
+use airshare_broadcast::{
+    AirIndex, AirIndexBackend, BuildParams, ChannelFaults, OnAirClient, Poi, PoiTable,
+    QueryScratch, RtreeAirIndex, Schedule,
+};
 use airshare_geom::{Point, Rect};
 use airshare_hilbert::Grid;
+use airshare_obs::NoopRecorder;
 use proptest::prelude::*;
 
 const SIDE: f64 = 32.0;
@@ -199,6 +204,110 @@ proptest! {
         }
         prop_assert!(filt.stats.buckets <= cold.stats.buckets);
     }
+}
+
+/// The cost forms must report exactly what the full retrieval at the
+/// same arguments reports — all five `AccessStats` fields — and leave
+/// the scratch holding the planner's bucket set.
+fn assert_cost_shadows_retrieval<B: AirIndexBackend>(
+    index: &B,
+    m: usize,
+    faults: Option<&ChannelFaults>,
+    tune: u64,
+    (q, k): (Point, usize),
+    w: &Rect,
+) {
+    let schedule = Schedule::try_for_backend(index, m).unwrap();
+    let client = match faults {
+        Some(f) => OnAirClient::with_faults(index, &schedule, f),
+        None => OnAirClient::new(index, &schedule),
+    };
+    let mut scratch = QueryScratch::new();
+    let full = client.knn_rec(tune, q, k, &mut scratch, &mut NoopRecorder);
+    let planned = scratch.buckets().to_vec();
+    assert_eq!(
+        client.knn_cost(tune, q, k, &mut scratch),
+        full.map(|r| r.stats)
+    );
+    assert_eq!(scratch.buckets(), planned);
+
+    let full = client.window_rec(tune, w, &mut scratch, &mut NoopRecorder);
+    let planned = scratch.buckets().to_vec();
+    assert_eq!(client.window_cost(tune, w, &mut scratch), full.stats);
+    assert_eq!(scratch.buckets(), planned);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn cost_forms_shadow_the_retrievals(
+        coords in arb_coords(),
+        (qx, qy) in (-4.0..SIDE + 4.0, -4.0..SIDE + 4.0),
+        // Past the POI count on some cases: both forms must say `None`.
+        k in 1usize..40,
+        (x1, y1, ww, wh) in (0.0..SIDE, 0.0..SIDE, 0.0..SIDE, 0.0..SIDE),
+        (cap, m, tune) in (1usize..16, 1usize..9, 0u64..5_000),
+        // No model, lossless model, light loss, heavy loss, dead channel.
+        loss in prop::option::of(0usize..4),
+        (budget, seed) in (0u32..4, any::<u64>()),
+    ) {
+        let table = PoiTable::from_pois(
+            coords
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, y))| Poi::new(i as u32, Point::new(x, y))),
+        );
+        let params = BuildParams {
+            world: Rect::from_coords(0.0, 0.0, SIDE, SIDE),
+            hilbert_order: 5,
+            bucket_capacity: cap,
+        };
+        let faults = loss
+            .map(|l| ChannelFaults::from_loss_prob(seed, [0.0, 0.05, 0.6, 1.0][l], budget));
+        let query = (Point::new(qx, qy), k);
+        let w = Rect::from_coords(x1, y1, x1 + ww, y1 + wh);
+        let hilbert = <AirIndex as AirIndexBackend>::try_build(&table, &params).unwrap();
+        assert_cost_shadows_retrieval(&hilbert, m, faults.as_ref(), tune, query, &w);
+        let rtree = <RtreeAirIndex as AirIndexBackend>::try_build(&table, &params).unwrap();
+        assert_cost_shadows_retrieval(&rtree, m, faults.as_ref(), tune, query, &w);
+    }
+}
+
+#[test]
+fn cost_forms_share_a_warm_scratch_with_the_planner() {
+    // One scratch, as an epoch worker holds it: a filtered plan, a cost
+    // query, the filtered plan again. The cost query neither depends on
+    // what the scratch held nor leaves anything the planner trips on.
+    let coords: Vec<(f64, f64)> = (0..150)
+        .map(|i| ((i * 37 % 32) as f64 + 0.5, (i * 11 % 32) as f64 + 0.25))
+        .collect();
+    let (index, schedule) = build(&coords, 4, 3);
+    let faults = ChannelFaults::from_loss_prob(5, 0.3, 1);
+    let client = OnAirClient::with_faults(&index, &schedule, &faults);
+    let q = Point::new(13.0, 21.0);
+    let w = Rect::from_coords(3.0, 4.0, 17.0, 9.0);
+
+    let cold_knn = client.knn_cost(40, q, 5, &mut QueryScratch::new());
+    let cold_window = client.window_cost(40, &w, &mut QueryScratch::new());
+    let mut cold = QueryScratch::new();
+    index.buckets_for_knn_filtered_scratch(q, 9.0, Some(3.0), &mut cold);
+
+    let mut warm = QueryScratch::new();
+    for _ in 0..3 {
+        index.buckets_for_knn_filtered_scratch(q, 9.0, Some(3.0), &mut warm);
+        assert_eq!(warm.buckets(), cold.buckets());
+        assert_eq!(client.knn_cost(40, q, 5, &mut warm), cold_knn);
+        index.buckets_for_knn_filtered_scratch(q, 9.0, Some(3.0), &mut warm);
+        assert_eq!(warm.buckets(), cold.buckets());
+        assert_eq!(client.window_cost(40, &w, &mut warm), cold_window);
+    }
+    assert_eq!(
+        cold_knn,
+        client
+            .knn_rec(40, q, 5, &mut warm, &mut NoopRecorder)
+            .map(|r| r.stats)
+    );
 }
 
 // Generic-frame wire coverage: `frame_payload`/`verify_payload` are the

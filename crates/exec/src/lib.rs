@@ -1,15 +1,15 @@
 //! Deterministic parallel runtime for the airshare workspace.
 //!
-//! The ROADMAP north-star is a system that "runs as fast as the hardware
-//! allows", but raw threads and spatial simulation mix badly: float
-//! accumulation order, RNG draw order, and cache commit order all leak
-//! scheduling nondeterminism into results. This crate is the shared
-//! answer — a small, dependency-light runtime the simulator and the
-//! bench harness both sit on:
+//! Raw threads and spatial simulation mix badly: float accumulation
+//! order, RNG draw order, and cache commit order all leak scheduling
+//! nondeterminism into results, and bit-identity across thread counts is
+//! part of the system's contract (ROADMAP north-star 3). This crate is
+//! the shared answer — a small, dependency-light runtime the simulator,
+//! the service and the bench harness all sit on:
 //!
 //! * [`Parallelism`] — explicit sizing policy with an `AIRSHARE_THREADS`
-//!   environment fallback, so one knob controls every `exp_*` binary and
-//!   the CI thread matrix.
+//!   environment fallback, so one knob sizes every pool built by
+//!   [`ExecPool::from_env`] and CI's thread matrix.
 //! * [`ExecPool`] — a sized worker pool over the vendored `crossbeam`
 //!   scoped threads. [`ExecPool::map`] fans a task list out with
 //!   work stealing and returns results **in input order**, regardless of

@@ -27,6 +27,12 @@ pub enum ServeError {
         /// The offending host id.
         host: usize,
     },
+    /// A reported position has a NaN or infinite coordinate. (A finite
+    /// position outside the world is accepted as reported.)
+    BadPosition {
+        /// The host whose position it was.
+        host: usize,
+    },
     /// A lockstep service requires every submission to carry a
     /// [`crate::QueryTag`]; a scaled-time service stamps its own and
     /// rejects tagged submissions.
@@ -46,6 +52,9 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::UnknownSession { host } => {
                 write!(f, "host {host} has no open session")
+            }
+            ServeError::BadPosition { host } => {
+                write!(f, "host {host} reported a non-finite position")
             }
             ServeError::TagMismatch => {
                 write!(f, "submission tag does not match the service's pacing mode")

@@ -16,6 +16,16 @@
 //!    pool through the *same* resolution path as the simulator, and
 //!    answers flow back over per-query channels.
 //!
+//! The scheduler never polls. When a pass finds nothing to do it parks
+//! until the next thing it must do unprompted (under scaled pacing the
+//! next epoch boundary or admission-budget refill; under lockstep,
+//! nothing), and every client call that can make it runnable — `submit`,
+//! `fence`, a lockstep control push, `drain` — publishes its change and
+//! then unparks it. The park token makes an unpark that lands before the
+//! park safe, and the scheduler re-reads every shared input after each
+//! return from `park`, so a wake-up is never lost and a spurious one
+//! costs a pass (DESIGN.md §14, "Wake protocol").
+//!
 //! Every service event — sessions, admissions, rejections, epoch
 //! commits, the final drain — lands on the threaded [`Recorder`]s, and
 //! `drain` returns the merged [`MetricsSnapshot`] plus the same
@@ -28,16 +38,14 @@ use airshare_geom::Point;
 use airshare_obs::{MetricsRecorder, MetricsSnapshot, Recorder, TraceEvent};
 use airshare_sim::{ConfigError, LiveQuery, LiveWorld, QueryAnswer, QuerySpec, SimReport};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 const RUNNING: u8 = 0;
 const DRAINING: u8 = 1;
 const STOPPED: u8 = 2;
-
-/// How long the scheduler naps when it finds nothing to do.
-const IDLE_NAP: Duration = Duration::from_micros(200);
 
 /// Replay pinning for one submission: the recorded nonce (which drives
 /// the fault layer's coin flips), timestamp, and target epoch. Required
@@ -101,8 +109,9 @@ struct Shared {
     queue: Mutex<VecDeque<Pending>>,
     control: Mutex<Vec<ControlMsg>>,
     /// Client-facing session view (the world's online set converges to
-    /// this at barriers).
-    sessions: Mutex<Vec<bool>>,
+    /// this at barriers). Each flag stands alone — it publishes no other
+    /// data — so `Relaxed` suffices.
+    sessions: Vec<AtomicBool>,
     /// Client-side rejection metrics (merged into the final snapshot).
     client_rec: Mutex<MetricsRecorder>,
     accepted: AtomicU64,
@@ -131,12 +140,19 @@ pub struct ServiceReport {
     pub accepted: u64,
     /// Submissions bounced by backpressure.
     pub rejected: u64,
+    /// Passes of the scheduler loop over the service's life. A pass
+    /// either makes progress or ends in a park, so an idle service adds
+    /// about one per epoch (scaled) or none (lockstep); a count that
+    /// grows with idle wall time is a polling regression.
+    pub scheduler_passes: u64,
 }
 
 /// A cloneable client handle to a running [`Service`].
 #[derive(Clone)]
 pub struct ServiceHandle {
     shared: Arc<Shared>,
+    /// The scheduler thread, for wake-ups.
+    scheduler: Thread,
 }
 
 impl ServiceHandle {
@@ -159,12 +175,30 @@ impl ServiceHandle {
         }
     }
 
+    fn check_pos(&self, host: usize, pos: Point) -> Result<(), ServeError> {
+        if pos.is_finite() {
+            Ok(())
+        } else {
+            Err(ServeError::BadPosition { host })
+        }
+    }
+
+    fn set_session(&self, host: usize, open: bool) {
+        self.shared.sessions[host].store(open, Ordering::Relaxed);
+    }
+
     fn push_cmd(&self, barrier: Option<u64>, cmd: Command) {
         self.shared
             .control
             .lock()
             .unwrap()
             .push(ControlMsg { barrier, cmd });
+        // Scaled control waits for the next epoch boundary, which the
+        // scheduler wakes for by itself; under lockstep a command can be
+        // what an already-fenced barrier was missing.
+        if self.shared.lockstep {
+            self.scheduler.unpark();
+        }
     }
 
     /// Opens a session for a host joining fresh (cold cache, pristine
@@ -173,7 +207,7 @@ impl ServiceHandle {
     pub fn register(&self, host: usize, barrier: Option<u64>) -> Result<(), ServeError> {
         self.check_open()?;
         self.check_host(host)?;
-        self.shared.sessions.lock().unwrap()[host] = true;
+        self.set_session(host, true);
         self.push_cmd(barrier, Command::Register { host });
         Ok(())
     }
@@ -188,7 +222,7 @@ impl ServiceHandle {
     ) -> Result<(), ServeError> {
         self.check_open()?;
         self.check_host(host)?;
-        self.shared.sessions.lock().unwrap()[host] = true;
+        self.set_session(host, true);
         self.push_cmd(barrier, Command::Reconnect { host, planned_epoch });
         Ok(())
     }
@@ -203,12 +237,15 @@ impl ServiceHandle {
     ) -> Result<(), ServeError> {
         self.check_open()?;
         self.check_host(host)?;
-        self.shared.sessions.lock().unwrap()[host] = false;
+        self.set_session(host, false);
         self.push_cmd(barrier, Command::Disconnect { host, planned_epoch });
         Ok(())
     }
 
     /// Reports a host's position (used for the barrier's neighbor grid).
+    /// A non-finite coordinate is refused with
+    /// [`ServeError::BadPosition`]; a finite position outside the world
+    /// is taken as reported.
     pub fn update_position(
         &self,
         host: usize,
@@ -217,6 +254,7 @@ impl ServiceHandle {
     ) -> Result<(), ServeError> {
         self.check_open()?;
         self.check_host(host)?;
+        self.check_pos(host, pos)?;
         self.push_cmd(barrier, Command::UpdatePosition { host, pos });
         Ok(())
     }
@@ -230,7 +268,8 @@ impl ServiceHandle {
     ) -> Result<mpsc::Receiver<QueryAnswer>, ServeError> {
         self.check_open()?;
         self.check_host(req.host)?;
-        if !self.shared.sessions.lock().unwrap()[req.host] {
+        self.check_pos(req.host, req.pos)?;
+        if !self.shared.sessions[req.host].load(Ordering::Relaxed) {
             return Err(ServeError::UnknownSession { host: req.host });
         }
         if req.tag.is_some() != self.shared.lockstep {
@@ -259,6 +298,7 @@ impl ServiceHandle {
         });
         drop(queue);
         self.shared.accepted.fetch_add(1, Ordering::Relaxed);
+        self.scheduler.unpark();
         Ok(rx)
     }
 
@@ -266,13 +306,18 @@ impl ServiceHandle {
     /// releasing those barriers. Monotonic; later fences only extend it.
     pub fn fence(&self, epoch: u64) {
         self.shared.fence.fetch_max(epoch + 1, Ordering::Release);
+        self.scheduler.unpark();
     }
 }
 
 /// A running service: the scheduler thread plus its client handle.
+/// Dropping it without [`Service::drain`] drains it all the same — every
+/// admitted query is answered and the scheduler thread is joined — and
+/// discards the report.
 pub struct Service {
-    shared: Arc<Shared>,
-    worker: std::thread::JoinHandle<ServiceReport>,
+    handle: ServiceHandle,
+    /// `None` once the scheduler has been joined.
+    worker: Option<JoinHandle<ServiceReport>>,
 }
 
 impl Service {
@@ -285,7 +330,7 @@ impl Service {
             fence: AtomicU64::new(0),
             queue: Mutex::new(VecDeque::new()),
             control: Mutex::new(Vec::new()),
-            sessions: Mutex::new(vec![false; world.hosts()]),
+            sessions: (0..world.hosts()).map(|_| AtomicBool::new(false)).collect(),
             client_rec: Mutex::new(MetricsRecorder::new()),
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -299,31 +344,65 @@ impl Service {
             let mut s = Scheduler::new(world, cfg, sched_shared);
             s.run()
         });
-        Ok(Service { shared, worker })
+        let handle = ServiceHandle {
+            shared,
+            scheduler: worker.thread().clone(),
+        };
+        Ok(Service {
+            handle,
+            worker: Some(worker),
+        })
     }
 
     /// A cloneable client handle.
     pub fn handle(&self) -> ServiceHandle {
-        ServiceHandle {
-            shared: Arc::clone(&self.shared),
-        }
+        self.handle.clone()
+    }
+
+    /// Tells the scheduler to drain and joins it. `None` if that has
+    /// already happened.
+    fn stop(&mut self) -> Option<std::thread::Result<ServiceReport>> {
+        let worker = self.worker.take()?;
+        self.handle.shared.state.store(DRAINING, Ordering::Release);
+        worker.thread().unpark();
+        Some(worker.join())
     }
 
     /// Graceful drain: stop admitting, flush every pending barrier and
     /// batch (ignoring the clock and fences), deliver all replies, stop
     /// the scheduler, and return the merged report.
-    pub fn drain(self) -> ServiceReport {
-        self.shared.state.store(DRAINING, Ordering::Release);
+    pub fn drain(mut self) -> ServiceReport {
         let mut out = self
-            .worker
-            .join()
+            .stop()
+            .expect("drain consumes the service, so nothing joined the scheduler before it")
             .expect("service scheduler thread panicked");
-        let client = self.shared.client_rec.lock().unwrap().snapshot();
+        let shared = &self.handle.shared;
+        let client = shared.client_rec.lock().unwrap().snapshot();
         out.metrics.merge(&client);
-        out.accepted = self.shared.accepted.load(Ordering::Relaxed);
-        out.rejected = self.shared.rejected.load(Ordering::Relaxed);
+        out.accepted = shared.accepted.load(Ordering::Relaxed);
+        out.rejected = shared.rejected.load(Ordering::Relaxed);
         out
     }
+}
+
+impl Drop for Service {
+    fn drop(&mut self) {
+        // A scheduler panic has already been reported on its own thread;
+        // re-raising it from a destructor could abort the process.
+        let _ = self.stop();
+    }
+}
+
+/// What the scheduler does after a pass.
+enum Next {
+    /// The pass made progress: run another straight away.
+    Again,
+    /// Nothing to do: park until a client call unparks the thread or —
+    /// when there is something the scheduler must do unprompted — until
+    /// that instant.
+    Park(Option<Instant>),
+    /// The drain is complete.
+    Done,
 }
 
 /// The scheduler thread's state.
@@ -381,19 +460,25 @@ impl Scheduler {
     }
 
     fn run(&mut self) -> ServiceReport {
+        let mut passes = 0u64;
         loop {
+            passes += 1;
+            // Every shared input — state, fence, control, queue — is read
+            // afresh inside the pass, after the previous park returned;
+            // whatever changes after its read leaves the park token set,
+            // so the park below returns at once.
             let draining = self.shared.state.load(Ordering::Acquire) == DRAINING;
-            match self.pacing {
-                Pacing::Lockstep => {
-                    if self.step_lockstep(draining) {
-                        break;
-                    }
+            let next = match self.pacing {
+                Pacing::Lockstep => self.step_lockstep(draining),
+                Pacing::Scaled(speedup) => self.step_scaled(speedup, draining),
+            };
+            match next {
+                Next::Again => {}
+                Next::Park(None) => std::thread::park(),
+                Next::Park(Some(deadline)) => {
+                    std::thread::park_timeout(deadline.saturating_duration_since(Instant::now()));
                 }
-                Pacing::Scaled(speedup) => {
-                    if self.step_scaled(speedup, draining) {
-                        break;
-                    }
-                }
+                Next::Done => break,
             }
         }
         self.shared.state.store(STOPPED, Ordering::Release);
@@ -405,12 +490,13 @@ impl Scheduler {
             metrics: self.rec.snapshot(),
             accepted: 0,
             rejected: 0,
+            scheduler_passes: passes,
         }
     }
 
     /// Moves every queued control message and query into staging,
-    /// recording admissions. Returns how many queries moved.
-    fn drain_inbox(&mut self) -> usize {
+    /// recording admissions.
+    fn drain_inbox(&mut self) {
         self.cmds.extend(std::mem::take(&mut *self.shared.control.lock().unwrap()));
         let popped: Vec<Pending> = self.shared.queue.lock().unwrap().drain(..).collect();
         let n = popped.len();
@@ -421,7 +507,6 @@ impl Scheduler {
             let epoch = p.tag.expect("lockstep submissions are tagged").epoch;
             self.staged.entry(epoch).or_default().push(p);
         }
-        n
     }
 
     /// Applies staged control with barrier `None` or `<= upto`, in
@@ -464,11 +549,11 @@ impl Scheduler {
         if batch.is_empty() {
             return;
         }
-        let mut replies: BTreeMap<u64, mpsc::Sender<QueryAnswer>> = BTreeMap::new();
+        let mut replies = Vec::with_capacity(batch.len());
         let mut queries = Vec::with_capacity(batch.len());
         for p in batch {
             let tag = p.tag.expect("executed queries carry a resolved tag");
-            replies.insert(tag.nonce, p.reply);
+            replies.push((tag.nonce, p.reply));
             queries.push(LiveQuery {
                 nonce: tag.nonce,
                 host: p.host,
@@ -478,24 +563,27 @@ impl Scheduler {
                 spec: p.spec,
             });
         }
+        // The batch went in nonce-ordered and `execute_epoch` answers
+        // every query (offline hosts included) nonce-ordered, so replies
+        // and answers pair up by position.
         let answers = self.world.execute_epoch(queries, &self.pool, &mut self.ctxs);
-        for a in answers {
-            if let Some(tx) = replies.remove(&a.nonce) {
-                // A client that dropped its receiver just forfeits the
-                // answer; the world state advanced either way.
-                let _ = tx.send(a);
-            }
+        debug_assert_eq!(answers.len(), replies.len());
+        for ((nonce, tx), a) in replies.into_iter().zip(answers) {
+            debug_assert_eq!(nonce, a.nonce);
+            // A client that dropped its receiver just forfeits the
+            // answer; the world state advanced either way.
+            let _ = tx.send(a);
         }
     }
 
-    /// One lockstep iteration: commit every epoch the fence (or drain)
-    /// has released. Returns `true` when the service is done.
-    fn step_lockstep(&mut self, draining: bool) -> bool {
+    /// One lockstep pass: commit every epoch the fence (or drain) has
+    /// released.
+    fn step_lockstep(&mut self, draining: bool) -> Next {
         // Fence before inbox: everything submitted before the client's
         // fence call is visible to the pop below, so a released epoch
         // is never committed with a partial batch.
         let fence = self.shared.fence.load(Ordering::Acquire);
-        let moved = self.drain_inbox();
+        self.drain_inbox();
         let pending_at_drain = if draining {
             self.staged.values().map(Vec::len).sum::<usize>() as u32
         } else {
@@ -534,19 +622,22 @@ impl Scheduler {
             self.rec.record(TraceEvent::ServiceDrained {
                 pending: pending_at_drain,
             });
-            return true;
+            return Next::Done;
         }
-        if moved == 0 && !progressed {
-            std::thread::park_timeout(IDLE_NAP);
+        if progressed {
+            Next::Again
+        } else {
+            // What was staged waits for its fence, and nothing happens
+            // under lockstep until a client acts.
+            Next::Park(None)
         }
-        false
     }
 
-    /// One scaled-time iteration: commit barriers the clock crossed,
-    /// admit on budget, execute the open sub-batch. Returns `true` when
-    /// the service is done.
-    fn step_scaled(&mut self, speedup: f64, draining: bool) -> bool {
-        let now_min = self.start.elapsed().as_secs_f64() / 60.0 * speedup;
+    /// One scaled-time pass: commit barriers the clock crossed, admit on
+    /// budget, execute the open sub-batch.
+    fn step_scaled(&mut self, speedup: f64, draining: bool) -> Next {
+        let now_s = self.start.elapsed().as_secs_f64();
+        let now_min = now_s / 60.0 * speedup;
         let target = (now_min / self.epoch_min) as u64;
         self.cmds
             .extend(std::mem::take(&mut *self.shared.control.lock().unwrap()));
@@ -579,34 +670,30 @@ impl Scheduler {
         self.last_tick = tick_now;
         self.budget = self.budget.min(self.shared.queue_capacity as f64);
         let allow = if draining { usize::MAX } else { self.budget as usize };
-        let mut admitted = 0usize;
-        if allow > 0 {
-            let mut queue = self.shared.queue.lock().unwrap();
-            let take = allow.min(queue.len());
-            let depth0 = queue.len();
-            for i in 0..take {
-                let mut p = queue.pop_front().expect("sized above");
-                p.tag = Some(QueryTag {
-                    nonce: self.nonce,
-                    at_min: now_min,
-                    epoch: target,
-                });
-                self.nonce += 1;
-                self.rec.record(TraceEvent::QueryAdmitted {
-                    depth: (depth0 - i - 1) as u32,
-                });
-                self.open_batch.push(p);
-            }
-            admitted = take;
-            self.budget -= take as f64;
+        let mut queue = self.shared.queue.lock().unwrap();
+        let depth0 = queue.len();
+        let admitted = allow.min(depth0);
+        for i in 0..admitted {
+            let mut p = queue.pop_front().expect("sized above");
+            p.tag = Some(QueryTag {
+                nonce: self.nonce,
+                at_min: now_min,
+                epoch: target,
+            });
+            self.nonce += 1;
+            self.rec.record(TraceEvent::QueryAdmitted {
+                depth: (depth0 - i - 1) as u32,
+            });
+            self.open_batch.push(p);
         }
+        drop(queue);
+        self.budget -= admitted as f64;
 
         // Sub-epoch execution: admitted queries run immediately against
         // the current grid (latency), committing host state as they go;
         // the epoch's peer snapshot stays fixed until the next barrier.
         let batch = std::mem::take(&mut self.open_batch);
         self.epoch_executed += batch.len() as u32;
-        let executed = !batch.is_empty();
         self.execute(batch);
 
         if draining {
@@ -619,11 +706,26 @@ impl Scheduler {
             self.rec.record(TraceEvent::ServiceDrained {
                 pending: admitted as u32,
             });
-            return true;
+            return Next::Done;
         }
-        if !executed && admitted == 0 {
-            std::thread::park_timeout(IDLE_NAP);
+        if admitted > 0 {
+            return Next::Again;
         }
-        false
+        // Idle. Left alone, the next thing to do is the next epoch's
+        // barrier — or, sooner, admitting the head of a queue the budget
+        // could not yet pay for. A submission into an empty queue unparks.
+        let secs_per_min = 60.0 / speedup;
+        let mut wake_s = (target + 1) as f64 * self.epoch_min * secs_per_min;
+        if depth0 > 0 {
+            let admits_per_s =
+                self.shared.admit_per_tick as f64 * self.ticks_per_min / secs_per_min;
+            wake_s = wake_s.min(now_s + (1.0 - self.budget) / admits_per_s);
+        }
+        // No such instant (a zero or non-finite speed-up never reaches
+        // its next boundary): only a client call can wake the scheduler.
+        let deadline = Duration::try_from_secs_f64(wake_s)
+            .ok()
+            .and_then(|after| self.start.checked_add(after));
+        Next::Park(deadline)
     }
 }

@@ -885,16 +885,14 @@ impl EpochCtx<'_> {
                 // defined during an outage — the baseline host faces
                 // the same silent channel).
                 if !silent {
-                    if let Some(base) =
-                        client.knn_rec(tune_in, qpos, sbnn_cfg.k, scratch, &mut NoopRecorder)
-                    {
-                        out.baseline = Some((base.stats.latency, base.stats.tuning));
+                    if let Some(base) = client.knn_cost(tune_in, qpos, sbnn_cfg.k, scratch) {
+                        out.baseline = Some((base.latency, base.tuning));
                         if let Some(air) = res.air {
                             debug_assert!(
-                                air.buckets <= base.stats.buckets,
+                                air.buckets <= base.buckets,
                                 "bound filtering fetched more than a cold query"
                             );
-                            out.filter_saved = base.stats.buckets.saturating_sub(air.buckets);
+                            out.filter_saved = base.buckets.saturating_sub(air.buckets);
                         }
                     }
                 }
@@ -1038,8 +1036,8 @@ impl EpochCtx<'_> {
                     _ => (Resolution::Broadcast, Some(res.coverage)),
                 };
                 let baseline = (!silent).then(|| {
-                    let base = client.window_rec(tune_in, &w, scratch, &mut NoopRecorder);
-                    (base.stats.latency, base.stats.tuning)
+                    let base = client.window_cost(tune_in, &w, scratch);
+                    (base.latency, base.tuning)
                 });
                 let mut out = QueryOutcome {
                     share,

@@ -130,6 +130,32 @@ fn submissions_validate_sessions_and_tags() {
         handle.submit(req(0, None)),
         Err(ServeError::TagMismatch)
     ));
+    // Non-finite positions stop at the door, on both calls that carry
+    // one; a finite position outside the world is the client's business.
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for pos in [
+            airshare_geom::Point::new(bad, 1.0),
+            airshare_geom::Point::new(1.0, bad),
+        ] {
+            let mut r = req(0, Some(tag));
+            r.pos = pos;
+            assert_eq!(
+                handle.submit(r).err(),
+                Some(ServeError::BadPosition { host: 0 })
+            );
+            assert_eq!(
+                handle.update_position(0, pos, None),
+                Err(ServeError::BadPosition { host: 0 })
+            );
+        }
+    }
+    assert_eq!(
+        ServeError::BadPosition { host: 0 }.to_string(),
+        "host 0 reported a non-finite position"
+    );
+    handle
+        .update_position(0, airshare_geom::Point::new(-1e6, 1e6), None)
+        .unwrap();
     // Tagged submission is admitted and answered after the fence.
     let rx = handle.submit(req(0, Some(tag))).unwrap();
     handle.fence(0);
