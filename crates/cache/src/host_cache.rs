@@ -71,8 +71,9 @@ impl Clone for HostCache {
         }
     }
 
-    /// Buffer-reusing clone: the simulator refreshes per-epoch cache
-    /// snapshots with this, so a warm snapshot allocates nothing.
+    /// Buffer-reusing clone. Its one caller is `LiveWorld::take_cache`
+    /// in `airshare-sim`, copying a writer's epoch-start state into a
+    /// retired buffer for its peers: a warm buffer allocates nothing.
     fn clone_from(&mut self, source: &Self) {
         self.capacity_per_category = source.capacity_per_category;
         self.max_regions = source.max_regions;
@@ -81,7 +82,7 @@ impl Clone for HostCache {
         self.arena.clone_from(&source.arena);
         // By hand rather than `Vec::clone_from`: tuples have no
         // `clone_from` specialization, so the delegating form would
-        // reallocate every per-category entry list on every snapshot.
+        // reallocate every per-category entry list on every copy.
         self.cats.truncate(source.cats.len());
         let shared = self.cats.len();
         for ((dst_cat, dst_list), (src_cat, src_list)) in

@@ -5,15 +5,16 @@
 //! else. Everything a base station and its sessions own lives in the
 //! [`LiveWorld`] it holds, and each epoch it does what any client fleet
 //! does: churn, position updates, `begin_epoch`, one batch. The barrier
-//! itself (grid, snapshot, by-host sharding, commit, report fold) is in
-//! `live.rs`; what stays here is `EpochCtx::process_query`, the
+//! itself (grid, cache install, by-host sharding, commit, report fold)
+//! is in `live.rs`; what stays here is `EpochCtx::process_query`, the
 //! resolution of one query against one epoch's committed world.
 //!
 //! Queries are grouped by *epoch* (the neighbor-grid refresh interval).
 //! Within one epoch every host observes the same committed world: peer
-//! positions from the epoch-start grid and peer caches from the
-//! epoch-start snapshot. A host's own cache stays live to itself, and
-//! its writes commit at the epoch barrier in host-id order. Per-query
+//! positions from the epoch-start grid and peer caches as of the epoch's
+//! start — the fleet's cache column itself, in which a writing host
+//! leaves a copy. A host's own cache stays live to itself, and its
+//! writes commit at the epoch barrier in host-id order. Per-query
 //! randomness comes from RNG streams seed-split per `(host, epoch)`, and
 //! per-query outcomes are folded into the report in global event order —
 //! so [`Simulation::run_parallel`] is **bit-identical** to the sequential
@@ -162,13 +163,14 @@ pub(crate) struct QueryOutcome {
     mismatch: bool,
 }
 
-/// One host's mutable state, borrowed for a single query. The query's
-/// inputs arrive beside it as a [`LiveQuery`].
-pub(crate) struct QueryHostState<'a> {
-    cache: &'a mut HostCache,
-    sync: &'a mut SyncState,
-    quarantine: &'a mut QuarantineLedger,
-    resyncs: &'a mut u64,
+/// One host's mutable state, moved out of the world for a batch. A
+/// query's inputs arrive beside it as a [`LiveQuery`].
+pub(crate) struct HostState {
+    pub(crate) cache: HostCache,
+    pub(crate) sync: SyncState,
+    pub(crate) quarantine: QuarantineLedger,
+    /// Resync transitions this batch performed (warm-up included).
+    pub(crate) resyncs: u64,
 }
 
 /// The immutable world every worker shares within one epoch: a borrow
@@ -183,7 +185,7 @@ pub(crate) struct EpochCtx<'a> {
     pub(crate) oracle: &'a RTree<u32>,
     pub(crate) faults: Option<&'a ChannelFaults>,
     pub(crate) grid: &'a NeighborGrid,
-    /// Previous epoch's committed caches — what peers see.
+    /// What peers see: the fleet's cache column, as of the epoch's start.
     pub(crate) snapshot: &'a [HostCache],
     pub(crate) range: f64,
     /// This epoch's number (outage membership, quarantine clock).
@@ -192,25 +194,18 @@ pub(crate) struct EpochCtx<'a> {
     pub(crate) outage: &'a OutageSchedule,
 }
 
-/// One host's slice of an epoch batch: its mutable state moved out of
-/// the world, plus its queries.
+/// One host's slice of an epoch batch: its state plus its queries.
 pub(crate) struct LiveTask {
     pub(crate) host: usize,
-    pub(crate) cache: HostCache,
-    pub(crate) sync: SyncState,
-    pub(crate) quarantine: QuarantineLedger,
+    pub(crate) state: HostState,
     /// Nonce-ordered queries for this host.
     pub(crate) queries: Vec<LiveQuery>,
 }
 
-/// A [`LiveTask`]'s committed result.
+/// A [`LiveTask`]'s result: the state to commit and what it answered.
 pub(crate) struct LiveDone {
     pub(crate) host: usize,
-    pub(crate) cache: HostCache,
-    pub(crate) sync: SyncState,
-    pub(crate) quarantine: QuarantineLedger,
-    /// Resync transitions this shard performed (warm-up included).
-    pub(crate) resyncs: u64,
+    pub(crate) state: HostState,
     pub(crate) outcomes: Vec<(u64, QueryOutcome)>,
     /// One per query when the batch wants answers, else empty.
     pub(crate) answers: Vec<QueryAnswer>,
@@ -229,7 +224,7 @@ pub(crate) struct LiveDone {
 /// [`Simulation::fleet`] show the state the most recent run ended in.
 pub struct Simulation {
     /// The base station and every host's session state.
-    world: LiveWorld,
+    pub(crate) world: LiveWorld,
     hosts: Vec<HostMobility>,
     /// Precomputed churn transitions `(epoch, host, comes_online)`,
     /// sorted by `(epoch, host)`; a pure function of the master seed.
@@ -581,6 +576,8 @@ impl Simulation {
                 }
             }
         }
+        // No barrier follows the last epoch, and `fleet()` shows how it ended.
+        self.world.install_written();
         self.world.report().clone()
     }
 }
@@ -620,45 +617,29 @@ impl EpochCtx<'_> {
     /// wants them.
     pub(crate) fn run_live_host(
         &self,
-        task: LiveTask,
+        mut task: LiveTask,
         want_answers: bool,
         scratch: &mut QueryScratch,
         rec: &mut dyn Recorder,
     ) -> LiveDone {
-        let LiveTask {
-            host,
-            mut cache,
-            mut sync,
-            mut quarantine,
-            queries,
-        } = task;
+        let state = &mut task.state;
         let mut outcomes = Vec::new();
-        let mut answers = Vec::with_capacity(if want_answers { queries.len() } else { 0 });
-        let mut resyncs = 0u64;
-        for item in &queries {
-            let mut q = QueryHostState {
-                cache: &mut cache,
-                sync: &mut sync,
-                quarantine: &mut quarantine,
-                resyncs: &mut resyncs,
-            };
+        let mut answers = Vec::with_capacity(if want_answers { task.queries.len() } else { 0 });
+        for item in &task.queries {
             let mut answer = want_answers.then(|| QueryAnswer {
                 nonce: item.nonce,
-                host: host as u32,
+                host: item.host as u32,
                 ids: Vec::new(),
                 quality: AnswerQuality::Failed,
             });
-            if let Some(o) = self.process_query(item, &mut q, scratch, rec, answer.as_mut()) {
+            if let Some(o) = self.process_query(item, state, scratch, rec, answer.as_mut()) {
                 outcomes.push((item.nonce, o));
             }
             answers.extend(answer);
         }
         LiveDone {
-            host,
-            cache,
-            sync,
-            quarantine,
-            resyncs,
+            host: task.host,
+            state: task.state,
             outcomes,
             answers,
         }
@@ -677,7 +658,7 @@ impl EpochCtx<'_> {
     pub(crate) fn process_query(
         &self,
         item: &LiveQuery,
-        q: &mut QueryHostState<'_>,
+        q: &mut HostState,
         scratch: &mut QueryScratch,
         rec: &mut dyn Recorder,
         mut answer: Option<&mut QueryAnswer>,
@@ -715,7 +696,7 @@ impl EpochCtx<'_> {
         // of a racefree shard; replies still pass through drop decisions
         // (fault layer) and region validation, so a flaky or inconsistent
         // peer costs coverage, never correctness. ---
-        let guard = Some((&mut *q.quarantine, self.epoch));
+        let guard = Some((&mut q.quarantine, self.epoch));
         let (replies, share) = airshare_p2p::share_exchange(
             host,
             qpos,
@@ -1083,11 +1064,11 @@ impl EpochCtx<'_> {
     /// Marks a successful channel access: refreshes the host's sync
     /// clock and, if it was answering through an outage or restart,
     /// records the resynchronization.
-    fn note_sync(&self, q: &mut QueryHostState<'_>, item: &LiveQuery, rec: &mut dyn Recorder) {
+    fn note_sync(&self, q: &mut HostState, item: &LiveQuery, rec: &mut dyn Recorder) {
         q.sync.last_sync_min = item.at_min;
         if q.sync.needs_resync {
             q.sync.needs_resync = false;
-            *q.resyncs += 1;
+            q.resyncs += 1;
             rec.record(TraceEvent::Resynced {
                 host: item.host as u32,
             });

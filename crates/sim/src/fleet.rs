@@ -37,7 +37,11 @@ pub struct FleetStore {
     /// Whether each host owes a resync (answered through an outage or
     /// just came online).
     pub(crate) needs_resync: Vec<bool>,
-    /// Per-host verified-region caches (arena-backed, handle-based).
+    /// Per-host verified-region caches (arena-backed, handle-based) —
+    /// the one cache column, and what peers read: as of the last
+    /// barrier for a host that has queried (or crashed) since, whose
+    /// live cache the world holds aside until the next one; complete
+    /// after `Simulation::run*`.
     pub(crate) caches: Vec<HostCache>,
     /// Per-host quarantine ledgers for misbehaving peers.
     pub(crate) quarantines: Vec<QuarantineLedger>,
@@ -74,7 +78,9 @@ impl FleetStore {
         self.positions[host]
     }
 
-    /// One host's cache (read-only; mutation is the barrier's job).
+    /// One host's cache (read-only; mutation is the barrier's job): as
+    /// of the last barrier for a host that has queried since; complete
+    /// after `Simulation::run*`.
     pub fn cache(&self, host: usize) -> &HostCache {
         &self.caches[host]
     }

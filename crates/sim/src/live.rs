@@ -3,12 +3,15 @@
 //! [`LiveWorld`] is the paper's base-station module (§4.1) plus per-host
 //! session state: the POI world, the air index behind the configured
 //! backend, the `(1, m)` schedule, the chaos oracle, the fault/outage
-//! layers, each host's cache, sync clock and quarantine ledger, the
-//! epoch-start neighbor grid and the epoch-start cache snapshot. It has
-//! no mobility and poses no queries — a *client fleet* supplies those,
-//! in barrier order: churn (`connect`/`reconnect`/`disconnect`), then
-//! position updates, then [`LiveWorld::begin_epoch`] (grid + cache
-//! snapshot), then one or more [`LiveWorld::execute_epoch`] batches.
+//! layers, each host's cache, sync clock and quarantine ledger, and the
+//! epoch-start neighbor grid. It has no mobility and poses no queries —
+//! a *client fleet* supplies those, in barrier order: churn
+//! (`connect`/`reconnect`/`disconnect`), then position updates, then
+//! [`LiveWorld::begin_epoch`] (grid + the last epoch's cache writes go
+//! public), then one or more [`LiveWorld::execute_epoch`] batches.
+//! A host has one cache (§3.2) and the cache column *is* what peers
+//! read — every cache as of the last barrier: a writer leaves a copy
+//! there and keeps the original (parked in `written` between batches).
 //!
 //! Two client fleets drive it: the serving layer (`airshare-serve`),
 //! whose clients are sessions on the wire, and the closed-loop
@@ -19,7 +22,7 @@
 //! construction (DESIGN.md §14).
 
 use crate::engine::{
-    fold_outcome, par_init, EpochCtx, LiveTask, QueryAnswer, QuerySpec, SyncState,
+    fold_outcome, par_init, EpochCtx, HostState, LiveTask, QueryAnswer, QuerySpec,
 };
 use crate::fleet::FleetStore;
 use crate::{BackendKind, ConfigError, SimConfig, SimReport};
@@ -79,20 +82,20 @@ pub struct LiveWorld {
     outage: OutageSchedule,
     /// Columnar per-session state: online flags, last reported
     /// positions (offline hosts keep theirs), sync clocks, arena-backed
-    /// caches, quarantine ledgers.
+    /// caches (what peers see: as of the last barrier), quarantine ledgers.
     pub(crate) fleet: FleetStore,
     /// Epoch-start neighbor grid over online hosts. Its buffers are
     /// reserved for the world's extent once and refilled at each
     /// boundary by a counting-sort rebuild of the whole fleet (88 % of
     /// hosts change cell per epoch, so a delta would save nothing).
     grid: NeighborGrid,
-    /// Epoch-start committed caches — what peers see this epoch.
-    /// Maintained *incrementally*: cloned whole at the first boundary,
-    /// then only `dirty` hosts are re-cloned at each later one.
-    snapshot: Vec<HostCache>,
-    /// Hosts whose cache changed since the last boundary (a batch
-    /// commit or a crash wipe).
-    dirty: Vec<usize>,
+    /// The live caches of hosts that wrote since the last boundary (a
+    /// batch commit or a crash wipe), parked between batches while the
+    /// column shows their epoch-start copies. Empty after `begin_epoch`.
+    written: BTreeMap<usize, HostCache>,
+    /// Retired copies, arenas kept for the next epoch's writers: as
+    /// many as an epoch has had writers, not as many as hosts.
+    spare: Vec<HostCache>,
     /// The epoch currently being served.
     epoch: u64,
     range: f64,
@@ -205,8 +208,8 @@ impl LiveWorld {
             faults,
             fleet,
             grid,
-            snapshot: Vec::new(),
-            dirty: Vec::new(),
+            written: BTreeMap::new(),
+            spare: Vec::new(),
             epoch: 0,
             range,
             report: SimReport::default(),
@@ -229,7 +232,9 @@ impl LiveWorld {
         &self.table
     }
 
-    /// Read-only view of the per-session columnar state.
+    /// The per-session columns, read-only. Caches are as of the last
+    /// `begin_epoch`: a direct client calls it once more to publish its
+    /// final epoch's writes (`Simulation::run*` does, so ends complete).
     pub fn fleet(&self) -> &FleetStore {
         &self.fleet
     }
@@ -247,16 +252,15 @@ impl LiveWorld {
     }
 
     /// Reopens a session after a crash: the host comes back cold at
-    /// `planned_epoch`'s boundary, channel unheard, owing a resync.
+    /// `planned_epoch`'s boundary, channel unheard, owing a resync. A
+    /// host that is already online is left alone.
     pub fn reconnect(&mut self, host: usize, planned_epoch: u64, rec: &mut dyn Recorder) {
+        if self.fleet.online[host] {
+            return;
+        }
         self.fleet.online[host] = true;
-        self.fleet.set_sync_state(
-            host,
-            SyncState {
-                last_sync_min: planned_epoch as f64 * self.cfg.epoch_min,
-                needs_resync: true,
-            },
-        );
+        self.fleet.last_sync_min[host] = planned_epoch as f64 * self.cfg.epoch_min;
+        self.fleet.needs_resync[host] = true;
         self.report.hosts_restarted += 1;
         rec.record(TraceEvent::HostRestarted {
             host: host as u32,
@@ -265,13 +269,17 @@ impl LiveWorld {
     }
 
     /// Closes a session as a crash: the host goes dark and all volatile
-    /// state (cache, quarantine memory) is wiped. The peer-visible
-    /// snapshot reflects the wipe from the next boundary on.
+    /// state (cache, quarantine memory) is wiped; peers see the wipe from
+    /// the next boundary on. A host that is already offline is left alone.
     pub fn disconnect(&mut self, host: usize, planned_epoch: u64, rec: &mut dyn Recorder) {
+        if !self.fleet.online[host] {
+            return;
+        }
         self.fleet.online[host] = false;
-        self.fleet.caches[host].clear();
+        let mut cache = self.take_cache(host);
+        cache.clear();
+        self.written.insert(host, cache);
         self.fleet.quarantines[host].clear();
-        self.dirty.push(host);
         self.report.hosts_crashed += 1;
         rec.record(TraceEvent::HostCrashed {
             host: host as u32,
@@ -287,39 +295,50 @@ impl LiveWorld {
 
     /// Commits the epoch boundary: rebuilds the retained neighbor grid
     /// over the online fleet at their reported positions (a counting
-    /// sort of every online host into reused buffers) and refreshes the
-    /// committed-cache snapshot peers will see. Must run after this
+    /// sort of every online host into reused buffers) and makes the
+    /// last epoch's cache writes peer-visible. Must run after this
     /// boundary's churn and position updates, before the epoch's batch.
     pub fn begin_epoch(&mut self, epoch: u64) {
         let t_phase = Instant::now();
         self.grid
             .refresh_active(&self.fleet.positions, &self.fleet.online);
         self.phases.grid_ns += t_phase.elapsed().as_nanos() as u64;
-
-        // Only hosts dirtied since the last boundary are re-cloned. A
-        // host's *own* inserts stay visible to itself immediately;
-        // everyone else sees them from this boundary on. `clone_from`
-        // reuses the snapshot cache's arena, so a warm steady state
-        // refreshes without allocating.
-        let t_phase = Instant::now();
-        if self.snapshot.len() == self.fleet.caches.len() {
-            self.dirty.sort_unstable();
-            self.dirty.dedup();
-            for &h in &self.dirty {
-                self.snapshot[h].clone_from(&self.fleet.caches[h]);
-            }
-        } else {
-            self.snapshot = self.fleet.caches.clone();
-        }
-        self.dirty.clear();
-        self.phases.snapshot_ns += t_phase.elapsed().as_nanos() as u64;
+        self.install_written();
         self.epoch = epoch;
     }
 
+    /// Swaps every parked cache back into the column, retiring its
+    /// stand-in: what a host saw of itself all along, peers see from here.
+    pub(crate) fn install_written(&mut self) {
+        let t_phase = Instant::now();
+        while let Some((host, cache)) = self.written.pop_first() {
+            let copy = std::mem::replace(&mut self.fleet.caches[host], cache);
+            self.spare.push(copy);
+        }
+        self.phases.snapshot_ns += t_phase.elapsed().as_nanos() as u64;
+    }
+
+    /// Takes `host`'s live cache for writing: what an earlier batch of
+    /// this epoch parked, else the column's original — the host's own warm
+    /// arena — leaving peers a copy in a retired buffer (if one is spare).
+    fn take_cache(&mut self, host: usize) -> HostCache {
+        self.written.remove(&host).unwrap_or_else(|| {
+            let column = &mut self.fleet.caches[host];
+            let copy = match self.spare.pop() {
+                Some(mut buf) => {
+                    buf.clone_from(column);
+                    buf
+                }
+                None => column.clone(),
+            };
+            std::mem::replace(column, copy)
+        })
+    }
+
     /// Executes one admitted batch on the pool and commits the barrier:
-    /// host state in host-id order, report outcomes in nonce order.
-    /// An epoch may take several batches; peers keep seeing the
-    /// epoch-start snapshot throughout.
+    /// host state in host-id order, report outcomes in nonce order. An
+    /// epoch may take several batches; a host sees its own writes at
+    /// once, peers and `fleet()` only after the next `begin_epoch`.
     ///
     /// Queries from offline sessions are answered `Failed`/empty without
     /// touching the world. Returns every query's answer, nonce-ordered.
@@ -369,16 +388,16 @@ impl LiveWorld {
                 queries.sort_by_key(|q| q.nonce);
                 LiveTask {
                     host,
-                    cache: std::mem::replace(
-                        &mut self.fleet.caches[host],
-                        HostCache::new(0, self.cfg.policy),
-                    ),
-                    sync: self.fleet.sync_state(host),
-                    quarantine: std::mem::replace(
-                        &mut self.fleet.quarantines[host],
-                        QuarantineLedger::new(QuarantineConfig::default(), 0),
-                    ),
                     queries,
+                    state: HostState {
+                        cache: self.take_cache(host),
+                        sync: self.fleet.sync_state(host),
+                        quarantine: std::mem::replace(
+                            &mut self.fleet.quarantines[host],
+                            QuarantineLedger::new(QuarantineConfig::default(), 0),
+                        ),
+                        resyncs: 0,
+                    },
                 }
             })
             .collect();
@@ -392,7 +411,7 @@ impl LiveWorld {
             oracle: &self.oracle,
             faults: self.faults.as_ref(),
             grid: &self.grid,
-            snapshot: &self.snapshot,
+            snapshot: &self.fleet.caches,
             range: self.range,
             epoch: self.epoch,
             outage: &self.outage,
@@ -407,11 +426,10 @@ impl LiveWorld {
         // order so every accumulation is scheduling-independent.
         let mut outcomes = Vec::new();
         for d in done {
-            self.fleet.caches[d.host] = d.cache;
-            self.fleet.set_sync_state(d.host, d.sync);
-            self.fleet.quarantines[d.host] = d.quarantine;
-            self.dirty.push(d.host);
-            self.report.outage_resyncs += d.resyncs;
+            self.written.insert(d.host, d.state.cache);
+            self.fleet.set_sync_state(d.host, d.state.sync);
+            self.fleet.quarantines[d.host] = d.state.quarantine;
+            self.report.outage_resyncs += d.state.resyncs;
             outcomes.extend(d.outcomes);
             if let Some(sink) = answers.as_deref_mut() {
                 sink.extend(d.answers);
@@ -438,22 +456,76 @@ impl LiveWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{params, QueryKind};
-    use airshare_broadcast::PoiCategory;
-    use airshare_obs::NoopRecorder;
+    use crate::{params, QueryKind, Simulation};
+    use airshare_broadcast::{PoiCategory, PoiId};
+    use airshare_obs::{MetricsRecorder, NoopRecorder};
 
     const CAT: PoiCategory = PoiCategory::GAS_STATION;
 
-    /// The snapshot is refreshed from a dirty list; a full clone of the
-    /// live caches at the same instant is the reference. Two batches
-    /// per epoch (as the scaled service submits them), a crash and a
-    /// restart between barriers.
-    #[test]
-    fn snapshot_delta_refresh_matches_a_full_clone() {
+    fn small_cfg() -> SimConfig {
         let mut p = params::la_city().scaled(0.005);
         p.cache_size = 30;
         let mut cfg = SimConfig::paper_defaults(p, QueryKind::Knn, 9);
         cfg.hilbert_order = 6;
+        cfg
+    }
+
+    fn knn(nonce: u64, host: usize, at_min: f64, pos: Point) -> LiveQuery {
+        LiveQuery {
+            nonce,
+            host,
+            at_min,
+            pos,
+            heading: None,
+            spec: QuerySpec::Knn { k: 3 },
+        }
+    }
+
+    /// What a peer asking `cache` would be shown.
+    fn shared(cache: &HostCache) -> Vec<(Rect, Vec<PoiId>)> {
+        (cache.share_regions(CAT).map(|(r, ids)| (r, ids.to_vec()))).collect()
+    }
+
+    /// A crash of a dark host and a restart of a live one are no-ops:
+    /// no counter, no event, no parked cache, no resync owed.
+    #[test]
+    fn repeated_churn_calls_change_nothing() {
+        let mut world = LiveWorld::try_new(small_cfg()).unwrap();
+        let mut rec = MetricsRecorder::new();
+        world.connect(0);
+        world.disconnect(0, 1, &mut rec);
+        world.begin_epoch(1);
+        world.disconnect(0, 2, &mut rec);
+        assert!(
+            world.written.is_empty(),
+            "a dark host's cache was parked again"
+        );
+        world.reconnect(0, 3, &mut rec);
+        world.connect(1);
+        for live in [0, 1] {
+            world.reconnect(live, 4, &mut rec);
+        }
+        assert!(
+            !world.fleet.needs_resync(1),
+            "a healthy host was made to resync"
+        );
+        let report = world.report();
+        assert_eq!((report.hosts_crashed, report.hosts_restarted), (1, 1));
+        let seen = rec.snapshot();
+        assert_eq!(
+            (seen.hosts_crashed_total, seen.hosts_restarted_total),
+            (1, 1)
+        );
+    }
+
+    /// The cache column is the peers' view: equal to every host's live
+    /// cache at each boundary, frozen between boundaries while writers
+    /// work on their own originals. Two batches per epoch (as the
+    /// scaled service submits them), a crash and a restart between
+    /// barriers, a crash between batches, and the end of a closed run.
+    #[test]
+    fn peers_read_the_epoch_start_column_and_writers_their_own() {
+        let cfg = small_cfg();
         let epoch_min = cfg.epoch_min;
         let mut world = LiveWorld::try_new(cfg).unwrap();
         let side = world.bounds.x2;
@@ -464,7 +536,7 @@ mod tests {
         let pool = ExecPool::fixed(2);
         let mut ctxs = vec![(NoopRecorder, QueryScratch::new()); 2];
         let mut nonce = 0u64;
-        for epoch in 0..6u64 {
+        for epoch in 0..8u64 {
             match epoch {
                 2 => {
                     assert!(
@@ -483,36 +555,95 @@ mod tests {
             for h in 0..hosts {
                 world.update_position(h, at(h));
             }
+            // The boundary publishes exactly what the writers hold.
+            let live: Vec<_> = (0..world.hosts())
+                .map(|h| shared(world.written.get(&h).unwrap_or(&world.fleet.caches[h])))
+                .collect();
             world.begin_epoch(epoch);
-            for h in 0..world.hosts() {
-                let seen: Vec<_> = world.snapshot[h].share_regions(CAT).collect();
-                let live: Vec<_> = world.fleet.caches[h].share_regions(CAT).collect();
-                assert_eq!(seen, live, "host {h} stale in epoch {epoch}'s snapshot");
+            assert!(
+                world.written.is_empty(),
+                "epoch {epoch}: a writer left parked"
+            );
+            let reference = world.fleet.caches.clone();
+            for (h, live) in live.iter().enumerate() {
+                assert_eq!(
+                    &shared(&reference[h]),
+                    live,
+                    "host {h} stale in epoch {epoch}"
+                );
             }
             for half in 0..2 {
                 // Host 1 sits out the epoch before its crash, so only
-                // `disconnect` itself can have marked it dirty.
+                // `disconnect` itself can have parked it; host 0 asks in
+                // both halves, so its second task starts from `written`.
                 let batch: Vec<LiveQuery> = (0..hosts)
-                    .filter(|&h| h % 2 == half && (h, epoch) != (1, 1))
+                    .filter(|&h| (h == 0 || h % 2 == half) && (h, epoch) != (1, 1))
                     .map(|host| {
                         nonce += 1;
-                        LiveQuery {
-                            nonce,
-                            host,
-                            at_min: (epoch as f64 + 0.25 + 0.5 * half as f64) * epoch_min,
-                            pos: at(host),
-                            heading: None,
-                            spec: QuerySpec::Knn { k: 3 },
-                        }
+                        let at_min = (epoch as f64 + 0.25 + 0.5 * half as f64) * epoch_min;
+                        knn(nonce, host, at_min, at(host))
                     })
                     .collect();
                 let posed = batch.len();
                 assert_eq!(world.execute_epoch(batch, &pool, &mut ctxs).len(), posed);
+                // A crash *between* batches: peers keep the pre-crash
+                // regions until the next boundary, and lose them there.
+                if (epoch, half) == (6, 0) {
+                    assert!(reference[3].region_count(CAT) > 0, "nothing to wipe");
+                    world.disconnect(3, epoch, &mut NoopRecorder);
+                    assert_eq!(world.written[&3].region_count(CAT), 0);
+                }
+                for (h, frozen) in reference.iter().enumerate() {
+                    assert_eq!(
+                        shared(&world.fleet.caches[h]),
+                        shared(frozen),
+                        "host {h}'s peers saw epoch {epoch} move under them (batch {half})"
+                    );
+                }
+            }
+            // Each crash went public at the boundary after it.
+            for (published, host) in [(2, 1), (7, 3)] {
+                if epoch == published {
+                    assert_eq!(reference[host].region_count(CAT), 0, "wipe unpublished");
+                }
             }
         }
         assert!(
-            world.snapshot.iter().any(|c| c.region_count(CAT) > 0),
+            world.fleet.caches.iter().any(|c| c.region_count(CAT) > 0),
             "no cache ever committed a region"
         );
+
+        // Own view live: a lone host's first query goes on air and
+        // caches; its repeat in the same epoch's second batch is
+        // answered from that insert, which the column does not show yet.
+        let mut cfg = small_cfg();
+        cfg.warmup_min = 0.0;
+        let mut world = LiveWorld::try_new(cfg).unwrap();
+        world.connect(0);
+        let spot = Point::new(0.5 * side, 0.5 * side);
+        world.update_position(0, spot);
+        world.begin_epoch(0);
+        for (n, at_min) in [(1, 0.25 * epoch_min), (2, 0.75 * epoch_min)] {
+            world.execute_epoch(vec![knn(n, 0, at_min, spot)], &pool, &mut ctxs);
+        }
+        let q = world.report().queries;
+        assert_eq!(
+            (q.total, q.by_broadcast),
+            (2, 1),
+            "own insert unseen: {q:?}"
+        );
+        assert_eq!(world.fleet.caches[0].region_count(CAT), 0);
+        world.begin_epoch(1);
+        assert!(world.fleet.caches[0].region_count(CAT) > 0);
+
+        // A closed run ends installed: with the whole horizon in one
+        // epoch, everything `fleet()` shows was written in the last one.
+        let mut cfg = small_cfg();
+        cfg.epoch_min = cfg.total_min() + 1.0;
+        let mut sim = Simulation::try_new(cfg).unwrap();
+        assert!(sim.run().queries.total > 0);
+        assert!(sim.world.written.is_empty());
+        let fleet = sim.fleet();
+        assert!((0..fleet.len()).any(|h| fleet.cache(h).region_count(CAT) > 0));
     }
 }

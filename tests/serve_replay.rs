@@ -222,3 +222,22 @@ fn scaled_service_serves_live_traffic() {
     assert_eq!(report.accepted, answered, "an admitted query went unanswered");
     assert!(report.metrics.sessions_registered_total >= hosts as u64);
 }
+
+#[test]
+fn repeated_churn_calls_count_once() {
+    // Nothing but `check_open` + `check_host` stands between a client
+    // and the world's churn calls: a second `disconnect` of a dark host
+    // or `reconnect` of a live one must not crash or restart it again.
+    let service = Service::start(ServeConfig::lockstep(base_cfg(QueryKind::Knn, 3))).unwrap();
+    let handle = service.handle();
+    handle.register(0, Some(0)).unwrap();
+    for barrier in [1, 2] {
+        handle.disconnect(0, barrier, Some(barrier)).unwrap();
+    }
+    for barrier in [3, 4] {
+        handle.reconnect(0, barrier, Some(barrier)).unwrap();
+    }
+    handle.fence(4);
+    let report = service.drain().report;
+    assert_eq!((report.hosts_crashed, report.hosts_restarted), (1, 1));
+}
