@@ -110,8 +110,10 @@ impl FaultStats {
 /// Phase attribution follows the loop's structure: `advance` is the
 /// client fleet's share — churn application, per-host mobility stepping
 /// and deriving each query's inputs from the mobility and window
-/// streams; `grid` is the neighbor grid refresh, `snapshot` is the
-/// committed-cache snapshot refresh, and `query` is query sharding,
+/// streams; `grid` is the neighbor grid refresh (of the whole fleet,
+/// or of the cells the epoch's queries can reach); `snapshot` is the
+/// boundary's install of the caches written since the last one, which
+/// makes them what peers read; and `query` is query sharding,
 /// execution, and the barrier commit.
 ///
 /// These are *measurements of* the run, not *outputs of* the
@@ -129,7 +131,8 @@ pub struct PhaseTimes {
     pub grid_ns: u64,
     /// Query sharding, execution, and barrier commit, in nanoseconds.
     pub query_ns: u64,
-    /// Committed-cache snapshot refresh, in nanoseconds.
+    /// Install of the parked writers' caches into the column peers
+    /// read, in nanoseconds.
     pub snapshot_ns: u64,
 }
 

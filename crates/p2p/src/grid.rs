@@ -2,21 +2,31 @@
 //!
 //! With 200 m cells and the paper's vehicle speeds, 88 % of a
 //! million-host fleet changes cell at every epoch boundary (measured),
-//! so there is no delta worth tracking: [`NeighborGrid::refresh_active`]
-//! re-bins *every* online host, each epoch, into two flat arrays — a
-//! CSR layout of `offsets` per cell and host-id `members` — in three
-//! linear passes over the position column. Hosts are scattered in
-//! ascending id, so every cell comes out id-sorted for free, and the
-//! buffers are retained, so a warm refresh allocates nothing.
+//! so there is no delta worth tracking: each refresh re-bins from
+//! scratch into two flat arrays — a CSR layout of `offsets` per cell
+//! and host-id `members` — in linear passes over the position column.
+//! Hosts are scattered in ascending id, so every cell comes out
+//! id-sorted for free, and the buffers are retained, so a warm refresh
+//! allocates nothing.
+//!
+//! A refresh bins either every online host
+//! ([`NeighborGrid::refresh_active`]) or only those a known set of
+//! queries can reach ([`NeighborGrid::refresh_near`]): the hosts whose
+//! cell lies within `rings` cells of some query center's cell. The
+//! radius rule: a disk of radius `r` never leaves the `⌈r/cell⌉`-ring
+//! of its center's cell, and a relay found there is itself inside that
+//! ring, so an `h`-hop flood from a center stays inside its
+//! `h·⌈r/cell⌉`-ring. Every lookup inside the marks answers exactly as
+//! after a full refresh; a million-host epoch with a few hundred
+//! queriers bins a few hundred cells' worth of hosts. Both refreshes
+//! are one counting sort: they differ only in the extent and in which
+//! hosts pass 2 keeps.
 //!
 //! Cells are numbered column-major (`x` outer, `y` inner) — the order
 //! [`NeighborGrid::neighbors_within`] enumerates them in — so each
 //! column of a query's ring is one contiguous run of `members`.
 
 use airshare_geom::{Point, Rect};
-
-/// Slot of a host that has no cell.
-const NO_SLOT: u32 = u32::MAX;
 
 /// Cell key: `floor(coordinate / cell)` per axis.
 type Key = (i64, i64);
@@ -30,7 +40,7 @@ fn dense_cells(min: Key, max: Key, hosts: usize) -> Option<usize> {
     }
     let nx = max.0 as i128 - min.0 as i128 + 1;
     let ny = max.1 as i128 - min.1 as i128 + 1;
-    let cap = (8 * hosts.max(8_192)).min(NO_SLOT as usize) as i128;
+    let cap = (8 * hosts.max(8_192)).min(u32::MAX as usize) as i128;
     nx.checked_mul(ny).filter(|&c| c <= cap).map(|c| c as usize)
 }
 
@@ -41,17 +51,18 @@ fn dense_cells(min: Key, max: Key, hosts: usize) -> Option<usize> {
 /// the maximum transmission range for O(occupants) queries.
 ///
 /// Cell `s` holds `members[offsets[s]..offsets[s + 1]]`, ascending by
-/// host id. While the extent of the online hosts stays within 8 cells
-/// per host, `s` is computed from the key; past that (a transmission
-/// range far below the host spacing) only occupied cells get a slot and
-/// `s` is the key's rank in the sorted `keys`. Both numberings are
-/// `(x, y)`-lexicographic, so queries answer identically in either.
+/// host id. While the extent stays within 8 cells per host, `s` is
+/// computed from the key; past that (a transmission range far below the
+/// host spacing) only occupied cells get a slot and `s` is the key's
+/// rank in the sorted `keys`. Both numberings are `(x, y)`-lexicographic,
+/// so queries answer identically in either.
 #[derive(Clone, Debug)]
 pub struct NeighborGrid {
     cell: f64,
     positions: Vec<Point>,
-    /// Inclusive key extent of the hosts with a cell (`min > max` when
-    /// there are none).
+    /// Inclusive key extent of the binned cells (`min > max` when there
+    /// are none): the indexed hosts' after a full refresh, the marked
+    /// rings' bounding box after a marked one.
     min: Key,
     max: Key,
     /// Occupied cell keys, sorted; empty while cells are indexed directly.
@@ -60,8 +71,13 @@ pub struct NeighborGrid {
     /// count, which lets the counting sort use it as its own cursor.
     offsets: Vec<u32>,
     members: Vec<u32>,
-    /// Each host's slot (or [`NO_SLOT`]), kept from count to scatter.
-    slots: Vec<u32>,
+    /// Pass 2's output, `(host, slot)` of each binned host in ascending
+    /// id, at the front; at least one entry per host.
+    binned: Vec<(u32, u32)>,
+    /// A marked refresh's per-slot marks, one entry past the cells: the
+    /// never-marked slot every host outside the extent maps to. Sized on
+    /// first use.
+    marked: Vec<bool>,
 }
 
 impl NeighborGrid {
@@ -79,7 +95,7 @@ impl NeighborGrid {
     pub fn build_active(positions: Vec<Point>, cell: f64, online: &[bool]) -> Self {
         let mut grid = Self::empty(cell);
         grid.positions = positions;
-        grid.rebuild(online);
+        grid.rebuild(online, None);
         grid
     }
 
@@ -97,7 +113,7 @@ impl NeighborGrid {
         grid.offsets.reserve(dense.unwrap_or(hosts) + 2);
         grid.positions.reserve(hosts);
         grid.members.reserve(hosts);
-        grid.slots.reserve(hosts);
+        grid.binned.reserve(hosts);
         grid
     }
 
@@ -111,7 +127,8 @@ impl NeighborGrid {
             keys: Vec::new(),
             offsets: Vec::new(),
             members: Vec::new(),
-            slots: Vec::new(),
+            binned: Vec::new(),
+            marked: Vec::new(),
         }
     }
 
@@ -150,81 +167,179 @@ impl NeighborGrid {
     pub fn refresh_active(&mut self, positions: &[Point], online: &[bool]) {
         self.positions.clear();
         self.positions.extend_from_slice(positions);
-        self.rebuild(online);
+        self.rebuild(online, None);
+    }
+
+    /// [`NeighborGrid::refresh_active`] for a known set of lookups: bins
+    /// only the online hosts whose cell is within `rings` cells, per
+    /// axis, of some center's cell. A [`NeighborGrid::neighbors_within`]
+    /// whose `⌈range/cell⌉`-ring lies inside those marks — from a center
+    /// with `⌈range/cell⌉ ≤ rings`, or from a relay it returned with
+    /// `2·⌈range/cell⌉ ≤ rings`, and so on per hop — answers exactly as
+    /// after a full refresh; lookups elsewhere may miss hosts. Centers
+    /// with a non-finite coordinate reach no host and mark nothing. When
+    /// the marks span too many cells to index directly, every online
+    /// host is binned, as by a full refresh.
+    pub fn refresh_near(
+        &mut self,
+        positions: &[Point],
+        online: &[bool],
+        centers: &[Point],
+        rings: u32,
+    ) {
+        self.positions.clear();
+        self.positions.extend_from_slice(positions);
+        self.rebuild(online, Some((centers, rings)));
+    }
+
+    /// A host with a NaN coordinate is at no distance from anything: it
+    /// gets no cell, like an offline one.
+    fn indexed(p: &Point, on: bool) -> bool {
+        on & !p.x.is_nan() & !p.y.is_nan()
+    }
+
+    /// Pass 2 of a refresh: `(id, slot)` of each indexed host whose slot
+    /// passes `keep`, appended to the front of `binned` in ascending id
+    /// without a data-dependent branch — every host's pair is written,
+    /// and the cursor steps past the kept ones. Returns how many.
+    fn bin(
+        positions: &[Point],
+        online: &[bool],
+        cell: f64,
+        binned: &mut [(u32, u32)],
+        slot_of: impl Fn(Key) -> usize,
+        keep: impl Fn(usize) -> bool,
+    ) -> usize {
+        let mut kept = 0;
+        for (i, (p, &on)) in positions.iter().zip(online).enumerate() {
+            let s = slot_of(Self::key(*p, cell));
+            binned[kept] = (i as u32, s as u32);
+            kept += (Self::indexed(p, on) & keep(s)) as usize;
+        }
+        kept
+    }
+
+    /// The inclusive key box of each finite center's `rings`-ring.
+    fn rings(centers: &[Point], rings: u32, cell: f64) -> impl Iterator<Item = (Key, Key)> + '_ {
+        let r = i64::from(rings);
+        let finite = |c: &&Point| c.x.is_finite() && c.y.is_finite();
+        centers.iter().filter(finite).map(move |&c| {
+            let (kx, ky) = Self::key(c, cell);
+            let lo = (kx.saturating_sub(r), ky.saturating_sub(r));
+            (lo, (kx.saturating_add(r), ky.saturating_add(r)))
+        })
     }
 
     /// Counting sort of the online hosts of `self.positions` into
-    /// `offsets`/`members`.
-    fn rebuild(&mut self, online: &[bool]) {
+    /// `offsets`/`members`: all of them, or with `near`, those within
+    /// the marked rings.
+    fn rebuild(&mut self, online: &[bool], near: Option<(&[Point], u32)>) {
         let n = self.positions.len();
         assert_eq!(n, online.len(), "one flag per host");
-        assert!(n < NO_SLOT as usize, "host ids must fit u32");
+        assert!(n < u32::MAX as usize, "host ids must fit u32");
         let cell = self.cell;
 
-        // A host with a NaN coordinate is at no distance from anything:
-        // it gets no cell, like an offline one.
-        let indexed = |p: &Point, on: bool| on && !p.x.is_nan() && !p.y.is_nan();
-
-        // Pass 1: the extent, taken over coordinates (the key is
-        // monotonic in each) so that the loop carries no division.
-        let inf = f64::INFINITY;
-        let (mut lo, mut hi) = (Point::new(inf, inf), Point::new(-inf, -inf));
-        for (p, &on) in self.positions.iter().zip(online) {
-            if indexed(p, on) {
-                lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
-                hi = Point::new(hi.x.max(p.x), hi.y.max(p.y));
+        // A marked refresh's extent is the bounding box of the rings
+        // around its (finite) centers — no pass over the fleet — if that
+        // box is small enough to index directly.
+        let marked_extent = near.and_then(|(centers, rings)| {
+            let (mut min, mut max) = ((i64::MAX, i64::MAX), (i64::MIN, i64::MIN));
+            for (lo, hi) in Self::rings(centers, rings, cell) {
+                min = (min.0.min(lo.0), min.1.min(lo.1));
+                max = (max.0.max(hi.0), max.1.max(hi.1));
             }
-        }
-        let (min, max) = (Self::key(lo, cell), Self::key(hi, cell));
+            dense_cells(min, max, n).map(|_| (min, max))
+        });
+        let near = near.filter(|_| marked_extent.is_some());
+
+        // Pass 1 of a full refresh: the extent, taken over coordinates
+        // (the key is monotonic in each) so that the loop carries no
+        // division.
+        let (min, max) = marked_extent.unwrap_or_else(|| {
+            let inf = f64::INFINITY;
+            let (mut lo, mut hi) = (Point::new(inf, inf), Point::new(-inf, -inf));
+            for (p, &on) in self.positions.iter().zip(online) {
+                if Self::indexed(p, on) {
+                    lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
+                    hi = Point::new(hi.x.max(p.x), hi.y.max(p.y));
+                }
+            }
+            (Self::key(lo, cell), Self::key(hi, cell))
+        });
         (self.min, self.max) = (min, max);
 
-        // Past the direct-indexing cap, slots are ranks among the
-        // occupied keys.
+        // Past the direct-indexing cap (full refreshes only), slots are
+        // ranks among the occupied keys.
         self.keys.clear();
         let dense = dense_cells(min, max, n);
         if dense.is_none() {
             let hosts = self.positions.iter().zip(online);
-            let hosts = hosts.filter(|&(p, &on)| indexed(p, on));
+            let hosts = hosts.filter(|&(p, &on)| Self::indexed(p, on));
             self.keys.extend(hosts.map(|(p, _)| Self::key(*p, cell)));
             self.keys.sort_unstable();
             self.keys.dedup();
         }
         let cells = dense.unwrap_or(self.keys.len());
+        // Every key has a slot, `cells` for one outside the extent;
+        // wrapping arithmetic, because keys outside it are anything.
+        let ny = max.1.wrapping_sub(min.1).wrapping_add(1);
+        let column = |kx: i64| kx.wrapping_sub(min.0).wrapping_mul(ny);
         let keys = &self.keys;
         let slot_of = |k: Key| match dense {
-            Some(_) => ((k.0 - min.0) * (max.1 - min.1 + 1) + (k.1 - min.1)) as usize,
-            None => keys
-                .binary_search(&k)
-                .expect("every indexed key was collected"),
+            Some(_) => {
+                let inside = (min.0 <= k.0) & (k.0 <= max.0) & (min.1 <= k.1) & (k.1 <= max.1);
+                let s = column(k.0).wrapping_add(k.1.wrapping_sub(min.1)) as usize;
+                if inside {
+                    s
+                } else {
+                    cells
+                }
+            }
+            None => keys.binary_search(&k).unwrap_or(cells),
         };
 
-        // Pass 2: each host's slot, counted two entries ahead of its
-        // cell so that pass 3 can advance `offsets[slot + 1]` in place.
+        // Pass 2: every indexed host of a full refresh, or those in the
+        // marked cells.
+        if self.binned.len() < n {
+            self.binned.resize(n, (0, 0));
+        }
+        let (positions, binned) = (&self.positions, &mut self.binned);
+        let kept = match near {
+            None => Self::bin(positions, online, cell, binned, slot_of, |_| true),
+            Some((centers, rings)) => {
+                self.marked.clear();
+                self.marked.resize(cells + 1, false);
+                for (lo, hi) in Self::rings(centers, rings, cell) {
+                    for kx in lo.0..=hi.0 {
+                        let at = |ky: i64| column(kx).wrapping_add(ky.wrapping_sub(min.1)) as usize;
+                        self.marked[at(lo.1)..=at(hi.1)].fill(true);
+                    }
+                }
+                let marked = &self.marked;
+                Self::bin(positions, online, cell, binned, slot_of, |s| marked[s])
+            }
+        };
+        let binned = &self.binned[..kept];
+
+        // Pass 3: count each cell two entries ahead, so that pass 4 can
+        // advance `offsets[slot + 1]` in place.
         self.offsets.clear();
         self.offsets.resize(cells + 2, 0);
-        self.slots.clear();
-        self.slots.resize(n, NO_SLOT);
-        for ((slot, p), &on) in self.slots.iter_mut().zip(&self.positions).zip(online) {
-            if indexed(p, on) {
-                let s = slot_of(Self::key(*p, cell));
-                *slot = s as u32;
-                self.offsets[s + 2] += 1;
-            }
+        for &(_, s) in binned {
+            self.offsets[s as usize + 2] += 1;
         }
         for s in 2..self.offsets.len() {
             self.offsets[s] += self.offsets[s - 1];
         }
 
-        // Pass 3: scatter in ascending host id, which leaves every cell
+        // Pass 4: scatter in ascending host id, which leaves every cell
         // id-sorted and `offsets[s]..offsets[s + 1]` spanning cell `s`.
         self.members.clear();
-        self.members.resize(self.offsets[cells + 1] as usize, 0);
-        for (i, &s) in self.slots.iter().enumerate() {
-            if s != NO_SLOT {
-                let at = &mut self.offsets[s as usize + 1];
-                self.members[*at as usize] = i as u32;
-                *at += 1;
-            }
+        self.members.resize(kept, 0);
+        for &(i, s) in binned {
+            let at = &mut self.offsets[s as usize + 1];
+            self.members[*at as usize] = i;
+            *at += 1;
         }
     }
 

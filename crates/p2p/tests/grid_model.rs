@@ -121,3 +121,98 @@ proptest! {
         }
     }
 }
+
+/// A query center: mostly on the hosts' lattice, sometimes NaN,
+/// infinite or far outside the world.
+fn center() -> impl Strategy<Value = Point> {
+    let odd = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e30,
+        -1e300,
+        f64::MAX,
+    ];
+    (0usize..12, -8i32..48, -8i32..48).prop_map(move |(roll, x, y)| {
+        let (x, y) = (x as f64 / 4.0, y as f64 / 4.0);
+        match roll {
+            0 => Point::new(odd[(x + y).abs() as usize % odd.len()], y),
+            1 => Point::new(x, odd[(x * 4.0).abs() as usize % odd.len()]),
+            _ => Point::new(x, y),
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A marked refresh answers every lookup whose ring lies inside
+    /// its marks exactly as the model does, in membership and order:
+    /// from any center `c` with `⌈r/cell⌉ ≤ rings`, and from each host
+    /// that lookup returned (a relay's second hop) with `2·⌈r/cell⌉ ≤
+    /// rings`. Any other lookup may miss hosts but never invents one
+    /// or reorders the rest. Covers no centers at all, NaN, infinite
+    /// and far-away centers, NaN and offline hosts, hosts outside the
+    /// declared bounds, and a fine cell whose marks span too many cells
+    /// to index directly (the full-rebuild fallback).
+    #[test]
+    fn marked_grid_matches_the_model_inside_its_marks(
+        pts in prop::collection::vec((-8i32..48, -8i32..48, 0usize..8), 1..60),
+        centers in prop::collection::vec(center(), 0..6),
+        rings in 0u32..5,
+        fine in any::<bool>(),
+    ) {
+        let cell = if fine { 0.01 } else { 0.5 };
+        let positions: Vec<Point> = pts
+            .iter()
+            .map(|&(x, y, roll)| match roll {
+                0 => Point::new(f64::NAN, y as f64 / 4.0),
+                _ => Point::new(x as f64 / 4.0, y as f64 / 4.0),
+            })
+            .collect();
+        let online: Vec<bool> = pts.iter().map(|&(_, _, roll)| roll != 1).collect();
+        let world = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
+        let mut grid = NeighborGrid::with_bounds(&world, cell, positions.len());
+        // A full refresh first, so nothing of it may survive the marked one.
+        grid.refresh_active(&positions, &online);
+        grid.refresh_near(&positions, &online, &centers, rings);
+        prop_assert_eq!(grid.len(), positions.len());
+
+        let reach = |r: f64| (r / cell).ceil() as u32;
+        for (ci, &c) in centers.iter().enumerate() {
+            for r in [0.0, 0.3 * cell, cell, 1.4 * cell, 2.0 * cell, 3.0 * cell] {
+                let got = grid.neighbors_within(c, r, None);
+                let want = model(&positions, &online, cell, c, r, None);
+                if reach(r) > rings {
+                    prop_assert!(is_subsequence(&got, &want), "center {} range {}", ci, r);
+                    continue;
+                }
+                prop_assert_eq!(&got, &want, "center {}, range {}, rings {}", ci, r, rings);
+                for &j in &got {
+                    let from = grid.position(j);
+                    let hop = grid.neighbors_within(from, r, Some(j));
+                    let want = model(&positions, &online, cell, from, r, Some(j));
+                    if 2 * reach(r) <= rings {
+                        prop_assert_eq!(&hop, &want, "relay {} of center {}, range {}", j, ci, r);
+                    } else {
+                        prop_assert!(is_subsequence(&hop, &want), "relay {} of center {}", j, ci);
+                    }
+                }
+            }
+        }
+        // Lookups from anywhere else: a subset, in order.
+        for (h, &p) in positions.iter().enumerate() {
+            for r in [cell, 2.5, 1e12] {
+                let got = grid.neighbors_within(p, r, Some(h));
+                let want = model(&positions, &online, cell, p, r, Some(h));
+                prop_assert!(is_subsequence(&got, &want), "host {} range {}", h, r);
+            }
+        }
+    }
+}
+
+/// `got` is `want` with some entries left out.
+fn is_subsequence(got: &[usize], want: &[usize]) -> bool {
+    let mut rest = want.iter();
+    got.iter().all(|g| rest.any(|w| w == g))
+}

@@ -1,7 +1,8 @@
 //! The neighbor grid's memory claim, measured: a grid made by
 //! `with_bounds` refreshes a fleet that stays inside those bounds —
 //! from the first refresh on, directly indexed or past the cell cap —
-//! without a single heap allocation. A counting global allocator makes
+//! without a single heap allocation, and a marked refresh allocates
+//! nothing once warm. A counting global allocator makes
 //! the claim checkable; it lives in an integration test because
 //! implementing [`GlobalAlloc`] requires `unsafe`.
 
@@ -9,6 +10,7 @@ use airshare_geom::{Point, Rect};
 use airshare_p2p::NeighborGrid;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// [`System`], with every allocation counted.
 struct CountingAlloc;
@@ -34,8 +36,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// `ALLOCATIONS` is process-wide and the harness runs this binary's
+/// tests concurrently: one test counts at a time. (A test that failed
+/// holding the lock must not fail the other by poison.)
+static COUNTING: Mutex<()> = Mutex::new(());
+
+fn counting() -> MutexGuard<'static, ()> {
+    COUNTING
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn refreshes_inside_the_declared_bounds_do_not_allocate() {
+    let _one_at_a_time = counting();
     const HOSTS: usize = 20_000;
     let world = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
     let mut state = 5u64;
@@ -69,5 +83,50 @@ fn refreshes_inside_the_declared_bounds_do_not_allocate() {
         assert!(!grid
             .neighbors_within(Point::new(5.0, 5.0), 0.5, None)
             .is_empty());
+    }
+}
+
+#[test]
+fn warm_marked_refreshes_do_not_allocate() {
+    let _one_at_a_time = counting();
+    const HOSTS: usize = 20_000;
+    let world = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
+    let mut state = 9u64;
+    let mut unit = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut scatter = |n: usize| -> Vec<Point> {
+        (0..n)
+            .map(|_| Point::new(unit() * 10.0, unit() * 10.0))
+            .collect()
+    };
+    // Each epoch: the fleet, and a few hundred queriers among it.
+    let epochs: Vec<(Vec<Point>, Vec<Point>)> =
+        (0..4).map(|_| (scatter(HOSTS), scatter(300))).collect();
+    let online: Vec<bool> = (0..HOSTS).map(|i| i % 9 != 0).collect();
+
+    // 0.1: marks inside a directly indexed box. 0.001: marks spanning
+    // too many cells, so every refresh falls back to the full rebuild.
+    for cell in [0.1, 0.001] {
+        let mut grid = NeighborGrid::with_bounds(&world, cell, HOSTS);
+        // The first round sizes the marks; the second must reuse them.
+        for round in 0..2 {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            for (positions, centers) in &epochs {
+                grid.refresh_near(positions, &online, centers, 2);
+            }
+            let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+            assert!(
+                round == 0 || during == 0,
+                "cell {cell}: {during} allocations in 4 warm marked refreshes"
+            );
+        }
+        // The refreshes did their work.
+        let (_, centers) = &epochs[3];
+        let range = cell.max(0.05);
+        assert!(centers
+            .iter()
+            .any(|&c| !grid.neighbors_within(c, range, None).is_empty()));
     }
 }

@@ -8,7 +8,10 @@
 //! a *client fleet* supplies those, in barrier order: churn
 //! (`connect`/`reconnect`/`disconnect`), then position updates, then
 //! [`LiveWorld::begin_epoch`] (grid + the last epoch's cache writes go
-//! public), then one or more [`LiveWorld::execute_epoch`] batches.
+//! public), then one or more [`LiveWorld::execute_epoch`] batches. The
+//! simulator, which holds its epoch's one batch before the barrier,
+//! enters through `begin_epoch_near` instead, and its grid bins only
+//! the hosts that batch can reach.
 //! A host has one cache (§3.2) and the cache column *is* what peers
 //! read — every cache as of the last barrier: a writer leaves a copy
 //! there and keeps the original (parked in `written` between batches).
@@ -86,9 +89,17 @@ pub struct LiveWorld {
     pub(crate) fleet: FleetStore,
     /// Epoch-start neighbor grid over online hosts. Its buffers are
     /// reserved for the world's extent once and refilled at each
-    /// boundary by a counting-sort rebuild of the whole fleet (88 % of
-    /// hosts change cell per epoch, so a delta would save nothing).
+    /// boundary by a counting sort from scratch (88 % of hosts change
+    /// cell per epoch, so a delta would save nothing): of the whole
+    /// fleet in `begin_epoch`, of the hosts the epoch's queries can
+    /// reach in `begin_epoch_near`.
     grid: NeighborGrid,
+    /// Grid cells a query's peer flood can reach from its own cell:
+    /// `p2p_hops × ⌈range/cell⌉`.
+    rings: u32,
+    /// The query positions of the last `begin_epoch_near`, kept for
+    /// their buffer.
+    centers: Vec<Point>,
     /// The live caches of hosts that wrote since the last boundary (a
     /// batch commit or a crash wipe), parked between batches while the
     /// column shows their epoch-start copies. Empty after `begin_epoch`.
@@ -195,8 +206,11 @@ impl LiveWorld {
             quarantines,
         };
         let range = meters_to_miles(cfg.params.tx_range_m);
-        let mut grid = NeighborGrid::with_bounds(&bounds, range.max(1e-3), n);
+        let cell = range.max(1e-3);
+        let mut grid = NeighborGrid::with_bounds(&bounds, cell, n);
         grid.refresh_active(&fleet.positions, &fleet.online);
+        let reach = (range / cell).ceil() as u32;
+        let rings = u32::try_from(cfg.p2p_hops).map_or(u32::MAX, |h| h.saturating_mul(reach));
         Ok(LiveWorld {
             outage: OutageSchedule::new(cfg.outages.clone()),
             cfg,
@@ -208,6 +222,8 @@ impl LiveWorld {
             faults,
             fleet,
             grid,
+            rings,
+            centers: Vec::new(),
             written: BTreeMap::new(),
             spare: Vec::new(),
             epoch: 0,
@@ -297,11 +313,36 @@ impl LiveWorld {
     /// over the online fleet at their reported positions (a counting
     /// sort of every online host into reused buffers) and makes the
     /// last epoch's cache writes peer-visible. Must run after this
-    /// boundary's churn and position updates, before the epoch's batch.
+    /// boundary's churn and position updates, before the epoch's
+    /// batches — which need not be known yet.
     pub fn begin_epoch(&mut self, epoch: u64) {
         let t_phase = Instant::now();
         self.grid
             .refresh_active(&self.fleet.positions, &self.fleet.online);
+        self.commit_boundary(epoch, t_phase);
+    }
+
+    /// [`LiveWorld::begin_epoch`] for a client that knows the epoch's
+    /// whole batch: the grid bins only the hosts within `rings` cells of
+    /// some query's cell, which is every host the batch's peer floods
+    /// can reach, so `batch` is answered exactly as after a full
+    /// refresh. Executing any other query this epoch is a logic error.
+    pub(crate) fn begin_epoch_near(&mut self, epoch: u64, batch: &[LiveQuery]) {
+        let t_phase = Instant::now();
+        self.centers.clear();
+        self.centers.extend(batch.iter().map(|q| q.pos));
+        self.grid.refresh_near(
+            &self.fleet.positions,
+            &self.fleet.online,
+            &self.centers,
+            self.rings,
+        );
+        self.commit_boundary(epoch, t_phase);
+    }
+
+    /// The rest of a boundary once the grid, refreshed since `t_phase`,
+    /// is: the parked caches go public.
+    fn commit_boundary(&mut self, epoch: u64, t_phase: Instant) {
         self.phases.grid_ns += t_phase.elapsed().as_nanos() as u64;
         self.install_written();
         self.epoch = epoch;

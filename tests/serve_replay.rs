@@ -54,6 +54,21 @@ fn service_replay_matches_simulator_window() {
 }
 
 #[test]
+fn service_replay_matches_simulator_multihop() {
+    // The service bins the whole fleet at each barrier; the simulator
+    // bins only the cells within `p2p_hops` rings of its epoch's
+    // queries. Equal answers and reports pin that radius: a relay's
+    // flood reaching past the marks would find fewer peers.
+    for hops in [2, 3] {
+        for kind in [QueryKind::Knn, QueryKind::Window] {
+            let mut cfg = base_cfg(kind, 42);
+            cfg.p2p_hops = hops;
+            assert_service_parity(cfg, ServeConfig::lockstep);
+        }
+    }
+}
+
+#[test]
 fn service_replay_survives_tiny_queue_backpressure() {
     // A 4-deep admission queue forces constant backpressure; retries
     // must still deliver every query in nonce order and keep parity.
