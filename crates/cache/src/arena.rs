@@ -20,7 +20,6 @@
 //! [`EntryArena::get`] returns `None` for it. Handles are only
 //! meaningful against the arena that issued them.
 
-use crate::RegionEntry;
 use airshare_broadcast::{PoiId, PoiTable};
 use airshare_geom::Rect;
 
@@ -103,21 +102,6 @@ impl<'a> EntryView<'a> {
                 .poi_ids
                 .iter()
                 .all(|&id| table.get(id).is_some_and(|p| r.contains(p.pos)))
-    }
-
-    /// Materializes the entry as an owned [`RegionEntry`], resolving
-    /// handles through `table` (unresolvable handles are skipped).
-    pub fn resolve(&self, table: &PoiTable) -> RegionEntry {
-        RegionEntry {
-            vr: self.vr,
-            pois: self
-                .poi_ids
-                .iter()
-                .filter_map(|&id| table.get(id).copied())
-                .collect(),
-            created_at: self.created_at,
-            last_used: self.last_used,
-        }
     }
 }
 
@@ -274,12 +258,6 @@ impl EntryArena {
         self.expect_slot(id).vr
     }
 
-    /// The entry's creation time. Panics on a stale handle.
-    #[inline]
-    pub fn created_at(&self, id: EntryId) -> f64 {
-        self.expect_slot(id).created_at
-    }
-
     /// The entry's last-used time. Panics on a stale handle.
     #[inline]
     pub fn last_used(&self, id: EntryId) -> f64 {
@@ -430,8 +408,15 @@ mod tests {
         let unresolvable = a.insert(rect(1.0), 0.0, 0.0, [PoiId(7)]);
         assert!(a.get(good).unwrap().is_consistent(&table));
         assert!(!a.get(unresolvable).unwrap().is_consistent(&table));
-        let resolved = a.get(good).unwrap().resolve(&table);
-        assert_eq!(resolved.pois.len(), 1);
-        assert_eq!(resolved.pois[0].pos, Point::new(0.5, 0.5));
+        let outside = a.insert(rect(0.25), 0.0, 0.0, [PoiId(0)]);
+        assert!(!a.get(outside).unwrap().is_consistent(&table));
+        let nan = Rect {
+            x1: 0.0,
+            y1: 0.0,
+            x2: f64::NAN,
+            y2: 1.0,
+        };
+        let malformed = a.insert(nan, 0.0, 0.0, []);
+        assert!(!a.get(malformed).unwrap().is_consistent(&table));
     }
 }

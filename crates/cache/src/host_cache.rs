@@ -1,21 +1,20 @@
 //! The per-host cache.
 //!
-//! Since the fleet-scale storage refactor the cache is handle-based:
-//! entries live in an [`EntryArena`] (flat slot + POI-handle pools,
-//! generational [`EntryId`] handles) and POI *payloads* live once in the
-//! workspace-wide [`PoiTable`] — the cache stores only 4-byte [`PoiId`]s.
-//! The public insert API still accepts owned [`RegionEntry`] values (the
-//! transfer type peers and the broadcast path produce); accessors that
-//! used to return owned `Vec<Poi>` now either yield handles
-//! ([`HostCache::entries`], [`HostCache::share_regions`]) or require the
-//! table to resolve against ([`HostCacheRef`](crate::HostCacheRef)).
+//! The cache is handle-based: entries live in an [`EntryArena`] (flat
+//! slot + POI-handle pools, generational [`EntryId`] handles) and POI
+//! *payloads* live once in the workspace-wide [`PoiTable`] — the cache
+//! stores only 4-byte [`PoiId`]s. A region comes in one way,
+//! [`HostCache::insert_ids`], as `(region, POI handles)` checked against
+//! the table; it goes out as handles ([`HostCache::entries`],
+//! [`HostCache::share_regions`]), which a reader resolves with
+//! [`PoiTable::get`].
 
-use crate::{EntryArena, EntryId, EntryView, RegionEntry, ReplacementPolicy};
-use airshare_broadcast::{Poi, PoiCategory, PoiId, PoiTable};
+use crate::{EntryArena, EntryId, EntryView, ReplacementPolicy};
+use airshare_broadcast::{PoiCategory, PoiId, PoiTable};
 use airshare_geom::{Point, Rect};
 use airshare_obs::{CacheRejectReason, NoopRecorder, Recorder, TraceEvent};
 
-/// What [`HostCache::insert`] did with the offered entry.
+/// What [`HostCache::insert_ids`] did with the offered region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InsertOutcome {
     /// The entry (possibly shrunk to capacity) is now cached.
@@ -45,8 +44,8 @@ pub struct CacheContext {
 /// verified-region invariant can never be broken by partial eviction.
 #[derive(Debug)]
 pub struct HostCache {
+    /// The per-category bound on cached POIs, and on cached regions.
     capacity_per_category: usize,
-    max_regions: usize,
     /// Fraction of an existing region that must be covered by an
     /// incoming region for the old entry to be dropped as redundant.
     /// 1.0 = only full containment (strict subsumption).
@@ -63,7 +62,6 @@ impl Clone for HostCache {
     fn clone(&self) -> Self {
         Self {
             capacity_per_category: self.capacity_per_category,
-            max_regions: self.max_regions,
             subsume_overlap: self.subsume_overlap,
             policy: self.policy,
             arena: self.arena.clone(),
@@ -76,7 +74,6 @@ impl Clone for HostCache {
     /// retired buffer for its peers: a warm buffer allocates nothing.
     fn clone_from(&mut self, source: &Self) {
         self.capacity_per_category = source.capacity_per_category;
-        self.max_regions = source.max_regions;
         self.subsume_overlap = source.subsume_overlap;
         self.policy = source.policy;
         self.arena.clone_from(&source.arena);
@@ -103,7 +100,6 @@ impl HostCache {
     pub fn new(capacity_per_category: usize, policy: ReplacementPolicy) -> Self {
         Self {
             capacity_per_category,
-            max_regions: capacity_per_category,
             subsume_overlap: 1.0,
             policy,
             arena: EntryArena::new(),
@@ -120,28 +116,6 @@ impl HostCache {
     pub fn with_subsume_overlap(mut self, fraction: f64) -> Self {
         self.subsume_overlap = fraction.clamp(0.0, 1.0);
         self
-    }
-
-    /// Overrides the per-category bound on the number of cached regions
-    /// (default: the POI capacity).
-    pub fn with_max_regions(mut self, max_regions: usize) -> Self {
-        self.max_regions = max_regions.max(1);
-        self
-    }
-
-    /// The per-category bound on the number of cached regions.
-    pub fn max_regions(&self) -> usize {
-        self.max_regions
-    }
-
-    /// The per-category capacity in POIs.
-    pub fn capacity(&self) -> usize {
-        self.capacity_per_category
-    }
-
-    /// The configured replacement policy.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
     }
 
     fn list(&self, category: PoiCategory) -> Option<&[EntryId]> {
@@ -205,80 +179,23 @@ impl HostCache {
         self.entries(category).map(|v| (v.vr, v.poi_ids))
     }
 
-    /// Resolving view over this cache: borrows the canonical table so
-    /// accessors can return owned POIs again.
-    pub fn with_table<'a>(&'a self, table: &'a PoiTable) -> crate::HostCacheRef<'a> {
-        crate::HostCacheRef::new(self, table)
-    }
-
-    /// Inserts a verified entry for `category`, evicting per policy until
-    /// the capacity holds. An entry larger than the whole capacity is
-    /// shrunk around the host position first.
+    /// Inserts a verified region for `category`, given as `(vr, POI
+    /// handles)` and checked against the canonical `table`, evicting per
+    /// policy until the capacity holds. A region carrying more POIs than
+    /// the whole capacity is shrunk around the host position first.
     ///
-    /// Entries whose region is contained in the new entry's region are
-    /// dropped (subsumed: their POIs are a subset by the completeness
+    /// Entries whose region is contained in the new region are dropped
+    /// (subsumed: their POIs are a subset by the completeness
     /// invariant).
     ///
-    /// An entry that violates the containment invariant — a malformed
-    /// region, or POIs outside the claimed rectangle — is rejected: a
-    /// cache holding it would certify wrong answers and poison every peer
-    /// it shares with. The outcome reports which path was taken.
-    pub fn insert(
-        &mut self,
-        category: PoiCategory,
-        entry: RegionEntry,
-        ctx: &CacheContext,
-    ) -> InsertOutcome {
-        self.insert_rec(category, entry, ctx, &mut NoopRecorder)
-    }
-
-    /// [`Self::insert`], tracing a refused admission into `rec` with its
-    /// [`CacheRejectReason`]. Successful stores emit nothing here — the
-    /// query layer already traced the data's origin.
-    ///
-    /// The entry's POIs are interned down to [`PoiId`] handles on store;
-    /// the consistency check and capacity shrink run on the carried
-    /// positions first, exactly as before the handle refactor.
-    pub fn insert_rec(
-        &mut self,
-        category: PoiCategory,
-        entry: RegionEntry,
-        ctx: &CacheContext,
-        rec: &mut dyn Recorder,
-    ) -> InsertOutcome {
-        if !entry.is_consistent() {
-            rec.record(TraceEvent::CacheRejected {
-                reason: CacheRejectReason::Inconsistent,
-            });
-            return InsertOutcome::RejectedInconsistent;
-        }
-        if self.capacity_per_category == 0 {
-            rec.record(TraceEvent::CacheRejected {
-                reason: CacheRejectReason::NoCapacity,
-            });
-            return InsertOutcome::RejectedNoCapacity;
-        }
-        let entry = entry.shrink_to_fit(ctx.pos, self.capacity_per_category);
-        let ci = self.cat_index(category);
-        self.make_room(ci, &entry.vr, entry.len(), ctx);
-        let eid = self.arena.insert(
-            entry.vr,
-            entry.created_at,
-            entry.last_used,
-            entry.pois.iter().map(Poi::handle),
-        );
-        self.cats[ci].1.push(eid);
-        InsertOutcome::Stored
-    }
-
-    /// Handle-native insert: stores a verified region given directly as
-    /// `(vr, poi handles)`, validating and (if oversized) shrinking
-    /// against the canonical `table` instead of carried positions.
+    /// A region that violates the containment invariant — malformed, or
+    /// claiming a POI the table does not know or places outside it — is
+    /// rejected: a cache holding it would certify wrong answers and
+    /// poison every peer it shares with. The outcome reports which path
+    /// was taken.
     ///
     /// Allocation-free once the cache is warm — this is the path the
-    /// zero-steady-state-allocation guarantee is measured on. Behavior
-    /// matches [`Self::insert_rec`] fed the resolved entry: the two paths
-    /// run the same subsume/evict/shrink arithmetic.
+    /// zero-steady-state-allocation guarantee is measured on.
     pub fn insert_ids(
         &mut self,
         table: &PoiTable,
@@ -291,7 +208,9 @@ impl HostCache {
         self.insert_ids_rec(table, category, vr, ids, now, ctx, &mut NoopRecorder)
     }
 
-    /// [`Self::insert_ids`], tracing refused admissions into `rec`.
+    /// [`Self::insert_ids`], tracing a refused admission into `rec` with
+    /// its [`CacheRejectReason`]. Successful stores emit nothing here —
+    /// the query layer already traced the data's origin.
     #[allow(clippy::too_many_arguments)]
     pub fn insert_ids_rec(
         &mut self,
@@ -303,16 +222,13 @@ impl HostCache {
         ctx: &CacheContext,
         rec: &mut dyn Recorder,
     ) -> InsertOutcome {
-        let well_formed = vr.x1.is_finite()
-            && vr.y1.is_finite()
-            && vr.x2.is_finite()
-            && vr.y2.is_finite()
-            && vr.x1 <= vr.x2
-            && vr.y1 <= vr.y2;
-        let contained = ids
-            .iter()
-            .all(|&id| table.get(id).is_some_and(|p| vr.contains(p.pos)));
-        if !well_formed || !contained {
+        let offered = EntryView {
+            vr,
+            created_at: now,
+            last_used: now,
+            poi_ids: ids,
+        };
+        if !offered.is_consistent(table) {
             rec.record(TraceEvent::CacheRejected {
                 reason: CacheRejectReason::Inconsistent,
             });
@@ -324,36 +240,14 @@ impl HostCache {
             });
             return InsertOutcome::RejectedNoCapacity;
         }
-        // Shrink around the host if oversized — same binary search as
-        // `RegionEntry::shrink_to_fit`, counting through the table.
+        let count_in = |r: &Rect| {
+            ids.iter()
+                .filter(|&&id| table.get(id).is_some_and(|p| r.contains(p.pos)))
+                .count()
+        };
         let (vr, len) = if ids.len() > self.capacity_per_category {
-            let anchor = vr.clamp_point(ctx.pos);
-            let scaled = |s: f64| {
-                Rect::from_coords(
-                    anchor.x + (vr.x1 - anchor.x) * s,
-                    anchor.y + (vr.y1 - anchor.y) * s,
-                    anchor.x + (vr.x2 - anchor.x) * s,
-                    anchor.y + (vr.y2 - anchor.y) * s,
-                )
-            };
-            let count_in = |r: &Rect| {
-                ids.iter()
-                    .filter(|&&id| table.get(id).is_some_and(|p| r.contains(p.pos)))
-                    .count()
-            };
-            let mut lo = 0.0_f64;
-            let mut hi = 1.0_f64;
-            for _ in 0..40 {
-                let mid = 0.5 * (lo + hi);
-                if count_in(&scaled(mid)) <= self.capacity_per_category {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            let r = scaled(lo);
-            let n = count_in(&r);
-            (r, n)
+            let r = shrink_around(vr, ctx.pos, |r| count_in(r) <= self.capacity_per_category);
+            (r, count_in(&r))
         } else {
             (vr, ids.len())
         };
@@ -394,7 +288,7 @@ impl HostCache {
         let budget = self.capacity_per_category.saturating_sub(len);
         while !list.is_empty()
             && (list.iter().map(|&e| arena.poi_len(e)).sum::<usize>() > budget
-                || list.len() + 1 > self.max_regions)
+                || list.len() + 1 > self.capacity_per_category)
         {
             let (worst, _) = list
                 .iter()
@@ -416,23 +310,18 @@ impl HostCache {
         }
     }
 
-    /// Inserts an entry *without* consistency validation, capacity
+    /// Inserts a region *without* consistency validation, capacity
     /// enforcement, or subsumption. Exists so fault-injection tests can
     /// model a buggy or byzantine peer whose cache holds an invariant-
-    /// violating entry; production code paths must use [`Self::insert`].
+    /// violating entry; production code paths must use
+    /// [`Self::insert_ids`].
     ///
-    /// Note that only the entry's *claims* (region and POI ids) are
-    /// stored: positions resolve through the canonical table, so a
-    /// byzantine entry can claim the wrong POIs for a region but cannot
-    /// forge POI coordinates.
-    pub fn insert_unchecked(&mut self, category: PoiCategory, entry: RegionEntry) {
+    /// Only *claims* (region and POI ids) are stored: positions resolve
+    /// through the canonical table, so a byzantine entry can claim the
+    /// wrong POIs for a region but cannot forge POI coordinates.
+    pub fn insert_unchecked(&mut self, category: PoiCategory, vr: Rect, ids: &[PoiId], now: f64) {
         let ci = self.cat_index(category);
-        let eid = self.arena.insert(
-            entry.vr,
-            entry.created_at,
-            entry.last_used,
-            entry.pois.iter().map(Poi::handle),
-        );
+        let eid = self.arena.insert(vr, now, now, ids.iter().copied());
         self.cats[ci].1.push(eid);
     }
 
@@ -457,12 +346,11 @@ impl HostCache {
 
     /// Marks entries intersecting `area` as used at `now` (LRU upkeep).
     pub fn touch(&mut self, category: PoiCategory, area: &Rect, now: f64) {
-        if let Some(i) = self.cats.iter().position(|(c, _)| *c == category) {
-            let (_, list) = &self.cats[i];
-            for k in 0..list.len() {
-                let eid = self.cats[i].1[k];
-                if self.arena.vr(eid).intersects(area) {
-                    self.arena.set_last_used(eid, now);
+        let arena = &mut self.arena;
+        for (_, list) in self.cats.iter().filter(|(c, _)| *c == category) {
+            for &eid in list {
+                if arena.vr(eid).intersects(area) {
+                    arena.set_last_used(eid, now);
                 }
             }
         }
@@ -475,9 +363,38 @@ impl HostCache {
     }
 }
 
+/// Shrinks `vr` toward `focus` (clamped into it first) by the largest
+/// scale in `[0, 1]` that `fits`, found by a 40-step binary search: the
+/// POI count inside the scaled region is monotone in the scale. The
+/// result is a subset of `vr`, so soundness holds once the POI set is
+/// re-filtered to it.
+fn shrink_around(vr: Rect, focus: Point, fits: impl Fn(&Rect) -> bool) -> Rect {
+    let anchor = vr.clamp_point(focus);
+    let scaled = |s: f64| {
+        Rect::from_coords(
+            anchor.x + (vr.x1 - anchor.x) * s,
+            anchor.y + (vr.y1 - anchor.y) * s,
+            anchor.x + (vr.x2 - anchor.x) * s,
+            anchor.y + (vr.y2 - anchor.y) * s,
+        )
+    };
+    let mut lo = 0.0_f64;
+    let mut hi = 1.0_f64;
+    for _ in 0..40 {
+        let mid = 0.5 * (lo + hi);
+        if fits(&scaled(mid)) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    scaled(lo)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use airshare_broadcast::Poi;
 
     const CAT: PoiCategory = PoiCategory::GAS_STATION;
 
@@ -489,15 +406,52 @@ mod tests {
         }
     }
 
-    fn entry(cx: f64, cy: f64, n: u32, id0: u32) -> RegionEntry {
+    /// A square of half-side 1 at `(cx, cy)` with `n` POIs along its
+    /// horizontal midline, ids from `id0`.
+    fn entry(cx: f64, cy: f64, n: u32, id0: u32) -> (Rect, Vec<Poi>) {
         let vr = Rect::centered_square(Point::new(cx, cy), 1.0);
-        let pois = (0..n).map(|i| {
-            Poi::new(
-                id0 + i,
-                Point::new(cx - 0.5 + i as f64 * 0.9 / n.max(1) as f64, cy),
-            )
-        });
-        RegionEntry::new(vr, pois, 0.0)
+        let pois = (0..n)
+            .map(|i| {
+                Poi::new(
+                    id0 + i,
+                    Point::new(cx - 0.5 + i as f64 * 0.9 / n.max(1) as f64, cy),
+                )
+            })
+            .collect();
+        (vr, pois)
+    }
+
+    /// Offers a region through the one admission path, checked against a
+    /// table of exactly its POIs, at `ctx.now`.
+    fn offer(
+        c: &mut HostCache,
+        category: PoiCategory,
+        (vr, pois): (Rect, Vec<Poi>),
+        ctx: &CacheContext,
+    ) -> InsertOutcome {
+        let table = PoiTable::from_pois(pois.iter().copied());
+        let ids: Vec<PoiId> = pois.iter().map(Poi::handle).collect();
+        c.insert_ids(&table, category, vr, &ids, ctx.now, ctx)
+    }
+
+    /// The single region a `capacity`-POI cache keeps of `(vr, pois)`
+    /// offered from `focus`, with its POI handles.
+    fn stored_after_offer(
+        capacity: usize,
+        vr: Rect,
+        pois: &[Poi],
+        focus: Point,
+    ) -> (Rect, Vec<PoiId>) {
+        let mut c = HostCache::new(capacity, ReplacementPolicy::default());
+        let mut at = ctx(focus.x, focus.y);
+        at.heading = None;
+        assert_eq!(
+            offer(&mut c, CAT, (vr, pois.to_vec()), &at),
+            InsertOutcome::Stored
+        );
+        assert_eq!(c.region_count(CAT), 1);
+        let (r, ids) = c.share_regions(CAT).next().unwrap();
+        (r, ids.to_vec())
     }
 
     fn covers(c: &HostCache, x: f64, y: f64) -> bool {
@@ -507,8 +461,8 @@ mod tests {
     #[test]
     fn insert_within_capacity_keeps_everything() {
         let mut c = HostCache::new(10, ReplacementPolicy::default());
-        c.insert(CAT, entry(0.0, 0.0, 4, 0), &ctx(0.0, 0.0));
-        c.insert(CAT, entry(5.0, 0.0, 4, 10), &ctx(0.0, 0.0));
+        offer(&mut c, CAT, entry(0.0, 0.0, 4, 0), &ctx(0.0, 0.0));
+        offer(&mut c, CAT, entry(5.0, 0.0, 4, 10), &ctx(0.0, 0.0));
         assert_eq!(c.poi_count(CAT), 8);
         assert_eq!(c.region_count(CAT), 2);
     }
@@ -516,8 +470,8 @@ mod tests {
     #[test]
     fn eviction_respects_capacity() {
         let mut c = HostCache::new(6, ReplacementPolicy::DistanceOnly);
-        c.insert(CAT, entry(0.0, 0.0, 4, 0), &ctx(0.0, 0.0));
-        c.insert(CAT, entry(10.0, 0.0, 4, 10), &ctx(0.0, 0.0));
+        offer(&mut c, CAT, entry(0.0, 0.0, 4, 0), &ctx(0.0, 0.0));
+        offer(&mut c, CAT, entry(10.0, 0.0, 4, 10), &ctx(0.0, 0.0));
         assert!(c.poi_count(CAT) <= 6);
         // The far region was evicted? No: the far region was just
         // inserted (protected); the near one got evicted instead.
@@ -529,10 +483,10 @@ mod tests {
     fn direction_policy_evicts_region_behind() {
         let mut c = HostCache::new(8, ReplacementPolicy::DirectionDistance);
         // Host at origin heading east.
-        c.insert(CAT, entry(5.0, 0.0, 4, 0), &ctx(0.0, 0.0)); // ahead
-        c.insert(CAT, entry(-5.0, 0.0, 4, 10), &ctx(0.0, 0.0)); // behind
-        // Third insert forces eviction of one old entry.
-        c.insert(CAT, entry(0.0, 3.0, 4, 20), &ctx(0.0, 0.0));
+        offer(&mut c, CAT, entry(5.0, 0.0, 4, 0), &ctx(0.0, 0.0)); // ahead
+        offer(&mut c, CAT, entry(-5.0, 0.0, 4, 10), &ctx(0.0, 0.0)); // behind
+                                                                     // Third insert forces eviction of one old entry.
+        offer(&mut c, CAT, entry(0.0, 3.0, 4, 20), &ctx(0.0, 0.0));
         assert!(c.poi_count(CAT) <= 8);
         assert!(covers(&c, 5.0, 0.0) && !covers(&c, -5.0, 0.0));
     }
@@ -540,7 +494,7 @@ mod tests {
     #[test]
     fn oversized_entry_is_shrunk_not_rejected() {
         let mut c = HostCache::new(5, ReplacementPolicy::default());
-        c.insert(CAT, entry(0.0, 0.0, 20, 0), &ctx(0.0, 0.0));
+        offer(&mut c, CAT, entry(0.0, 0.0, 20, 0), &ctx(0.0, 0.0));
         assert!(c.poi_count(CAT) <= 5);
         assert_eq!(c.region_count(CAT), 1);
         // The shrunk region still covers the host's position (clamped).
@@ -548,20 +502,79 @@ mod tests {
     }
 
     #[test]
+    fn shrink_keeps_nearest_and_stays_inside() {
+        let vr = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
+        let pois: Vec<Poi> = (0..100)
+            .map(|i| Poi::new(i, Point::new((i % 10) as f64 + 0.5, (i / 10) as f64 + 0.5)))
+            .collect();
+        let focus = Point::new(5.0, 5.0);
+        let (shrunk, ids) = stored_after_offer(10, vr, &pois, focus);
+        assert!(ids.len() <= 10);
+        assert!(vr.contains_rect(&shrunk), "shrunk region escaped");
+        assert!(shrunk.contains(focus));
+        // The stored POIs are exactly the offered ones inside the shrunk
+        // region, in offered order.
+        let inside: Vec<PoiId> = (pois.iter())
+            .filter(|p| shrunk.contains(p.pos))
+            .map(Poi::handle)
+            .collect();
+        assert_eq!(ids, inside);
+    }
+
+    #[test]
+    fn shrink_noop_when_fitting() {
+        let vr = Rect::from_coords(0.0, 0.0, 4.0, 4.0);
+        let poi = Poi::new(0, Point::new(1.0, 1.0));
+        let (kept, ids) = stored_after_offer(5, vr, &[poi], Point::new(2.0, 2.0));
+        assert_eq!(kept, vr);
+        assert_eq!(ids, [poi.handle()]);
+    }
+
+    #[test]
+    fn shrink_with_focus_outside_region_clamps() {
+        let vr = Rect::from_coords(0.0, 0.0, 10.0, 1.0);
+        let pois: Vec<Poi> = (0..20)
+            .map(|i| Poi::new(i, Point::new(i as f64 * 0.5 + 0.1, 0.5)))
+            .collect();
+        let (kept, ids) = stored_after_offer(4, vr, &pois, Point::new(50.0, 0.5));
+        assert!(ids.len() <= 4);
+        assert!(vr.contains_rect(&kept));
+        // The kept POIs are the ones nearest the clamped anchor (right edge).
+        assert!(ids.iter().all(|id| pois[id.index()].pos.x > 7.0), "{ids:?}");
+    }
+
+    #[test]
+    fn empty_region_is_stored() {
+        // Knowing an area holds no POI is useful knowledge.
+        let vr = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
+        let mut c = HostCache::new(4, ReplacementPolicy::default());
+        let mut at = ctx(0.5, 0.5);
+        at.now = 3.0;
+        assert_eq!(
+            offer(&mut c, CAT, (vr, Vec::new()), &at),
+            InsertOutcome::Stored
+        );
+        let e = c.entries(CAT).next().unwrap();
+        assert!(e.is_empty());
+        assert_eq!((e.vr, e.created_at, e.last_used), (vr, 3.0, 3.0));
+    }
+
+    #[test]
     fn subsumed_regions_are_dropped() {
         let mut c = HostCache::new(20, ReplacementPolicy::default());
-        let small = RegionEntry::new(
+        let small = (
             Rect::from_coords(0.0, 0.0, 1.0, 1.0),
-            [Poi::new(0, Point::new(0.5, 0.5))],
-            0.0,
+            vec![Poi::new(0, Point::new(0.5, 0.5))],
         );
-        let big = RegionEntry::new(
+        let big = (
             Rect::from_coords(-1.0, -1.0, 2.0, 2.0),
-            [Poi::new(0, Point::new(0.5, 0.5)), Poi::new(1, Point::new(1.5, 1.5))],
-            1.0,
+            vec![
+                Poi::new(0, Point::new(0.5, 0.5)),
+                Poi::new(1, Point::new(1.5, 1.5)),
+            ],
         );
-        c.insert(CAT, small, &ctx(0.0, 0.0));
-        c.insert(CAT, big, &ctx(0.0, 0.0));
+        offer(&mut c, CAT, small, &ctx(0.0, 0.0));
+        offer(&mut c, CAT, big, &ctx(0.0, 0.0));
         assert_eq!(c.region_count(CAT), 1);
         assert_eq!(c.poi_count(CAT), 2);
     }
@@ -569,8 +582,18 @@ mod tests {
     #[test]
     fn categories_are_isolated() {
         let mut c = HostCache::new(4, ReplacementPolicy::default());
-        c.insert(PoiCategory(0), entry(0.0, 0.0, 4, 0), &ctx(0.0, 0.0));
-        c.insert(PoiCategory(1), entry(5.0, 5.0, 4, 10), &ctx(0.0, 0.0));
+        offer(
+            &mut c,
+            PoiCategory(0),
+            entry(0.0, 0.0, 4, 0),
+            &ctx(0.0, 0.0),
+        );
+        offer(
+            &mut c,
+            PoiCategory(1),
+            entry(5.0, 5.0, 4, 10),
+            &ctx(0.0, 0.0),
+        );
         assert_eq!(c.poi_count(PoiCategory(0)), 4);
         assert_eq!(c.poi_count(PoiCategory(1)), 4);
     }
@@ -578,7 +601,7 @@ mod tests {
     #[test]
     fn zero_capacity_caches_nothing() {
         let mut c = HostCache::new(0, ReplacementPolicy::default());
-        let out = c.insert(CAT, entry(0.0, 0.0, 3, 0), &ctx(0.0, 0.0));
+        let out = offer(&mut c, CAT, entry(0.0, 0.0, 3, 0), &ctx(0.0, 0.0));
         assert_eq!(out, InsertOutcome::RejectedNoCapacity);
         assert_eq!(c.poi_count(CAT), 0);
         assert_eq!(c.share_regions(CAT).count(), 0);
@@ -586,41 +609,29 @@ mod tests {
 
     #[test]
     fn inconsistent_entries_are_rejected() {
+        let table = PoiTable::from_pois([
+            Poi::new(0, Point::new(5.0, 5.0)),
+            Poi::new(1, Point::new(0.5, 0.5)),
+        ]);
+        let unit = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
         let mut c = HostCache::new(10, ReplacementPolicy::default());
-        // POI outside the claimed region: only constructible by hand.
-        let bad = RegionEntry {
-            vr: Rect::from_coords(0.0, 0.0, 1.0, 1.0),
-            pois: vec![Poi::new(0, Point::new(5.0, 5.0))],
-            created_at: 0.0,
-            last_used: 0.0,
-        };
-        assert!(!bad.is_consistent());
-        let out = c.insert(CAT, bad.clone(), &ctx(0.0, 0.0));
-        assert_eq!(out, InsertOutcome::RejectedInconsistent);
-        assert_eq!(c.region_count(CAT), 0);
-
+        let mut offer_ids =
+            |vr: Rect, ids: &[PoiId]| c.insert_ids(&table, CAT, vr, ids, 0.0, &ctx(0.0, 0.0));
+        // A POI the table places outside the claimed region, and a
+        // handle the table never interned.
+        for ids in [[PoiId(0)], [PoiId(7)]] {
+            assert_eq!(offer_ids(unit, &ids), InsertOutcome::RejectedInconsistent);
+        }
         // Malformed (NaN) region: same fate.
-        let nan = RegionEntry {
-            vr: Rect {
-                x1: f64::NAN,
-                y1: 0.0,
-                x2: 1.0,
-                y2: 1.0,
-            },
-            pois: vec![],
-            created_at: 0.0,
-            last_used: 0.0,
+        let nan = Rect {
+            x1: f64::NAN,
+            y1: 0.0,
+            x2: 1.0,
+            y2: 1.0,
         };
-        assert_eq!(
-            c.insert(CAT, nan, &ctx(0.0, 0.0)),
-            InsertOutcome::RejectedInconsistent
-        );
-
-        // A proper entry still stores fine.
-        assert_eq!(
-            c.insert(CAT, entry(0.0, 0.0, 2, 0), &ctx(0.0, 0.0)),
-            InsertOutcome::Stored
-        );
+        assert_eq!(offer_ids(nan, &[]), InsertOutcome::RejectedInconsistent);
+        // A proper region still stores fine.
+        assert_eq!(offer_ids(unit, &[PoiId(1)]), InsertOutcome::Stored);
         assert_eq!(c.region_count(CAT), 1);
     }
 
@@ -628,22 +639,14 @@ mod tests {
     fn purge_sweeps_injected_inconsistency() {
         let good = entry(0.0, 0.0, 2, 0);
         let table = PoiTable::from_pois(
-            good.pois
+            good.1
                 .iter()
                 .copied()
                 .chain([Poi::new(9, Point::new(9.0, 9.0))]),
         );
         let mut c = HostCache::new(10, ReplacementPolicy::default());
-        c.insert(CAT, good, &ctx(0.0, 0.0));
-        c.insert_unchecked(
-            CAT,
-            RegionEntry {
-                vr: Rect::from_coords(0.0, 0.0, 1.0, 1.0),
-                pois: vec![Poi::new(9, Point::new(9.0, 9.0))],
-                created_at: 0.0,
-                last_used: 0.0,
-            },
-        );
+        offer(&mut c, CAT, good, &ctx(0.0, 0.0));
+        c.insert_unchecked(CAT, Rect::from_coords(0.0, 0.0, 1.0, 1.0), &[PoiId(9)], 0.0);
         assert_eq!(c.region_count(CAT), 2);
         assert_eq!(c.purge_inconsistent(&table), 1);
         assert_eq!(c.region_count(CAT), 1);
@@ -652,38 +655,49 @@ mod tests {
 
     #[test]
     fn snapshot_matches_contents() {
-        let e = entry(2.0, 2.0, 3, 0);
-        let table = PoiTable::from_pois(e.pois.iter().copied());
+        let (vr, pois) = entry(2.0, 2.0, 3, 0);
+        let table = PoiTable::from_pois(pois.iter().copied());
         let mut c = HostCache::new(10, ReplacementPolicy::default());
-        c.insert(CAT, e, &ctx(2.0, 2.0));
-        let snap = c.with_table(&table).share_snapshot(CAT);
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].1.len(), 3);
-        for p in &snap[0].1 {
-            assert!(snap[0].0.contains(p.pos));
+        offer(&mut c, CAT, (vr, pois), &ctx(2.0, 2.0));
+        let shared: Vec<(Rect, &[PoiId])> = c.share_regions(CAT).collect();
+        assert_eq!(shared.len(), 1);
+        assert_eq!(shared[0].0, vr);
+        assert_eq!(shared[0].1.len(), 3);
+        for &id in shared[0].1 {
+            assert!(shared[0].0.contains(table.get(id).expect("interned").pos));
         }
-        // The handle-level share carries the same membership.
-        let (vr, ids) = c.share_regions(CAT).next().unwrap();
-        assert_eq!(vr, snap[0].0);
-        assert_eq!(ids.len(), 3);
+        // The entry view carries the same membership.
+        assert_eq!(c.entries(CAT).next().unwrap().poi_ids, shared[0].1);
     }
 
     #[test]
-    fn lru_touch_protects_hot_entries() {
-        let mut c = HostCache::new(8, ReplacementPolicy::Lru);
-        c.insert(CAT, entry(0.0, 0.0, 4, 0), &ctx(0.0, 0.0));
-        c.insert(CAT, entry(10.0, 10.0, 4, 10), &ctx(0.0, 0.0));
-        // Touch the first region, then overflow: second should go.
-        let hot = Rect::centered_square(Point::new(0.0, 0.0), 0.5);
-        c.touch(CAT, &hot, 5.0);
-        let mut ctx2 = ctx(0.0, 0.0);
-        ctx2.now = 6.0;
-        c.insert(CAT, entry(20.0, 20.0, 4, 20), &ctx2);
-        assert!(covers(&c, 0.0, 0.0), "recently touched entry evicted under LRU");
+    fn shared_handles_resolve_to_what_was_stored() {
+        let pois = [
+            Poi::new(0, Point::new(0.25, 0.25)),
+            Poi::new(1, Point::new(0.75, 0.75)),
+        ];
+        let table = PoiTable::from_pois(pois);
+        let mut c = HostCache::new(10, ReplacementPolicy::default());
+        let mut at = ctx(0.5, 0.5);
+        at.heading = None;
+        let vr = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
+        offer(&mut c, CAT, (vr, pois.to_vec()), &at);
+        assert_eq!(c.region_count(CAT), 1);
+        assert_eq!(c.poi_count(CAT), 2);
+        // Resolving the shared handles through the table recovers
+        // exactly the offered POIs, in order.
+        let (shared_vr, ids) = c.share_regions(CAT).next().unwrap();
+        assert_eq!(shared_vr, vr);
+        let resolved: Vec<Poi> = (ids.iter())
+            .map(|&id| *table.get(id).expect("interned"))
+            .collect();
+        assert_eq!(resolved, pois.to_vec());
     }
 
     #[test]
     fn insert_ids_matches_insert_on_same_data() {
+        // On consistent data that fits, the checked admission stores
+        // exactly what the unchecked insert stores.
         let pois: Vec<Poi> = (0..12)
             .map(|i| Poi::new(i, Point::new(i as f64 * 0.1, 0.5)))
             .collect();
@@ -691,10 +705,11 @@ mod tests {
         let ids: Vec<PoiId> = pois.iter().map(Poi::handle).collect();
         let vr = Rect::from_coords(0.0, 0.0, 1.2, 1.0);
 
-        let mut a = HostCache::new(5, ReplacementPolicy::default());
-        a.insert(CAT, RegionEntry::new(vr, pois.iter().copied(), 3.0), &ctx(0.6, 0.5));
-        let mut b = HostCache::new(5, ReplacementPolicy::default());
-        b.insert_ids(&table, CAT, vr, &ids, 3.0, &ctx(0.6, 0.5));
+        let mut a = HostCache::new(12, ReplacementPolicy::default());
+        a.insert_unchecked(CAT, vr, &ids, 3.0);
+        let mut b = HostCache::new(12, ReplacementPolicy::default());
+        let out = b.insert_ids(&table, CAT, vr, &ids, 3.0, &ctx(0.6, 0.5));
+        assert_eq!(out, InsertOutcome::Stored);
 
         assert_eq!(a.region_count(CAT), b.region_count(CAT));
         let va = a.entries(CAT).next().unwrap();
@@ -702,5 +717,23 @@ mod tests {
         assert_eq!(va.vr, vb.vr);
         assert_eq!(va.poi_ids, vb.poi_ids);
         assert_eq!(va.created_at, vb.created_at);
+        assert_eq!(va.last_used, vb.last_used);
+    }
+
+    #[test]
+    fn lru_touch_protects_hot_entries() {
+        let mut c = HostCache::new(8, ReplacementPolicy::Lru);
+        offer(&mut c, CAT, entry(0.0, 0.0, 4, 0), &ctx(0.0, 0.0));
+        offer(&mut c, CAT, entry(10.0, 10.0, 4, 10), &ctx(0.0, 0.0));
+        // Touch the first region, then overflow: second should go.
+        let hot = Rect::centered_square(Point::new(0.0, 0.0), 0.5);
+        c.touch(CAT, &hot, 5.0);
+        let mut ctx2 = ctx(0.0, 0.0);
+        ctx2.now = 6.0;
+        offer(&mut c, CAT, entry(20.0, 20.0, 4, 20), &ctx2);
+        assert!(
+            covers(&c, 0.0, 0.0),
+            "recently touched entry evicted under LRU"
+        );
     }
 }

@@ -8,12 +8,16 @@
 //! POIs, SBNN would certify wrong answers. This crate therefore treats
 //! the *(region, POI-set)* pair as the atomic cache entry:
 //!
-//! * [`RegionEntry`] — one verified region and exactly the POIs inside it.
 //! * [`HostCache`] — per-category storage under a POI-count capacity
 //!   (`CSize` of Table 4), with whole-entry eviction so soundness can
-//!   never be violated by partial eviction. Oversized incoming entries
-//!   are *shrunk around the host* (region scaled down until its POI count
-//!   fits), preserving the invariant.
+//!   never be violated by partial eviction. A region enters one way,
+//!   [`HostCache::insert_ids`]: a rectangle plus the `PoiId` handles of
+//!   exactly the POIs inside it, checked against the canonical
+//!   `PoiTable`. Oversized incoming regions are *shrunk around the
+//!   host* (scaled down until their POI count fits), preserving the
+//!   invariant.
+//! * [`EntryArena`] — the flat storage behind it: one verified region
+//!   per generational [`EntryId`], read back as an [`EntryView`].
 //! * [`ReplacementPolicy`] — the paper's direction + distance policy
 //!   (after Ren & Dunham's semantic caching), plus distance-only and LRU
 //!   baselines for the ablation benchmarks.
@@ -25,15 +29,11 @@
 #![warn(missing_docs)]
 
 mod arena;
-mod entry;
 mod host_cache;
 mod policy;
 mod quarantine;
-mod view;
 
 pub use arena::{EntryArena, EntryId, EntryView};
-pub use entry::RegionEntry;
 pub use host_cache::{CacheContext, HostCache, InsertOutcome};
 pub use policy::ReplacementPolicy;
 pub use quarantine::{QuarantineConfig, QuarantineLedger};
-pub use view::HostCacheRef;

@@ -1,7 +1,6 @@
 //! Cache replacement policies.
 
-use crate::RegionEntry;
-use airshare_geom::Point;
+use airshare_geom::{Point, Rect};
 
 /// Which entry to evict when the cache is over capacity.
 ///
@@ -26,27 +25,15 @@ pub enum ReplacementPolicy {
 }
 
 impl ReplacementPolicy {
-    /// Eviction score for one entry — higher means evict sooner.
+    /// Eviction score for one entry — higher means evict sooner — from
+    /// the two columns a decision reads: the entry's region `vr` and its
+    /// last-used time.
     ///
     /// `pos` is the host's current position, `heading` its unit heading
     /// (None while paused), `now` the current time.
-    pub fn score(
-        &self,
-        entry: &RegionEntry,
-        pos: Point,
-        heading: Option<(f64, f64)>,
-        now: f64,
-    ) -> f64 {
-        self.score_parts(&entry.vr, entry.last_used, pos, heading, now)
-    }
-
-    /// [`Self::score`] on the two columns a decision actually reads —
-    /// the entry's region and last-used time — so arena-backed storage
-    /// can score without materializing a [`RegionEntry`]. Same float
-    /// arithmetic as `score`, bit for bit.
     pub fn score_parts(
         &self,
-        vr: &airshare_geom::Rect,
+        vr: &Rect,
         last_used: f64,
         pos: Point,
         heading: Option<(f64, f64)>,
@@ -82,14 +69,10 @@ impl ReplacementPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use airshare_broadcast::Poi;
-    use airshare_geom::Rect;
 
-    fn entry_at(x: f64, y: f64, last_used: f64) -> RegionEntry {
-        let vr = Rect::centered_square(Point::new(x, y), 0.5);
-        let mut e = RegionEntry::new(vr, [Poi::new(0, Point::new(x, y))], 0.0);
-        e.last_used = last_used;
-        e
+    /// A region of half-side 0.5 around `(x, y)`.
+    fn at(x: f64, y: f64) -> Rect {
+        Rect::centered_square(Point::new(x, y), 0.5)
     }
 
     #[test]
@@ -97,10 +80,8 @@ mod tests {
         let policy = ReplacementPolicy::DirectionDistance;
         let pos = Point::ORIGIN;
         let heading = Some((1.0, 0.0)); // moving east
-        let ahead = entry_at(5.0, 0.0, 0.0);
-        let behind = entry_at(-5.0, 0.0, 0.0);
-        let s_ahead = policy.score(&ahead, pos, heading, 0.0);
-        let s_behind = policy.score(&behind, pos, heading, 0.0);
+        let s_ahead = policy.score_parts(&at(5.0, 0.0), 0.0, pos, heading, 0.0);
+        let s_behind = policy.score_parts(&at(-5.0, 0.0), 0.0, pos, heading, 0.0);
         assert!(
             s_ahead < s_behind,
             "ahead {s_ahead} should score lower (keep) than behind {s_behind}"
@@ -110,28 +91,27 @@ mod tests {
     #[test]
     fn direction_falls_back_to_distance_when_paused() {
         let policy = ReplacementPolicy::DirectionDistance;
-        let near = entry_at(1.0, 0.0, 0.0);
-        let far = entry_at(9.0, 0.0, 0.0);
-        let s_near = policy.score(&near, Point::ORIGIN, None, 0.0);
-        let s_far = policy.score(&far, Point::ORIGIN, None, 0.0);
+        let s_near = policy.score_parts(&at(1.0, 0.0), 0.0, Point::ORIGIN, None, 0.0);
+        let s_far = policy.score_parts(&at(9.0, 0.0), 0.0, Point::ORIGIN, None, 0.0);
         assert!(s_near < s_far);
     }
 
     #[test]
     fn lru_scores_by_staleness() {
         let policy = ReplacementPolicy::Lru;
-        let old = entry_at(0.0, 0.0, 1.0);
-        let fresh = entry_at(0.0, 0.0, 9.0);
-        assert!(
-            policy.score(&old, Point::ORIGIN, None, 10.0)
-                > policy.score(&fresh, Point::ORIGIN, None, 10.0)
-        );
+        let region = at(0.0, 0.0);
+        let old = policy.score_parts(&region, 1.0, Point::ORIGIN, None, 10.0);
+        let fresh = policy.score_parts(&region, 9.0, Point::ORIGIN, None, 10.0);
+        assert!(old > fresh);
     }
 
     #[test]
     fn containing_region_scores_minimal_distance() {
         let policy = ReplacementPolicy::DistanceOnly;
-        let e = entry_at(0.0, 0.0, 0.0);
-        assert_eq!(policy.score(&e, Point::new(0.1, 0.1), None, 0.0), 0.0);
+        let region = at(0.0, 0.0);
+        assert_eq!(
+            policy.score_parts(&region, 0.0, Point::new(0.1, 0.1), None, 0.0),
+            0.0
+        );
     }
 }

@@ -4,49 +4,104 @@
 //! (generational handles, shared POI pool, amortized in-place
 //! compaction) and POI payloads into the canonical [`PoiTable`]. These
 //! properties pin that the move is *invisible*: a reference
-//! implementation of the pre-refactor cache — owned `Vec<RegionEntry>`
-//! storage, the exact same shrink/subsume/evict arithmetic — is driven
-//! with the identical operation sequence, and the arena-backed
-//! [`HostCache`] must match it entry for entry (regions, timestamps,
-//! POI membership and order) at every step. A second property drives
-//! the arena itself through insert/remove/compact/clone churn against a
-//! shadow list and checks that every live handle round-trips exactly
-//! and every dead handle stays dead.
+//! implementation of the pre-refactor cache — owned `Vec<Poi>` entries,
+//! its own copy of the shrink/subsume/evict arithmetic on carried
+//! positions — is driven with the identical operation sequence, and the
+//! arena-backed [`HostCache`], fed the same regions as handles through
+//! [`HostCache::insert_ids`], must match it entry for entry (regions,
+//! timestamps, POI membership and order) at every step. A second
+//! property drives the arena itself through insert/remove/compact/clone
+//! churn against a shadow list and checks that every live handle
+//! round-trips exactly and every dead handle stays dead.
 
 use airshare_broadcast::{Poi, PoiCategory, PoiId, PoiTable};
-use airshare_cache::{
-    CacheContext, EntryArena, EntryId, HostCache, RegionEntry, ReplacementPolicy,
-};
+use airshare_cache::{CacheContext, EntryArena, EntryId, HostCache, ReplacementPolicy};
 use airshare_geom::{Point, Rect};
 use proptest::prelude::*;
 
 const CAT: PoiCategory = PoiCategory::GAS_STATION;
 
-/// The cache as it was before the arena refactor: one owned
-/// [`RegionEntry`] per region, no handles, no interning. Mirrors the
-/// production insert/touch paths operation for operation (same
-/// `shrink_to_fit`, same subsumption test, same `score_parts` eviction
-/// scan, same `swap_remove`), so any divergence is the arena's fault.
+/// One owned cache entry of the reference: a region and exactly the
+/// POIs inside it, payloads and all.
+#[derive(Clone, Debug)]
+struct OwnedEntry {
+    vr: Rect,
+    pois: Vec<Poi>,
+    created_at: f64,
+    last_used: f64,
+}
+
+impl OwnedEntry {
+    /// The containment half of the verified-region invariant, on the
+    /// carried positions.
+    fn is_consistent(&self) -> bool {
+        let r = &self.vr;
+        [r.x1, r.y1, r.x2, r.y2].iter().all(|v| v.is_finite())
+            && r.x1 <= r.x2
+            && r.y1 <= r.y2
+            && self.pois.iter().all(|p| r.contains(p.pos))
+    }
+
+    /// The entry scaled toward `focus` (clamped into the region) until
+    /// it carries at most `max_pois`, the POIs re-filtered to the
+    /// smaller region. Written apart from the production shrink, on
+    /// owned positions, so the two can disagree.
+    fn shrink_to_fit(&self, focus: Point, max_pois: usize) -> OwnedEntry {
+        if self.pois.len() <= max_pois {
+            return self.clone();
+        }
+        let a = self.vr.clamp_point(focus);
+        let scaled = |s: f64| {
+            Rect::from_coords(
+                a.x + (self.vr.x1 - a.x) * s,
+                a.y + (self.vr.y1 - a.y) * s,
+                a.x + (self.vr.x2 - a.x) * s,
+                a.y + (self.vr.y2 - a.y) * s,
+            )
+        };
+        let count = |r: Rect| self.pois.iter().filter(|p| r.contains(p.pos)).count();
+        let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
+        for _ in 0..40 {
+            let mid = 0.5 * (lo + hi);
+            if count(scaled(mid)) <= max_pois {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let vr = scaled(lo);
+        OwnedEntry {
+            vr,
+            pois: self.pois.iter().copied().filter(|p| vr.contains(p.pos)).collect(),
+            ..*self
+        }
+    }
+}
+
+/// The cache as it was before the arena refactor: one owned entry per
+/// region, no handles, no interning. Mirrors the production admission
+/// and touch paths operation for operation (same shrink search, same
+/// subsumption test, same `score_parts` eviction scan, same
+/// `swap_remove`), so any divergence is the arena's or the handle
+/// path's fault.
 struct ReferenceCache {
     capacity: usize,
-    max_regions: usize,
     subsume_overlap: f64,
     policy: ReplacementPolicy,
-    entries: Vec<RegionEntry>,
+    entries: Vec<OwnedEntry>,
 }
 
 impl ReferenceCache {
     fn new(capacity: usize, policy: ReplacementPolicy, subsume_overlap: f64) -> Self {
         Self {
             capacity,
-            max_regions: capacity,
             subsume_overlap,
             policy,
             entries: Vec::new(),
         }
     }
 
-    fn insert(&mut self, entry: RegionEntry, ctx: &CacheContext) {
+    fn insert(&mut self, entry: OwnedEntry, ctx: &CacheContext) {
         if !entry.is_consistent() || self.capacity == 0 {
             return;
         }
@@ -62,10 +117,10 @@ impl ReferenceCache {
                         .is_some_and(|i| i.area() >= threshold * e.vr.area()));
             !subsumed
         });
-        let budget = self.capacity.saturating_sub(entry.len());
+        let budget = self.capacity.saturating_sub(entry.pois.len());
         while !self.entries.is_empty()
-            && (self.entries.iter().map(RegionEntry::len).sum::<usize>() > budget
-                || self.entries.len() + 1 > self.max_regions)
+            && (self.entries.iter().map(|e| e.pois.len()).sum::<usize>() > budget
+                || self.entries.len() + 1 > self.capacity)
         {
             let (worst, _) = self
                 .entries
@@ -194,8 +249,17 @@ proptest! {
                     heading: normalize(*heading),
                     now,
                 };
-                cache.insert(CAT, RegionEntry::new(vr, pois.iter().copied(), now), &ctx);
-                reference.insert(RegionEntry::new(vr, pois.iter().copied(), now), &ctx);
+                let ids: Vec<PoiId> = pois.iter().map(Poi::handle).collect();
+                cache.insert_ids(&table, CAT, vr, &ids, now, &ctx);
+                reference.insert(
+                    OwnedEntry {
+                        vr,
+                        pois,
+                        created_at: now,
+                        last_used: now,
+                    },
+                    &ctx,
+                );
             }
 
             // Entry-for-entry equality, in storage order, after every op.
@@ -208,11 +272,8 @@ proptest! {
                 prop_assert_eq!(got.poi_ids, want_ids.as_slice());
                 // And interning round-trips: resolving the handles
                 // through the canonical table recovers the owned POIs.
-                let resolved = got.resolve(&table);
-                prop_assert_eq!(resolved.pois.len(), want.pois.len());
-                for (rp, wp) in resolved.pois.iter().zip(&want.pois) {
-                    prop_assert_eq!(rp.id, wp.id);
-                    prop_assert_eq!(rp.pos, wp.pos);
+                for (&id, wp) in got.poi_ids.iter().zip(&want.pois) {
+                    prop_assert_eq!(table.get(id), Some(wp));
                 }
             }
         }

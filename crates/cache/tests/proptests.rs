@@ -2,8 +2,8 @@
 //! invariants must survive arbitrary insertion sequences under every
 //! replacement policy.
 
-use airshare_broadcast::{Poi, PoiCategory, PoiTable};
-use airshare_cache::{CacheContext, HostCache, RegionEntry, ReplacementPolicy};
+use airshare_broadcast::{Poi, PoiCategory, PoiId, PoiTable};
+use airshare_cache::{CacheContext, HostCache, ReplacementPolicy};
 use airshare_geom::{Point, Rect};
 use proptest::prelude::*;
 
@@ -66,12 +66,15 @@ fn table_for(inserts: &[Insertion]) -> PoiTable {
     )
 }
 
-fn apply(cache: &mut HostCache, ins: &Insertion, id0: u32, now: f64) {
+fn apply(cache: &mut HostCache, table: &PoiTable, ins: &Insertion, id0: u32, now: f64) {
     let vr = Rect::centered_square(Point::new(ins.cx, ins.cy), ins.half);
-    let pois = pois_of(ins, id0);
-    cache.insert(
+    let ids: Vec<PoiId> = pois_of(ins, id0).iter().map(Poi::handle).collect();
+    cache.insert_ids(
+        table,
         CAT,
-        RegionEntry::new(vr, pois, now),
+        vr,
+        &ids,
+        now,
         &CacheContext {
             pos: Point::new(ins.host_x, ins.host_y),
             heading: ins.heading,
@@ -95,12 +98,13 @@ proptest! {
             ReplacementPolicy::Lru,
         ][policy_idx];
         let mut cache = HostCache::new(capacity, policy);
+        let table = table_for(&inserts);
         for (i, ins) in inserts.iter().enumerate() {
-            apply(&mut cache, ins, (i * 100) as u32, i as f64);
+            apply(&mut cache, &table, ins, (i * 100) as u32, i as f64);
             prop_assert!(cache.poi_count(CAT) <= capacity);
-            prop_assert!(cache.region_count(CAT) <= cache.max_regions().max(1));
+            // The region bound is the POI capacity.
+            prop_assert!(cache.region_count(CAT) <= capacity);
             // Entry-local soundness: every cached POI is inside its region.
-            let table = table_for(&inserts);
             for e in cache.entries(CAT) {
                 prop_assert!(e.is_consistent(&table));
             }
@@ -113,8 +117,9 @@ proptest! {
         capacity in 1usize..20,
     ) {
         let mut cache = HostCache::new(capacity, ReplacementPolicy::default());
+        let table = table_for(&inserts);
         for (i, ins) in inserts.iter().enumerate() {
-            apply(&mut cache, ins, (i * 100) as u32, i as f64);
+            apply(&mut cache, &table, ins, (i * 100) as u32, i as f64);
             // The just-inserted region (possibly shrunk) must be present:
             // it answered the query in flight.
             let host = Point::new(ins.host_x, ins.host_y);
@@ -136,10 +141,11 @@ proptest! {
         // the union of cached POI ids must cover everything the larger
         // region carried.
         let mut cache = HostCache::new(capacity, ReplacementPolicy::default());
-        apply(&mut cache, &a, 0, 0.0);
         let mut big = a.clone();
         big.half *= 2.0;
-        apply(&mut cache, &big, 1000, 1.0);
+        let table = PoiTable::from_pois(pois_of(&a, 0).into_iter().chain(pois_of(&big, 1000)));
+        apply(&mut cache, &table, &a, 0, 0.0);
+        apply(&mut cache, &table, &big, 1000, 1.0);
         // The small region was subsumed: only one region remains (the
         // big one), carrying its own POIs.
         prop_assert_eq!(cache.region_count(CAT), 1);
@@ -153,11 +159,15 @@ proptest! {
         capacity in 1usize..30,
     ) {
         let mut cache = HostCache::new(capacity, ReplacementPolicy::default());
-        for (i, ins) in inserts.iter().enumerate() {
-            apply(&mut cache, ins, (i * 100) as u32, i as f64);
-        }
         let table = table_for(&inserts);
-        let snap = cache.with_table(&table).share_snapshot(CAT);
+        for (i, ins) in inserts.iter().enumerate() {
+            apply(&mut cache, &table, ins, (i * 100) as u32, i as f64);
+        }
+        // What a peer receives, resolved against its own table.
+        let snap: Vec<(Rect, Vec<Poi>)> = cache
+            .share_regions(CAT)
+            .map(|(vr, ids)| (vr, ids.iter().filter_map(|&id| table.get(id).copied()).collect()))
+            .collect();
         prop_assert_eq!(snap.len(), cache.region_count(CAT));
         let snap_pois: usize = snap.iter().map(|(_, p)| p.len()).sum();
         prop_assert_eq!(snap_pois, cache.poi_count(CAT));

@@ -334,7 +334,7 @@ pub fn gather_peer_data_checked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use airshare_cache::{CacheContext, RegionEntry, ReplacementPolicy};
+    use airshare_cache::{CacheContext, ReplacementPolicy};
 
     const CAT: PoiCategory = PoiCategory::GAS_STATION;
 
@@ -349,7 +349,8 @@ mod tests {
     fn cache_with_poi(poi: Poi) -> HostCache {
         let mut c = HostCache::new(10, ReplacementPolicy::default());
         let vr = Rect::centered_square(poi.pos, 1.0);
-        c.insert(CAT, RegionEntry::new(vr, [poi], 0.0), &ctx(poi.pos));
+        let table = PoiTable::from_pois([poi]);
+        c.insert_ids(&table, CAT, vr, &[poi.handle()], 0.0, &ctx(poi.pos));
         c
     }
 
@@ -632,15 +633,7 @@ mod tests {
         let positions = vec![Point::new(0.0, 0.0), Point::new(0.1, 0.0)];
         let table = PoiTable::from_pois([Poi::new(9, Point::new(7.0, 7.0))]);
         let mut bad = HostCache::new(10, ReplacementPolicy::default());
-        bad.insert_unchecked(
-            CAT,
-            RegionEntry {
-                vr: Rect::from_coords(0.0, 0.0, 1.0, 1.0),
-                pois: vec![Poi::new(9, Point::new(7.0, 7.0))],
-                created_at: 0.0,
-                last_used: 0.0,
-            },
-        );
+        bad.insert_unchecked(CAT, Rect::from_coords(0.0, 0.0, 1.0, 1.0), &[PoiId(9)], 0.0);
         let caches = vec![HostCache::new(10, ReplacementPolicy::default()), bad];
         let grid = NeighborGrid::build(positions, 1.0);
         let world = Rect::from_coords(0.0, 0.0, 10.0, 10.0);

@@ -9,26 +9,40 @@
 use airshare_geom::{Point, Rect};
 use airshare_p2p::NeighborGrid;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::cell::Cell;
 
-/// [`System`], with every allocation counted.
+/// [`System`], with every allocation counted on the thread making it.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocations so far. Per thread, because the
+    /// harness runs tests concurrently and allocates on its own thread
+    /// whenever one finishes: a process-wide count would charge that to
+    /// whichever test was measuring.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    // `try_with`: a thread's exit may allocate after its locals are gone.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
 // the `GlobalAlloc` contract; the counter touches no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -36,20 +50,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// `ALLOCATIONS` is process-wide and the harness runs this binary's
-/// tests concurrently: one test counts at a time. (A test that failed
-/// holding the lock must not fail the other by poison.)
-static COUNTING: Mutex<()> = Mutex::new(());
-
-fn counting() -> MutexGuard<'static, ()> {
-    COUNTING
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[test]
 fn refreshes_inside_the_declared_bounds_do_not_allocate() {
-    let _one_at_a_time = counting();
     const HOSTS: usize = 20_000;
     let world = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
     let mut state = 5u64;
@@ -70,11 +72,11 @@ fn refreshes_inside_the_declared_bounds_do_not_allocate() {
     // 20,000 hosts, indexed by sorted occupied keys.
     for cell in [0.1, 0.001] {
         let mut grid = NeighborGrid::with_bounds(&world, cell, HOSTS);
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         for positions in &epochs {
             grid.refresh_active(positions, &online);
         }
-        let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let during = allocations() - before;
         assert_eq!(
             during, 0,
             "cell {cell}: {during} allocations in 4 refreshes"
@@ -88,7 +90,6 @@ fn refreshes_inside_the_declared_bounds_do_not_allocate() {
 
 #[test]
 fn warm_marked_refreshes_do_not_allocate() {
-    let _one_at_a_time = counting();
     const HOSTS: usize = 20_000;
     let world = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
     let mut state = 9u64;
@@ -112,11 +113,11 @@ fn warm_marked_refreshes_do_not_allocate() {
         let mut grid = NeighborGrid::with_bounds(&world, cell, HOSTS);
         // The first round sizes the marks; the second must reuse them.
         for round in 0..2 {
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let before = allocations();
             for (positions, centers) in &epochs {
                 grid.refresh_near(positions, &online, centers, 2);
             }
-            let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+            let during = allocations() - before;
             assert!(
                 round == 0 || during == 0,
                 "cell {cell}: {during} allocations in 4 warm marked refreshes"

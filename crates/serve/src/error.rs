@@ -33,6 +33,13 @@ pub enum ServeError {
         /// The host whose position it was.
         host: usize,
     },
+    /// A submitted query the world cannot answer: a kNN `k` of zero or
+    /// above the world's POI count, or a window with a non-finite or
+    /// inverted corner.
+    BadQuery {
+        /// The submitting host.
+        host: usize,
+    },
     /// A lockstep service requires every submission to carry a
     /// [`crate::QueryTag`]; a scaled-time service stamps its own and
     /// rejects tagged submissions.
@@ -55,6 +62,9 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::BadPosition { host } => {
                 write!(f, "host {host} reported a non-finite position")
+            }
+            ServeError::BadQuery { host } => {
+                write!(f, "host {host} submitted a query the world cannot answer")
             }
             ServeError::TagMismatch => {
                 write!(f, "submission tag does not match the service's pacing mode")

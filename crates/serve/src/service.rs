@@ -120,6 +120,8 @@ struct Shared {
     admit_per_tick: usize,
     lockstep: bool,
     capacity_hosts: usize,
+    /// The world's POI count: the largest `k` a kNN query may ask.
+    poi_count: usize,
 }
 
 impl Shared {
@@ -181,6 +183,21 @@ impl ServiceHandle {
         } else {
             Err(ServeError::BadPosition { host })
         }
+    }
+
+    /// Refuses a query the world cannot answer: admitted, it would
+    /// panic the scheduler thread or be graded an outage failure on a
+    /// live channel.
+    fn check_spec(&self, host: usize, spec: &QuerySpec) -> Result<(), ServeError> {
+        let answerable = match *spec {
+            QuerySpec::Knn { k } => (1..=self.shared.poi_count).contains(&k),
+            QuerySpec::Window { rect: r } => {
+                [r.x1, r.y1, r.x2, r.y2].iter().all(|v| v.is_finite())
+                    && r.x1 <= r.x2
+                    && r.y1 <= r.y2
+            }
+        };
+        answerable.then_some(()).ok_or(ServeError::BadQuery { host })
     }
 
     fn set_session(&self, host: usize, open: bool) {
@@ -261,7 +278,9 @@ impl ServiceHandle {
 
     /// Submits a query. On admission returns the channel the answer
     /// will arrive on; bounces with [`ServeError::QueueFull`] +
-    /// retry-after when the bounded queue is full (backpressure).
+    /// retry-after when the bounded queue is full (backpressure). A
+    /// query the world cannot answer is refused with
+    /// [`ServeError::BadQuery`].
     pub fn submit(
         &self,
         req: QueryRequest,
@@ -269,6 +288,7 @@ impl ServiceHandle {
         self.check_open()?;
         self.check_host(req.host)?;
         self.check_pos(req.host, req.pos)?;
+        self.check_spec(req.host, &req.spec)?;
         if !self.shared.sessions[req.host].load(Ordering::Relaxed) {
             return Err(ServeError::UnknownSession { host: req.host });
         }
@@ -338,6 +358,7 @@ impl Service {
             admit_per_tick: cfg.admit_per_tick.max(1),
             lockstep: matches!(cfg.pacing, Pacing::Lockstep),
             capacity_hosts: world.hosts(),
+            poi_count: world.poi_table().len(),
         });
         let sched_shared = Arc::clone(&shared);
         let worker = std::thread::spawn(move || {

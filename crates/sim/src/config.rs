@@ -44,6 +44,16 @@ pub enum ConfigError {
     /// `knn_k == 0` on a kNN workload: the channel fallback can never
     /// answer a 0-NN query.
     ZeroKnnK,
+    /// `knn_k` above `poi_number` on a kNN workload: the channel cannot
+    /// return more neighbors than the world holds, and every query would
+    /// be graded an outage failure. Carries `(knn_k, poi_number)`.
+    KnnKAbovePois(usize, usize),
+    /// `params.window_pct` is negative or non-finite on a window
+    /// workload. Carries the offending value.
+    BadWindowPct(f64),
+    /// `params.distance_mi` is non-finite on a window workload. Carries
+    /// the offending value.
+    BadWindowDistance(f64),
     /// `epoch_min` is non-positive or non-finite: the epoch-sharded
     /// engine needs a positive epoch length to group events. Carries the
     /// offending value.
@@ -89,6 +99,21 @@ impl fmt::Display for ConfigError {
                 write!(f, "{name} must be non-negative and finite")
             }
             ConfigError::ZeroKnnK => write!(f, "params.knn_k must be ≥ 1 for kNN workloads"),
+            ConfigError::KnnKAbovePois(k, pois) => {
+                write!(
+                    f,
+                    "params.knn_k ({k}) must not exceed params.poi_number ({pois})"
+                )
+            }
+            ConfigError::BadWindowPct(v) => {
+                write!(
+                    f,
+                    "params.window_pct must be non-negative and finite, got {v}"
+                )
+            }
+            ConfigError::BadWindowDistance(v) => {
+                write!(f, "params.distance_mi must be finite, got {v}")
+            }
             ConfigError::BadEpoch(v) => {
                 write!(f, "epoch_min must be positive and finite, got {v}")
             }
@@ -309,11 +334,6 @@ pub struct SimConfig {
     pub backend: BackendKind,
     /// Cache replacement policy.
     pub policy: ReplacementPolicy,
-    /// Bound on cached regions per host (`usize::MAX` = bounded only by
-    /// the cache's own default, i.e. the POI capacity). The paper bounds
-    /// caches in POIs; the region bound exists for the ablation that
-    /// studies knowledge fragmentation.
-    pub max_regions: usize,
     /// Anti-fragmentation overlap threshold (see
     /// `HostCache::with_subsume_overlap`); 1.0 disables it.
     pub subsume_overlap: f64,
@@ -352,9 +372,6 @@ pub struct SimConfig {
     /// count mismatches (slower; used by tests and the Lemma 3.2
     /// experiment).
     pub validate: bool,
-    /// Cap on recorded (predicted correctness, was-correct) samples for
-    /// approximate answers.
-    pub calibration_cap: usize,
     /// Fault injection (lossy channel, flaky peers). Inert by default.
     pub faults: FaultConfig,
     /// Host churn (crashes, restarts, late joiners). Inert by default.
@@ -382,7 +399,6 @@ impl SimConfig {
             hilbert_order: 8,
             backend: BackendKind::Hilbert,
             policy: ReplacementPolicy::DirectionDistance,
-            max_regions: usize::MAX,
             subsume_overlap: 0.75,
             vr_policy: VrPolicy::InscribedBall,
             clip_domain: false,
@@ -395,7 +411,6 @@ impl SimConfig {
             mobility: MobilityModel::RandomWaypoint,
             epoch_min: 0.25,
             validate: false,
-            calibration_cap: 100_000,
             faults: FaultConfig::default(),
             churn: ChurnConfig::default(),
             outages: Vec::new(),
@@ -456,8 +471,19 @@ impl SimConfig {
         if !(self.epoch_min.is_finite() && self.epoch_min > 0.0) {
             return Err(ConfigError::BadEpoch(self.epoch_min));
         }
-        if self.query_kind == QueryKind::Knn && self.params.knn_k == 0 {
-            return Err(ConfigError::ZeroKnnK);
+        let p = &self.params;
+        match self.query_kind {
+            QueryKind::Knn if p.knn_k == 0 => return Err(ConfigError::ZeroKnnK),
+            QueryKind::Knn if p.knn_k > p.poi_number => {
+                return Err(ConfigError::KnnKAbovePois(p.knn_k, p.poi_number))
+            }
+            QueryKind::Window if !(p.window_pct.is_finite() && p.window_pct >= 0.0) => {
+                return Err(ConfigError::BadWindowPct(p.window_pct))
+            }
+            QueryKind::Window if !p.distance_mi.is_finite() => {
+                return Err(ConfigError::BadWindowDistance(p.distance_mi))
+            }
+            _ => {}
         }
         for (name, v) in [
             ("min_correctness", self.min_correctness),
@@ -617,6 +643,51 @@ mod tests {
         // Window workloads never run kNN, so k = 0 is fine there.
         c.query_kind = QueryKind::Window;
         assert_eq!(c.check(), Ok(()));
+
+        // More neighbors than POIs used to grade every query `Failed`
+        // on a live channel; exactly as many is fine.
+        let mut c = good();
+        c.params.knn_k = c.params.poi_number + 1;
+        let pois = c.params.poi_number;
+        assert_eq!(c.check(), Err(ConfigError::KnnKAbovePois(pois + 1, pois)));
+        c.params.knn_k = pois;
+        assert_eq!(c.check(), Ok(()));
+
+        // Both used to panic in window sampling ("half >= 0.0",
+        // "malformed rect"); kNN workloads never sample a window.
+        let window = || {
+            let mut c = good();
+            c.query_kind = QueryKind::Window;
+            c
+        };
+        for bad in [-1.0, f64::INFINITY] {
+            let mut c = window();
+            c.params.window_pct = bad;
+            assert_eq!(c.check(), Err(ConfigError::BadWindowPct(bad)));
+        }
+        let mut c = window();
+        c.params.window_pct = f64::NAN;
+        assert!(matches!(c.check(), Err(ConfigError::BadWindowPct(_))));
+        c.query_kind = QueryKind::Knn;
+        assert_eq!(c.check(), Ok(()));
+        let mut c = window();
+        c.params.distance_mi = f64::INFINITY;
+        assert_eq!(
+            c.check(),
+            Err(ConfigError::BadWindowDistance(f64::INFINITY))
+        );
+        c.params.distance_mi = f64::NAN;
+        assert!(matches!(c.check(), Err(ConfigError::BadWindowDistance(_))));
+        c.params.window_pct = 0.0;
+        c.params.distance_mi = 0.0;
+        assert_eq!(c.check(), Ok(()));
+        for e in [
+            ConfigError::KnnKAbovePois(25, 20),
+            ConfigError::BadWindowPct(-1.0),
+            ConfigError::BadWindowDistance(f64::NAN),
+        ] {
+            assert!(e.to_string().starts_with("params."), "{e}");
+        }
 
         let mut c = good();
         c.faults.bucket_loss_prob = 1.5;

@@ -8,7 +8,9 @@
 //! form `begin_epoch_near`, which is handed the batch), one batch. The
 //! barrier itself (grid, cache install, by-host sharding, commit, report
 //! fold) is in `live.rs`; what stays here is `EpochCtx::process_query`, the
-//! resolution of one query against one epoch's committed world.
+//! resolution of one query against one epoch's committed world: SBNN
+//! (Algorithm 2) or SBWQ with its channel fallback, then one accounting
+//! tail shared by both query kinds.
 //!
 //! Queries are grouped by *epoch* (the neighbor-grid refresh interval).
 //! Within one epoch every host observes the same committed world: peer
@@ -31,7 +33,8 @@ use airshare_broadcast::{
 };
 use airshare_cache::{CacheContext, HostCache, QuarantineLedger};
 use airshare_core::{
-    sbnn_rec, sbwq_rec, MergedRegion, ResolvedBy, SbnnConfig, SbnnOutcome, SbwqConfig, SbwqOutcome,
+    sbnn_rec, sbwq_rec, MergedRegion, NnCandidate, ResolvedBy, SbnnConfig, SbnnOutcome, SbwqConfig,
+    SbwqOutcome,
 };
 use airshare_exec::{split_seed, ExecPool};
 use airshare_geom::{Point, Rect};
@@ -143,9 +146,8 @@ enum Resolution {
 /// so float and counter accumulation order is independent of scheduling.
 pub(crate) struct QueryOutcome {
     share: ShareStats,
-    /// The answer's quality tier (replaces the old binary degraded
-    /// flag): `Exact`, `Degraded` (lossy retrieval), `Stale` or `Failed`
-    /// (outage-served).
+    /// The answer's quality tier: `Exact`, `Degraded` (lossy retrieval),
+    /// `Stale` or `Failed` (outage-served).
     quality: AnswerQuality,
     /// Staleness bound in minutes, for `Stale` answers.
     stale_age_min: f64,
@@ -162,6 +164,50 @@ pub(crate) struct QueryOutcome {
     /// Lemma 3.2 calibration sample, for validated approximate answers.
     calibration: Option<(f64, bool)>,
     mismatch: bool,
+}
+
+/// One query's answer set as resolution found it. kNN candidates keep
+/// their distances for the oracle.
+enum Found {
+    Neighbors(Vec<NnCandidate>),
+    Pois(Vec<Poi>),
+}
+
+/// What one [`QuerySpec`] arm of `process_query` resolved: all its
+/// shared tail accounts for.
+struct Resolved {
+    found: Found,
+    quality: AnswerQuality,
+    resolution: Resolution,
+    air: Option<AccessStats>,
+    /// MVR coverage, for window queries that needed the channel.
+    window_coverage: Option<f64>,
+    /// An approximate kNN answer's least predicted correctness among its
+    /// unverified neighbors: the Lemma 3.2 calibration input.
+    min_correctness: Option<f64>,
+}
+
+/// The chaos oracle's kNN check over `(answer, truth)` distances, rank
+/// by rank ascending. An `Exact` answer equals the truth within 1e-9.
+/// Any other grade can only have *missed* POIs (lost buckets, or peer
+/// knowledge alone), so no distance of it may beat the true one.
+fn knn_holds(exact: bool, mut ranks: impl Iterator<Item = (f64, f64)>) -> bool {
+    if exact {
+        ranks.all(|(a, b)| (a - b).abs() < 1e-9)
+    } else {
+        !ranks.any(|(a, b)| a + 1e-9 < b)
+    }
+}
+
+/// The chaos oracle's window check, on sorted ids. An `Exact` answer
+/// equals the truth; any other grade can only have dropped POIs, so it
+/// must be a subset.
+fn window_holds(exact: bool, got: &[u32], truth: &[u32]) -> bool {
+    if exact {
+        got == truth
+    } else {
+        got.iter().all(|id| truth.binary_search(id).is_ok())
+    }
 }
 
 /// One host's mutable state, moved out of the world for a batch. A
@@ -658,13 +704,18 @@ impl EpochCtx<'_> {
     /// [`AnswerQuality`] are always filled in, warm-up or not: the
     /// service answers every query, while the report only counts
     /// measured ones.
+    ///
+    /// Each [`QuerySpec`] arm only resolves (SBNN or SBWQ, then
+    /// [`EpochCtx::settle`] or [`EpochCtx::outage_served`]); one tail
+    /// then accounts, in order: LRU touch, answer, warm-up cut,
+    /// `QueryQuality` trace, outcome, on-air baseline, chaos oracle.
     pub(crate) fn process_query(
         &self,
         item: &LiveQuery,
         q: &mut HostState,
         scratch: &mut QueryScratch,
         rec: &mut dyn Recorder,
-        mut answer: Option<&mut QueryAnswer>,
+        answer: Option<&mut QueryAnswer>,
     ) -> Option<QueryOutcome> {
         let cfg = self.cfg;
         let &LiveQuery {
@@ -672,8 +723,8 @@ impl EpochCtx<'_> {
             host,
             at_min: t,
             pos: qpos,
-            heading,
             ref spec,
+            ..
         } = item;
         let measuring = t >= cfg.warmup_min;
         let tune_in = (t * cfg.ticks_per_min as f64) as u64;
@@ -743,16 +794,12 @@ impl EpochCtx<'_> {
             Some(f) => OnAirClient::with_faults(self.index, self.schedule, f),
             None => OnAirClient::new(self.index, self.schedule),
         };
-        let ctx = CacheContext {
-            pos: qpos,
-            heading,
-            now: t,
-        };
+        let channel = (!silent).then_some((&client, tune_in));
 
-        match spec {
+        let r = match *spec {
             QuerySpec::Knn { k } => {
                 let sbnn_cfg = SbnnConfig {
-                    k: *k,
+                    k,
                     accept_approx: cfg.accept_approx,
                     min_correctness: cfg.min_correctness,
                     lambda: cfg.params.poi_density(),
@@ -760,177 +807,71 @@ impl EpochCtx<'_> {
                     vr_policy: cfg.vr_policy,
                     domain: cfg.clip_domain.then_some(*self.world),
                 };
-                let channel = (!silent).then_some((&client, tune_in));
-                let res = match sbnn_rec(qpos, &sbnn_cfg, &mvr, channel, scratch, rec) {
-                    SbnnOutcome::Resolved(res) => res,
+                match sbnn_rec(qpos, &sbnn_cfg, &mvr, channel, scratch, rec) {
+                    SbnnOutcome::Resolved(res) => {
+                        let adopt = res.adoptable.as_ref().map(|(vr, p)| (*vr, p.as_slice()));
+                        let quality = self.settle(q, item, res.air, adopt, rec);
+                        let min_correctness = (res.resolved_by == ResolvedBy::PeersApproximate)
+                            .then(|| {
+                                (res.neighbors.iter())
+                                    .filter(|n| !n.verified)
+                                    .filter_map(|n| n.correctness)
+                                    .fold(1.0_f64, f64::min)
+                            });
+                        Resolved {
+                            found: Found::Neighbors(res.neighbors),
+                            quality,
+                            resolution: match res.resolved_by {
+                                ResolvedBy::PeersVerified => Resolution::Peers,
+                                ResolvedBy::PeersApproximate => Resolution::Approx,
+                                ResolvedBy::Broadcast => Resolution::Broadcast,
+                            },
+                            air: res.air,
+                            window_coverage: None,
+                            min_correctness,
+                        }
+                    }
                     SbnnOutcome::Unresolved(heap) => {
                         // Outage: no channel fallback. Serve whatever the
                         // merged peer/cache knowledge held, tagged Stale
                         // (or Failed when it held nothing).
-                        q.sync.needs_resync = true;
-                        q.cache.touch(CAT, &Rect::centered_square(qpos, self.range), t);
-                        let entries = heap.entries();
-                        let quality = if entries.is_empty() {
+                        let quality = if heap.is_empty() {
                             AnswerQuality::Failed
                         } else {
                             AnswerQuality::Stale
                         };
-                        if let Some(a) = answer.as_deref_mut() {
-                            a.ids = entries.iter().map(|c| c.poi.id).collect();
-                            a.quality = quality;
-                        }
-                        if !measuring {
-                            return None;
-                        }
-                        rec.record(TraceEvent::QueryQuality { quality });
-                        let mut violation = false;
-                        if cfg.validate && !entries.is_empty() {
-                            // Chaos-oracle bound: a best-effort candidate
-                            // set can only be farther than the truth.
-                            let mut dists: Vec<f64> =
-                                entries.iter().map(|c| c.distance).collect();
-                            dists.sort_by(f64::total_cmp);
-                            let truth = self.oracle.knn(qpos, dists.len());
-                            violation = dists
-                                .iter()
-                                .zip(&truth)
-                                .any(|(d, b)| *d + 1e-9 < b.distance);
-                            debug_assert!(
-                                !violation,
-                                "stale kNN answer beat ground truth at t={t}"
-                            );
-                        }
-                        return Some(QueryOutcome {
-                            share,
-                            quality,
-                            stale_age_min: (t - q.sync.last_sync_min).max(0.0),
-                            bound_violation: violation,
-                            resolution: if quality == AnswerQuality::Failed {
-                                Resolution::Broadcast
-                            } else {
-                                Resolution::Peers
-                            },
-                            air: None,
-                            baseline: None,
-                            filter_saved: 0,
-                            window_coverage: None,
-                            calibration: None,
-                            mismatch: false,
-                        });
-                    }
-                };
-                let degraded = res.air.is_some_and(|a| a.is_degraded());
-                if res.air.is_some() {
-                    self.note_sync(q, item, rec);
-                }
-
-                // A degraded retrieval may be missing POIs; adopting its
-                // region would cache an incomplete "verified" claim and
-                // poison every peer it is later shared with.
-                if !degraded {
-                    if let Some((vr, pois)) = &res.adoptable {
-                        let ids: Vec<PoiId> = pois.iter().map(Poi::handle).collect();
-                        q.cache.insert_ids_rec(self.table, CAT, *vr, &ids, t, &ctx, rec);
+                        self.outage_served(q, Found::Neighbors(heap.entries().to_vec()), quality)
                     }
                 }
-                q.cache.touch(CAT, &Rect::centered_square(qpos, self.range), t);
-
-                let quality = if degraded {
-                    AnswerQuality::Degraded
-                } else {
-                    AnswerQuality::Exact
-                };
-                if let Some(a) = answer.as_deref_mut() {
-                    a.ids = res.neighbors.iter().map(|n| n.poi.id).collect();
-                    a.quality = quality;
-                }
-                if !measuring {
-                    return None;
-                }
-                rec.record(TraceEvent::QueryQuality { quality });
-                let mut out = QueryOutcome {
-                    share,
-                    quality,
-                    stale_age_min: 0.0,
-                    bound_violation: false,
-                    resolution: match res.resolved_by {
-                        ResolvedBy::PeersVerified => Resolution::Peers,
-                        ResolvedBy::PeersApproximate => Resolution::Approx,
-                        ResolvedBy::Broadcast => Resolution::Broadcast,
-                    },
-                    air: res.air,
-                    baseline: None,
-                    filter_saved: 0,
-                    window_coverage: None,
-                    calibration: None,
-                    mismatch: false,
-                };
-                // What the pure on-air algorithm would have paid (not
-                // defined during an outage — the baseline host faces
-                // the same silent channel).
-                if !silent {
-                    if let Some(base) = client.knn_cost(tune_in, qpos, sbnn_cfg.k, scratch) {
-                        out.baseline = Some((base.latency, base.tuning));
-                        if let Some(air) = res.air {
-                            debug_assert!(
-                                air.buckets <= base.buckets,
-                                "bound filtering fetched more than a cold query"
-                            );
-                            out.filter_saved = base.buckets.saturating_sub(air.buckets);
-                        }
-                    }
-                }
-                if cfg.validate && !degraded {
-                    let truth = self.oracle.knn(qpos, res.neighbors.len());
-                    let matches = res
-                        .neighbors
-                        .iter()
-                        .zip(&truth)
-                        .all(|(a, b)| (a.distance - b.distance).abs() < 1e-9);
-                    match res.resolved_by {
-                        ResolvedBy::PeersApproximate => {
-                            let min_c = res
-                                .neighbors
-                                .iter()
-                                .filter(|n| !n.verified)
-                                .filter_map(|n| n.correctness)
-                                .fold(1.0_f64, f64::min);
-                            out.calibration = Some((min_c, matches));
-                        }
-                        _ => out.mismatch = !matches,
-                    }
-                } else if cfg.validate {
-                    // Degraded bound: lost buckets can only *remove*
-                    // candidates, so every returned distance must
-                    // dominate the corresponding true distance.
-                    let truth = self.oracle.knn(qpos, res.neighbors.len());
-                    out.bound_violation = res
-                        .neighbors
-                        .iter()
-                        .zip(&truth)
-                        .any(|(a, b)| a.distance + 1e-9 < b.distance);
-                    debug_assert!(
-                        !out.bound_violation,
-                        "degraded kNN answer beat ground truth at t={t}"
-                    );
-                }
-                Some(out)
             }
             QuerySpec::Window { rect } => {
-                let w = *rect;
                 let sbwq_cfg = SbwqConfig {
                     use_window_reduction: cfg.use_window_reduction,
                 };
-                let channel = (!silent).then_some((&client, tune_in));
-                let res = match sbwq_rec(&w, &sbwq_cfg, &mvr, channel, scratch, rec) {
-                    SbwqOutcome::Resolved(res) => res,
+                match sbwq_rec(&rect, &sbwq_cfg, &mvr, channel, scratch, rec) {
+                    SbwqOutcome::Resolved(res) => {
+                        // A resolved window is fully known: its own
+                        // verified region.
+                        let adopt = Some((rect, res.pois.as_slice()));
+                        let quality = self.settle(q, item, res.air, adopt, rec);
+                        let (resolution, window_coverage) = match res.resolved_by {
+                            ResolvedBy::PeersVerified => (Resolution::Peers, None),
+                            _ => (Resolution::Broadcast, Some(res.coverage)),
+                        };
+                        Resolved {
+                            found: Found::Pois(res.pois),
+                            quality,
+                            resolution,
+                            air: res.air,
+                            window_coverage,
+                            min_correctness: None,
+                        }
+                    }
                     SbwqOutcome::Unresolved { partial, missing } => {
                         // Outage: answer from the covered sub-windows only.
                         // The answer is a *subset* of the truth; its
                         // quality depends on how much area peers covered.
-                        q.sync.needs_resync = true;
-                        q.cache.touch(CAT, &w, t);
-                        let wa = w.area();
+                        let wa = rect.area();
                         let coverage = if wa > 0.0 {
                             let miss: f64 = missing.iter().map(Rect::area).sum();
                             (1.0 - miss / wa).clamp(0.0, 1.0)
@@ -942,139 +883,152 @@ impl EpochCtx<'_> {
                         } else {
                             AnswerQuality::Failed
                         };
-                        if let Some(a) = answer.as_deref_mut() {
-                            a.ids = partial.iter().map(|p| p.id).collect();
-                            a.quality = quality;
-                        }
-                        if !measuring {
-                            return None;
-                        }
-                        rec.record(TraceEvent::QueryQuality { quality });
-                        let mut violation = false;
-                        if cfg.validate && !partial.is_empty() {
-                            // Chaos-oracle bound: a partial window answer
-                            // must be a subset of the ground truth.
-                            let mut want: Vec<u32> = self
-                                .oracle
-                                .window(&w)
-                                .into_iter()
-                                .map(|(_, &id)| id)
-                                .collect();
-                            want.sort_unstable();
-                            violation = partial
-                                .iter()
-                                .any(|p| want.binary_search(&p.id).is_err());
-                            debug_assert!(
-                                !violation,
-                                "partial window answer left ground truth at t={t}"
-                            );
-                        }
-                        return Some(QueryOutcome {
-                            share,
-                            quality,
-                            stale_age_min: (t - q.sync.last_sync_min).max(0.0),
-                            bound_violation: violation,
-                            resolution: if quality == AnswerQuality::Failed {
-                                Resolution::Broadcast
-                            } else {
-                                Resolution::Peers
-                            },
-                            air: None,
-                            baseline: None,
-                            filter_saved: 0,
-                            window_coverage: None,
-                            calibration: None,
-                            mismatch: false,
-                        });
-                    }
-                };
-                let degraded = res.air.is_some_and(|a| a.is_degraded());
-                if res.air.is_some() {
-                    self.note_sync(q, item, rec);
-                }
-
-                // A resolved window is fully known: cache it — unless
-                // retrieval lost buckets, in which case the window may be
-                // missing POIs and must not become a verified region.
-                if !degraded {
-                    let ids: Vec<PoiId> = res.pois.iter().map(Poi::handle).collect();
-                    q.cache.insert_ids_rec(self.table, CAT, w, &ids, t, &ctx, rec);
-                }
-                q.cache.touch(CAT, &w, t);
-
-                let quality = if degraded {
-                    AnswerQuality::Degraded
-                } else {
-                    AnswerQuality::Exact
-                };
-                if let Some(a) = answer {
-                    a.ids = res.pois.iter().map(|p| p.id).collect();
-                    a.quality = quality;
-                }
-                if !measuring {
-                    return None;
-                }
-                rec.record(TraceEvent::QueryQuality { quality });
-                let (resolution, window_coverage) = match res.resolved_by {
-                    ResolvedBy::PeersVerified => (Resolution::Peers, None),
-                    _ => (Resolution::Broadcast, Some(res.coverage)),
-                };
-                let baseline = (!silent).then(|| {
-                    let base = client.window_cost(tune_in, &w, scratch);
-                    (base.latency, base.tuning)
-                });
-                let mut out = QueryOutcome {
-                    share,
-                    quality,
-                    stale_age_min: 0.0,
-                    bound_violation: false,
-                    resolution,
-                    air: res.air,
-                    baseline,
-                    filter_saved: 0,
-                    window_coverage,
-                    calibration: None,
-                    mismatch: false,
-                };
-                if cfg.validate {
-                    let mut got: Vec<u32> = res.pois.iter().map(|p| p.id).collect();
-                    got.sort_unstable();
-                    let mut want: Vec<u32> = self
-                        .oracle
-                        .window(&w)
-                        .into_iter()
-                        .map(|(_, &id)| id)
-                        .collect();
-                    want.sort_unstable();
-                    if !degraded {
-                        out.mismatch = got != want;
-                    } else {
-                        // Degraded bound: lost buckets only drop POIs,
-                        // so the answer must stay a subset of the truth.
-                        out.bound_violation =
-                            got.iter().any(|id| want.binary_search(id).is_err());
-                        debug_assert!(
-                            !out.bound_violation,
-                            "degraded window answer left ground truth at t={t}"
-                        );
+                        self.outage_served(q, Found::Pois(partial), quality)
                     }
                 }
-                Some(out)
+            }
+        };
+
+        // --- Accounting: one tail for every arm. ---
+        let area = match *spec {
+            QuerySpec::Knn { .. } => Rect::centered_square(qpos, self.range),
+            QuerySpec::Window { rect } => rect,
+        };
+        q.cache.touch(CAT, &area, t);
+        let quality = r.quality;
+        if let Some(a) = answer {
+            a.ids = match &r.found {
+                Found::Neighbors(found) => found.iter().map(|c| c.poi.id).collect(),
+                Found::Pois(found) => found.iter().map(|p| p.id).collect(),
+            };
+            a.quality = quality;
+        }
+        if !measuring {
+            return None;
+        }
+        rec.record(TraceEvent::QueryQuality { quality });
+        let mut out = QueryOutcome {
+            share,
+            quality,
+            stale_age_min: match quality {
+                AnswerQuality::Stale | AnswerQuality::Failed => (t - q.sync.last_sync_min).max(0.0),
+                _ => 0.0,
+            },
+            bound_violation: false,
+            resolution: r.resolution,
+            air: r.air,
+            baseline: None,
+            filter_saved: 0,
+            window_coverage: r.window_coverage,
+            calibration: None,
+            mismatch: false,
+        };
+        // What the pure on-air algorithm would have paid (not defined
+        // during an outage — the baseline host faces the same silent
+        // channel). Bound filtering (§3.3.3) saves kNN buckets only.
+        let base = match *spec {
+            _ if silent => None,
+            QuerySpec::Knn { k } => client.knn_cost(tune_in, qpos, k, scratch),
+            QuerySpec::Window { rect } => Some(client.window_cost(tune_in, &rect, scratch)),
+        };
+        if let Some(base) = base {
+            out.baseline = Some((base.latency, base.tuning));
+            if let (QuerySpec::Knn { .. }, Some(air)) = (spec, r.air) {
+                debug_assert!(
+                    air.buckets <= base.buckets,
+                    "bound filtering fetched more than a cold query"
+                );
+                out.filter_saved = base.buckets.saturating_sub(air.buckets);
             }
         }
+        if cfg.validate {
+            let exact = quality == AnswerQuality::Exact;
+            let holds = match &r.found {
+                Found::Neighbors(found) => {
+                    let truth = self.oracle.knn(qpos, found.len());
+                    let ranks = found.iter().zip(&truth);
+                    knn_holds(exact, ranks.map(|(a, b)| (a.distance, b.distance)))
+                }
+                Found::Pois(found) => {
+                    let mut got: Vec<u32> = found.iter().map(|p| p.id).collect();
+                    let window = self.oracle.window(&area);
+                    let mut truth: Vec<u32> = window.into_iter().map(|(_, &id)| id).collect();
+                    got.sort_unstable();
+                    truth.sort_unstable();
+                    window_holds(exact, &got, &truth)
+                }
+            };
+            match r.min_correctness {
+                Some(min_c) => out.calibration = Some((min_c, holds)),
+                None if exact => out.mismatch = !holds,
+                None => {
+                    out.bound_violation = !holds;
+                    debug_assert!(holds, "{quality:?} answer left ground truth at t={t}");
+                }
+            }
+        }
+        Some(out)
     }
 
-    /// Marks a successful channel access: refreshes the host's sync
-    /// clock and, if it was answering through an outage or restart,
-    /// records the resynchronization.
-    fn note_sync(&self, q: &mut HostState, item: &LiveQuery, rec: &mut dyn Recorder) {
-        q.sync.last_sync_min = item.at_min;
-        if q.sync.needs_resync {
-            q.sync.needs_resync = false;
-            q.resyncs += 1;
-            rec.record(TraceEvent::Resynced {
-                host: item.host as u32,
-            });
+    /// Settles a resolved query with the host. A channel access
+    /// refreshes its sync clock, recording a resync if it was answering
+    /// through an outage or restart. The answer's verified region, if
+    /// any, is cached — unless retrieval lost buckets: a degraded answer
+    /// may be missing POIs, and adopting its region would cache an
+    /// incomplete "verified" claim and poison every peer it is later
+    /// shared with. Returns the answer's grade.
+    fn settle(
+        &self,
+        q: &mut HostState,
+        item: &LiveQuery,
+        air: Option<AccessStats>,
+        adopt: Option<(Rect, &[Poi])>,
+        rec: &mut dyn Recorder,
+    ) -> AnswerQuality {
+        if air.is_some() {
+            q.sync.last_sync_min = item.at_min;
+            if std::mem::take(&mut q.sync.needs_resync) {
+                q.resyncs += 1;
+                rec.record(TraceEvent::Resynced {
+                    host: item.host as u32,
+                });
+            }
+        }
+        if air.is_some_and(|a| a.is_degraded()) {
+            return AnswerQuality::Degraded;
+        }
+        if let Some((vr, pois)) = adopt {
+            let ids: Vec<PoiId> = pois.iter().map(Poi::handle).collect();
+            let ctx = CacheContext {
+                pos: item.pos,
+                heading: item.heading,
+                now: item.at_min,
+            };
+            q.cache
+                .insert_ids_rec(self.table, CAT, vr, &ids, item.at_min, &ctx, rec);
+        }
+        AnswerQuality::Exact
+    }
+
+    /// An answer served off peer and cache knowledge alone, through an
+    /// outage: the host owes a resync. A `Failed` one still counts as
+    /// broadcast-resolved, as the reports always have.
+    fn outage_served(&self, q: &mut HostState, found: Found, quality: AnswerQuality) -> Resolved {
+        debug_assert!(
+            self.outage.is_silent(self.epoch),
+            "unresolved on a live channel"
+        );
+        q.sync.needs_resync = true;
+        Resolved {
+            found,
+            quality,
+            resolution: match quality {
+                AnswerQuality::Failed => Resolution::Broadcast,
+                _ => Resolution::Peers,
+            },
+            air: None,
+            window_coverage: None,
+            min_correctness: None,
         }
     }
 }
@@ -1200,9 +1154,13 @@ fn sample_normal(rng: &mut SmallRng, mean: f64, sd: f64) -> f64 {
     mean + sd * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
+/// Cap on recorded (predicted correctness, was-correct) samples for
+/// approximate answers.
+const CALIBRATION_CAP: usize = 100_000;
+
 /// Folds one measured query into the report. Called in global event
 /// order regardless of thread count.
-pub(crate) fn fold_outcome(report: &mut SimReport, calibration_cap: usize, o: QueryOutcome) {
+pub(crate) fn fold_outcome(report: &mut SimReport, o: QueryOutcome) {
     report.queries.total += 1;
     report.record_share(&o.share);
     if o.quality == AnswerQuality::Degraded {
@@ -1233,7 +1191,7 @@ pub(crate) fn fold_outcome(report: &mut SimReport, calibration_cap: usize, o: Qu
         report.exact_mismatches += 1;
     }
     if let Some(sample) = o.calibration {
-        if report.calibration.len() < calibration_cap {
+        if report.calibration.len() < CALIBRATION_CAP {
             report.calibration.push(sample);
         }
     }
@@ -1616,6 +1574,36 @@ mod tests {
         assert_eq!(with_inert.hosts_restarted, 0);
         assert_eq!(with_inert.quality.stale, 0);
         assert_eq!(with_inert.quality.failed, 0);
+    }
+
+    #[test]
+    fn knn_oracle_checks_exactness_and_the_bound() {
+        let truth = [1.0, 2.0, 3.0];
+        let holds = |exact: bool, got: &[f64]| knn_holds(exact, got.iter().copied().zip(truth));
+        // Exact: every rank equal within 1e-9, in either direction.
+        assert!(holds(true, &[1.0, 2.0 + 1e-12, 3.0]));
+        assert!(!holds(true, &[1.0, 2.5, 3.0]), "farther at a rank");
+        assert!(!holds(true, &[1.0, 2.0, 2.9]), "closer at a rank");
+        // Any other grade may only have missed POIs: farther stays in
+        // the bound, closer than the truth at any rank breaks it.
+        assert!(holds(false, &truth));
+        assert!(holds(false, &[1.0, 2.5, 4.0]));
+        assert!(holds(false, &[]));
+        assert!(!holds(false, &[1.0, 1.5, 4.0]));
+    }
+
+    #[test]
+    fn window_oracle_checks_exactness_and_the_bound() {
+        let truth = [2, 5, 9];
+        // Exact: the very set, no id missing and none extra.
+        assert!(window_holds(true, &[2, 5, 9], &truth));
+        assert!(!window_holds(true, &[2, 9], &truth), "missing id");
+        assert!(!window_holds(true, &[2, 5, 7, 9], &truth), "extra id");
+        // Any other grade may only have dropped POIs: a subset holds,
+        // an id outside the truth breaks the bound.
+        assert!(window_holds(false, &[], &truth));
+        assert!(window_holds(false, &[2, 9], &truth));
+        assert!(!window_holds(false, &[2, 7], &truth));
     }
 
     #[test]

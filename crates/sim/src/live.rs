@@ -172,13 +172,8 @@ impl LiveWorld {
         // seed at all, and quarantine seeds are split per host — both are
         // pure functions of the host id, so chunking is invisible.
         let caches = par_init(&pool, n, |_| {
-            let c = HostCache::new(cfg.params.cache_size, cfg.policy)
-                .with_subsume_overlap(cfg.subsume_overlap);
-            if cfg.max_regions == usize::MAX {
-                c
-            } else {
-                c.with_max_regions(cfg.max_regions)
-            }
+            HostCache::new(cfg.params.cache_size, cfg.policy)
+                .with_subsume_overlap(cfg.subsume_overlap)
         });
         let quarantines = par_init(&pool, n, |h| {
             QuarantineLedger::new(
@@ -478,7 +473,7 @@ impl LiveWorld {
         }
         outcomes.sort_by_key(|&(nonce, _)| nonce);
         for (_, o) in outcomes {
-            fold_outcome(&mut self.report, self.cfg.calibration_cap, o);
+            fold_outcome(&mut self.report, o);
         }
         if let Some(sink) = answers {
             sink.sort_by_key(|a| a.nonce);

@@ -5,7 +5,8 @@
 //! 1. the canonical [`PoiTable`] and its 4-byte [`PoiId`] handles —
 //!    POI payloads live once, everything else refers;
 //! 2. the arena-backed [`HostCache`]: generational entry handles,
-//!    handle-native inserts, and the resolving [`HostCacheRef`] view;
+//!    handle-native inserts, and handle-level share replies resolved
+//!    through the table;
 //! 3. the columnar [`FleetStore`] a simulation exposes, plus the
 //!    handle-carrying peer exchange (`gather_peer_data` →
 //!    `MergedRegion::from_replies`).
@@ -62,8 +63,11 @@ fn main() {
         view.len(),
         entry_id
     );
-    // Need payloads back? Pair the cache with the table.
-    let snap = cache.with_table(&table).share_snapshot(CAT);
+    // Need payloads back? Resolve the shared handles through the table.
+    let snap: Vec<(Rect, Vec<Poi>)> = cache
+        .share_regions(CAT)
+        .map(|(vr, ids)| (vr, ids.iter().filter_map(|&id| table.get(id).copied()).collect()))
+        .collect();
     println!(
         "resolved snapshot: {} regions, {} owned POIs",
         snap.len(),

@@ -117,8 +117,8 @@ pub use airshare_broadcast as broadcast;
 pub use airshare_cache as cache;
 
 /// Fleet-scale storage, re-exported flat: the canonical POI table and
-/// its handles, the cache entry arena and its generational handles, the
-/// columnar fleet store, and the resolving cache view.
+/// its handles, the cache entry arena and its generational handles,
+/// and the columnar fleet store.
 ///
 /// These are the types behind the million-host engine (DESIGN.md §15):
 /// POI payloads live once in a [`fleet::PoiTable`] and everything else
@@ -128,7 +128,7 @@ pub use airshare_cache as cache;
 /// per-host scalars live in [`fleet::FleetStore`] columns.
 pub mod fleet {
     pub use airshare_broadcast::{Poi, PoiId, PoiTable};
-    pub use airshare_cache::{EntryArena, EntryId, EntryView, HostCacheRef};
+    pub use airshare_cache::{EntryArena, EntryId, EntryView};
     pub use airshare_sim::FleetStore;
 }
 pub use airshare_core as core;
@@ -149,8 +149,8 @@ pub mod prelude {
         PoiId, PoiTable, RtreeAirIndex, Schedule,
     };
     pub use airshare_cache::{
-        CacheContext, EntryArena, EntryId, EntryView, HostCache, HostCacheRef, QuarantineConfig,
-        QuarantineLedger, RegionEntry, ReplacementPolicy,
+        CacheContext, EntryArena, EntryId, EntryView, HostCache, QuarantineConfig,
+        QuarantineLedger, ReplacementPolicy,
     };
     pub use airshare_core::{
         nnv, sbnn, sbnn_rec, sbwq, sbwq_rec, HeapState, MergedRegion, NnCandidate, ResolvedBy,

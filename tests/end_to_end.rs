@@ -58,15 +58,14 @@ fn knowledge_flows_from_broadcast_to_peers() {
     .unwrap();
     assert_eq!(res_a.resolved_by, ResolvedBy::Broadcast);
     let (vr, pois) = res_a.adoptable.clone().unwrap();
-    cache_a.insert(
-        CAT,
-        RegionEntry::new(vr, pois, 0.0),
-        &CacheContext {
-            pos: a_pos,
-            heading: None,
-            now: 0.0,
-        },
-    );
+    let ids: Vec<PoiId> = pois.iter().map(Poi::handle).collect();
+    let ctx = CacheContext {
+        pos: a_pos,
+        heading: None,
+        now: 0.0,
+    };
+    let stored = cache_a.insert_ids(&w.table, CAT, vr, &ids, 0.0, &ctx);
+    assert_eq!(stored, airshare::cache::InsertOutcome::Stored);
     assert!(cache_a.poi_count(CAT) > 0);
 
     // Host B, 100 m away, now asks for its 3 nearest POIs. It gathers

@@ -113,6 +113,7 @@ fn service_replay_matches_under_chaos() {
 fn submissions_validate_sessions_and_tags() {
     let cfg = base_cfg(QueryKind::Knn, 3);
     let hosts = cfg.params.mh_number;
+    let pois = cfg.params.poi_number;
     let service = Service::start(ServeConfig::lockstep(cfg)).unwrap();
     let handle = service.handle();
 
@@ -171,6 +172,34 @@ fn submissions_validate_sessions_and_tags() {
     handle
         .update_position(0, airshare_geom::Point::new(-1e6, 1e6), None)
         .unwrap();
+    // So do queries the world cannot answer. Admitted, `k = 0` used to
+    // panic the scheduler thread, `k = usize::MAX` overflowed a capacity,
+    // and a NaN corner failed the rectangle's own check.
+    let window = |x1: f64, y1: f64, x2: f64, y2: f64| QuerySpec::Window {
+        rect: airshare_geom::Rect { x1, y1, x2, y2 },
+    };
+    for spec in [
+        QuerySpec::Knn { k: 0 },
+        QuerySpec::Knn { k: pois + 1 },
+        QuerySpec::Knn { k: usize::MAX },
+        window(f64::NAN, 0.0, 1.0, 1.0),
+        window(0.0, 0.0, 1.0, f64::INFINITY),
+        window(f64::NEG_INFINITY, 0.0, 1.0, 1.0),
+        window(2.0, 0.0, 1.0, 1.0),
+        window(0.0, 2.0, 1.0, 1.0),
+    ] {
+        let mut r = req(0, Some(tag));
+        r.spec = spec;
+        assert_eq!(
+            handle.submit(r).err(),
+            Some(ServeError::BadQuery { host: 0 }),
+            "{spec:?}"
+        );
+    }
+    assert_eq!(
+        ServeError::BadQuery { host: 0 }.to_string(),
+        "host 0 submitted a query the world cannot answer"
+    );
     // Tagged submission is admitted and answered after the fence.
     let rx = handle.submit(req(0, Some(tag))).unwrap();
     handle.fence(0);
@@ -178,8 +207,11 @@ fn submissions_validate_sessions_and_tags() {
         .recv_timeout(std::time::Duration::from_secs(10))
         .expect("fenced query answered");
     assert_eq!(answer.nonce, 0);
+    // The refused queries never reached the scheduler: the service
+    // drains cleanly, having admitted only the good one.
     let report = service.drain();
     assert_eq!(report.accepted, 1);
+    assert_eq!(report.metrics.drains_total, 1);
 
     // A drained service refuses everything.
     assert!(matches!(handle.register(1, None), Err(ServeError::Stopped)));

@@ -34,7 +34,6 @@ ALLOWED = {
     "crates/broadcast/src/client.rs::retrieve_rec",
     # Explicit export/resolve bridges (handle -> payload, by request).
     "crates/broadcast/src/table.rs::to_vec",
-    "crates/cache/src/view.rs::share_snapshot",
     "crates/p2p/src/protocol.rs::resolve",
     # Query-result assembly: algorithm outputs are payloads by design.
     "crates/core/src/mvr.rs::from_regions",
