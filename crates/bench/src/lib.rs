@@ -1,33 +1,43 @@
-//! Experiment harness: one function per paper table/figure.
+//! Experiment harness behind `airshare-paper`: one experiment per paper
+//! table or figure, plus the ablations, fault and chaos sweeps and the
+//! query trace.
+//!
+//! ```text
+//! airshare-paper <table3|fig10|fig11|fig12|fig13|fig14|fig15|latency|prob|m-sweep|ablations|faults|chaos|trace|all>
+//!                [--scale quick|default|full] [--threads N] [--json PATH]
+//! ```
 //!
 //! Every experiment sweeps a parameter exactly as §4.2/§4.3 describe and
-//! prints the series the corresponding figure plots. Absolute runtime is
-//! controlled by [`ExpScale`]:
+//! returns the series the corresponding figure plots as one [`Experiment`]
+//! table. The binary prints it with [`Experiment::text`] and, given
+//! `--json`, writes every table it ran with [`json`]. `trace` alone also
+//! streams its JSONL events to stdout.
 //!
-//! * default — density-preserving scaled worlds sized for a laptop;
-//! * `AIRSHARE_QUICK=1` — a fast smoke configuration (CI);
-//! * `AIRSHARE_FULL=1` — the paper's full 20 mi × 20 mi, 10-hour runs
-//!   (days of CPU; provided for completeness).
-//!
-//! `AIRSHARE_BACKEND=hilbert|rtree` selects the air-index backend for
-//! every experiment built through [`ExpScale::config`] (the two R-tree
-//! rows of [`ablations`] pin their backend themselves).
-//!
-//! All functions return their rows so tests and the `cargo bench` driver
-//! can assert on trends, and print them in a fixed, grep-friendly format.
+//! Run size is an [`ExpScale`]: `default` is a density-preserving scaled
+//! world sized for a laptop, `quick` a fast smoke configuration (CI) and
+//! `full` the paper's 20 mi × 20 mi world. `--threads N` fans each sweep's
+//! points over an `N`-worker [`ExecPool`]; every point runs its
+//! simulation sequentially, and results come back in input order, so the
+//! tables do not depend on `N`.
 
 #![forbid(unsafe_code)]
 
+use std::fmt;
+use std::path::PathBuf;
+
 use airshare_cache::ReplacementPolicy;
 use airshare_core::VrPolicy;
-use airshare_exec::{ExecPool, Parallelism};
+use airshare_exec::ExecPool;
+use airshare_sim::QueryKind::{self, Knn, Window};
 use airshare_sim::{
-    params, BackendKind, MobilityModel, ParamSet, QueryKind, SimConfig, SimReport, Simulation,
+    params, BackendKind, ChurnConfig, MobilityModel, ParamSet, SimConfig, SimReport, Simulation,
 };
 
 /// Sizing of every experiment run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ExpScale {
+    /// The name `--scale` selects it by.
+    pub name: &'static str,
     /// Area scale factor applied to each Table 3 parameter set.
     pub area: f64,
     /// Warm-up minutes for kNN workloads.
@@ -39,369 +49,536 @@ pub struct ExpScale {
     pub win_warm: f64,
     /// Measured minutes for window workloads.
     pub win_measure: f64,
-    /// Use the paper's full sweep grids instead of the coarse ones.
-    pub full_grids: bool,
+    /// The transmission ranges (m) Figures 10 and 13 sweep.
+    pub tx_grid: &'static [f64],
 }
 
 impl ExpScale {
-    /// Reads `AIRSHARE_QUICK` / `AIRSHARE_FULL` from the environment.
-    pub fn from_env() -> Self {
-        if std::env::var_os("AIRSHARE_FULL").is_some() {
-            ExpScale {
-                area: 1.0,
-                knn_warm: 60.0,
-                knn_measure: 600.0,
-                win_warm: 60.0,
-                win_measure: 600.0,
-                full_grids: true,
-            }
-        } else if std::env::var_os("AIRSHARE_QUICK").is_some() {
-            ExpScale {
-                area: 0.002,
-                knn_warm: 45.0,
-                knn_measure: 20.0,
-                win_warm: 120.0,
-                win_measure: 40.0,
-                full_grids: false,
-            }
-        } else {
-            ExpScale {
-                area: 0.01,
-                knn_warm: 120.0,
-                knn_measure: 40.0,
-                win_warm: 150.0,
-                win_measure: 40.0,
-                full_grids: false,
-            }
-        }
+    /// The fast smoke configuration CI runs.
+    pub const QUICK: ExpScale = ExpScale {
+        name: "quick",
+        area: 0.002,
+        knn_warm: 45.0,
+        knn_measure: 20.0,
+        win_warm: 120.0,
+        win_measure: 40.0,
+        tx_grid: &[10.0, 50.0, 100.0, 150.0, 200.0],
+    };
+    /// The laptop-scale configuration EXPERIMENTS.md reports.
+    pub const DEFAULT: ExpScale = ExpScale {
+        name: "default",
+        area: 0.01,
+        knn_warm: 120.0,
+        knn_measure: 40.0,
+        win_warm: 150.0,
+        win_measure: 40.0,
+        tx_grid: &[10.0, 50.0, 100.0, 150.0, 200.0],
+    };
+    /// The paper's full 20 mi × 20 mi world with its full range grid.
+    pub const FULL: ExpScale = ExpScale {
+        name: "full",
+        area: 1.0,
+        knn_warm: 60.0,
+        knn_measure: 600.0,
+        win_warm: 60.0,
+        win_measure: 600.0,
+        tx_grid: &[
+            20.0, 40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0, 180.0, 200.0,
+        ],
+    };
+
+    /// The scale called `name`, if there is one.
+    pub fn named(name: &str) -> Option<ExpScale> {
+        [Self::QUICK, Self::DEFAULT, Self::FULL]
+            .into_iter()
+            .find(|s| s.name == name)
     }
 
     /// Builds the [`SimConfig`] for one parameter set at this scale
     /// (area scaling plus per-workload warm-up and measure windows).
-    /// Honors `AIRSHARE_BACKEND` for air-index backend selection;
-    /// an unknown backend name aborts with the parse error.
     pub fn config(&self, p: ParamSet, kind: QueryKind, seed: u64) -> SimConfig {
-        let scaled = if self.area < 1.0 { p.scaled(self.area) } else { p };
+        let scaled = if self.area < 1.0 {
+            p.scaled(self.area)
+        } else {
+            p
+        };
         let mut cfg = SimConfig::paper_defaults(scaled, kind, seed);
-        match kind {
-            QueryKind::Knn => {
-                cfg.warmup_min = self.knn_warm;
-                cfg.measure_min = self.knn_measure;
-            }
-            QueryKind::Window => {
-                cfg.warmup_min = self.win_warm;
-                cfg.measure_min = self.win_measure;
-            }
-        }
-        if let Ok(name) = std::env::var("AIRSHARE_BACKEND") {
-            if !name.trim().is_empty() {
-                cfg.backend = name
-                    .parse()
-                    .unwrap_or_else(|e| panic!("AIRSHARE_BACKEND: {e}"));
-            }
-        }
+        (cfg.warmup_min, cfg.measure_min) = match kind {
+            Knn => (self.knn_warm, self.knn_measure),
+            Window => (self.win_warm, self.win_measure),
+        };
         cfg
     }
+}
 
-    fn tx_grid(&self) -> Vec<f64> {
-        if self.full_grids {
-            (1..=10).map(|i| 20.0 * i as f64).collect()
-        } else {
-            vec![10.0, 50.0, 100.0, 150.0, 200.0]
+/// One cell of an [`Experiment`] table.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Value {
+    /// A measurement or parameter; counts are exact below 2^53.
+    Num(f64),
+    /// A label (parameter set, configuration).
+    Text(String),
+}
+
+macro_rules! num_from {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(v: $t) -> Self {
+                Value::Num(v as f64)
+            }
+        }
+    )*};
+}
+num_from!(f64, u64, usize);
+
+impl From<&str> for Value {
+    fn from(v: &str) -> Self {
+        Value::Text(v.to_string())
+    }
+}
+
+/// Builds a row of [`Value`]s from anything that converts into one.
+macro_rules! row {
+    ($($v:expr),* $(,)?) => { vec![$(Value::from($v)),*] };
+}
+
+/// One column of an [`Experiment`] table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Column {
+    /// Header in the text table and key in the JSON row objects.
+    pub name: &'static str,
+    /// Digits after the decimal point in the text table (numbers only;
+    /// JSON keeps every digit).
+    pub precision: usize,
+}
+
+/// What every experiment returns: one typed table.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Experiment {
+    /// The experiment's name in [`EXPERIMENTS`].
+    pub id: &'static str,
+    /// One-line caption.
+    pub title: String,
+    /// The columns, in print order.
+    pub columns: Vec<Column>,
+    /// The rows; each holds one value per column.
+    pub rows: Vec<Vec<Value>>,
+}
+
+impl Experiment {
+    /// An empty table with these `(name, precision)` columns.
+    pub fn new(
+        id: &'static str,
+        title: impl Into<String>,
+        columns: &[(&'static str, usize)],
+    ) -> Self {
+        let columns = columns
+            .iter()
+            .map(|&(name, precision)| Column { name, precision });
+        Experiment {
+            id,
+            title: title.into(),
+            columns: columns.collect(),
+            rows: Vec::new(),
         }
     }
 
-    fn cache_grid(&self) -> Vec<usize> {
-        vec![6, 12, 18, 24, 30]
+    /// Appends a row.
+    ///
+    /// # Panics
+    /// Panics unless the row has one value per column.
+    pub fn push(&mut self, row: Vec<Value>) {
+        assert_eq!(row.len(), self.columns.len(), "{}: row width", self.id);
+        self.rows.push(row);
     }
 
-    fn k_grid(&self) -> Vec<usize> {
-        vec![3, 6, 9, 12, 15]
-    }
-
-    fn window_grid(&self) -> Vec<f64> {
-        vec![1.0, 2.0, 3.0, 4.0, 5.0]
+    /// The text rendering: a `## title` line, a header line, then one
+    /// line per row, every column padded to its widest cell. Label
+    /// columns are left-aligned, numbers right-aligned.
+    pub fn text(&self) -> String {
+        let header = self.columns.iter().map(|c| c.name.to_string()).collect();
+        let body = self.rows.iter().map(|row| {
+            let cells = row.iter().zip(&self.columns);
+            cells
+                .map(|(v, c)| match v {
+                    Value::Num(x) => format!("{x:.*}", c.precision),
+                    Value::Text(s) => s.clone(),
+                })
+                .collect()
+        });
+        let lines: Vec<Vec<String>> = std::iter::once(header).chain(body).collect();
+        let columns = (0..self.columns.len()).map(|i| {
+            let width = lines.iter().map(|l| l[i].chars().count()).max();
+            let label = matches!(self.rows.first().map(|r| &r[i]), Some(Value::Text(_)));
+            (width.unwrap_or(0), label)
+        });
+        let columns: Vec<(usize, bool)> = columns.collect();
+        let mut out = format!("## {}\n", self.title);
+        for line in &lines {
+            let cells = line.iter().zip(&columns).map(|(cell, &(w, label))| {
+                if label {
+                    format!("{cell:<w$}")
+                } else {
+                    format!("{cell:>w$}")
+                }
+            });
+            out += cells.collect::<Vec<_>>().join("  ").trim_end();
+            out.push('\n');
+        }
+        out
     }
 }
 
-/// One figure data point.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// Parameter set name.
-    pub set: &'static str,
-    /// Swept parameter value (range, cache size, k, window %…).
-    pub x: f64,
-    /// % solved by SBNN / SBWQ (verified).
-    pub pct_peers: f64,
-    /// % solved by approximate SBNN (kNN only).
-    pub pct_approx: f64,
-    /// % solved by the broadcast channel.
-    pub pct_broadcast: f64,
+/// The JSON rendering of `experiments`: one object keyed by experiment
+/// id, each holding its title and one object per row keyed by column
+/// name. Numbers keep every digit; a non-finite number becomes `null`.
+pub fn json(experiments: &[Experiment]) -> String {
+    let objects: Vec<String> = experiments
+        .iter()
+        .map(|e| {
+            let rows: Vec<String> = e
+                .rows
+                .iter()
+                .map(|row| {
+                    let fields: Vec<String> = row
+                        .iter()
+                        .zip(&e.columns)
+                        .map(|(v, c)| match v {
+                            Value::Num(x) if x.is_finite() => format!("{}: {x}", json_str(c.name)),
+                            Value::Num(_) => format!("{}: null", json_str(c.name)),
+                            Value::Text(s) => format!("{}: {}", json_str(c.name), json_str(s)),
+                        })
+                        .collect();
+                    format!("\n      {{{}}}", fields.join(", "))
+                })
+                .collect();
+            let rows = if rows.is_empty() {
+                String::new()
+            } else {
+                rows.join(",") + "\n    "
+            };
+            let (id, title) = (json_str(e.id), json_str(&e.title));
+            format!("\n  {id}: {{\n    \"title\": {title},\n    \"rows\": [{rows}]\n  }}")
+        })
+        .collect();
+    format!("{{{}\n}}\n", objects.join(","))
 }
 
-fn run(cfg: SimConfig) -> SimReport {
+fn json_str(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => out.extend(['\\', c]),
+            c if u32::from(c) < 0x20 => out += &format!("\\u{:04x}", u32::from(c)),
+            c => out.push(c),
+        }
+    }
+    out + "\""
+}
+
+/// How an experiment runs: at a scale, fanning its points over a pool.
+pub type Runner = fn(&ExpScale, &ExecPool) -> Result<Experiment, String>;
+
+/// Every experiment, by name. `all` runs the first [`SUITE_LEN`]: the
+/// paper's evaluation and the ablation and fault sweeps. Only `chaos`
+/// can fail: its error names the cell that broke the oracle. `trace`
+/// returns its summary; [`trace`] also returns the stream.
+pub const EXPERIMENTS: [(&str, Runner); 14] = [
+    ("table3", |s, _| Ok(table3(s))),
+    ("fig10", |s, p| Ok(figure(10, s, p))),
+    ("fig11", |s, p| Ok(figure(11, s, p))),
+    ("fig12", |s, p| Ok(figure(12, s, p))),
+    ("fig13", |s, p| Ok(figure(13, s, p))),
+    ("fig14", |s, p| Ok(figure(14, s, p))),
+    ("fig15", |s, p| Ok(figure(15, s, p))),
+    ("latency", |s, p| Ok(latency(s, p))),
+    ("m-sweep", |_, _| Ok(m_sweep())),
+    ("prob", |s, p| Ok(probability_calibration(s, p))),
+    ("ablations", |s, p| Ok(ablations(s, p))),
+    ("faults", |s, p| Ok(faults(s, p))),
+    ("chaos", chaos),
+    ("trace", |s, _| Ok(trace(s).0)),
+];
+
+/// How many of [`EXPERIMENTS`], from the first, `all` runs.
+pub const SUITE_LEN: usize = 12;
+
+/// Runs the experiment called `name`.
+pub fn run(name: &str, scale: &ExpScale, pool: &ExecPool) -> Result<Experiment, String> {
+    let (_, runner) = EXPERIMENTS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .ok_or_else(|| format!("unknown experiment {name:?}"))?;
+    runner(scale, pool)
+}
+
+/// The usage line printed with every argument error.
+pub const USAGE: &str = "usage: airshare-paper <table3|fig10|fig11|fig12|fig13|fig14|fig15|latency|prob|m-sweep|ablations|faults|chaos|trace|all>
+                      [--scale quick|default|full] [--threads N] [--json PATH]";
+
+/// A parsed `airshare-paper` command line.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Args {
+    /// The experiments to run, in order.
+    pub experiments: Vec<&'static str>,
+    /// `--scale`, default `default`.
+    pub scale: ExpScale,
+    /// `--threads`, at least 1; default 1.
+    pub threads: usize,
+    /// `--json`: where to write every table run, if anywhere.
+    pub json: Option<PathBuf>,
+}
+
+/// Why a command line was refused. The binary exits 2 on any of them.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ArgError {
+    /// No experiment was named.
+    NoExperiment,
+    /// The experiment name is not in [`EXPERIMENTS`], nor `all`.
+    UnknownExperiment(String),
+    /// A second experiment name, or a flag other than `--scale`,
+    /// `--threads` and `--json`.
+    Unexpected(String),
+    /// A flag given as the last word, with no value after it.
+    MissingValue(String),
+    /// `--scale` named no scale.
+    UnknownScale(String),
+    /// `--threads` was not a positive integer.
+    BadThreads(String),
+}
+
+impl fmt::Display for ArgError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ArgError::NoExperiment => write!(f, "no experiment named"),
+            ArgError::UnknownExperiment(s) => write!(f, "unknown experiment {s:?}"),
+            ArgError::Unexpected(s) => write!(f, "unexpected argument {s:?}"),
+            ArgError::MissingValue(s) => write!(f, "{s} needs a value"),
+            ArgError::UnknownScale(s) => write!(f, "--scale: unknown scale {s:?}"),
+            ArgError::BadThreads(s) => write!(f, "--threads: {s:?} is not a positive integer"),
+        }
+    }
+}
+
+/// Parses the arguments after the program name.
+pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, ArgError> {
+    let (mut experiments, mut scale, mut threads, mut json) = (None, ExpScale::DEFAULT, 1, None);
+    let mut it = args.into_iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            if experiments.is_some() {
+                return Err(ArgError::Unexpected(arg));
+            }
+            experiments = Some(match EXPERIMENTS.iter().find(|(n, _)| *n == arg) {
+                Some((name, _)) => vec![*name],
+                None if arg == "all" => EXPERIMENTS[..SUITE_LEN].iter().map(|e| e.0).collect(),
+                None => return Err(ArgError::UnknownExperiment(arg)),
+            });
+            continue;
+        }
+        let value = it
+            .next()
+            .ok_or_else(|| ArgError::MissingValue(arg.clone()))?;
+        match arg.as_str() {
+            "--scale" => scale = ExpScale::named(&value).ok_or(ArgError::UnknownScale(value))?,
+            "--threads" => match value.parse() {
+                Ok(n) if n > 0 => threads = n,
+                _ => return Err(ArgError::BadThreads(value)),
+            },
+            "--json" => json = Some(PathBuf::from(value)),
+            _ => return Err(ArgError::Unexpected(arg)),
+        }
+    }
+    let experiments = experiments.ok_or(ArgError::NoExperiment)?;
+    Ok(Args {
+        experiments,
+        scale,
+        threads,
+        json,
+    })
+}
+
+fn run_sim(cfg: SimConfig) -> SimReport {
     Simulation::try_new(cfg)
         .expect("experiment configs are valid by construction")
         .run()
 }
 
-/// The worker pool sweeps fan out over: `AIRSHARE_THREADS=N` sizes it to
-/// `N` threads; unset defaults to sequential, the best choice both on
-/// single-core machines and for apples-to-apples timing. Each sweep
-/// point runs its simulation sequentially inside its task, so the pool
-/// is the only layer of parallelism.
-fn sweep_pool() -> ExecPool {
-    match Parallelism::from_env() {
-        Parallelism::Fixed(n) => ExecPool::fixed(n),
-        Parallelism::Auto => ExecPool::sequential(),
-    }
+/// Runs every point's simulation on `pool`, keeping each point's key.
+/// `ExecPool::map` returns results in input order, so the output does
+/// not depend on the thread count.
+fn run_points<K: Send>(
+    pool: &ExecPool,
+    points: impl IntoIterator<Item = (K, SimConfig)>,
+) -> Vec<(K, SimReport)> {
+    pool.map(points.into_iter().collect(), |_, (key, cfg)| {
+        (key, run_sim(cfg))
+    })
 }
 
-/// Runs a batch of independent sweep points on the [`sweep_pool`].
-/// `ExecPool::map` returns results in input order, so output is
-/// deterministic regardless of the thread count.
-fn run_points(points: Vec<(&'static str, f64, SimConfig)>) -> Vec<Row> {
-    sweep_pool().map(points, |_, (set, x, cfg)| row(set, x, &run(cfg)))
-}
-
-fn row(set: &'static str, x: f64, r: &SimReport) -> Row {
-    Row {
-        set,
-        x,
-        pct_peers: r.queries.pct_peers(),
-        pct_approx: r.queries.pct_approx(),
-        pct_broadcast: r.queries.pct_broadcast(),
-    }
-}
-
-fn print_rows(title: &str, xlabel: &str, approx_col: bool, rows: &[Row]) {
-    println!("\n## {title}");
-    if approx_col {
-        println!("{:<20} {:>10} {:>8} {:>8} {:>10}", "set", xlabel, "SBNN%", "apprx%", "bcast%");
-        for r in rows {
-            println!(
-                "{:<20} {:>10} {:>8.1} {:>8.1} {:>10.1}",
-                r.set, r.x, r.pct_peers, r.pct_approx, r.pct_broadcast
-            );
-        }
+/// The Table 3 parameter sets: the paper's values, then (below full
+/// scale) the scaled values actually used.
+fn table3(scale: &ExpScale) -> Experiment {
+    let mut e = Experiment::new(
+        "table3",
+        "Table 3 — simulation parameter sets (area 1: the paper's; \
+         below 1: scaled, densities preserved)",
+        &[
+            ("set", 0),
+            ("area", 3),
+            ("POIs", 0),
+            ("MHs", 0),
+            ("CSize", 0),
+            ("Query/min", 1),
+            ("TxRange", 0),
+            ("kNN", 0),
+            ("window%", 0),
+            ("dist(mi)", 2),
+        ],
+    );
+    let areas = if scale.area < 1.0 {
+        vec![1.0, scale.area]
     } else {
-        println!("{:<20} {:>10} {:>8} {:>10}", "set", xlabel, "SBWQ%", "bcast%");
-        for r in rows {
-            println!(
-                "{:<20} {:>10} {:>8.1} {:>10.1}",
-                r.set, r.x, r.pct_peers, r.pct_broadcast
-            );
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// Table 3
-// ----------------------------------------------------------------------
-
-/// Prints the Table 3 parameter sets (verbatim paper values plus the
-/// scaled values actually used at this [`ExpScale`]).
-pub fn table3(scale: &ExpScale) {
-    println!("\n## Table 3 — simulation parameter sets");
-    println!(
-        "{:<16} {:>10} {:>10} {:>8} {:>12} {:>10} {:>6} {:>8} {:>9}",
-        "set", "POIs", "MHs", "CSize", "Query/min", "TxRange", "kNN", "window%", "dist(mi)"
-    );
-    for p in params::all() {
-        println!(
-            "{:<16} {:>10} {:>10} {:>8} {:>12.0} {:>10.0} {:>6} {:>8.0} {:>9.2}",
-            p.name, p.poi_number, p.mh_number, p.cache_size, p.query_rate, p.tx_range_m,
-            p.knn_k, p.window_pct, p.distance_mi
-        );
-    }
-    if scale.area < 1.0 {
-        println!("-- scaled ×{} (densities preserved):", scale.area);
+        vec![1.0]
+    };
+    for area in areas {
         for p in params::all() {
-            let s = p.scaled(scale.area);
-            println!(
-                "{:<16} {:>10} {:>10} {:>8} {:>12.1} {:>10.0} {:>6} {:>8.0} {:>9.2}",
-                s.name, s.poi_number, s.mh_number, s.cache_size, s.query_rate, s.tx_range_m,
-                s.knn_k, s.window_pct, s.distance_mi
-            );
+            let s = if area < 1.0 { p.scaled(area) } else { p };
+            e.push(row![
+                s.name,
+                area,
+                s.poi_number,
+                s.mh_number,
+                s.cache_size,
+                s.query_rate,
+                s.tx_range_m,
+                s.knn_k,
+                s.window_pct,
+                s.distance_mi,
+            ]);
+        }
+    }
+    e
+}
+
+/// The parameter a figure sweeps.
+#[derive(Clone, Copy)]
+enum Sweep {
+    TxRange,
+    Cache,
+    K,
+    Window,
+}
+
+impl Sweep {
+    /// The x-axis caption, its column name and the values swept.
+    fn axis(self, scale: &ExpScale) -> (&'static str, &'static str, &'static [f64]) {
+        match self {
+            Sweep::TxRange => ("transmission range (m)", "range(m)", scale.tx_grid),
+            Sweep::Cache => (
+                "cache capacity (POIs)",
+                "cache",
+                &[6.0, 12.0, 18.0, 24.0, 30.0],
+            ),
+            Sweep::K => ("k", "k", &[3.0, 6.0, 9.0, 12.0, 15.0]),
+            Sweep::Window => (
+                "window size (% of space)",
+                "window%",
+                &[1.0, 2.0, 3.0, 4.0, 5.0],
+            ),
+        }
+    }
+
+    fn apply(self, p: &mut ParamSet, x: f64) {
+        match self {
+            Sweep::TxRange => p.tx_range_m = x,
+            Sweep::Cache => p.cache_size = x as usize,
+            Sweep::K => p.knn_k = x as usize,
+            Sweep::Window => p.window_pct = x,
         }
     }
 }
 
-// ----------------------------------------------------------------------
-// kNN figures (10, 11, 12)
-// ----------------------------------------------------------------------
-
-/// Figure 10: % of kNN queries resolved vs wireless transmission range.
-pub fn fig10(scale: &ExpScale) -> Vec<Row> {
+/// Figure `n` (10–15): % of queries resolved by peers (verified, and for
+/// kNN approximate) and by the broadcast channel as the figure's
+/// parameter varies, per parameter set. The figure number is the seed.
+fn figure(n: u64, scale: &ExpScale, pool: &ExecPool) -> Experiment {
+    let (id, kind, sweep) = match n {
+        10 => ("fig10", Knn, Sweep::TxRange),
+        11 => ("fig11", Knn, Sweep::Cache),
+        12 => ("fig12", Knn, Sweep::K),
+        13 => ("fig13", Window, Sweep::TxRange),
+        14 => ("fig14", Window, Sweep::Cache),
+        _ => ("fig15", Window, Sweep::Window),
+    };
+    let (caption, xlabel, grid) = sweep.axis(scale);
     let mut points = Vec::new();
     for p in params::all() {
-        for range in scale.tx_grid() {
-            let mut cfg = scale.config(p, QueryKind::Knn, 10);
-            cfg.params.tx_range_m = range;
-            points.push((p.name, range, cfg));
+        for &x in grid {
+            let mut cfg = scale.config(p, kind, n);
+            sweep.apply(&mut cfg.params, x);
+            points.push(((p.name, x), cfg));
         }
     }
-    let rows = run_points(points);
-    print_rows(
-        "Figure 10 — kNN queries resolved vs transmission range (m)",
-        "range(m)",
-        true,
-        &rows,
-    );
-    rows
-}
-
-/// Figure 11: % of kNN queries resolved vs cache capacity.
-pub fn fig11(scale: &ExpScale) -> Vec<Row> {
-    let mut points = Vec::new();
-    for p in params::all() {
-        for cs in scale.cache_grid() {
-            let mut cfg = scale.config(p, QueryKind::Knn, 11);
-            cfg.params.cache_size = cs;
-            points.push((p.name, cs as f64, cfg));
+    let title = format!("Figure {n} — ");
+    let mut e = match kind {
+        Knn => Experiment::new(
+            id,
+            title + "kNN queries resolved vs " + caption,
+            &[
+                ("set", 0),
+                (xlabel, 0),
+                ("SBNN%", 1),
+                ("apprx%", 1),
+                ("bcast%", 1),
+            ],
+        ),
+        Window => Experiment::new(
+            id,
+            title + "window queries resolved vs " + caption,
+            &[("set", 0), (xlabel, 0), ("SBWQ%", 1), ("bcast%", 1)],
+        ),
+    };
+    for ((set, x), r) in run_points(pool, points) {
+        let mut row = row![set, x, r.queries.pct_peers()];
+        if kind == Knn {
+            row.push(r.queries.pct_approx().into());
         }
+        row.push(r.queries.pct_broadcast().into());
+        e.push(row);
     }
-    let rows = run_points(points);
-    print_rows(
-        "Figure 11 — kNN queries resolved vs cache capacity (POIs)",
-        "cache",
-        true,
-        &rows,
-    );
-    rows
-}
-
-/// Figure 12: % of kNN queries resolved vs the number of neighbors `k`.
-pub fn fig12(scale: &ExpScale) -> Vec<Row> {
-    let mut points = Vec::new();
-    for p in params::all() {
-        for k in scale.k_grid() {
-            let mut cfg = scale.config(p, QueryKind::Knn, 12);
-            cfg.params.knn_k = k;
-            points.push((p.name, k as f64, cfg));
-        }
-    }
-    let rows = run_points(points);
-    print_rows(
-        "Figure 12 — kNN queries resolved vs k",
-        "k",
-        true,
-        &rows,
-    );
-    rows
-}
-
-// ----------------------------------------------------------------------
-// Window figures (13, 14, 15)
-// ----------------------------------------------------------------------
-
-/// Figure 13: % of window queries resolved vs transmission range.
-pub fn fig13(scale: &ExpScale) -> Vec<Row> {
-    let mut points = Vec::new();
-    for p in params::all() {
-        for range in scale.tx_grid() {
-            let mut cfg = scale.config(p, QueryKind::Window, 13);
-            cfg.params.tx_range_m = range;
-            points.push((p.name, range, cfg));
-        }
-    }
-    let rows = run_points(points);
-    print_rows(
-        "Figure 13 — window queries resolved vs transmission range (m)",
-        "range(m)",
-        false,
-        &rows,
-    );
-    rows
-}
-
-/// Figure 14: % of window queries resolved vs cache capacity.
-pub fn fig14(scale: &ExpScale) -> Vec<Row> {
-    let mut points = Vec::new();
-    for p in params::all() {
-        for cs in scale.cache_grid() {
-            let mut cfg = scale.config(p, QueryKind::Window, 14);
-            cfg.params.cache_size = cs;
-            points.push((p.name, cs as f64, cfg));
-        }
-    }
-    let rows = run_points(points);
-    print_rows(
-        "Figure 14 — window queries resolved vs cache capacity (POIs)",
-        "cache",
-        false,
-        &rows,
-    );
-    rows
-}
-
-/// Figure 15: % of window queries resolved vs query window size.
-pub fn fig15(scale: &ExpScale) -> Vec<Row> {
-    let mut points = Vec::new();
-    for p in params::all() {
-        for pct in scale.window_grid() {
-            let mut cfg = scale.config(p, QueryKind::Window, 15);
-            cfg.params.window_pct = pct;
-            points.push((p.name, pct, cfg));
-        }
-    }
-    let rows = run_points(points);
-    print_rows(
-        "Figure 15 — window queries resolved vs window size (% of space)",
-        "window%",
-        false,
-        &rows,
-    );
-    rows
-}
-
-// ----------------------------------------------------------------------
-// Latency / tuning headline (§1, §5)
-// ----------------------------------------------------------------------
-
-/// One latency-comparison row.
-#[derive(Clone, Debug)]
-pub struct LatencyRow {
-    /// Parameter set name.
-    pub set: &'static str,
-    /// Mean access latency with sharing (ticks; peer-solved ≈ 0).
-    pub shared_latency: f64,
-    /// Mean access latency of the pure on-air baseline (ticks).
-    pub baseline_latency: f64,
-    /// Mean tuning time of broadcast-solved queries (ticks).
-    pub shared_tuning: f64,
-    /// Mean tuning time of the baseline (ticks).
-    pub baseline_tuning: f64,
-    /// % of queries that avoided the channel entirely.
-    pub pct_avoided: f64,
-    /// p95 access latency of broadcast-solved queries (ticks).
-    pub latency_p95: u64,
-    /// p99 access latency of broadcast-solved queries (ticks).
-    pub latency_p99: u64,
-    /// p95 tuning time of broadcast-solved queries (ticks).
-    pub tuning_p95: u64,
+    e
 }
 
 /// The paper's headline: access-latency reduction from sharing ("up to
-/// 80 % in a dense urban area").
-pub fn latency(scale: &ExpScale) -> Vec<LatencyRow> {
-    let mut rows = Vec::new();
-    println!("\n## Access latency & tuning: sharing vs pure on-air baseline");
-    println!(
-        "{:<20} {:>12} {:>12} {:>9} {:>12} {:>12} {:>8} {:>8} {:>8}",
-        "set", "shared lat", "on-air lat", "saved%", "tuning(bc)", "tuning(base)", "lat p95", "lat p99", "tun p95"
+/// 80 % in a dense urban area"), with the tuning time and the tail
+/// latencies of broadcast-solved queries.
+fn latency(scale: &ExpScale, pool: &ExecPool) -> Experiment {
+    let mut e = Experiment::new(
+        "latency",
+        "Access latency & tuning: sharing vs pure on-air baseline",
+        &[
+            ("set", 0),
+            ("shared lat", 1),
+            ("on-air lat", 1),
+            ("saved%", 1),
+            ("tuning(bc)", 1),
+            ("tuning(base)", 1),
+            ("lat p95", 0),
+            ("lat p99", 0),
+            ("tun p95", 0),
+        ],
     );
-    let points: Vec<(&'static str, SimConfig)> = params::all()
-        .into_iter()
-        .map(|p| (p.name, scale.config(p, QueryKind::Knn, 42)))
-        .collect();
-    let reports = sweep_pool().map(points, |_, (set, cfg)| (set, run(cfg)));
-    for (set, r) in reports {
+    let points = params::all().map(|p| (p.name, scale.config(p, Knn, 42)));
+    for (set, r) in run_points(pool, points) {
         let shared = r.overall_mean_latency();
         let base = r.baseline_latency.mean();
-        let saved = if base > 0.0 { 100.0 * (1.0 - shared / base) } else { 0.0 };
-        println!(
-            "{:<20} {:>12.1} {:>12.1} {:>9.1} {:>12.1} {:>12.1} {:>8} {:>8} {:>8}",
+        let saved = if base > 0.0 {
+            100.0 * (1.0 - shared / base)
+        } else {
+            0.0
+        };
+        e.push(row![
             set,
             shared,
             base,
@@ -410,229 +587,132 @@ pub fn latency(scale: &ExpScale) -> Vec<LatencyRow> {
             r.baseline_tuning.mean(),
             r.broadcast_latency.p95(),
             r.broadcast_latency.p99(),
-            r.broadcast_tuning.p95()
-        );
-        rows.push(LatencyRow {
-            set,
-            shared_latency: shared,
-            baseline_latency: base,
-            shared_tuning: r.broadcast_tuning.mean(),
-            baseline_tuning: r.baseline_tuning.mean(),
-            pct_avoided: r.queries.pct_peers() + r.queries.pct_approx(),
-            latency_p95: r.broadcast_latency.p95(),
-            latency_p99: r.broadcast_latency.p99(),
-            tuning_p95: r.broadcast_tuning.p95(),
-        });
+            r.broadcast_tuning.p95(),
+        ]);
     }
-    rows
+    e
 }
 
-// ----------------------------------------------------------------------
-// Lemma 3.2 calibration (§3.3.2)
-// ----------------------------------------------------------------------
-
-/// Calibration bin: predicted correctness vs empirical accuracy.
-#[derive(Clone, Copy, Debug)]
-pub struct CalibrationBin {
-    /// Bin lower edge (predicted probability).
-    pub lo: f64,
-    /// Bin upper edge.
-    pub hi: f64,
-    /// Approximate answers falling in the bin.
-    pub count: usize,
-    /// Fraction that were actually fully correct.
-    pub accuracy: f64,
-}
-
-/// Validates Lemma 3.2: bucket approximate answers by their predicted
-/// correctness probability and compare against ground truth.
-pub fn probability_calibration(scale: &ExpScale) -> Vec<CalibrationBin> {
-    let p = params::la_city();
-    let mut bins = Vec::new();
-    for clip in [false, true] {
-        let mut cfg = scale.config(p, QueryKind::Knn, 77);
+/// Validates Lemma 3.2: buckets approximate answers by their predicted
+/// correctness probability and compares against ground truth, once with
+/// the paper's unbounded-field estimator and once clipped to the world.
+fn probability_calibration(scale: &ExpScale, pool: &ExecPool) -> Experiment {
+    let mut e = Experiment::new(
+        "prob",
+        "Lemma 3.2 calibration — predicted e^(-λu) vs empirical accuracy \
+         (unbounded: the paper's estimator; clipped: to the bounded world)",
+        &[
+            ("estimator", 0),
+            ("pred lo", 2),
+            ("pred hi", 2),
+            ("n", 0),
+            ("actual%", 1),
+            ("wrong", 0),
+            ("queries", 0),
+        ],
+    );
+    let points = [("unbounded", false), ("clipped", true)].map(|(label, clip)| {
+        let mut cfg = scale.config(params::la_city(), Knn, 77);
         cfg.validate = true;
         cfg.min_correctness = 0.05; // accept almost everything: we *want* risky answers
         cfg.clip_domain = clip;
-        let r = run(cfg);
-        let edges = [0.05, 0.3, 0.5, 0.7, 0.85, 0.95, 1.000001];
-        println!(
-            "\n## Lemma 3.2 calibration — predicted e^(-λu) vs empirical accuracy ({})",
-            if clip {
-                "clipped to the bounded world"
-            } else {
-                "paper's unbounded-field estimator"
-            }
-        );
-        println!("{:>14} {:>8} {:>10}", "predicted", "n", "actual%");
+        (label, cfg)
+    });
+    let edges = [0.05, 0.3, 0.5, 0.7, 0.85, 0.95, 1.000001];
+    for (label, r) in run_points(pool, points) {
         for w in edges.windows(2) {
             let (lo, hi) = (w[0], w[1]);
-            let in_bin: Vec<bool> = r
-                .calibration
-                .iter()
-                .filter(|(p, _)| *p >= lo && *p < hi)
-                .map(|&(_, ok)| ok)
-                .collect();
-            let count = in_bin.len();
-            let accuracy = if count == 0 {
-                0.0
-            } else {
-                in_bin.iter().filter(|&&b| b).count() as f64 / count as f64
-            };
-            println!(
-                "{:>6.2} – {:<5.2} {:>8} {:>10.1}",
+            let in_bin = r.calibration.iter().filter(|(p, _)| *p >= lo && *p < hi);
+            let (n, ok) = in_bin.fold((0usize, 0usize), |(n, ok), &(_, hit)| {
+                (n + 1, ok + usize::from(hit))
+            });
+            let accuracy = if n == 0 { 0.0 } else { ok as f64 / n as f64 };
+            let (wrong, queries) = (r.exact_mismatches, r.queries.total);
+            e.push(row![
+                label,
                 lo,
                 hi.min(1.0),
-                count,
-                100.0 * accuracy
-            );
-            if clip {
-                bins.push(CalibrationBin { lo, hi, count, accuracy });
-            }
+                n,
+                100.0 * accuracy,
+                wrong,
+                queries
+            ]);
         }
-        println!(
-            "(exact answers validated: {} mismatches out of {} queries)",
-            r.exact_mismatches, r.queries.total
-        );
     }
-    bins
+    e
 }
 
-// ----------------------------------------------------------------------
-// Ablations (DESIGN.md §3)
-// ----------------------------------------------------------------------
-
-/// One ablation row: a configuration label and its key metrics.
-#[derive(Clone, Debug)]
-pub struct AblationRow {
-    /// Configuration label.
-    pub label: String,
-    /// % solved without the channel.
-    pub pct_peers_total: f64,
-    /// Mean buckets downloaded per broadcast-solved query.
-    pub mean_buckets: f64,
-    /// Mean broadcast tuning time.
-    pub mean_tuning: f64,
-    /// Ground-truth mismatches (only meaningful for the VR ablation).
-    pub mismatches: u64,
-}
-
-fn ablation_run(label: &str, cfg: SimConfig, rows: &mut Vec<AblationRow>) {
-    let r = run(cfg);
-    let row = AblationRow {
-        label: label.to_string(),
-        pct_peers_total: r.queries.pct_peers() + r.queries.pct_approx(),
-        mean_buckets: r.broadcast_buckets.mean(),
-        mean_tuning: r.broadcast_tuning.mean(),
-        mismatches: r.exact_mismatches,
-    };
-    println!(
-        "{:<34} {:>9.1} {:>9.2} {:>9.1} {:>9}",
-        row.label, row.pct_peers_total, row.mean_buckets, row.mean_tuning, row.mismatches
-    );
-    rows.push(row);
-}
-
-/// Runs every design-choice ablation DESIGN.md calls out, on the
-/// suburbia set (mid density).
-pub fn ablations(scale: &ExpScale) -> Vec<AblationRow> {
-    let p = params::synthetic_suburbia();
-    let mut rows = Vec::new();
-    println!("\n## Ablations (Synthetic Suburbia, kNN unless noted)");
-    println!(
-        "{:<34} {:>9} {:>9} {:>9} {:>9}",
-        "config", "peers%", "buckets", "tuning", "wrong"
-    );
-
-    let base = |seed: u64| {
-        let mut c = scale.config(p, QueryKind::Knn, seed);
+/// Every design-choice ablation DESIGN.md calls out, on the suburbia set
+/// (mid density): the share solved without the channel, the channel cost
+/// of the rest, and ground-truth mismatches (meaningful for the VR row).
+fn ablations(scale: &ExpScale, pool: &ExecPool) -> Experiment {
+    use ReplacementPolicy::{DistanceOnly, Lru};
+    type Variant = (&'static str, QueryKind, fn(&mut SimConfig));
+    let variants: [Variant; 13] = [
+        ("baseline (paper defaults)", Knn, |_| {}),
+        ("bound filtering OFF (§3.3.3)", Knn, |c| {
+            c.use_bound_filtering = false
+        }),
+        ("cache policy: distance only", Knn, |c| {
+            c.policy = DistanceOnly
+        }),
+        ("cache policy: LRU", Knn, |c| c.policy = Lru),
+        ("own cache excluded from MVR", Knn, |c| {
+            c.use_own_cache = false
+        }),
+        ("anti-fragmentation OFF", Knn, |c| c.subsume_overlap = 1.0),
+        ("UNSOUND circumscribed-MBR VRs", Knn, |c| {
+            c.vr_policy = VrPolicy::CircumscribedMbr
+        }),
+        ("grid-road mobility", Knn, |c| {
+            c.mobility = MobilityModel::GridRoads {
+                spacing_milli_mi: 250,
+            }
+        }),
+        ("2-hop sharing (extension)", Knn, |c| c.p2p_hops = 2),
+        // The alternative air index answers the same queries exactly;
+        // what moves is the channel cost (buckets, tuning) of the
+        // broadcast share.
+        ("air index: STR R-tree", Knn, |c| {
+            c.backend = BackendKind::Rtree
+        }),
+        ("window: reduction ON (§3.4.2)", Window, |_| {}),
+        ("window: reduction OFF", Window, |c| {
+            c.use_window_reduction = false
+        }),
+        ("window: air index STR R-tree", Window, |c| {
+            c.backend = BackendKind::Rtree
+        }),
+    ];
+    let points = variants.map(|(label, kind, change)| {
+        let mut c = scale.config(params::synthetic_suburbia(), kind, 1);
         c.validate = true;
-        // A tight cache so replacement actually happens — at CSize = 50
-        // the scaled world rarely evicts and every policy looks alike.
-        c.params.cache_size = 8;
-        c
-    };
-
-    ablation_run("baseline (paper defaults)", base(1), &mut rows);
-
-    let mut c = base(1);
-    c.use_bound_filtering = false;
-    ablation_run("bound filtering OFF (§3.3.3)", c, &mut rows);
-
-    let mut c = base(1);
-    c.policy = ReplacementPolicy::DistanceOnly;
-    ablation_run("cache policy: distance only", c, &mut rows);
-
-    let mut c = base(1);
-    c.policy = ReplacementPolicy::Lru;
-    ablation_run("cache policy: LRU", c, &mut rows);
-
-    let mut c = base(1);
-    c.use_own_cache = false;
-    ablation_run("own cache excluded from MVR", c, &mut rows);
-
-    let mut c = base(1);
-    c.subsume_overlap = 1.0;
-    ablation_run("anti-fragmentation OFF", c, &mut rows);
-
-    let mut c = base(1);
-    c.vr_policy = VrPolicy::CircumscribedMbr;
-    ablation_run("UNSOUND circumscribed-MBR VRs", c, &mut rows);
-
-    let mut c = base(1);
-    c.mobility = MobilityModel::GridRoads { spacing_milli_mi: 250 };
-    ablation_run("grid-road mobility", c, &mut rows);
-
-    let mut c = base(1);
-    c.p2p_hops = 2;
-    ablation_run("2-hop sharing (extension)", c, &mut rows);
-
-    // The alternative air index answers the same queries exactly; what
-    // moves is the channel cost (buckets, tuning) of the broadcast share.
-    let mut c = base(1);
-    c.backend = BackendKind::Rtree;
-    ablation_run("air index: STR R-tree", c, &mut rows);
-
-    // Window-reduction ablation runs the window workload.
-    let mut c = scale.config(p, QueryKind::Window, 1);
-    c.validate = true;
-    ablation_run("window: reduction ON (§3.4.2)", c, &mut rows);
-    let mut c = scale.config(p, QueryKind::Window, 1);
-    c.validate = true;
-    c.use_window_reduction = false;
-    ablation_run("window: reduction OFF", c, &mut rows);
-    let mut c = scale.config(p, QueryKind::Window, 1);
-    c.validate = true;
-    c.backend = BackendKind::Rtree;
-    ablation_run("window: air index STR R-tree", c, &mut rows);
-
-    rows
-}
-
-// ----------------------------------------------------------------------
-// Fault sweep (robustness — DESIGN.md "Fault model")
-// ----------------------------------------------------------------------
-
-/// One fault-sweep row: channel health on the x-axis, cost and
-/// degradation on the y-axes.
-#[derive(Clone, Debug)]
-pub struct FaultRow {
-    /// Per-appearance bucket loss probability swept (0–0.20).
-    pub loss: f64,
-    /// Mean access latency over all queries (ticks).
-    pub mean_latency: f64,
-    /// Mean tuning time of broadcast-solved queries (ticks).
-    pub mean_tuning: f64,
-    /// Bucket re-fetches forced by corrupt appearances.
-    pub retries: u64,
-    /// Buckets abandoned after the retry budget ran out.
-    pub lost_buckets: u64,
-    /// Queries reported degraded (possibly incomplete answers).
-    pub degraded: u64,
-    /// Peer replies dropped in transit.
-    pub replies_dropped: u64,
-    /// Ground-truth mismatches among non-degraded answers (must be 0).
-    pub mismatches: u64,
+        if kind == Knn {
+            // A tight cache so replacement actually happens — at CSize =
+            // 50 the scaled world rarely evicts and every policy looks
+            // alike.
+            c.params.cache_size = 8;
+        }
+        change(&mut c);
+        (label, c)
+    });
+    let mut e = Experiment::new(
+        "ablations",
+        "Ablations (Synthetic Suburbia, kNN unless noted)",
+        &[
+            ("config", 0),
+            ("peers%", 1),
+            ("buckets", 2),
+            ("tuning", 1),
+            ("wrong", 0),
+        ],
+    );
+    for (label, r) in run_points(pool, points) {
+        let peers = r.queries.pct_peers() + r.queries.pct_approx();
+        let (buckets, tuning) = (r.broadcast_buckets.mean(), r.broadcast_tuning.mean());
+        e.push(row![label, peers, buckets, tuning, r.exact_mismatches]);
+    }
+    e
 }
 
 /// Sweeps the broadcast bucket-loss probability from 0 to 20 % (with a
@@ -640,104 +720,83 @@ pub struct FaultRow {
 /// degradation respond. Validation stays on for every point: the sweep
 /// doubles as the "never silently wrong" check — lost data must surface
 /// as retries or degraded queries, not as wrong exact answers.
-pub fn faults(scale: &ExpScale) -> Vec<FaultRow> {
-    let p = params::synthetic_suburbia();
-    let mut rows = Vec::new();
-    println!("\n## Fault sweep — bucket loss 0–20 % (Synthetic Suburbia, kNN)");
-    println!(
-        "{:>6} {:>10} {:>9} {:>8} {:>6} {:>9} {:>9} {:>6}",
-        "loss%", "latency", "tuning", "retries", "lost", "degraded", "dropped", "wrong"
+fn faults(scale: &ExpScale, pool: &ExecPool) -> Experiment {
+    let points = [0.0, 2.0, 5.0, 10.0, 15.0, 20.0].map(|loss_pct| {
+        let loss = loss_pct / 100.0;
+        let mut cfg = scale.config(params::synthetic_suburbia(), Knn, 99);
+        cfg.validate = true;
+        cfg.faults.bucket_loss_prob = loss;
+        cfg.faults.peer_drop_prob = loss / 2.0;
+        cfg.faults.retry_budget = 8;
+        (loss_pct, cfg)
+    });
+    let mut e = Experiment::new(
+        "faults",
+        "Fault sweep — bucket loss 0–20 % (Synthetic Suburbia, kNN)",
+        &[
+            ("loss%", 0),
+            ("latency", 1),
+            ("tuning", 1),
+            ("retries", 0),
+            ("lost", 0),
+            ("degraded", 0),
+            ("dropped", 0),
+            ("wrong", 0),
+        ],
     );
-    let points: Vec<(f64, SimConfig)> = [0.0, 0.02, 0.05, 0.10, 0.15, 0.20]
-        .into_iter()
-        .map(|loss| {
-            let mut cfg = scale.config(p, QueryKind::Knn, 99);
-            cfg.validate = true;
-            cfg.faults.bucket_loss_prob = loss;
-            cfg.faults.peer_drop_prob = loss / 2.0;
-            cfg.faults.retry_budget = 8;
-            (loss, cfg)
-        })
-        .collect();
-    for (loss, r) in sweep_pool().map(points, |_, (loss, cfg)| (loss, run(cfg))) {
-        let row = FaultRow {
-            loss,
-            mean_latency: r.overall_mean_latency(),
-            mean_tuning: r.broadcast_tuning.mean(),
-            retries: r.faults.retries_total,
-            lost_buckets: r.faults.buckets_lost_total,
-            degraded: r.faults.queries_degraded,
-            replies_dropped: r.faults.replies_dropped,
-            mismatches: r.exact_mismatches,
-        };
-        println!(
-            "{:>6.0} {:>10.1} {:>9.1} {:>8} {:>6} {:>9} {:>9} {:>6}",
-            100.0 * row.loss,
-            row.mean_latency,
-            row.mean_tuning,
-            row.retries,
-            row.lost_buckets,
-            row.degraded,
-            row.replies_dropped,
-            row.mismatches
-        );
-        rows.push(row);
+    for (loss_pct, r) in run_points(pool, points) {
+        let f = &r.faults;
+        e.push(row![
+            loss_pct,
+            r.overall_mean_latency(),
+            r.broadcast_tuning.mean(),
+            f.retries_total,
+            f.buckets_lost_total,
+            f.queries_degraded,
+            f.replies_dropped,
+            r.exact_mismatches,
+        ]);
     }
-    rows
+    e
 }
 
-// ----------------------------------------------------------------------
-// Query trace (observability — DESIGN.md §9)
-// ----------------------------------------------------------------------
-
 /// Runs one small kNN simulation with a [`airshare_obs::JsonlTraceRecorder`]
-/// attached and writes the per-query event trace to stdout as JSONL (one
-/// JSON object per line, nothing else). The stream is byte-deterministic
-/// for a fixed config and seed, so CI smoke-checks it and diffing two runs
+/// attached. Returns a one-row summary and the per-query event trace as
+/// JSONL (one JSON object per line). The stream is byte-deterministic
+/// for a fixed config and seed, so CI pins its hash and diffing two runs
 /// answers "what changed".
-///
-/// Run summary goes to stderr to keep stdout machine-parsable.
-pub fn trace(scale: &ExpScale) -> String {
-    let p = params::synthetic_suburbia();
-    let cfg = scale.config(p, QueryKind::Knn, 7);
+pub fn trace(scale: &ExpScale) -> (Experiment, String) {
+    let cfg = scale.config(params::synthetic_suburbia(), Knn, 7);
     let mut rec = airshare_obs::JsonlTraceRecorder::new();
     let r = Simulation::try_new(cfg)
         .expect("experiment configs are valid by construction")
         .run_with(&mut rec);
-    eprintln!(
-        "# trace: {} events over {} measured queries (peers {:.1}%, approx {:.1}%, broadcast {:.1}%)",
-        rec.lines(),
-        r.queries.total,
-        r.queries.pct_peers(),
-        r.queries.pct_approx(),
-        r.queries.pct_broadcast()
+    let mut e = Experiment::new(
+        "trace",
+        "Query trace (Synthetic Suburbia, kNN): JSONL events on stdout",
+        &[
+            ("events", 0),
+            ("queries", 0),
+            ("peers%", 1),
+            ("approx%", 1),
+            ("bcast%", 1),
+        ],
     );
-    print!("{}", rec.as_str());
-    rec.into_string()
-}
-
-// ----------------------------------------------------------------------
-// (1, m) sweep (Figure 2 behaviour)
-// ----------------------------------------------------------------------
-
-/// One `(1, m)` sweep row.
-#[derive(Clone, Copy, Debug)]
-pub struct MSweepRow {
-    /// Replication factor.
-    pub m: usize,
-    /// Cycle length (ticks).
-    pub cycle: u64,
-    /// Mean wait for the next index segment.
-    pub probe_wait: f64,
-    /// Mean kNN access latency.
-    pub latency: f64,
-    /// Mean kNN tuning time.
-    pub tuning: f64,
+    let q = &r.queries;
+    e.push(row![
+        rec.lines(),
+        q.total,
+        q.pct_peers(),
+        q.pct_approx(),
+        q.pct_broadcast()
+    ]);
+    (e, rec.into_string())
 }
 
 /// Sweeps the `(1, m)` replication factor on a static channel (no
-/// mobility needed), reproducing the Figure 2 trade-off.
-pub fn m_sweep() -> Vec<MSweepRow> {
+/// mobility needed), reproducing the Figure 2 trade-off: more index
+/// copies shorten the probe wait and lengthen the cycle.
+fn m_sweep() -> Experiment {
     use airshare_broadcast::{AirIndex, OnAirClient, Poi, Schedule};
     use airshare_geom::{Point, Rect};
     use airshare_hilbert::Grid;
@@ -754,14 +813,20 @@ pub fn m_sweep() -> Vec<MSweepRow> {
             )
         })
         .collect();
-    let index = AirIndex::try_build(pois, Grid::new(world, 8), 10).unwrap();
+    let index =
+        AirIndex::try_build(pois, Grid::new(world, 8), 10).expect("a fixed 2,750-POI world builds");
     let q = Point::new(10.0, 10.0);
 
-    let mut rows = Vec::new();
-    println!("\n## (1, m) index replication sweep (LA City data file)");
-    println!(
-        "{:>4} {:>8} {:>12} {:>10} {:>8}",
-        "m", "cycle", "probe wait", "latency", "tuning"
+    let mut e = Experiment::new(
+        "m-sweep",
+        "(1, m) index replication sweep (LA City data file)",
+        &[
+            ("m", 0),
+            ("cycle", 0),
+            ("probe wait", 1),
+            ("latency", 1),
+            ("tuning", 1),
+        ],
     );
     for m in [1usize, 2, 4, 8, 16] {
         let schedule = Schedule::new(index.data_buckets(), index.index_buckets(), m);
@@ -776,83 +841,27 @@ pub fn m_sweep() -> Vec<MSweepRow> {
             lat += res.stats.latency;
             tun += res.stats.tuning;
         }
-        let r = MSweepRow {
-            m,
-            cycle,
-            probe_wait: probe as f64 / samples as f64,
-            latency: lat as f64 / samples as f64,
-            tuning: tun as f64 / samples as f64,
-        };
-        println!(
-            "{:>4} {:>8} {:>12.1} {:>10.1} {:>8.1}",
-            r.m, r.cycle, r.probe_wait, r.latency, r.tuning
-        );
-        rows.push(r);
+        let mean = |total: u64| total as f64 / samples as f64;
+        e.push(row![m, cycle, mean(probe), mean(lat), mean(tun)]);
     }
-    rows
-}
-
-// ----------------------------------------------------------------------
-// Chaos sweep (churn × outages — DESIGN.md §12)
-// ----------------------------------------------------------------------
-
-/// One chaos-sweep data point: a (crash rate, outage fraction) cell.
-#[derive(Clone, Debug)]
-pub struct ChaosRow {
-    /// Per-host per-epoch crash probability swept.
-    pub crash_prob: f64,
-    /// Fraction of the measured epochs spent in base-station outage.
-    pub outage_frac: f64,
-    /// Measured queries answered `Exact`.
-    pub exact: u64,
-    /// Measured queries answered `Degraded` (lossy retrieval).
-    pub degraded: u64,
-    /// Measured queries answered `Stale` (outage, cached/peer data).
-    pub stale: u64,
-    /// Measured queries answered `Failed` (outage, no covering data).
-    pub failed: u64,
-    /// Mean staleness bound over `Stale` answers (minutes).
-    pub mean_stale_age_min: f64,
-    /// Largest staleness bound observed (minutes).
-    pub max_stale_age_min: f64,
-    /// Host crash transitions applied.
-    pub crashes: u64,
-    /// Host restart / late-join transitions applied.
-    pub restarts: u64,
-    /// Hosts that resynchronized after answering through an outage.
-    pub resyncs: u64,
-    /// Quarantine strikes recorded against malforming peers.
-    pub quarantine_strikes: u64,
-    /// Peer contacts skipped because the peer was quarantined.
-    pub peers_quarantined: u64,
-    /// Chaos-oracle bound violations (must be 0).
-    pub bound_violations: u64,
-    /// Ground-truth mismatches among exact answers (must be 0).
-    pub mismatches: u64,
+    e
 }
 
 /// Sweeps host churn against broadcast outages on a 3×3 grid (with a
 /// small peer-malform rate throughout, so quarantine is exercised) and
 /// reports the per-quality answer counts plus the recovery counters.
-/// Validation stays on for every cell: the sweep doubles as the chaos
-/// oracle — non-`Exact` answers must respect their declared bound, and
-/// `Exact` answers must match ground truth, under every fault mix.
-pub fn chaos(scale: &ExpScale) -> Vec<ChaosRow> {
-    use airshare_sim::ChurnConfig;
-
-    let p = params::synthetic_suburbia();
-    let mut rows = Vec::new();
-    println!("\n## Chaos sweep — churn × outage (Synthetic Suburbia, kNN)");
-    println!(
-        "{:>7} {:>8} {:>7} {:>8} {:>6} {:>7} {:>9} {:>8} {:>8} {:>8} {:>7} {:>6}",
-        "crash%", "outage%", "exact", "degraded", "stale", "failed", "stale-age", "crashes",
-        "restart", "resyncs", "strikes", "wrong"
-    );
-
+///
+/// Validation stays on for every cell and the chaos oracle is checked on
+/// each: non-`Exact` answers respect their declared bound, `Exact`
+/// answers match ground truth, the calm cell serves every query `Exact`,
+/// outages degrade service and are recovered from, and churn crashes and
+/// restarts hosts. The first cell that breaks it is the error.
+fn chaos(scale: &ExpScale, pool: &ExecPool) -> Result<Experiment, String> {
     let mut points = Vec::new();
-    for crash_prob in [0.0, 0.01, 0.03] {
-        for outage_frac in [0.0, 0.15, 0.30] {
-            let mut cfg = scale.config(p, QueryKind::Knn, 4242);
+    for crash_pct in [0.0, 1.0, 3.0] {
+        for outage_pct in [0.0, 15.0, 30.0] {
+            let crash_prob = crash_pct / 100.0;
+            let mut cfg = scale.config(params::synthetic_suburbia(), Knn, 4242);
             cfg.validate = true;
             cfg.faults.peer_malform_prob = 0.05;
             cfg.churn = ChurnConfig {
@@ -860,48 +869,84 @@ pub fn chaos(scale: &ExpScale) -> Vec<ChaosRow> {
                 restart_prob: 0.3,
                 late_join_frac: if crash_prob > 0.0 { 0.1 } else { 0.0 },
             };
-            cfg.outages = outage_windows(&cfg, outage_frac);
-            points.push(((crash_prob, outage_frac), cfg));
+            cfg.outages = outage_windows(&cfg, outage_pct / 100.0);
+            points.push(((crash_pct, outage_pct), cfg));
         }
     }
-    for ((crash_prob, outage_frac), r) in
-        sweep_pool().map(points, |_, (cell, cfg)| (cell, run(cfg)))
-    {
-        let row = ChaosRow {
-            crash_prob,
-            outage_frac,
-            exact: r.quality.exact,
-            degraded: r.quality.degraded,
-            stale: r.quality.stale,
-            failed: r.quality.failed,
-            mean_stale_age_min: r.mean_stale_age_min(),
-            max_stale_age_min: r.stale_age_min_max,
-            crashes: r.hosts_crashed,
-            restarts: r.hosts_restarted,
-            resyncs: r.outage_resyncs,
-            quarantine_strikes: r.faults.quarantine_strikes,
-            peers_quarantined: r.faults.peers_quarantined,
-            bound_violations: r.bound_violations,
-            mismatches: r.exact_mismatches,
-        };
-        println!(
-            "{:>7.0} {:>8.0} {:>7} {:>8} {:>6} {:>7} {:>9.2} {:>8} {:>8} {:>8} {:>7} {:>6}",
-            100.0 * row.crash_prob,
-            100.0 * row.outage_frac,
-            row.exact,
-            row.degraded,
-            row.stale,
-            row.failed,
-            row.mean_stale_age_min,
-            row.crashes,
-            row.restarts,
-            row.resyncs,
-            row.quarantine_strikes,
-            row.bound_violations + row.mismatches
-        );
-        rows.push(row);
+    let mut e = Experiment::new(
+        "chaos",
+        "Chaos sweep — churn × outage (Synthetic Suburbia, kNN)",
+        &[
+            ("crash%", 0),
+            ("outage%", 0),
+            ("exact", 0),
+            ("degraded", 0),
+            ("stale", 0),
+            ("failed", 0),
+            ("stale-age", 2),
+            ("crashes", 0),
+            ("restart", 0),
+            ("resyncs", 0),
+            ("strikes", 0),
+            ("wrong", 0),
+            ("violations", 0),
+            ("max-age", 2),
+            ("quarantined", 0),
+        ],
+    );
+    for ((crash, outage), r) in run_points(pool, points) {
+        let q = &r.quality;
+        let calm = crash == 0.0 && outage == 0.0;
+        let checks = [
+            (
+                r.bound_violations == 0,
+                "a non-exact answer broke its bound",
+            ),
+            (r.exact_mismatches == 0, "an exact answer was wrong"),
+            (!calm || q.stale == 0, "stale answers without an outage"),
+            (!calm || q.failed == 0, "failed answers without an outage"),
+            (!calm || r.hosts_crashed == 0, "crashes with churn disabled"),
+            (
+                outage == 0.0 || q.stale + q.failed > 0,
+                "the outage degraded no service",
+            ),
+            (
+                outage == 0.0 || r.outage_resyncs > 0,
+                "nobody resynced after the outage",
+            ),
+            (
+                crash == 0.0 || r.hosts_crashed > 0,
+                "the crash rate crashed nobody",
+            ),
+            (
+                crash == 0.0 || r.hosts_restarted > 0,
+                "crashes were never followed by restarts",
+            ),
+        ];
+        if let Some((_, what)) = checks.iter().find(|(ok, _)| !ok) {
+            return Err(format!(
+                "chaos oracle: {what} at crash {crash}% outage {outage}%"
+            ));
+        }
+        e.push(row![
+            crash,
+            outage,
+            q.exact,
+            q.degraded,
+            q.stale,
+            q.failed,
+            r.mean_stale_age_min(),
+            r.hosts_crashed,
+            r.hosts_restarted,
+            r.outage_resyncs,
+            r.faults.quarantine_strikes,
+            r.exact_mismatches,
+            r.bound_violations,
+            r.stale_age_min_max,
+            r.faults.peers_quarantined,
+        ]);
     }
-    rows
+    Ok(e)
 }
 
 /// Carves `frac` of the measured epochs into two equal outage windows,
@@ -919,4 +964,114 @@ fn outage_windows(cfg: &SimConfig, frac: f64) -> Vec<(u64, u64)> {
     let first = warm + span / 5;
     let second = warm + (3 * span) / 5;
     vec![(first, first + half), (second, second + half)]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(words: &[&str]) -> Result<Args, ArgError> {
+        parse_args(words.iter().map(|w| w.to_string()))
+    }
+
+    #[test]
+    fn every_experiment_and_scale_parses() {
+        for (name, _) in EXPERIMENTS {
+            let a = args(&[name]).expect(name);
+            assert_eq!(a.experiments, vec![name]);
+            assert_eq!((a.scale, a.threads, a.json), (ExpScale::DEFAULT, 1, None));
+        }
+        let all = args(&["all"]).unwrap().experiments;
+        assert_eq!(all.len(), SUITE_LEN);
+        assert!(!all.contains(&"chaos") && !all.contains(&"trace"));
+        for scale in [ExpScale::QUICK, ExpScale::DEFAULT, ExpScale::FULL] {
+            let a = args(&["--scale", scale.name, "fig10"]).expect(scale.name);
+            assert_eq!(a.scale, scale);
+        }
+        let a = args(&["chaos", "--threads", "2", "--json", "out.json"]).unwrap();
+        assert_eq!((a.threads, a.json), (2, Some(PathBuf::from("out.json"))));
+    }
+
+    #[test]
+    fn bad_command_lines_are_typed_errors() {
+        use ArgError::*;
+        let cases: &[(&[&str], ArgError)] = &[
+            (&[], NoExperiment),
+            (&["--scale", "quick"], NoExperiment),
+            (&["fig16"], UnknownExperiment("fig16".into())),
+            (&["fig10", "fig11"], Unexpected("fig11".into())),
+            (
+                &["fig10", "--backend", "rtree"],
+                Unexpected("--backend".into()),
+            ),
+            (&["fig10", "--scale", "tenth"], UnknownScale("tenth".into())),
+            (&["fig10", "--threads", "0"], BadThreads("0".into())),
+            (&["fig10", "--threads", "x"], BadThreads("x".into())),
+            (&["fig10", "--threads", "-1"], BadThreads("-1".into())),
+            (&["fig10", "--threads"], MissingValue("--threads".into())),
+            (&["fig10", "--json"], MissingValue("--json".into())),
+            (&["fig10", "--scale"], MissingValue("--scale".into())),
+        ];
+        for (words, want) in cases {
+            assert_eq!(args(words).as_ref(), Err(want), "{words:?}");
+        }
+    }
+
+    fn sample() -> Experiment {
+        let mut e = Experiment::new(
+            "faults",
+            "A \"small\" table",
+            &[("set", 0), ("x", 1), ("n", 0)],
+        );
+        e.push(row!["LA City", 1.25, 3usize]);
+        e.push(row!["Riverside", f64::NAN, 40usize]);
+        e.push(row!["Suburbia", f64::INFINITY, 5usize]);
+        e
+    }
+
+    #[test]
+    fn text_renderer_prints_a_title_a_header_and_one_line_per_row() {
+        assert_eq!(
+            sample().text(),
+            "## A \"small\" table\n\
+             set          x   n\n\
+             LA City    1.2   3\n\
+             Riverside  NaN  40\n\
+             Suburbia   inf   5\n"
+        );
+    }
+
+    #[test]
+    fn json_renderer_keys_each_row_by_column_and_nulls_non_finite_values() {
+        let mut empty = Experiment::new("trace", "none", &[("a", 0)]);
+        assert_eq!(json(&[]), "{\n}\n");
+        let doc = json(&[sample(), empty.clone()]);
+        assert_eq!(
+            doc,
+            "{\n  \"faults\": {\n    \"title\": \"A \\\"small\\\" table\",\n    \"rows\": [\n      \
+             {\"set\": \"LA City\", \"x\": 1.25, \"n\": 3},\n      \
+             {\"set\": \"Riverside\", \"x\": null, \"n\": 40},\n      \
+             {\"set\": \"Suburbia\", \"x\": null, \"n\": 5}\n    ]\n  },\n  \
+             \"trace\": {\n    \"title\": \"none\",\n    \"rows\": []\n  }\n}\n"
+        );
+        assert!(!doc.contains("NaN") && !doc.contains("inf"));
+        empty.push(row![0.1 + 0.2]);
+        assert!(json(&[empty]).contains("{\"a\": 0.30000000000000004}"));
+    }
+
+    #[test]
+    fn m_sweep_probe_wait_falls_strictly_as_index_copies_grow() {
+        let e = m_sweep();
+        let column = |name: &str| -> Vec<f64> {
+            let i = e.columns.iter().position(|c| c.name == name).expect(name);
+            let num = |v: &Value| match v {
+                Value::Num(x) => *x,
+                Value::Text(_) => panic!("{name} is numeric"),
+            };
+            e.rows.iter().map(|r| num(&r[i])).collect()
+        };
+        assert_eq!(column("m"), [1.0, 2.0, 4.0, 8.0, 16.0]);
+        let wait = column("probe wait");
+        assert!(wait.windows(2).all(|w| w[1] < w[0]), "probe wait {wait:?}");
+    }
 }

@@ -8,7 +8,7 @@
 //! information alone. [`AirIndexBackend`] captures exactly that contract
 //! so [`crate::OnAirClient`], the SBNN/SBWQ algorithms, and the
 //! simulator run unchanged over any backend, and backends can be
-//! ablated against each other (the R-tree rows of `exp_ablations`).
+//! ablated against each other (the R-tree rows of `airshare-paper ablations`).
 //!
 //! Two backends ship in-tree:
 //!

@@ -19,7 +19,7 @@
 //!   log-scaled [`Histogram`]s, snapshotted as a [`MetricsSnapshot`]
 //!   with p50/p90/p95/p99 extraction.
 //! * [`JsonlTraceRecorder`] — a deterministic per-query event log, one
-//!   JSON object per line, consumable by the `exp_trace` experiment.
+//!   JSON object per line, consumable by the `trace` experiment of `airshare-paper`.
 //! * [`stats`] — the unified statistics module: [`AccessStats`] (moved
 //!   here from `airshare-broadcast`), [`ShareStats`] (moved from
 //!   `airshare-p2p`), the grouped [`FaultStats`] counters, and the

@@ -156,7 +156,7 @@ pub fn sanitize_id_regions(
 /// request (flooding with duplicate suppression, relay positions from
 /// `grid`, each peer contacted once); the paper names richer
 /// cooperation as future work, and this is the obvious next step so
-/// its benefit can be measured (see the `exp_ablations` experiment).
+/// its benefit can be measured (see the `ablations` experiment of `airshare-paper`).
 ///
 /// Each contacted peer's reply may be dropped or malformed per
 /// `faults`, and surviving replies are sanitized against `world` (see

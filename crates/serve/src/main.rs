@@ -11,8 +11,6 @@
 //! airshare-serve [--backend hilbert|rtree] [--kind knn|window]
 //!                [--seed N] [--scale F] [--queue N] [--threads N]
 //! ```
-//!
-//! The backend can also come from `AIRSHARE_BACKEND`; CLI wins.
 
 use airshare_serve::{replay, ServeConfig, Service};
 use airshare_sim::{params, BackendKind, QueryKind, SimConfig, Simulation};
@@ -33,12 +31,7 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut args = Args {
-        backend: match std::env::var("AIRSHARE_BACKEND") {
-            Ok(v) if !v.trim().is_empty() => v
-                .parse()
-                .unwrap_or_else(|e| fail(&format!("AIRSHARE_BACKEND: {e}"))),
-            _ => BackendKind::Hilbert,
-        },
+        backend: BackendKind::Hilbert,
         kind: QueryKind::Knn,
         seed: 42,
         scale: 0.005,

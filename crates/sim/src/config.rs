@@ -345,7 +345,7 @@ pub struct SimConfig {
     /// clipping); in a scaled-down world clipping is *more accurate* but
     /// boosts approximate acceptance far beyond the paper's regime,
     /// because the edge zone dominates a small world. Default off for
-    /// figure fidelity; `exp_prob` calibrates both estimators.
+    /// figure fidelity; `airshare-paper prob` calibrates both estimators.
     pub clip_domain: bool,
     /// Hosts accept approximate kNN answers above `min_correctness`.
     pub accept_approx: bool,

@@ -292,25 +292,19 @@ impl Simulation {
         let mut mobility_cfg = MobilityConfig::vehicular(world.bounds);
         mobility_cfg.speed_min *= cfg.params.speed_scale;
         mobility_cfg.speed_max *= cfg.params.speed_scale;
-        // Every stream is seeded per host, independent of construction
-        // order, so the fleet can be built in parallel chunks — the
-        // result is the same vector a sequential loop produces.
-        let hosts: Vec<HostMobility> =
-            par_init(&ExecPool::from_env(), cfg.params.mh_number, |i| {
+        let hosts: Vec<HostMobility> = (0..cfg.params.mh_number)
+            .map(|i| {
                 let seed = cfg.seed ^ (0x9E3779B97F4A7C15u64.wrapping_mul(i as u64 + 1));
                 match cfg.mobility {
                     MobilityModel::RandomWaypoint => {
                         HostMobility::Waypoint(RandomWaypoint::new(mobility_cfg, seed))
                     }
-                    MobilityModel::GridRoads { spacing_milli_mi } => {
-                        HostMobility::Roads(Box::new(GridRoadWaypoint::new(
-                            mobility_cfg,
-                            spacing_milli_mi as f64 / 1000.0,
-                            seed,
-                        )))
-                    }
+                    MobilityModel::GridRoads { spacing_milli_mi } => HostMobility::Roads(Box::new(
+                        GridRoadWaypoint::new(mobility_cfg, spacing_milli_mi as f64 / 1000.0, seed),
+                    )),
                 }
-            });
+            })
+            .collect();
         let (online, churn_plan) = plan_churn(cfg);
         world.fleet.online = online;
         Ok(Self {
@@ -1050,36 +1044,6 @@ fn sample_window(p: &ParamSet, world: &Rect, qpos: Point, rng: &mut SmallRng) ->
     w.intersection(world).unwrap_or(w)
 }
 
-/// Order-preserving parallel initialization: `(0..n).map(f).collect()`
-/// fanned out over `pool` in contiguous chunks. `f` must be a pure
-/// function of the index (every per-host constructor in this crate is —
-/// seeds are split per host, never drawn from a shared stream), which
-/// makes the result independent of chunking and thread count.
-pub(crate) fn par_init<T: Send>(
-    pool: &ExecPool,
-    n: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    // Below this, setting up the workers costs more than the work
-    // saves (measured on 2 vCPUs: an 18,660-host city world builds in
-    // 4.8 ms inline against 6.3–7.2 ms fanned out). Above it, two
-    // threads still lose to inline there, because the chunks are
-    // copied into one `Vec` at the end; more cores may split enough
-    // work to pay for that copy.
-    if pool.threads() <= 1 || n < 65_536 {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(pool.threads() * 4).max(1024);
-    let ranges: Vec<(usize, usize)> = (0..n)
-        .step_by(chunk)
-        .map(|s| (s, (s + chunk).min(n)))
-        .collect();
-    pool.map(ranges, |_, (s, e)| (s..e).map(&f).collect::<Vec<T>>())
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
 /// Precomputes the churn schedule: each host's initial online flag and
 /// the full list of crash/restart/join transitions, sorted by
 /// `(epoch, host)`.
@@ -1604,17 +1568,5 @@ mod tests {
         assert!(window_holds(false, &[], &truth));
         assert!(window_holds(false, &[2, 9], &truth));
         assert!(!window_holds(false, &[2, 7], &truth));
-    }
-
-    #[test]
-    fn par_init_is_thread_count_invariant_above_the_inline_threshold() {
-        // Every determinism pin builds fewer than 65,536 hosts, where
-        // `par_init` runs inline; this is the chunked path.
-        let n = 70_000;
-        let f = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
-        let serial: Vec<u64> = (0..n).map(f).collect();
-        for threads in [1, 2, 8] {
-            assert_eq!(par_init(&ExecPool::fixed(threads), n, f), serial, "{threads} threads");
-        }
     }
 }

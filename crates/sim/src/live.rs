@@ -24,9 +24,7 @@
 //! replayed against a `LiveWorld` is answered identically by
 //! construction (DESIGN.md §14).
 
-use crate::engine::{
-    fold_outcome, par_init, EpochCtx, HostState, LiveTask, QueryAnswer, QuerySpec,
-};
+use crate::engine::{fold_outcome, EpochCtx, HostState, LiveTask, QueryAnswer, QuerySpec};
 use crate::fleet::FleetStore;
 use crate::{BackendKind, ConfigError, SimConfig, SimReport};
 use airshare_broadcast::{
@@ -168,19 +166,20 @@ impl LiveWorld {
         let schedule = Schedule::try_for_backend(index.as_ref(), cfg.index_m)
             .map_err(|_| ConfigError::ZeroIndexReplication)?;
         let n = cfg.params.mh_number;
-        // Per-host state is constructed in parallel chunks: caches take no
-        // seed at all, and quarantine seeds are split per host — both are
-        // pure functions of the host id, so chunking is invisible.
-        let caches = par_init(&pool, n, |_| {
-            HostCache::new(cfg.params.cache_size, cfg.policy)
-                .with_subsume_overlap(cfg.subsume_overlap)
-        });
-        let quarantines = par_init(&pool, n, |h| {
-            QuarantineLedger::new(
-                QuarantineConfig::default(),
-                split_seed(cfg.seed ^ QUARANTINE_SEED_SALT, h as u64, 0),
-            )
-        });
+        let caches = (0..n)
+            .map(|_| {
+                HostCache::new(cfg.params.cache_size, cfg.policy)
+                    .with_subsume_overlap(cfg.subsume_overlap)
+            })
+            .collect();
+        let quarantines = (0..n)
+            .map(|h| {
+                QuarantineLedger::new(
+                    QuarantineConfig::default(),
+                    split_seed(cfg.seed ^ QUARANTINE_SEED_SALT, h as u64, 0),
+                )
+            })
+            .collect();
         // Fault decisions are hashed from their own seed (derived from
         // the master seed), never drawn from an RNG stream: an inert
         // fault config leaves every other random stream untouched.
