@@ -14,6 +14,9 @@
 //!   variant (the paper's road map is unavailable; see DESIGN.md §2).
 //!   Hosts travel along axis-aligned streets with L-shaped routes.
 //! * [`Mobility`] — the common interface (`position_at` / `velocity_at`).
+//!   A model holds only its trajectory state (RNG, current leg, clock);
+//!   the [`MobilityConfig`] every host of a fleet shares is held once, by
+//!   the fleet, and passed to each call.
 //! * [`PoissonProcess`] / [`QueryScheduler`] — exponential inter-arrival
 //!   event streams assigning queries to random hosts.
 //!
@@ -37,17 +40,18 @@ use airshare_geom::Point;
 ///
 /// Implementations may cache per-leg state; `position_at` must be called
 /// with non-decreasing `t` (enforced with a panic, since violating it
-/// silently would desynchronize the simulation).
+/// silently would desynchronize the simulation). Every call takes the
+/// [`MobilityConfig`] the model was built with; the model keeps no copy.
 pub trait Mobility {
     /// Position at simulation time `t` (minutes).
-    fn position_at(&mut self, t: f64) -> Point;
+    fn position_at(&mut self, config: &MobilityConfig, t: f64) -> Point;
 
     /// Velocity vector at time `t` (miles per minute); zero while paused.
-    fn velocity_at(&mut self, t: f64) -> (f64, f64);
+    fn velocity_at(&mut self, config: &MobilityConfig, t: f64) -> (f64, f64);
 
     /// Heading unit vector at time `t`, or `None` while paused.
-    fn heading_at(&mut self, t: f64) -> Option<(f64, f64)> {
-        let (vx, vy) = self.velocity_at(t);
+    fn heading_at(&mut self, config: &MobilityConfig, t: f64) -> Option<(f64, f64)> {
+        let (vx, vy) = self.velocity_at(config, t);
         let n = vx.hypot(vy);
         (n > 1e-12).then(|| (vx / n, vy / n))
     }

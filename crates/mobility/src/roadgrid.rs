@@ -11,7 +11,7 @@
 use crate::{Mobility, MobilityConfig};
 use airshare_geom::Point;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// A straight sub-segment of an L-shaped route.
 #[derive(Clone, Copy, Debug)]
@@ -45,9 +45,12 @@ impl Hop {
 }
 
 /// Waypoint mobility constrained to a synthetic street grid.
+///
+/// Like [`crate::RandomWaypoint`], the model stores no
+/// [`MobilityConfig`]: pass the one it was built with to every call. The
+/// street spacing is its own, clamped to that config's world.
 #[derive(Clone, Debug)]
 pub struct GridRoadWaypoint {
-    config: MobilityConfig,
     /// Street spacing in miles.
     spacing: f64,
     rng: SmallRng,
@@ -63,18 +66,11 @@ impl GridRoadWaypoint {
     /// `spacing` is the street pitch in miles (e.g. 0.25 for dense urban
     /// blocks); it is clamped to at most half the world's short side so a
     /// grid always exists.
-    pub fn new(config: MobilityConfig, spacing: f64, seed: u64) -> Self {
+    pub fn new(config: &MobilityConfig, spacing: f64, seed: u64) -> Self {
         assert!(spacing > 0.0, "street spacing must be positive");
         let spacing = spacing.min(0.5 * config.world.width().min(config.world.height()));
         let mut rng = SmallRng::seed_from_u64(seed);
-        let start = snap_to_grid(
-            Point::new(
-                rng.gen_range(config.world.x1..=config.world.x2),
-                rng.gen_range(config.world.y1..=config.world.y2),
-            ),
-            &config,
-            spacing,
-        );
+        let start = snap_to_grid(config.sample_point(&mut rng), config, spacing);
         let stay = Hop {
             from: start,
             to: start,
@@ -82,37 +78,21 @@ impl GridRoadWaypoint {
             arrive: 0.0,
         };
         let mut g = Self {
-            config,
             spacing,
             rng,
             hops: [stay, stay],
             route_end: 0.0,
             last_t: 0.0,
         };
-        g.next_route();
+        g.next_route(config);
         g
     }
 
-    fn next_route(&mut self) {
+    fn next_route(&mut self, config: &MobilityConfig) {
         let from = self.hops[1].to;
-        let dest = snap_to_grid(
-            Point::new(
-                self.rng.gen_range(self.config.world.x1..=self.config.world.x2),
-                self.rng.gen_range(self.config.world.y1..=self.config.world.y2),
-            ),
-            &self.config,
-            self.spacing,
-        );
-        let speed = if self.config.speed_max > self.config.speed_min {
-            self.rng.gen_range(self.config.speed_min..self.config.speed_max)
-        } else {
-            self.config.speed_min
-        };
-        let pause = if self.config.pause_max > self.config.pause_min {
-            self.rng.gen_range(self.config.pause_min..self.config.pause_max)
-        } else {
-            self.config.pause_min
-        };
+        let dest = snap_to_grid(config.sample_point(&mut self.rng), config, self.spacing);
+        let speed = config.sample_speed(&mut self.rng);
+        let pause = config.sample_pause(&mut self.rng);
         // L-route: east/west first, then north/south.
         let corner = Point::new(dest.x, from.y);
         let depart = self.route_end;
@@ -135,7 +115,7 @@ impl GridRoadWaypoint {
         self.route_end = t2 + pause;
     }
 
-    fn advance_to(&mut self, t: f64) {
+    fn advance_to(&mut self, config: &MobilityConfig, t: f64) {
         assert!(
             t >= self.last_t,
             "mobility time went backwards: {t} < {}",
@@ -143,7 +123,7 @@ impl GridRoadWaypoint {
         );
         self.last_t = t;
         while t > self.route_end {
-            self.next_route();
+            self.next_route(config);
         }
     }
 
@@ -165,13 +145,13 @@ fn snap_to_grid(p: Point, config: &MobilityConfig, spacing: f64) -> Point {
 }
 
 impl Mobility for GridRoadWaypoint {
-    fn position_at(&mut self, t: f64) -> Point {
-        self.advance_to(t);
+    fn position_at(&mut self, config: &MobilityConfig, t: f64) -> Point {
+        self.advance_to(config, t);
         self.current_hop(t).position_at(t)
     }
 
-    fn velocity_at(&mut self, t: f64) -> (f64, f64) {
-        self.advance_to(t);
+    fn velocity_at(&mut self, config: &MobilityConfig, t: f64) -> (f64, f64) {
+        self.advance_to(config, t);
         self.current_hop(t).velocity_at(t)
     }
 }
@@ -187,18 +167,18 @@ mod tests {
 
     #[test]
     fn stays_inside_world() {
-        let mut g = GridRoadWaypoint::new(cfg(), 0.5, 17);
+        let mut g = GridRoadWaypoint::new(&cfg(), 0.5, 17);
         for i in 0..5000 {
-            let p = g.position_at(i as f64 * 0.3);
+            let p = g.position_at(&cfg(), i as f64 * 0.3);
             assert!(cfg().world.contains(p));
         }
     }
 
     #[test]
     fn moves_axis_aligned() {
-        let mut g = GridRoadWaypoint::new(cfg(), 0.5, 4);
+        let mut g = GridRoadWaypoint::new(&cfg(), 0.5, 4);
         for i in 0..4000 {
-            let (vx, vy) = g.velocity_at(i as f64 * 0.2);
+            let (vx, vy) = g.velocity_at(&cfg(), i as f64 * 0.2);
             // On an L-route, at most one velocity component is nonzero.
             assert!(
                 vx.abs() < 1e-9 || vy.abs() < 1e-9,
@@ -210,13 +190,13 @@ mod tests {
     #[test]
     fn waypoints_are_on_grid() {
         // While paused (zero velocity), position must be an intersection.
-        let mut g = GridRoadWaypoint::new(cfg(), 0.5, 21);
+        let mut g = GridRoadWaypoint::new(&cfg(), 0.5, 21);
         let mut checked = 0;
         for i in 0..20000 {
             let t = i as f64 * 0.05;
-            let (vx, vy) = g.velocity_at(t);
+            let (vx, vy) = g.velocity_at(&cfg(), t);
             if vx == 0.0 && vy == 0.0 {
-                let p = g.position_at(t);
+                let p = g.position_at(&cfg(), t);
                 let fx = (p.x / 0.5).round() * 0.5;
                 let fy = (p.y / 0.5).round() * 0.5;
                 // Paused points are grid intersections or L-corners (also
@@ -231,11 +211,11 @@ mod tests {
 
     #[test]
     fn continuous_trajectory() {
-        let mut g = GridRoadWaypoint::new(cfg(), 0.25, 9);
+        let mut g = GridRoadWaypoint::new(&cfg(), 0.25, 9);
         let dt = 0.01;
-        let mut prev = g.position_at(0.0);
+        let mut prev = g.position_at(&cfg(), 0.0);
         for i in 1..10000 {
-            let p = g.position_at(i as f64 * dt);
+            let p = g.position_at(&cfg(), i as f64 * dt);
             assert!(prev.distance(p) <= cfg().speed_max * dt + 1e-9);
             prev = p;
         }
@@ -243,11 +223,11 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let mut a = GridRoadWaypoint::new(cfg(), 0.5, 33);
-        let mut b = GridRoadWaypoint::new(cfg(), 0.5, 33);
+        let mut a = GridRoadWaypoint::new(&cfg(), 0.5, 33);
+        let mut b = GridRoadWaypoint::new(&cfg(), 0.5, 33);
         for i in 0..200 {
             let t = i as f64 * 1.1;
-            assert_eq!(a.position_at(t), b.position_at(t));
+            assert_eq!(a.position_at(&cfg(), t), b.position_at(&cfg(), t));
         }
     }
 }

@@ -8,6 +8,9 @@ use rand::{Rng, SeedableRng};
 /// Shared parameters of a waypoint-style mobility model.
 ///
 /// Speeds are in miles per minute (60 mph = 1 mi/min); pauses in minutes.
+/// Every host of a fleet has the same parameters, so the fleet holds them
+/// once: a model keeps only its own trajectory state and is handed the
+/// config on every call — the one it was built with.
 #[derive(Clone, Copy, Debug)]
 pub struct MobilityConfig {
     /// The area hosts roam in.
@@ -40,14 +43,14 @@ impl MobilityConfig {
         assert!(self.pause_min >= 0.0 && self.pause_max >= self.pause_min);
     }
 
-    fn sample_point(&self, rng: &mut SmallRng) -> Point {
+    pub(crate) fn sample_point(&self, rng: &mut SmallRng) -> Point {
         Point::new(
             rng.gen_range(self.world.x1..=self.world.x2),
             rng.gen_range(self.world.y1..=self.world.y2),
         )
     }
 
-    fn sample_speed(&self, rng: &mut SmallRng) -> f64 {
+    pub(crate) fn sample_speed(&self, rng: &mut SmallRng) -> f64 {
         if self.speed_max > self.speed_min {
             rng.gen_range(self.speed_min..self.speed_max)
         } else {
@@ -55,7 +58,7 @@ impl MobilityConfig {
         }
     }
 
-    fn sample_pause(&self, rng: &mut SmallRng) -> f64 {
+    pub(crate) fn sample_pause(&self, rng: &mut SmallRng) -> f64 {
         if self.pause_max > self.pause_min {
             rng.gen_range(self.pause_min..self.pause_max)
         } else {
@@ -101,11 +104,12 @@ impl Leg {
 /// destination in the world, travel to it in a straight line at a
 /// uniform-random speed, pause, repeat.
 ///
-/// The host's full trajectory is determined by the seed; positions are
-/// computed lazily, so a fleet of 100k hosts costs nothing until queried.
+/// The host's full trajectory is determined by the seed and the
+/// [`MobilityConfig`]; positions are computed lazily, so a fleet of 100k
+/// hosts costs nothing until queried. The model stores no parameters:
+/// pass the config it was built with to every call.
 #[derive(Clone, Debug)]
 pub struct RandomWaypoint {
-    config: MobilityConfig,
     rng: SmallRng,
     leg: Leg,
     /// End of the current leg including the pause that follows arrival.
@@ -115,12 +119,11 @@ pub struct RandomWaypoint {
 
 impl RandomWaypoint {
     /// Creates a host starting at a uniform-random position at time 0.
-    pub fn new(config: MobilityConfig, seed: u64) -> Self {
+    pub fn new(config: &MobilityConfig, seed: u64) -> Self {
         config.validate();
         let mut rng = SmallRng::seed_from_u64(seed);
         let start = config.sample_point(&mut rng);
         let mut rw = Self {
-            config,
             rng,
             leg: Leg {
                 from: start,
@@ -131,20 +134,15 @@ impl RandomWaypoint {
             leg_end: 0.0,
             last_t: 0.0,
         };
-        rw.next_leg();
+        rw.next_leg(config);
         rw
     }
 
-    /// The model's parameters.
-    pub fn config(&self) -> &MobilityConfig {
-        &self.config
-    }
-
-    fn next_leg(&mut self) {
+    fn next_leg(&mut self, config: &MobilityConfig) {
         let from = self.leg.to;
-        let to = self.config.sample_point(&mut self.rng);
-        let speed = self.config.sample_speed(&mut self.rng);
-        let pause = self.config.sample_pause(&mut self.rng);
+        let to = config.sample_point(&mut self.rng);
+        let speed = config.sample_speed(&mut self.rng);
+        let pause = config.sample_pause(&mut self.rng);
         let depart = self.leg_end;
         let arrive = depart + from.distance(to) / speed;
         self.leg = Leg {
@@ -156,7 +154,7 @@ impl RandomWaypoint {
         self.leg_end = arrive + pause;
     }
 
-    fn advance_to(&mut self, t: f64) {
+    fn advance_to(&mut self, config: &MobilityConfig, t: f64) {
         assert!(
             t >= self.last_t,
             "mobility time went backwards: {t} < {}",
@@ -164,19 +162,19 @@ impl RandomWaypoint {
         );
         self.last_t = t;
         while t > self.leg_end {
-            self.next_leg();
+            self.next_leg(config);
         }
     }
 }
 
 impl Mobility for RandomWaypoint {
-    fn position_at(&mut self, t: f64) -> Point {
-        self.advance_to(t);
+    fn position_at(&mut self, config: &MobilityConfig, t: f64) -> Point {
+        self.advance_to(config, t);
         self.leg.position_at(t)
     }
 
-    fn velocity_at(&mut self, t: f64) -> (f64, f64) {
-        self.advance_to(t);
+    fn velocity_at(&mut self, config: &MobilityConfig, t: f64) -> (f64, f64) {
+        self.advance_to(config, t);
         self.leg.velocity_at(t)
     }
 }
@@ -191,37 +189,37 @@ mod tests {
 
     #[test]
     fn stays_inside_world() {
-        let mut rw = RandomWaypoint::new(cfg(), 42);
+        let mut rw = RandomWaypoint::new(&cfg(), 42);
         for i in 0..5000 {
-            let p = rw.position_at(i as f64 * 0.5);
+            let p = rw.position_at(&cfg(), i as f64 * 0.5);
             assert!(cfg().world.contains(p), "escaped at t={}: {p:?}", i);
         }
     }
 
     #[test]
     fn deterministic_under_seed() {
-        let mut a = RandomWaypoint::new(cfg(), 7);
-        let mut b = RandomWaypoint::new(cfg(), 7);
+        let mut a = RandomWaypoint::new(&cfg(), 7);
+        let mut b = RandomWaypoint::new(&cfg(), 7);
         for i in 0..100 {
             let t = i as f64 * 3.7;
-            assert_eq!(a.position_at(t), b.position_at(t));
+            assert_eq!(a.position_at(&cfg(), t), b.position_at(&cfg(), t));
         }
-        let mut c = RandomWaypoint::new(cfg(), 8);
-        let mut a2 = RandomWaypoint::new(cfg(), 7);
+        let mut c = RandomWaypoint::new(&cfg(), 8);
+        let mut a2 = RandomWaypoint::new(&cfg(), 7);
         let far = (0..50).any(|i| {
             let t = i as f64;
-            a2.position_at(t).distance(c.position_at(t)) > 1.0
+            a2.position_at(&cfg(), t).distance(c.position_at(&cfg(), t)) > 1.0
         });
         assert!(far, "different seeds should diverge");
     }
 
     #[test]
     fn speed_respects_bounds_while_moving() {
-        let mut rw = RandomWaypoint::new(cfg(), 3);
+        let mut rw = RandomWaypoint::new(&cfg(), 3);
         let mut moving_samples = 0;
         for i in 0..2000 {
             let t = i as f64 * 0.25;
-            let (vx, vy) = rw.velocity_at(t);
+            let (vx, vy) = rw.velocity_at(&cfg(), t);
             let speed = vx.hypot(vy);
             if speed > 0.0 {
                 moving_samples += 1;
@@ -236,12 +234,12 @@ mod tests {
 
     #[test]
     fn position_is_continuous() {
-        let mut rw = RandomWaypoint::new(cfg(), 11);
-        let mut prev = rw.position_at(0.0);
+        let mut rw = RandomWaypoint::new(&cfg(), 11);
+        let mut prev = rw.position_at(&cfg(), 0.0);
         let dt = 0.01;
         for i in 1..20000 {
             let t = i as f64 * dt;
-            let p = rw.position_at(t);
+            let p = rw.position_at(&cfg(), t);
             let jump = prev.distance(p);
             assert!(
                 jump <= cfg().speed_max * dt + 1e-9,
@@ -254,17 +252,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "time went backwards")]
     fn time_must_not_rewind() {
-        let mut rw = RandomWaypoint::new(cfg(), 1);
-        rw.position_at(10.0);
-        rw.position_at(5.0);
+        let mut rw = RandomWaypoint::new(&cfg(), 1);
+        rw.position_at(&cfg(), 10.0);
+        rw.position_at(&cfg(), 5.0);
     }
 
     #[test]
     fn heading_is_unit_or_none() {
-        let mut rw = RandomWaypoint::new(cfg(), 9);
+        let mut rw = RandomWaypoint::new(&cfg(), 9);
         for i in 0..500 {
             let t = i as f64 * 0.5;
-            if let Some((hx, hy)) = rw.heading_at(t) {
+            if let Some((hx, hy)) = rw.heading_at(&cfg(), t) {
                 assert!((hx.hypot(hy) - 1.0).abs() < 1e-9);
             }
         }

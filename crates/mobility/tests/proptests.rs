@@ -20,12 +20,12 @@ proptest! {
         steps in 50usize..400,
     ) {
         let c = cfg(side);
-        let mut m = RandomWaypoint::new(c, seed);
+        let mut m = RandomWaypoint::new(&c, seed);
         let dt = 0.2;
-        let mut prev = m.position_at(0.0);
+        let mut prev = m.position_at(&c, 0.0);
         for i in 1..steps {
             let t = i as f64 * dt;
-            let p = m.position_at(t);
+            let p = m.position_at(&c, t);
             prop_assert!(c.world.contains(p));
             prop_assert!(prev.distance(p) <= c.speed_max * dt + 1e-9);
             prev = p;
@@ -40,12 +40,12 @@ proptest! {
         steps in 50usize..300,
     ) {
         let c = cfg(side);
-        let mut m = GridRoadWaypoint::new(c, spacing, seed);
+        let mut m = GridRoadWaypoint::new(&c, spacing, seed);
         for i in 0..steps {
             let t = i as f64 * 0.3;
-            let p = m.position_at(t);
+            let p = m.position_at(&c, t);
             prop_assert!(c.world.contains(p));
-            let (vx, vy) = m.velocity_at(t);
+            let (vx, vy) = m.velocity_at(&c, t);
             prop_assert!(vx.abs() < 1e-9 || vy.abs() < 1e-9, "diagonal: ({vx},{vy})");
         }
     }
@@ -58,12 +58,12 @@ proptest! {
         let mut sorted = times.clone();
         sorted.sort_by(f64::total_cmp);
         let c = cfg(10.0);
-        let mut a = RandomWaypoint::new(c, seed);
-        let mut b = RandomWaypoint::new(c, seed);
+        let mut a = RandomWaypoint::new(&c, seed);
+        let mut b = RandomWaypoint::new(&c, seed);
         for &t in &sorted {
-            prop_assert_eq!(a.position_at(t), b.position_at(t));
-            let va = a.velocity_at(t);
-            let vb = b.velocity_at(t);
+            prop_assert_eq!(a.position_at(&c, t), b.position_at(&c, t));
+            let va = a.velocity_at(&c, t);
+            let vb = b.velocity_at(&c, t);
             prop_assert_eq!(va, vb);
         }
     }
@@ -71,11 +71,11 @@ proptest! {
     #[test]
     fn heading_is_unit_when_moving(seed in any::<u64>()) {
         let c = cfg(10.0);
-        let mut m = RandomWaypoint::new(c, seed);
+        let mut m = RandomWaypoint::new(&c, seed);
         for i in 0..200 {
             let t = i as f64 * 0.5;
-            let (vx, vy) = m.velocity_at(t);
-            match m.heading_at(t) {
+            let (vx, vy) = m.velocity_at(&c, t);
+            match m.heading_at(&c, t) {
                 Some((hx, hy)) => {
                     prop_assert!((hx.hypot(hy) - 1.0).abs() < 1e-9);
                     // Heading aligns with velocity.

@@ -9,6 +9,15 @@
 //! id-sorted for free, and the buffers are retained, so a warm refresh
 //! allocates nothing.
 //!
+//! The one pass that must read every host — pass 2: copy its position
+//! into the grid, key it, keep it or not — runs over contiguous host-id
+//! chunks. A large fleet's chunks are fanned out over an
+//! [`ExecPool`]; each bins into its own region of the retained `binned`
+//! buffer with global ids, and the kept pairs are compacted in chunk
+//! order, so the result is the inline pass's, bit for bit. Below
+//! `FAN_OUT_HOSTS` hosts, or on a one-thread pool, the pass is one
+//! inline chunk on the caller.
+//!
 //! A refresh bins either every online host
 //! ([`NeighborGrid::refresh_active`]) or only those a known set of
 //! queries can reach ([`NeighborGrid::refresh_near`]): the hosts whose
@@ -26,10 +35,18 @@
 //! [`NeighborGrid::neighbors_within`] enumerates them in — so each
 //! column of a query's ring is one contiguous run of `members`.
 
+use airshare_exec::ExecPool;
 use airshare_geom::{Point, Rect};
 
 /// Cell key: `floor(coordinate / cell)` per axis.
 type Key = (i64, i64);
+
+/// Fleets smaller than this bin inline on the caller. Probed on 2
+/// vCPUs, one marked refresh around 500 centers: inline and two threads
+/// tie at 65,536 hosts, and two threads win from 262,144 up (a million:
+/// 13–21 ms inline, 9–14 ms fanned out). The 18,660-host city worlds
+/// stay on the caller.
+const FAN_OUT_HOSTS: usize = 1 << 17;
 
 /// Cells in the inclusive key extent `[min, max]`, if few enough to
 /// index directly: at most 8 per host, with a floor for small fleets.
@@ -94,8 +111,7 @@ impl NeighborGrid {
     /// a crashed or not-yet-joined host is radio-silent.
     pub fn build_active(positions: Vec<Point>, cell: f64, online: &[bool]) -> Self {
         let mut grid = Self::empty(cell);
-        grid.positions = positions;
-        grid.rebuild(online, None);
+        grid.refresh_active(&positions, online);
         grid
     }
 
@@ -165,9 +181,7 @@ impl NeighborGrid {
     /// re-binned; nothing is carried over from the previous refresh, so
     /// the result depends on this call's arguments alone.
     pub fn refresh_active(&mut self, positions: &[Point], online: &[bool]) {
-        self.positions.clear();
-        self.positions.extend_from_slice(positions);
-        self.rebuild(online, None);
+        self.rebuild(positions, online, None, &ExecPool::sequential());
     }
 
     /// [`NeighborGrid::refresh_active`] for a known set of lookups: bins
@@ -180,16 +194,22 @@ impl NeighborGrid {
     /// with a non-finite coordinate reach no host and mark nothing. When
     /// the marks span too many cells to index directly, every online
     /// host is binned, as by a full refresh.
+    ///
+    /// A fleet of 131,072 hosts or more has its per-host pass fanned
+    /// out over `pool`, with the same result on any pool. That path
+    /// allocates what [`ExecPool::map`] allocates — a task list and its
+    /// results, plus the threads' own — where the inline path of a
+    /// smaller fleet, or of a one-thread pool, allocates nothing once
+    /// warm.
     pub fn refresh_near(
         &mut self,
         positions: &[Point],
         online: &[bool],
         centers: &[Point],
         rings: u32,
+        pool: &ExecPool,
     ) {
-        self.positions.clear();
-        self.positions.extend_from_slice(positions);
-        self.rebuild(online, Some((centers, rings)));
+        self.rebuild(positions, online, Some((centers, rings)), pool);
     }
 
     /// A host with a NaN coordinate is at no distance from anything: it
@@ -198,25 +218,67 @@ impl NeighborGrid {
         on & !p.x.is_nan() & !p.y.is_nan()
     }
 
-    /// Pass 2 of a refresh: `(id, slot)` of each indexed host whose slot
-    /// passes `keep`, appended to the front of `binned` in ascending id
-    /// without a data-dependent branch — every host's pair is written,
-    /// and the cursor steps past the kept ones. Returns how many.
+    /// Pass 2 over one chunk of hosts, the first of them host `first`:
+    /// each position is copied from `src` into `dst`, and `(id, slot)`
+    /// of each indexed host whose slot passes `keep` is appended to the
+    /// front of `binned` in ascending id without a data-dependent branch
+    /// — every host's pair is written, and the cursor steps past the
+    /// kept ones. Returns how many.
     fn bin(
-        positions: &[Point],
+        first: usize,
+        src: &[Point],
         online: &[bool],
-        cell: f64,
+        dst: &mut [Point],
         binned: &mut [(u32, u32)],
-        slot_of: impl Fn(Key) -> usize,
-        keep: impl Fn(usize) -> bool,
+        slot_of: &impl Fn(Point) -> usize,
+        keep: &impl Fn(usize) -> bool,
     ) -> usize {
         let mut kept = 0;
-        for (i, (p, &on)) in positions.iter().zip(online).enumerate() {
-            let s = slot_of(Self::key(*p, cell));
-            binned[kept] = (i as u32, s as u32);
-            kept += (Self::indexed(p, on) & keep(s)) as usize;
+        for (i, ((&p, &on), d)) in src.iter().zip(online).zip(dst).enumerate() {
+            *d = p;
+            let s = slot_of(p);
+            binned[kept] = ((first + i) as u32, s as u32);
+            kept += (Self::indexed(&p, on) & keep(s)) as usize;
         }
         kept
+    }
+
+    /// Pass 2 over the whole fleet, in contiguous host-id chunks: one
+    /// inline below `FAN_OUT_HOSTS` or on a one-thread pool, else one
+    /// per worker on `pool`. Each chunk bins into its own region of
+    /// `binned`; the kept pairs are then moved down in chunk order, so
+    /// `binned` starts with every kept pair in ascending id, whatever
+    /// the chunking. Returns how many.
+    fn bin_fleet(
+        src: &[Point],
+        online: &[bool],
+        dst: &mut [Point],
+        binned: &mut [(u32, u32)],
+        slot_of: impl Fn(Point) -> usize + Sync,
+        keep: impl Fn(usize) -> bool + Sync,
+        pool: &ExecPool,
+    ) -> usize {
+        let n = src.len();
+        if n < FAN_OUT_HOSTS || pool.threads() <= 1 {
+            return Self::bin(0, src, online, dst, binned, &slot_of, &keep);
+        }
+        let len = n.div_ceil(pool.threads());
+        let chunks: Vec<_> = dst
+            .chunks_mut(len)
+            .zip(binned[..n].chunks_mut(len))
+            .collect();
+        let kept = pool.map(chunks, |c, (dst, binned)| {
+            let first = c * len;
+            let hosts = first..first + dst.len();
+            let (src, online) = (&src[hosts.clone()], &online[hosts]);
+            Self::bin(first, src, online, dst, binned, &slot_of, &keep)
+        });
+        let mut total = 0;
+        for (c, k) in kept.into_iter().enumerate() {
+            binned.copy_within(c * len..c * len + k, total);
+            total += k;
+        }
+        total
     }
 
     /// The inclusive key box of each finite center's `rings`-ring.
@@ -230,11 +292,17 @@ impl NeighborGrid {
         })
     }
 
-    /// Counting sort of the online hosts of `self.positions` into
+    /// Counting sort of the online hosts of `positions` into
     /// `offsets`/`members`: all of them, or with `near`, those within
-    /// the marked rings.
-    fn rebuild(&mut self, online: &[bool], near: Option<(&[Point], u32)>) {
-        let n = self.positions.len();
+    /// the marked rings. Pass 2 copies `positions` into the grid.
+    fn rebuild(
+        &mut self,
+        positions: &[Point],
+        online: &[bool],
+        near: Option<(&[Point], u32)>,
+        pool: &ExecPool,
+    ) {
+        let n = positions.len();
         assert_eq!(n, online.len(), "one flag per host");
         assert!(n < u32::MAX as usize, "host ids must fit u32");
         let cell = self.cell;
@@ -258,7 +326,7 @@ impl NeighborGrid {
         let (min, max) = marked_extent.unwrap_or_else(|| {
             let inf = f64::INFINITY;
             let (mut lo, mut hi) = (Point::new(inf, inf), Point::new(-inf, -inf));
-            for (p, &on) in self.positions.iter().zip(online) {
+            for (p, &on) in positions.iter().zip(online) {
                 if Self::indexed(p, on) {
                     lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
                     hi = Point::new(hi.x.max(p.x), hi.y.max(p.y));
@@ -273,39 +341,44 @@ impl NeighborGrid {
         self.keys.clear();
         let dense = dense_cells(min, max, n);
         if dense.is_none() {
-            let hosts = self.positions.iter().zip(online);
+            let hosts = positions.iter().zip(online);
             let hosts = hosts.filter(|&(p, &on)| Self::indexed(p, on));
             self.keys.extend(hosts.map(|(p, _)| Self::key(*p, cell)));
             self.keys.sort_unstable();
             self.keys.dedup();
         }
         let cells = dense.unwrap_or(self.keys.len());
-        // Every key has a slot, `cells` for one outside the extent;
-        // wrapping arithmetic, because keys outside it are anything.
+        // Every position has a slot, `cells` for one whose key is outside
+        // the extent; wrapping arithmetic, because such keys are anything.
         let ny = max.1.wrapping_sub(min.1).wrapping_add(1);
         let column = |kx: i64| kx.wrapping_sub(min.0).wrapping_mul(ny);
         let keys = &self.keys;
-        let slot_of = |k: Key| match dense {
-            Some(_) => {
-                let inside = (min.0 <= k.0) & (k.0 <= max.0) & (min.1 <= k.1) & (k.1 <= max.1);
-                let s = column(k.0).wrapping_add(k.1.wrapping_sub(min.1)) as usize;
-                if inside {
-                    s
-                } else {
-                    cells
+        let slot_of = |p: Point| {
+            let k = Self::key(p, cell);
+            match dense {
+                Some(_) => {
+                    let inside = (min.0 <= k.0) & (k.0 <= max.0) & (min.1 <= k.1) & (k.1 <= max.1);
+                    let s = column(k.0).wrapping_add(k.1.wrapping_sub(min.1)) as usize;
+                    if inside {
+                        s
+                    } else {
+                        cells
+                    }
                 }
+                None => keys.binary_search(&k).unwrap_or(cells),
             }
-            None => keys.binary_search(&k).unwrap_or(cells),
         };
 
         // Pass 2: every indexed host of a full refresh, or those in the
-        // marked cells.
+        // marked cells; the position copy rides along. Sizing the
+        // buffers writes only what a growing fleet adds.
+        self.positions.resize(n, Point::ORIGIN);
         if self.binned.len() < n {
             self.binned.resize(n, (0, 0));
         }
-        let (positions, binned) = (&self.positions, &mut self.binned);
+        let (dst, binned) = (&mut self.positions, &mut self.binned);
         let kept = match near {
-            None => Self::bin(positions, online, cell, binned, slot_of, |_| true),
+            None => Self::bin_fleet(positions, online, dst, binned, slot_of, |_| true, pool),
             Some((centers, rings)) => {
                 self.marked.clear();
                 self.marked.resize(cells + 1, false);
@@ -316,7 +389,8 @@ impl NeighborGrid {
                     }
                 }
                 let marked = &self.marked;
-                Self::bin(positions, online, cell, binned, slot_of, |s| marked[s])
+                let keep = |s: usize| marked[s];
+                Self::bin_fleet(positions, online, dst, binned, slot_of, keep, pool)
             }
         };
         let binned = &self.binned[..kept];
@@ -599,6 +673,83 @@ mod tests {
                 g.neighbors_within(center, f64::INFINITY, None),
                 brute_force(&pts, cell, center, f64::INFINITY)
             );
+        }
+    }
+
+    /// The fanned-out pass 2 builds the inline pass's grid bit for bit,
+    /// on pools of 1, 2 and 8 threads: directly indexed marks, and marks
+    /// too wide to index, whose full-rebuild fallback takes the
+    /// sorted-key lookup. NaN and offline hosts sit on every chunk edge,
+    /// and the fanned grid last binned a larger fleet, so stale pairs
+    /// lie past the new one's end of `binned`.
+    #[test]
+    fn fanned_out_refresh_equals_the_inline_one() {
+        let n = FAN_OUT_HOSTS + 1_237;
+        // A 100 x 100 world: a handful of hosts per 0.5 cell.
+        let spread = |pts: Vec<Point>| -> Vec<Point> {
+            pts.into_iter()
+                .map(|p| Point::new(10.0 * p.x, 10.0 * p.y))
+                .collect()
+        };
+        let mut pts = spread(scatter(n));
+        let mut online: Vec<bool> = (0..n).map(|i| i % 5 != 0).collect();
+        for threads in [2, 8] {
+            let len = n.div_ceil(threads);
+            for edge in (1..threads).map(|c| c * len) {
+                pts[edge - 1] = Point::new(f64::NAN, 30.0);
+                pts[edge] = Point::new(40.0, f64::NAN);
+                online[edge - 2] = false;
+                online[edge + 1] = false;
+            }
+        }
+        let centers: Vec<Point> = (0..40).map(|i| pts[i * 997]).collect();
+        let larger = spread(scatter(n + 500));
+        let world = Rect::from_coords(0.0, 0.0, 100.0, 100.0);
+        let bits = |g: &NeighborGrid| -> Vec<(u64, u64)> {
+            g.positions
+                .iter()
+                .map(|p| (p.x.to_bits(), p.y.to_bits()))
+                .collect()
+        };
+
+        for cell in [0.5, 1e-4] {
+            let mut found = 0;
+            let mut inline = NeighborGrid::with_bounds(&world, cell, n);
+            inline.refresh_near(&pts, &online, &centers, 2, &ExecPool::sequential());
+            assert_eq!(
+                inline.keys.is_empty(),
+                cell == 0.5,
+                "cell {cell}: wrong layout"
+            );
+            for threads in [1, 2, 8] {
+                let pool = ExecPool::fixed(threads);
+                let mut fanned = NeighborGrid::with_bounds(&world, cell, n);
+                fanned.refresh_near(&larger, &vec![true; n + 500], &centers, 2, &pool);
+                fanned.refresh_near(&pts, &online, &centers, 2, &pool);
+
+                let at = format!("cell {cell}, {threads} threads");
+                assert_eq!(bits(&fanned), bits(&inline), "{at}: positions");
+                assert_eq!((fanned.min, fanned.max), (inline.min, inline.max), "{at}");
+                assert_eq!(fanned.keys, inline.keys, "{at}: keys");
+                assert_eq!(fanned.offsets, inline.offsets, "{at}: offsets");
+                assert_eq!(fanned.members, inline.members, "{at}: members");
+                for &c in &centers {
+                    for range in [cell, 0.7] {
+                        let got = fanned.neighbors_within(c, range, None);
+                        assert_eq!(got, inline.neighbors_within(c, range, None), "{at}");
+                        found += got.len();
+                        for &j in &got {
+                            let from = inline.position(j);
+                            assert_eq!(
+                                fanned.neighbors_within(from, range, Some(j)),
+                                inline.neighbors_within(from, range, Some(j)),
+                                "{at}: relay {j}"
+                            );
+                        }
+                    }
+                }
+            }
+            assert!(found > 0, "cell {cell}: no lookup found a host");
         }
     }
 

@@ -8,6 +8,7 @@
 //! membership — the simulator's reply streams, and therefore its
 //! reports, depend on the order `neighbors_within` returns hosts in.
 
+use airshare_exec::ExecPool;
 use airshare_geom::{Point, Rect};
 use airshare_p2p::NeighborGrid;
 use proptest::prelude::*;
@@ -175,7 +176,7 @@ proptest! {
         let mut grid = NeighborGrid::with_bounds(&world, cell, positions.len());
         // A full refresh first, so nothing of it may survive the marked one.
         grid.refresh_active(&positions, &online);
-        grid.refresh_near(&positions, &online, &centers, rings);
+        grid.refresh_near(&positions, &online, &centers, rings, &ExecPool::sequential());
         prop_assert_eq!(grid.len(), positions.len());
 
         let reach = |r: f64| (r / cell).ceil() as u32;

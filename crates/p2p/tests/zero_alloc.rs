@@ -2,10 +2,12 @@
 //! `with_bounds` refreshes a fleet that stays inside those bounds —
 //! from the first refresh on, directly indexed or past the cell cap —
 //! without a single heap allocation, and a marked refresh allocates
-//! nothing once warm. A counting global allocator makes
+//! nothing once warm — a fleet this size is binned on the caller even
+//! when a multi-thread pool is offered. A counting global allocator makes
 //! the claim checkable; it lives in an integration test because
 //! implementing [`GlobalAlloc`] requires `unsafe`.
 
+use airshare_exec::ExecPool;
 use airshare_geom::{Point, Rect};
 use airshare_p2p::NeighborGrid;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -106,6 +108,7 @@ fn warm_marked_refreshes_do_not_allocate() {
     let epochs: Vec<(Vec<Point>, Vec<Point>)> =
         (0..4).map(|_| (scatter(HOSTS), scatter(300))).collect();
     let online: Vec<bool> = (0..HOSTS).map(|i| i % 9 != 0).collect();
+    let pool = ExecPool::fixed(2);
 
     // 0.1: marks inside a directly indexed box. 0.001: marks spanning
     // too many cells, so every refresh falls back to the full rebuild.
@@ -115,7 +118,7 @@ fn warm_marked_refreshes_do_not_allocate() {
         for round in 0..2 {
             let before = allocations();
             for (positions, centers) in &epochs {
-                grid.refresh_near(positions, &online, centers, 2);
+                grid.refresh_near(positions, &online, centers, 2, &pool);
             }
             let during = allocations() - before;
             assert!(

@@ -112,6 +112,9 @@ pub struct QueryAnswer {
     pub quality: AnswerQuality,
 }
 
+/// One host's mobility stream: trajectory state only. The parameters
+/// every host shares are held once, as `Simulation::mobility`, and passed
+/// to each call.
 enum HostMobility {
     /// Stored inline: at a million hosts, one heap box per waypoint
     /// stream is pure pointer-chasing overhead.
@@ -120,16 +123,16 @@ enum HostMobility {
 }
 
 impl Mobility for HostMobility {
-    fn position_at(&mut self, t: f64) -> Point {
+    fn position_at(&mut self, config: &MobilityConfig, t: f64) -> Point {
         match self {
-            HostMobility::Waypoint(m) => m.position_at(t),
-            HostMobility::Roads(m) => m.position_at(t),
+            HostMobility::Waypoint(m) => m.position_at(config, t),
+            HostMobility::Roads(m) => m.position_at(config, t),
         }
     }
-    fn velocity_at(&mut self, t: f64) -> (f64, f64) {
+    fn velocity_at(&mut self, config: &MobilityConfig, t: f64) -> (f64, f64) {
         match self {
-            HostMobility::Waypoint(m) => m.velocity_at(t),
-            HostMobility::Roads(m) => m.velocity_at(t),
+            HostMobility::Waypoint(m) => m.velocity_at(config, t),
+            HostMobility::Roads(m) => m.velocity_at(config, t),
         }
     }
 }
@@ -272,6 +275,9 @@ pub(crate) struct LiveDone {
 pub struct Simulation {
     /// The base station and every host's session state.
     pub(crate) world: LiveWorld,
+    /// The mobility parameters every host shares, held once.
+    mobility: MobilityConfig,
+    /// Each host's trajectory state, driven with `mobility`.
     hosts: Vec<HostMobility>,
     /// Precomputed churn transitions `(epoch, host, comes_online)`,
     /// sorted by `(epoch, host)`; a pure function of the master seed.
@@ -289,18 +295,18 @@ impl Simulation {
     pub fn try_new(cfg: SimConfig) -> Result<Self, ConfigError> {
         let mut world = LiveWorld::try_new(cfg)?;
         let cfg = world.config();
-        let mut mobility_cfg = MobilityConfig::vehicular(world.bounds);
-        mobility_cfg.speed_min *= cfg.params.speed_scale;
-        mobility_cfg.speed_max *= cfg.params.speed_scale;
+        let mut mobility = MobilityConfig::vehicular(world.bounds);
+        mobility.speed_min *= cfg.params.speed_scale;
+        mobility.speed_max *= cfg.params.speed_scale;
         let hosts: Vec<HostMobility> = (0..cfg.params.mh_number)
             .map(|i| {
                 let seed = cfg.seed ^ (0x9E3779B97F4A7C15u64.wrapping_mul(i as u64 + 1));
                 match cfg.mobility {
                     MobilityModel::RandomWaypoint => {
-                        HostMobility::Waypoint(RandomWaypoint::new(mobility_cfg, seed))
+                        HostMobility::Waypoint(RandomWaypoint::new(&mobility, seed))
                     }
                     MobilityModel::GridRoads { spacing_milli_mi } => HostMobility::Roads(Box::new(
-                        GridRoadWaypoint::new(mobility_cfg, spacing_milli_mi as f64 / 1000.0, seed),
+                        GridRoadWaypoint::new(&mobility, spacing_milli_mi as f64 / 1000.0, seed),
                     )),
                 }
             })
@@ -309,6 +315,7 @@ impl Simulation {
         world.fleet.online = online;
         Ok(Self {
             world,
+            mobility,
             hosts,
             churn_plan,
             ran: false,
@@ -518,6 +525,7 @@ impl Simulation {
             // floating-point edge.
             let t_build = (epoch as f64 * epoch_len).min(epoch_events[0].time);
             advance_fleet(
+                &self.mobility,
                 &mut self.hosts,
                 &mut self.world.fleet.positions,
                 t_build,
@@ -562,7 +570,7 @@ impl Simulation {
             let mut batch: Vec<LiveQuery> = Vec::with_capacity(order.len());
             for run in order.chunk_by(|&a, &b| epoch_events[a].host == epoch_events[b].host) {
                 let host = epoch_events[run[0]].host;
-                let mobility = &mut self.hosts[host];
+                let model = &mut self.hosts[host];
                 // The stream's only consumer is window sampling.
                 let mut rng = SmallRng::seed_from_u64(split_seed(
                     cfg.seed ^ WINDOW_SEED_SALT,
@@ -571,13 +579,13 @@ impl Simulation {
                 ));
                 for &k in run {
                     let at_min = epoch_events[k].time;
-                    let pos = mobility.position_at(at_min);
+                    let pos = model.position_at(&self.mobility, at_min);
                     batch.push(LiveQuery {
                         nonce: next_index + k as u64,
                         host,
                         at_min,
                         pos,
-                        heading: mobility.heading_at(at_min),
+                        heading: model.heading_at(&self.mobility, at_min),
                         spec: match cfg.query_kind {
                             QueryKind::Knn => QuerySpec::Knn {
                                 k: cfg.params.knn_k,
@@ -591,7 +599,7 @@ impl Simulation {
             }
             self.world.phases.advance_ns += t_phase.elapsed().as_nanos() as u64;
             next_index += epoch_events.len() as u64;
-            self.world.begin_epoch_near(epoch, &batch);
+            self.world.begin_epoch_near(epoch, &batch, pool);
 
             match &mut trace {
                 None => self.world.execute_batch(batch, pool, ctxs, None),
@@ -625,14 +633,20 @@ impl Simulation {
     }
 }
 
-/// Advances every host's mobility stream to `t`, writing the position
-/// column. Offline hosts advance too, so mobility streams stay aligned
+/// Advances every host's mobility stream to `t` under the fleet's one
+/// `config`, writing the position column. Offline hosts advance too, so mobility streams stay aligned
 /// across churn configurations; they are merely undiscoverable.
 ///
 /// Hosts are mutually independent here, so the work is chunked over
 /// contiguous host ranges and fanned out on `pool` — chunk scheduling
 /// cannot affect the result. Small fleets run as one inline chunk.
-fn advance_fleet(hosts: &mut [HostMobility], positions: &mut [Point], t: f64, pool: &ExecPool) {
+fn advance_fleet(
+    config: &MobilityConfig,
+    hosts: &mut [HostMobility],
+    positions: &mut [Point],
+    t: f64,
+    pool: &ExecPool,
+) {
     let n = hosts.len();
     // Oversplit ~4× past the worker count so stealing can level uneven
     // chunks (waypoint hosts mid-pause advance much faster than ones
@@ -648,7 +662,7 @@ fn advance_fleet(hosts: &mut [HostMobility], positions: &mut [Point], t: f64, po
         .collect();
     pool.map(chunks, |_, (hosts, positions)| {
         for (m, p) in hosts.iter_mut().zip(positions) {
-            *p = m.position_at(t);
+            *p = m.position_at(config, t);
         }
     });
 }
@@ -1434,6 +1448,15 @@ mod tests {
         let report = Simulation::try_new(cfg).unwrap().run();
         assert!(report.queries.total > 0);
         assert_eq!(report.exact_mismatches, 0);
+    }
+
+    #[test]
+    fn a_host_stream_holds_only_state() {
+        // The shared `MobilityConfig` (64 B) lives once on the
+        // `Simulation`; a million-host fleet streams this column through
+        // `advance_fleet` every epoch.
+        let size = std::mem::size_of::<HostMobility>();
+        assert!(size <= 104, "HostMobility is {size} B");
     }
 
     /// The full chaos stack at once: host churn, two outage windows, and

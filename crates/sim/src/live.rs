@@ -321,7 +321,8 @@ impl LiveWorld {
     /// some query's cell, which is every host the batch's peer floods
     /// can reach, so `batch` is answered exactly as after a full
     /// refresh. Executing any other query this epoch is a logic error.
-    pub(crate) fn begin_epoch_near(&mut self, epoch: u64, batch: &[LiveQuery]) {
+    /// A large fleet's per-host pass is fanned out over `pool`.
+    pub(crate) fn begin_epoch_near(&mut self, epoch: u64, batch: &[LiveQuery], pool: &ExecPool) {
         let t_phase = Instant::now();
         self.centers.clear();
         self.centers.extend(batch.iter().map(|q| q.pos));
@@ -330,6 +331,7 @@ impl LiveWorld {
             &self.fleet.online,
             &self.centers,
             self.rings,
+            pool,
         );
         self.commit_boundary(epoch, t_phase);
     }

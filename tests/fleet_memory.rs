@@ -1,10 +1,11 @@
 //! The fleet-scale memory budget, measured per host: a world at LA-City
 //! densities stretched to 20,000 hosts, run for a few epochs through
-//! `run_parallel`, must peak below 600 bytes of live heap per host.
-//! Fleet state is columnar and arena-backed, and there is one cache
-//! column (DESIGN.md §15): a return to owned per-host `Vec` storage, or
-//! a second `HostCache` per host (160 B of inline struct), blows
-//! through the budget. And a barrier costs what its writers cost, not
+//! `run_parallel`, must peak below 400 bytes of live heap per host.
+//! Fleet state is columnar and arena-backed, there is one cache column
+//! (DESIGN.md §15), and a host's mobility stream holds only its own
+//! state (§16): a return to owned per-host `Vec` storage, a second
+//! `HostCache` per host (152 B of inline struct), or a per-host copy of
+//! the shared `MobilityConfig` (64 B) blows through the budget. And a barrier costs what its writers cost, not
 //! what the population does: a fresh world's first `begin_epoch` must
 //! not allocate per host.
 //!
@@ -58,9 +59,9 @@ fn measuring() -> MutexGuard<'static, ()> {
 
 const HOSTS: usize = 20_000;
 
-/// Measured here: 522 B/host (603 with a second, peer-facing cache
-/// column, which this budget is set to refuse).
-const BUDGET_BYTES_PER_HOST: usize = 600;
+/// Measured here: 375 B/host. With a per-host copy of the shared
+/// mobility config it reads 439, which this budget is set to refuse.
+const BUDGET_BYTES_PER_HOST: usize = 400;
 
 /// LA-City densities with the area grown to hold `hosts` hosts, under
 /// a light query load: the budget is about fleet storage, not queries.
