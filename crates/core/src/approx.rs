@@ -9,18 +9,13 @@
 //! `e^{-λ·area(U)}`.
 
 use crate::MergedRegion;
-use airshare_geom::disk::{disk_rect_area, disk_region_area, Disk};
+use airshare_geom::disk::{disk_rect_area, Disk};
 use airshare_geom::{Point, Rect};
 
 /// Area of the unverified region of a candidate at distance `dist` from
 /// `q`: the part of the disk `C(q, dist)` not covered by the MVR.
-///
-/// Clamped at zero: floating-point noise must never produce a negative
-/// area (which would yield a probability above 1).
 pub fn unverified_area(q: Point, dist: f64, mvr: &MergedRegion) -> f64 {
-    let disk = Disk::new(q, dist);
-    let covered = disk_region_area(disk, mvr.region());
-    (disk.area() - covered).max(0.0)
+    unverified_area_of_tiles(q, dist, &mvr.region().disjoint_rects(), None)
 }
 
 /// [`unverified_area`] restricted to a bounded service domain: disk area
@@ -28,13 +23,26 @@ pub fn unverified_area(q: Point, dist: f64, mvr: &MergedRegion) -> f64 {
 /// the served region), so counting it would systematically underestimate
 /// correctness for hosts near the edge of the world.
 pub fn unverified_area_in(q: Point, dist: f64, mvr: &MergedRegion, domain: &Rect) -> f64 {
+    unverified_area_of_tiles(q, dist, &mvr.region().disjoint_rects(), Some(domain))
+}
+
+/// The unverified area over the MVR's tiles ([`RectUnion::disjoint_rects`],
+/// which NNV computes once per query): the disk's area (in `domain`, if
+/// given) minus its area in each tile, summed in tile order as
+/// `disk_region_area` does. Tiles are clipped to the domain, so one
+/// poking past it cancels no in-domain area. Clamped at zero: fp noise
+/// must never produce a negative area (a probability above 1).
+///
+/// [`RectUnion::disjoint_rects`]: airshare_geom::RectUnion::disjoint_rects
+pub fn unverified_area_of_tiles(q: Point, dist: f64, tiles: &[Rect], domain: Option<&Rect>) -> f64 {
     let disk = Disk::new(q, dist);
-    let in_domain = disk_rect_area(disk, domain);
-    let covered = disk_region_area(disk, mvr.region());
-    // MVR entries may poke past the domain (e.g. an adopted square near
-    // the edge); covered area outside the domain is harmless because it
-    // is also excluded from `in_domain`. Clamp for fp safety.
-    (in_domain - covered).max(0.0)
+    let area = domain.map_or(disk.area(), |d| disk_rect_area(disk, d));
+    let covered: f64 = tiles
+        .iter()
+        .filter_map(|t| domain.map_or(Some(*t), |d| t.intersection(d)))
+        .map(|t| disk_rect_area(disk, &t))
+        .sum();
+    (area - covered).max(0.0)
 }
 
 /// Lemma 3.2: the probability that a candidate with unverified area `u`
@@ -54,11 +62,8 @@ pub fn candidate_correctness(
     lambda: f64,
     domain: Option<&Rect>,
 ) -> f64 {
-    let u = match domain {
-        Some(d) => unverified_area_in(q, dist, mvr, d),
-        None => unverified_area(q, dist, mvr),
-    };
-    correctness_probability(u, lambda)
+    let tiles = mvr.region().disjoint_rects();
+    correctness_probability(unverified_area_of_tiles(q, dist, &tiles, domain), lambda)
 }
 
 /// The surpassing ratio `‖q,o_u‖ / ‖q,o_lv‖` of an unverified candidate
@@ -112,6 +117,21 @@ mod tests {
         // A quarter of the disk is inside: u = π·4/4.
         let u = unverified_area_in(q, 2.0, &m, &world);
         assert!((u - std::f64::consts::PI) .abs() < 1e-9);
+    }
+
+    #[test]
+    fn tiles_past_the_domain_do_not_cancel_in_domain_area() {
+        // The tile reaches 1 past the domain's left edge; only its
+        // in-domain part [0, 0.5]×[4, 6] covers anything.
+        let world = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
+        let tile = Rect::from_coords(-1.0, 4.0, 0.5, 6.0);
+        let (q, dist) = (Point::new(0.5, 5.0), 1.0);
+        let disk = Disk::new(q, dist);
+        let expect = disk_rect_area(disk, &world)
+            - disk_rect_area(disk, &Rect::from_coords(0.0, 4.0, 0.5, 6.0));
+        let u = unverified_area_in(q, dist, &mvr(&[tile]), &world);
+        assert!((u - expect).abs() < 1e-12, "u = {u}, expected {expect}");
+        assert_eq!(u, unverified_area_of_tiles(q, dist, &[tile], Some(&world)));
     }
 
     #[test]

@@ -37,8 +37,7 @@ mod sbwq;
 pub use heap::{HeapState, NnCandidate, ResultHeap};
 pub use mvr::MergedRegion;
 pub use sbnn::{
-    candidate_unverified_area, nnv, nnv_in_domain, sbnn, sbnn_rec, ResolvedBy, SbnnConfig,
-    SbnnOutcome, SbnnResult, VrPolicy,
+    nnv, nnv_in_domain, sbnn, sbnn_rec, ResolvedBy, SbnnConfig, SbnnOutcome, SbnnResult, VrPolicy,
 };
 pub use sbwq::{
     adoptable_window_region, sbwq, sbwq_rec, window_coverage, SbwqConfig, SbwqOutcome, SbwqResult,

@@ -1,7 +1,7 @@
 //! Sharing-based nearest neighbor queries: NNV (Algorithm 1) and SBNN
 //! (Algorithm 2).
 
-use crate::approx::{candidate_correctness, surpassing_ratio, unverified_area};
+use crate::approx::{correctness_probability, surpassing_ratio, unverified_area_of_tiles};
 use crate::{HeapState, MergedRegion, NnCandidate, ResultHeap};
 use airshare_broadcast::{AirIndexBackend, OnAirClient, Poi, QueryScratch};
 use airshare_geom::{Point, Rect};
@@ -170,8 +170,14 @@ fn nnv_detailed(
         .iter()
         .map(|p| (p.distance_to(q), *p))
         .collect();
-    by_distance.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.id.cmp(&b.1.id)));
-    by_distance.truncate(k);
+    // Ids are unique, so this order is total: selecting the k nearest
+    // and sorting only them gives what sorting every POI would.
+    let nearer = |a: &(f64, Poi), b: &(f64, Poi)| a.0.total_cmp(&b.0).then(a.1.id.cmp(&b.1.id));
+    if by_distance.len() > k {
+        by_distance.select_nth_unstable_by(k, nearer);
+        by_distance.truncate(k);
+    }
+    by_distance.sort_unstable_by(nearer);
 
     // Everything NNV asks of the geometry lives within the k-th
     // candidate's disk; prune the merged region to it (exact — see
@@ -189,13 +195,16 @@ fn nnv_detailed(
     // only when q is inside the MVR. On the pruned region this is exact
     // up to the prune radius; the cap keeps it sound either way.
     let d_es = if mvr.contains(q) {
-        mvr.nearest_edge(q)
-            .map(|(d, _)| d.min(prune_radius))
+        mvr.region()
+            .distance_to_boundary_within(q, prune_radius)
             .unwrap_or(0.0)
     } else {
         0.0
     };
 
+    // Lemma 3.2 tiles the pruned region once, at the first unverified
+    // candidate; every unverified candidate's area is summed over them.
+    let mut tiles = None;
     let mut last_verified: Option<f64> = None;
     for (dist, poi) in by_distance {
         if heap.is_full() {
@@ -212,11 +221,13 @@ fn nnv_detailed(
                 surpassing_ratio: None,
             });
         } else {
+            let tiles = tiles.get_or_insert_with(|| mvr.region().disjoint_rects());
+            let u = unverified_area_of_tiles(q, dist, tiles, domain.as_ref());
             heap.push(NnCandidate {
                 poi,
                 distance: dist,
                 verified: false,
-                correctness: Some(candidate_correctness(q, dist, &mvr, lambda, domain.as_ref())),
+                correctness: Some(correctness_probability(u, lambda)),
                 surpassing_ratio: surpassing_ratio(dist, last_verified),
             });
         }
@@ -370,12 +381,6 @@ fn adoptable_ball_square(
     let vr = Rect::centered_square(q, half);
     let pois = pruned.pois_in_rect(&vr).copied().collect();
     Some((vr, pois))
-}
-
-/// Diagnostic: the unverified area of the i-th candidate (exposed for the
-/// Lemma-3.2 validation experiment).
-pub fn candidate_unverified_area(q: Point, dist: f64, mvr: &MergedRegion) -> f64 {
-    unverified_area(q, dist, mvr)
 }
 
 #[cfg(test)]

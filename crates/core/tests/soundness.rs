@@ -10,10 +10,14 @@
 //!   correct rank (Lemma 3.1 is never wrong, only conservative);
 //! * a fully covered SBWQ window returns exactly the true window result;
 //! * the broadcast fallback (with §3.3.3 bound filtering) is always
-//!   exact.
+//!   exact;
+//! * Lemma 3.2's tiled unverified area is the disk-minus-union sum it
+//!   replaces, bit for bit.
 
 use airshare_broadcast::{AirIndex, OnAirClient, Poi, PoiTable, Schedule};
+use airshare_core::approx::{unverified_area, unverified_area_in, unverified_area_of_tiles};
 use airshare_core::{nnv, sbnn, sbwq, MergedRegion, ResolvedBy, SbnnConfig, SbwqConfig, SbwqOutcome};
+use airshare_geom::disk::{disk_rect_area, disk_region_area, Disk};
 use airshare_geom::{Point, Rect};
 use airshare_hilbert::Grid;
 use airshare_p2p::PeerReply;
@@ -242,5 +246,26 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn tiled_unverified_area_matches_disk_region_area(
+        vrs in arb_vrs(),
+        (qx, qy) in (0.0..WORLD, 0.0..WORLD),
+        dist in 0.0..12.0f64,
+    ) {
+        let mvr = MergedRegion::from_regions(vrs.iter().map(|r| (*r, Vec::new())));
+        let (q, disk) = (Point::new(qx, qy), Disk::new(Point::new(qx, qy), dist));
+        let case = format!("vrs {vrs:?}, q {q:?}, dist {dist}");
+        let covered = disk_region_area(disk, mvr.region());
+        let tiles = mvr.region().disjoint_rects();
+        let unbounded = (disk.area() - covered).max(0.0);
+        let tiled = unverified_area_of_tiles(q, dist, &tiles, None);
+        prop_assert_eq!(tiled.to_bits(), unbounded.to_bits(), "{}", case);
+        prop_assert_eq!(unverified_area(q, dist, &mvr).to_bits(), unbounded.to_bits(), "{}", case);
+        // Members inside the domain are unchanged by the clip.
+        let bounded = (disk_rect_area(disk, &world()) - covered).max(0.0);
+        let clipped = unverified_area_in(q, dist, &mvr, &world());
+        prop_assert_eq!(clipped.to_bits(), bounded.to_bits(), "{}", case);
     }
 }

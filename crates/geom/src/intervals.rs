@@ -28,18 +28,8 @@ impl IntervalSet {
     /// Builds a canonical set from arbitrary (possibly overlapping,
     /// unordered, or degenerate) intervals.
     pub fn from_intervals<I: IntoIterator<Item = (f64, f64)>>(intervals: I) -> Self {
-        let mut v: Vec<(f64, f64)> = intervals
-            .into_iter()
-            .filter(|&(lo, hi)| hi - lo > EPSILON)
-            .collect();
-        v.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut runs: Vec<(f64, f64)> = Vec::with_capacity(v.len());
-        for (lo, hi) in v {
-            match runs.last_mut() {
-                Some(last) if lo <= last.1 + EPSILON => last.1 = last.1.max(hi),
-                _ => runs.push((lo, hi)),
-            }
-        }
+        let mut runs: Vec<(f64, f64)> = intervals.into_iter().collect();
+        canonicalize(&mut runs);
         Self { runs }
     }
 
@@ -98,31 +88,9 @@ impl IntervalSet {
 
     /// Set difference `self \ other`.
     pub fn difference(&self, other: &IntervalSet) -> IntervalSet {
-        let mut out = Vec::new();
-        let mut j = 0;
-        for &(alo, ahi) in &self.runs {
-            let mut cursor = alo;
-            // Skip subtrahend runs entirely left of this run.
-            while j < other.runs.len() && other.runs[j].1 <= alo {
-                j += 1;
-            }
-            let mut k = j;
-            while k < other.runs.len() && other.runs[k].0 < ahi {
-                let (blo, bhi) = other.runs[k];
-                if blo - cursor > EPSILON {
-                    out.push((cursor, blo.min(ahi)));
-                }
-                cursor = cursor.max(bhi);
-                if cursor >= ahi {
-                    break;
-                }
-                k += 1;
-            }
-            if ahi - cursor > EPSILON {
-                out.push((cursor, ahi));
-            }
-        }
-        IntervalSet { runs: out }
+        let mut runs = Vec::new();
+        difference_into(&self.runs, &other.runs, &mut runs);
+        IntervalSet { runs }
     }
 
     /// Symmetric difference `(self \ other) ∪ (other \ self)` — the parts
@@ -140,6 +108,52 @@ impl IntervalSet {
     /// Clips the set to `[lo, hi]`.
     pub fn clip(&self, lo: f64, hi: f64) -> IntervalSet {
         self.intersection(&IntervalSet::single(lo, hi))
+    }
+}
+
+/// Puts `v` in [`IntervalSet`]'s canonical form in place, so sweeps can
+/// reuse buffers. The sort need not be stable — intervals with bit-equal
+/// lower ends merge to their maximum in any order — and so never allocates.
+pub(crate) fn canonicalize(v: &mut Vec<(f64, f64)>) {
+    v.retain(|&(lo, hi)| hi - lo > EPSILON);
+    v.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    let mut len = 0;
+    for i in 0..v.len() {
+        let (lo, hi) = v[i];
+        if len > 0 && lo <= v[len - 1].1 + EPSILON {
+            v[len - 1].1 = v[len - 1].1.max(hi);
+        } else {
+            v[len] = (lo, hi);
+            len += 1;
+        }
+    }
+    v.truncate(len);
+}
+
+/// Appends the canonical runs of `a \ b` to `out`; both inputs canonical.
+pub(crate) fn difference_into(a: &[(f64, f64)], b: &[(f64, f64)], out: &mut Vec<(f64, f64)>) {
+    let mut j = 0;
+    for &(alo, ahi) in a {
+        let mut cursor = alo;
+        // Skip subtrahend runs entirely left of this run.
+        while j < b.len() && b[j].1 <= alo {
+            j += 1;
+        }
+        let mut k = j;
+        while k < b.len() && b[k].0 < ahi {
+            let (blo, bhi) = b[k];
+            if blo - cursor > EPSILON {
+                out.push((cursor, blo.min(ahi)));
+            }
+            cursor = cursor.max(bhi);
+            if cursor >= ahi {
+                break;
+            }
+            k += 1;
+        }
+        if ahi - cursor > EPSILON {
+            out.push((cursor, ahi));
+        }
     }
 }
 

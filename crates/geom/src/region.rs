@@ -8,49 +8,56 @@
 //!
 //! * [`RectUnion::contains`] — is the query host inside the MVR?
 //!   (precondition of Lemma 3.1)
-//! * [`RectUnion::boundary_edges`] / [`RectUnion::distance_to_boundary`] —
-//!   the edge set `E` of the MVR and the nearest edge `e_s` whose distance
-//!   `‖q, e_s‖` is the verification radius of Lemma 3.1.
+//! * [`RectUnion::distance_to_boundary_within`] /
+//!   [`RectUnion::distance_to_boundary`] — the distance `‖q, e_s‖` to the
+//!   nearest boundary edge `e_s`, the verification radius of Lemma 3.1,
+//!   found by sweeping candidate lines nearest first and stopping at the
+//!   bound. [`RectUnion::boundary_edges`] is the whole edge set `E`, the
+//!   reference both are checked against.
 //! * [`RectUnion::disjoint_rects`] / [`RectUnion::area`] — a disjoint slab
 //!   decomposition, which also powers the exact disk∩region areas behind
 //!   Lemma 3.2.
 //! * [`RectUnion::covers_rect`] / [`RectUnion::rect_difference`] — window
 //!   coverage and window reduction `w → w′` for SBWQ.
-//! * [`RectUnion::largest_inscribed_square`] — a sound verified region a
-//!   host may adopt for its own cache after answering a query from peers.
 
+use crate::intervals::{canonicalize, difference_into};
 use crate::{IntervalSet, Point, Rect, Segment, EPSILON};
-use std::sync::OnceLock;
 
 /// A union of axis-aligned rectangles in the plane.
 ///
 /// The rectangle list is kept as provided (minus degenerate members);
 /// all queries are answered by sweeps over the list, so construction is
-/// O(n) and queries are O(n log n) in the number of rectangles — peers
-/// number in the tens. The boundary-edge set, however, is consulted per
-/// verification step by SBNN's MVR pruning, so it is computed once on
-/// first use and cached until the member list changes.
-#[derive(Debug, Default)]
+/// O(n) and nothing is cached — peers number in the tens, and the region
+/// NNV asks about is pruned afresh for every query.
+#[derive(Clone, Debug, Default)]
 pub struct RectUnion {
     rects: Vec<Rect>,
-    /// Lazily computed boundary edges; invalidated by [`RectUnion::push`].
-    /// `OnceLock` (not `OnceCell`) so cached regions stay `Sync` for the
-    /// parallel simulation runtime's shared snapshots.
-    edges: OnceLock<Vec<Segment>>,
 }
 
-impl Clone for RectUnion {
-    fn clone(&self) -> Self {
-        // Carry the cache across clones: pruned copies are rebuilt from
-        // scratch anyway, and verbatim clones keep their edges valid.
-        let edges = OnceLock::new();
-        if let Some(e) = self.edges.get() {
-            let _ = edges.set(e.clone());
-        }
+/// The buffers one boundary sweep reuses across its lines, sized up front
+/// so that no line reallocates: each member adds at most one interval per
+/// side, and `a \ b` has at most `|a| + |b|` runs.
+struct LineScratch {
+    before: Vec<(f64, f64)>,
+    after: Vec<(f64, f64)>,
+    runs: Vec<(f64, f64)>,
+}
+
+impl LineScratch {
+    fn new(rects: usize) -> Self {
         Self {
-            rects: self.rects.clone(),
-            edges,
+            before: Vec::with_capacity(rects),
+            after: Vec::with_capacity(rects),
+            runs: Vec::with_capacity(4 * rects),
         }
+    }
+}
+
+fn segment_on(vertical: bool, c: f64, lo: f64, hi: f64) -> Segment {
+    if vertical {
+        Segment::vertical(c, lo, hi)
+    } else {
+        Segment::horizontal(c, lo, hi)
     }
 }
 
@@ -64,7 +71,6 @@ impl RectUnion {
     pub fn from_rects<I: IntoIterator<Item = Rect>>(rects: I) -> Self {
         Self {
             rects: rects.into_iter().filter(|r| !r.is_degenerate()).collect(),
-            edges: OnceLock::new(),
         }
     }
 
@@ -72,7 +78,6 @@ impl RectUnion {
     pub fn push(&mut self, r: Rect) {
         if !r.is_degenerate() {
             self.rects.push(r);
-            self.edges = OnceLock::new();
         }
     }
 
@@ -102,89 +107,85 @@ impl RectUnion {
     /// shared border of two abutting rectangles is interior to the union
     /// even though it is on the boundary of both members, so this cannot
     /// be answered per-rectangle; we test a ball of radius ε via the
-    /// boundary distance instead.
+    /// boundary distance (capped at 2ε: only that near a line is swept).
     pub fn contains_interior(&self, p: Point) -> bool {
-        if !self.contains(p) {
-            return false;
-        }
-        match self.distance_to_boundary(p) {
-            Some((d, _)) => d > EPSILON,
-            None => false,
-        }
+        self.contains(p)
+            && self
+                .distance_to_boundary_within(p, 2.0 * EPSILON)
+                .is_some_and(|d| d > EPSILON)
     }
 
     // ------------------------------------------------------------------
     // Boundary extraction
     // ------------------------------------------------------------------
 
-    /// All boundary edges of the union, as axis-aligned segments.
+    /// All boundary edges of the union, as axis-aligned segments: the
+    /// vertical ones by ascending `x`, then the horizontal ones by
+    /// ascending `y`, each line's runs in ascending order.
     ///
     /// An edge portion lies on the union boundary iff exactly one of its
     /// two sides is interior to the union. For each candidate grid line we
     /// build the interval sets covered on either side and keep their
-    /// symmetric difference.
-    ///
-    /// Allocating wrapper over [`RectUnion::boundary_edges_cached`].
+    /// symmetric difference. Computed on demand: this is the reference
+    /// oracle; the distance queries sweep only the lines they need.
     pub fn boundary_edges(&self) -> Vec<Segment> {
-        self.boundary_edges_cached().to_vec()
+        let mut out = Vec::new();
+        self.for_each_edge(&mut LineScratch::new(self.rects.len()), |e| out.push(e));
+        out
     }
 
-    /// The boundary edges, computed on first call and cached until the
-    /// next [`RectUnion::push`]. This is what the hot verification path
-    /// reads: repeated distance queries against an unchanged region cost
-    /// no sweeps and no allocation.
-    pub fn boundary_edges_cached(&self) -> &[Segment] {
-        self.edges.get_or_init(|| {
-            let mut out = Vec::new();
-            self.boundary_sweep(true, &mut out);
-            self.boundary_sweep(false, &mut out);
-            out
-        })
-    }
-
-    /// One sweep direction: `vertical = true` emits vertical edges
-    /// (candidate lines are x-coordinates), otherwise horizontal edges.
-    fn boundary_sweep(&self, vertical: bool, out: &mut Vec<Segment>) {
-        let mut coords: Vec<f64> = self
-            .rects
-            .iter()
-            .flat_map(|r| {
-                if vertical {
-                    [r.x1, r.x2]
-                } else {
-                    [r.y1, r.y2]
+    /// Every boundary edge, in [`RectUnion::boundary_edges`] order.
+    fn for_each_edge(&self, s: &mut LineScratch, mut f: impl FnMut(Segment)) {
+        for vertical in [true, false] {
+            for c in self.lines(vertical) {
+                self.line_runs(vertical, c, s);
+                for &(lo, hi) in &s.runs {
+                    f(segment_on(vertical, c, lo, hi));
                 }
-            })
-            .collect();
-        coords.sort_by(f64::total_cmp);
-        coords.dedup_by(|a, b| (*a - *b).abs() <= EPSILON);
-
-        for &c in &coords {
-            let mut before = Vec::new(); // interior just below / left of the line
-            let mut after = Vec::new(); // interior just above / right of the line
-            for r in &self.rects {
-                let (fixed_lo, fixed_hi, free_lo, free_hi) = if vertical {
-                    (r.x1, r.x2, r.y1, r.y2)
-                } else {
-                    (r.y1, r.y2, r.x1, r.x2)
-                };
-                if fixed_lo + EPSILON < c && fixed_hi >= c - EPSILON {
-                    before.push((free_lo, free_hi));
-                }
-                if fixed_hi - EPSILON > c && fixed_lo <= c + EPSILON {
-                    after.push((free_lo, free_hi));
-                }
-            }
-            let before = IntervalSet::from_intervals(before);
-            let after = IntervalSet::from_intervals(after);
-            for &(lo, hi) in before.symmetric_difference(&after).runs() {
-                out.push(if vertical {
-                    Segment::vertical(c, lo, hi)
-                } else {
-                    Segment::horizontal(c, lo, hi)
-                });
             }
         }
+    }
+
+    /// The candidate lines of one sweep direction: the members' sorted,
+    /// ε-deduplicated `x` coordinates when `vertical`, else their `y`s.
+    /// (Equal floats are bit-identical, so the unstable sort is exact.)
+    fn lines(&self, vertical: bool) -> Vec<f64> {
+        let sides = |r: &Rect| if vertical { [r.x1, r.x2] } else { [r.y1, r.y2] };
+        let mut coords: Vec<f64> = self.rects.iter().flat_map(sides).collect();
+        coords.sort_unstable_by(f64::total_cmp);
+        coords.dedup_by(|a, b| (*a - *b).abs() <= EPSILON);
+        coords
+    }
+
+    /// The boundary runs on line `c` (vertical: `x = c`), left in
+    /// `s.runs`: the spans covered on exactly one side of the line. The
+    /// arithmetic is [`IntervalSet`]'s — canonical sides, then
+    /// `(before \ after) ∪ (after \ before)` — done in `s`'s buffers.
+    fn line_runs(&self, vertical: bool, c: f64, s: &mut LineScratch) {
+        // Interior just below / left of the line, and just above / right:
+        // each member is written, and kept if it touches (no branch).
+        let (mut below, mut above) = (0, 0);
+        s.before.resize(self.rects.len(), (0.0, 0.0));
+        s.after.resize(self.rects.len(), (0.0, 0.0));
+        for r in &self.rects {
+            let (fixed_lo, fixed_hi, free) = if vertical {
+                (r.x1, r.x2, (r.y1, r.y2))
+            } else {
+                (r.y1, r.y2, (r.x1, r.x2))
+            };
+            s.before[below] = free;
+            below += usize::from(fixed_lo + EPSILON < c && fixed_hi >= c - EPSILON);
+            s.after[above] = free;
+            above += usize::from(fixed_hi - EPSILON > c && fixed_lo <= c + EPSILON);
+        }
+        s.before.truncate(below);
+        s.after.truncate(above);
+        canonicalize(&mut s.before);
+        canonicalize(&mut s.after);
+        s.runs.clear();
+        difference_into(&s.before, &s.after, &mut s.runs);
+        difference_into(&s.after, &s.before, &mut s.runs);
+        canonicalize(&mut s.runs);
     }
 
     /// Distance from `p` to the nearest boundary edge, together with that
@@ -192,12 +193,70 @@ impl RectUnion {
     ///
     /// When `p` is inside the union this is the verification radius of
     /// Lemma 3.1: every POI closer to `p` than this distance is a
-    /// guaranteed (verified) nearest neighbor.
+    /// guaranteed (verified) nearest neighbor. Of several nearest edges,
+    /// the one returned is the first met by the sweep of
+    /// [`RectUnion::distance_to_boundary_within`]: lines by ascending gap
+    /// `|c − p|` (ties: vertical first, then by `c`), runs along a line
+    /// by ascending position.
     pub fn distance_to_boundary(&self, p: Point) -> Option<(f64, Segment)> {
-        self.boundary_edges_cached()
-            .iter()
-            .map(|&s| (s.distance_to_point(p), s))
-            .min_by(|a, b| a.0.total_cmp(&b.0))
+        let (d, edge) = self.nearest_boundary(p, f64::INFINITY);
+        Some((d, edge?))
+    }
+
+    /// `min(‖p, e_s‖, cap)`; `None` when the region is empty.
+    ///
+    /// Candidate lines of both axes are swept nearest first, stopping at
+    /// the first whose gap `|c − p|` reaches `min(best so far, cap)`: an
+    /// edge on line `c` lies `hypot(c − p, ·) ≥ |c − p|` away, so no later
+    /// line can lower the answer — the same `f64` as the minimum over
+    /// [`RectUnion::boundary_edges`], capped (debug builds check this).
+    /// When every line lies beyond `cap`, nothing is swept.
+    pub fn distance_to_boundary_within(&self, p: Point, cap: f64) -> Option<f64> {
+        (!self.is_empty()).then(|| self.nearest_boundary(p, cap).0)
+    }
+
+    /// The nearest-first sweep behind both distance queries.
+    fn nearest_boundary(&self, p: Point, cap: f64) -> (f64, Option<Segment>) {
+        let mut lines: Vec<(f64, bool, f64)> = Vec::with_capacity(4 * self.rects.len());
+        for vertical in [true, false] {
+            let at = if vertical { p.x } else { p.y };
+            lines.extend(
+                self.lines(vertical)
+                    .into_iter()
+                    .map(|c| ((c - at).abs(), vertical, c)),
+            );
+        }
+        lines.sort_unstable_by(|a, b| {
+            a.0.total_cmp(&b.0)
+                .then(b.1.cmp(&a.1))
+                .then(a.2.total_cmp(&b.2))
+        });
+        let mut s = LineScratch::new(self.rects.len());
+        let (mut best, mut edge) = (f64::INFINITY, None);
+        for (gap, vertical, c) in lines {
+            if gap >= best.min(cap) {
+                break;
+            }
+            self.line_runs(vertical, c, &mut s);
+            for &(lo, hi) in &s.runs {
+                let e = segment_on(vertical, c, lo, hi);
+                let d = e.distance_to_point(p);
+                if d < best {
+                    (best, edge) = (d, Some(e));
+                }
+            }
+        }
+        let d = best.min(cap);
+        debug_assert_eq!(
+            d.to_bits(),
+            {
+                let mut full = f64::INFINITY;
+                self.for_each_edge(&mut s, |e| full = full.min(e.distance_to_point(p)));
+                full.min(cap).to_bits()
+            },
+            "nearest-first boundary distance {d} from {p:?} (cap {cap}) differs from the full sweep"
+        );
+        (d, edge)
     }
 
     // ------------------------------------------------------------------
@@ -206,27 +265,28 @@ impl RectUnion {
 
     /// Decomposes the union into disjoint rectangles via a vertical-slab
     /// sweep. The output rectangles tile the union exactly (shared borders
-    /// only) and are convenient for exact area integrals.
+    /// only) and are convenient for exact area integrals; slab by slab.
     pub fn disjoint_rects(&self) -> Vec<Rect> {
-        let mut xs: Vec<f64> = self.rects.iter().flat_map(|r| [r.x1, r.x2]).collect();
-        xs.sort_by(f64::total_cmp);
-        xs.dedup_by(|a, b| (*a - *b).abs() <= EPSILON);
-
         let mut out = Vec::new();
-        for w in xs.windows(2) {
+        let mut covered = Vec::with_capacity(self.rects.len());
+        for w in self.lines(true).windows(2) {
             let (xa, xb) = (w[0], w[1]);
             if xb - xa <= EPSILON {
                 continue;
             }
-            let covered = IntervalSet::from_intervals(
+            covered.clear();
+            covered.extend(
                 self.rects
                     .iter()
                     .filter(|r| r.x1 <= xa + EPSILON && r.x2 >= xb - EPSILON)
                     .map(|r| (r.y1, r.y2)),
             );
-            for &(lo, hi) in covered.runs() {
-                out.push(Rect::from_coords(xa, lo, xb, hi));
-            }
+            canonicalize(&mut covered);
+            out.extend(
+                covered
+                    .iter()
+                    .map(|&(lo, hi)| Rect::from_coords(xa, lo, xb, hi)),
+            );
         }
         out
     }
@@ -309,49 +369,6 @@ impl RectUnion {
             .filter_map(|r| r.intersection(w))
             .filter(|r| !r.is_degenerate())
             .collect()
-    }
-
-    // ------------------------------------------------------------------
-    // Inscribed verified regions
-    // ------------------------------------------------------------------
-
-    /// The largest axis-aligned square centred on `p` that fits inside the
-    /// union, found by binary search on the half-side up to `max_half`.
-    /// Returns `None` when `p` is not inside the union (no such square).
-    ///
-    /// Used when a host answers a query purely from peers: every POI
-    /// inside the MVR is known to the host, so any sub-rectangle of the
-    /// MVR is a *sound* verified region for its own cache.
-    pub fn largest_inscribed_square(&self, p: Point, max_half: f64) -> Option<Rect> {
-        if !self.contains(p) || max_half <= 0.0 {
-            return None;
-        }
-        // Fast path: the boundary distance bounds the inscribed square;
-        // a square of half-side h fits iff all of it is covered, and it
-        // certainly fits when h ≤ d/√2 … but coverage is not monotone in
-        // a simple closed form, so binary search on the coverage test.
-        let (d, _) = self.distance_to_boundary(p)?;
-        if d <= EPSILON {
-            return None;
-        }
-        let mut lo = 0.0_f64; // known to fit (degenerate)
-        let mut hi = max_half.min(
-            self.mbr()
-                .map(|m| m.width().max(m.height()))
-                .unwrap_or(max_half),
-        );
-        if self.covers_rect(&Rect::centered_square(p, hi)) {
-            return Some(Rect::centered_square(p, hi));
-        }
-        for _ in 0..48 {
-            let mid = 0.5 * (lo + hi);
-            if self.covers_rect(&Rect::centered_square(p, mid)) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        (lo > EPSILON).then(|| Rect::centered_square(p, lo))
     }
 }
 
@@ -531,45 +548,96 @@ mod tests {
     }
 
     #[test]
-    fn largest_inscribed_square_in_single_rect() {
-        let u = RectUnion::from(r(0.0, 0.0, 4.0, 2.0));
-        let sq = u.largest_inscribed_square(Point::new(2.0, 1.0), 10.0).unwrap();
-        // Limited by the vertical extent: half-side 1 (binary search may
-        // overshoot by the coverage-test ε).
-        assert!((sq.width() - 2.0).abs() < 1e-6, "width = {}", sq.width());
-        assert!(u.covers_rect(&sq));
-    }
-
-    #[test]
-    fn largest_inscribed_square_spans_seams() {
+    fn boundary_distance_sees_through_seams() {
         let u = RectUnion::from_rects([r(0.0, 0.0, 2.0, 4.0), r(2.0, 0.0, 4.0, 4.0)]);
-        let sq = u
-            .largest_inscribed_square(Point::new(2.0, 2.0), 10.0)
-            .unwrap();
-        // Seam is interior: square can grow to the full union.
-        assert!(sq.width() > 3.9);
+        // The seam x = 2 is interior: from the centre the rim is 2 away.
+        let (d, _) = u.distance_to_boundary(Point::new(2.0, 2.0)).unwrap();
+        assert!(approx_eq(d, 2.0), "d = {d}");
+        assert!(u.contains_interior(Point::new(2.0, 2.0)));
     }
 
     #[test]
-    fn largest_inscribed_square_outside_is_none() {
-        let u = RectUnion::from(r(0.0, 0.0, 1.0, 1.0));
-        assert_eq!(u.largest_inscribed_square(Point::new(5.0, 5.0), 1.0), None);
-    }
-
-    #[test]
-    fn boundary_cache_invalidates_on_push() {
+    fn boundary_edges_follow_push() {
         let mut u = RectUnion::from(r(0.0, 0.0, 1.0, 1.0));
-        let perimeter: f64 = u.boundary_edges_cached().iter().map(Segment::len).sum();
+        let perimeter: f64 = u.boundary_edges().iter().map(Segment::len).sum();
         assert!(approx_eq(perimeter, 4.0));
-        // Extending the union must drop the cached edges: the fused shape
-        // is a 2x1 box with perimeter 6, not two unit boxes.
+        // The fused shape is a 2x1 box with perimeter 6, not two unit boxes.
         u.push(r(1.0, 0.0, 2.0, 1.0));
-        let perimeter: f64 = u.boundary_edges_cached().iter().map(Segment::len).sum();
+        let perimeter: f64 = u.boundary_edges().iter().map(Segment::len).sum();
         assert!(approx_eq(perimeter, 6.0));
-        // Clones carry a still-valid cache.
-        let c = u.clone();
-        let cloned: f64 = c.boundary_edges_cached().iter().map(Segment::len).sum();
-        assert!(approx_eq(cloned, 6.0));
+        assert_eq!(u.clone().boundary_edges(), u.boundary_edges());
+    }
+
+    #[test]
+    fn distance_within_is_capped_and_exact_below_the_cap() {
+        // L-shape; q deep in the wide arm: true boundary distance 0.5.
+        let u = RectUnion::from_rects([r(0.0, 0.0, 4.0, 1.0), r(0.0, 0.0, 1.0, 4.0)]);
+        let q = Point::new(2.0, 0.5);
+        let d = u.distance_to_boundary_within(q, 10.0).unwrap();
+        assert_eq!(d, u.distance_to_boundary(q).unwrap().0);
+        assert!(approx_eq(d, 0.5), "d = {d}");
+        assert_eq!(u.distance_to_boundary_within(q, 0.2), Some(0.2));
+        assert_eq!(u.distance_to_boundary_within(q, 0.0), Some(0.0));
+        // Outside the region the distance is still to the nearest edge.
+        assert_eq!(
+            u.distance_to_boundary_within(Point::new(6.0, 0.5), 9.0),
+            Some(2.0)
+        );
+        assert_eq!(RectUnion::new().distance_to_boundary_within(q, 1.0), None);
+    }
+
+    #[test]
+    fn line_runs_are_interval_set_symmetric_difference() {
+        // Snapped coordinates make shared, nested and ε-close sides common.
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |n: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % n
+        };
+        for _ in 0..200 {
+            let rects: Vec<Rect> = (0..1 + next(8))
+                .map(|_| {
+                    let (x, y) = (next(8) as f64, next(8) as f64);
+                    let jitter = [0.0, EPSILON / 2.0, 0.25][next(3) as usize];
+                    r(
+                        x,
+                        y,
+                        x + 1.0 + next(4) as f64 + jitter,
+                        y + 1.0 + next(4) as f64,
+                    )
+                })
+                .collect();
+            let u = RectUnion::from_rects(rects.iter().copied());
+            let mut s = LineScratch::new(rects.len());
+            for vertical in [true, false] {
+                for c in u.lines(vertical) {
+                    let side = |before: bool| {
+                        IntervalSet::from_intervals(rects.iter().filter_map(|r| {
+                            let (lo, hi, free) = if vertical {
+                                (r.x1, r.x2, (r.y1, r.y2))
+                            } else {
+                                (r.y1, r.y2, (r.x1, r.x2))
+                            };
+                            let hit = if before {
+                                lo + EPSILON < c && hi >= c - EPSILON
+                            } else {
+                                hi - EPSILON > c && lo <= c + EPSILON
+                            };
+                            hit.then_some(free)
+                        }))
+                    };
+                    u.line_runs(vertical, c, &mut s);
+                    let expect = side(true).symmetric_difference(&side(false));
+                    assert_eq!(
+                        s.runs,
+                        expect.runs(),
+                        "{rects:?} line {c} vertical {vertical}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,37 @@ fn arb_point() -> impl Strategy<Value = Point> {
     (-60.0..60.0f64, -60.0..60.0f64).prop_map(|(x, y)| Point::new(x, y))
 }
 
+/// Rectangles on a half-unit grid, some nudged by less than, or just
+/// over, ε: abutting, nested, shared-edge and ε-close members are common.
+fn arb_snapped_rects() -> impl Strategy<Value = Vec<Rect>> {
+    prop::collection::vec(
+        (0u32..16, 0u32..16, 1u32..8, 1u32..8, 0u32..6).prop_map(|(x, y, w, h, nudge)| {
+            let (x, y) = (0.5 * x as f64, 0.5 * y as f64);
+            let d = [0.0, 0.0, 0.0, 0.4e-9, 3e-9, 1e-7][nudge as usize];
+            Rect::from_coords(x + d, y, x + 0.5 * w as f64, y + 0.5 * h as f64 + d)
+        }),
+        1..12,
+    )
+}
+
+/// A probe on a member's corner, on one of its edges, on a grid point
+/// (often inside), or anywhere.
+fn probe_point(rects: &[Rect], pick: u32, t: f64, raw: Point) -> Point {
+    let r = rects[(t * rects.len() as f64) as usize % rects.len()];
+    match pick {
+        0 => Point::new(
+            [r.x1, r.x2][(t * 7.0) as usize % 2],
+            [r.y1, r.y2][(t * 11.0) as usize % 2],
+        ),
+        1 => Point::new(r.x1 + t * r.width(), r.y2),
+        2 => Point::new(
+            (raw.x / 8.0).round() * 0.5 + 1.0,
+            (raw.y / 8.0).round() * 0.5 + 1.0,
+        ),
+        _ => Point::new(raw.x / 6.0 + 4.0, raw.y / 6.0 + 4.0),
+    }
+}
+
 /// Inclusion–exclusion area for up to a handful of rectangles, used as an
 /// independent oracle for `RectUnion::area`.
 fn oracle_union_area(rects: &[Rect]) -> f64 {
@@ -140,14 +171,26 @@ proptest! {
     }
 
     #[test]
-    fn inscribed_square_is_covered(rects in arb_rects(5), p in arb_point()) {
-        let u = RectUnion::from_rects(rects);
-        if let Some(sq) = u.largest_inscribed_square(p, 20.0) {
-            // Shrink by a hair to dodge the ε slack of the coverage test.
-            let shrunk = sq.inflate(-1e-7).unwrap_or(sq);
-            prop_assert!(u.covers_rect(&shrunk), "square {sq:?} not covered");
-            prop_assert!(u.contains(p));
-        }
+    fn boundary_distance_matches_edge_oracle(
+        rects in arb_snapped_rects(),
+        (pick, t, raw) in (0u32..4, 0.0..1.0f64, arb_point()),
+        (cap_pick, cap_raw) in (0u32..4, 0.0..12.0f64),
+    ) {
+        let u = RectUnion::from_rects(rects.clone());
+        let p = probe_point(&rects, pick, t, raw);
+        // No shrinking in this harness: every message carries the case.
+        let case = format!("rects {rects:?}, p {p:?}");
+        let oracle = u
+            .boundary_edges()
+            .iter()
+            .map(|e| e.distance_to_point(p))
+            .fold(f64::INFINITY, f64::min);
+        let (d, edge) = u.distance_to_boundary(p).expect("non-empty region has a boundary");
+        prop_assert_eq!(d.to_bits(), oracle.to_bits(), "{}: swept {} vs oracle {}", case, d, oracle);
+        prop_assert_eq!(edge.distance_to_point(p).to_bits(), d.to_bits(), "{}: edge {:?}", case, edge);
+        let cap = [0.0, 1e-9, cap_raw, f64::INFINITY][cap_pick as usize];
+        let within = u.distance_to_boundary_within(p, cap).expect("non-empty");
+        prop_assert_eq!(within.to_bits(), d.min(cap).to_bits(), "{}: cap {} gave {}", case, cap, within);
     }
 
     #[test]
