@@ -797,7 +797,7 @@ pub fn trace(scale: &ExpScale) -> (Experiment, String) {
 /// mobility needed), reproducing the Figure 2 trade-off: more index
 /// copies shorten the probe wait and lengthen the cycle.
 fn m_sweep() -> Experiment {
-    use airshare_broadcast::{AirIndex, OnAirClient, Poi, Schedule};
+    use airshare_broadcast::{AirIndex, AirIndexBackend, OnAirClient, Poi, Schedule};
     use airshare_geom::{Point, Rect};
     use airshare_hilbert::Grid;
     use rand::rngs::SmallRng;

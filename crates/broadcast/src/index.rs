@@ -74,26 +74,6 @@ impl AirIndex {
         &self.grid
     }
 
-    /// All data buckets in broadcast order.
-    pub fn buckets(&self) -> &[Bucket] {
-        &self.buckets
-    }
-
-    /// Number of data buckets.
-    pub fn data_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Airtime of one index segment, in buckets (ticks).
-    pub fn index_buckets(&self) -> usize {
-        self.index_buckets
-    }
-
-    /// Total number of POIs.
-    pub fn poi_count(&self) -> usize {
-        self.values.len()
-    }
-
     /// Buckets (sorted, deduplicated) whose Hilbert ranges intersect any
     /// of the given inclusive curve intervals, written into `out` (cleared
     /// first) so a reused buffer makes the call allocation-free.
@@ -114,13 +94,31 @@ impl AirIndex {
         out.sort_unstable();
         out.dedup();
     }
+}
 
-    /// Buckets needed for a world-space window query, left in
-    /// `scratch.buckets()`.
-    pub fn buckets_for_window_scratch(&self, w: &Rect, scratch: &mut QueryScratch) {
-        self.grid
-            .intervals_for_world_rect_into(w, &mut scratch.intervals);
-        self.buckets_for_intervals_into(&scratch.intervals, &mut scratch.buckets);
+/// The Hilbert backend's implementation of the broadcast contract. Code
+/// going through the trait — statically or via `dyn AirIndexBackend` —
+/// runs these bodies and no other copy of them.
+impl AirIndexBackend for AirIndex {
+    fn try_build(pois: &PoiTable, params: &BuildParams) -> Result<Self, IndexError> {
+        let grid = Grid::new(params.world, params.hilbert_order);
+        AirIndex::try_build(pois.to_vec(), grid, params.bucket_capacity)
+    }
+
+    fn world(&self) -> Rect {
+        self.grid.world()
+    }
+
+    fn buckets(&self) -> &[Bucket] {
+        &self.buckets
+    }
+
+    fn index_buckets(&self) -> usize {
+        self.index_buckets
+    }
+
+    fn poi_count(&self) -> usize {
+        self.values.len()
     }
 
     /// The on-air kNN *first scan*: from the index alone (Hilbert values
@@ -134,7 +132,7 @@ impl AirIndex {
     /// stores cell-resolution positions, so the slack guarantees the
     /// circle truly encloses ≥ k objects. Returns `None` when the data
     /// file holds fewer than `k` POIs.
-    pub fn knn_search_radius(&self, q: Point, k: usize) -> Option<f64> {
+    fn knn_search_radius(&self, q: Point, k: usize) -> Option<f64> {
         if k == 0 || self.values.len() < k {
             return None;
         }
@@ -166,21 +164,18 @@ impl AirIndex {
         Some(max_d + half_diag)
     }
 
-    /// Buckets needed to answer a kNN query exactly, given the search
-    /// radius from [`AirIndex::knn_search_radius`]: all buckets covering
-    /// the MBR of the search circle (the paper's Figure 4 range).
-    /// The set is left in `scratch.buckets()`.
-    pub fn buckets_for_knn_scratch(&self, q: Point, radius: f64, scratch: &mut QueryScratch) {
+    fn buckets_for_window_scratch(&self, w: &Rect, scratch: &mut QueryScratch) {
+        self.grid
+            .intervals_for_world_rect_into(w, &mut scratch.intervals);
+        self.buckets_for_intervals_into(&scratch.intervals, &mut scratch.buckets);
+    }
+
+    fn buckets_for_knn_scratch(&self, q: Point, radius: f64, scratch: &mut QueryScratch) {
         let mbr = Rect::centered_square(q, radius);
         self.buckets_for_window_scratch(&mbr, scratch);
     }
 
-    /// Bound-filtered bucket set (§3.3.3): buckets covering the outer
-    /// search MBR, *minus* buckets whose MBR lies entirely within the
-    /// verified inner circle `C_i` of radius `inner` around `q` — their
-    /// contents are already known to the client.
-    /// The set is left in `scratch.buckets()`.
-    pub fn buckets_for_knn_filtered_scratch(
+    fn buckets_for_knn_filtered_scratch(
         &self,
         q: Point,
         outer: f64,
@@ -205,7 +200,7 @@ impl AirIndex {
     /// adjacent intervals, which preserves the covered cell set exactly,
     /// so the bucket output is identical to mapping each window alone and
     /// deduplicating.
-    pub fn buckets_for_windows_scratch(&self, windows: &[Rect], scratch: &mut QueryScratch) {
+    fn buckets_for_windows_scratch(&self, windows: &[Rect], scratch: &mut QueryScratch) {
         let QueryScratch {
             intervals,
             tmp_intervals,
@@ -231,64 +226,6 @@ impl AirIndex {
         }
         intervals.truncate(write);
         self.buckets_for_intervals_into(intervals, buckets);
-    }
-}
-
-/// The Hilbert backend delegates every trait method to the inherent
-/// implementation above, so code going through the trait — statically or
-/// via `dyn AirIndexBackend` — executes byte-for-byte the same arithmetic
-/// as code calling [`AirIndex`] directly. The determinism pins in
-/// `crates/sim/tests/determinism_pin.rs` enforce this.
-impl AirIndexBackend for AirIndex {
-    fn try_build(pois: &PoiTable, params: &BuildParams) -> Result<Self, IndexError> {
-        let grid = Grid::new(params.world, params.hilbert_order);
-        AirIndex::try_build(pois.to_vec(), grid, params.bucket_capacity)
-    }
-
-    fn world(&self) -> Rect {
-        self.grid.world()
-    }
-
-    fn buckets(&self) -> &[Bucket] {
-        AirIndex::buckets(self)
-    }
-
-    fn data_buckets(&self) -> usize {
-        AirIndex::data_buckets(self)
-    }
-
-    fn index_buckets(&self) -> usize {
-        AirIndex::index_buckets(self)
-    }
-
-    fn poi_count(&self) -> usize {
-        AirIndex::poi_count(self)
-    }
-
-    fn knn_search_radius(&self, q: Point, k: usize) -> Option<f64> {
-        AirIndex::knn_search_radius(self, q, k)
-    }
-
-    fn buckets_for_window_scratch(&self, w: &Rect, scratch: &mut QueryScratch) {
-        AirIndex::buckets_for_window_scratch(self, w, scratch);
-    }
-
-    fn buckets_for_knn_scratch(&self, q: Point, radius: f64, scratch: &mut QueryScratch) {
-        AirIndex::buckets_for_knn_scratch(self, q, radius, scratch);
-    }
-
-    fn buckets_for_knn_filtered_scratch(
-        &self,
-        q: Point,
-        outer: f64,
-        inner: Option<f64>,
-        scratch: &mut QueryScratch,
-    ) {
-        AirIndex::buckets_for_knn_filtered_scratch(self, q, outer, inner, scratch);
-    }
-
-    fn buckets_for_windows_scratch(&self, windows: &[Rect], scratch: &mut QueryScratch) {
-        AirIndex::buckets_for_windows_scratch(self, windows, scratch);
     }
 
     /// Payload layout: for each data bucket in this index bucket's slice

@@ -187,7 +187,7 @@ pub fn ticks_to_seconds(ticks: u64, bucket_capacity: usize, bits_per_second: f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AirIndex;
+    use crate::{AirIndex, AirIndexBackend};
     use airshare_geom::Rect;
     use airshare_hilbert::Grid;
 

@@ -7,7 +7,7 @@
 //! `#![forbid(unsafe_code)]`; implementing [`GlobalAlloc`] requires
 //! `unsafe`, and an integration test is its own crate.
 
-use airshare_broadcast::{AirIndex, Poi, QueryScratch};
+use airshare_broadcast::{AirIndex, AirIndexBackend, Poi, QueryScratch};
 use airshare_geom::{Point, Rect};
 use airshare_hilbert::Grid;
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -14,7 +14,7 @@
 //! * Lemma 3.2's tiled unverified area is the disk-minus-union sum it
 //!   replaces, bit for bit.
 
-use airshare_broadcast::{AirIndex, OnAirClient, Poi, PoiTable, Schedule};
+use airshare_broadcast::{AirIndex, AirIndexBackend, OnAirClient, Poi, PoiTable, Schedule};
 use airshare_core::approx::{unverified_area, unverified_area_in, unverified_area_of_tiles};
 use airshare_core::{nnv, sbnn, sbwq, MergedRegion, ResolvedBy, SbnnConfig, SbwqConfig, SbwqOutcome};
 use airshare_geom::disk::{disk_rect_area, disk_region_area, Disk};

@@ -4,23 +4,20 @@
 //! order, RNG draw order, and cache commit order all leak scheduling
 //! nondeterminism into results, and bit-identity across thread counts is
 //! part of the system's contract (ROADMAP north-star 3). This crate is
-//! the shared answer — a small, dependency-light runtime the simulator,
-//! the service and the bench harness all sit on:
+//! the shared answer — a small runtime on `std` threads alone that the
+//! simulator, the service and the bench harness all sit on:
 //!
-//! * [`Parallelism`] — explicit sizing policy with an `AIRSHARE_THREADS`
-//!   environment fallback, so one knob sizes every pool built by
-//!   [`ExecPool::from_env`] and CI's thread matrix.
-//! * [`ExecPool`] — a sized worker pool over the vendored `crossbeam`
-//!   scoped threads. [`ExecPool::map`] fans a task list out with
-//!   work stealing and returns results **in input order**, regardless of
-//!   which worker ran what; [`ExecPool::map_with`] additionally threads a
-//!   per-worker mutable context (e.g. a shard-local `MetricsRecorder`)
-//!   through every task the worker executes.
+//! * [`ExecPool`] — a sized worker pool. [`ExecPool::map`] fans a task
+//!   list out over one shared queue and returns results **in input
+//!   order**, regardless of which worker ran what; [`ExecPool::map_with`]
+//!   additionally threads a per-worker mutable context (e.g. a
+//!   shard-local `MetricsRecorder`) through every task the worker
+//!   executes.
 //! * [`split_seed`] — the seed-splitting hash used to derive independent
 //!   per-`(host, epoch)` RNG streams from one master seed, so parallel
 //!   shards never share (or race on) a generator.
 //!
-//! The pool carries only its sizing; workers are scoped threads spawned
+//! The pool carries only its size; workers are scoped threads spawned
 //! per call, so borrowed task state needs no `'static` bound and a pool
 //! is freely reusable (and `Sync`) across calls. Determinism contract:
 //! for a pure `f`, `pool.map(tasks, f)` returns the same vector for every
@@ -29,84 +26,29 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
-
-/// Environment variable consulted by [`Parallelism::from_env`] (and hence
-/// [`ExecPool::from_env`]) for an explicit thread count.
-pub const THREADS_ENV: &str = "AIRSHARE_THREADS";
-
-/// Worker-pool sizing policy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Parallelism {
-    /// Use the hardware's available parallelism (falling back to 1 when
-    /// it cannot be queried).
-    #[default]
-    Auto,
-    /// Use exactly this many workers; `Fixed(0)` is treated as 1.
-    Fixed(usize),
-}
-
-impl Parallelism {
-    /// Reads `AIRSHARE_THREADS`. A positive integer means
-    /// [`Parallelism::Fixed`]; absent, empty, zero, or unparseable means
-    /// [`Parallelism::Auto`].
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var(THREADS_ENV) {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n > 0 => Parallelism::Fixed(n),
-                _ => Parallelism::Auto,
-            },
-            Err(_) => Parallelism::Auto,
-        }
-    }
-
-    /// Resolves the policy to a concrete worker count (always ≥ 1).
-    #[must_use]
-    pub fn resolve(self) -> usize {
-        match self {
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            Parallelism::Fixed(n) => n.max(1),
-        }
-    }
-}
+use std::sync::{Mutex, PoisonError};
 
 /// A deterministic worker pool.
 ///
-/// The pool itself is just the resolved worker count — cheap to build,
-/// `Copy`-free but `Clone`, and `Sync` so one pool can be shared across
-/// a whole experiment harness. Each `map`/`map_with` call spawns scoped
-/// workers, distributes tasks round-robin into per-worker queues, lets
-/// idle workers steal from the back of busier queues, and scatters
-/// results back into input order before returning.
+/// The pool itself is just its worker count — cheap to build, `Clone`,
+/// and `Sync` so one pool can be shared across a whole experiment
+/// harness. Each `map`/`map_with` call runs worker 0 on the caller's
+/// thread and spawns the rest as scoped threads. Every worker pops the
+/// next task from one shared queue until it is empty, so a worker that
+/// drew cheap tasks simply draws more; results are sorted back into
+/// input order before returning.
 #[derive(Clone, Debug)]
 pub struct ExecPool {
     threads: usize,
 }
 
 impl ExecPool {
-    /// Builds a pool from an explicit sizing policy.
-    #[must_use]
-    pub fn new(parallelism: Parallelism) -> Self {
-        ExecPool {
-            threads: parallelism.resolve(),
-        }
-    }
-
     /// Builds a pool with exactly `threads` workers (0 is treated as 1).
     #[must_use]
     pub fn fixed(threads: usize) -> Self {
-        ExecPool::new(Parallelism::Fixed(threads))
-    }
-
-    /// Builds a pool sized by `AIRSHARE_THREADS`, falling back to the
-    /// hardware's available parallelism.
-    #[must_use]
-    pub fn from_env() -> Self {
-        ExecPool::new(Parallelism::from_env())
+        ExecPool {
+            threads: threads.max(1),
+        }
     }
 
     /// A single-worker pool: every `map` runs inline on the caller's
@@ -140,10 +82,12 @@ impl ExecPool {
     ///
     /// At most `min(threads, ctxs.len())` workers run; a context is never
     /// shared between two live workers. Results come back in input order.
+    /// With one worker, one context or one task the call runs inline on
+    /// the caller's thread.
     ///
     /// # Panics
-    /// Panics if `ctxs` is empty while `tasks` is not, or if a task
-    /// panics (the worker's panic propagates).
+    /// Panics if `ctxs` is empty while `tasks` is not. A panicking task
+    /// re-raises its own payload on the caller's thread.
     pub fn map_with<C, T, R, F>(&self, ctxs: &mut [C], tasks: Vec<T>, f: F) -> Vec<R>
     where
         C: Send,
@@ -155,109 +99,49 @@ impl ExecPool {
         if n == 0 {
             return Vec::new();
         }
-        assert!(
-            !ctxs.is_empty(),
-            "ExecPool::map_with needs at least one worker context"
-        );
         let workers = self.threads.min(ctxs.len()).min(n);
+        let Some((own, others)) = ctxs.split_first_mut() else {
+            panic!("ExecPool::map_with needs at least one worker context");
+        };
         if workers <= 1 {
-            let ctx = &mut ctxs[0];
             return tasks
                 .into_iter()
                 .enumerate()
-                .map(|(i, t)| f(ctx, i, t))
+                .map(|(i, t)| f(own, i, t))
                 .collect();
         }
 
-        // Round-robin distribution seeds locality; stealing from the
-        // *back* of a victim's queue keeps owners and thieves off the
-        // same end.
-        let mut queues: Vec<Mutex<VecDeque<(usize, T)>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, t) in tasks.into_iter().enumerate() {
-            queues[i % workers].get_mut().unwrap().push_back((i, t));
-        }
-        let queues = &queues;
-        let f = &f;
-
-        let run = move |w: usize, ctx: &mut C| {
+        // The lock is held only to pop, never across `f`, so a panicking
+        // task cannot poison it; recover the guard anyway rather than
+        // turn one task's panic into every worker's.
+        let queue = Mutex::new(tasks.into_iter().enumerate());
+        let run = |ctx: &mut C| {
             let mut out = Vec::new();
             loop {
-                let mut job = queues[w].lock().unwrap().pop_front();
-                if job.is_none() {
-                    for d in 1..workers {
-                        let victim = (w + d) % workers;
-                        job = queues[victim].lock().unwrap().pop_back();
-                        if job.is_some() {
-                            break;
-                        }
-                    }
-                }
-                match job {
+                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                match next {
                     Some((i, t)) => out.push((i, f(ctx, i, t))),
-                    None => break,
+                    None => return out,
                 }
             }
-            out
         };
-
-        let pairs: Vec<(usize, R)> = crossbeam::scope(|s| {
-            let handles: Vec<_> = ctxs[..workers]
+        let run = &run;
+        let mut pairs = std::thread::scope(|s| {
+            let handles: Vec<_> = others[..workers - 1]
                 .iter_mut()
-                .enumerate()
-                .map(|(w, ctx)| s.spawn(move |_| run(w, ctx)))
+                .map(|ctx| s.spawn(move || run(ctx)))
                 .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("exec worker panicked"))
-                .collect()
-        })
-        .expect("exec scope failed");
-
-        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (i, r) in pairs {
-            debug_assert!(results[i].is_none(), "task {i} ran twice");
-            results[i] = Some(r);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("task produced no result"))
-            .collect()
-    }
-
-    /// Runs two independent closures, concurrently when the pool has
-    /// more than one worker, and returns both results. The idiom for
-    /// build-time work with exactly two coarse halves (e.g. the air
-    /// index and the validation oracle), where `map`'s per-task
-    /// machinery would be overhead.
-    ///
-    /// # Panics
-    /// Propagates a panic from either closure.
-    pub fn join<RA, RB>(
-        &self,
-        a: impl FnOnce() -> RA + Send,
-        b: impl FnOnce() -> RB + Send,
-    ) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        if self.threads <= 1 {
-            return (a(), b());
-        }
-        crossbeam::scope(|s| {
-            let hb = s.spawn(|_| b());
-            let ra = a();
-            (ra, hb.join().expect("exec join worker panicked"))
-        })
-        .expect("exec scope failed")
-    }
-}
-
-impl Default for ExecPool {
-    /// Equivalent to [`ExecPool::from_env`].
-    fn default() -> Self {
-        ExecPool::from_env()
+            let mut pairs = run(own);
+            for h in handles {
+                match h.join() {
+                    Ok(done) => pairs.extend(done),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            pairs
+        });
+        pairs.sort_unstable_by_key(|&(i, _)| i);
+        pairs.into_iter().map(|(_, r)| r).collect()
     }
 }
 
@@ -287,12 +171,15 @@ pub fn split_seed(master: u64, host: u64, epoch: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Condvar;
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
     #[test]
     fn fixed_zero_clamps_to_one() {
         assert_eq!(ExecPool::fixed(0).threads(), 1);
-        assert_eq!(Parallelism::Fixed(0).resolve(), 1);
     }
 
     #[test]
@@ -318,9 +205,9 @@ mod tests {
     }
 
     #[test]
-    fn stealing_drains_uneven_queues() {
-        // Worker 0's round-robin share carries all the heavy tasks; the
-        // pool still finishes and keeps order.
+    fn uneven_tasks_still_finish_in_order() {
+        // Every fourth task is heavy; the pool still finishes and keeps
+        // order.
         let pool = ExecPool::fixed(4);
         let tasks: Vec<u32> = (0..64).collect();
         let out = pool.map(tasks, |_, t| {
@@ -347,6 +234,47 @@ mod tests {
     }
 
     #[test]
+    fn a_context_is_never_shared() {
+        // More workers than contexts: two run. Each holds its first task
+        // until the other has one too, so both contexts are in use at
+        // once; each context records the threads that used it.
+        let arrived = (Mutex::new(0usize), Condvar::new());
+        let mut ctxs: Vec<(HashSet<ThreadId>, usize)> = vec![(HashSet::new(), 0); 2];
+        ExecPool::fixed(8).map_with(&mut ctxs, (0..200).collect::<Vec<u32>>(), |ctx, _, _| {
+            if ctx.1 == 0 {
+                let (count, cv) = &arrived;
+                let mut n = count.lock().unwrap();
+                *n += 1;
+                cv.notify_all();
+                drop(cv.wait_timeout_while(n, Duration::from_secs(10), |n| *n < 2));
+            }
+            ctx.0.insert(std::thread::current().id());
+            ctx.1 += 1;
+        });
+        assert_eq!(*arrived.0.lock().unwrap(), 2, "both contexts took a task");
+        for (threads, _) in &ctxs {
+            assert_eq!(threads.len(), 1, "a context ran on {threads:?}");
+        }
+        assert!(ctxs[0].0.is_disjoint(&ctxs[1].0));
+        assert_eq!(ctxs.iter().map(|c| c.1).sum::<usize>(), 200);
+    }
+
+    #[test]
+    fn a_panicking_task_reraises_its_own_payload() {
+        const MSG: &str = "task 1+ failed on purpose";
+        let caught = std::panic::catch_unwind(|| {
+            ExecPool::fixed(2).map((0..64).collect::<Vec<u32>>(), |i, t| {
+                if i >= 1 {
+                    std::panic::panic_any(MSG);
+                }
+                t
+            })
+        })
+        .expect_err("tasks 1.. panic");
+        assert_eq!(caught.downcast_ref::<&str>(), Some(&MSG));
+    }
+
+    #[test]
     fn map_with_runs_inline_on_one_context() {
         let main_thread = std::thread::current().id();
         let hits = AtomicUsize::new(0);
@@ -368,28 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_results() {
-        let (a, b) = ExecPool::fixed(4).join(|| 6 * 7, || "ok".to_string());
-        assert_eq!(a, 42);
-        assert_eq!(b, "ok");
-        // Sequential pools run both inline.
-        let (a, b) = ExecPool::sequential().join(|| vec![1, 2], || 9u8);
-        assert_eq!(a, vec![1, 2]);
-        assert_eq!(b, 9);
-    }
-
-    #[test]
-    fn join_can_borrow_local_state() {
-        let xs: Vec<u64> = (0..1000).collect();
-        let (sum, max) = ExecPool::fixed(2).join(
-            || xs.iter().sum::<u64>(),
-            || xs.iter().copied().max().unwrap_or(0),
-        );
-        assert_eq!(sum, 499_500);
-        assert_eq!(max, 999);
-    }
-
-    #[test]
     fn split_seed_separates_streams() {
         let base = split_seed(42, 0, 0);
         assert_ne!(base, split_seed(42, 1, 0), "hosts must not share streams");
@@ -404,20 +310,5 @@ mod tests {
                 assert!(seen.insert(split_seed(42, host, epoch)));
             }
         }
-    }
-
-    #[test]
-    fn env_fallback_parses_thread_counts() {
-        // Sole test touching the env var, to avoid cross-test races.
-        std::env::set_var(THREADS_ENV, "6");
-        assert_eq!(Parallelism::from_env(), Parallelism::Fixed(6));
-        assert_eq!(ExecPool::from_env().threads(), 6);
-        std::env::set_var(THREADS_ENV, "0");
-        assert_eq!(Parallelism::from_env(), Parallelism::Auto);
-        std::env::set_var(THREADS_ENV, "not a number");
-        assert_eq!(Parallelism::from_env(), Parallelism::Auto);
-        std::env::remove_var(THREADS_ENV);
-        assert_eq!(Parallelism::from_env(), Parallelism::Auto);
-        assert!(ExecPool::from_env().threads() >= 1);
     }
 }

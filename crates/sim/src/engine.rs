@@ -648,9 +648,9 @@ fn advance_fleet(
     pool: &ExecPool,
 ) {
     let n = hosts.len();
-    // Oversplit ~4× past the worker count so stealing can level uneven
-    // chunks (waypoint hosts mid-pause advance much faster than ones
-    // mid-leg).
+    // Oversplit ~4× past the worker count so the pool's shared queue
+    // can level uneven chunks (waypoint hosts mid-pause advance much
+    // faster than ones mid-leg).
     let chunk_len = if n < 4096 {
         n
     } else {

@@ -140,29 +140,19 @@ impl LiveWorld {
             hilbert_order: cfg.hilbert_order,
             bucket_capacity: cfg.bucket_capacity,
         };
-        // The two big POI structures — the air index and the ground-truth
-        // R-tree — are independent reads of the finished table, so they
-        // build concurrently. Each build is a pure function of the table,
-        // so the pool affects wall time only.
-        let pool = ExecPool::from_env();
         // cfg.check() already vetted the capacity, so a build error here
         // is unreachable; map it anyway rather than panic.
-        let (index, oracle) = pool.join(
-            || -> Result<Box<dyn AirIndexBackend>, ConfigError> {
-                Ok(match cfg.backend {
-                    BackendKind::Hilbert => Box::new(
-                        <AirIndex as AirIndexBackend>::try_build(&table, &build)
-                            .map_err(|_| ConfigError::ZeroBucketCapacity)?,
-                    ),
-                    BackendKind::Rtree => Box::new(
-                        <RtreeAirIndex as AirIndexBackend>::try_build(&table, &build)
-                            .map_err(|_| ConfigError::ZeroBucketCapacity)?,
-                    ),
-                })
-            },
-            || RTree::bulk_load(table.iter().map(|p| (p.pos, p.id)).collect()),
-        );
-        let index = index?;
+        let index: Box<dyn AirIndexBackend> = match cfg.backend {
+            BackendKind::Hilbert => Box::new(
+                <AirIndex as AirIndexBackend>::try_build(&table, &build)
+                    .map_err(|_| ConfigError::ZeroBucketCapacity)?,
+            ),
+            BackendKind::Rtree => Box::new(
+                <RtreeAirIndex as AirIndexBackend>::try_build(&table, &build)
+                    .map_err(|_| ConfigError::ZeroBucketCapacity)?,
+            ),
+        };
+        let oracle = RTree::bulk_load(table.iter().map(|p| (p.pos, p.id)).collect());
         let schedule = Schedule::try_for_backend(index.as_ref(), cfg.index_m)
             .map_err(|_| ConfigError::ZeroIndexReplication)?;
         let n = cfg.params.mh_number;

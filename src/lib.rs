@@ -61,11 +61,11 @@
 //! | [`p2p`] | neighbor discovery, share protocol |
 //! | [`core`] | **SBNN / SBWQ** — the paper's contribution |
 //! | [`obs`] | recorder trait, trace events, counters/histograms, stats |
-//! | [`exec`] | deterministic worker pool, work stealing, seed splitting |
+//! | [`exec`] | deterministic worker pool over one shared task queue, seed splitting |
 //! | [`sim`] | the full-system simulator behind §4 |
 //! | [`serve`] | the base station as a long-running service: sessions, batched admission, backpressure |
 //!
-//! ## Parallelism
+//! ## Parallel runs
 //!
 //! [`sim::Simulation::run_parallel`] shards each epoch's hosts across an
 //! [`exec::ExecPool`] and produces a report **bit-identical** to the
@@ -156,7 +156,7 @@ pub mod prelude {
         nnv, sbnn, sbnn_rec, sbwq, sbwq_rec, HeapState, MergedRegion, NnCandidate, ResolvedBy,
         ResultHeap, SbnnConfig, SbnnOutcome, SbnnResult, SbwqConfig, SbwqOutcome, SbwqResult,
     };
-    pub use airshare_exec::{ExecPool, Parallelism};
+    pub use airshare_exec::ExecPool;
     pub use airshare_geom::{Point, Rect, RectUnion};
     pub use airshare_hilbert::{Grid, HilbertCurve};
     pub use airshare_mobility::{Mobility, MobilityConfig, QueryScheduler, RandomWaypoint};

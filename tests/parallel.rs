@@ -148,17 +148,6 @@ fn phase_times_are_populated_without_touching_the_report() {
     assert_eq!(second, report);
 }
 
-#[test]
-fn pool_from_env_matches_sequential_run() {
-    // CI runs the whole suite under AIRSHARE_THREADS=1 and =8; the report
-    // must not depend on which pool size the environment picked.
-    let sequential = Simulation::try_new(tiny(21)).expect("valid config").run();
-    let parallel = Simulation::try_new(tiny(21))
-        .expect("valid config")
-        .run_parallel(&ExecPool::from_env());
-    assert_eq!(parallel, sequential);
-}
-
 // ---------------------------------------------------------------------
 // Epoch snapshot semantics
 // ---------------------------------------------------------------------

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""API lint: public functions must not re-grow owned `Vec<Poi>` signatures.
+"""API lint: no owned `Vec<Poi>` public signatures, no hidden env knobs.
 
 The fleet-scale refactor (DESIGN.md §15) moved POI payloads into the
 canonical `PoiTable` and made handles (`PoiId`) the currency of every
@@ -17,6 +17,13 @@ that is not on the explicit allowlist below — `#[deprecated]` buys no
 exemption, so an owned-POI API cannot come back as a "shim". Adding a
 new owned-POI public API therefore requires touching this file — which
 is the point.
+
+Second rule: library code reads no environment variable. Settings
+reach the library through its config types and the binaries' command
+lines, so a run is reproduced by its arguments alone. The script fails on
+`env::var`, `env::var_os` or `env::vars` in the non-test part of any
+library source (each file up to its first `#[cfg(test)]`; `main.rs`
+files are binaries and exempt). Comment lines are ignored.
 
 Usage: python3 tools/check_api_lint.py  (run from the repo root)
 """
@@ -41,6 +48,7 @@ ALLOWED = {
 }
 
 FN_NAME = re.compile(r"\bfn\s+([A-Za-z0-9_]+)")
+ENV_READ = re.compile(r"\benv::var(s|_os)?\b")
 
 SRC_GLOBS = ["src/**/*.rs", "crates/*/src/**/*.rs"]
 
@@ -72,14 +80,31 @@ def signatures(text):
         yield i + 1, m.group(1), flat
 
 
+def env_reads(text):
+    """Yields (line_no, line) for each env read before `#[cfg(test)]`."""
+    for i, line in enumerate(text.splitlines()):
+        stripped = line.strip()
+        if stripped.startswith("#[cfg(test)]"):
+            return
+        if stripped.startswith("//"):
+            continue
+        if ENV_READ.search(line):
+            yield i + 1, stripped
+
+
 def main():
     root = Path(__file__).resolve().parent.parent
     violations = []
     seen_allowed = set()
+    env_violations = []
     for glob in SRC_GLOBS:
         for path in sorted(root.glob(glob)):
             rel = path.relative_to(root).as_posix()
-            for line_no, name, sig in signatures(path.read_text()):
+            text = path.read_text()
+            if path.name != "main.rs":
+                for line_no, line in env_reads(text):
+                    env_violations.append(f"{rel}:{line_no}: {line}")
+            for line_no, name, sig in signatures(text):
                 if "Vec<Poi>" not in sig.replace(" ", "").replace(
                     "Vec < Poi >", "Vec<Poi>"
                 ):
@@ -104,9 +129,20 @@ def main():
             "payloads, add it to ALLOWED in tools/check_api_lint.py with a\n"
             "justifying comment."
         )
-    if stale or violations:
+    if env_violations:
+        print("library code reading environment variables:")
+        for v in env_violations:
+            print(f"  {v}")
+        print(
+            "\nLibrary settings travel through config types and command-line\n"
+            "flags, never the environment."
+        )
+    if stale or violations or env_violations:
         return 1
-    print(f"api lint ok: {len(seen_allowed)} sanctioned owned-POI boundaries")
+    print(
+        f"api lint ok: {len(seen_allowed)} sanctioned owned-POI boundaries, "
+        "no library env reads"
+    )
     return 0
 
 
