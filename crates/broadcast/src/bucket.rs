@@ -37,11 +37,6 @@ impl Bucket {
             pois,
         }
     }
-
-    /// The bucket's Hilbert range intersects `[lo, hi]`.
-    pub fn intersects_range(&self, lo: u64, hi: u64) -> bool {
-        self.hilbert_range.0 <= hi && lo <= self.hilbert_range.1
-    }
 }
 
 #[cfg(test)]
@@ -58,13 +53,5 @@ mod tests {
         let b = Bucket::build(0, pois, &[10, 12]);
         assert_eq!(b.hilbert_range, (10, 12));
         assert_eq!(b.mbr, Rect::from_coords(1.0, 1.0, 2.0, 3.0));
-    }
-
-    #[test]
-    fn range_intersection() {
-        let b = Bucket::build(0, vec![Poi::new(0, Point::ORIGIN)], &[5]);
-        assert!(b.intersects_range(0, 5));
-        assert!(b.intersects_range(5, 9));
-        assert!(!b.intersects_range(6, 9));
     }
 }

@@ -43,20 +43,6 @@ impl ChannelFaults {
         }
     }
 
-    /// A model derived from a physical bit-error rate and the frame size
-    /// in bytes: `p_loss = 1 - (1 - ber)^(8 * frame_bytes)`.
-    pub fn from_bit_error_rate(
-        seed: u64,
-        ber: f64,
-        frame_bytes: usize,
-        retry_budget: u32,
-    ) -> Self {
-        let ber = ber.clamp(0.0, 1.0);
-        let bits = (frame_bytes * 8) as f64;
-        let loss_prob = 1.0 - (1.0 - ber).powf(bits);
-        Self::from_loss_prob(seed, loss_prob, retry_budget)
-    }
-
     /// The per-appearance loss probability.
     pub fn loss_prob(&self) -> f64 {
         self.loss_prob
@@ -160,15 +146,6 @@ mod tests {
             assert!(!none.bucket_lost(0, o));
             assert!(all.bucket_lost(0, o));
         }
-    }
-
-    #[test]
-    fn ber_derivation_matches_formula() {
-        // 228-byte frame at BER 1e-4: p = 1 - (1 - 1e-4)^1824 ≈ 0.1666.
-        let f = ChannelFaults::from_bit_error_rate(0, 1e-4, 228, 1);
-        let expect = 1.0 - (1.0 - 1e-4f64).powf(1824.0);
-        assert!((f.loss_prob() - expect).abs() < 1e-12);
-        assert!(f.loss_prob() > 0.16 && f.loss_prob() < 0.17);
     }
 
     #[test]

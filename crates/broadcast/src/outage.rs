@@ -50,24 +50,9 @@ impl OutageSchedule {
         }
     }
 
-    /// The first slot at which the channel is live again, if `slot` is
-    /// inside an outage window; `None` when the channel is already live.
-    pub fn next_recovery(&self, slot: u64) -> Option<u64> {
-        match self.windows.partition_point(|&(s, _)| s <= slot) {
-            0 => None,
-            i if slot < self.windows[i - 1].1 => Some(self.windows[i - 1].1),
-            _ => None,
-        }
-    }
-
     /// No outage windows are configured: the schedule is inert.
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty()
-    }
-
-    /// Total number of silent slots across all windows.
-    pub fn silent_slots(&self) -> u64 {
-        self.windows.iter().map(|&(s, e)| e - s).sum()
     }
 
     /// The normalized windows (sorted, disjoint, non-empty).
@@ -84,10 +69,8 @@ mod tests {
     fn empty_schedule_is_always_live() {
         let s = OutageSchedule::default();
         assert!(s.is_empty());
-        assert_eq!(s.silent_slots(), 0);
         for slot in [0, 1, 1000, u64::MAX] {
             assert!(!s.is_silent(slot));
-            assert_eq!(s.next_recovery(slot), None);
         }
     }
 
@@ -98,9 +81,6 @@ mod tests {
         assert!(s.is_silent(10));
         assert!(s.is_silent(19));
         assert!(!s.is_silent(20));
-        assert_eq!(s.next_recovery(15), Some(20));
-        assert_eq!(s.next_recovery(20), None);
-        assert_eq!(s.silent_slots(), 10);
     }
 
     #[test]
@@ -111,7 +91,6 @@ mod tests {
         assert_eq!(s.windows(), &[(5, 15), (30, 40)]);
         assert!(s.is_silent(5) && s.is_silent(14) && !s.is_silent(15));
         assert!(s.is_silent(39) && !s.is_silent(29));
-        assert_eq!(s.silent_slots(), 20);
     }
 
     #[test]

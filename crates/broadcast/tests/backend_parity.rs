@@ -135,3 +135,41 @@ proptest! {
         prop_assert_eq!(wia, wib);
     }
 }
+
+/// FNV-1a over `RtreeAirIndex::try_build`'s per-bucket POI-id order.
+fn rtree_layout_hash(coords: &[(f64, f64)], cap: usize) -> u64 {
+    let index = <RtreeAirIndex as AirIndexBackend>::try_build(&pois(coords), &params(cap)).unwrap();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: u64| {
+        for byte in v.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for b in index.buckets() {
+        eat(b.id as u64);
+        for p in &b.pois {
+            eat(u64::from(p.id));
+        }
+    }
+    h
+}
+
+/// The R-tree backend's on-air layout is pinned: the STR packing
+/// decides which POIs share a bucket and in what order buckets go on
+/// air. Equal kNN and window answers would hide a packing change; this
+/// hash does not.
+#[test]
+fn rtree_bucket_order_is_pinned() {
+    let mut state = 7u64;
+    let mut next = || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64 * SIDE
+    };
+    let coords: Vec<(f64, f64)> = (0..1000).map(|_| (next(), next())).collect();
+    let got = [rtree_layout_hash(&coords, 8), rtree_layout_hash(&coords, 64)];
+    assert_eq!(
+        got,
+        [284112087575334561, 15068673420082736737],
+        "R-tree backend bucket order moved"
+    );
+}

@@ -12,7 +12,6 @@
 use crate::{EntryArena, EntryId, EntryView, ReplacementPolicy};
 use airshare_broadcast::{PoiCategory, PoiId, PoiTable};
 use airshare_geom::{Point, Rect};
-use airshare_obs::{CacheRejectReason, NoopRecorder, Recorder, TraceEvent};
 
 /// What [`HostCache::insert_ids`] did with the offered region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -192,7 +191,8 @@ impl HostCache {
     /// claiming a POI the table does not know or places outside it — is
     /// rejected: a cache holding it would certify wrong answers and
     /// poison every peer it shares with. The outcome reports which path
-    /// was taken.
+    /// was taken; a caller that traces turns a refusal into its reject
+    /// event.
     ///
     /// Allocation-free once the cache is warm — this is the path the
     /// zero-steady-state-allocation guarantee is measured on.
@@ -205,23 +205,6 @@ impl HostCache {
         now: f64,
         ctx: &CacheContext,
     ) -> InsertOutcome {
-        self.insert_ids_rec(table, category, vr, ids, now, ctx, &mut NoopRecorder)
-    }
-
-    /// [`Self::insert_ids`], tracing a refused admission into `rec` with
-    /// its [`CacheRejectReason`]. Successful stores emit nothing here —
-    /// the query layer already traced the data's origin.
-    #[allow(clippy::too_many_arguments)]
-    pub fn insert_ids_rec(
-        &mut self,
-        table: &PoiTable,
-        category: PoiCategory,
-        vr: Rect,
-        ids: &[PoiId],
-        now: f64,
-        ctx: &CacheContext,
-        rec: &mut dyn Recorder,
-    ) -> InsertOutcome {
         let offered = EntryView {
             vr,
             created_at: now,
@@ -229,15 +212,9 @@ impl HostCache {
             poi_ids: ids,
         };
         if !offered.is_consistent(table) {
-            rec.record(TraceEvent::CacheRejected {
-                reason: CacheRejectReason::Inconsistent,
-            });
             return InsertOutcome::RejectedInconsistent;
         }
         if self.capacity_per_category == 0 {
-            rec.record(TraceEvent::CacheRejected {
-                reason: CacheRejectReason::NoCapacity,
-            });
             return InsertOutcome::RejectedNoCapacity;
         }
         let count_in = |r: &Rect| {
@@ -323,25 +300,6 @@ impl HostCache {
         let ci = self.cat_index(category);
         let eid = self.arena.insert(vr, now, now, ids.iter().copied());
         self.cats[ci].1.push(eid);
-    }
-
-    /// Sweeps out entries that violate the containment invariant against
-    /// the canonical table (e.g. injected by tests, or holding handles
-    /// the table does not know), returning how many were evicted.
-    pub fn purge_inconsistent(&mut self, table: &PoiTable) -> usize {
-        let mut evicted = 0;
-        let arena = &mut self.arena;
-        for (_, list) in &mut self.cats {
-            list.retain(|&eid| {
-                let ok = arena.get(eid).expect("live handle").is_consistent(table);
-                if !ok {
-                    arena.remove(eid);
-                    evicted += 1;
-                }
-                ok
-            });
-        }
-        evicted
     }
 
     /// Marks entries intersecting `area` as used at `now` (LRU upkeep).
@@ -633,24 +591,6 @@ mod tests {
         // A proper region still stores fine.
         assert_eq!(offer_ids(unit, &[PoiId(1)]), InsertOutcome::Stored);
         assert_eq!(c.region_count(CAT), 1);
-    }
-
-    #[test]
-    fn purge_sweeps_injected_inconsistency() {
-        let good = entry(0.0, 0.0, 2, 0);
-        let table = PoiTable::from_pois(
-            good.1
-                .iter()
-                .copied()
-                .chain([Poi::new(9, Point::new(9.0, 9.0))]),
-        );
-        let mut c = HostCache::new(10, ReplacementPolicy::default());
-        offer(&mut c, CAT, good, &ctx(0.0, 0.0));
-        c.insert_unchecked(CAT, Rect::from_coords(0.0, 0.0, 1.0, 1.0), &[PoiId(9)], 0.0);
-        assert_eq!(c.region_count(CAT), 2);
-        assert_eq!(c.purge_inconsistent(&table), 1);
-        assert_eq!(c.region_count(CAT), 1);
-        assert!(c.entries(CAT).all(|e| e.is_consistent(&table)));
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl QuarantineLedger {
         rec.until
     }
 
-    /// Number of peers currently quarantined at `epoch`.
-    pub fn quarantined_count(&self, epoch: u64) -> usize {
-        self.records.values().filter(|r| epoch < r.until).count()
-    }
-
     /// Whether the ledger has no records at all (inert fast path).
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
@@ -173,7 +168,6 @@ mod tests {
             assert!(!led.is_quarantined(peer, 0));
             assert!(!led.is_quarantined(peer, 1000));
         }
-        assert_eq!(led.quarantined_count(0), 0);
     }
 
     #[test]
@@ -246,8 +240,7 @@ mod tests {
         let mut led = QuarantineLedger::new(QuarantineConfig::default(), 3);
         led.strike(0, 1);
         led.strike(5, 1);
-        assert!(led.is_quarantined(0, 1));
-        assert_eq!(led.quarantined_count(1), 2);
+        assert!(led.is_quarantined(0, 1) && led.is_quarantined(5, 1));
         led.clear();
         assert!(led.is_empty());
         assert!(!led.is_quarantined(0, 1));

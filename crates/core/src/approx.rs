@@ -53,19 +53,6 @@ pub fn correctness_probability(u: f64, lambda: f64) -> f64 {
     (-lambda * u).exp()
 }
 
-/// Convenience: probability for a candidate at `dist` from `q` given the
-/// MVR, per Lemma 3.2. `domain` bounds the service area when known.
-pub fn candidate_correctness(
-    q: Point,
-    dist: f64,
-    mvr: &MergedRegion,
-    lambda: f64,
-    domain: Option<&Rect>,
-) -> f64 {
-    let tiles = mvr.region().disjoint_rects();
-    correctness_probability(unverified_area_of_tiles(q, dist, &tiles, domain), lambda)
-}
-
 /// The surpassing ratio `‖q,o_u‖ / ‖q,o_lv‖` of an unverified candidate
 /// against the last verified one (Table 2). Returns `None` when there is
 /// no verified anchor or it is at distance zero.
@@ -92,6 +79,18 @@ mod tests {
 
     fn mvr(rects: &[Rect]) -> MergedRegion {
         MergedRegion::from_regions(rects.iter().map(|r| (*r, Vec::<Poi>::new())))
+    }
+
+    /// Lemma 3.2 for a candidate at `dist` from `q` given the MVR.
+    fn candidate_correctness(
+        q: Point,
+        dist: f64,
+        m: &MergedRegion,
+        lambda: f64,
+        domain: Option<&Rect>,
+    ) -> f64 {
+        let tiles = m.region().disjoint_rects();
+        correctness_probability(unverified_area_of_tiles(q, dist, &tiles, domain), lambda)
     }
 
     #[test]

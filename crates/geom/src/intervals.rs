@@ -100,11 +100,6 @@ impl IntervalSet {
         self.difference(other).union(&other.difference(self))
     }
 
-    /// `self ⊆ other` up to ε slack on the endpoints.
-    pub fn is_subset_of(&self, other: &IntervalSet) -> bool {
-        self.difference(other).is_empty()
-    }
-
     /// Clips the set to `[lo, hi]`.
     pub fn clip(&self, lo: f64, hi: f64) -> IntervalSet {
         self.intersection(&IntervalSet::single(lo, hi))
@@ -237,11 +232,12 @@ mod tests {
 
     #[test]
     fn subset_semantics() {
+        // `a ⊆ b` exactly when `a \ b` is empty.
         let a = set(&[(1.0, 2.0), (3.0, 4.0)]);
         let b = set(&[(0.0, 5.0)]);
-        assert!(a.is_subset_of(&b));
-        assert!(!b.is_subset_of(&a));
-        assert!(IntervalSet::new().is_subset_of(&a));
+        assert!(a.difference(&b).is_empty());
+        assert!(!b.difference(&a).is_empty());
+        assert!(IntervalSet::new().difference(&a).is_empty());
     }
 
     #[test]

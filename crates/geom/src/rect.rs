@@ -47,13 +47,6 @@ impl Rect {
         Self::from_coords(c.x - half, c.y - half, c.x + half, c.y + half)
     }
 
-    /// The axis-aligned rectangle of half-extents `(hx, hy)` centred on `c`.
-    #[inline]
-    pub fn centered(c: Point, hx: f64, hy: f64) -> Self {
-        debug_assert!(hx >= 0.0 && hy >= 0.0);
-        Self::from_coords(c.x - hx, c.y - hy, c.x + hx, c.y + hy)
-    }
-
     /// The minimum bounding rectangle of a non-empty point set.
     /// Returns `None` for an empty iterator.
     pub fn bounding<I: IntoIterator<Item = Point>>(points: I) -> Option<Self> {
@@ -111,12 +104,6 @@ impl Rect {
         p.x >= self.x1 && p.x <= self.x2 && p.y >= self.y1 && p.y <= self.y2
     }
 
-    /// Strict (open-set) containment: boundary points are outside.
-    #[inline]
-    pub fn contains_strict(&self, p: Point) -> bool {
-        p.x > self.x1 && p.x < self.x2 && p.y > self.y1 && p.y < self.y2
-    }
-
     /// `other` lies entirely within `self` (closed semantics).
     #[inline]
     pub fn contains_rect(&self, other: &Rect) -> bool {
@@ -156,12 +143,6 @@ impl Rect {
             x2: self.x2.max(other.x2),
             y2: self.y2.max(other.y2),
         }
-    }
-
-    /// Area increase caused by enlarging `self` to cover `other`
-    /// (Guttman's R-tree insertion heuristic).
-    pub fn enlargement(&self, other: &Rect) -> f64 {
-        self.union_mbr(other).area() - self.area()
     }
 
     /// Minimum distance from `p` to the rectangle (zero when inside).
@@ -249,8 +230,8 @@ mod tests {
         let a = r(0.0, 0.0, 1.0, 1.0);
         let edge = Point::new(0.0, 0.5);
         assert!(a.contains(edge));
-        assert!(!a.contains_strict(edge));
-        assert!(a.contains_strict(Point::new(0.5, 0.5)));
+        assert!(a.contains(Point::new(0.5, 0.5)));
+        assert!(!a.contains(Point::new(1.5, 0.5)));
     }
 
     #[test]
@@ -309,11 +290,12 @@ mod tests {
     }
 
     #[test]
-    fn enlargement_zero_when_contained() {
+    fn union_mbr_absorbs_contained_rect() {
         let a = r(0.0, 0.0, 4.0, 4.0);
         let b = r(1.0, 1.0, 2.0, 2.0);
-        assert!(approx_eq(a.enlargement(&b), 0.0));
-        assert!(b.enlargement(&a) > 0.0);
+        // Covering a contained rectangle grows nothing.
+        assert_eq!(a.union_mbr(&b), a);
+        assert!(b.union_mbr(&a).area() > b.area());
     }
 
     #[test]
@@ -329,7 +311,6 @@ mod tests {
     fn centered_constructors() {
         let c = Point::new(1.0, 2.0);
         assert_eq!(Rect::centered_square(c, 1.0), r(0.0, 1.0, 2.0, 3.0));
-        assert_eq!(Rect::centered(c, 2.0, 0.5), r(-1.0, 1.5, 3.0, 2.5));
     }
 
     #[test]

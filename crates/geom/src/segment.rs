@@ -80,14 +80,6 @@ impl Segment {
             }
         }
     }
-
-    /// Closest point of the segment to `p`.
-    pub fn closest_point_to(&self, p: Point) -> Point {
-        match self.axis {
-            Axis::Vertical => Point::new(self.at, p.y.clamp(self.lo, self.hi)),
-            Axis::Horizontal => Point::new(p.x.clamp(self.lo, self.hi), self.at),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -115,13 +107,6 @@ mod tests {
             s.distance_to_point(Point::new(4.0, 5.0)),
             5.0
         ));
-    }
-
-    #[test]
-    fn closest_point_clamps_to_span() {
-        let s = Segment::vertical(0.0, 0.0, 1.0);
-        assert_eq!(s.closest_point_to(Point::new(3.0, 0.5)), Point::new(0.0, 0.5));
-        assert_eq!(s.closest_point_to(Point::new(3.0, 9.0)), Point::new(0.0, 1.0));
     }
 
     #[test]

@@ -72,12 +72,6 @@ impl Grid {
         Rect::from_coords(x1, y1, x1 + w, y1 + h)
     }
 
-    /// World rectangle covered by the cell at curve position `d`.
-    pub fn value_rect(&self, d: u64) -> Rect {
-        let (cx, cy) = self.curve.decode(d);
-        self.cell_rect(cx, cy)
-    }
-
     /// The smallest cell rectangle covering a world rectangle (clipped to
     /// the world). Returns `None` when `r` lies entirely outside.
     pub fn cell_rect_for(&self, r: &Rect) -> Option<CellRect> {
@@ -147,7 +141,8 @@ mod tests {
         let g = grid();
         let p = Point::new(7.3, 2.9);
         let d = g.value_of(p);
-        assert!(g.value_rect(d).contains(p));
+        let (cx, cy) = g.curve.decode(d);
+        assert!(g.cell_rect(cx, cy).contains(p));
     }
 
     #[test]

@@ -62,12 +62,6 @@ impl AnswerQuality {
             AnswerQuality::Failed => "failed",
         }
     }
-
-    /// Whether the answer may be treated as exact (complete and correct
-    /// under validation).
-    pub fn is_exact(self) -> bool {
-        self == AnswerQuality::Exact
-    }
 }
 
 /// Why a cache refused an offered entry.
@@ -334,7 +328,5 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), all.len());
-        assert!(AnswerQuality::Exact.is_exact());
-        assert!(!AnswerQuality::Stale.is_exact());
     }
 }

@@ -15,9 +15,9 @@
 //!   is provably free: its methods are empty `#[inline]` bodies, and a
 //!   simulation run with an inert recorder is bit-identical to one
 //!   without (tested end-to-end in the umbrella crate).
-//! * [`MetricsRecorder`] — aggregates events into [`Counter`]s and
-//!   log-scaled [`Histogram`]s, snapshotted as a [`MetricsSnapshot`]
-//!   with p50/p90/p95/p99 extraction.
+//! * [`MetricsRecorder`] — aggregates events straight into a
+//!   [`MetricsSnapshot`]'s counts and log-scaled [`Histogram`]s, with
+//!   p50/p90/p95/p99 extraction.
 //! * [`JsonlTraceRecorder`] — a deterministic per-query event log, one
 //!   JSON object per line, consumable by the `trace` experiment of `airshare-paper`.
 //! * [`stats`] — the unified statistics module: [`AccessStats`] (moved
@@ -38,6 +38,5 @@ pub mod stats;
 pub use event::{AnswerQuality, CacheRejectReason, ResolutionKind, TraceEvent};
 pub use recorder::{JsonlTraceRecorder, MetricsRecorder, MetricsSnapshot, NoopRecorder, Recorder};
 pub use stats::{
-    AccessStats, Counter, FaultStats, Histogram, LatencySummary, PercentileSummary, PhaseTimes,
-    ShareStats,
+    AccessStats, FaultStats, Histogram, LatencySummary, PercentileSummary, PhaseTimes, ShareStats,
 };

@@ -1,7 +1,7 @@
 //! The `Recorder` sink trait and the concrete recorders.
 
 use crate::event::{AnswerQuality, ResolutionKind, TraceEvent};
-use crate::stats::{Counter, Histogram, PercentileSummary, PhaseTimes};
+use crate::stats::{Histogram, PercentileSummary, PhaseTimes};
 use std::fmt::Write as _;
 
 /// A sink for trace events emitted along a query's resolution path.
@@ -178,36 +178,9 @@ impl MetricsSnapshot {
 /// contribute zeros — they never touched the channel).
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRecorder {
-    queries: Counter,
-    peers_verified: Counter,
-    peers_approximate: Counter,
-    broadcast: Counter,
-    probes: Counter,
-    index_buckets: Counter,
-    data_buckets: Counter,
-    frames_lost: Counter,
-    peers_contacted: Counter,
-    replies_dropped: Counter,
-    cache_hits: Counter,
-    cache_rejected: Counter,
-    answers_exact: Counter,
-    answers_degraded: Counter,
-    answers_stale: Counter,
-    answers_failed: Counter,
-    hosts_crashed: Counter,
-    hosts_restarted: Counter,
-    outages_blocked: Counter,
-    resyncs: Counter,
-    quarantine_strikes: Counter,
-    quarantine_skips: Counter,
-    sessions_registered: Counter,
-    sessions_closed: Counter,
-    queries_admitted: Counter,
-    queries_rejected: Counter,
-    epochs_committed: Counter,
-    drains: Counter,
-    tuning: Histogram,
-    latency: Histogram,
+    /// The running totals; `tuning`/`latency` are filled in only by
+    /// [`MetricsRecorder::snapshot`].
+    totals: MetricsSnapshot,
 }
 
 impl MetricsRecorder {
@@ -218,125 +191,66 @@ impl MetricsRecorder {
 
     /// The current aggregate view.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            queries_total: self.queries.get(),
-            resolved_peers_verified: self.peers_verified.get(),
-            resolved_peers_approximate: self.peers_approximate.get(),
-            resolved_broadcast: self.broadcast.get(),
-            probes_total: self.probes.get(),
-            index_buckets_total: self.index_buckets.get(),
-            data_buckets_total: self.data_buckets.get(),
-            frames_lost_total: self.frames_lost.get(),
-            peers_contacted_total: self.peers_contacted.get(),
-            peer_replies_dropped: self.replies_dropped.get(),
-            cache_hits_total: self.cache_hits.get(),
-            cache_rejected_total: self.cache_rejected.get(),
-            answers_exact: self.answers_exact.get(),
-            answers_degraded: self.answers_degraded.get(),
-            answers_stale: self.answers_stale.get(),
-            answers_failed: self.answers_failed.get(),
-            hosts_crashed_total: self.hosts_crashed.get(),
-            hosts_restarted_total: self.hosts_restarted.get(),
-            outages_blocked_total: self.outages_blocked.get(),
-            resyncs_total: self.resyncs.get(),
-            quarantine_strikes_total: self.quarantine_strikes.get(),
-            quarantine_skips_total: self.quarantine_skips.get(),
-            sessions_registered_total: self.sessions_registered.get(),
-            sessions_closed_total: self.sessions_closed.get(),
-            queries_admitted_total: self.queries_admitted.get(),
-            queries_rejected_total: self.queries_rejected.get(),
-            epochs_committed_total: self.epochs_committed.get(),
-            drains_total: self.drains.get(),
-            tuning: self.tuning.percentiles(),
-            latency: self.latency.percentiles(),
-            tuning_hist: self.tuning.clone(),
-            latency_hist: self.latency.clone(),
-            phases: PhaseTimes::default(),
-        }
+        let mut s = self.totals.clone();
+        s.tuning = s.tuning_hist.percentiles();
+        s.latency = s.latency_hist.percentiles();
+        s
     }
 
     /// Folds another recorder's observations in (exact; see
     /// [`MetricsSnapshot::merge`]).
     pub fn merge(&mut self, other: &MetricsRecorder) {
-        self.queries.merge(other.queries);
-        self.peers_verified.merge(other.peers_verified);
-        self.peers_approximate.merge(other.peers_approximate);
-        self.broadcast.merge(other.broadcast);
-        self.probes.merge(other.probes);
-        self.index_buckets.merge(other.index_buckets);
-        self.data_buckets.merge(other.data_buckets);
-        self.frames_lost.merge(other.frames_lost);
-        self.peers_contacted.merge(other.peers_contacted);
-        self.replies_dropped.merge(other.replies_dropped);
-        self.cache_hits.merge(other.cache_hits);
-        self.cache_rejected.merge(other.cache_rejected);
-        self.answers_exact.merge(other.answers_exact);
-        self.answers_degraded.merge(other.answers_degraded);
-        self.answers_stale.merge(other.answers_stale);
-        self.answers_failed.merge(other.answers_failed);
-        self.hosts_crashed.merge(other.hosts_crashed);
-        self.hosts_restarted.merge(other.hosts_restarted);
-        self.outages_blocked.merge(other.outages_blocked);
-        self.resyncs.merge(other.resyncs);
-        self.quarantine_strikes.merge(other.quarantine_strikes);
-        self.quarantine_skips.merge(other.quarantine_skips);
-        self.sessions_registered.merge(other.sessions_registered);
-        self.sessions_closed.merge(other.sessions_closed);
-        self.queries_admitted.merge(other.queries_admitted);
-        self.queries_rejected.merge(other.queries_rejected);
-        self.epochs_committed.merge(other.epochs_committed);
-        self.drains.merge(other.drains);
-        self.tuning.merge(&other.tuning);
-        self.latency.merge(&other.latency);
+        self.totals.merge(&other.totals);
     }
 }
 
 impl Recorder for MetricsRecorder {
     fn begin_query(&mut self, _id: u64, _tick: u64) {
-        self.queries.incr();
+        self.totals.queries_total += 1;
     }
 
     fn record(&mut self, event: TraceEvent) {
+        let m = &mut self.totals;
         match event {
-            TraceEvent::ProbeStarted { .. } => self.probes.incr(),
-            TraceEvent::IndexBucketTuned { count } => self.index_buckets.add(count as u64),
-            TraceEvent::DataBucketTuned { .. } => self.data_buckets.incr(),
-            TraceEvent::FrameLost { .. } => self.frames_lost.incr(),
-            TraceEvent::PeerContacted { .. } => self.peers_contacted.incr(),
-            TraceEvent::PeerReplyDropped { .. } => self.replies_dropped.incr(),
-            TraceEvent::CacheHit { .. } => self.cache_hits.incr(),
-            TraceEvent::CacheRejected { .. } => self.cache_rejected.incr(),
+            TraceEvent::ProbeStarted { .. } => m.probes_total += 1,
+            TraceEvent::IndexBucketTuned { count } => m.index_buckets_total += count as u64,
+            TraceEvent::DataBucketTuned { .. } => m.data_buckets_total += 1,
+            TraceEvent::FrameLost { .. } => m.frames_lost_total += 1,
+            TraceEvent::PeerContacted { .. } => m.peers_contacted_total += 1,
+            TraceEvent::PeerReplyDropped { .. } => m.peer_replies_dropped += 1,
+            TraceEvent::CacheHit { .. } => m.cache_hits_total += 1,
+            TraceEvent::CacheRejected { .. } => m.cache_rejected_total += 1,
             TraceEvent::QueryResolved {
                 by,
                 tuning,
                 latency,
             } => {
                 match by {
-                    ResolutionKind::PeersVerified => self.peers_verified.incr(),
-                    ResolutionKind::PeersApproximate => self.peers_approximate.incr(),
-                    ResolutionKind::Broadcast => self.broadcast.incr(),
+                    ResolutionKind::PeersVerified => m.resolved_peers_verified += 1,
+                    ResolutionKind::PeersApproximate => m.resolved_peers_approximate += 1,
+                    ResolutionKind::Broadcast => m.resolved_broadcast += 1,
                 }
-                self.tuning.record(tuning);
-                self.latency.record(latency);
+                m.tuning_hist.record(tuning);
+                m.latency_hist.record(latency);
             }
             TraceEvent::QueryQuality { quality } => match quality {
-                AnswerQuality::Exact => self.answers_exact.incr(),
-                AnswerQuality::Degraded => self.answers_degraded.incr(),
-                AnswerQuality::Stale => self.answers_stale.incr(),
-                AnswerQuality::Failed => self.answers_failed.incr(),
+                AnswerQuality::Exact => m.answers_exact += 1,
+                AnswerQuality::Degraded => m.answers_degraded += 1,
+                AnswerQuality::Stale => m.answers_stale += 1,
+                AnswerQuality::Failed => m.answers_failed += 1,
             },
-            TraceEvent::HostCrashed { .. } => self.hosts_crashed.incr(),
-            TraceEvent::HostRestarted { .. } => self.hosts_restarted.incr(),
-            TraceEvent::OutageBlocked { .. } => self.outages_blocked.incr(),
-            TraceEvent::Resynced { .. } => self.resyncs.incr(),
-            TraceEvent::PeerQuarantined { .. } => self.quarantine_strikes.incr(),
-            TraceEvent::QuarantinedPeerSkipped { .. } => self.quarantine_skips.incr(),
-            TraceEvent::SessionRegistered { .. } => self.sessions_registered.incr(),
-            TraceEvent::SessionClosed { .. } => self.sessions_closed.incr(),
-            TraceEvent::QueryAdmitted { .. } => self.queries_admitted.incr(),
-            TraceEvent::QueryRejected { .. } => self.queries_rejected.incr(),
-            TraceEvent::EpochCommitted { .. } => self.epochs_committed.incr(),
-            TraceEvent::ServiceDrained { .. } => self.drains.incr(),
+            TraceEvent::HostCrashed { .. } => m.hosts_crashed_total += 1,
+            TraceEvent::HostRestarted { .. } => m.hosts_restarted_total += 1,
+            TraceEvent::OutageBlocked { .. } => m.outages_blocked_total += 1,
+            TraceEvent::Resynced { .. } => m.resyncs_total += 1,
+            TraceEvent::PeerQuarantined { .. } => m.quarantine_strikes_total += 1,
+            TraceEvent::QuarantinedPeerSkipped { .. } => m.quarantine_skips_total += 1,
+            TraceEvent::SessionRegistered { .. } => m.sessions_registered_total += 1,
+            TraceEvent::SessionClosed { .. } => m.sessions_closed_total += 1,
+            TraceEvent::QueryAdmitted { .. } => m.queries_admitted_total += 1,
+            TraceEvent::QueryRejected { .. } => m.queries_rejected_total += 1,
+            TraceEvent::EpochCommitted { .. } => m.epochs_committed_total += 1,
+            TraceEvent::ServiceDrained { .. } => m.drains_total += 1,
         }
     }
 }

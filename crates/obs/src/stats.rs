@@ -3,7 +3,7 @@
 //! Every cost figure the workspace reports lives here: the per-operation
 //! accounting structs ([`AccessStats`], [`ShareStats`]), the grouped
 //! fault counters ([`FaultStats`]), and the metric primitives
-//! ([`Counter`], [`Histogram`], [`LatencySummary`]) that aggregate them
+//! ([`Histogram`], [`LatencySummary`]) that aggregate them
 //! across a run. Field naming is consistent throughout: `*_total` for
 //! monotonic counts, `*_dropped` for losses in transit, `*_degraded`
 //! for results that must not be treated as exact.
@@ -160,41 +160,6 @@ impl PartialEq for PhaseTimes {
 }
 
 impl Eq for PhaseTimes {}
-
-/// A monotonically increasing event count.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A counter at zero.
-    pub const fn new() -> Counter {
-        Counter(0)
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Folds another counter in. Counter addition is commutative and
-    /// associative, so shard-local counters merge exactly in any order.
-    #[inline]
-    pub fn merge(&mut self, other: Counter) {
-        self.0 += other.0;
-    }
-}
 
 /// Number of sub-buckets per power-of-two octave (4 ⇒ 2 sub-bucket
 /// bits ⇒ at most 25 % relative error per recorded value).
@@ -452,18 +417,6 @@ impl LatencySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let mut d = Counter::new();
-        d.add(7);
-        d.merge(c);
-        assert_eq!(d.get(), 12);
-    }
 
     #[test]
     fn latency_summary_merge_equals_combined_recording() {

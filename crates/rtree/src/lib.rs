@@ -1,19 +1,20 @@
-//! A from-scratch R-tree over point data.
+//! A from-scratch static R-tree over point data.
 //!
 //! The paper's related-work section grounds spatial search in the R-tree
-//! family: Guttman's original dynamic index, the branch-and-bound /
+//! family: Guttman's original index, the branch-and-bound /
 //! best-first kNN searches of Roussopoulos et al. and Hjaltason–Samet,
-//! and window queries over MBR hierarchies. The broadcast server does not
-//! ship an R-tree over the air (it uses the Hilbert index), but the
-//! simulator needs an exact, fast *ground truth* oracle to (a) validate
-//! every sharing-based answer and (b) quantify approximation error. This
-//! crate provides that oracle:
+//! and window queries over MBR hierarchies. The paper's broadcast server
+//! ships a Hilbert index, but the simulator needs an exact, fast *ground
+//! truth* oracle to (a) validate every sharing-based answer and (b)
+//! quantify approximation error, and the alternative R-tree air index
+//! broadcasts POIs in this tree's leaf order. This crate provides that
+//! tree:
 //!
-//! * [`RTree`] — a point R-tree with Guttman quadratic-split insertion,
-//!   STR (sort-tile-recursive) bulk loading, best-first kNN search and
-//!   window queries.
-//! * [`LinearScan`] — the brute-force baseline used to cross-check the
-//!   tree in tests and to benchmark the speedup.
+//! * [`RTree`] — a point R-tree built once by STR (sort-tile-recursive)
+//!   bulk loading from a static POI set and then only read: best-first
+//!   kNN search and window queries. There is no insertion or removal.
+//! * [`LinearScan`] — the brute-force reference used to cross-check the
+//!   tree in tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,36 +5,16 @@ use airshare_geom::{Point, Rect};
 
 /// A flat list of `(Point, T)` items answering the same queries as
 /// [`crate::RTree`] by exhaustive scan. Exists to cross-check the tree in
-//  tests and to serve as the no-index baseline in benchmarks.
-#[derive(Clone, Debug, Default)]
+/// tests.
+#[derive(Clone, Debug)]
 pub struct LinearScan<T> {
     items: Vec<(Point, T)>,
 }
 
 impl<T> LinearScan<T> {
-    /// Creates an empty scan set.
-    pub fn new() -> Self {
-        Self { items: Vec::new() }
-    }
-
     /// Builds from a batch of items.
     pub fn from_items(items: Vec<(Point, T)>) -> Self {
         Self { items }
-    }
-
-    /// Adds one item.
-    pub fn insert(&mut self, point: Point, data: T) {
-        self.items.push((point, data));
-    }
-
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// The set holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 
     /// The `k` nearest items to `q`, ascending by distance.
@@ -61,24 +41,6 @@ impl<T> LinearScan<T> {
             .map(|(p, d)| (*p, d))
             .collect()
     }
-
-    /// All items within `radius` of `center`, ascending by distance.
-    pub fn within_distance(&self, center: Point, radius: f64) -> Vec<Neighbor<'_, T>> {
-        let mut out: Vec<Neighbor<'_, T>> = self
-            .items
-            .iter()
-            .filter_map(|(p, d)| {
-                let dist = p.distance(center);
-                (dist <= radius).then_some(Neighbor {
-                    point: *p,
-                    data: d,
-                    distance: dist,
-                })
-            })
-            .collect();
-        out.sort_by(|a, b| a.distance.total_cmp(&b.distance));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -98,18 +60,9 @@ mod tests {
 
     #[test]
     fn window_filters() {
-        let mut s = LinearScan::new();
-        s.insert(Point::new(0.5, 0.5), 1);
-        s.insert(Point::new(2.0, 2.0), 2);
+        let s = LinearScan::from_items(vec![(Point::new(0.5, 0.5), 1), (Point::new(2.0, 2.0), 2)]);
         let w = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
         let got: Vec<i32> = s.window(&w).into_iter().map(|(_, &i)| i).collect();
         assert_eq!(got, vec![1]);
-    }
-
-    #[test]
-    fn within_distance_inclusive_boundary() {
-        let s = LinearScan::from_items(vec![(Point::new(3.0, 4.0), ())]);
-        assert_eq!(s.within_distance(Point::ORIGIN, 5.0).len(), 1);
-        assert_eq!(s.within_distance(Point::ORIGIN, 4.999).len(), 0);
     }
 }

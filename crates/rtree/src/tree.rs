@@ -1,10 +1,10 @@
-//! Point R-tree: Guttman insertion, STR bulk load, best-first kNN.
+//! Static point R-tree: STR bulk load, best-first kNN, window queries.
 
 use airshare_geom::{Point, Rect};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Default maximum node fan-out.
+/// Maximum node fan-out.
 const DEFAULT_MAX: usize = 16;
 
 /// A kNN search result: the item's position, payload reference and exact
@@ -25,14 +25,11 @@ enum Node<T> {
     Internal(Vec<(Rect, Node<T>)>),
 }
 
-/// A dynamic R-tree over `(Point, T)` items.
+/// A static R-tree over `(Point, T)` items, built once and then only read.
 ///
-/// * Insertion follows Guttman: choose the subtree needing least MBR
-///   enlargement (ties by smallest area), split overflowing nodes with
-///   the quadratic seed heuristic.
 /// * [`RTree::bulk_load`] builds a packed tree with sort-tile-recursive
-///   (STR) packing — the preferred construction for the static POI sets
-///   the simulator works with.
+///   (STR) packing from the static POI sets the simulator works with;
+///   there is no insertion or removal afterwards.
 /// * [`RTree::knn`] is the Hjaltason–Samet best-first search over a
 ///   priority queue of `MINDIST` values; it is exact and visits the
 ///   minimal set of nodes.
@@ -40,28 +37,9 @@ enum Node<T> {
 pub struct RTree<T> {
     root: Node<T>,
     len: usize,
-    max_entries: usize,
-    min_entries: usize,
-}
-
-impl<T> Default for RTree<T> {
-    fn default() -> Self {
-        Self::new(DEFAULT_MAX)
-    }
 }
 
 impl<T> RTree<T> {
-    /// Creates an empty tree with the given maximum fan-out (≥ 4).
-    pub fn new(max_entries: usize) -> Self {
-        assert!(max_entries >= 4, "max fan-out must be at least 4");
-        Self {
-            root: Node::Leaf(Vec::new()),
-            len: 0,
-            max_entries,
-            min_entries: max_entries.div_ceil(2),
-        }
-    }
-
     /// Number of stored items.
     pub fn len(&self) -> usize {
         self.len
@@ -72,41 +50,15 @@ impl<T> RTree<T> {
         self.len == 0
     }
 
-    /// MBR of all stored items (`None` when empty).
-    pub fn mbr(&self) -> Option<Rect> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(node_mbr(&self.root))
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Construction
-    // ------------------------------------------------------------------
-
-    /// Inserts one item.
-    pub fn insert(&mut self, point: Point, data: T) {
-        debug_assert!(point.is_finite());
-        self.len += 1;
-        if let Some((r1, n1, r2, n2)) = insert_rec(
-            &mut self.root,
-            point,
-            data,
-            self.max_entries,
-            self.min_entries,
-        ) {
-            // Root split: grow the tree by one level.
-            self.root = Node::Internal(vec![(r1, n1), (r2, n2)]);
-        }
-    }
-
     /// Builds a packed tree from a batch of items using STR packing.
     pub fn bulk_load(mut items: Vec<(Point, T)>) -> Self {
         let max_entries = DEFAULT_MAX;
         let len = items.len();
         if items.is_empty() {
-            return Self::new(max_entries);
+            return Self {
+                root: Node::Leaf(Vec::new()),
+                len,
+            };
         }
         // STR: sort by x, cut into vertical slices of ~sqrt(P) leaves,
         // sort each slice by y, pack leaves of `max_entries`.
@@ -155,76 +107,14 @@ impl<T> RTree<T> {
             level = next;
         }
         let root = level.pop().map(|(_, n)| n).unwrap_or(Node::Leaf(Vec::new()));
-        Self {
-            root,
-            len,
-            max_entries,
-            min_entries: max_entries.div_ceil(2),
-        }
+        Self { root, len }
     }
-
-    /// Removes one item matching `point` and `predicate`, returning its
-    /// payload. Follows Guttman's condense-tree approach: underfull nodes
-    /// along the removal path are dissolved and their remaining entries
-    /// reinserted, and a root with a single child is collapsed.
-    ///
-    /// Returns `None` (tree unchanged) when no matching item exists.
-    pub fn remove<F: FnMut(&T) -> bool>(&mut self, point: Point, mut predicate: F) -> Option<T> {
-        let mut orphans: Vec<(Point, T)> = Vec::new();
-        let removed = remove_rec(
-            &mut self.root,
-            point,
-            &mut predicate,
-            self.min_entries,
-            &mut orphans,
-        )?;
-        self.len -= 1 + orphans.len();
-        // Collapse a root that lost all but one child.
-        loop {
-            match &mut self.root {
-                Node::Internal(children) if children.len() == 1 => {
-                    let (_, only) = children.pop().expect("one child");
-                    self.root = only;
-                }
-                Node::Internal(children) if children.is_empty() => {
-                    self.root = Node::Leaf(Vec::new());
-                }
-                _ => break,
-            }
-        }
-        for (p, d) in orphans {
-            self.insert(p, d);
-        }
-        Some(removed)
-    }
-
-    /// Removes an item at `point` with payload equal to `needle`
-    /// (convenience wrapper over [`RTree::remove`]).
-    pub fn remove_item(&mut self, point: Point, needle: &T) -> Option<T>
-    where
-        T: PartialEq,
-    {
-        self.remove(point, |d| d == needle)
-    }
-
-    // ------------------------------------------------------------------
-    // Queries
-    // ------------------------------------------------------------------
 
     /// All items inside the window (closed containment), in arbitrary
     /// order.
     pub fn window(&self, w: &Rect) -> Vec<(Point, &T)> {
         let mut out = Vec::new();
         window_rec(&self.root, w, &mut out);
-        out
-    }
-
-    /// All items within Euclidean distance `radius` of `center`.
-    pub fn within_distance(&self, center: Point, radius: f64) -> Vec<Neighbor<'_, T>> {
-        let mut out = Vec::new();
-        let r_sq = radius * radius;
-        disk_rec(&self.root, center, r_sq, &mut out);
-        out.sort_by(|a, b| a.distance.total_cmp(&b.distance));
         out
     }
 
@@ -273,11 +163,6 @@ impl<T> RTree<T> {
         out
     }
 
-    /// The single nearest item to `q`.
-    pub fn nearest(&self, q: Point) -> Option<Neighbor<'_, T>> {
-        self.knn(q, 1).into_iter().next()
-    }
-
     /// Iterates over all items in depth-first leaf order.
     pub fn iter(&self) -> impl Iterator<Item = (Point, &T)> {
         // A lazy DFS over node references: internal children are pushed
@@ -305,20 +190,18 @@ impl<T> RTree<T> {
     // ------------------------------------------------------------------
 
     /// Verifies structural invariants, panicking on violation. Intended
-    /// for tests: MBR containment, occupancy bounds, uniform leaf depth.
+    /// for tests: MBR containment, fan-out bound, uniform leaf depth.
     pub fn check_invariants(&self) {
         fn rec<T>(
             n: &Node<T>,
             depth: usize,
             is_root: bool,
-            max_e: usize,
-            min_e: usize,
             leaf_depth: &mut Option<usize>,
         ) -> (Rect, usize) {
             match n {
                 Node::Leaf(items) => {
                     assert!(is_root || !items.is_empty(), "empty non-root leaf");
-                    assert!(items.len() <= max_e, "overfull leaf");
+                    assert!(items.len() <= DEFAULT_MAX, "overfull leaf");
                     match leaf_depth {
                         Some(d) => assert_eq!(*d, depth, "leaves at differing depths"),
                         None => *leaf_depth = Some(depth),
@@ -329,12 +212,11 @@ impl<T> RTree<T> {
                 }
                 Node::Internal(children) => {
                     assert!(!children.is_empty(), "empty internal node");
-                    assert!(children.len() <= max_e, "overfull internal node");
-                    let _ = min_e;
+                    assert!(children.len() <= DEFAULT_MAX, "overfull internal node");
                     let mut total = 0;
                     let mut mbr: Option<Rect> = None;
                     for (r, c) in children {
-                        let (child_mbr, count) = rec(c, depth + 1, false, max_e, min_e, leaf_depth);
+                        let (child_mbr, count) = rec(c, depth + 1, false, leaf_depth);
                         assert!(
                             r.contains_rect(&child_mbr),
                             "stored MBR {r:?} does not contain child MBR {child_mbr:?}"
@@ -350,255 +232,9 @@ impl<T> RTree<T> {
             }
         }
         let mut leaf_depth = None;
-        let (_, count) = rec(
-            &self.root,
-            0,
-            true,
-            self.max_entries,
-            self.min_entries,
-            &mut leaf_depth,
-        );
+        let (_, count) = rec(&self.root, 0, true, &mut leaf_depth);
         assert_eq!(count, self.len, "len mismatch");
     }
-}
-
-// ----------------------------------------------------------------------
-// Insertion helpers
-// ----------------------------------------------------------------------
-
-/// Recursive removal. Returns the removed payload; appends the entries of
-/// dissolved (underfull) nodes to `orphans` for reinsertion. Parent MBRs
-/// are recomputed on the way back up.
-fn remove_rec<T, F: FnMut(&T) -> bool>(
-    node: &mut Node<T>,
-    point: Point,
-    predicate: &mut F,
-    min_e: usize,
-    orphans: &mut Vec<(Point, T)>,
-) -> Option<T> {
-    match node {
-        Node::Leaf(items) => {
-            let idx = items
-                .iter()
-                .position(|(p, d)| *p == point && predicate(d))?;
-            Some(items.swap_remove(idx).1)
-        }
-        Node::Internal(children) => {
-            let mut removed = None;
-            let mut dissolve: Option<usize> = None;
-            for (i, (mbr, child)) in children.iter_mut().enumerate() {
-                if !mbr.contains(point) {
-                    continue;
-                }
-                if let Some(d) = remove_rec(child, point, predicate, min_e, orphans) {
-                    removed = Some(d);
-                    // Recompute the shrunken MBR; dissolve underfull
-                    // children (their entries get reinserted).
-                    let underfull = match child {
-                        Node::Leaf(items) => items.len() < min_e,
-                        Node::Internal(c) => c.len() < min_e,
-                    };
-                    if underfull {
-                        dissolve = Some(i);
-                    } else {
-                        *mbr = node_mbr(child);
-                    }
-                    break;
-                }
-            }
-            let removed = removed?;
-            if let Some(i) = dissolve {
-                let (_, child) = children.swap_remove(i);
-                collect_entries(child, orphans);
-            }
-            Some(removed)
-        }
-    }
-}
-
-/// Drains every item of a subtree into `out`.
-fn collect_entries<T>(node: Node<T>, out: &mut Vec<(Point, T)>) {
-    match node {
-        Node::Leaf(items) => out.extend(items),
-        Node::Internal(children) => {
-            for (_, c) in children {
-                collect_entries(c, out);
-            }
-        }
-    }
-}
-
-fn node_mbr<T>(n: &Node<T>) -> Rect {
-    match n {
-        Node::Leaf(items) => Rect::bounding(items.iter().map(|e| e.0))
-            .unwrap_or(Rect::from_coords(0.0, 0.0, 0.0, 0.0)),
-        Node::Internal(children) => children
-            .iter()
-            .map(|c| c.0)
-            .reduce(|a, b| a.union_mbr(&b))
-            .unwrap_or(Rect::from_coords(0.0, 0.0, 0.0, 0.0)),
-    }
-}
-
-/// Recursive insert. Returns `Some((mbr1, node1, mbr2, node2))` when the
-/// child split and the parent must absorb two nodes in place of one.
-fn insert_rec<T>(
-    node: &mut Node<T>,
-    point: Point,
-    data: T,
-    max_e: usize,
-    min_e: usize,
-) -> Option<(Rect, Node<T>, Rect, Node<T>)> {
-    match node {
-        Node::Leaf(items) => {
-            items.push((point, data));
-            if items.len() <= max_e {
-                return None;
-            }
-            let (g1, g2) = quadratic_split_points(std::mem::take(items), min_e);
-            let r1 = Rect::bounding(g1.iter().map(|e| e.0)).expect("non-empty");
-            let r2 = Rect::bounding(g2.iter().map(|e| e.0)).expect("non-empty");
-            Some((r1, Node::Leaf(g1), r2, Node::Leaf(g2)))
-        }
-        Node::Internal(children) => {
-            // Choose subtree: least enlargement, ties by area.
-            let p_rect = Rect::from_coords(point.x, point.y, point.x, point.y);
-            let idx = children
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    let ea = a.0.enlargement(&p_rect);
-                    let eb = b.0.enlargement(&p_rect);
-                    ea.total_cmp(&eb).then(a.0.area().total_cmp(&b.0.area()))
-                })
-                .map(|(i, _)| i)
-                .expect("internal node has children");
-            let split = insert_rec(&mut children[idx].1, point, data, max_e, min_e);
-            match split {
-                None => {
-                    children[idx].0 = children[idx].0.union_mbr(&p_rect);
-                    None
-                }
-                Some((r1, n1, r2, n2)) => {
-                    children[idx] = (r1, n1);
-                    children.push((r2, n2));
-                    if children.len() <= max_e {
-                        return None;
-                    }
-                    let (g1, g2) = quadratic_split_rects(std::mem::take(children), min_e);
-                    let r1 = g1.iter().map(|c| c.0).reduce(|a, b| a.union_mbr(&b)).unwrap();
-                    let r2 = g2.iter().map(|c| c.0).reduce(|a, b| a.union_mbr(&b)).unwrap();
-                    Some((r1, Node::Internal(g1), r2, Node::Internal(g2)))
-                }
-            }
-        }
-    }
-}
-
-/// A node's entries split into two groups.
-type SplitPair<E> = (Vec<E>, Vec<E>);
-
-/// Guttman's quadratic split for point entries.
-fn quadratic_split_points<T>(
-    entries: Vec<(Point, T)>,
-    min_e: usize,
-) -> SplitPair<(Point, T)> {
-    let rects: Vec<Rect> = entries
-        .iter()
-        .map(|(p, _)| Rect::from_coords(p.x, p.y, p.x, p.y))
-        .collect();
-    let (assign, _) = quadratic_assign(&rects, min_e);
-    partition_by(entries, &assign)
-}
-
-/// Guttman's quadratic split for child entries.
-fn quadratic_split_rects<T>(
-    entries: Vec<(Rect, Node<T>)>,
-    min_e: usize,
-) -> SplitPair<(Rect, Node<T>)> {
-    let rects: Vec<Rect> = entries.iter().map(|c| c.0).collect();
-    let (assign, _) = quadratic_assign(&rects, min_e);
-    partition_by(entries, &assign)
-}
-
-fn partition_by<E>(entries: Vec<E>, assign: &[bool]) -> SplitPair<E> {
-    let mut g1 = Vec::new();
-    let mut g2 = Vec::new();
-    for (e, &to_first) in entries.into_iter().zip(assign) {
-        if to_first {
-            g1.push(e);
-        } else {
-            g2.push(e);
-        }
-    }
-    (g1, g2)
-}
-
-/// Core quadratic-split assignment over MBRs: picks the two seeds that
-/// waste the most area together, then greedily assigns the rest by
-/// enlargement preference, honoring the minimum fill `min_e`.
-fn quadratic_assign(rects: &[Rect], min_e: usize) -> (Vec<bool>, (Rect, Rect)) {
-    let n = rects.len();
-    debug_assert!(n >= 2);
-    // Seed selection.
-    let (mut s1, mut s2, mut worst) = (0, 1, f64::NEG_INFINITY);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let waste = rects[i].union_mbr(&rects[j]).area() - rects[i].area() - rects[j].area();
-            if waste > worst {
-                worst = waste;
-                (s1, s2) = (i, j);
-            }
-        }
-    }
-    let mut assign = vec![false; n];
-    assign[s1] = true;
-    let mut mbr1 = rects[s1];
-    let mut mbr2 = rects[s2];
-    let mut c1 = 1usize;
-    let mut c2 = 1usize;
-    let mut remaining: Vec<usize> = (0..n).filter(|&i| i != s1 && i != s2).collect();
-    while !remaining.is_empty() {
-        // Force-assign when one group must take everything left to
-        // reach minimum occupancy.
-        if c1 + remaining.len() == min_e {
-            for &i in &remaining {
-                assign[i] = true;
-                mbr1 = mbr1.union_mbr(&rects[i]);
-            }
-            break;
-        }
-        if c2 + remaining.len() == min_e {
-            break; // they stay assigned to group 2 (false)
-        }
-        // Pick the entry with the greatest preference difference.
-        let (pos, _) = remaining
-            .iter()
-            .enumerate()
-            .max_by(|(_, &a), (_, &b)| {
-                let da = (mbr1.enlargement(&rects[a]) - mbr2.enlargement(&rects[a])).abs();
-                let db = (mbr1.enlargement(&rects[b]) - mbr2.enlargement(&rects[b])).abs();
-                da.total_cmp(&db)
-            })
-            .expect("non-empty remaining");
-        let i = remaining.swap_remove(pos);
-        let d1 = mbr1.enlargement(&rects[i]);
-        let d2 = mbr2.enlargement(&rects[i]);
-        let to_first = match d1.total_cmp(&d2) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => mbr1.area() <= mbr2.area(),
-        };
-        if to_first {
-            assign[i] = true;
-            mbr1 = mbr1.union_mbr(&rects[i]);
-            c1 += 1;
-        } else {
-            mbr2 = mbr2.union_mbr(&rects[i]);
-            c2 += 1;
-        }
-    }
-    (assign, (mbr1, mbr2))
 }
 
 // ----------------------------------------------------------------------
@@ -619,35 +255,6 @@ fn window_rec<'a, T>(n: &'a Node<T>, w: &Rect, out: &mut Vec<(Point, &'a T)>) {
             for (mbr, c) in children {
                 if mbr.intersects(w) {
                     window_rec(c, w, out);
-                }
-            }
-        }
-    }
-}
-
-fn disk_rec<'a, T>(
-    n: &'a Node<T>,
-    center: Point,
-    r_sq: f64,
-    out: &mut Vec<Neighbor<'a, T>>,
-) {
-    match n {
-        Node::Leaf(items) => {
-            for (p, d) in items {
-                let dist_sq = p.distance_sq(center);
-                if dist_sq <= r_sq {
-                    out.push(Neighbor {
-                        point: *p,
-                        data: d,
-                        distance: dist_sq.sqrt(),
-                    });
-                }
-            }
-        }
-        Node::Internal(children) => {
-            for (mbr, c) in children {
-                if mbr.distance_sq_to_point(center) <= r_sq {
-                    disk_rec(c, center, r_sq, out);
                 }
             }
         }
@@ -716,58 +323,37 @@ mod tests {
 
     #[test]
     fn empty_tree_queries() {
-        let t: RTree<u32> = RTree::default();
+        let t: RTree<u32> = RTree::bulk_load(Vec::new());
         assert!(t.is_empty());
+        t.check_invariants();
         assert_eq!(t.knn(Point::ORIGIN, 3).len(), 0);
         assert_eq!(t.window(&Rect::from_coords(0.0, 0.0, 1.0, 1.0)).len(), 0);
-        assert_eq!(t.nearest(Point::ORIGIN), None);
-        assert_eq!(t.mbr(), None);
+        assert_eq!(t.iter().count(), 0);
     }
 
     #[test]
-    fn insert_and_knn_exact() {
-        let mut t = RTree::default();
-        for (p, i) in pts(500) {
-            t.insert(p, i);
-        }
-        t.check_invariants();
-        let q = Point::new(50.0, 50.0);
-        let got = t.knn(q, 10);
-        assert_eq!(got.len(), 10);
-        // Compare against brute force.
-        let mut brute = pts(500);
-        brute.sort_by(|a, b| a.0.distance_sq(q).total_cmp(&b.0.distance_sq(q)));
-        for (i, nb) in got.iter().enumerate() {
+    fn bulk_load_at_fanout_edges() {
+        // Sizes straddle one leaf (16), one full internal level (256) and
+        // a third level (4097), where STR's slicing rounds differently.
+        let everything = Rect::from_coords(-1.0, -1.0, 101.0, 101.0);
+        let q = Point::new(37.0, 61.0);
+        for n in [0, 1, 15, 16, 17, 255, 256, 257, 4097] {
+            let t = RTree::bulk_load(pts(n));
+            t.check_invariants();
+            assert_eq!(t.len(), n, "n = {n}");
+
+            let mut seen: Vec<usize> = t.iter().map(|(_, &i)| i).collect();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..n).collect::<Vec<_>>(), "iter, n = {n}");
+
+            let near = t.knn(q, n + 1);
+            assert_eq!(near.len(), n, "knn, n = {n}");
             assert!(
-                (nb.distance - brute[i].0.distance(q)).abs() < 1e-9,
-                "rank {i}: {} vs {}",
-                nb.distance,
-                brute[i].0.distance(q)
+                near.windows(2).all(|w| w[0].distance <= w[1].distance),
+                "knn order, n = {n}"
             );
-        }
-        // Ascending distances.
-        for w in got.windows(2) {
-            assert!(w[0].distance <= w[1].distance);
-        }
-    }
 
-    #[test]
-    fn bulk_load_matches_insert_results() {
-        let items = pts(1000);
-        let bulk = RTree::bulk_load(items.clone());
-        bulk.check_invariants();
-        assert_eq!(bulk.len(), 1000);
-        let mut incr = RTree::default();
-        for (p, i) in items {
-            incr.insert(p, i);
-        }
-        let q = Point::new(23.0, 77.0);
-        let a = bulk.knn(q, 25);
-        let b = incr.knn(q, 25);
-        let da: Vec<f64> = a.iter().map(|n| n.distance).collect();
-        let db: Vec<f64> = b.iter().map(|n| n.distance).collect();
-        for (x, y) in da.iter().zip(&db) {
-            assert!((x - y).abs() < 1e-9);
+            assert_eq!(t.window(&everything).len(), n, "window, n = {n}");
         }
     }
 
@@ -789,27 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn within_distance_matches_filter() {
-        let items = pts(600);
-        let t = RTree::bulk_load(items.clone());
-        let c = Point::new(40.0, 60.0);
-        let r = 12.5;
-        let mut got: Vec<usize> = t
-            .within_distance(c, r)
-            .into_iter()
-            .map(|n| *n.data)
-            .collect();
-        got.sort_unstable();
-        let mut expect: Vec<usize> = items
-            .iter()
-            .filter(|(p, _)| p.distance(c) <= r)
-            .map(|&(_, i)| i)
-            .collect();
-        expect.sort_unstable();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
     fn knn_with_k_larger_than_len() {
         let t = RTree::bulk_load(pts(5));
         assert_eq!(t.knn(Point::ORIGIN, 100).len(), 5);
@@ -817,11 +382,8 @@ mod tests {
 
     #[test]
     fn duplicate_points_are_kept() {
-        let mut t = RTree::default();
         let p = Point::new(1.0, 1.0);
-        for i in 0..50 {
-            t.insert(p, i);
-        }
+        let t = RTree::bulk_load((0..50).map(|i| (p, i)).collect());
         t.check_invariants();
         assert_eq!(t.len(), 50);
         assert_eq!(t.knn(p, 50).len(), 50);
@@ -838,94 +400,11 @@ mod tests {
     }
 
     #[test]
-    fn invariants_hold_under_heavy_insertion() {
-        let mut t = RTree::new(8);
-        for (p, i) in pts(2000) {
-            t.insert(p, i);
-            if i % 500 == 499 {
-                t.check_invariants();
-            }
-        }
-        t.check_invariants();
-    }
-
-    #[test]
-    fn remove_then_queries_stay_exact() {
-        let items = pts(600);
-        let mut t = RTree::new(8);
-        for (p, i) in items.clone() {
-            t.insert(p, i);
-        }
-        // Remove every third item.
-        let mut remaining: Vec<(Point, usize)> = Vec::new();
-        for (j, (p, i)) in items.into_iter().enumerate() {
-            if j % 3 == 0 {
-                assert_eq!(t.remove_item(p, &i), Some(i), "item {i} not found");
-            } else {
-                remaining.push((p, i));
-            }
-        }
-        t.check_invariants();
-        assert_eq!(t.len(), remaining.len());
-        // kNN agrees with brute force over the survivors.
-        let q = Point::new(37.0, 61.0);
-        let got = t.knn(q, 15);
-        let mut brute = remaining.clone();
-        brute.sort_by(|a, b| a.0.distance_sq(q).total_cmp(&b.0.distance_sq(q)));
-        for (g, w) in got.iter().zip(&brute) {
-            assert!((g.distance - w.0.distance(q)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn remove_missing_returns_none() {
-        let mut t = RTree::bulk_load(pts(50));
-        assert_eq!(t.remove_item(Point::new(-5.0, -5.0), &0), None);
-        assert_eq!(t.len(), 50);
-        // Wrong payload at an existing point also misses.
-        let (p, i) = pts(50)[7];
-        assert_eq!(t.remove_item(p, &(i + 999)), None);
-        assert_eq!(t.remove_item(p, &i), Some(i));
-        assert_eq!(t.len(), 49);
-    }
-
-    #[test]
-    fn remove_down_to_empty_and_reuse() {
-        let items = pts(100);
-        let mut t = RTree::new(6);
-        for (p, i) in items.clone() {
-            t.insert(p, i);
-        }
-        for (p, i) in items {
-            assert_eq!(t.remove_item(p, &i), Some(i));
-            t.check_invariants();
-        }
-        assert!(t.is_empty());
-        assert_eq!(t.knn(Point::ORIGIN, 3).len(), 0);
-        // The emptied tree accepts new items.
-        t.insert(Point::new(1.0, 1.0), 42);
-        assert_eq!(t.nearest(Point::ORIGIN).unwrap().data, &42);
-    }
-
-    #[test]
-    fn remove_duplicate_points_takes_one() {
-        let mut t = RTree::default();
-        let p = Point::new(2.0, 2.0);
-        for i in 0..10 {
-            t.insert(p, i);
-        }
-        let got = t.remove(p, |_| true).unwrap();
-        assert!(got < 10);
-        assert_eq!(t.len(), 9);
-        t.check_invariants();
-    }
-
-    #[test]
     fn nearest_on_singleton() {
-        let mut t = RTree::default();
-        t.insert(Point::new(3.0, 4.0), "only");
-        let n = t.nearest(Point::ORIGIN).unwrap();
-        assert_eq!(*n.data, "only");
-        assert!((n.distance - 5.0).abs() < 1e-12);
+        let t = RTree::bulk_load(vec![(Point::new(3.0, 4.0), "only")]);
+        let n = t.knn(Point::ORIGIN, 1);
+        assert_eq!(n.len(), 1);
+        assert_eq!(*n[0].data, "only");
+        assert!((n[0].distance - 5.0).abs() < 1e-12);
     }
 }

@@ -1,5 +1,5 @@
-//! Property tests: the R-tree must agree with the linear scan oracle on
-//! every query type, under both construction paths.
+//! Property tests: the bulk-loaded R-tree must agree with the linear scan
+//! oracle on every query type.
 
 use airshare_geom::{Point, Rect};
 use airshare_rtree::{LinearScan, RTree};
@@ -9,23 +9,14 @@ fn arb_points(max: usize) -> impl Strategy<Value = Vec<(f64, f64)>> {
     prop::collection::vec((0.0..100.0f64, 0.0..100.0f64), 1..max)
 }
 
-fn build(pairs: &[(f64, f64)], bulk: bool) -> (RTree<usize>, LinearScan<usize>) {
+fn build(pairs: &[(f64, f64)]) -> (RTree<usize>, LinearScan<usize>) {
     let items: Vec<(Point, usize)> = pairs
         .iter()
         .enumerate()
         .map(|(i, &(x, y))| (Point::new(x, y), i))
         .collect();
     let scan = LinearScan::from_items(items.clone());
-    let tree = if bulk {
-        RTree::bulk_load(items)
-    } else {
-        let mut t = RTree::new(6); // small fan-out exercises splits
-        for (p, i) in items {
-            t.insert(p, i);
-        }
-        t
-    };
-    (tree, scan)
+    (RTree::bulk_load(items), scan)
 }
 
 proptest! {
@@ -36,9 +27,8 @@ proptest! {
         pts in arb_points(300),
         qx in -10.0..110.0f64, qy in -10.0..110.0f64,
         k in 1usize..20,
-        bulk in any::<bool>(),
     ) {
-        let (tree, scan) = build(&pts, bulk);
+        let (tree, scan) = build(&pts);
         tree.check_invariants();
         let q = Point::new(qx, qy);
         let a = tree.knn(q, k);
@@ -56,9 +46,8 @@ proptest! {
     fn window_matches_scan(
         pts in arb_points(300),
         x in 0.0..90.0f64, y in 0.0..90.0f64, w in 0.0..40.0f64, h in 0.0..40.0f64,
-        bulk in any::<bool>(),
     ) {
-        let (tree, scan) = build(&pts, bulk);
+        let (tree, scan) = build(&pts);
         let window = Rect::from_coords(x, y, x + w, y + h);
         let mut a: Vec<usize> = tree.window(&window).into_iter().map(|(_, &i)| i).collect();
         let mut b: Vec<usize> = scan.window(&window).into_iter().map(|(_, &i)| i).collect();
@@ -68,63 +57,12 @@ proptest! {
     }
 
     #[test]
-    fn within_distance_matches_scan(
-        pts in arb_points(300),
-        qx in 0.0..100.0f64, qy in 0.0..100.0f64, r in 0.0..50.0f64,
-        bulk in any::<bool>(),
-    ) {
-        let (tree, scan) = build(&pts, bulk);
-        let q = Point::new(qx, qy);
-        let mut a: Vec<usize> = tree.within_distance(q, r).into_iter().map(|n| *n.data).collect();
-        let mut b: Vec<usize> = scan.within_distance(q, r).into_iter().map(|n| *n.data).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn removal_keeps_tree_consistent(
-        pts in arb_points(150),
-        removals in prop::collection::vec(any::<prop::sample::Index>(), 1..60),
-        qx in 0.0..100.0f64, qy in 0.0..100.0f64,
-    ) {
-        let items: Vec<(Point, usize)> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| (Point::new(x, y), i))
-            .collect();
-        let mut tree = RTree::new(5);
-        for (p, i) in items.clone() {
-            tree.insert(p, i);
-        }
-        let mut alive: Vec<(Point, usize)> = items;
-        for idx in removals {
-            if alive.is_empty() {
-                break;
-            }
-            let (p, i) = alive.swap_remove(idx.index(alive.len()));
-            prop_assert_eq!(tree.remove_item(p, &i), Some(i));
-            tree.check_invariants();
-        }
-        prop_assert_eq!(tree.len(), alive.len());
-        // Survivors still answer queries exactly.
-        let q = Point::new(qx, qy);
-        let scan = LinearScan::from_items(alive);
-        let a = tree.knn(q, 8);
-        let b = scan.knn(q, 8);
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert!((x.distance - y.distance).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn knn_distances_ascend_and_bound_rest(
         pts in arb_points(200),
         qx in 0.0..100.0f64, qy in 0.0..100.0f64,
         k in 1usize..10,
     ) {
-        let (tree, _) = build(&pts, true);
+        let (tree, _) = build(&pts);
         let q = Point::new(qx, qy);
         let res = tree.knn(q, k);
         for w in res.windows(2) {

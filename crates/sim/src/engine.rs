@@ -31,7 +31,7 @@ use airshare_broadcast::{
     AirIndexBackend, ChannelFaults, OnAirClient, OutageSchedule, Poi, PoiCategory, PoiId, PoiTable,
     QueryScratch, Schedule,
 };
-use airshare_cache::{CacheContext, HostCache, QuarantineLedger};
+use airshare_cache::{CacheContext, HostCache, InsertOutcome, QuarantineLedger};
 use airshare_core::{
     sbnn_rec, sbwq_rec, MergedRegion, NnCandidate, ResolvedBy, SbnnConfig, SbnnOutcome, SbwqConfig,
     SbwqOutcome,
@@ -42,8 +42,8 @@ use airshare_mobility::{
     GridRoadWaypoint, Mobility, MobilityConfig, QueryEvent, QueryScheduler, RandomWaypoint,
 };
 use airshare_obs::{
-    AccessStats, AnswerQuality, MetricsRecorder, NoopRecorder, PhaseTimes, Recorder, ShareStats,
-    TraceEvent,
+    AccessStats, AnswerQuality, CacheRejectReason, MetricsRecorder, NoopRecorder, PhaseTimes,
+    Recorder, ShareStats, TraceEvent,
 };
 use airshare_p2p::{NeighborGrid, ShareFaults};
 use airshare_rtree::RTree;
@@ -1012,8 +1012,17 @@ impl EpochCtx<'_> {
                 heading: item.heading,
                 now: item.at_min,
             };
-            q.cache
-                .insert_ids_rec(self.table, CAT, vr, &ids, item.at_min, &ctx, rec);
+            let reason = match q
+                .cache
+                .insert_ids(self.table, CAT, vr, &ids, item.at_min, &ctx)
+            {
+                InsertOutcome::Stored => None,
+                InsertOutcome::RejectedInconsistent => Some(CacheRejectReason::Inconsistent),
+                InsertOutcome::RejectedNoCapacity => Some(CacheRejectReason::NoCapacity),
+            };
+            if let Some(reason) = reason {
+                rec.record(TraceEvent::CacheRejected { reason });
+            }
         }
         AnswerQuality::Exact
     }

@@ -161,9 +161,9 @@ pub mod prelude {
     pub use airshare_hilbert::{Grid, HilbertCurve};
     pub use airshare_mobility::{Mobility, MobilityConfig, QueryScheduler, RandomWaypoint};
     pub use airshare_obs::{
-        AccessStats, AnswerQuality, Counter, FaultStats, Histogram, JsonlTraceRecorder,
-        LatencySummary, MetricsRecorder, MetricsSnapshot, NoopRecorder, PercentileSummary,
-        Recorder, ShareStats, TraceEvent,
+        AccessStats, AnswerQuality, FaultStats, Histogram, JsonlTraceRecorder, LatencySummary,
+        MetricsRecorder, MetricsSnapshot, NoopRecorder, PercentileSummary, Recorder, ShareStats,
+        TraceEvent,
     };
     pub use airshare_p2p::{gather_peer_data, NeighborGrid, PeerReply};
     pub use airshare_rtree::RTree;

@@ -179,7 +179,7 @@ fn umbrella_reexports_are_usable() {
     let p = airshare::geom::Point::new(1.0, 2.0);
     let c = airshare::hilbert::HilbertCurve::new(4);
     assert_eq!(c.decode(c.encode(3, 7)), (3, 7));
-    let t: airshare::rtree::RTree<u8> = airshare::rtree::RTree::default();
+    let t: airshare::rtree::RTree<u8> = airshare::rtree::RTree::bulk_load(Vec::new());
     assert!(t.is_empty());
     assert_eq!(airshare::geom::miles_to_meters(1.0), 1609.344);
     assert!(p.is_finite());

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""API lint: no owned `Vec<Poi>` public signatures, no hidden env knobs.
+"""API lint: no owned `Vec<Poi>` public signatures, no hidden env knobs,
+no public function that only its own unit tests call.
 
 The fleet-scale refactor (DESIGN.md §15) moved POI payloads into the
 canonical `PoiTable` and made handles (`PoiId`) the currency of every
@@ -25,11 +26,23 @@ lines, so a run is reproduced by its arguments alone. The script fails on
 library source (each file up to its first `#[cfg(test)]`; `main.rs`
 files are binaries and exempt). Comment lines are ignored.
 
+Third rule: no public function exists only for its own unit tests. Every
+bare `pub fn` in a library source must be named somewhere outside its
+defining file's test module: in the non-test part of any library source
+(its own file included, the definition line excepted), in a binary, an
+example, an integration test or `benchmark/src`. `#[cfg(test)]` modules
+do not count, so a sibling test module keeps nothing alive. Matching is
+by name, so a helper sharing a name with a live function slips through;
+the rule catches the unique names that accrete as test-only API.
+Deliberate test fixtures are listed in TEST_ONLY with the reason they
+are public.
+
 Usage: python3 tools/check_api_lint.py  (run from the repo root)
 """
 
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 # Sanctioned `pub fn … Vec<Poi> …` signatures, keyed "<path>::<fn name>".
@@ -47,10 +60,29 @@ ALLOWED = {
     "crates/core/src/sbwq.rs::adoptable_window_region",
 }
 
+# Public functions whose only callers are test modules, on purpose,
+# keyed "<path>::<fn name>".
+TEST_ONLY = {
+    # Stores a region without the consistency check, so `p2p` tests can
+    # stand up a byzantine peer whose cache disagrees with the table.
+    "crates/cache/src/host_cache.rs::insert_unchecked",
+    # The one float tolerance every geom test module compares with.
+    "crates/geom/src/lib.rs::approx_eq",
+}
+
 FN_NAME = re.compile(r"\bfn\s+([A-Za-z0-9_]+)")
 ENV_READ = re.compile(r"\benv::var(s|_os)?\b")
 
 SRC_GLOBS = ["src/**/*.rs", "crates/*/src/**/*.rs"]
+# Everything else whose code may call library functions: examples,
+# integration tests and the benchmark harness.
+CALLER_GLOBS = [
+    "examples/**/*.rs",
+    "tests/**/*.rs",
+    "crates/*/tests/**/*.rs",
+    "benchmark/src/**/*.rs",
+]
+IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def signatures(text):
@@ -92,6 +124,45 @@ def env_reads(text):
             yield i + 1, stripped
 
 
+def non_test(text):
+    """The part of a source file before its first `#[cfg(test)]`."""
+    lines = []
+    for line in text.splitlines():
+        if line.strip().startswith("#[cfg(test)]"):
+            break
+        lines.append(line)
+    return lines
+
+
+def test_only_fns(root):
+    """Returns the bare `pub fn`s in library sources named nowhere
+    outside test modules, as "<path>:<line>: pub fn <name>", and the
+    TEST_ONLY keys whose function no longer exists."""
+    defs, names = [], Counter()
+    for glob in SRC_GLOBS:
+        for path in sorted(root.glob(glob)):
+            rel = path.relative_to(root).as_posix()
+            lines = non_test(path.read_text())
+            names.update(IDENT.findall("\n".join(lines)))
+            if path.name == "main.rs":
+                continue
+            for line_no, name, _ in signatures("\n".join(lines)):
+                defs.append((rel, line_no, name))
+    for glob in CALLER_GLOBS:
+        for path in sorted(root.glob(glob)):
+            names.update(IDENT.findall(path.read_text()))
+    seen = set()
+    out = []
+    for rel, line_no, name in defs:
+        key = f"{rel}::{name}"
+        if key in TEST_ONLY:
+            seen.add(key)
+        # The definition line itself names the function once.
+        elif names[name] <= 1:
+            out.append(f"{rel}:{line_no}: pub fn {name}")
+    return out, TEST_ONLY - seen
+
+
 def main():
     root = Path(__file__).resolve().parent.parent
     violations = []
@@ -115,6 +186,7 @@ def main():
                 else:
                     violations.append(f"{rel}:{line_no}: pub fn {name}: {sig}")
     stale = ALLOWED - seen_allowed
+    test_only, stale_test_only = test_only_fns(root)
     if stale:
         print("stale allowlist entries (signature gone or no longer owned):")
         for key in sorted(stale):
@@ -137,11 +209,24 @@ def main():
             "\nLibrary settings travel through config types and command-line\n"
             "flags, never the environment."
         )
-    if stale or violations or env_violations:
+    if test_only:
+        print("public functions called only from their own unit tests:")
+        for v in test_only:
+            print(f"  {v}")
+        print(
+            "\nDelete the function and its tests, or make it private to the\n"
+            "test module. A deliberate test fixture goes in TEST_ONLY in\n"
+            "tools/check_api_lint.py with the reason it is public."
+        )
+    if stale_test_only:
+        print("stale TEST_ONLY entries (function gone):")
+        for key in sorted(stale_test_only):
+            print(f"  {key}")
+    if stale or violations or env_violations or test_only or stale_test_only:
         return 1
     print(
         f"api lint ok: {len(seen_allowed)} sanctioned owned-POI boundaries, "
-        "no library env reads"
+        f"no library env reads, {len(TEST_ONLY)} test-only fixtures"
     )
     return 0
 
