@@ -585,9 +585,9 @@ fn latency(scale: &ExpScale, pool: &ExecPool) -> Experiment {
             saved,
             r.broadcast_tuning.mean(),
             r.baseline_tuning.mean(),
-            r.broadcast_latency.p95(),
-            r.broadcast_latency.p99(),
-            r.broadcast_tuning.p95(),
+            r.broadcast_latency.percentiles().p95,
+            r.broadcast_latency.percentiles().p99,
+            r.broadcast_tuning.percentiles().p95,
         ]);
     }
     e
@@ -797,9 +797,10 @@ pub fn trace(scale: &ExpScale) -> (Experiment, String) {
 /// mobility needed), reproducing the Figure 2 trade-off: more index
 /// copies shorten the probe wait and lengthen the cycle.
 fn m_sweep() -> Experiment {
-    use airshare_broadcast::{AirIndex, AirIndexBackend, OnAirClient, Poi, Schedule};
+    use airshare_broadcast::{AirIndex, AirIndexBackend, OnAirClient, Poi, QueryScratch, Schedule};
     use airshare_geom::{Point, Rect};
     use airshare_hilbert::Grid;
+    use airshare_obs::NoopRecorder;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -834,10 +835,13 @@ fn m_sweep() -> Experiment {
         let cycle = schedule.cycle_len();
         let samples = 512u64;
         let (mut probe, mut lat, mut tun) = (0u64, 0u64, 0u64);
+        let mut scratch = QueryScratch::new();
         for i in 0..samples {
             let t = i * cycle / samples;
             probe += schedule.next_index_start(t) - t;
-            let res = client.knn(t, q, 5).expect("enough POIs");
+            let res = client
+                .knn_rec(t, q, 5, &mut scratch, &mut NoopRecorder)
+                .expect("enough POIs");
             lat += res.stats.latency;
             tun += res.stats.tuning;
         }

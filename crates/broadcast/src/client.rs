@@ -15,7 +15,7 @@
 
 use crate::{AirIndex, AirIndexBackend, BucketId, ChannelFaults, Poi, QueryScratch, Schedule};
 use airshare_geom::{Point, Rect};
-use airshare_obs::{AccessStats, NoopRecorder, Recorder, TraceEvent};
+use airshare_obs::{AccessStats, Recorder, TraceEvent};
 
 /// Result of an on-air kNN query.
 #[derive(Clone, Debug)]
@@ -151,15 +151,12 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
     /// fully dead channel (`loss_prob == 1.0`) a retrieval therefore
     /// books exactly `N` retries plus one lost bucket per requested
     /// bucket, i.e. `N + 1` `FrameLost` events apiece.
-    pub fn retrieve(&self, tune_in: u64, buckets: &[BucketId]) -> (Vec<Poi>, AccessStats) {
-        self.retrieve_rec(tune_in, buckets, &mut NoopRecorder)
-    }
-
-    /// [`OnAirClient::retrieve`], tracing each protocol step into `rec`:
-    /// the initial probe, the index segment read, every downloaded data
-    /// bucket, and every corrupt appearance (including the final one of
-    /// an abandoned bucket — so across a retrieval the `FrameLost` count
-    /// equals `retries + lost_buckets`).
+    ///
+    /// Each protocol step is traced into `rec`: the initial probe, the
+    /// index segment read, every downloaded data bucket, and every
+    /// corrupt appearance (including the final one of an abandoned
+    /// bucket — so across a retrieval the `FrameLost` count equals
+    /// `retries + lost_buckets`).
     pub fn retrieve_rec(
         &self,
         tune_in: u64,
@@ -246,14 +243,9 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
     /// objects, retrieve every bucket covering the circle's MBR, then
     /// rank by exact distance.
     ///
-    /// Returns `None` when the data file holds fewer than `k` POIs.
-    pub fn knn(&self, tune_in: u64, q: Point, k: usize) -> Option<OnAirKnnResult> {
-        self.knn_rec(tune_in, q, k, &mut QueryScratch::new(), &mut NoopRecorder)
-    }
-
-    /// [`OnAirClient::knn`], tracing the underlying retrieval into `rec`
-    /// and doing its index-path work in `scratch` (allocation-free once
-    /// the scratch is warm).
+    /// Returns `None` when the data file holds fewer than `k` POIs. The
+    /// retrieval is traced into `rec`; the index-path work happens in
+    /// `scratch` (allocation-free once the scratch is warm).
     pub fn knn_rec(
         &self,
         tune_in: u64,
@@ -301,30 +293,8 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
     /// bound), falling back to the index-scan radius when absent.
     ///
     /// Buckets entirely inside the inner circle are skipped; their POIs
-    /// are reconstructed from `known`.
-    pub fn knn_filtered(
-        &self,
-        tune_in: u64,
-        q: Point,
-        k: usize,
-        known: &[Poi],
-        inner: Option<f64>,
-        outer: Option<f64>,
-    ) -> Option<OnAirKnnResult> {
-        self.knn_filtered_rec(
-            tune_in,
-            q,
-            k,
-            known,
-            inner,
-            outer,
-            &mut QueryScratch::new(),
-            &mut NoopRecorder,
-        )
-    }
-
-    /// [`OnAirClient::knn_filtered`], tracing the underlying retrieval
-    /// into `rec` and doing its index-path work in `scratch`.
+    /// are reconstructed from `known`. The retrieval is traced into
+    /// `rec`; the index-path work happens in `scratch`.
     #[allow(clippy::too_many_arguments)]
     pub fn knn_filtered_rec(
         &self,
@@ -369,13 +339,8 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
 
     /// The on-air window query baseline (paper Figure 8): intervals along
     /// the curve for the window's cells, the buckets covering them, then
-    /// an exact containment filter.
-    pub fn window(&self, tune_in: u64, w: &Rect) -> OnAirWindowResult {
-        self.window_rec(tune_in, w, &mut QueryScratch::new(), &mut NoopRecorder)
-    }
-
-    /// [`OnAirClient::window`], tracing the underlying retrieval into
-    /// `rec` and doing its index-path work in `scratch`.
+    /// an exact containment filter. The retrieval is traced into `rec`;
+    /// the index-path work happens in `scratch`.
     pub fn window_rec(
         &self,
         tune_in: u64,
@@ -399,12 +364,8 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
 
     /// Reduced-window retrieval (§3.4.2): one on-air pass over the union
     /// of the reduced windows `w′`, returning POIs inside any of them.
-    pub fn window_reduced(&self, tune_in: u64, windows: &[Rect]) -> OnAirWindowResult {
-        self.window_reduced_rec(tune_in, windows, &mut QueryScratch::new(), &mut NoopRecorder)
-    }
-
-    /// [`OnAirClient::window_reduced`], tracing the underlying retrieval
-    /// into `rec` and doing its index-path work in `scratch`.
+    /// The retrieval is traced into `rec`; the index-path work happens
+    /// in `scratch`.
     pub fn window_reduced_rec(
         &self,
         tune_in: u64,
@@ -450,6 +411,7 @@ fn clip_to_world(r: Rect, world: Rect) -> Rect {
 mod tests {
     use super::*;
     use airshare_hilbert::Grid;
+    use airshare_obs::NoopRecorder;
 
     fn scatter(n: usize) -> Vec<Poi> {
         let mut state = 7u64;
@@ -477,7 +439,9 @@ mod tests {
         let client = OnAirClient::new(&index, &schedule);
         let q = Point::new(20.0, 40.0);
         for k in [1, 3, 7, 15] {
-            let res = client.knn(0, q, k).unwrap();
+            let res = client
+                .knn_rec(0, q, k, &mut QueryScratch::new(), &mut NoopRecorder)
+                .unwrap();
             assert_eq!(res.neighbors.len(), k);
             let mut brute = scatter(500);
             brute.sort_by(|a, b| a.pos.distance_sq(q).total_cmp(&b.pos.distance_sq(q)));
@@ -501,7 +465,7 @@ mod tests {
         let (index, schedule) = channel(500, 2);
         let client = OnAirClient::new(&index, &schedule);
         let w = Rect::from_coords(5.0, 5.0, 20.0, 18.0);
-        let res = client.window(0, &w);
+        let res = client.window_rec(0, &w, &mut QueryScratch::new(), &mut NoopRecorder);
         let mut got: Vec<u32> = res.pois.iter().map(|p| p.id).collect();
         got.sort_unstable();
         let mut want: Vec<u32> = scatter(500)
@@ -518,7 +482,7 @@ mod tests {
     fn retrieval_counts_costs_sanely() {
         let (index, schedule) = channel(200, 1);
         let client = OnAirClient::new(&index, &schedule);
-        let (pois, stats) = client.retrieve(0, &[0, 1]);
+        let (pois, stats) = client.retrieve_rec(0, &[0, 1], &mut NoopRecorder);
         assert_eq!(stats.buckets, 2);
         assert_eq!(
             stats.tuning,
@@ -528,7 +492,7 @@ mod tests {
         // Latency at least index + both buckets.
         assert!(stats.latency >= schedule.index_buckets() as u64 + 2);
         // Empty bucket set: latency is just the index wait.
-        let (none, s0) = client.retrieve(0, &[]);
+        let (none, s0) = client.retrieve_rec(0, &[], &mut NoopRecorder);
         assert!(none.is_empty());
         assert_eq!(s0.buckets, 0);
         assert_eq!(s0.latency, schedule.index_buckets() as u64);
@@ -548,7 +512,7 @@ mod tests {
             let mut lat = 0u64;
             let mut probe = 0u64;
             for t in 0..cl {
-                lat += client.retrieve(t, &[3]).1.latency;
+                lat += client.retrieve_rec(t, &[3], &mut NoopRecorder).1.latency;
                 probe += schedule.next_index_start(t) - t;
             }
             (lat as f64 / cl as f64, probe as f64 / cl as f64, schedule)
@@ -563,7 +527,10 @@ mod tests {
         // Tuning time is independent of m for a fixed bucket set.
         let c1 = OnAirClient::new(&index, &s1);
         let c8 = OnAirClient::new(&index, &s8);
-        assert_eq!(c1.retrieve(0, &[3]).1.tuning, c8.retrieve(0, &[3]).1.tuning);
+        assert_eq!(
+            c1.retrieve_rec(0, &[3], &mut NoopRecorder).1.tuning,
+            c8.retrieve_rec(0, &[3], &mut NoopRecorder).1.tuning
+        );
     }
 
     #[test]
@@ -572,7 +539,9 @@ mod tests {
         let client = OnAirClient::new(&index, &schedule);
         let q = Point::new(32.0, 32.0);
         let k = 8;
-        let base = client.knn(0, q, k).unwrap();
+        let base = client
+            .knn_rec(0, q, k, &mut QueryScratch::new(), &mut NoopRecorder)
+            .unwrap();
         // Suppose peers verified everything within radius 6.
         let inner = 6.0;
         let known: Vec<Poi> = scatter(600)
@@ -581,7 +550,16 @@ mod tests {
             .collect();
         let outer = base.neighbors.last().unwrap().distance_to(q) + 1.0;
         let filt = client
-            .knn_filtered(0, q, k, &known, Some(inner), Some(outer))
+            .knn_filtered_rec(
+                0,
+                q,
+                k,
+                &known,
+                Some(inner),
+                Some(outer),
+                &mut QueryScratch::new(),
+                &mut NoopRecorder,
+            )
             .unwrap();
         for (a, b) in base.neighbors.iter().zip(&filt.neighbors) {
             assert!((a.distance_to(q) - b.distance_to(q)).abs() < 1e-9);
@@ -594,7 +572,8 @@ mod tests {
     fn knn_too_large_returns_none() {
         let (index, schedule) = channel(5, 1);
         let client = OnAirClient::new(&index, &schedule);
-        assert!(client.knn(0, Point::ORIGIN, 10).is_none());
+        let scratch = &mut QueryScratch::new();
+        assert!(client.knn_rec(0, Point::ORIGIN, 10, scratch, &mut NoopRecorder).is_none());
     }
 
     #[test]
@@ -606,7 +585,9 @@ mod tests {
         let client = OnAirClient::new(&index, &schedule);
         let world = index.grid().world();
         let q = Point::new(-500.0, -500.0); // far outside [0,64]^2
-        let res = client.knn(0, q, 3).unwrap();
+        let res = client
+            .knn_rec(0, q, 3, &mut QueryScratch::new(), &mut NoopRecorder)
+            .unwrap();
         assert!(
             world.contains_rect(&res.verified_mbr),
             "verified MBR {:?} leaks outside world {:?}",
@@ -631,8 +612,8 @@ mod tests {
         let faults = ChannelFaults::from_loss_prob(99, 0.0, 3);
         let faulty = OnAirClient::with_faults(&index, &schedule, &faults);
         for tune in [0u64, 7, 100] {
-            let (p1, s1) = plain.retrieve(tune, &[0, 2, 5]);
-            let (p2, s2) = faulty.retrieve(tune, &[0, 2, 5]);
+            let (p1, s1) = plain.retrieve_rec(tune, &[0, 2, 5], &mut NoopRecorder);
+            let (p2, s2) = faulty.retrieve_rec(tune, &[0, 2, 5], &mut NoopRecorder);
             assert_eq!(s1, s2);
             assert_eq!(p1.len(), p2.len());
             assert_eq!(s2.retries, 0);
@@ -649,15 +630,15 @@ mod tests {
         let faults = ChannelFaults::from_loss_prob(7, 0.3, 50);
         let faulty = OnAirClient::with_faults(&index, &schedule, &faults);
         let buckets: Vec<usize> = (0..index.data_buckets()).collect();
-        let (p1, s1) = plain.retrieve(0, &buckets);
-        let (p2, s2) = faulty.retrieve(0, &buckets);
+        let (p1, s1) = plain.retrieve_rec(0, &buckets, &mut NoopRecorder);
+        let (p2, s2) = faulty.retrieve_rec(0, &buckets, &mut NoopRecorder);
         assert_eq!(s2.lost_buckets, 0);
         assert!(s2.retries > 0, "30% loss over {} buckets", buckets.len());
         assert_eq!(p1.len(), p2.len());
         assert!(s2.latency > s1.latency);
         assert_eq!(s2.tuning, s1.tuning + s2.retries);
         // Deterministic: same seed, same outcome.
-        let (_, s3) = faulty.retrieve(0, &buckets);
+        let (_, s3) = faulty.retrieve_rec(0, &buckets, &mut NoopRecorder);
         assert_eq!(s2, s3);
     }
 
@@ -666,7 +647,7 @@ mod tests {
         let (index, schedule) = channel(200, 1);
         let faults = ChannelFaults::from_loss_prob(1, 1.0, 2);
         let client = OnAirClient::with_faults(&index, &schedule, &faults);
-        let (pois, stats) = client.retrieve(0, &[0, 1, 2]);
+        let (pois, stats) = client.retrieve_rec(0, &[0, 1, 2], &mut NoopRecorder);
         assert!(pois.is_empty());
         assert_eq!(stats.lost_buckets, 3);
         assert_eq!(stats.retries, 6); // 2 retries per bucket, all futile
@@ -726,7 +707,7 @@ mod tests {
         // appearance of an abandoned bucket.
         assert_eq!(snap.frames_lost_total, stats.retries + stats.lost_buckets);
         // Tracing must not perturb the protocol: plain call is identical.
-        let (pois2, stats2) = client.retrieve(0, &buckets);
+        let (pois2, stats2) = client.retrieve_rec(0, &buckets, &mut NoopRecorder);
         assert_eq!(stats, stats2);
         assert_eq!(pois.len(), pois2.len());
     }
@@ -737,7 +718,8 @@ mod tests {
         let client = OnAirClient::new(&index, &schedule);
         let w1 = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
         let w2 = Rect::from_coords(40.0, 40.0, 55.0, 50.0);
-        let res = client.window_reduced(0, &[w1, w2]);
+        let res =
+            client.window_reduced_rec(0, &[w1, w2], &mut QueryScratch::new(), &mut NoopRecorder);
         let mut got: Vec<u32> = res.pois.iter().map(|p| p.id).collect();
         got.sort_unstable();
         let mut want: Vec<u32> = scatter(500)

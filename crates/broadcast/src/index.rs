@@ -394,7 +394,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_calls_match_allocating_wrappers() {
+    fn a_warm_scratch_plans_like_a_fresh_one() {
         let idx = setup(400, 6);
         let q = Point::new(30.0, 20.0);
         let w = Rect::from_coords(5.0, 40.0, 25.0, 60.0);

@@ -176,14 +176,6 @@ pub fn verify_payload(frame: &[u8]) -> Result<&[u8], WireError> {
     Ok(payload)
 }
 
-/// Converts a tick count to seconds for a given bucket payload size and
-/// channel bit-rate (e.g. `ticks_to_seconds(n, 64, 1_000_000.0)` for
-/// 64-POI buckets on a 1 Mbps channel).
-pub fn ticks_to_seconds(ticks: u64, bucket_capacity: usize, bits_per_second: f64) -> f64 {
-    let bits = (bucket_frame_bytes(bucket_capacity) * 8) as f64;
-    ticks as f64 * bits / bits_per_second
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,13 +247,6 @@ mod tests {
     fn crc32_known_vector() {
         // Standard check value for the ASCII digits "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
-
-    #[test]
-    fn tick_conversion_matches_arithmetic() {
-        // 10-POI buckets: 14 + 210 + 4 = 228 bytes = 1824 bits.
-        let secs = ticks_to_seconds(100, 10, 1_000_000.0);
-        assert!((secs - 100.0 * 1824.0 / 1e6).abs() < 1e-12);
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! to the concrete static-dispatch path.
 
 use airshare_broadcast::{
-    AirIndex, AirIndexBackend, BuildParams, OnAirClient, Poi, PoiTable, RtreeAirIndex, Schedule,
+    AirIndex, AirIndexBackend, BuildParams, OnAirClient, Poi, PoiTable, QueryScratch,
+    RtreeAirIndex, Schedule,
 };
 use airshare_geom::{Point, Rect};
+use airshare_obs::NoopRecorder;
 use proptest::prelude::*;
 
 const SIDE: f64 = 32.0;
@@ -63,8 +65,9 @@ proptest! {
         let hc = OnAirClient::new(&hilbert, &hs);
         let rc = OnAirClient::new(&rtree, &rs);
         let q = Point::new(qx, qy);
-        let hres = hc.knn(tune, q, k).expect("enough POIs");
-        let rres = rc.knn(tune, q, k).expect("enough POIs");
+        let (scratch, rec) = (&mut QueryScratch::new(), &mut NoopRecorder);
+        let hres = hc.knn_rec(tune, q, k, scratch, rec).expect("enough POIs");
+        let rres = rc.knn_rec(tune, q, k, scratch, rec).expect("enough POIs");
         prop_assert_eq!(hres.neighbors.len(), rres.neighbors.len());
         let mut hd: Vec<f64> = hres.neighbors.iter().map(|p| p.distance_to(q)).collect();
         let mut rd: Vec<f64> = rres.neighbors.iter().map(|p| p.distance_to(q)).collect();
@@ -88,8 +91,11 @@ proptest! {
         let hc = OnAirClient::new(&hilbert, &hs);
         let rc = OnAirClient::new(&rtree, &rs);
         let w = Rect::from_coords(wx, wy, wx + ww, wy + wh);
-        let mut hids: Vec<u32> = hc.window(tune, &w).pois.iter().map(|p| p.id).collect();
-        let mut rids: Vec<u32> = rc.window(tune, &w).pois.iter().map(|p| p.id).collect();
+        let (scratch, rec) = (&mut QueryScratch::new(), &mut NoopRecorder);
+        let mut hids: Vec<u32> =
+            hc.window_rec(tune, &w, scratch, rec).pois.iter().map(|p| p.id).collect();
+        let mut rids: Vec<u32> =
+            rc.window_rec(tune, &w, scratch, rec).pois.iter().map(|p| p.id).collect();
         hids.sort_unstable();
         rids.sort_unstable();
         prop_assert_eq!(hids, rids);
@@ -114,9 +120,10 @@ proptest! {
         let concrete = OnAirClient::new(&index, &schedule);
         let erased = concrete.as_dyn();
         let q = Point::new(qx, qy);
+        let (scratch, rec) = (&mut QueryScratch::new(), &mut NoopRecorder);
 
-        let a = concrete.knn(tune, q, k).expect("enough POIs");
-        let b = erased.knn(tune, q, k).expect("enough POIs");
+        let a = concrete.knn_rec(tune, q, k, scratch, rec).expect("enough POIs");
+        let b = erased.knn_rec(tune, q, k, scratch, rec).expect("enough POIs");
         prop_assert_eq!(a.stats.latency, b.stats.latency);
         prop_assert_eq!(a.stats.tuning, b.stats.tuning);
         prop_assert_eq!(a.stats.buckets, b.stats.buckets);
@@ -125,8 +132,8 @@ proptest! {
         prop_assert_eq!(aid, bid);
 
         let w = Rect::from_coords(qx.min(SIDE - ww), qy.min(SIDE - wh), qx.min(SIDE - ww) + ww, qy.min(SIDE - wh) + wh);
-        let wa = concrete.window(tune, &w);
-        let wb = erased.window(tune, &w);
+        let wa = concrete.window_rec(tune, &w, scratch, rec);
+        let wb = erased.window_rec(tune, &w, scratch, rec);
         prop_assert_eq!(wa.stats.latency, wb.stats.latency);
         prop_assert_eq!(wa.stats.tuning, wb.stats.tuning);
         prop_assert_eq!(wa.stats.buckets, wb.stats.buckets);

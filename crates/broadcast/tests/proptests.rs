@@ -87,7 +87,7 @@ proptest! {
         let client = OnAirClient::new(&index, &schedule);
         let q = Point::new(qx, qy);
         prop_assume!(coords.len() >= k);
-        let res = client.knn(tune, q, k).expect("enough POIs");
+        let res = client.knn_rec(tune, q, k, &mut QueryScratch::new(), &mut NoopRecorder).expect("enough POIs");
         let mut dists: Vec<f64> = coords
             .iter()
             .map(|&(x, y)| Point::new(x, y).distance(q))
@@ -115,7 +115,7 @@ proptest! {
         let (index, schedule) = build(&coords, cap, 2);
         let client = OnAirClient::new(&index, &schedule);
         let w = Rect::from_coords(wx, wy, wx + ww, wy + wh);
-        let res = client.window(tune, &w);
+        let res = client.window_rec(tune, &w, &mut QueryScratch::new(), &mut NoopRecorder);
         let mut got: Vec<u32> = res.pois.iter().map(|p| p.id).collect();
         got.sort_unstable();
         let mut want: Vec<u32> = coords
@@ -195,9 +195,9 @@ proptest! {
             .filter(|(_, &(x, y))| Point::new(x, y).distance(q) <= inner)
             .map(|(i, &(x, y))| Poi::new(i as u32, Point::new(x, y)))
             .collect();
-        let cold = client.knn(0, q, k).expect("enough POIs");
+        let cold = client.knn_rec(0, q, k, &mut QueryScratch::new(), &mut NoopRecorder).expect("enough POIs");
         let filt = client
-            .knn_filtered(0, q, k, &known, Some(inner), None)
+            .knn_filtered_rec(0, q, k, &known, Some(inner), None, &mut QueryScratch::new(), &mut NoopRecorder)
             .expect("enough POIs");
         for (a, b) in cold.neighbors.iter().zip(&filt.neighbors) {
             prop_assert!((a.distance_to(q) - b.distance_to(q)).abs() < 1e-9);

@@ -36,4 +36,4 @@ mod quarantine;
 pub use arena::{EntryArena, EntryId, EntryView};
 pub use host_cache::{CacheContext, HostCache, InsertOutcome};
 pub use policy::ReplacementPolicy;
-pub use quarantine::{QuarantineConfig, QuarantineLedger};
+pub use quarantine::QuarantineLedger;

@@ -7,8 +7,8 @@
 //! every rejected reply books a *strike*, and a struck peer is skipped
 //! for an exponentially growing window of epochs. Strikes decay with
 //! quiet time, so a peer that misbehaved once during a radio glitch is
-//! forgiven, while a persistently bad peer backs off toward
-//! [`QuarantineConfig::max_epochs`].
+//! forgiven, while a persistently bad peer backs off toward a
+//! 64-epoch cap.
 //!
 //! Backoff jitter is derived by hashing the ledger seed with the peer id
 //! and strike count — fully deterministic, so the epoch-sharded parallel
@@ -18,28 +18,16 @@
 
 use std::collections::BTreeMap;
 
-/// Knobs for the quarantine policy. All durations are in *epochs* (the
-/// simulation's commit granularity), so decisions align with the
-/// deterministic parallel barrier.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct QuarantineConfig {
-    /// Quarantine length for the first strike (doubles per strike).
-    pub base_epochs: u64,
-    /// Ceiling on any single quarantine window.
-    pub max_epochs: u64,
-    /// Quiet epochs needed to forgive one strike.
-    pub decay_epochs: u64,
-}
+// The quarantine policy. All durations are in *epochs* (the
+// simulation's commit granularity), so decisions align with the
+// deterministic parallel barrier.
 
-impl Default for QuarantineConfig {
-    fn default() -> Self {
-        QuarantineConfig {
-            base_epochs: 2,
-            max_epochs: 64,
-            decay_epochs: 16,
-        }
-    }
-}
+/// Quarantine length for the first strike (doubles per strike).
+const BASE_EPOCHS: u64 = 2;
+/// Ceiling on any single quarantine window.
+const MAX_EPOCHS: u64 = 64;
+/// Quiet epochs needed to forgive one strike.
+const DECAY_EPOCHS: u64 = 16;
 
 /// Per-peer misbehavior record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,19 +44,18 @@ struct PeerRecord {
 ///
 /// Deterministic: the backoff jitter is a pure hash of `(seed, peer,
 /// strikes)`, and all state lives in a [`BTreeMap`] so iteration order —
-/// and therefore any derived accounting — is stable.
-#[derive(Clone, Debug, PartialEq)]
+/// and therefore any derived accounting — is stable. The default ledger
+/// is empty with jitter seed 0.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct QuarantineLedger {
-    cfg: QuarantineConfig,
     seed: u64,
     records: BTreeMap<usize, PeerRecord>,
 }
 
 impl QuarantineLedger {
-    /// An empty ledger with the given policy and jitter seed.
-    pub fn new(cfg: QuarantineConfig, seed: u64) -> Self {
+    /// An empty ledger with the given jitter seed.
+    pub fn new(seed: u64) -> Self {
         QuarantineLedger {
-            cfg,
             seed,
             records: BTreeMap::new(),
         }
@@ -83,33 +70,23 @@ impl QuarantineLedger {
     /// epoch at which the peer may be contacted again.
     ///
     /// Before the new strike lands, old strikes are forgiven at a rate
-    /// of one per [`QuarantineConfig::decay_epochs`] quiet epochs since
-    /// the last strike; the backoff window is then
-    /// `min(base << (strikes - 1), max)` plus a seeded jitter in
-    /// `[0, base)` to de-synchronize re-probes across the fleet.
+    /// of one per 16 quiet epochs since the last strike; the backoff
+    /// window is then `min(2 << (strikes - 1), 64)` epochs plus a seeded
+    /// jitter in `[0, 2)` to de-synchronize re-probes across the fleet.
     pub fn strike(&mut self, peer: usize, epoch: u64) -> u64 {
-        let cfg = self.cfg;
         let rec = self.records.entry(peer).or_insert(PeerRecord {
             strikes: 0,
             last_strike: epoch,
             until: epoch,
         });
         let quiet = epoch.saturating_sub(rec.last_strike);
-        if let Some(forgiven) = quiet.checked_div(cfg.decay_epochs) {
-            rec.strikes -= forgiven.min(u64::from(rec.strikes)) as u32;
-        }
+        let forgiven = quiet / DECAY_EPOCHS;
+        rec.strikes -= forgiven.min(u64::from(rec.strikes)) as u32;
         rec.strikes = rec.strikes.saturating_add(1);
         rec.last_strike = epoch;
         let shift = (rec.strikes - 1).min(63);
-        let window = cfg
-            .base_epochs
-            .saturating_shl(shift)
-            .min(cfg.max_epochs.max(cfg.base_epochs));
-        let jitter = if cfg.base_epochs > 1 {
-            mix3(self.seed, peer as u64, u64::from(rec.strikes)) % cfg.base_epochs
-        } else {
-            0
-        };
+        let window = BASE_EPOCHS.saturating_shl(shift).min(MAX_EPOCHS);
+        let jitter = mix3(self.seed, peer as u64, u64::from(rec.strikes)) % BASE_EPOCHS;
         rec.until = epoch + window + jitter;
         rec.until
     }
@@ -162,7 +139,7 @@ mod tests {
 
     #[test]
     fn empty_ledger_is_inert() {
-        let led = QuarantineLedger::new(QuarantineConfig::default(), 42);
+        let led = QuarantineLedger::new(42);
         assert!(led.is_empty());
         for peer in 0..8 {
             assert!(!led.is_quarantined(peer, 0));
@@ -172,37 +149,31 @@ mod tests {
 
     #[test]
     fn strikes_back_off_exponentially_to_the_cap() {
-        let cfg = QuarantineConfig {
-            base_epochs: 2,
-            max_epochs: 16,
-            decay_epochs: 0, // no forgiveness: pure escalation
-        };
-        let mut led = QuarantineLedger::new(cfg, 7);
+        let mut led = QuarantineLedger::new(7);
         let mut prev_window = 0;
-        for strike in 1..=8u64 {
+        // Every strike lands in the same epoch, so none is forgiven:
+        // pure escalation, 2, 4, ..., 64, then the cap holds.
+        for strike in 1..=8u32 {
             let until = led.strike(3, 100);
             let window = until - 100;
             // Window grows (jitter < base can't mask a doubling) until
             // it saturates at max + jitter.
             assert!(
-                window >= prev_window || window >= cfg.max_epochs,
+                window >= prev_window || window >= MAX_EPOCHS,
                 "strike {strike}: window {window} after {prev_window}"
             );
-            assert!(window < cfg.max_epochs + cfg.base_epochs);
+            let doubled = (BASE_EPOCHS << (strike - 1)).min(MAX_EPOCHS);
+            assert!((doubled..doubled + BASE_EPOCHS).contains(&window));
             prev_window = window;
         }
+        assert!(prev_window >= MAX_EPOCHS);
         assert!(led.is_quarantined(3, 100));
         assert!(!led.is_quarantined(3, 100 + prev_window));
     }
 
     #[test]
     fn quiet_time_decays_strikes() {
-        let cfg = QuarantineConfig {
-            base_epochs: 2,
-            max_epochs: 64,
-            decay_epochs: 4,
-        };
-        let mut led = QuarantineLedger::new(cfg, 9);
+        let mut led = QuarantineLedger::new(9);
         // Escalate to three strikes...
         for _ in 0..3 {
             led.strike(1, 10);
@@ -217,16 +188,29 @@ mod tests {
             calm_window < escalated,
             "calm {calm_window} vs escalated {escalated}"
         );
-        assert!(calm_window >= cfg.base_epochs);
-        assert!(calm_window < cfg.base_epochs * 2);
+        assert!(calm_window >= BASE_EPOCHS);
+        assert!(calm_window < BASE_EPOCHS * 2);
+
+        // One strike is forgiven per 16 quiet epochs, not sooner: two
+        // strikes, then a third 15 epochs later escalates to the
+        // third-strike window, while one 16 epochs later lands as the
+        // second strike.
+        let window_after = |quiet: u64| {
+            let mut led = QuarantineLedger::new(9);
+            led.strike(1, 0);
+            led.strike(1, 0);
+            led.strike(1, quiet) - quiet
+        };
+        assert!(window_after(DECAY_EPOCHS - 1) >= BASE_EPOCHS << 2);
+        assert!(window_after(DECAY_EPOCHS) < BASE_EPOCHS << 2);
+        assert!(window_after(DECAY_EPOCHS) >= BASE_EPOCHS << 1);
     }
 
     #[test]
     fn jitter_is_deterministic_and_seed_dependent() {
-        let cfg = QuarantineConfig::default();
-        let mut a = QuarantineLedger::new(cfg, 1);
-        let mut b = QuarantineLedger::new(cfg, 1);
-        let mut c = QuarantineLedger::new(cfg, 2);
+        let mut a = QuarantineLedger::new(1);
+        let mut b = QuarantineLedger::new(1);
+        let mut c = QuarantineLedger::new(2);
         let ua = (0..6).map(|p| a.strike(p, 5)).collect::<Vec<_>>();
         let ub = (0..6).map(|p| b.strike(p, 5)).collect::<Vec<_>>();
         let uc = (0..6).map(|p| c.strike(p, 5)).collect::<Vec<_>>();
@@ -237,13 +221,21 @@ mod tests {
 
     #[test]
     fn clear_forgets_everything() {
-        let mut led = QuarantineLedger::new(QuarantineConfig::default(), 3);
+        let mut led = QuarantineLedger::new(3);
         led.strike(0, 1);
         led.strike(5, 1);
         assert!(led.is_quarantined(0, 1) && led.is_quarantined(5, 1));
         led.clear();
         assert!(led.is_empty());
         assert!(!led.is_quarantined(0, 1));
+    }
+
+    #[test]
+    fn a_ledger_holds_only_state() {
+        // The jitter seed and the records: the policy is constants, not
+        // a per-host copy (one ledger per host, 10^6 hosts at fleet
+        // scale).
+        assert!(std::mem::size_of::<QuarantineLedger>() <= 32);
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //!   `λ`, an unverified candidate whose unverified region has area `u`
 //!   is the true next neighbor with probability `e^{-λu}`; plus the
 //!   *surpassing ratio* cost model.
-//! * [`sbnn`] — Algorithm 2: answer from peers when possible (exactly,
+//! * [`sbnn_rec`] — Algorithm 2: answer from peers when possible (exactly,
 //!   or approximately under a correctness threshold), otherwise fall
 //!   back to the broadcast channel with the §3.3.3 bound filtering.
-//! * [`sbwq`] — Algorithm 3: window queries; full peer coverage answers
+//! * [`sbwq_rec`] — Algorithm 3: window queries; full peer coverage answers
 //!   locally, partial coverage reduces the window(s) before going on air
 //!   (§3.4).
 
@@ -36,9 +36,7 @@ mod sbwq;
 
 pub use heap::{HeapState, NnCandidate, ResultHeap};
 pub use mvr::MergedRegion;
-pub use sbnn::{
-    nnv, nnv_in_domain, sbnn, sbnn_rec, ResolvedBy, SbnnConfig, SbnnOutcome, SbnnResult, VrPolicy,
-};
+pub use sbnn::{nnv, sbnn_rec, ResolvedBy, SbnnConfig, SbnnOutcome, SbnnResult, VrPolicy};
 pub use sbwq::{
-    adoptable_window_region, sbwq, sbwq_rec, window_coverage, SbwqConfig, SbwqOutcome, SbwqResult,
+    adoptable_window_region, sbwq_rec, window_coverage, SbwqConfig, SbwqOutcome, SbwqResult,
 };

@@ -278,7 +278,9 @@ mod tests {
         );
         let m = MergedRegion::from_replies(&[a], &table);
         let cfg = crate::SbnnConfig::paper_defaults(2, 0.1);
-        let res = crate::sbnn(Point::new(2.0, 2.0), &cfg, &m, None)
+        let mut scratch = airshare_broadcast::QueryScratch::new();
+        let rec = &mut airshare_obs::NoopRecorder;
+        let res = crate::sbnn_rec(Point::new(2.0, 2.0), &cfg, &m, None, &mut scratch, rec)
             .resolved()
             .unwrap();
         assert_eq!(res.resolved_by, crate::ResolvedBy::PeersVerified);

@@ -5,7 +5,7 @@ use crate::approx::{correctness_probability, surpassing_ratio, unverified_area_o
 use crate::{HeapState, MergedRegion, NnCandidate, ResultHeap};
 use airshare_broadcast::{AirIndexBackend, OnAirClient, Poi, QueryScratch};
 use airshare_geom::{Point, Rect};
-use airshare_obs::{AccessStats, NoopRecorder, Recorder, ResolutionKind, TraceEvent};
+use airshare_obs::{AccessStats, Recorder, ResolutionKind, TraceEvent};
 
 /// How a peer-answered query turns its verified ball into a cacheable
 /// rectangle.
@@ -107,7 +107,7 @@ pub struct SbnnResult {
     pub adoptable: Option<(Rect, Vec<Poi>)>,
 }
 
-/// Outcome of [`sbnn`]: resolved, or — when no channel fallback was
+/// Outcome of [`sbnn_rec`]: resolved, or — when no channel fallback was
 /// provided and peers could not finish the job — the partial heap for the
 /// caller to act on.
 #[derive(Clone, Debug)]
@@ -137,17 +137,6 @@ impl SbnnOutcome {
 /// Lemma-3.2 correctness probability and surpassing ratio.
 pub fn nnv(q: Point, k: usize, mvr: &MergedRegion, lambda: f64) -> ResultHeap {
     nnv_detailed(q, k, mvr, lambda, None).0
-}
-
-/// [`nnv`] with a bounded service domain for the Lemma 3.2 estimates.
-pub fn nnv_in_domain(
-    q: Point,
-    k: usize,
-    mvr: &MergedRegion,
-    lambda: f64,
-    domain: &Rect,
-) -> ResultHeap {
-    nnv_detailed(q, k, mvr, lambda, Some(*domain)).0
 }
 
 /// [`nnv`] plus the machinery SBNN reuses: a radius around `q` proven to
@@ -249,21 +238,12 @@ fn nnv_detailed(
 /// `air` is the broadcast client plus the tick at which the host tunes
 /// in; pass `None` to model a host out of coverage (the outcome is then
 /// [`SbnnOutcome::Unresolved`] whenever peers cannot finish).
-pub fn sbnn(
-    q: Point,
-    cfg: &SbnnConfig,
-    mvr: &MergedRegion,
-    air: Option<(&OnAirClient<'_, dyn AirIndexBackend + '_>, u64)>,
-) -> SbnnOutcome {
-    sbnn_rec(q, cfg, mvr, air, &mut QueryScratch::new(), &mut NoopRecorder)
-}
-
-/// [`sbnn`], tracing the channel fallback's protocol steps into `rec`
-/// and emitting the terminal [`TraceEvent::QueryResolved`] (with the
-/// broadcast cost, or zeros for peer-resolved queries) whenever the
-/// outcome is resolved. Channel index work happens in `scratch`, so a
-/// per-worker scratch keeps the fallback path allocation-free on the
-/// index side.
+///
+/// The channel fallback's protocol steps are traced into `rec`, and the
+/// terminal [`TraceEvent::QueryResolved`] (with the broadcast cost, or
+/// zeros for peer-resolved queries) is emitted whenever the outcome is
+/// resolved. Channel index work happens in `scratch`, so a per-worker
+/// scratch keeps the fallback path allocation-free on the index side.
 pub fn sbnn_rec(
     q: Point,
     cfg: &SbnnConfig,
@@ -386,6 +366,7 @@ fn adoptable_ball_square(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use airshare_obs::NoopRecorder;
 
     /// A merged region from explicit (VR, POI) pairs.
     fn region(rects: &[Rect], pois: &[(u32, f64, f64)]) -> MergedRegion {
@@ -454,7 +435,14 @@ mod tests {
             &[(1, 0.5, 0.0), (2, 0.0, 1.0), (3, -2.0, 0.0)],
         );
         let cfg = SbnnConfig::paper_defaults(3, 0.1);
-        let out = sbnn(Point::ORIGIN, &cfg, &mvr, None);
+        let out = sbnn_rec(
+            Point::ORIGIN,
+            &cfg,
+            &mvr,
+            None,
+            &mut QueryScratch::new(),
+            &mut NoopRecorder,
+        );
         let res = out.resolved().expect("resolved");
         assert_eq!(res.resolved_by, ResolvedBy::PeersVerified);
         assert_eq!(res.neighbors.len(), 3);
@@ -480,17 +468,38 @@ mod tests {
             &[(1, 0.5, 0.0), (2, 1.9, 1.9)],
         );
         let mut cfg = SbnnConfig::paper_defaults(2, 0.001);
-        let out = sbnn(Point::ORIGIN, &cfg, &mvr, None);
+        let out = sbnn_rec(
+            Point::ORIGIN,
+            &cfg,
+            &mvr,
+            None,
+            &mut QueryScratch::new(),
+            &mut NoopRecorder,
+        );
         let res = out.resolved().expect("approximate accept");
         assert_eq!(res.resolved_by, ResolvedBy::PeersApproximate);
         // With a brutal threshold the same query is unresolved.
         cfg.min_correctness = 0.999999;
-        let out2 = sbnn(Point::ORIGIN, &cfg, &mvr, None);
+        let out2 = sbnn_rec(
+            Point::ORIGIN,
+            &cfg,
+            &mvr,
+            None,
+            &mut QueryScratch::new(),
+            &mut NoopRecorder,
+        );
         assert!(matches!(out2, SbnnOutcome::Unresolved(_)));
         // With approximation disabled, also unresolved.
         cfg.min_correctness = 0.0;
         cfg.accept_approx = false;
-        let out3 = sbnn(Point::ORIGIN, &cfg, &mvr, None);
+        let out3 = sbnn_rec(
+            Point::ORIGIN,
+            &cfg,
+            &mvr,
+            None,
+            &mut QueryScratch::new(),
+            &mut NoopRecorder,
+        );
         assert!(matches!(out3, SbnnOutcome::Unresolved(_)));
     }
 
@@ -504,7 +513,14 @@ mod tests {
             accept_approx: false,
             ..SbnnConfig::paper_defaults(5, 0.1)
         };
-        match sbnn(Point::ORIGIN, &cfg, &mvr, None) {
+        match sbnn_rec(
+            Point::ORIGIN,
+            &cfg,
+            &mvr,
+            None,
+            &mut QueryScratch::new(),
+            &mut NoopRecorder,
+        ) {
             SbnnOutcome::Unresolved(h) => {
                 assert_eq!(h.len(), 1);
                 assert!(h.entries()[0].verified);

@@ -3,7 +3,7 @@
 use crate::MergedRegion;
 use airshare_broadcast::{AirIndexBackend, OnAirClient, Poi, QueryScratch};
 use airshare_geom::{Rect, RectUnion};
-use airshare_obs::{AccessStats, NoopRecorder, Recorder, TraceEvent};
+use airshare_obs::{AccessStats, Recorder, TraceEvent};
 
 use crate::ResolvedBy;
 
@@ -42,7 +42,7 @@ pub struct SbwqResult {
     pub air: Option<AccessStats>,
 }
 
-/// Outcome of [`sbwq`].
+/// Outcome of [`sbwq_rec`].
 #[derive(Clone, Debug)]
 pub enum SbwqOutcome {
     /// The query was answered exactly.
@@ -74,21 +74,12 @@ impl SbwqOutcome {
 ///    `w` (exact, `PeersVerified`).
 /// 3. Otherwise compute the reduced windows `w′ = w \ MVR` and fetch only
 ///    those on air, merging with the POIs already known in `w ∩ MVR`.
-pub fn sbwq(
-    w: &Rect,
-    cfg: &SbwqConfig,
-    mvr: &MergedRegion,
-    air: Option<(&OnAirClient<'_, dyn AirIndexBackend + '_>, u64)>,
-) -> SbwqOutcome {
-    sbwq_rec(w, cfg, mvr, air, &mut QueryScratch::new(), &mut NoopRecorder)
-}
-
-/// [`sbwq`], tracing the channel fallback's protocol steps into `rec`
-/// and emitting the terminal [`TraceEvent::QueryResolved`] (with the
-/// broadcast cost, or zeros for peer-resolved queries) whenever the
-/// outcome is resolved. Channel index work happens in `scratch`, so a
-/// per-worker scratch keeps the fallback path allocation-free on the
-/// index side.
+///
+/// The channel fallback's protocol steps are traced into `rec`, and the
+/// terminal [`TraceEvent::QueryResolved`] (with the broadcast cost, or
+/// zeros for peer-resolved queries) is emitted whenever the outcome is
+/// resolved. Channel index work happens in `scratch`, so a per-worker
+/// scratch keeps the fallback path allocation-free on the index side.
 pub fn sbwq_rec(
     w: &Rect,
     cfg: &SbwqConfig,
@@ -196,6 +187,7 @@ pub fn window_coverage(w: &Rect, region: &RectUnion) -> f64 {
 mod tests {
     use super::*;
     use airshare_geom::Point;
+    use airshare_obs::NoopRecorder;
 
     fn mvr(pairs: Vec<(Rect, Vec<Poi>)>) -> MergedRegion {
         MergedRegion::from_regions(pairs)
@@ -213,9 +205,16 @@ mod tests {
             vec![poi(1, 2.0, 2.0), poi(4, 3.0, 3.0), poi(9, 9.0, 9.0)],
         )]);
         let w = Rect::from_coords(1.0, 1.0, 4.0, 4.0);
-        let res = sbwq(&w, &SbwqConfig::default(), &m, None)
-            .resolved()
-            .expect("covered window resolves");
+        let res = sbwq_rec(
+            &w,
+            &SbwqConfig::default(),
+            &m,
+            None,
+            &mut QueryScratch::new(),
+            &mut NoopRecorder,
+        )
+        .resolved()
+        .expect("covered window resolves");
         assert_eq!(res.resolved_by, ResolvedBy::PeersVerified);
         assert_eq!(res.coverage, 1.0);
         let mut ids: Vec<u32> = res.pois.iter().map(|p| p.id).collect();
@@ -230,7 +229,14 @@ mod tests {
             vec![poi(1, 1.0, 2.0)],
         )]);
         let w = Rect::from_coords(1.0, 1.0, 5.0, 3.0);
-        match sbwq(&w, &SbwqConfig::default(), &m, None) {
+        match sbwq_rec(
+            &w,
+            &SbwqConfig::default(),
+            &m,
+            None,
+            &mut QueryScratch::new(),
+            &mut NoopRecorder,
+        ) {
             SbwqOutcome::Unresolved { partial, missing } => {
                 assert_eq!(partial.len(), 1);
                 assert!(!missing.is_empty());
@@ -245,7 +251,14 @@ mod tests {
     fn coverage_fraction_reported() {
         let m = mvr(vec![(Rect::from_coords(0.0, 0.0, 2.0, 2.0), vec![])]);
         let w = Rect::from_coords(0.0, 0.0, 4.0, 2.0);
-        match sbwq(&w, &SbwqConfig::default(), &m, None) {
+        match sbwq_rec(
+            &w,
+            &SbwqConfig::default(),
+            &m,
+            None,
+            &mut QueryScratch::new(),
+            &mut NoopRecorder,
+        ) {
             SbwqOutcome::Unresolved { .. } => {}
             _ => panic!(),
         }
@@ -256,9 +269,16 @@ mod tests {
     fn empty_window_is_trivially_covered() {
         let m = mvr(vec![]);
         let w = Rect::from_coords(1.0, 1.0, 1.0, 5.0); // zero width
-        let res = sbwq(&w, &SbwqConfig::default(), &m, None)
-            .resolved()
-            .expect("degenerate window");
+        let res = sbwq_rec(
+            &w,
+            &SbwqConfig::default(),
+            &m,
+            None,
+            &mut QueryScratch::new(),
+            &mut NoopRecorder,
+        )
+        .resolved()
+        .expect("degenerate window");
         assert!(res.pois.is_empty());
         assert_eq!(res.resolved_by, ResolvedBy::PeersVerified);
     }

@@ -14,12 +14,17 @@
 //! * Lemma 3.2's tiled unverified area is the disk-minus-union sum it
 //!   replaces, bit for bit.
 
-use airshare_broadcast::{AirIndex, AirIndexBackend, OnAirClient, Poi, PoiTable, Schedule};
+use airshare_broadcast::{
+    AirIndex, AirIndexBackend, OnAirClient, Poi, PoiTable, QueryScratch, Schedule,
+};
 use airshare_core::approx::{unverified_area, unverified_area_in, unverified_area_of_tiles};
-use airshare_core::{nnv, sbnn, sbwq, MergedRegion, ResolvedBy, SbnnConfig, SbwqConfig, SbwqOutcome};
+use airshare_core::{
+    nnv, sbnn_rec, sbwq_rec, MergedRegion, ResolvedBy, SbnnConfig, SbwqConfig, SbwqOutcome,
+};
 use airshare_geom::disk::{disk_rect_area, disk_region_area, Disk};
 use airshare_geom::{Point, Rect};
 use airshare_hilbert::Grid;
+use airshare_obs::NoopRecorder;
 use airshare_p2p::PeerReply;
 use airshare_rtree::RTree;
 use proptest::prelude::*;
@@ -143,7 +148,7 @@ proptest! {
             use_bound_filtering: filtering,
             ..SbnnConfig::paper_defaults(k, 0.3)
         };
-        let res = sbnn(q, &cfg, &mvr, Some((&client.as_dyn(), tune_in)))
+        let res = sbnn_rec(q, &cfg, &mvr, Some((&client.as_dyn(), tune_in)), &mut QueryScratch::new(), &mut NoopRecorder)
             .resolved()
             .expect("with a channel, exact queries always resolve");
         let truth = tree.knn(q, k);
@@ -187,7 +192,7 @@ proptest! {
         let mvr = MergedRegion::from_replies(&replies, &table);
         let w = Rect::from_coords(wx, wy, wx + ww, wy + wh);
         let cfg = SbwqConfig { use_window_reduction: reduction };
-        let res = sbwq(&w, &cfg, &mvr, Some((&client.as_dyn(), tune_in)))
+        let res = sbwq_rec(&w, &cfg, &mvr, Some((&client.as_dyn(), tune_in)), &mut QueryScratch::new(), &mut NoopRecorder)
             .resolved()
             .expect("with a channel, window queries always resolve");
         let mut got: Vec<u32> = res.pois.iter().map(|p| p.id).collect();
@@ -216,7 +221,7 @@ proptest! {
         let table = PoiTable::from_pois(pois.iter().copied());
         let mvr = MergedRegion::from_replies(&replies, &table);
         let w = Rect::from_coords(wx, wy, wx + ww, wy + wh);
-        match sbwq(&w, &SbwqConfig::default(), &mvr, None) {
+        match sbwq_rec(&w, &SbwqConfig::default(), &mvr, None, &mut QueryScratch::new(), &mut NoopRecorder) {
             SbwqOutcome::Resolved(res) => {
                 // Fully covered: exact.
                 let mut got: Vec<u32> = res.pois.iter().map(|p| p.id).collect();

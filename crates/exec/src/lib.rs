@@ -116,7 +116,11 @@ impl ExecPool {
         // turn one task's panic into every worker's.
         let queue = Mutex::new(tasks.into_iter().enumerate());
         let run = |ctx: &mut C| {
-            let mut out = Vec::new();
+            // Room for every result up front, so no worker's output
+            // grows by reallocation and the caller's merge below copies
+            // into spare capacity: a doubling chain per call fragments
+            // the heap of a pool called once per epoch.
+            let mut out = Vec::with_capacity(n);
             loop {
                 let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
                 match next {

@@ -80,12 +80,6 @@ impl Rect {
         self.width() * self.height()
     }
 
-    /// Half the perimeter (`width + height`), the classic R-tree margin.
-    #[inline]
-    pub fn margin(&self) -> f64 {
-        self.width() + self.height()
-    }
-
     /// Geometric centre.
     #[inline]
     pub fn center(&self) -> Point {
@@ -219,10 +213,9 @@ mod tests {
     }
 
     #[test]
-    fn area_and_margin() {
+    fn area_is_width_times_height() {
         let a = r(0.0, 0.0, 2.0, 3.0);
         assert!(approx_eq(a.area(), 6.0));
-        assert!(approx_eq(a.margin(), 5.0));
     }
 
     #[test]

@@ -47,14 +47,6 @@ impl Segment {
         Self { axis: Axis::Horizontal, at, lo, hi }
     }
 
-    /// Segment endpoints as points.
-    pub fn endpoints(&self) -> (Point, Point) {
-        match self.axis {
-            Axis::Vertical => (Point::new(self.at, self.lo), Point::new(self.at, self.hi)),
-            Axis::Horizontal => (Point::new(self.lo, self.at), Point::new(self.hi, self.at)),
-        }
-    }
-
     /// Segment length on the free axis.
     #[inline]
     pub fn len(&self) -> f64 {
@@ -107,14 +99,6 @@ mod tests {
             s.distance_to_point(Point::new(4.0, 5.0)),
             5.0
         ));
-    }
-
-    #[test]
-    fn endpoints_match_orientation() {
-        let v = Segment::vertical(1.0, 2.0, 3.0);
-        assert_eq!(v.endpoints(), (Point::new(1.0, 2.0), Point::new(1.0, 3.0)));
-        let h = Segment::horizontal(1.0, 2.0, 3.0);
-        assert_eq!(h.endpoints(), (Point::new(2.0, 1.0), Point::new(3.0, 1.0)));
     }
 
     #[test]

@@ -328,20 +328,9 @@ impl HilbertCurve {
 
     /// Decomposes a rectangular cell window into the minimal set of
     /// maximal contiguous curve intervals `[lo, hi]` (inclusive), sorted
-    /// ascending.
-    ///
-    /// Allocating convenience wrapper around
-    /// [`HilbertCurve::intervals_for_rect_into`]; hot paths should reuse a
-    /// buffer through the `_into` form instead.
-    pub fn intervals_for_rect(&self, rect: &CellRect) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        self.intervals_for_rect_into(rect, &mut out);
-        out
-    }
-
-    /// Decomposes `rect` into sorted maximal intervals, writing them into
-    /// `out` (which is cleared first). Performs no heap allocation beyond
-    /// growing `out`, which amortizes to zero when the buffer is reused.
+    /// ascending, writing them into `out` (which is cleared first).
+    /// Performs no heap allocation beyond growing `out`, which amortizes
+    /// to zero when the buffer is reused.
     ///
     /// This is exact: the union of the intervals equals the set of curve
     /// positions of the cells in `rect`, and the output size is
@@ -518,6 +507,13 @@ fn rotate(s: u32, x: &mut u32, y: &mut u32, rx: u32, ry: u32) {
 mod tests {
     use super::*;
 
+    /// `rect`'s interval decomposition in a fresh buffer.
+    fn intervals(c: &HilbertCurve, rect: &CellRect) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        c.intervals_for_rect_into(rect, &mut out);
+        out
+    }
+
     #[test]
     fn order_one_visits_four_cells_in_curve_order() {
         let c = HilbertCurve::new(1);
@@ -575,7 +571,7 @@ mod tests {
     fn intervals_cover_exactly_the_window() {
         let c = HilbertCurve::new(4);
         let rect = CellRect::new(3, 5, 9, 11);
-        let ivs = c.intervals_for_rect(&rect);
+        let ivs = intervals(&c, &rect);
         // Expand intervals into a set and compare with brute force.
         let mut from_ivs: Vec<u64> = ivs.iter().flat_map(|&(lo, hi)| lo..=hi).collect();
         from_ivs.sort_unstable();
@@ -615,7 +611,7 @@ mod tests {
     fn full_grid_is_one_interval() {
         let c = HilbertCurve::new(3);
         let rect = CellRect::new(0, 0, 7, 7);
-        assert_eq!(c.intervals_for_rect(&rect), vec![(0, 63)]);
+        assert_eq!(intervals(&c, &rect), vec![(0, 63)]);
     }
 
     #[test]
@@ -623,10 +619,7 @@ mod tests {
         let c = HilbertCurve::new(3);
         for (x, y) in [(0, 0), (7, 7), (3, 4)] {
             let d = c.encode(x, y);
-            assert_eq!(
-                c.intervals_for_rect(&CellRect::new(x, y, x, y)),
-                vec![(d, d)]
-            );
+            assert_eq!(intervals(&c, &CellRect::new(x, y, x, y)), vec![(d, d)]);
         }
     }
 
@@ -635,7 +628,7 @@ mod tests {
         let c = HilbertCurve::new(5);
         let rect = CellRect::new(2, 2, 20, 9);
         let (a, b) = c.window_span(&rect);
-        for &(lo, hi) in &c.intervals_for_rect(&rect) {
+        for &(lo, hi) in &intervals(&c, &rect) {
             assert!(lo >= a && hi <= b);
         }
         // a and b are attained by window cells.
@@ -656,7 +649,7 @@ mod tests {
                 for x2 in x1..8 {
                     for y2 in y1..8 {
                         let rect = CellRect::new(x1, y1, x2, y2);
-                        let ivs = c.intervals_for_rect(&rect);
+                        let ivs = intervals(&c, &rect);
                         let expect = (ivs.first().unwrap().0, ivs.last().unwrap().1);
                         assert_eq!(c.window_span(&rect), expect, "{rect:?}");
                     }
@@ -670,7 +663,7 @@ mod tests {
             CellRect::new(511, 0, 511, 0),
             CellRect::new(100, 100, 100, 400),
         ] {
-            let ivs = c.intervals_for_rect(&rect);
+            let ivs = intervals(&c, &rect);
             let expect = (ivs.first().unwrap().0, ivs.last().unwrap().1);
             assert_eq!(c.window_span(&rect), expect, "{rect:?}");
         }

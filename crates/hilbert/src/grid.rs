@@ -89,19 +89,10 @@ impl Grid {
     }
 
     /// Curve intervals (inclusive) covering a world rectangle — the set of
-    /// air-index ranges a client must listen to for a window query.
-    ///
-    /// Allocating convenience wrapper around
-    /// [`Grid::intervals_for_world_rect_into`].
-    pub fn intervals_for_world_rect(&self, r: &Rect) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        self.intervals_for_world_rect_into(r, &mut out);
-        out
-    }
-
-    /// Like [`Grid::intervals_for_world_rect`], but writes into `out`
-    /// (cleared first) so a reused buffer makes the call allocation-free.
-    /// Leaves `out` empty when `r` lies entirely outside the world.
+    /// air-index ranges a client must listen to for a window query —
+    /// written into `out` (cleared first) so a reused buffer makes the
+    /// call allocation-free. Leaves `out` empty when `r` lies entirely
+    /// outside the world.
     pub fn intervals_for_world_rect_into(&self, r: &Rect, out: &mut Vec<(u64, u64)>) {
         match self.cell_rect_for(r) {
             Some(cr) => self.curve.intervals_for_rect_into(&cr, out),
@@ -168,7 +159,8 @@ mod tests {
     fn intervals_match_point_membership() {
         let g = grid();
         let q = Rect::from_coords(1.0, 1.0, 7.0, 7.0);
-        let ivs = g.intervals_for_world_rect(&q);
+        let mut ivs = Vec::new();
+        g.intervals_for_world_rect_into(&q, &mut ivs);
         let inside = |d: u64| ivs.iter().any(|&(lo, hi)| d >= lo && d <= hi);
         // Every cell whose rect intersects q's covering cells is listed.
         let cr = g.cell_rect_for(&q).unwrap();

@@ -11,7 +11,7 @@
 //! * [`HilbertCurve`] — the order-`k` curve codec (`encode`/`decode`)
 //!   over a `2^k × 2^k` cell grid, following Jagadish's analysis cited by
 //!   the paper.
-//! * [`CellRect`] and [`HilbertCurve::intervals_for_rect`] — exact
+//! * [`CellRect`] and [`HilbertCurve::intervals_for_rect_into`] — exact
 //!   decomposition of a rectangular cell window into maximal contiguous
 //!   curve intervals, the primitive behind both the on-air window query
 //!   (first point `a` / last point `b` of Figure 8) and broadcast-bucket

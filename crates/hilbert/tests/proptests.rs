@@ -39,7 +39,8 @@ proptest! {
             (ax % c.side()).max(bx % c.side()).min(m),
             (ay % c.side()).max(by % c.side()).min(m),
         );
-        let ivs = c.intervals_for_rect(&rect);
+        let mut ivs = Vec::new();
+        c.intervals_for_rect_into(&rect, &mut ivs);
         // Total interval length equals the cell count.
         let total: u64 = ivs.iter().map(|&(lo, hi)| hi - lo + 1).sum();
         prop_assert_eq!(total, rect.cell_count());
@@ -78,7 +79,8 @@ proptest! {
     ) {
         let g = Grid::new(Rect::from_coords(0.0, 0.0, 100.0, 100.0), order);
         let window = Rect::from_coords(x, y, x + w, y + h);
-        let ivs = g.intervals_for_world_rect(&window);
+        let mut ivs = Vec::new();
+        g.intervals_for_world_rect_into(&window, &mut ivs);
         // A point inside the window must have its curve value covered.
         let p = Point::new(x + px * w, y + py * h);
         let d = g.value_of(p);
@@ -110,9 +112,10 @@ proptest! {
         let x1 = ax % c.side();
         let y1 = ay % c.side();
         let rect = CellRect::new(x1, y1, x1.saturating_add(w).min(m), y1.saturating_add(h).min(m));
-        let alloc = c.intervals_for_rect(&rect);
-        // The `_into` variant clears stale contents and produces the
-        // identical interval list.
+        let mut alloc = Vec::new();
+        c.intervals_for_rect_into(&rect, &mut alloc);
+        // A reused buffer is cleared of stale contents first, so it gets
+        // the identical interval list a freshly allocated one does.
         let mut reused = vec![(9999u64, 9999u64); 3];
         c.intervals_for_rect_into(&rect, &mut reused);
         prop_assert_eq!(&reused, &alloc);

@@ -97,25 +97,29 @@ impl QueryScheduler {
     }
 
     /// Time of the upcoming event, without consuming it. Lets callers
-    /// pull events epoch by epoch (streaming) with exactly the draw
-    /// sequence [`QueryScheduler::events_until`] would have produced.
+    /// pull events epoch by epoch (streaming): taking [`next_query`]
+    /// while `peek_time() < t` yields every event before `t`, in the
+    /// same draw sequence however the stream is cut into epochs.
+    ///
+    /// [`next_query`]: QueryScheduler::next_query
     pub fn peek_time(&self) -> f64 {
         self.process.peek()
-    }
-
-    /// All query events up to (and excluding) `horizon` minutes.
-    pub fn events_until(&mut self, horizon: f64) -> Vec<QueryEvent> {
-        let mut out = Vec::new();
-        while self.process.peek() < horizon {
-            out.push(self.next_query());
-        }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every event before `horizon`, pulled the way the engine streams
+    /// them.
+    fn drain_until(s: &mut QueryScheduler, horizon: f64) -> Vec<QueryEvent> {
+        let mut out = Vec::new();
+        while s.peek_time() < horizon {
+            out.push(s.next_query());
+        }
+        out
+    }
 
     #[test]
     fn poisson_rate_is_respected() {
@@ -146,7 +150,7 @@ mod tests {
     #[test]
     fn scheduler_spreads_load_over_hosts() {
         let mut s = QueryScheduler::new(100.0, 50, 3);
-        let events = s.events_until(600.0); // ~60k queries
+        let events = drain_until(&mut s, 600.0); // ~60k queries
         assert!((events.len() as f64 - 60_000.0).abs() < 3_000.0);
         let mut counts = vec![0usize; 50];
         for e in &events {
@@ -162,9 +166,10 @@ mod tests {
     }
 
     #[test]
-    fn events_until_respects_horizon() {
+    fn streaming_respects_horizon() {
         let mut s = QueryScheduler::new(5.0, 10, 1);
-        let events = s.events_until(10.0);
+        let events = drain_until(&mut s, 10.0);
+        assert!(!events.is_empty());
         assert!(events.iter().all(|e| e.time < 10.0));
         // Continuing yields events after the horizon.
         let next = s.next_query();

@@ -378,27 +378,7 @@ impl LatencySummary {
         }
     }
 
-    /// Median (p50); 0 when empty.
-    pub fn p50(&self) -> u64 {
-        self.hist.p50()
-    }
-
-    /// 90th percentile; 0 when empty.
-    pub fn p90(&self) -> u64 {
-        self.hist.p90()
-    }
-
-    /// 95th percentile; 0 when empty.
-    pub fn p95(&self) -> u64 {
-        self.hist.p95()
-    }
-
-    /// 99th percentile; 0 when empty.
-    pub fn p99(&self) -> u64 {
-        self.hist.p99()
-    }
-
-    /// The full percentile set.
+    /// The full percentile set (each percentile 0 when empty).
     pub fn percentiles(&self) -> PercentileSummary {
         self.hist.percentiles()
     }
@@ -506,8 +486,6 @@ mod tests {
         // Regression guard: zero samples must yield 0.0, not NaN.
         let s = LatencySummary::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.p50(), 0);
-        assert_eq!(s.p99(), 0);
         assert_eq!(s.percentiles(), PercentileSummary::default());
         let h = Histogram::new();
         assert_eq!(h.mean(), 0.0);
@@ -524,7 +502,8 @@ mod tests {
         assert_eq!(s.sum, 60);
         assert_eq!(s.max, 30);
         assert!((s.mean() - 20.0).abs() < 1e-12);
-        assert!(s.p50() >= 15 && s.p50() <= 20);
+        let p50 = s.percentiles().p50;
+        assert!((15..=20).contains(&p50), "p50 = {p50}");
     }
 
     #[test]

@@ -98,20 +98,12 @@ pub struct NeighborGrid {
 }
 
 impl NeighborGrid {
-    /// Builds a grid over host positions (index = host id).
+    /// Builds a grid over host positions (index = host id), every host
+    /// online. A later [`NeighborGrid::refresh_active`] takes hosts off
+    /// the air.
     pub fn build(positions: Vec<Point>, cell: f64) -> Self {
-        let online = vec![true; positions.len()];
-        Self::build_active(positions, cell, &online)
-    }
-
-    /// Builds a grid where only hosts with `online[i] == true` are
-    /// discoverable. Positions are kept for *all* hosts (so
-    /// [`NeighborGrid::position`] stays total — multihop relays need
-    /// it), but offline hosts never appear in any neighbor query:
-    /// a crashed or not-yet-joined host is radio-silent.
-    pub fn build_active(positions: Vec<Point>, cell: f64, online: &[bool]) -> Self {
         let mut grid = Self::empty(cell);
-        grid.refresh_active(&positions, online);
+        grid.refresh_active(&positions, &vec![true; positions.len()]);
         grid
     }
 
@@ -180,6 +172,11 @@ impl NeighborGrid {
     /// copied into the grid's retained buffer and every online host is
     /// re-binned; nothing is carried over from the previous refresh, so
     /// the result depends on this call's arguments alone.
+    ///
+    /// Only hosts with `online[i] == true` are discoverable. Positions are
+    /// kept for *all* hosts (so [`NeighborGrid::position`] stays total —
+    /// multihop relays need it), but offline hosts never appear in any
+    /// neighbor query: a crashed or not-yet-joined host is radio-silent.
     pub fn refresh_active(&mut self, positions: &[Point], online: &[bool]) {
         self.rebuild(positions, online, None, &ExecPool::sequential());
     }
@@ -556,8 +553,8 @@ mod tests {
             Point::new(0.1, 0.0),
             Point::new(0.2, 0.0),
         ];
-        let online = [true, false, true];
-        let g = NeighborGrid::build_active(pts, 1.0, &online);
+        let mut g = NeighborGrid::build(Vec::new(), 1.0);
+        g.refresh_active(&pts, &[true, false, true]);
         let n = g.neighbors_within(Point::ORIGIN, 1.0, None);
         assert_eq!(n, vec![0, 2], "offline host 1 must not be discoverable");
         // Positions stay total: relays can still be located by id.
@@ -571,7 +568,8 @@ mod tests {
         assert!(g.is_empty());
         assert!(g.neighbors_within(Point::ORIGIN, 10.0, None).is_empty());
         // Hosts, but none on the air.
-        let g = NeighborGrid::build_active(vec![Point::ORIGIN], 1.0, &[false]);
+        let mut g = NeighborGrid::build(Vec::new(), 1.0);
+        g.refresh_active(&[Point::ORIGIN], &[false]);
         assert_eq!(g.len(), 1);
         assert!(g.neighbors_within(Point::ORIGIN, 10.0, None).is_empty());
     }
@@ -639,7 +637,8 @@ mod tests {
         let online: Vec<bool> = (0..300).map(|i| i % 7 != 0).collect();
         let center = Point::new(2.0, 8.0);
         for cell in [1.0, 0.01] {
-            let g = NeighborGrid::build_active(pts.clone(), cell, &online);
+            let mut g = NeighborGrid::build(Vec::new(), cell);
+            g.refresh_active(&pts, &online);
             let mut everyone: Vec<usize> = (0..300).filter(|&i| online[i]).collect();
             everyone.sort_by_key(|&i| (NeighborGrid::key(pts[i], cell), i));
             for range in [1e12, f64::INFINITY] {

@@ -15,8 +15,8 @@
 //!   count, reply validation, fault injection, quarantine, tracing),
 //!   with [`airshare_obs::ShareStats`] accounting (peers contacted,
 //!   regions and POIs transferred) so experiments can report P2P
-//!   traffic. [`gather_peer_data`] and [`gather_peer_data_checked`] are
-//!   its single-hop, untraced short forms.
+//!   traffic. [`gather_peer_data_checked`] is its single-hop, untraced
+//!   short form.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +26,6 @@ mod protocol;
 
 pub use grid::NeighborGrid;
 pub use protocol::{
-    gather_peer_data, gather_peer_data_checked, sanitize_id_regions, share_exchange, PeerReply,
-    QuarantineGuard, ShareFaults,
+    gather_peer_data_checked, sanitize_id_regions, share_exchange, PeerReply, QuarantineGuard,
+    ShareFaults,
 };

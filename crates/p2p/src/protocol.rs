@@ -277,32 +277,9 @@ pub fn share_exchange(
 }
 
 /// The paper's exchange as a querying host poses it: [`share_exchange`]
-/// over single-hop peers, with no reply validation against a world
-/// rectangle, no fault injection, no quarantine, and no tracing.
-pub fn gather_peer_data(
-    querier: usize,
-    querier_pos: Point,
-    range: f64,
-    category: PoiCategory,
-    grid: &NeighborGrid,
-    caches: &[HostCache],
-    table: &PoiTable,
-) -> (Vec<PeerReply>, ShareStats) {
-    gather_peer_data_checked(
-        querier,
-        querier_pos,
-        range,
-        category,
-        grid,
-        caches,
-        table,
-        None,
-        ShareFaults::default(),
-    )
-}
-
-/// [`gather_peer_data`] with reply validation against `world` and fault
-/// injection per `faults` (see [`share_exchange`]).
+/// over single-hop peers, with no quarantine and no tracing. Replies
+/// are validated against `world` when given, and faults are injected
+/// per `faults` (`ShareFaults::default()` for a clean exchange).
 #[allow(clippy::too_many_arguments)]
 pub fn gather_peer_data_checked(
     querier: usize,
@@ -377,8 +354,17 @@ mod tests {
         ];
         let (caches, table) = fleet(&positions);
         let grid = NeighborGrid::build(positions, 1.0);
-        let (replies, stats) =
-            gather_peer_data(0, Point::new(0.0, 0.0), 1.0, CAT, &grid, &caches, &table);
+        let (replies, stats) = gather_peer_data_checked(
+            0,
+            Point::new(0.0, 0.0),
+            1.0,
+            CAT,
+            &grid,
+            &caches,
+            &table,
+            None,
+            ShareFaults::default(),
+        );
         assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].peer, 1);
         assert_eq!(stats.peers_contacted, 1);
@@ -398,8 +384,17 @@ mod tests {
         ];
         let table = PoiTable::new();
         let grid = NeighborGrid::build(positions, 1.0);
-        let (replies, stats) =
-            gather_peer_data(0, Point::new(0.0, 0.0), 1.0, CAT, &grid, &caches, &table);
+        let (replies, stats) = gather_peer_data_checked(
+            0,
+            Point::new(0.0, 0.0),
+            1.0,
+            CAT,
+            &grid,
+            &caches,
+            &table,
+            None,
+            ShareFaults::default(),
+        );
         assert!(replies.is_empty());
         assert_eq!(stats.peers_contacted, 1);
         assert_eq!(stats.peers_with_data, 0);
@@ -412,8 +407,17 @@ mod tests {
         let caches = vec![cache_with_poi(poi)];
         let table = PoiTable::from_pois([poi]);
         let grid = NeighborGrid::build(positions, 1.0);
-        let (replies, stats) =
-            gather_peer_data(0, Point::new(0.0, 0.0), 5.0, CAT, &grid, &caches, &table);
+        let (replies, stats) = gather_peer_data_checked(
+            0,
+            Point::new(0.0, 0.0),
+            5.0,
+            CAT,
+            &grid,
+            &caches,
+            &table,
+            None,
+            ShareFaults::default(),
+        );
         assert!(replies.is_empty());
         assert_eq!(stats.peers_contacted, 0);
     }
@@ -462,8 +466,17 @@ mod tests {
         let positions = vec![Point::new(0.0, 0.0), Point::new(0.1, 0.0), Point::new(5.0, 5.0)];
         let (caches, table) = fleet(&positions);
         let grid = NeighborGrid::build(positions, 1.0);
-        let (r1, s1) =
-            gather_peer_data(0, Point::new(0.0, 0.0), 1.0, CAT, &grid, &caches, &table);
+        let (r1, s1) = gather_peer_data_checked(
+            0,
+            Point::new(0.0, 0.0),
+            1.0,
+            CAT,
+            &grid,
+            &caches,
+            &table,
+            None,
+            ShareFaults::default(),
+        );
         let (r2, s2) = share_exchange(
             0,
             Point::new(0.0, 0.0),
@@ -571,8 +584,17 @@ mod tests {
         assert_eq!(r1.len(), r2.len());
         assert_eq!(s1.replies_dropped + s1.peers_with_data, 8);
 
-        let (r0, s0) =
-            gather_peer_data(0, Point::new(0.0, 0.0), 1.0, CAT, &grid, &caches, &table);
+        let (r0, s0) = gather_peer_data_checked(
+            0,
+            Point::new(0.0, 0.0),
+            1.0,
+            CAT,
+            &grid,
+            &caches,
+            &table,
+            None,
+            ShareFaults::default(),
+        );
         assert_eq!(r0.len(), 8);
         assert_eq!(s0.replies_dropped, 0);
     }
@@ -736,7 +758,7 @@ mod tests {
 
     #[test]
     fn quarantine_guard_skips_and_strikes() {
-        use airshare_cache::{QuarantineConfig, QuarantineLedger};
+        use airshare_cache::QuarantineLedger;
         let positions: Vec<Point> = (0..4).map(|i| Point::new(i as f64 * 0.05, 0.0)).collect();
         let (caches, table) = fleet(&positions);
         let grid = NeighborGrid::build(positions, 1.0);
@@ -747,7 +769,7 @@ mod tests {
             malform_prob: 1.0,
             nonce: 42,
         };
-        let mut ledger = QuarantineLedger::new(QuarantineConfig::default(), 7);
+        let mut ledger = QuarantineLedger::new(7);
 
         // Exchange 1 at epoch 0: every reply malforms, every peer struck.
         let (replies, stats) = share_exchange(
@@ -794,7 +816,7 @@ mod tests {
 
     #[test]
     fn empty_guard_matches_unguarded_exchange() {
-        use airshare_cache::{QuarantineConfig, QuarantineLedger};
+        use airshare_cache::QuarantineLedger;
         let positions: Vec<Point> = (0..6).map(|i| Point::new(i as f64 * 0.05, 0.0)).collect();
         let (caches, table) = fleet(&positions);
         let grid = NeighborGrid::build(positions, 1.0);
@@ -805,7 +827,7 @@ mod tests {
             malform_prob: 0.0,
             nonce: 42,
         };
-        let mut ledger = QuarantineLedger::new(QuarantineConfig::default(), 7);
+        let mut ledger = QuarantineLedger::new(7);
         let (rg, sg) = share_exchange(
             0,
             Point::new(0.0, 0.0),
@@ -841,7 +863,7 @@ mod tests {
         let positions = vec![Point::new(0.0, 0.0), Point::new(0.1, 0.0)];
         let (caches, table) = fleet(&positions);
         let grid = NeighborGrid::build(positions, 1.0);
-        let (replies, _) = gather_peer_data(
+        let (replies, _) = gather_peer_data_checked(
             0,
             Point::new(0.0, 0.0),
             1.0,
@@ -849,6 +871,8 @@ mod tests {
             &grid,
             &caches,
             &table,
+            None,
+            ShareFaults::default(),
         );
         assert!(replies.is_empty());
     }

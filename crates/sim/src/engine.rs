@@ -346,8 +346,9 @@ impl Simulation {
     /// Wall-clock breakdown of the most recent run's epoch loop
     /// (advance / grid / query / snapshot), for perf attribution.
     /// Zeroed until a run completes. Available after *any* entry point,
-    /// including the plain [`Simulation::run`]; the `run_*metrics`
-    /// variants additionally copy it into the report's snapshot.
+    /// including the plain [`Simulation::run`];
+    /// [`Simulation::run_parallel_metrics`] additionally copies it into
+    /// the report's snapshot.
     pub fn phase_times(&self) -> PhaseTimes {
         self.world.phases
     }
@@ -355,14 +356,6 @@ impl Simulation {
     /// Runs the simulation to completion and returns the report.
     pub fn run(&mut self) -> SimReport {
         self.run_with(&mut NoopRecorder)
-    }
-
-    /// [`Simulation::run`] with a [`MetricsRecorder`] attached: the
-    /// returned report's `metrics` field carries the aggregated trace
-    /// view (per-event counters plus tuning/latency percentiles over
-    /// *every* query, peer-resolved ones included as zeros).
-    pub fn run_metrics(&mut self) -> SimReport {
-        self.run_parallel_metrics(&ExecPool::sequential())
     }
 
     /// [`Simulation::run`], tracing every query's resolution path into
@@ -416,9 +409,12 @@ impl Simulation {
     }
 
     /// [`Simulation::run_parallel`] with per-worker [`MetricsRecorder`]s:
-    /// each worker records into its own shard, and the shards are merged
-    /// associatively into the report's `metrics` snapshot — equal to the
-    /// snapshot a sequential [`Simulation::run_metrics`] produces.
+    /// the returned report's `metrics` field carries the aggregated trace
+    /// view (per-event counters plus tuning/latency percentiles over
+    /// *every* query, peer-resolved ones included as zeros). Each worker
+    /// records into its own shard, and the shards are merged
+    /// associatively, so the snapshot is the same at every pool size
+    /// (`ExecPool::sequential()` included).
     pub fn run_parallel_metrics(&mut self, pool: &ExecPool) -> SimReport {
         let mut ctxs: Vec<_> = (0..pool.threads())
             .map(|_| (MetricsRecorder::new(), QueryScratch::new()))
@@ -471,8 +467,8 @@ impl Simulation {
         // Events are pulled from the scheduler one epoch at a time into
         // a reused buffer — memory stays O(hosts + live epoch) instead
         // of materializing the whole run's event list. The draw sequence
-        // (time, then host, per event) is exactly what a full
-        // `events_until(horizon)` would have produced.
+        // (time, then host, per event) does not depend on where the
+        // epochs cut it.
         let mut epoch_events: Vec<QueryEvent> = Vec::new();
         let mut next_index: u64 = 0;
         // Recording keeps the previous epoch's recorded positions so

@@ -31,7 +31,7 @@ use airshare_broadcast::{
     wire, AirIndex, AirIndexBackend, BuildParams, ChannelFaults, OutageSchedule, Poi, PoiTable,
     QueryScratch, RtreeAirIndex, Schedule,
 };
-use airshare_cache::{HostCache, QuarantineConfig, QuarantineLedger};
+use airshare_cache::{HostCache, QuarantineLedger};
 use airshare_exec::{split_seed, ExecPool};
 use airshare_geom::{meters_to_miles, Point, Rect};
 use airshare_obs::{AnswerQuality, PhaseTimes, Recorder, TraceEvent};
@@ -164,10 +164,7 @@ impl LiveWorld {
             .collect();
         let quarantines = (0..n)
             .map(|h| {
-                QuarantineLedger::new(
-                    QuarantineConfig::default(),
-                    split_seed(cfg.seed ^ QUARANTINE_SEED_SALT, h as u64, 0),
-                )
+                QuarantineLedger::new(split_seed(cfg.seed ^ QUARANTINE_SEED_SALT, h as u64, 0))
             })
             .collect();
         // Fault decisions are hashed from their own seed (derived from
@@ -419,10 +416,7 @@ impl LiveWorld {
                     state: HostState {
                         cache: self.take_cache(host),
                         sync: self.fleet.sync_state(host),
-                        quarantine: std::mem::replace(
-                            &mut self.fleet.quarantines[host],
-                            QuarantineLedger::new(QuarantineConfig::default(), 0),
-                        ),
+                        quarantine: std::mem::take(&mut self.fleet.quarantines[host]),
                         resyncs: 0,
                     },
                 }

@@ -148,9 +148,10 @@ pub struct SimReport {
     pub hosts_crashed: u64,
     /// Host restart/late-join transitions applied over the run.
     pub hosts_restarted: u64,
-    /// Aggregated trace metrics, populated only by
-    /// [`crate::Simulation::run_metrics`]. `None` on plain runs, keeping
-    /// them comparable with pre-observability reports.
+    /// Aggregated trace metrics, populated by
+    /// [`crate::Simulation::run_parallel_metrics`] at every pool size.
+    /// `None` on every other run, keeping them comparable with
+    /// pre-observability reports.
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -238,8 +239,9 @@ mod tests {
         assert_eq!(s.count, 2);
         assert_eq!(s.mean(), 20.0);
         assert_eq!(s.max, 30);
-        assert!(s.p50() >= 8 && s.p50() <= 10, "p50 = {}", s.p50());
-        assert!(s.p99() >= 24 && s.p99() <= 30, "p99 = {}", s.p99());
+        let p = s.percentiles();
+        assert!(p.p50 >= 8 && p.p50 <= 10, "p50 = {}", p.p50);
+        assert!(p.p99 >= 24 && p.p99 <= 30, "p99 = {}", p.p99);
     }
 
     #[test]

@@ -44,10 +44,13 @@ fn main() {
         let mut probe = 0u64;
         let mut latency = 0u64;
         let mut tuning = 0u64;
+        let mut scratch = QueryScratch::new();
         for i in 0..samples {
             let t = i * cycle / samples;
             probe += schedule.next_index_start(t) - t;
-            let res = client.knn(t, q, 5).expect("enough POIs");
+            let res = client
+                .knn_rec(t, q, 5, &mut scratch, &mut NoopRecorder)
+                .expect("enough POIs");
             latency += res.stats.latency;
             tuning += res.stats.tuning;
         }

@@ -62,9 +62,16 @@ fn main() {
 
     // WQ1: fully inside the merged region.
     let wq1 = Rect::from_coords(3.0, 3.5, 4.5, 5.0);
-    let r1 = sbwq(&wq1, &SbwqConfig::default(), &mvr, Some((&client.as_dyn(), 0)))
-        .resolved()
-        .unwrap();
+    let r1 = sbwq_rec(
+        &wq1,
+        &SbwqConfig::default(),
+        &mvr,
+        Some((&client.as_dyn(), 0)),
+        &mut QueryScratch::new(),
+        &mut NoopRecorder,
+    )
+    .resolved()
+    .unwrap();
     println!(
         "WQ1 {:?}: covered {:.0}% → {:?}, {} POIs, no broadcast",
         wq1,
@@ -76,9 +83,16 @@ fn main() {
 
     // WQ2: hangs out of the merged region → reduced windows on air.
     let wq2 = Rect::from_coords(4.0, 4.0, 8.5, 7.0);
-    let r2 = sbwq(&wq2, &SbwqConfig::default(), &mvr, Some((&client.as_dyn(), 0)))
-        .resolved()
-        .unwrap();
+    let r2 = sbwq_rec(
+        &wq2,
+        &SbwqConfig::default(),
+        &mvr,
+        Some((&client.as_dyn(), 0)),
+        &mut QueryScratch::new(),
+        &mut NoopRecorder,
+    )
+    .resolved()
+    .unwrap();
     let air2 = r2.air.unwrap();
     println!(
         "WQ2 {:?}: covered {:.0}% → {:?}; {} reduced window(s), {} buckets fetched",
@@ -90,13 +104,15 @@ fn main() {
     );
 
     // The same query without window reduction fetches the whole window.
-    let r2_full = sbwq(
+    let r2_full = sbwq_rec(
         &wq2,
         &SbwqConfig {
             use_window_reduction: false,
         },
         &mvr,
         Some((&client.as_dyn(), 0)),
+        &mut QueryScratch::new(),
+        &mut NoopRecorder,
     )
     .resolved()
     .unwrap();

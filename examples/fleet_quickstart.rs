@@ -8,7 +8,7 @@
 //!    handle-native inserts, and handle-level share replies resolved
 //!    through the table;
 //! 3. the columnar [`FleetStore`] a simulation exposes, plus the
-//!    handle-carrying peer exchange (`gather_peer_data` →
+//!    handle-carrying peer exchange (`gather_peer_data_checked` →
 //!    `MergedRegion::from_replies`).
 //!
 //! Run with: `cargo run --release --example fleet_quickstart`
@@ -80,8 +80,17 @@ fn main() {
     let positions = vec![Point::new(2.0, 2.0), Point::new(2.1, 2.0)];
     let caches = vec![cache, HostCache::new(20, ReplacementPolicy::default())];
     let grid = NeighborGrid::build(positions, 0.5);
-    let (replies, stats) =
-        gather_peer_data(1, Point::new(2.1, 2.0), 0.3, CAT, &grid, &caches, &table);
+    let (replies, stats) = gather_peer_data_checked(
+        1,
+        Point::new(2.1, 2.0),
+        0.3,
+        CAT,
+        &grid,
+        &caches,
+        &table,
+        None,
+        ShareFaults::default(),
+    );
     let mvr = MergedRegion::from_replies(&replies, &table);
     println!(
         "peer exchange: {} peers, {} regions, {} POIs resolved into the MVR",

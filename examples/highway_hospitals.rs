@@ -95,9 +95,16 @@ fn main() {
         min_correctness: 0.5,
         ..SbnnConfig::paper_defaults(3, lambda)
     };
-    let fast = sbnn(q, &cfg_accept, &mvr, Some((&client.as_dyn(), 0)))
-        .resolved()
-        .unwrap();
+    let fast = sbnn_rec(
+        q,
+        &cfg_accept,
+        &mvr,
+        Some((&client.as_dyn(), 0)),
+        &mut QueryScratch::new(),
+        &mut NoopRecorder,
+    )
+    .resolved()
+    .unwrap();
     println!(
         "\naccepting ≥50% candidates → answered by {:?} with zero broadcast wait",
         fast.resolved_by
@@ -107,9 +114,16 @@ fn main() {
         accept_approx: false,
         ..cfg_accept
     };
-    let exact = sbnn(q, &cfg_exact, &mvr, Some((&client.as_dyn(), 0)))
-        .resolved()
-        .unwrap();
+    let exact = sbnn_rec(
+        q,
+        &cfg_exact,
+        &mvr,
+        Some((&client.as_dyn(), 0)),
+        &mut QueryScratch::new(),
+        &mut NoopRecorder,
+    )
+    .resolved()
+    .unwrap();
     if let Some(air) = exact.air {
         println!(
             "demanding exactness → {:?}: latency {} ticks, tuning {} ticks \
@@ -117,7 +131,9 @@ fn main() {
             exact.resolved_by, air.latency, air.tuning, air.buckets
         );
     }
-    let baseline = client.knn(0, q, 3).unwrap();
+    let baseline = client
+        .knn_rec(0, q, 3, &mut QueryScratch::new(), &mut NoopRecorder)
+        .unwrap();
     println!(
         "no sharing at all      → latency {} ticks, tuning {} ticks ({} buckets)",
         baseline.stats.latency, baseline.stats.tuning, baseline.stats.buckets

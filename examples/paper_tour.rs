@@ -55,7 +55,8 @@ fn figure4_onair_knn() {
     // A kNN search range like the figure's MBR spans a long stretch of
     // the broadcast order — that is the latency problem.
     let mbr = Rect::centered_square(q, 2.5);
-    let ivs = grid.intervals_for_world_rect(&mbr);
+    let mut ivs = Vec::new();
+    grid.intervals_for_world_rect_into(&mbr, &mut ivs);
     let (a, b) = (ivs.first().unwrap().0, ivs.last().unwrap().1);
     println!(
         "the search MBR covers curve indexes {a}..{b} in {} interval(s) — {}% of the file",
@@ -122,7 +123,8 @@ fn figure8_window_span() {
         w,
         100 * (b - a + 1) / 64
     );
-    let ivs = grid.curve().intervals_for_rect(&cells);
+    let mut ivs = Vec::new();
+    grid.curve().intervals_for_rect_into(&cells, &mut ivs);
     let covered: u64 = ivs.iter().map(|(lo, hi)| hi - lo + 1).sum();
     println!(
         "exact interval decomposition needs only {} interval(s) covering {}% — and SBWQ \

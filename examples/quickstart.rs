@@ -51,7 +51,9 @@ fn main() {
 
     // --- SBNN: answer the 2-NN query from the peers alone. ---
     let cfg = SbnnConfig::paper_defaults(2, 200.0 / 100.0); // λ = POIs per mi²
-    let outcome = sbnn(q, &cfg, &mvr, None);
+    // One scratch serves every query; `NoopRecorder` traces nothing.
+    let mut scratch = QueryScratch::new();
+    let outcome = sbnn_rec(q, &cfg, &mvr, None, &mut scratch, &mut NoopRecorder);
     match outcome {
         SbnnOutcome::Resolved(res) => {
             println!("resolved by {:?}:", res.resolved_by);
@@ -83,9 +85,16 @@ fn main() {
 
     // --- The same query with no peers at all: pure on-air cost. ---
     let no_peers = MergedRegion::from_regions(Vec::<(Rect, Vec<Poi>)>::new());
-    let res = sbnn(q, &cfg, &no_peers, Some((&client.as_dyn(), 0)))
-        .resolved()
-        .expect("broadcast always resolves");
+    let res = sbnn_rec(
+        q,
+        &cfg,
+        &no_peers,
+        Some((&client.as_dyn(), 0)),
+        &mut scratch,
+        &mut NoopRecorder,
+    )
+    .resolved()
+    .expect("broadcast always resolves");
     let air = res.air.expect("went on air");
     println!(
         "without peers: resolved by {:?} — access latency {} ticks, \

@@ -89,11 +89,13 @@
 //!
 //! ## Observability
 //!
-//! Every query-path API has a `_rec` twin threading a [`obs::Recorder`]
-//! through the protocol, and [`sim::Simulation::run_with`] accepts one
-//! for a whole run. The default [`obs::NoopRecorder`] is inert — plain
-//! calls behave exactly as before. To get percentiles without writing a
-//! recorder yourself:
+//! Every query-path operation has one public entry point, and it takes
+//! an [`obs::Recorder`] as an argument (`OnAirClient::knn_rec`,
+//! [`core::sbnn_rec`], [`core::sbwq_rec`], …); [`sim::Simulation::run_with`]
+//! accepts one for a whole run. Pass the inert [`obs::NoopRecorder`]
+//! when no trace is wanted: a recorder observes but never steers. To get
+//! percentiles without writing a recorder yourself, run with
+//! [`sim::Simulation::run_parallel_metrics`] at any pool size:
 //!
 //! ```
 //! use airshare::prelude::*;
@@ -103,8 +105,8 @@
 //! cfg.warmup_min = 5.0;
 //! cfg.measure_min = 5.0;
 //! cfg.hilbert_order = 6;
-//! let report = Simulation::try_new(cfg).unwrap().run_metrics();
-//! let m = report.metrics.expect("run_metrics always fills this");
+//! let report = Simulation::try_new(cfg).unwrap().run_parallel_metrics(&ExecPool::sequential());
+//! let m = report.metrics.expect("run_parallel_metrics always fills this");
 //! // The trace sees warm-up queries too, so it can only count more.
 //! assert!(m.queries_total >= report.queries.total);
 //! println!("p95 tuning = {} ticks", m.tuning.p95);
@@ -146,15 +148,15 @@ pub use airshare_sim as sim;
 pub mod prelude {
     pub use airshare_broadcast::{
         AirIndex, AirIndexBackend, BuildParams, OnAirClient, OutageSchedule, Poi, PoiCategory,
-        PoiId, PoiTable, RtreeAirIndex, Schedule,
+        PoiId, PoiTable, QueryScratch, RtreeAirIndex, Schedule,
     };
     pub use airshare_cache::{
-        CacheContext, EntryArena, EntryId, EntryView, HostCache, QuarantineConfig,
-        QuarantineLedger, ReplacementPolicy,
+        CacheContext, EntryArena, EntryId, EntryView, HostCache, QuarantineLedger,
+        ReplacementPolicy,
     };
     pub use airshare_core::{
-        nnv, sbnn, sbnn_rec, sbwq, sbwq_rec, HeapState, MergedRegion, NnCandidate, ResolvedBy,
-        ResultHeap, SbnnConfig, SbnnOutcome, SbnnResult, SbwqConfig, SbwqOutcome, SbwqResult,
+        nnv, sbnn_rec, sbwq_rec, HeapState, MergedRegion, NnCandidate, ResolvedBy, ResultHeap,
+        SbnnConfig, SbnnOutcome, SbnnResult, SbwqConfig, SbwqOutcome, SbwqResult,
     };
     pub use airshare_exec::ExecPool;
     pub use airshare_geom::{Point, Rect, RectUnion};
@@ -165,7 +167,7 @@ pub mod prelude {
         MetricsRecorder, MetricsSnapshot, NoopRecorder, PercentileSummary, Recorder, ShareStats,
         TraceEvent,
     };
-    pub use airshare_p2p::{gather_peer_data, NeighborGrid, PeerReply};
+    pub use airshare_p2p::{gather_peer_data_checked, NeighborGrid, PeerReply, ShareFaults};
     pub use airshare_rtree::RTree;
     pub use airshare_serve::{
         Pacing, QueryRequest, ServeConfig, ServeError, Service, ServiceHandle, ServiceReport,

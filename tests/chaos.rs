@@ -107,8 +107,8 @@ fn zeroed_chaos_config_is_byte_identical_to_baseline() {
 fn chaos_metrics_reach_the_trace_snapshot() {
     let r = Simulation::try_new(chaotic(23))
         .expect("valid config")
-        .run_metrics();
-    let m = r.metrics.expect("run_metrics fills this");
+        .run_parallel_metrics(&ExecPool::sequential());
+    let m = r.metrics.expect("run_parallel_metrics fills this");
     // The recorder sees warm-up traffic too, so its counters can only
     // be at least the report's measured-window counters.
     assert!(m.answers_exact + m.answers_degraded + m.answers_stale + m.answers_failed >= r.quality.total());

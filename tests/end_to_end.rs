@@ -48,11 +48,13 @@ fn knowledge_flows_from_broadcast_to_peers() {
     let mut cache_a = HostCache::new(50, ReplacementPolicy::default());
     let a_pos = Point::new(8.0, 8.0);
     let empty = MergedRegion::from_regions(Vec::<(Rect, Vec<Poi>)>::new());
-    let res_a = sbnn(
+    let res_a = sbnn_rec(
         a_pos,
         &SbnnConfig::paper_defaults(5, 400.0 / 256.0),
         &empty,
         Some((&client.as_dyn(), 0)),
+        &mut QueryScratch::new(),
+        &mut NoopRecorder,
     )
     .resolved()
     .unwrap();
@@ -77,7 +79,17 @@ fn knowledge_flows_from_broadcast_to_peers() {
     // Replies carry PoiId handles; B resolves them against its own
     // canonical table (the full POI set the world was built on).
     let grid = NeighborGrid::build(positions, 0.5);
-    let (replies, stats) = gather_peer_data(1, b_pos, 0.2, CAT, &grid, &caches, &w.table);
+    let (replies, stats) = gather_peer_data_checked(
+        1,
+        b_pos,
+        0.2,
+        CAT,
+        &grid,
+        &caches,
+        &w.table,
+        None,
+        ShareFaults::default(),
+    );
     assert_eq!(stats.peers_contacted, 1);
     assert_eq!(replies.len(), 1);
 
@@ -99,7 +111,7 @@ fn knowledge_flows_from_broadcast_to_peers() {
 
     // And completing the query over the channel with B's bounds is
     // exact and cheaper than a cold query.
-    let res_b = sbnn(
+    let res_b = sbnn_rec(
         b_pos,
         &SbnnConfig {
             accept_approx: false,
@@ -107,6 +119,8 @@ fn knowledge_flows_from_broadcast_to_peers() {
         },
         &mvr,
         Some((&client.as_dyn(), 1000)),
+        &mut QueryScratch::new(),
+        &mut NoopRecorder,
     )
     .resolved()
     .unwrap();
@@ -114,7 +128,9 @@ fn knowledge_flows_from_broadcast_to_peers() {
         assert!((got.distance - want.distance).abs() < 1e-9);
     }
     if res_b.resolved_by == ResolvedBy::Broadcast {
-        let cold = client.knn(1000, b_pos, 3).unwrap();
+        let cold = client
+            .knn_rec(1000, b_pos, 3, &mut QueryScratch::new(), &mut NoopRecorder)
+            .unwrap();
         assert!(
             res_b.air.unwrap().buckets <= cold.stats.buckets,
             "bound filtering fetched more than a cold query"
@@ -131,9 +147,16 @@ fn window_query_roundtrip_through_caches() {
     // overlapping window is answered (partially) from that cache.
     let w1 = Rect::from_coords(4.0, 4.0, 7.0, 7.0);
     let empty = MergedRegion::from_regions(Vec::<(Rect, Vec<Poi>)>::new());
-    let r1 = sbwq(&w1, &SbwqConfig::default(), &empty, Some((&client.as_dyn(), 0)))
-        .resolved()
-        .unwrap();
+    let r1 = sbwq_rec(
+        &w1,
+        &SbwqConfig::default(),
+        &empty,
+        Some((&client.as_dyn(), 0)),
+        &mut QueryScratch::new(),
+        &mut NoopRecorder,
+    )
+    .resolved()
+    .unwrap();
     assert_eq!(r1.resolved_by, ResolvedBy::Broadcast);
     let mut truth1: Vec<u32> = w.oracle.window(&w1).into_iter().map(|(_, &i)| i).collect();
     truth1.sort_unstable();
@@ -147,9 +170,16 @@ fn window_query_roundtrip_through_caches() {
 
     // Sub-window: fully covered, answered exactly with no channel.
     let sub = Rect::from_coords(4.5, 4.5, 6.0, 6.5);
-    let r2 = sbwq(&sub, &SbwqConfig::default(), &mvr, None)
-        .resolved()
-        .unwrap();
+    let r2 = sbwq_rec(
+        &sub,
+        &SbwqConfig::default(),
+        &mvr,
+        None,
+        &mut QueryScratch::new(),
+        &mut NoopRecorder,
+    )
+    .resolved()
+    .unwrap();
     assert_eq!(r2.resolved_by, ResolvedBy::PeersVerified);
     let mut truth2: Vec<u32> = w.oracle.window(&sub).into_iter().map(|(_, &i)| i).collect();
     truth2.sort_unstable();
@@ -160,16 +190,23 @@ fn window_query_roundtrip_through_caches() {
     // Overlapping window: reduced fetch, still exact, fewer buckets
     // than fetching the whole window cold.
     let w3 = Rect::from_coords(6.0, 5.0, 9.0, 8.0);
-    let r3 = sbwq(&w3, &SbwqConfig::default(), &mvr, Some((&client.as_dyn(), 500)))
-        .resolved()
-        .unwrap();
+    let r3 = sbwq_rec(
+        &w3,
+        &SbwqConfig::default(),
+        &mvr,
+        Some((&client.as_dyn(), 500)),
+        &mut QueryScratch::new(),
+        &mut NoopRecorder,
+    )
+    .resolved()
+    .unwrap();
     let mut truth3: Vec<u32> = w.oracle.window(&w3).into_iter().map(|(_, &i)| i).collect();
     truth3.sort_unstable();
     let mut got3: Vec<u32> = r3.pois.iter().map(|p| p.id).collect();
     got3.sort_unstable();
     assert_eq!(got3, truth3);
     assert!(r3.coverage > 0.0 && r3.coverage < 1.0);
-    let cold = client.window(500, &w3);
+    let cold = client.window_rec(500, &w3, &mut QueryScratch::new(), &mut NoopRecorder);
     assert!(r3.air.unwrap().buckets <= cold.stats.buckets);
 }
 

@@ -4,8 +4,9 @@
 //!    JSONL event streams.
 //! 2. Recording is zero-cost on results — a run with the inert
 //!    [`NoopRecorder`] returns a report equal to a plain `run()`.
-//! 3. `run_metrics` fills the snapshot, and its counters agree with the
-//!    report's own accounting.
+//! 3. A metrics run (`run_parallel_metrics`, here on a sequential pool)
+//!    fills the snapshot, and its counters agree with the report's own
+//!    accounting.
 
 use airshare::prelude::*;
 
@@ -72,8 +73,11 @@ fn noop_recorder_changes_nothing() {
 fn run_metrics_fills_a_consistent_snapshot() {
     let report = Simulation::try_new(faulty(7))
         .expect("valid config")
-        .run_metrics();
-    let m = report.metrics.as_ref().expect("run_metrics sets metrics");
+        .run_parallel_metrics(&ExecPool::sequential());
+    let m = report
+        .metrics
+        .as_ref()
+        .expect("run_parallel_metrics sets metrics");
 
     // Resolution counters agree with the report's QueryStats for the
     // measured window (the snapshot also sees warm-up queries, so it can

@@ -56,8 +56,11 @@ fn run_parallel_is_byte_identical_across_thread_counts() {
 fn run_parallel_metrics_merges_to_the_sequential_snapshot() {
     let sequential = Simulation::try_new(faulty(8))
         .expect("valid config")
-        .run_metrics();
-    let expected = sequential.metrics.as_ref().expect("run_metrics fills this");
+        .run_parallel_metrics(&ExecPool::sequential());
+    let expected = sequential
+        .metrics
+        .as_ref()
+        .expect("run_parallel_metrics fills this");
     assert!(expected.queries_total > 0);
     for threads in [1usize, 4, 7] {
         let parallel = Simulation::try_new(faulty(8))
@@ -136,15 +139,20 @@ fn phase_times_are_populated_without_touching_the_report() {
     // after a run.
     let mut sim = Simulation::try_new(tiny(13)).expect("valid config");
     assert_eq!(sim.phase_times().total_ns(), 0, "phases start zeroed");
-    let report = sim.run_metrics();
+    let report = sim.run_parallel_metrics(&ExecPool::sequential());
     let phases = sim.phase_times();
     assert!(phases.total_ns() > 0, "a run must accumulate phase time");
     assert!(phases.query_ns > 0, "queries ran, so query time is nonzero");
-    let snapshot = report.metrics.as_ref().expect("run_metrics fills this");
+    let snapshot = report
+        .metrics
+        .as_ref()
+        .expect("run_parallel_metrics fills this");
     assert!(snapshot.phases.total_ns() > 0, "snapshot carries the phases");
     // PhaseTimes comparison is identity-blind by design, so two runs
     // with different wall clocks still produce equal snapshots.
-    let second = Simulation::try_new(tiny(13)).expect("valid config").run_metrics();
+    let second = Simulation::try_new(tiny(13))
+        .expect("valid config")
+        .run_parallel_metrics(&ExecPool::sequential());
     assert_eq!(second, report);
 }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """API lint: no owned `Vec<Poi>` public signatures, no hidden env knobs,
-no public function that only its own unit tests call.
+no public function that only its own unit tests call, one public entry
+point per operation.
 
 The fleet-scale refactor (DESIGN.md §15) moved POI payloads into the
 canonical `PoiTable` and made handles (`PoiId`) the currency of every
@@ -31,11 +32,18 @@ bare `pub fn` in a library source must be named somewhere outside its
 defining file's test module: in the non-test part of any library source
 (its own file included, the definition line excepted), in a binary, an
 example, an integration test or `benchmark/src`. `#[cfg(test)]` modules
-do not count, so a sibling test module keeps nothing alive. Matching is
-by name, so a helper sharing a name with a live function slips through;
-the rule catches the unique names that accrete as test-only API.
-Deliberate test fixtures are listed in TEST_ONLY with the reason they
-are public.
+do not count, so a sibling test module keeps nothing alive. Nor do
+comments (a doc link is not a call) or `use`/`pub use` statements (a
+re-export is not a call). Matching is by name, so a helper sharing a
+name with a live function slips through; the rule catches the unique
+names that accrete as test-only API. Deliberate test fixtures are
+listed in TEST_ONLY with the reason they are public.
+
+Fourth rule: one public entry point per operation. A bare `pub fn X`
+may not sit beside a bare `pub fn X_rec` or `pub fn X_into` in the
+same file: the plain name would only forward to its sibling while
+filling in a default (a no-op recorder, a fresh scratch or buffer), so
+callers pass that default themselves.
 
 Usage: python3 tools/check_api_lint.py  (run from the repo root)
 """
@@ -50,7 +58,6 @@ ALLOWED = {
     # Air-interface payload boundaries: POIs genuinely move here.
     "crates/broadcast/src/index.rs::try_build",
     "crates/broadcast/src/wire.rs::decode_bucket",
-    "crates/broadcast/src/client.rs::retrieve",
     "crates/broadcast/src/client.rs::retrieve_rec",
     # Explicit export/resolve bridges (handle -> payload, by request).
     "crates/broadcast/src/table.rs::to_vec",
@@ -83,6 +90,12 @@ CALLER_GLOBS = [
     "benchmark/src/**/*.rs",
 ]
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# A `use` or `pub use` statement, possibly spanning lines, up to its `;`.
+USE_STMT = re.compile(r"^[ \t]*(pub(\([^)]*\))?[ \t]+)?use\b[^;]*;", re.MULTILINE)
+# A char literal such as '"' or '\\', which must not open a string.
+CHAR_LIT = re.compile(r"'(\\.|[^\\'])'")
+# What the twin rule pairs a plain name with.
+TWIN_SUFFIXES = ("_rec", "_into")
 
 
 def signatures(text):
@@ -124,6 +137,43 @@ def env_reads(text):
             yield i + 1, stripped
 
 
+def strip_comments(text):
+    """`text` without its `//` and `/* */` comments (doc comments
+    included). String and char literals are skipped over, so a `//`
+    inside one stays; line breaks are kept."""
+    out, i, n = [], 0, len(text)
+    while i < n:
+        c = text[i]
+        char = CHAR_LIT.match(text, i)
+        if char:
+            out.append(char.group(0))
+            i = char.end()
+        elif c == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                j += 2 if text[j] == "\\" else 1
+            out.append(text[i : j + 1])
+            i = j + 1
+        elif text.startswith("//", i):
+            j = text.find("\n", i)
+            i = n if j < 0 else j
+        elif text.startswith("/*", i):
+            j = text.find("*/", i + 2)
+            j = n if j < 0 else j + 2
+            out.append("\n" * text.count("\n", i, j))
+            i = j
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)
+
+
+def call_idents(text):
+    """The identifiers in `text` that can be calls: comments and
+    `use`/`pub use` statements removed."""
+    return IDENT.findall(USE_STMT.sub("", strip_comments(text)))
+
+
 def non_test(text):
     """The part of a source file before its first `#[cfg(test)]`."""
     lines = []
@@ -143,14 +193,14 @@ def test_only_fns(root):
         for path in sorted(root.glob(glob)):
             rel = path.relative_to(root).as_posix()
             lines = non_test(path.read_text())
-            names.update(IDENT.findall("\n".join(lines)))
+            names.update(call_idents("\n".join(lines)))
             if path.name == "main.rs":
                 continue
             for line_no, name, _ in signatures("\n".join(lines)):
                 defs.append((rel, line_no, name))
     for glob in CALLER_GLOBS:
         for path in sorted(root.glob(glob)):
-            names.update(IDENT.findall(path.read_text()))
+            names.update(call_idents(path.read_text()))
     seen = set()
     out = []
     for rel, line_no, name in defs:
@@ -161,6 +211,23 @@ def test_only_fns(root):
         elif names[name] <= 1:
             out.append(f"{rel}:{line_no}: pub fn {name}")
     return out, TEST_ONLY - seen
+
+
+def twins(root):
+    """Returns each bare `pub fn X` in a library source that shares its
+    file with a bare `pub fn X_rec` or `pub fn X_into`, as
+    "<path>:<line>: pub fn X beside pub fn X_<suffix>"."""
+    out = []
+    for glob in SRC_GLOBS:
+        for path in sorted(root.glob(glob)):
+            rel = path.relative_to(root).as_posix()
+            defs = list(signatures("\n".join(non_test(path.read_text()))))
+            names = {name for _, name, _ in defs}
+            for line_no, name, _ in defs:
+                for suffix in TWIN_SUFFIXES:
+                    if name + suffix in names:
+                        out.append(f"{rel}:{line_no}: pub fn {name} beside pub fn {name}{suffix}")
+    return out
 
 
 def main():
@@ -187,6 +254,7 @@ def main():
                     violations.append(f"{rel}:{line_no}: pub fn {name}: {sig}")
     stale = ALLOWED - seen_allowed
     test_only, stale_test_only = test_only_fns(root)
+    twin_fns = twins(root)
     if stale:
         print("stale allowlist entries (signature gone or no longer owned):")
         for key in sorted(stale):
@@ -222,11 +290,21 @@ def main():
         print("stale TEST_ONLY entries (function gone):")
         for key in sorted(stale_test_only):
             print(f"  {key}")
-    if stale or violations or env_violations or test_only or stale_test_only:
+    if twin_fns:
+        print("public functions with a _rec/_into twin:")
+        for v in twin_fns:
+            print(f"  {v}")
+        print(
+            "\nEach operation has one public entry point. Delete the plain form\n"
+            "and let its callers pass the default (a NoopRecorder, a fresh\n"
+            "QueryScratch or buffer) to the twin."
+        )
+    if stale or violations or env_violations or test_only or stale_test_only or twin_fns:
         return 1
     print(
         f"api lint ok: {len(seen_allowed)} sanctioned owned-POI boundaries, "
-        f"no library env reads, {len(TEST_ONLY)} test-only fixtures"
+        f"no library env reads, {len(TEST_ONLY)} test-only fixtures, "
+        "no default-filling twins"
     )
     return 0
 
