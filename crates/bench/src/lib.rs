@@ -795,7 +795,11 @@ pub fn trace(scale: &ExpScale) -> (Experiment, String) {
 
 /// Sweeps the `(1, m)` replication factor on a static channel (no
 /// mobility needed), reproducing the Figure 2 trade-off: more index
-/// copies shorten the probe wait and lengthen the cycle.
+/// copies shorten the probe wait and lengthen the cycle. Beside the
+/// measured probe wait sits its closed form (Imielinski et al.): with
+/// `D` data and `I` index buckets the cycle is `L = D + m·I`, an index
+/// segment starts every `L/m` ticks, and a uniformly random tune-in waits
+/// `(L/m − 1)/2` ticks on average.
 fn m_sweep() -> Experiment {
     use airshare_broadcast::{AirIndex, AirIndexBackend, OnAirClient, Poi, QueryScratch, Schedule};
     use airshare_geom::{Point, Rect};
@@ -825,6 +829,7 @@ fn m_sweep() -> Experiment {
             ("m", 0),
             ("cycle", 0),
             ("probe wait", 1),
+            ("expected wait", 1),
             ("latency", 1),
             ("tuning", 1),
         ],
@@ -846,7 +851,8 @@ fn m_sweep() -> Experiment {
             tun += res.stats.tuning;
         }
         let mean = |total: u64| total as f64 / samples as f64;
-        e.push(row![m, cycle, mean(probe), mean(lat), mean(tun)]);
+        let expected = (cycle as f64 / m as f64 - 1.0) / 2.0;
+        e.push(row![m, cycle, mean(probe), expected, mean(lat), mean(tun)]);
     }
     e
 }
@@ -1077,5 +1083,23 @@ mod tests {
         assert_eq!(column("m"), [1.0, 2.0, 4.0, 8.0, 16.0]);
         let wait = column("probe wait");
         assert!(wait.windows(2).all(|w| w[1] < w[0]), "probe wait {wait:?}");
+    }
+
+    /// The sweep takes no scale, so this is the `--scale quick` table:
+    /// every measured probe wait is within 2 % of `(L/m − 1)/2`.
+    #[test]
+    fn m_sweep_probe_wait_matches_its_closed_form() {
+        let e = m_sweep();
+        let at = |name: &str| e.columns.iter().position(|c| c.name == name).expect(name);
+        let (m, cycle, wait, expected) = (at("m"), at("cycle"), at("probe wait"), at("expected wait"));
+        for row in &e.rows {
+            let num = |i: usize| match row[i] {
+                Value::Num(x) => x,
+                Value::Text(_) => panic!("column {i} is numeric"),
+            };
+            assert_eq!(num(expected), (num(cycle) / num(m) - 1.0) / 2.0);
+            let gap = (num(wait) - num(expected)).abs() / num(expected);
+            assert!(gap < 0.02, "m = {}: measured {} vs expected {}", num(m), num(wait), num(expected));
+        }
     }
 }

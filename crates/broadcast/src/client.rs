@@ -127,8 +127,8 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
         self.faults
     }
 
-    /// Runs the raw access protocol for an explicit bucket set, returning
-    /// the downloaded POIs and the access cost.
+    /// Runs the raw access protocol for an explicit bucket set, appending
+    /// the downloaded POIs to `out` and returning the access cost.
     ///
     /// `tune_in` is the absolute tick at which the client poses the
     /// query. Buckets already past in the current cycle are caught on the
@@ -161,27 +161,26 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
         &self,
         tune_in: u64,
         buckets: &[BucketId],
+        out: &mut Vec<Poi>,
         rec: &mut dyn Recorder,
-    ) -> (Vec<Poi>, AccessStats) {
+    ) -> AccessStats {
         rec.record(TraceEvent::ProbeStarted { tick: tune_in });
         rec.record(TraceEvent::IndexBucketTuned {
             count: self.schedule.index_buckets() as u32,
         });
-        let mut pois = Vec::new();
-        let stats = self.walk(tune_in, buckets, |b, appearance| match appearance {
+        self.walk(tune_in, buckets, |b, appearance| match appearance {
             Appearance::Intact { tick } => {
                 rec.record(TraceEvent::DataBucketTuned {
                     bucket: b as u32,
                     tick,
                 });
-                pois.extend(self.index.buckets()[b].pois.iter().copied());
+                out.extend(self.index.buckets()[b].pois.iter().copied());
             }
             Appearance::Corrupt { retry } => rec.record(TraceEvent::FrameLost {
                 bucket: b as u32,
                 retry,
             }),
-        });
-        (pois, stats)
+        })
     }
 
     /// The schedule walk behind every retrieval and every cost query:
@@ -245,7 +244,9 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
     ///
     /// Returns `None` when the data file holds fewer than `k` POIs. The
     /// retrieval is traced into `rec`; the index-path work happens in
-    /// `scratch` (allocation-free once the scratch is warm).
+    /// `scratch`, and the result's vectors come from its pools (hand
+    /// them back with [`QueryScratch::recycle`] and a warm scratch
+    /// allocates nothing).
     pub fn knn_rec(
         &self,
         tune_in: u64,
@@ -256,8 +257,10 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
     ) -> Option<OnAirKnnResult> {
         let radius = self.index.knn_search_radius(q, k)?;
         self.index.buckets_for_knn_scratch(q, radius, scratch);
-        let (pois, stats) = self.retrieve_rec(tune_in, &scratch.buckets, rec);
-        let neighbors = top_k_by_distance(pois.clone(), q, k);
+        let mut pois = scratch.take_vec();
+        let stats = self.retrieve_rec(tune_in, &scratch.buckets, &mut pois, rec);
+        let mut neighbors = scratch.take_vec();
+        top_k_by_distance(&pois, q, k, &mut neighbors);
         // Lost buckets may leave fewer than k candidates; the degraded
         // flag in `stats` tells the caller not to trust the shortfall.
         debug_assert!(neighbors.len() == k || stats.is_degraded());
@@ -294,7 +297,8 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
     ///
     /// Buckets entirely inside the inner circle are skipped; their POIs
     /// are reconstructed from `known`. The retrieval is traced into
-    /// `rec`; the index-path work happens in `scratch`.
+    /// `rec`; the index-path work happens in `scratch`, whose pools the
+    /// result's vectors come from (see [`OnAirClient::knn_rec`]).
     #[allow(clippy::too_many_arguments)]
     pub fn knn_filtered_rec(
         &self,
@@ -319,13 +323,18 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
         };
         self.index
             .buckets_for_knn_filtered_scratch(q, outer, inner, scratch);
-        let (mut pois, stats) = self.retrieve_rec(tune_in, &scratch.buckets, rec);
-        // Merge peer knowledge, deduplicating by id.
+        let mut pois = scratch.take_vec();
+        let stats = self.retrieve_rec(tune_in, &scratch.buckets, &mut pois, rec);
+        // Merge peer knowledge, deduplicating by id: equal ids are one
+        // table entry, so which copy survives is immaterial.
         pois.extend(known.iter().copied());
-        pois.sort_by_key(|p| p.id);
+        pois.sort_unstable_by_key(|p| p.id);
         pois.dedup_by_key(|p| p.id);
-        let neighbors = top_k_by_distance(pois.clone(), q, k);
+        let mut neighbors = scratch.take_vec();
+        top_k_by_distance(&pois, q, k, &mut neighbors);
         if neighbors.len() < k {
+            scratch.recycle(pois);
+            scratch.recycle(neighbors);
             return None; // outer bound too tight for the data (degenerate)
         }
         let verified_mbr = clip_to_world(Rect::centered_square(q, outer), self.index.world());
@@ -340,7 +349,8 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
     /// The on-air window query baseline (paper Figure 8): intervals along
     /// the curve for the window's cells, the buckets covering them, then
     /// an exact containment filter. The retrieval is traced into `rec`;
-    /// the index-path work happens in `scratch`.
+    /// the index-path work happens in `scratch`, whose pools the result's
+    /// vector comes from (see [`OnAirClient::knn_rec`]).
     pub fn window_rec(
         &self,
         tune_in: u64,
@@ -349,8 +359,9 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
         rec: &mut dyn Recorder,
     ) -> OnAirWindowResult {
         self.index.buckets_for_window_scratch(w, scratch);
-        let (pois, stats) = self.retrieve_rec(tune_in, &scratch.buckets, rec);
-        let pois = pois.into_iter().filter(|p| w.contains(p.pos)).collect();
+        let mut pois = scratch.take_vec();
+        let stats = self.retrieve_rec(tune_in, &scratch.buckets, &mut pois, rec);
+        pois.retain(|p| w.contains(p.pos));
         OnAirWindowResult { pois, stats }
     }
 
@@ -365,7 +376,7 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
     /// Reduced-window retrieval (§3.4.2): one on-air pass over the union
     /// of the reduced windows `w′`, returning POIs inside any of them.
     /// The retrieval is traced into `rec`; the index-path work happens
-    /// in `scratch`.
+    /// in `scratch`, whose pools the result's vector comes from.
     pub fn window_reduced_rec(
         &self,
         tune_in: u64,
@@ -374,25 +385,31 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
         rec: &mut dyn Recorder,
     ) -> OnAirWindowResult {
         self.index.buckets_for_windows_scratch(windows, scratch);
-        let (pois, stats) = self.retrieve_rec(tune_in, &scratch.buckets, rec);
-        let pois = pois
-            .into_iter()
-            .filter(|p| windows.iter().any(|w| w.contains(p.pos)))
-            .collect();
+        let mut pois = scratch.take_vec();
+        let stats = self.retrieve_rec(tune_in, &scratch.buckets, &mut pois, rec);
+        pois.retain(|p| windows.iter().any(|w| w.contains(p.pos)));
         OnAirWindowResult { pois, stats }
     }
 }
 
-/// Exact top-k by Euclidean distance, ascending.
-fn top_k_by_distance(mut pois: Vec<Poi>, q: Point, k: usize) -> Vec<Poi> {
-    pois.sort_by(|a, b| {
+/// Exact top-k of `pois` by Euclidean distance, ascending, into `out`
+/// (cleared first). The order `(distance², id)` is total up to equal
+/// ids, which are one table entry, so selecting the k nearest and
+/// sorting only them gives what sorting every POI would.
+fn top_k_by_distance(pois: &[Poi], q: Point, k: usize, out: &mut Vec<Poi>) {
+    let nearer = |a: &Poi, b: &Poi| {
         a.pos
             .distance_sq(q)
             .total_cmp(&b.pos.distance_sq(q))
             .then(a.id.cmp(&b.id))
-    });
-    pois.truncate(k);
-    pois
+    };
+    out.clear();
+    out.extend_from_slice(pois);
+    if out.len() > k {
+        out.select_nth_unstable_by(k, nearer);
+        out.truncate(k);
+    }
+    out.sort_unstable_by(nearer);
 }
 
 /// Clips a verified region to the data domain. A region disjoint from the
@@ -412,6 +429,18 @@ mod tests {
     use super::*;
     use airshare_hilbert::Grid;
     use airshare_obs::NoopRecorder;
+
+    /// [`OnAirClient::retrieve_rec`] into a fresh vector.
+    fn retrieved<B: AirIndexBackend + ?Sized>(
+        client: &OnAirClient<'_, B>,
+        tune_in: u64,
+        buckets: &[BucketId],
+        rec: &mut dyn Recorder,
+    ) -> (Vec<Poi>, AccessStats) {
+        let mut pois = Vec::new();
+        let stats = client.retrieve_rec(tune_in, buckets, &mut pois, rec);
+        (pois, stats)
+    }
 
     fn scatter(n: usize) -> Vec<Poi> {
         let mut state = 7u64;
@@ -482,7 +511,7 @@ mod tests {
     fn retrieval_counts_costs_sanely() {
         let (index, schedule) = channel(200, 1);
         let client = OnAirClient::new(&index, &schedule);
-        let (pois, stats) = client.retrieve_rec(0, &[0, 1], &mut NoopRecorder);
+        let (pois, stats) = retrieved(&client, 0, &[0, 1], &mut NoopRecorder);
         assert_eq!(stats.buckets, 2);
         assert_eq!(
             stats.tuning,
@@ -492,7 +521,7 @@ mod tests {
         // Latency at least index + both buckets.
         assert!(stats.latency >= schedule.index_buckets() as u64 + 2);
         // Empty bucket set: latency is just the index wait.
-        let (none, s0) = client.retrieve_rec(0, &[], &mut NoopRecorder);
+        let (none, s0) = retrieved(&client, 0, &[], &mut NoopRecorder);
         assert!(none.is_empty());
         assert_eq!(s0.buckets, 0);
         assert_eq!(s0.latency, schedule.index_buckets() as u64);
@@ -512,7 +541,7 @@ mod tests {
             let mut lat = 0u64;
             let mut probe = 0u64;
             for t in 0..cl {
-                lat += client.retrieve_rec(t, &[3], &mut NoopRecorder).1.latency;
+                lat += retrieved(&client, t, &[3], &mut NoopRecorder).1.latency;
                 probe += schedule.next_index_start(t) - t;
             }
             (lat as f64 / cl as f64, probe as f64 / cl as f64, schedule)
@@ -528,8 +557,8 @@ mod tests {
         let c1 = OnAirClient::new(&index, &s1);
         let c8 = OnAirClient::new(&index, &s8);
         assert_eq!(
-            c1.retrieve_rec(0, &[3], &mut NoopRecorder).1.tuning,
-            c8.retrieve_rec(0, &[3], &mut NoopRecorder).1.tuning
+            retrieved(&c1, 0, &[3], &mut NoopRecorder).1.tuning,
+            retrieved(&c8, 0, &[3], &mut NoopRecorder).1.tuning
         );
     }
 
@@ -612,8 +641,8 @@ mod tests {
         let faults = ChannelFaults::from_loss_prob(99, 0.0, 3);
         let faulty = OnAirClient::with_faults(&index, &schedule, &faults);
         for tune in [0u64, 7, 100] {
-            let (p1, s1) = plain.retrieve_rec(tune, &[0, 2, 5], &mut NoopRecorder);
-            let (p2, s2) = faulty.retrieve_rec(tune, &[0, 2, 5], &mut NoopRecorder);
+            let (p1, s1) = retrieved(&plain, tune, &[0, 2, 5], &mut NoopRecorder);
+            let (p2, s2) = retrieved(&faulty, tune, &[0, 2, 5], &mut NoopRecorder);
             assert_eq!(s1, s2);
             assert_eq!(p1.len(), p2.len());
             assert_eq!(s2.retries, 0);
@@ -630,15 +659,15 @@ mod tests {
         let faults = ChannelFaults::from_loss_prob(7, 0.3, 50);
         let faulty = OnAirClient::with_faults(&index, &schedule, &faults);
         let buckets: Vec<usize> = (0..index.data_buckets()).collect();
-        let (p1, s1) = plain.retrieve_rec(0, &buckets, &mut NoopRecorder);
-        let (p2, s2) = faulty.retrieve_rec(0, &buckets, &mut NoopRecorder);
+        let (p1, s1) = retrieved(&plain, 0, &buckets, &mut NoopRecorder);
+        let (p2, s2) = retrieved(&faulty, 0, &buckets, &mut NoopRecorder);
         assert_eq!(s2.lost_buckets, 0);
         assert!(s2.retries > 0, "30% loss over {} buckets", buckets.len());
         assert_eq!(p1.len(), p2.len());
         assert!(s2.latency > s1.latency);
         assert_eq!(s2.tuning, s1.tuning + s2.retries);
         // Deterministic: same seed, same outcome.
-        let (_, s3) = faulty.retrieve_rec(0, &buckets, &mut NoopRecorder);
+        let (_, s3) = retrieved(&faulty, 0, &buckets, &mut NoopRecorder);
         assert_eq!(s2, s3);
     }
 
@@ -647,7 +676,7 @@ mod tests {
         let (index, schedule) = channel(200, 1);
         let faults = ChannelFaults::from_loss_prob(1, 1.0, 2);
         let client = OnAirClient::with_faults(&index, &schedule, &faults);
-        let (pois, stats) = client.retrieve_rec(0, &[0, 1, 2], &mut NoopRecorder);
+        let (pois, stats) = retrieved(&client, 0, &[0, 1, 2], &mut NoopRecorder);
         assert!(pois.is_empty());
         assert_eq!(stats.lost_buckets, 3);
         assert_eq!(stats.retries, 6); // 2 retries per bucket, all futile
@@ -667,7 +696,7 @@ mod tests {
             let faults = ChannelFaults::from_loss_prob(1, 1.0, budget);
             let client = OnAirClient::with_faults(&index, &schedule, &faults);
             let mut rec = MetricsRecorder::new();
-            let (pois, stats) = client.retrieve_rec(0, &buckets, &mut rec);
+            let (pois, stats) = retrieved(&client, 0, &buckets, &mut rec);
             assert!(pois.is_empty());
             assert_eq!(stats.lost_buckets, buckets.len() as u64, "budget {budget}");
             assert_eq!(
@@ -695,7 +724,7 @@ mod tests {
         let client = OnAirClient::with_faults(&index, &schedule, &faults);
         let buckets: Vec<usize> = (0..index.data_buckets()).collect();
         let mut rec = MetricsRecorder::new();
-        let (pois, stats) = client.retrieve_rec(0, &buckets, &mut rec);
+        let (pois, stats) = retrieved(&client, 0, &buckets, &mut rec);
         let snap = rec.snapshot();
         assert_eq!(snap.probes_total, 1);
         assert_eq!(snap.index_buckets_total, schedule.index_buckets() as u64);
@@ -707,7 +736,7 @@ mod tests {
         // appearance of an abandoned bucket.
         assert_eq!(snap.frames_lost_total, stats.retries + stats.lost_buckets);
         // Tracing must not perturb the protocol: plain call is identical.
-        let (pois2, stats2) = client.retrieve_rec(0, &buckets, &mut NoopRecorder);
+        let (pois2, stats2) = retrieved(&client, 0, &buckets, &mut NoopRecorder);
         assert_eq!(stats, stats2);
         assert_eq!(pois.len(), pois2.len());
     }

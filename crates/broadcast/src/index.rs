@@ -205,6 +205,7 @@ impl AirIndexBackend for AirIndex {
             intervals,
             tmp_intervals,
             buckets,
+            ..
         } = scratch;
         intervals.clear();
         for w in windows {

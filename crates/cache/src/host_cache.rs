@@ -134,6 +134,12 @@ impl HostCache {
         }
     }
 
+    /// Whether the cache holds no category at all: it never stored a
+    /// region, or was cleared since.
+    pub fn is_empty(&self) -> bool {
+        self.cats.is_empty()
+    }
+
     /// Cached POI count for a category.
     pub fn poi_count(&self, category: PoiCategory) -> usize {
         self.list(category)

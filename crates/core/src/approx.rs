@@ -10,12 +10,14 @@
 
 use crate::MergedRegion;
 use airshare_geom::disk::{disk_rect_area, Disk};
-use airshare_geom::{Point, Rect};
+use airshare_geom::{Point, Rect, RegionScratch};
 
 /// Area of the unverified region of a candidate at distance `dist` from
 /// `q`: the part of the disk `C(q, dist)` not covered by the MVR.
 pub fn unverified_area(q: Point, dist: f64, mvr: &MergedRegion) -> f64 {
-    unverified_area_of_tiles(q, dist, &mvr.region().disjoint_rects(), None)
+    let mut scratch = RegionScratch::default();
+    let tiles = mvr.region().disjoint_rects(&mut scratch);
+    unverified_area_of_tiles(q, dist, tiles, None)
 }
 
 /// [`unverified_area`] restricted to a bounded service domain: disk area
@@ -23,7 +25,9 @@ pub fn unverified_area(q: Point, dist: f64, mvr: &MergedRegion) -> f64 {
 /// the served region), so counting it would systematically underestimate
 /// correctness for hosts near the edge of the world.
 pub fn unverified_area_in(q: Point, dist: f64, mvr: &MergedRegion, domain: &Rect) -> f64 {
-    unverified_area_of_tiles(q, dist, &mvr.region().disjoint_rects(), Some(domain))
+    let mut scratch = RegionScratch::default();
+    let tiles = mvr.region().disjoint_rects(&mut scratch);
+    unverified_area_of_tiles(q, dist, tiles, Some(domain))
 }
 
 /// The unverified area over the MVR's tiles ([`RectUnion::disjoint_rects`],
@@ -89,8 +93,9 @@ mod tests {
         lambda: f64,
         domain: Option<&Rect>,
     ) -> f64 {
-        let tiles = m.region().disjoint_rects();
-        correctness_probability(unverified_area_of_tiles(q, dist, &tiles, domain), lambda)
+        let mut scratch = RegionScratch::default();
+        let tiles = m.region().disjoint_rects(&mut scratch);
+        correctness_probability(unverified_area_of_tiles(q, dist, tiles, domain), lambda)
     }
 
     #[test]

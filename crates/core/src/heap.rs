@@ -58,6 +58,19 @@ impl ResultHeap {
         }
     }
 
+    /// An empty heap for a k-NN query that fills `entries`' buffer
+    /// (cleared first) instead of allocating its own.
+    pub(crate) fn with_buffer(k: usize, mut entries: Vec<NnCandidate>) -> Self {
+        assert!(k >= 1, "k must be at least 1");
+        entries.clear();
+        Self { k, entries }
+    }
+
+    /// The candidates, ascending by distance, as an owned vector.
+    pub fn into_entries(self) -> Vec<NnCandidate> {
+        self.entries
+    }
+
     /// The query's `k`.
     pub fn k(&self) -> usize {
         self.k

@@ -2,17 +2,22 @@
 
 use airshare_broadcast::{Poi, PoiId, PoiTable};
 use airshare_geom::{Point, Rect, RectUnion, Segment};
-use airshare_p2p::PeerReply;
+use airshare_p2p::{PeerReply, ReplyArena};
 
 /// Peer knowledge merged for one query: the region union
 /// `MVR = p₁.VR ∪ … ∪ pⱼ.VR` plus the deduplicated POIs inside it.
 ///
 /// By the cache invariant every POI located inside the MVR is present in
 /// `pois` — the completeness that Lemma 3.1 and the §3.3.3 search bounds
-/// rely on. Replies and cache entries carry [`PoiId`] handles; the merge
-/// resolves them once against the canonical [`PoiTable`], so all the
-/// geometry below works on materialized positions.
-#[derive(Clone, Debug)]
+/// rely on. Replies and cache entries carry [`PoiId`] handles, resolved
+/// once against the canonical [`PoiTable`] (a peer's while its claims
+/// were checked, the host's own here), so all the geometry below works
+/// on materialized positions.
+///
+/// The default value is the empty region. A query's merged region is
+/// refilled in place ([`MergedRegion::refill`]), so one value kept per
+/// worker builds every query's MVR in reused buffers.
+#[derive(Clone, Debug, Default)]
 pub struct MergedRegion {
     region: RectUnion,
     pois: Vec<Poi>,
@@ -23,35 +28,50 @@ impl MergedRegion {
     /// specialized to MBRs), resolving POI handles through `table`.
     /// POIs are deduplicated by id; handles the table cannot resolve
     /// are dropped (sanitation upstream already rejects such regions).
+    /// The owned form of [`MergedRegion::refill`], for replies kept as
+    /// [`PeerReply`]s.
     pub fn from_replies(replies: &[PeerReply], table: &PoiTable) -> Self {
-        Self::from_id_regions(
-            table,
-            replies
-                .iter()
-                .flat_map(|r| r.regions.iter().map(|(vr, ids)| (*vr, ids.as_slice()))),
-        )
+        let mut m = Self::default();
+        for (vr, ids) in replies.iter().flat_map(|r| &r.regions) {
+            m.region.push(*vr);
+            m.pois
+                .extend(ids.iter().filter_map(|&id| table.get(id).copied()));
+        }
+        m.dedup_pois();
+        m
     }
 
-    /// Builds from handle-based `(VR, POI ids)` pairs resolved through
-    /// `table` — the zero-copy path for chaining peer reply regions with
-    /// a host's own [`share_regions`](airshare_cache::HostCache::share_regions)
-    /// iterator. POIs are deduplicated by id.
-    pub fn from_id_regions<'a>(
+    /// Rebuilds in place from the replies a share exchange left in its
+    /// arena (the `MapOverlay` step of Algorithm 1, specialized to MBRs)
+    /// followed by `own` handle regions — the querier's own cache, whose
+    /// handles are resolved through `table` here (unresolvable ones are
+    /// dropped). POIs are deduplicated by id. Reuses this value's buffers:
+    /// allocation-free once they reach their high-water marks.
+    pub fn refill<'a>(
+        &mut self,
+        replies: &ReplyArena,
         table: &PoiTable,
-        regions: impl IntoIterator<Item = (Rect, &'a [PoiId])>,
-    ) -> Self {
-        let mut rects = Vec::new();
-        let mut pois = Vec::new();
-        for (vr, ids) in regions {
-            rects.push(vr);
-            pois.extend(ids.iter().filter_map(|&id| table.get(id).copied()));
+        own: impl IntoIterator<Item = (Rect, &'a [PoiId])>,
+    ) {
+        self.region.clear();
+        self.pois.clear();
+        for (vr, pois) in replies.regions() {
+            self.region.push(vr);
+            self.pois.extend_from_slice(pois);
         }
-        pois.sort_by_key(|p: &Poi| p.id);
-        pois.dedup_by_key(|p| p.id);
-        Self {
-            region: RectUnion::from_rects(rects),
-            pois,
+        for (vr, ids) in own {
+            self.region.push(vr);
+            self.pois
+                .extend(ids.iter().filter_map(|&id| table.get(id).copied()));
         }
+        self.dedup_pois();
+    }
+
+    /// Sorts the POIs by id and drops repeats. Equal ids are one table
+    /// entry, so the unstable sort keeps exactly what a stable one would.
+    fn dedup_pois(&mut self) {
+        self.pois.sort_unstable_by_key(|p| p.id);
+        self.pois.dedup_by_key(|p| p.id);
     }
 
     /// Builds directly from `(VR, POIs)` pairs (used in tests and by
@@ -103,7 +123,8 @@ impl MergedRegion {
     }
 
     /// Restricts the merged region to the rectangles intersecting the
-    /// disk `D(q, radius)` and the POIs within `radius` of `q`.
+    /// disk `D(q, radius)` and the POIs within `radius` of `q`, written
+    /// into `into` (whose buffers are reused).
     ///
     /// This is *exact* for every question confined to the disk: for any
     /// ball `B(q, r)` with `r ≤ radius`, `B ⊆ full-union ⟺ B ⊆
@@ -114,33 +135,37 @@ impl MergedRegion {
     /// unchanged — while the geometry shrinks from *all* peer regions to
     /// the handful near the query, which is what keeps NNV fast when
     /// peers carry dozens of cached regions each.
-    pub fn pruned_to_disk(&self, q: Point, radius: f64) -> MergedRegion {
-        if !radius.is_finite() {
-            return self.clone();
+    pub(crate) fn prune_into(&self, q: Point, radius: f64, into: &mut MergedRegion) {
+        into.region.clear();
+        into.pois.clear();
+        // An infinite radius keeps everything.
+        let (all, r_sq) = (!radius.is_finite(), radius * radius);
+        for r in self.region.rects() {
+            if all || r.distance_sq_to_point(q) <= r_sq {
+                into.region.push(*r);
+            }
         }
-        let r_sq = radius * radius;
-        let region = RectUnion::from_rects(
-            self.region
-                .rects()
-                .iter()
-                .filter(|r| r.distance_sq_to_point(q) <= r_sq)
-                .copied(),
-        );
         // Every POI lives inside some member rectangle; POIs within the
         // radius therefore lie in kept rectangles.
-        let pois = self
-            .pois
-            .iter()
-            .filter(|p| p.pos.distance_sq(q) <= r_sq)
-            .copied()
-            .collect();
-        MergedRegion { region, pois }
+        (into.pois).extend(
+            (self.pois.iter())
+                .filter(|p| all || p.pos.distance_sq(q) <= r_sq)
+                .copied(),
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use airshare_geom::RegionScratch;
+
+    /// [`MergedRegion::prune_into`] a fresh region.
+    fn pruned_to_disk(m: &MergedRegion, q: Point, radius: f64) -> MergedRegion {
+        let mut into = MergedRegion::default();
+        m.prune_into(q, radius, &mut into);
+        into
+    }
 
     fn reply(peer: usize, vr: Rect, ids: Vec<PoiId>) -> PeerReply {
         PeerReply {
@@ -192,15 +217,15 @@ mod tests {
         let b = reply(1, Rect::from_coords(0.0, 0.0, 1.0, 4.0), vec![]);
         let m = MergedRegion::from_replies(&[a, b], &PoiTable::new());
         let q = Point::new(2.0, 0.5);
-        let d = m.region().distance_to_boundary_within(q, 10.0).unwrap();
+        let d = m.region().distance_to_boundary_within(q, 10.0, &mut RegionScratch::default()).unwrap();
         assert!((d - 0.5).abs() < 1e-9, "d = {d}");
         // Cap below the true distance: returns the cap (ball of that
         // radius is proven covered).
-        assert_eq!(m.region().distance_to_boundary_within(q, 0.2), Some(0.2));
+        assert_eq!(m.region().distance_to_boundary_within(q, 0.2, &mut RegionScratch::default()), Some(0.2));
         // The pruned region answers the same below the prune radius.
-        let pruned = m.pruned_to_disk(q, 0.75);
+        let pruned = pruned_to_disk(&m, q, 0.75);
         assert_eq!(
-            pruned.region().distance_to_boundary_within(q, 0.75),
+            pruned.region().distance_to_boundary_within(q, 0.75, &mut RegionScratch::default()),
             Some(d)
         );
     }
@@ -226,7 +251,7 @@ mod tests {
                 .map(|e| e.distance_to_point(q))
                 .fold(f64::INFINITY, f64::min);
             for cap in [0.1, 0.5, 100.0] {
-                let fast = m.region().distance_to_boundary_within(q, cap).unwrap();
+                let fast = m.region().distance_to_boundary_within(q, cap, &mut RegionScratch::default()).unwrap();
                 assert_eq!(fast, slow.min(cap), "{q:?} cap {cap}");
             }
         }
@@ -250,7 +275,7 @@ mod tests {
                 .map(|r| (*r, pois.iter().filter(|p| r.contains(p.pos)).copied().collect())),
         );
         let q = Point::new(1.2, 1.0);
-        let pruned = m.pruned_to_disk(q, 2.5);
+        let pruned = pruned_to_disk(&m, q, 2.5);
         // The far rect and its POI are gone…
         assert_eq!(pruned.pois().len(), 2);
         assert_eq!(pruned.region().rects().len(), 2);
@@ -259,7 +284,7 @@ mod tests {
         let (d_pruned, _) = pruned.nearest_edge(q).unwrap();
         assert!((d_full - d_pruned).abs() < 1e-9);
         // Infinite radius is a no-op clone.
-        let all = m.pruned_to_disk(q, f64::INFINITY);
+        let all = pruned_to_disk(&m, q, f64::INFINITY);
         assert_eq!(all.pois().len(), 3);
     }
 

@@ -4,7 +4,7 @@
 use crate::approx::{correctness_probability, surpassing_ratio, unverified_area_of_tiles};
 use crate::{HeapState, MergedRegion, NnCandidate, ResultHeap};
 use airshare_broadcast::{AirIndexBackend, OnAirClient, Poi, QueryScratch};
-use airshare_geom::{Point, Rect};
+use airshare_geom::{Point, Rect, RegionScratch};
 use airshare_obs::{AccessStats, Recorder, ResolutionKind, TraceEvent};
 
 /// How a peer-answered query turns its verified ball into a cacheable
@@ -136,29 +136,62 @@ impl SbnnOutcome {
 /// inside the MVR (Lemma 3.1). Unverified candidates carry their
 /// Lemma-3.2 correctness probability and surpassing ratio.
 pub fn nnv(q: Point, k: usize, mvr: &MergedRegion, lambda: f64) -> ResultHeap {
-    nnv_detailed(q, k, mvr, lambda, None).0
+    let mut s = NnvScratch::default();
+    let heap = ResultHeap::new(k);
+    nnv_detailed(q, mvr, lambda, None, heap, &mut s).0
 }
 
-/// [`nnv`] plus the machinery SBNN reuses: a radius around `q` proven to
-/// lie entirely inside the MVR (0 when `q` is outside), and the merged
-/// region pruned to the query's neighborhood (exact for every question
-/// within that radius).
+/// NNV's working sets, retained in the query's [`QueryScratch`]: the
+/// nearest candidates, the merged region pruned to the query's
+/// neighborhood, and the region sweeps' buffers (boundary lines, tiles).
+#[derive(Default)]
+struct NnvScratch {
+    by_distance: Vec<(f64, Poi)>,
+    pruned: MergedRegion,
+    /// Whether `pruned` holds this query's pruning; without one, the
+    /// whole merged region stands in for it.
+    is_pruned: bool,
+    region: RegionScratch,
+}
+
+impl NnvScratch {
+    /// The merged region pruned to the query's neighborhood (exact for
+    /// every question within the verified radius), as the last NNV left it.
+    fn pruned<'a>(&'a self, mvr: &'a MergedRegion) -> &'a MergedRegion {
+        if self.is_pruned {
+            &self.pruned
+        } else {
+            mvr
+        }
+    }
+}
+
+/// [`nnv`] into `heap`, plus the machinery SBNN reuses: a radius around
+/// `q` proven to lie entirely inside the MVR (0 when `q` is outside),
+/// and — in `s`, see [`NnvScratch::pruned`] — the merged region pruned
+/// to the query's neighborhood (exact for every question within that
+/// radius).
 fn nnv_detailed(
     q: Point,
-    k: usize,
     mvr: &MergedRegion,
     lambda: f64,
     domain: Option<Rect>,
-) -> (ResultHeap, f64, MergedRegion) {
-    let mut heap = ResultHeap::new(k);
+    mut heap: ResultHeap,
+    s: &mut NnvScratch,
+) -> (ResultHeap, f64) {
+    let k = heap.k();
+    s.is_pruned = false;
     if mvr.is_empty() {
-        return (heap, 0.0, mvr.clone());
+        return (heap, 0.0);
     }
-    let mut by_distance: Vec<(f64, Poi)> = mvr
-        .pois()
-        .iter()
-        .map(|p| (p.distance_to(q), *p))
-        .collect();
+    let NnvScratch {
+        by_distance,
+        pruned,
+        is_pruned,
+        region,
+    } = s;
+    by_distance.clear();
+    by_distance.extend(mvr.pois().iter().map(|p| (p.distance_to(q), *p)));
     // Ids are unique, so this order is total: selecting the k nearest
     // and sorting only them gives what sorting every POI would.
     let nearer = |a: &(f64, Poi), b: &(f64, Poi)| a.0.total_cmp(&b.0).then(a.1.id.cmp(&b.1.id));
@@ -170,22 +203,25 @@ fn nnv_detailed(
 
     // Everything NNV asks of the geometry lives within the k-th
     // candidate's disk; prune the merged region to it (exact — see
-    // `MergedRegion::pruned_to_disk`). With fewer than k candidates no
+    // `MergedRegion::prune_into`). With fewer than k candidates no
     // pruning radius is sound, but the heap cannot fill either way.
-    let (mvr, prune_radius) = if by_distance.len() == k {
+    let prune_radius = if by_distance.len() == k {
         let r = by_distance.last().map(|(d, _)| *d).unwrap_or(0.0);
         let pr = r * (1.0 + 1e-12) + 1e-9;
-        (mvr.pruned_to_disk(q, pr), pr)
+        mvr.prune_into(q, pr, pruned);
+        *is_pruned = true;
+        pr
     } else {
-        (mvr.clone(), f64::INFINITY)
+        f64::INFINITY
     };
+    let mvr: &MergedRegion = if *is_pruned { pruned } else { mvr };
 
     // Verification radius: distance to the nearest boundary edge, valid
     // only when q is inside the MVR. On the pruned region this is exact
     // up to the prune radius; the cap keeps it sound either way.
     let d_es = if mvr.contains(q) {
         mvr.region()
-            .distance_to_boundary_within(q, prune_radius)
+            .distance_to_boundary_within(q, prune_radius, region)
             .unwrap_or(0.0)
     } else {
         0.0
@@ -193,9 +229,9 @@ fn nnv_detailed(
 
     // Lemma 3.2 tiles the pruned region once, at the first unverified
     // candidate; every unverified candidate's area is summed over them.
-    let mut tiles = None;
+    let (mut tiles, mut untiled): (&[Rect], _) = (&[], Some(region));
     let mut last_verified: Option<f64> = None;
-    for (dist, poi) in by_distance {
+    for &(dist, poi) in by_distance.iter() {
         if heap.is_full() {
             break;
         }
@@ -210,7 +246,9 @@ fn nnv_detailed(
                 surpassing_ratio: None,
             });
         } else {
-            let tiles = tiles.get_or_insert_with(|| mvr.region().disjoint_rects());
+            if let Some(region) = untiled.take() {
+                tiles = mvr.region().disjoint_rects(region);
+            }
             let u = unverified_area_of_tiles(q, dist, tiles, domain.as_ref());
             heap.push(NnCandidate {
                 poi,
@@ -221,7 +259,7 @@ fn nnv_detailed(
             });
         }
     }
-    (heap, d_es, mvr)
+    (heap, d_es)
 }
 
 /// Algorithm 2 — the sharing-based nearest neighbor query.
@@ -242,8 +280,10 @@ fn nnv_detailed(
 /// The channel fallback's protocol steps are traced into `rec`, and the
 /// terminal [`TraceEvent::QueryResolved`] (with the broadcast cost, or
 /// zeros for peer-resolved queries) is emitted whenever the outcome is
-/// resolved. Channel index work happens in `scratch`, so a per-worker
-/// scratch keeps the fallback path allocation-free on the index side.
+/// resolved. All working sets — NNV's and the channel's index path —
+/// live in `scratch`, and the outcome's vectors are drawn from its
+/// pools: a caller that hands them back with [`QueryScratch::recycle`]
+/// runs every warm query without heap allocation.
 pub fn sbnn_rec(
     q: Point,
     cfg: &SbnnConfig,
@@ -252,7 +292,9 @@ pub fn sbnn_rec(
     scratch: &mut QueryScratch,
     rec: &mut dyn Recorder,
 ) -> SbnnOutcome {
-    let outcome = sbnn_inner(q, cfg, mvr, air, scratch, rec);
+    let mut nnv = std::mem::take(scratch.retained::<NnvScratch>());
+    let outcome = sbnn_inner(q, cfg, mvr, air, &mut nnv, scratch, rec);
+    *scratch.retained::<NnvScratch>() = nnv;
     if let SbnnOutcome::Resolved(res) = &outcome {
         let cost = res.air.unwrap_or_default();
         rec.record(TraceEvent::QueryResolved {
@@ -269,29 +311,30 @@ fn sbnn_inner(
     cfg: &SbnnConfig,
     mvr: &MergedRegion,
     air: Option<(&OnAirClient<'_, dyn AirIndexBackend + '_>, u64)>,
+    nnv: &mut NnvScratch,
     scratch: &mut QueryScratch,
     rec: &mut dyn Recorder,
 ) -> SbnnOutcome {
-    let (heap, verified_radius, pruned) = nnv_detailed(q, cfg.k, mvr, cfg.lambda, cfg.domain);
+    let heap = ResultHeap::with_buffer(cfg.k, scratch.take_vec());
+    let (heap, verified_radius) = nnv_detailed(q, mvr, cfg.lambda, cfg.domain, heap, nnv);
     let heap_state = heap.state();
 
-    if heap.is_fulfilled() {
+    let resolved_by = if heap.is_fulfilled() {
+        Some(ResolvedBy::PeersVerified)
+    } else if cfg.accept_approx && heap.approximate_acceptable(cfg.min_correctness) {
+        Some(ResolvedBy::PeersApproximate)
+    } else {
+        None
+    };
+    if let Some(resolved_by) = resolved_by {
+        let pruned = nnv.pruned(mvr);
+        let adoptable = adoptable_ball_square(q, verified_radius, pruned, cfg.vr_policy, scratch);
         return SbnnOutcome::Resolved(SbnnResult {
-            neighbors: heap.entries().to_vec(),
-            resolved_by: ResolvedBy::PeersVerified,
+            neighbors: heap.into_entries(),
+            resolved_by,
             heap_state,
             air: None,
-            adoptable: adoptable_ball_square(q, verified_radius, &pruned, cfg.vr_policy),
-        });
-    }
-
-    if cfg.accept_approx && heap.approximate_acceptable(cfg.min_correctness) {
-        return SbnnOutcome::Resolved(SbnnResult {
-            neighbors: heap.entries().to_vec(),
-            resolved_by: ResolvedBy::PeersApproximate,
-            heap_state,
-            air: None,
-            adoptable: adoptable_ball_square(q, verified_radius, &pruned, cfg.vr_policy),
+            adoptable,
         });
     }
 
@@ -313,23 +356,20 @@ fn sbnn_inner(
         // Fewer than k POIs exist in the whole dataset.
         return SbnnOutcome::Unresolved(heap);
     };
-    let neighbors = res
-        .neighbors
-        .iter()
-        .map(|p| NnCandidate {
-            poi: *p,
-            distance: p.distance_to(q),
-            verified: true,
-            correctness: None,
-            surpassing_ratio: None,
-        })
-        .collect();
-    let pois_in_vr: Vec<Poi> = res
-        .retrieved
-        .iter()
-        .filter(|p| res.verified_mbr.contains(p.pos))
-        .copied()
-        .collect();
+    let mut neighbors = heap.into_entries();
+    neighbors.clear();
+    neighbors.extend(res.neighbors.iter().map(|p| NnCandidate {
+        poi: *p,
+        distance: p.distance_to(q),
+        verified: true,
+        correctness: None,
+        surpassing_ratio: None,
+    }));
+    scratch.recycle(res.neighbors);
+    // What the client retrieved inside the verified MBR is that
+    // region's complete POI set.
+    let mut pois_in_vr = res.retrieved;
+    pois_in_vr.retain(|p| res.verified_mbr.contains(p.pos));
     SbnnOutcome::Resolved(SbnnResult {
         neighbors,
         resolved_by: ResolvedBy::Broadcast,
@@ -341,14 +381,16 @@ fn sbnn_inner(
 
 /// The cacheable region for a peer-answered query: the square inscribed
 /// in the ball `B(q, r)` that NNV proved to lie inside the MVR, with the
-/// POIs inside it — the peer-side analogue of caching a broadcast-solved
-/// query's search MBR. `pruned` must be the NNV-pruned region (its POI
-/// list is complete within the prune radius ≥ `r`).
+/// POIs inside it (in a vector from `scratch`'s pool) — the peer-side
+/// analogue of caching a broadcast-solved query's search MBR. `pruned`
+/// must be the NNV-pruned region (its POI list is complete within the
+/// prune radius ≥ `r`).
 fn adoptable_ball_square(
     q: Point,
     r: f64,
     pruned: &MergedRegion,
     policy: VrPolicy,
+    scratch: &mut QueryScratch,
 ) -> Option<(Rect, Vec<Poi>)> {
     let half = match policy {
         VrPolicy::InscribedBall => r / std::f64::consts::SQRT_2,
@@ -359,7 +401,8 @@ fn adoptable_ball_square(
         return None;
     }
     let vr = Rect::centered_square(q, half);
-    let pois = pruned.pois_in_rect(&vr).copied().collect();
+    let mut pois = scratch.take_vec();
+    pois.extend(pruned.pois_in_rect(&vr).copied());
     Some((vr, pois))
 }
 

@@ -2,7 +2,7 @@
 
 use crate::MergedRegion;
 use airshare_broadcast::{AirIndexBackend, OnAirClient, Poi, QueryScratch};
-use airshare_geom::{Rect, RectUnion};
+use airshare_geom::{Rect, RectUnion, RegionScratch};
 use airshare_obs::{AccessStats, Recorder, TraceEvent};
 
 use crate::ResolvedBy;
@@ -78,8 +78,11 @@ impl SbwqOutcome {
 /// The channel fallback's protocol steps are traced into `rec`, and the
 /// terminal [`TraceEvent::QueryResolved`] (with the broadcast cost, or
 /// zeros for peer-resolved queries) is emitted whenever the outcome is
-/// resolved. Channel index work happens in `scratch`, so a per-worker
-/// scratch keeps the fallback path allocation-free on the index side.
+/// resolved. All working sets — the window difference and the channel's
+/// index path — live in `scratch`, and the outcome's vectors are drawn
+/// from its pools: a caller that hands them back with
+/// [`QueryScratch::recycle`] runs every warm query without heap
+/// allocation.
 pub fn sbwq_rec(
     w: &Rect,
     cfg: &SbwqConfig,
@@ -88,7 +91,9 @@ pub fn sbwq_rec(
     scratch: &mut QueryScratch,
     rec: &mut dyn Recorder,
 ) -> SbwqOutcome {
-    let outcome = sbwq_inner(w, cfg, mvr, air, scratch, rec);
+    let mut region = std::mem::take(scratch.retained::<SbwqScratch>());
+    let outcome = sbwq_inner(w, cfg, mvr, air, &mut region.0, scratch, rec);
+    *scratch.retained::<SbwqScratch>() = region;
     if let SbwqOutcome::Resolved(res) = &outcome {
         let cost = res.air.unwrap_or_default();
         rec.record(TraceEvent::QueryResolved {
@@ -100,15 +105,20 @@ pub fn sbwq_rec(
     outcome
 }
 
+/// SBWQ's window-difference buffers, retained in the query's scratch.
+#[derive(Default)]
+struct SbwqScratch(RegionScratch);
+
 fn sbwq_inner(
     w: &Rect,
     cfg: &SbwqConfig,
     mvr: &MergedRegion,
     air: Option<(&OnAirClient<'_, dyn AirIndexBackend + '_>, u64)>,
+    region: &mut RegionScratch,
     scratch: &mut QueryScratch,
     rec: &mut dyn Recorder,
 ) -> SbwqOutcome {
-    let missing = mvr.region().rect_difference(w);
+    let missing = mvr.region().rect_difference(w, region);
     let covered_area = (w.area() - missing.iter().map(Rect::area).sum::<f64>()).max(0.0);
     let coverage = if w.area() > 0.0 {
         covered_area / w.area()
@@ -116,11 +126,12 @@ fn sbwq_inner(
         1.0
     };
 
-    let known_in_window: Vec<Poi> = mvr.pois_in_rect(w).copied().collect();
+    let mut pois = scratch.take_vec();
+    pois.extend(mvr.pois_in_rect(w).copied());
 
     if missing.is_empty() {
         return SbwqOutcome::Resolved(SbwqResult {
-            pois: known_in_window,
+            pois,
             resolved_by: ResolvedBy::PeersVerified,
             reduced_windows: Vec::new(),
             coverage: 1.0,
@@ -128,29 +139,31 @@ fn sbwq_inner(
         });
     }
 
+    let mut reduced_windows = scratch.take_vec();
     let Some((client, tune_in)) = air else {
+        reduced_windows.extend_from_slice(missing);
         return SbwqOutcome::Unresolved {
-            partial: known_in_window,
-            missing,
+            partial: pois,
+            missing: reduced_windows,
         };
     };
 
-    let (fetched, reduced_windows) = if cfg.use_window_reduction {
-        (
-            client.window_reduced_rec(tune_in, &missing, scratch, rec),
-            missing,
-        )
+    let fetched = if cfg.use_window_reduction {
+        reduced_windows.extend_from_slice(missing);
+        client.window_reduced_rec(tune_in, missing, scratch, rec)
     } else {
-        (client.window_rec(tune_in, w, scratch, rec), vec![*w])
+        reduced_windows.push(*w);
+        client.window_rec(tune_in, w, scratch, rec)
     };
     let stats = fetched.stats;
 
     // Merge: known POIs in the covered part + fetched POIs in the
     // remainder, deduplicated by id (a fetched bucket may repeat POIs the
-    // peers already supplied when reduction is off).
-    let mut pois = known_in_window;
-    pois.extend(fetched.pois.into_iter().filter(|p| w.contains(p.pos)));
-    pois.sort_by_key(|p| p.id);
+    // peers already supplied when reduction is off). Equal ids are one
+    // table entry, so the unstable sort keeps what a stable one would.
+    pois.extend(fetched.pois.iter().filter(|p| w.contains(p.pos)));
+    scratch.recycle(fetched.pois);
+    pois.sort_unstable_by_key(|p| p.id);
     pois.dedup_by_key(|p| p.id);
 
     SbwqOutcome::Resolved(SbwqResult {
@@ -179,7 +192,12 @@ pub fn window_coverage(w: &Rect, region: &RectUnion) -> f64 {
     if w.area() <= 0.0 {
         return 1.0;
     }
-    let missing: f64 = region.rect_difference(w).iter().map(Rect::area).sum();
+    let mut scratch = RegionScratch::default();
+    let missing: f64 = region
+        .rect_difference(w, &mut scratch)
+        .iter()
+        .map(Rect::area)
+        .sum();
     ((w.area() - missing) / w.area()).clamp(0.0, 1.0)
 }
 

@@ -22,7 +22,7 @@ use airshare_core::{
     nnv, sbnn_rec, sbwq_rec, MergedRegion, ResolvedBy, SbnnConfig, SbwqConfig, SbwqOutcome,
 };
 use airshare_geom::disk::{disk_rect_area, disk_region_area, Disk};
-use airshare_geom::{Point, Rect};
+use airshare_geom::{Point, Rect, RegionScratch};
 use airshare_hilbert::Grid;
 use airshare_obs::NoopRecorder;
 use airshare_p2p::PeerReply;
@@ -263,7 +263,7 @@ proptest! {
         let (q, disk) = (Point::new(qx, qy), Disk::new(Point::new(qx, qy), dist));
         let case = format!("vrs {vrs:?}, q {q:?}, dist {dist}");
         let covered = disk_region_area(disk, mvr.region());
-        let tiles = mvr.region().disjoint_rects();
+        let tiles = mvr.region().disjoint_rects(&mut RegionScratch::default()).to_vec();
         let unbounded = (disk.area() - covered).max(0.0);
         let tiled = unverified_area_of_tiles(q, dist, &tiles, None);
         prop_assert_eq!(tiled.to_bits(), unbounded.to_bits(), "{}", case);

@@ -12,7 +12,9 @@
 //!   order**, regardless of which worker ran what; [`ExecPool::map_with`]
 //!   additionally threads a per-worker mutable context (e.g. a
 //!   shard-local `MetricsRecorder`) through every task the worker
-//!   executes.
+//!   executes. Both sit on [`ExecPool::for_each_with`], which writes
+//!   results through the tasks themselves and so allocates nothing of
+//!   its own: the simulator's epoch loop dispatches through it.
 //! * [`split_seed`] — the seed-splitting hash used to derive independent
 //!   per-`(host, epoch)` RNG streams from one master seed, so parallel
 //!   shards never share (or race on) a generator.
@@ -95,57 +97,82 @@ impl ExecPool {
         R: Send,
         F: Fn(&mut C, usize, T) -> R + Sync,
     {
+        // One slot per task: the task goes in, its result comes out.
+        let mut slots: Vec<(Option<T>, Option<R>)> =
+            tasks.into_iter().map(|t| (Some(t), None)).collect();
+        self.for_each_with(ctxs, slots.iter_mut(), |ctx, i, (task, out)| {
+            *out = task.take().map(|t| f(ctx, i, t));
+        });
+        slots
+            .into_iter()
+            .map(|(_, out)| out.expect("every task ran"))
+            .collect()
+    }
+
+    /// The dispatch behind every call: runs `f` on each task `tasks`
+    /// yields, with its index, each worker owning one of `ctxs` as in
+    /// [`ExecPool::map_with`]. Results go wherever the tasks point — a
+    /// task is typically a mutable borrow of its own output slot — so the
+    /// call itself allocates nothing beyond spawning the extra workers
+    /// (and nothing at all when it runs inline: with one worker, one
+    /// context or one task).
+    ///
+    /// Workers pop the next task from one shared queue (the iterator,
+    /// behind a lock held only to pop), so a worker that drew cheap tasks
+    /// simply draws more. Which worker runs which task — and so in what
+    /// order a context sees its tasks — is up to scheduling; the result
+    /// is not, for an `f` whose effects are confined to its task and its
+    /// own context.
+    ///
+    /// # Panics
+    /// Panics if `ctxs` is empty while `tasks` is not. A panicking task
+    /// re-raises its own payload on the caller's thread.
+    pub fn for_each_with<C, I, F>(&self, ctxs: &mut [C], tasks: I, f: F)
+    where
+        C: Send,
+        I: ExactSizeIterator + Send,
+        I::Item: Send,
+        F: Fn(&mut C, usize, I::Item) + Sync,
+    {
         let n = tasks.len();
         if n == 0 {
-            return Vec::new();
+            return;
         }
         let workers = self.threads.min(ctxs.len()).min(n);
         let Some((own, others)) = ctxs.split_first_mut() else {
-            panic!("ExecPool::map_with needs at least one worker context");
+            panic!("ExecPool needs at least one worker context");
         };
         if workers <= 1 {
-            return tasks
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| f(own, i, t))
-                .collect();
+            for (i, t) in tasks.enumerate() {
+                f(own, i, t);
+            }
+            return;
         }
 
         // The lock is held only to pop, never across `f`, so a panicking
         // task cannot poison it; recover the guard anyway rather than
         // turn one task's panic into every worker's.
-        let queue = Mutex::new(tasks.into_iter().enumerate());
-        let run = |ctx: &mut C| {
-            // Room for every result up front, so no worker's output
-            // grows by reallocation and the caller's merge below copies
-            // into spare capacity: a doubling chain per call fragments
-            // the heap of a pool called once per epoch.
-            let mut out = Vec::with_capacity(n);
-            loop {
-                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-                match next {
-                    Some((i, t)) => out.push((i, f(ctx, i, t))),
-                    None => return out,
-                }
+        let queue = Mutex::new(tasks.enumerate());
+        let run = |ctx: &mut C| loop {
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            match next {
+                Some((i, t)) => f(ctx, i, t),
+                None => return,
             }
         };
         let run = &run;
-        let mut pairs = std::thread::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = others[..workers - 1]
                 .iter_mut()
                 .map(|ctx| s.spawn(move || run(ctx)))
                 .collect();
-            let mut pairs = run(own);
+            run(own);
             for h in handles {
-                match h.join() {
-                    Ok(done) => pairs.extend(done),
-                    Err(payload) => std::panic::resume_unwind(payload),
+                if let Err(payload) = h.join() {
+                    std::panic::resume_unwind(payload);
                 }
             }
-            pairs
         });
-        pairs.sort_unstable_by_key(|&(i, _)| i);
-        pairs.into_iter().map(|(_, r)| r).collect()
     }
 }
 

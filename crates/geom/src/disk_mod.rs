@@ -9,7 +9,7 @@
 //! closed form via circular-segment integrals (Green's theorem over the
 //! polygon edges, clamped to the disk).
 
-use crate::{Point, Rect, RectUnion};
+use crate::{Point, Rect, RectUnion, RegionScratch};
 
 /// A disk (filled circle).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -145,9 +145,7 @@ pub fn disk_rect_area(disk: Disk, rect: &Rect) -> f64 {
 /// Exact area of `disk ∩ region` for a rectangle union, via the region's
 /// disjoint decomposition (tiles only share borders, so areas add).
 pub fn disk_region_area(disk: Disk, region: &RectUnion) -> f64 {
-    region
-        .disjoint_rects()
-        .iter()
+    (region.disjoint_rects(&mut RegionScratch::default()).iter())
         .map(|r| disk_rect_area(disk, r))
         .sum()
 }

@@ -38,7 +38,7 @@ mod segment;
 pub use intervals::IntervalSet;
 pub use point::Point;
 pub use rect::Rect;
-pub use region::RectUnion;
+pub use region::{RectUnion, RegionScratch};
 pub use segment::{Axis, Segment};
 
 /// Disk (circle) area computations.

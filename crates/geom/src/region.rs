@@ -21,7 +21,7 @@
 //!   coverage and window reduction `w → w′` for SBWQ.
 
 use crate::intervals::{canonicalize, difference_into};
-use crate::{IntervalSet, Point, Rect, Segment, EPSILON};
+use crate::{Point, Rect, Segment, EPSILON};
 
 /// A union of axis-aligned rectangles in the plane.
 ///
@@ -37,6 +37,7 @@ pub struct RectUnion {
 /// The buffers one boundary sweep reuses across its lines, sized up front
 /// so that no line reallocates: each member adds at most one interval per
 /// side, and `a \ b` has at most `|a| + |b|` runs.
+#[derive(Clone, Debug, Default)]
 struct LineScratch {
     before: Vec<(f64, f64)>,
     after: Vec<(f64, f64)>,
@@ -44,13 +45,34 @@ struct LineScratch {
 }
 
 impl LineScratch {
-    fn new(rects: usize) -> Self {
-        Self {
-            before: Vec::with_capacity(rects),
-            after: Vec::with_capacity(rects),
-            runs: Vec::with_capacity(4 * rects),
-        }
+    /// Room for a sweep over `rects` members (no-op once warm).
+    fn reserve(&mut self, rects: usize) {
+        self.before.reserve(rects);
+        self.after.reserve(rects);
+        self.runs.reserve(4 * rects);
     }
+}
+
+/// The working buffers of [`RectUnion`]'s sweeps — boundary distance,
+/// tiling and window difference. They carry no state between calls, so
+/// one value per worker, reused across queries, makes those sweeps
+/// allocation-free once its buffers reach their high-water marks.
+#[derive(Clone, Debug, Default)]
+pub struct RegionScratch {
+    /// Candidate lines, nearest first: `(gap, vertical, coordinate)`.
+    lines: Vec<(f64, bool, f64)>,
+    /// One sweep direction's sorted, deduplicated member coordinates.
+    coords: Vec<f64>,
+    line: LineScratch,
+    /// One slab's covered `y` runs, and the window's uncovered ones.
+    covered: Vec<(f64, f64)>,
+    uncovered: Vec<(f64, f64)>,
+    /// Rectangles still being extended across slabs, keyed by `y` run
+    /// (`(ylo, yhi, index in out)`), this slab's and the next's.
+    open: Vec<(f64, f64, usize)>,
+    next_open: Vec<(f64, f64, usize)>,
+    /// The tiling or difference a call returns.
+    out: Vec<Rect>,
 }
 
 fn segment_on(vertical: bool, c: f64, lo: f64, hi: f64) -> Segment {
@@ -72,6 +94,11 @@ impl RectUnion {
         Self {
             rects: rects.into_iter().filter(|r| !r.is_degenerate()).collect(),
         }
+    }
+
+    /// Empties the region, keeping its buffer for the next build.
+    pub fn clear(&mut self) {
+        self.rects.clear();
     }
 
     /// Adds one rectangle to the union (no-op when degenerate).
@@ -111,7 +138,7 @@ impl RectUnion {
     pub fn contains_interior(&self, p: Point) -> bool {
         self.contains(p)
             && self
-                .distance_to_boundary_within(p, 2.0 * EPSILON)
+                .distance_to_boundary_within(p, 2.0 * EPSILON, &mut RegionScratch::default())
                 .is_some_and(|d| d > EPSILON)
     }
 
@@ -130,14 +157,22 @@ impl RectUnion {
     /// oracle; the distance queries sweep only the lines they need.
     pub fn boundary_edges(&self) -> Vec<Segment> {
         let mut out = Vec::new();
-        self.for_each_edge(&mut LineScratch::new(self.rects.len()), |e| out.push(e));
+        let (mut coords, mut s) = (Vec::new(), LineScratch::default());
+        s.reserve(self.rects.len());
+        self.for_each_edge(&mut coords, &mut s, |e| out.push(e));
         out
     }
 
     /// Every boundary edge, in [`RectUnion::boundary_edges`] order.
-    fn for_each_edge(&self, s: &mut LineScratch, mut f: impl FnMut(Segment)) {
+    fn for_each_edge(
+        &self,
+        coords: &mut Vec<f64>,
+        s: &mut LineScratch,
+        mut f: impl FnMut(Segment),
+    ) {
         for vertical in [true, false] {
-            for c in self.lines(vertical) {
+            self.lines(vertical, coords);
+            for &c in coords.iter() {
                 self.line_runs(vertical, c, s);
                 for &(lo, hi) in &s.runs {
                     f(segment_on(vertical, c, lo, hi));
@@ -146,20 +181,21 @@ impl RectUnion {
         }
     }
 
-    /// The candidate lines of one sweep direction: the members' sorted,
-    /// ε-deduplicated `x` coordinates when `vertical`, else their `y`s.
-    /// (Equal floats are bit-identical, so the unstable sort is exact.)
-    fn lines(&self, vertical: bool) -> Vec<f64> {
+    /// The candidate lines of one sweep direction, into `coords`: the
+    /// members' sorted, ε-deduplicated `x` coordinates when `vertical`,
+    /// else their `y`s. (Equal floats are bit-identical, so the unstable
+    /// sort is exact.)
+    fn lines(&self, vertical: bool, coords: &mut Vec<f64>) {
         let sides = |r: &Rect| if vertical { [r.x1, r.x2] } else { [r.y1, r.y2] };
-        let mut coords: Vec<f64> = self.rects.iter().flat_map(sides).collect();
+        coords.clear();
+        coords.extend(self.rects.iter().flat_map(sides));
         coords.sort_unstable_by(f64::total_cmp);
         coords.dedup_by(|a, b| (*a - *b).abs() <= EPSILON);
-        coords
     }
 
     /// The boundary runs on line `c` (vertical: `x = c`), left in
     /// `s.runs`: the spans covered on exactly one side of the line. The
-    /// arithmetic is [`IntervalSet`]'s — canonical sides, then
+    /// arithmetic is [`crate::IntervalSet`]'s — canonical sides, then
     /// `(before \ after) ∪ (after \ before)` — done in `s`'s buffers.
     fn line_runs(&self, vertical: bool, c: f64, s: &mut LineScratch) {
         // Interior just below / left of the line, and just above / right:
@@ -199,7 +235,7 @@ impl RectUnion {
     /// `|c − p|` (ties: vertical first, then by `c`), runs along a line
     /// by ascending position.
     pub fn distance_to_boundary(&self, p: Point) -> Option<(f64, Segment)> {
-        let (d, edge) = self.nearest_boundary(p, f64::INFINITY);
+        let (d, edge) = self.nearest_boundary(p, f64::INFINITY, &mut RegionScratch::default());
         Some((d, edge?))
     }
 
@@ -210,34 +246,53 @@ impl RectUnion {
     /// edge on line `c` lies `hypot(c − p, ·) ≥ |c − p|` away, so no later
     /// line can lower the answer — the same `f64` as the minimum over
     /// [`RectUnion::boundary_edges`], capped (debug builds check this).
-    /// When every line lies beyond `cap`, nothing is swept.
-    pub fn distance_to_boundary_within(&self, p: Point, cap: f64) -> Option<f64> {
-        (!self.is_empty()).then(|| self.nearest_boundary(p, cap).0)
+    /// When every line lies beyond `cap`, nothing is swept. The sweep
+    /// works in `scratch`'s buffers.
+    pub fn distance_to_boundary_within(
+        &self,
+        p: Point,
+        cap: f64,
+        scratch: &mut RegionScratch,
+    ) -> Option<f64> {
+        (!self.is_empty()).then(|| self.nearest_boundary(p, cap, scratch).0)
     }
 
-    /// The nearest-first sweep behind both distance queries.
-    fn nearest_boundary(&self, p: Point, cap: f64) -> (f64, Option<Segment>) {
-        let mut lines: Vec<(f64, bool, f64)> = Vec::with_capacity(4 * self.rects.len());
+    /// The nearest-first sweep behind both distance queries. Every
+    /// buffer is sized once up front, so a fresh scratch costs a fixed
+    /// number of allocations and a warm one none.
+    fn nearest_boundary(
+        &self,
+        p: Point,
+        cap: f64,
+        scratch: &mut RegionScratch,
+    ) -> (f64, Option<Segment>) {
+        let RegionScratch {
+            lines,
+            coords,
+            line: s,
+            ..
+        } = scratch;
+        let n = self.rects.len();
+        lines.clear();
+        lines.reserve(4 * n);
+        coords.reserve(2 * n);
+        s.reserve(n);
         for vertical in [true, false] {
             let at = if vertical { p.x } else { p.y };
-            lines.extend(
-                self.lines(vertical)
-                    .into_iter()
-                    .map(|c| ((c - at).abs(), vertical, c)),
-            );
+            self.lines(vertical, coords);
+            lines.extend(coords.iter().map(|&c| ((c - at).abs(), vertical, c)));
         }
         lines.sort_unstable_by(|a, b| {
             a.0.total_cmp(&b.0)
                 .then(b.1.cmp(&a.1))
                 .then(a.2.total_cmp(&b.2))
         });
-        let mut s = LineScratch::new(self.rects.len());
         let (mut best, mut edge) = (f64::INFINITY, None);
-        for (gap, vertical, c) in lines {
+        for &(gap, vertical, c) in lines.iter() {
             if gap >= best.min(cap) {
                 break;
             }
-            self.line_runs(vertical, c, &mut s);
+            self.line_runs(vertical, c, s);
             for &(lo, hi) in &s.runs {
                 let e = segment_on(vertical, c, lo, hi);
                 let d = e.distance_to_point(p);
@@ -251,7 +306,7 @@ impl RectUnion {
             d.to_bits(),
             {
                 let mut full = f64::INFINITY;
-                self.for_each_edge(&mut s, |e| full = full.min(e.distance_to_point(p)));
+                self.for_each_edge(coords, s, |e| full = full.min(e.distance_to_point(p)));
                 full.min(cap).to_bits()
             },
             "nearest-first boundary distance {d} from {p:?} (cap {cap}) differs from the full sweep"
@@ -266,10 +321,17 @@ impl RectUnion {
     /// Decomposes the union into disjoint rectangles via a vertical-slab
     /// sweep. The output rectangles tile the union exactly (shared borders
     /// only) and are convenient for exact area integrals; slab by slab.
-    pub fn disjoint_rects(&self) -> Vec<Rect> {
-        let mut out = Vec::new();
-        let mut covered = Vec::with_capacity(self.rects.len());
-        for w in self.lines(true).windows(2) {
+    /// The tiling is left in (and borrowed from) `scratch`.
+    pub fn disjoint_rects<'s>(&self, scratch: &'s mut RegionScratch) -> &'s [Rect] {
+        let RegionScratch {
+            coords,
+            covered,
+            out,
+            ..
+        } = scratch;
+        out.clear();
+        self.lines(true, coords);
+        for w in coords.windows(2) {
             let (xa, xb) = (w[0], w[1]);
             if xb - xa <= EPSILON {
                 continue;
@@ -281,7 +343,7 @@ impl RectUnion {
                     .filter(|r| r.x1 <= xa + EPSILON && r.x2 >= xb - EPSILON)
                     .map(|r| (r.y1, r.y2)),
             );
-            canonicalize(&mut covered);
+            canonicalize(covered);
             out.extend(
                 covered
                     .iter()
@@ -293,7 +355,9 @@ impl RectUnion {
 
     /// Exact area of the union.
     pub fn area(&self) -> f64 {
-        self.disjoint_rects().iter().map(Rect::area).sum()
+        (self.disjoint_rects(&mut RegionScratch::default()).iter())
+            .map(Rect::area)
+            .sum()
     }
 
     // ------------------------------------------------------------------
@@ -303,17 +367,30 @@ impl RectUnion {
     /// `w` is entirely covered by the union (up to ε slivers). When this
     /// holds, an SBWQ window query is fully answerable from peer caches.
     pub fn covers_rect(&self, w: &Rect) -> bool {
-        self.rect_difference(w).is_empty()
+        self.rect_difference(w, &mut RegionScratch::default())
+            .is_empty()
     }
 
     /// The uncovered parts `w \ union`, as disjoint rectangles — SBWQ's
     /// reduced query windows `w′`. Adjacent slabs with identical uncovered
-    /// spans are coalesced so the output stays small.
-    pub fn rect_difference(&self, w: &Rect) -> Vec<Rect> {
+    /// spans are coalesced so the output stays small. The rectangles are
+    /// left in (and borrowed from) `scratch`.
+    pub fn rect_difference<'s>(&self, w: &Rect, scratch: &'s mut RegionScratch) -> &'s [Rect] {
+        let RegionScratch {
+            coords: xs,
+            covered,
+            uncovered,
+            open,
+            next_open,
+            out,
+            ..
+        } = scratch;
+        out.clear();
         if w.is_degenerate() {
-            return Vec::new();
+            return out;
         }
-        let mut xs: Vec<f64> = vec![w.x1, w.x2];
+        xs.clear();
+        xs.extend([w.x1, w.x2]);
         for r in &self.rects {
             if r.intersects_interior(w) {
                 if r.x1 > w.x1 && r.x1 < w.x2 {
@@ -324,27 +401,31 @@ impl RectUnion {
                 }
             }
         }
-        xs.sort_by(f64::total_cmp);
+        // Equal floats are bit-identical, so the unstable sort is exact.
+        xs.sort_unstable_by(f64::total_cmp);
         xs.dedup_by(|a, b| (*a - *b).abs() <= EPSILON);
 
-        let full = IntervalSet::single(w.y1, w.y2);
-        let mut out: Vec<Rect> = Vec::new();
-        // Open rectangles being extended across slabs, keyed by y-run.
-        let mut open: Vec<(f64, f64, usize)> = Vec::new(); // (ylo, yhi, index in out)
+        // `IntervalSet::single(w.y1, w.y2)`'s runs, without its buffer.
+        let span = [(w.y1, w.y2)];
+        let full: &[(f64, f64)] = if w.y2 - w.y1 > EPSILON { &span } else { &[] };
+        open.clear();
         for win in xs.windows(2) {
             let (xa, xb) = (win[0], win[1]);
             if xb - xa <= EPSILON {
                 continue;
             }
-            let covered = IntervalSet::from_intervals(
+            covered.clear();
+            covered.extend(
                 self.rects
                     .iter()
                     .filter(|r| r.x1 <= xa + EPSILON && r.x2 >= xb - EPSILON)
                     .map(|r| (r.y1, r.y2)),
             );
-            let uncovered = full.difference(&covered);
-            let mut next_open = Vec::with_capacity(uncovered.runs().len());
-            for &(lo, hi) in uncovered.runs() {
+            canonicalize(covered);
+            uncovered.clear();
+            difference_into(full, covered, uncovered);
+            next_open.clear();
+            for &(lo, hi) in uncovered.iter() {
                 // Extend an open rect with the same y-run, else start one.
                 if let Some(&(plo, phi, idx)) = open
                     .iter()
@@ -357,15 +438,14 @@ impl RectUnion {
                     next_open.push((lo, hi, out.len() - 1));
                 }
             }
-            open = next_open;
+            std::mem::swap(open, next_open);
         }
         out
     }
 
     /// Intersection of the union with `w`, as disjoint rectangles.
     pub fn rect_intersection(&self, w: &Rect) -> Vec<Rect> {
-        self.disjoint_rects()
-            .into_iter()
+        (self.disjoint_rects(&mut RegionScratch::default()).iter())
             .filter_map(|r| r.intersection(w))
             .filter(|r| !r.is_degenerate())
             .collect()
@@ -387,7 +467,7 @@ impl FromIterator<Rect> for RectUnion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx_eq;
+    use crate::{approx_eq, IntervalSet};
 
     fn r(x1: f64, y1: f64, x2: f64, y2: f64) -> Rect {
         Rect::from_coords(x1, y1, x2, y2)
@@ -464,7 +544,7 @@ mod tests {
             r(1.0, 1.0, 3.0, 3.0),
             r(2.5, 0.0, 4.0, 1.5),
         ]);
-        let tiles = u.disjoint_rects();
+        let tiles = u.disjoint_rects(&mut RegionScratch::default()).to_vec();
         let total: f64 = tiles.iter().map(Rect::area).sum();
         assert!(approx_eq(total, u.area()));
         for (i, a) in tiles.iter().enumerate() {
@@ -489,7 +569,7 @@ mod tests {
     fn rect_difference_computes_reduced_windows() {
         let u = RectUnion::from(r(0.0, 0.0, 2.0, 2.0));
         let w = r(1.0, 1.0, 3.0, 3.0);
-        let diff = u.rect_difference(&w);
+        let diff = u.rect_difference(&w, &mut RegionScratch::default()).to_vec();
         let area: f64 = diff.iter().map(Rect::area).sum();
         // w has area 4, covered quarter is 1x1 = 1.
         assert!(approx_eq(area, 3.0));
@@ -503,14 +583,14 @@ mod tests {
     #[test]
     fn rect_difference_empty_when_covered() {
         let u = RectUnion::from(r(0.0, 0.0, 4.0, 4.0));
-        assert!(u.rect_difference(&r(1.0, 1.0, 2.0, 2.0)).is_empty());
+        assert!(u.rect_difference(&r(1.0, 1.0, 2.0, 2.0), &mut RegionScratch::default()).to_vec().is_empty());
     }
 
     #[test]
     fn rect_difference_is_whole_window_when_disjoint() {
         let u = RectUnion::from(r(0.0, 0.0, 1.0, 1.0));
         let w = r(5.0, 5.0, 6.0, 7.0);
-        let diff = u.rect_difference(&w);
+        let diff = u.rect_difference(&w, &mut RegionScratch::default()).to_vec();
         assert_eq!(diff.len(), 1);
         assert!(approx_eq(diff[0].area(), w.area()));
     }
@@ -521,7 +601,7 @@ mod tests {
         // the remainder share y-runs and should merge horizontally.
         let u = RectUnion::from(r(1.0, 0.0, 2.0, 1.0));
         let w = r(0.0, 0.0, 3.0, 2.0);
-        let diff = u.rect_difference(&w);
+        let diff = u.rect_difference(&w, &mut RegionScratch::default()).to_vec();
         let area: f64 = diff.iter().map(Rect::area).sum();
         assert!(approx_eq(area, 6.0 - 1.0));
         // Slab coalescing keeps the piece count minimal for this shape
@@ -573,17 +653,17 @@ mod tests {
         // L-shape; q deep in the wide arm: true boundary distance 0.5.
         let u = RectUnion::from_rects([r(0.0, 0.0, 4.0, 1.0), r(0.0, 0.0, 1.0, 4.0)]);
         let q = Point::new(2.0, 0.5);
-        let d = u.distance_to_boundary_within(q, 10.0).unwrap();
+        let d = u.distance_to_boundary_within(q, 10.0, &mut RegionScratch::default()).unwrap();
         assert_eq!(d, u.distance_to_boundary(q).unwrap().0);
         assert!(approx_eq(d, 0.5), "d = {d}");
-        assert_eq!(u.distance_to_boundary_within(q, 0.2), Some(0.2));
-        assert_eq!(u.distance_to_boundary_within(q, 0.0), Some(0.0));
+        assert_eq!(u.distance_to_boundary_within(q, 0.2, &mut RegionScratch::default()), Some(0.2));
+        assert_eq!(u.distance_to_boundary_within(q, 0.0, &mut RegionScratch::default()), Some(0.0));
         // Outside the region the distance is still to the nearest edge.
         assert_eq!(
-            u.distance_to_boundary_within(Point::new(6.0, 0.5), 9.0),
+            u.distance_to_boundary_within(Point::new(6.0, 0.5), 9.0, &mut RegionScratch::default()),
             Some(2.0)
         );
-        assert_eq!(RectUnion::new().distance_to_boundary_within(q, 1.0), None);
+        assert_eq!(RectUnion::new().distance_to_boundary_within(q, 1.0, &mut RegionScratch::default()), None);
     }
 
     #[test]
@@ -610,9 +690,10 @@ mod tests {
                 })
                 .collect();
             let u = RectUnion::from_rects(rects.iter().copied());
-            let mut s = LineScratch::new(rects.len());
+            let (mut s, mut coords) = (LineScratch::default(), Vec::new());
             for vertical in [true, false] {
-                for c in u.lines(vertical) {
+                u.lines(vertical, &mut coords);
+                for &c in &coords {
                     let side = |before: bool| {
                         IntervalSet::from_intervals(rects.iter().filter_map(|r| {
                             let (lo, hi, free) = if vertical {

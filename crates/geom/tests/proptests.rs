@@ -5,7 +5,7 @@
 //! algebra, and the disk-area integrals behind Lemma 3.2.
 
 use airshare_geom::disk::{disk_rect_area, disk_region_area, Disk};
-use airshare_geom::{IntervalSet, Point, Rect, RectUnion};
+use airshare_geom::{IntervalSet, Point, Rect, RectUnion, RegionScratch};
 use proptest::prelude::*;
 
 const TOL: f64 = 1e-6;
@@ -106,7 +106,7 @@ proptest! {
     #[test]
     fn disjoint_decomposition_tiles_exactly(rects in arb_rects(7)) {
         let u = RectUnion::from_rects(rects);
-        let tiles = u.disjoint_rects();
+        let tiles = u.disjoint_rects(&mut RegionScratch::default()).to_vec();
         let sum: f64 = tiles.iter().map(Rect::area).sum();
         prop_assert!((sum - u.area()).abs() < TOL);
         for (i, a) in tiles.iter().enumerate() {
@@ -145,7 +145,7 @@ proptest! {
     #[test]
     fn rect_difference_partitions_window(rects in arb_rects(5), w in arb_rect()) {
         let u = RectUnion::from_rects(rects);
-        let diff = u.rect_difference(&w);
+        let diff = u.rect_difference(&w, &mut RegionScratch::default()).to_vec();
         let inter = u.rect_intersection(&w);
         let a_diff: f64 = diff.iter().map(Rect::area).sum();
         let a_inter: f64 = inter.iter().map(Rect::area).sum();
@@ -189,7 +189,7 @@ proptest! {
         prop_assert_eq!(d.to_bits(), oracle.to_bits(), "{}: swept {} vs oracle {}", case, d, oracle);
         prop_assert_eq!(edge.distance_to_point(p).to_bits(), d.to_bits(), "{}: edge {:?}", case, edge);
         let cap = [0.0, 1e-9, cap_raw, f64::INFINITY][cap_pick as usize];
-        let within = u.distance_to_boundary_within(p, cap).expect("non-empty");
+        let within = u.distance_to_boundary_within(p, cap, &mut RegionScratch::default()).expect("non-empty");
         prop_assert_eq!(within.to_bits(), d.min(cap).to_bits(), "{}: cap {} gave {}", case, cap, within);
     }
 

@@ -430,8 +430,22 @@ impl NeighborGrid {
         exclude: Option<usize>,
     ) -> Vec<usize> {
         let mut out = Vec::new();
+        self.for_each_within(center, range, exclude, |i| out.push(i));
+        out
+    }
+
+    /// The walk behind [`NeighborGrid::neighbors_within`]: hands each
+    /// host it would return to `visit`, in its order, and allocates
+    /// nothing — the share exchange collects peers into retained buffers.
+    pub(crate) fn for_each_within(
+        &self,
+        center: Point,
+        range: f64,
+        exclude: Option<usize>,
+        mut visit: impl FnMut(usize),
+    ) {
         if range.is_nan() || range < 0.0 {
-            return out;
+            return;
         }
         // The ring, clamped to the extent: cells outside it are empty,
         // and an unclamped ring is unbounded work for a large `range`.
@@ -442,7 +456,7 @@ impl NeighborGrid {
         let y_lo = cy.saturating_sub(reach).max(self.min.1);
         let y_hi = cy.saturating_add(reach).min(self.max.1);
         if x_lo > x_hi || y_lo > y_hi {
-            return out;
+            return;
         }
         let r_sq = range * range;
         // Slots `lo..hi` are one column's cells, contiguous in `members`.
@@ -450,7 +464,7 @@ impl NeighborGrid {
             for &i in &self.members[self.offsets[lo] as usize..self.offsets[hi] as usize] {
                 let i = i as usize;
                 if Some(i) != exclude && self.positions[i].distance_sq(center) <= r_sq {
-                    out.push(i);
+                    visit(i);
                 }
             }
         };
@@ -473,7 +487,6 @@ impl NeighborGrid {
                 at = hi + self.keys[hi..].partition_point(|&k| k.0 <= kx);
             }
         }
-        out
     }
 }
 

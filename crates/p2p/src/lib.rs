@@ -15,8 +15,10 @@
 //!   count, reply validation, fault injection, quarantine, tracing),
 //!   with [`airshare_obs::ShareStats`] accounting (peers contacted,
 //!   regions and POIs transferred) so experiments can report P2P
-//!   traffic. [`gather_peer_data_checked`] is its single-hop, untraced
-//!   short form.
+//!   traffic. Replies land in a [`ReplyArena`] retained in the query's
+//!   scratch, so a warm exchange allocates nothing.
+//!   [`gather_peer_data_checked`] is its single-hop, untraced short
+//!   form, with the replies copied out as owned [`PeerReply`]s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +28,5 @@ mod protocol;
 
 pub use grid::NeighborGrid;
 pub use protocol::{
-    gather_peer_data_checked, sanitize_id_regions, share_exchange, PeerReply, QuarantineGuard,
-    ShareFaults,
+    gather_peer_data_checked, share_exchange, PeerReply, QuarantineGuard, ReplyArena, ShareFaults,
 };

@@ -12,7 +12,7 @@
 //! rejected POIs outside their claimed rectangle.
 
 use crate::NeighborGrid;
-use airshare_broadcast::{ChannelFaults, Poi, PoiCategory, PoiId, PoiTable};
+use airshare_broadcast::{ChannelFaults, Poi, PoiCategory, PoiId, PoiTable, QueryScratch};
 use airshare_cache::{HostCache, QuarantineLedger};
 use airshare_geom::{Point, Rect};
 use airshare_obs::{NoopRecorder, Recorder, ShareStats, TraceEvent};
@@ -29,8 +29,10 @@ pub type QuarantineGuard<'a> = Option<(&'a mut QuarantineLedger, u64)>;
 
 /// One peer's reply to a share request: its verified regions with the
 /// handles of the POIs inside each (`⟨p.VR, p.O⟩` in the paper's
-/// notation, with `p.O` as [`PoiId`]s).
-#[derive(Clone, Debug)]
+/// notation, with `p.O` as [`PoiId`]s). The owned form of a
+/// [`ReplyArena`]'s spans, for callers that keep replies past the query
+/// ([`gather_peer_data_checked`]).
+#[derive(Clone, Debug, PartialEq)]
 pub struct PeerReply {
     /// Replying host id.
     pub peer: usize,
@@ -96,58 +98,189 @@ impl ShareFaults<'_> {
     }
 }
 
-/// Validates one reply's handle-based regions against the canonical
-/// `table`: a region is rejected whole when it is structurally
-/// malformed, claims a handle the table cannot resolve, or claims a POI
-/// whose canonical position lies outside the rectangle. Survivors are
-/// clipped to `world` with their membership restricted accordingly.
-/// Returns the sanitized regions and the number rejected.
-pub fn sanitize_id_regions(
-    regions: Vec<(Rect, Vec<PoiId>)>,
-    table: &PoiTable,
-    world: Option<&Rect>,
-) -> (Vec<(Rect, Vec<PoiId>)>, usize) {
-    let mut out = Vec::with_capacity(regions.len());
-    let mut rejected = 0usize;
-    for (r, ids) in regions {
+/// One sanitized region of a peer's reply: the region as clipped to the
+/// world and the span of the arena's POIs it holds.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct ReplySpan {
+    peer: usize,
+    vr: Rect,
+    start: usize,
+    end: usize,
+}
+
+/// Where [`share_exchange`] leaves the replies of one query, retained
+/// in a [`QueryScratch`] so that a warm exchange allocates nothing:
+/// `(peer, clipped VR, POI span)` records over one buffer of POIs, each
+/// resolved once against the canonical [`PoiTable`] while its claim was
+/// checked. The peer list, the flood frontier and the visited marks of
+/// a multi-hop exchange are kept here too.
+#[derive(Clone, Debug, Default)]
+pub struct ReplyArena {
+    spans: Vec<ReplySpan>,
+    pois: Vec<Poi>,
+    /// Peers discovered, in contact order.
+    peers: Vec<usize>,
+    /// The flood's current and next hop (multi-hop only).
+    frontier: Vec<usize>,
+    next: Vec<usize>,
+    /// Hosts the flood has reached; all `false` between exchanges (only
+    /// the entries an exchange set are reset).
+    visited: Vec<bool>,
+}
+
+impl ReplyArena {
+    /// The sanitized regions of the last exchange in reply order, each
+    /// with the POIs it holds.
+    pub fn regions(&self) -> impl Iterator<Item = (Rect, &[Poi])> + '_ {
+        self.spans
+            .iter()
+            .map(|s| (s.vr, &self.pois[s.start..s.end]))
+    }
+
+    /// The replies as owned [`PeerReply`]s, one per peer with data.
+    fn to_replies(&self) -> Vec<PeerReply> {
+        let mut out: Vec<PeerReply> = Vec::new();
+        for s in &self.spans {
+            let ids = self.pois[s.start..s.end].iter().map(Poi::handle).collect();
+            match out.last_mut() {
+                Some(r) if r.peer == s.peer => r.regions.push((s.vr, ids)),
+                _ => out.push(PeerReply {
+                    peer: s.peer,
+                    regions: vec![(s.vr, ids)],
+                }),
+            }
+        }
+        out
+    }
+
+    /// Discovers the peers within `hops` wireless hops of the querier
+    /// into `self.peers`, in contact order: the single-hop neighbor list
+    /// first, then each hop's newly reached hosts in relay order.
+    fn discover(
+        &mut self,
+        querier: usize,
+        querier_pos: Point,
+        range: f64,
+        hops: usize,
+        grid: &NeighborGrid,
+        hosts: usize,
+    ) {
+        let Self {
+            peers,
+            frontier,
+            next,
+            visited,
+            ..
+        } = self;
+        peers.clear();
+        grid.for_each_within(querier_pos, range, Some(querier), |i| peers.push(i));
+        if hops == 1 {
+            return;
+        }
+        if visited.len() < hosts {
+            visited.resize(hosts, false);
+        }
+        if querier < visited.len() {
+            visited[querier] = true;
+        }
+        for &i in peers.iter() {
+            visited[i] = true;
+        }
+        frontier.clear();
+        frontier.extend_from_slice(peers);
+        for _ in 1..hops {
+            next.clear();
+            for &relay in frontier.iter() {
+                grid.for_each_within(grid.position(relay), range, Some(relay), |i| {
+                    if !std::mem::replace(&mut visited[i], true) {
+                        next.push(i);
+                    }
+                });
+            }
+            if next.is_empty() {
+                break;
+            }
+            peers.extend_from_slice(next);
+            std::mem::swap(frontier, next);
+        }
+        // Reset only what this flood marked: the querier and its peers.
+        for &i in peers.iter() {
+            visited[i] = false;
+        }
+        if querier < visited.len() {
+            visited[querier] = false;
+        }
+    }
+
+    /// Admits one region of `peer`'s reply: resolves each claimed handle
+    /// through `table` into the POI buffer while checking the claim, and
+    /// clips the region to `world`, keeping only the POIs the clipped
+    /// region holds. A region is rejected whole — and `false` returned,
+    /// with nothing left in the buffers — when it is structurally
+    /// malformed (a non-finite or inverted edge), claims a handle the
+    /// table cannot resolve or a POI whose canonical position lies
+    /// outside the rectangle, or lies outside the world.
+    fn admit(
+        &mut self,
+        peer: usize,
+        r: Rect,
+        ids: &[PoiId],
+        table: &PoiTable,
+        world: Option<&Rect>,
+    ) -> bool {
         let well_formed = r.x1.is_finite()
             && r.y1.is_finite()
             && r.x2.is_finite()
             && r.y2.is_finite()
             && r.x1 <= r.x2
             && r.y1 <= r.y2;
-        let claims_hold = well_formed
-            && ids
-                .iter()
-                .all(|&id| table.get(id).is_some_and(|p| r.contains(p.pos)));
-        if !claims_hold {
-            rejected += 1;
-            continue;
+        if !well_formed {
+            return false;
+        }
+        let start = self.pois.len();
+        for &id in ids {
+            match table.get(id) {
+                Some(p) if r.contains(p.pos) => self.pois.push(*p),
+                _ => {
+                    self.pois.truncate(start);
+                    return false;
+                }
+            }
         }
         let clipped = match world {
             Some(w) => match r.intersection(w) {
                 Some(c) => c,
                 None => {
-                    rejected += 1;
-                    continue;
+                    self.pois.truncate(start);
+                    return false;
                 }
             },
             None => r,
         };
-        let ids: Vec<PoiId> = ids
-            .into_iter()
-            .filter(|&id| table.get(id).is_some_and(|p| clipped.contains(p.pos)))
-            .collect();
-        out.push((clipped, ids));
+        let mut end = start;
+        for i in start..self.pois.len() {
+            if clipped.contains(self.pois[i].pos) {
+                self.pois[end] = self.pois[i];
+                end += 1;
+            }
+        }
+        self.pois.truncate(end);
+        self.spans.push(ReplySpan {
+            peer,
+            vr: clipped,
+            start,
+            end,
+        });
+        true
     }
-    (out, rejected)
 }
 
 /// The share exchange in full: discovers the peers within `hops`
 /// wireless hops of the querier, collects and validates their replies,
 /// and accumulates traffic stats. Each contact, dropped reply, and
 /// data-bearing reply (as a `CacheHit` with the contributed region
-/// count) is traced into `rec`.
+/// count) is traced into `rec`. The replies are left in the
+/// [`ReplyArena`] retained in `scratch`, which is returned borrowed.
 ///
 /// `caches[i]` must be host `i`'s cache; `grid` must reflect current
 /// positions; `table` is the canonical POI store claims resolve
@@ -159,11 +292,15 @@ pub fn sanitize_id_regions(
 /// its benefit can be measured (see the `ablations` experiment of `airshare-paper`).
 ///
 /// Each contacted peer's reply may be dropped or malformed per
-/// `faults`, and surviving replies are sanitized against `world` (see
-/// [`sanitize_id_regions`]), so a flaky or inconsistent peer degrades
-/// the querier to on-air retrieval instead of poisoning its cache.
-/// Empty-handed peers are counted as contacted (they cost a request
-/// message) but transfer nothing.
+/// `faults`, and surviving replies are sanitized region by region: a
+/// region is rejected whole when it is malformed (a non-finite or
+/// inverted edge), claims a handle `table` cannot resolve or a POI
+/// whose canonical position lies outside it, or lies outside `world`;
+/// survivors are clipped to `world` with their membership restricted
+/// accordingly. So a flaky or inconsistent peer degrades the querier to
+/// on-air retrieval instead of poisoning its cache. Empty-handed peers
+/// are counted as contacted (they cost a request message) but transfer
+/// nothing.
 ///
 /// When a quarantine `guard` is present, currently-quarantined peers
 /// are skipped *before* any contact (they cost no request message, but
@@ -176,7 +313,7 @@ pub fn sanitize_id_regions(
 /// # Panics
 /// Panics if `hops == 0`.
 #[allow(clippy::too_many_arguments)]
-pub fn share_exchange(
+pub fn share_exchange<'s>(
     querier: usize,
     querier_pos: Point,
     range: f64,
@@ -188,39 +325,18 @@ pub fn share_exchange(
     world: Option<&Rect>,
     faults: ShareFaults<'_>,
     mut guard: QuarantineGuard<'_>,
+    scratch: &'s mut QueryScratch,
     rec: &mut dyn Recorder,
-) -> (Vec<PeerReply>, ShareStats) {
+) -> (&'s ReplyArena, ShareStats) {
     assert!(hops >= 1, "at least one hop");
-    let mut peers = grid.neighbors_within(querier_pos, range, Some(querier));
-    if hops > 1 {
-        let mut visited = vec![false; caches.len()];
-        if querier < visited.len() {
-            visited[querier] = true;
-        }
-        for &i in &peers {
-            visited[i] = true;
-        }
-        let mut frontier = peers.clone();
-        for _ in 1..hops {
-            let mut next = Vec::new();
-            for &relay in &frontier {
-                for i in grid.neighbors_within(grid.position(relay), range, Some(relay)) {
-                    if !std::mem::replace(&mut visited[i], true) {
-                        next.push(i);
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            peers.extend(next.iter().copied());
-            frontier = next;
-        }
-    }
+    let arena = scratch.retained::<ReplyArena>();
+    arena.discover(querier, querier_pos, range, hops, grid, caches.len());
+    arena.spans.clear();
+    arena.pois.clear();
 
     let mut stats = ShareStats::default();
-    let mut replies = Vec::new();
-    for peer in peers {
+    for at in 0..arena.peers.len() {
+        let peer = arena.peers[at];
         if let Some((ledger, epoch)) = guard.as_ref() {
             if ledger.is_quarantined(peer, *epoch) {
                 rec.record(TraceEvent::QuarantinedPeerSkipped { peer: peer as u32 });
@@ -230,11 +346,7 @@ pub fn share_exchange(
         }
         stats.peers_contacted += 1;
         rec.record(TraceEvent::PeerContacted { peer: peer as u32 });
-        let mut regions: Vec<(Rect, Vec<PoiId>)> = caches[peer]
-            .share_regions(category)
-            .map(|(r, ids)| (r, ids.to_vec()))
-            .collect();
-        if regions.is_empty() {
+        if caches[peer].region_count(category) == 0 {
             continue;
         }
         if faults.drops_reply(peer) {
@@ -242,15 +354,20 @@ pub fn share_exchange(
             stats.replies_dropped += 1;
             continue;
         }
-        if faults.malforms_reply(peer) {
-            // Corrupt the reply in transit: a non-finite edge makes every
-            // region structurally malformed, so sanitation rejects the
-            // whole payload through its normal path.
-            for (r, _) in &mut regions {
+        // A malformed reply is corrupted in transit: a non-finite edge
+        // makes every region structurally malformed, so sanitation
+        // rejects the whole payload through its normal path.
+        let malformed = faults.malforms_reply(peer);
+        let (spans, pois) = (arena.spans.len(), arena.pois.len());
+        let mut rejected = 0usize;
+        for (mut r, ids) in caches[peer].share_regions(category) {
+            if malformed {
                 r.x1 = f64::NAN;
             }
+            if !arena.admit(peer, r, ids, table, world) {
+                rejected += 1;
+            }
         }
-        let (regions, rejected) = sanitize_id_regions(regions, table, world);
         stats.regions_rejected += rejected;
         if rejected > 0 {
             if let Some((ledger, epoch)) = guard.as_mut() {
@@ -262,24 +379,25 @@ pub fn share_exchange(
                 });
             }
         }
-        if regions.is_empty() {
+        let kept = arena.spans.len() - spans;
+        if kept == 0 {
             continue;
         }
         rec.record(TraceEvent::CacheHit {
-            regions: regions.len() as u32,
+            regions: kept as u32,
         });
         stats.peers_with_data += 1;
-        stats.regions_received += regions.len();
-        stats.pois_received += regions.iter().map(|(_, p)| p.len()).sum::<usize>();
-        replies.push(PeerReply { peer, regions });
+        stats.regions_received += kept;
+        stats.pois_received += arena.pois.len() - pois;
     }
-    (replies, stats)
+    (arena, stats)
 }
 
 /// The paper's exchange as a querying host poses it: [`share_exchange`]
-/// over single-hop peers, with no quarantine and no tracing. Replies
-/// are validated against `world` when given, and faults are injected
-/// per `faults` (`ShareFaults::default()` for a clean exchange).
+/// over single-hop peers, with no quarantine and no tracing, its replies
+/// copied out as owned [`PeerReply`]s. Replies are validated against
+/// `world` when given, and faults are injected per `faults`
+/// (`ShareFaults::default()` for a clean exchange).
 #[allow(clippy::too_many_arguments)]
 pub fn gather_peer_data_checked(
     querier: usize,
@@ -292,7 +410,8 @@ pub fn gather_peer_data_checked(
     world: Option<&Rect>,
     faults: ShareFaults<'_>,
 ) -> (Vec<PeerReply>, ShareStats) {
-    share_exchange(
+    let mut scratch = QueryScratch::new();
+    let (arena, stats) = share_exchange(
         querier,
         querier_pos,
         range,
@@ -304,8 +423,10 @@ pub fn gather_peer_data_checked(
         world,
         faults,
         None,
+        &mut scratch,
         &mut NoopRecorder,
-    )
+    );
+    (arena.to_replies(), stats)
 }
 
 #[cfg(test)]
@@ -314,6 +435,11 @@ mod tests {
     use airshare_cache::{CacheContext, ReplacementPolicy};
 
     const CAT: PoiCategory = PoiCategory::GAS_STATION;
+
+    /// A share exchange's replies, copied out of its arena.
+    fn owned((arena, stats): (&ReplyArena, ShareStats)) -> (Vec<PeerReply>, ShareStats) {
+        (arena.to_replies(), stats)
+    }
 
     fn ctx(p: Point) -> CacheContext {
         CacheContext {
@@ -442,7 +568,7 @@ mod tests {
         let table = PoiTable::from_pois([poi]);
         let grid = NeighborGrid::build(positions, 1.0);
         for (hops, expect_contacted, expect_replies) in [(1, 1, 0), (2, 2, 0), (3, 3, 1)] {
-            let (replies, stats) = share_exchange(
+            let (replies, stats) = owned(share_exchange(
                 0,
                 Point::new(0.0, 0.0),
                 1.0,
@@ -454,8 +580,9 @@ mod tests {
                 None,
                 ShareFaults::default(),
                 None,
+            &mut QueryScratch::new(),
                 &mut NoopRecorder,
-            );
+        ));
             assert_eq!(stats.peers_contacted, expect_contacted, "hops {hops}");
             assert_eq!(replies.len(), expect_replies, "hops {hops}");
         }
@@ -477,7 +604,7 @@ mod tests {
             None,
             ShareFaults::default(),
         );
-        let (r2, s2) = share_exchange(
+        let (r2, s2) = owned(share_exchange(
             0,
             Point::new(0.0, 0.0),
             1.0,
@@ -489,11 +616,47 @@ mod tests {
             None,
             ShareFaults::default(),
             None,
+            &mut QueryScratch::new(),
             &mut NoopRecorder,
-        );
+        ));
         assert_eq!(s1, s2);
         assert_eq!(r1.len(), r2.len());
         assert_eq!(r1[0].peer, r2[0].peer);
+    }
+
+    /// The flood's `visited` marks live in the scratch across exchanges
+    /// and are reset only where a flood set them: a scratch reused by
+    /// floods from every host of a chain answers each as a fresh one.
+    #[test]
+    fn a_reused_scratch_floods_like_a_fresh_one() {
+        let positions: Vec<Point> = (0..8).map(|i| Point::new(i as f64 * 0.9, 0.0)).collect();
+        let (caches, table) = fleet(&positions);
+        let grid = NeighborGrid::build(positions.clone(), 1.0);
+        let exchange = |querier: usize, scratch: &mut QueryScratch| {
+            owned(share_exchange(
+                querier,
+                positions[querier],
+                1.0,
+                3,
+                CAT,
+                &grid,
+                &caches,
+                &table,
+                None,
+                ShareFaults::default(),
+                None,
+                scratch,
+                &mut NoopRecorder,
+            ))
+        };
+        let mut reused = QueryScratch::new();
+        for querier in (0..8).chain((0..8).rev()) {
+            let (replies, stats) = exchange(querier, &mut reused);
+            let (fresh, fresh_stats) = exchange(querier, &mut QueryScratch::new());
+            assert_eq!(replies, fresh, "querier {querier}");
+            assert_eq!(stats, fresh_stats, "querier {querier}");
+            assert!(stats.peers_contacted >= 3, "querier {querier}: {stats:?}");
+        }
     }
 
     #[test]
@@ -509,7 +672,7 @@ mod tests {
         let caches: Vec<HostCache> = pois.iter().map(|&p| cache_with_poi(p)).collect();
         let table = PoiTable::from_pois(pois);
         let grid = NeighborGrid::build(positions, 1.0);
-        let (replies, stats) = share_exchange(
+        let (replies, stats) = owned(share_exchange(
             2,
             Point::new(0.2, 0.0),
             1.0,
@@ -521,8 +684,9 @@ mod tests {
             None,
             ShareFaults::default(),
             None,
+            &mut QueryScratch::new(),
             &mut NoopRecorder,
-        );
+        ));
         assert_eq!(stats.peers_contacted, 5);
         assert!(replies.iter().all(|r| r.peer != 2));
     }
@@ -599,6 +763,108 @@ mod tests {
         assert_eq!(s0.replies_dropped, 0);
     }
 
+    /// Owned sanitation, the reference oracle for the arena's: validates
+    /// one reply's handle-based regions against the canonical `table` — a
+    /// region is rejected whole when it is structurally malformed, claims
+    /// a handle the table cannot resolve, or claims a POI whose canonical
+    /// position lies outside the rectangle — and clips survivors to
+    /// `world` with their membership restricted accordingly. Returns the
+    /// survivors and the number rejected.
+    fn sanitize_id_regions(
+        regions: Vec<(Rect, Vec<PoiId>)>,
+        table: &PoiTable,
+        world: Option<&Rect>,
+    ) -> (Vec<(Rect, Vec<PoiId>)>, usize) {
+        let mut out = Vec::with_capacity(regions.len());
+        let mut rejected = 0usize;
+        for (r, ids) in regions {
+            let well_formed = r.x1.is_finite()
+                && r.y1.is_finite()
+                && r.x2.is_finite()
+                && r.y2.is_finite()
+                && r.x1 <= r.x2
+                && r.y1 <= r.y2;
+            let claims_hold = well_formed
+                && ids
+                    .iter()
+                    .all(|&id| table.get(id).is_some_and(|p| r.contains(p.pos)));
+            if !claims_hold {
+                rejected += 1;
+                continue;
+            }
+            let clipped = match world {
+                Some(w) => match r.intersection(w) {
+                    Some(c) => c,
+                    None => {
+                        rejected += 1;
+                        continue;
+                    }
+                },
+                None => r,
+            };
+            let ids: Vec<PoiId> = ids
+                .into_iter()
+                .filter(|&id| table.get(id).is_some_and(|p| clipped.contains(p.pos)))
+                .collect();
+            out.push((clipped, ids));
+        }
+        (out, rejected)
+    }
+
+    /// The single-hop exchange as it ran on owned copies of every reply,
+    /// over the oracle above: the replies kept and the stats booked,
+    /// striking into `ledger` at `epoch`.
+    #[allow(clippy::too_many_arguments)]
+    fn owned_exchange(
+        peers: &[usize],
+        caches: &[HostCache],
+        table: &PoiTable,
+        world: Option<&Rect>,
+        faults: ShareFaults<'_>,
+        ledger: &mut QuarantineLedger,
+        epoch: u64,
+    ) -> (Vec<PeerReply>, ShareStats) {
+        let mut stats = ShareStats::default();
+        let mut replies = Vec::new();
+        for &peer in peers {
+            if ledger.is_quarantined(peer, epoch) {
+                stats.peers_quarantined += 1;
+                continue;
+            }
+            stats.peers_contacted += 1;
+            let mut regions: Vec<(Rect, Vec<PoiId>)> = caches[peer]
+                .share_regions(CAT)
+                .map(|(r, ids)| (r, ids.to_vec()))
+                .collect();
+            if regions.is_empty() {
+                continue;
+            }
+            if faults.drops_reply(peer) {
+                stats.replies_dropped += 1;
+                continue;
+            }
+            if faults.malforms_reply(peer) {
+                for (r, _) in &mut regions {
+                    r.x1 = f64::NAN;
+                }
+            }
+            let (regions, rejected) = sanitize_id_regions(regions, table, world);
+            stats.regions_rejected += rejected;
+            if rejected > 0 {
+                ledger.strike(peer, epoch);
+                stats.peers_struck += 1;
+            }
+            if regions.is_empty() {
+                continue;
+            }
+            stats.peers_with_data += 1;
+            stats.regions_received += regions.len();
+            stats.pois_received += regions.iter().map(|(_, p)| p.len()).sum::<usize>();
+            replies.push(PeerReply { peer, regions });
+        }
+        (replies, stats)
+    }
+
     #[test]
     fn malformed_regions_are_rejected_and_valid_ones_clipped() {
         let world = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
@@ -609,7 +875,7 @@ mod tests {
             Poi::new(4, Point::new(12.0, 8.5)),
             Poi::new(5, Point::new(3.0, 3.0)),
         ]);
-        let regions = vec![
+        let regions = [
             // NaN edge: structurally malformed.
             (
                 Rect {
@@ -638,13 +904,159 @@ mod tests {
             // Fully valid: untouched.
             (Rect::from_coords(2.0, 2.0, 4.0, 4.0), vec![PoiId(5)]),
         ];
-        let (kept, rejected) = sanitize_id_regions(regions, &table, Some(&world));
-        assert_eq!(rejected, 4);
-        assert_eq!(kept.len(), 2);
-        assert_eq!(kept[0].0, Rect::from_coords(8.0, 8.0, 10.0, 9.0));
-        assert_eq!(kept[0].1, vec![PoiId(3)]);
-        assert_eq!(kept[1].0, Rect::from_coords(2.0, 2.0, 4.0, 4.0));
-        assert_eq!(kept[1].1, vec![PoiId(5)]);
+        let mut peer = HostCache::new(10, ReplacementPolicy::default());
+        for (r, ids) in &regions {
+            peer.insert_unchecked(CAT, *r, ids, 0.0);
+        }
+        let caches = vec![HostCache::new(10, ReplacementPolicy::default()), peer];
+        let grid = NeighborGrid::build(vec![Point::new(0.0, 0.0), Point::new(0.1, 0.0)], 1.0);
+        let mut ledger = QuarantineLedger::new(3);
+        let mut scratch = QueryScratch::new();
+        let (arena, stats) = share_exchange(
+            0,
+            Point::new(0.0, 0.0),
+            1.0,
+            1,
+            CAT,
+            &grid,
+            &caches,
+            &table,
+            Some(&world),
+            ShareFaults::default(),
+            Some((&mut ledger, 0)),
+            &mut scratch,
+            &mut NoopRecorder,
+        );
+        assert_eq!(stats.regions_rejected, 4);
+        assert_eq!(stats.peers_struck, 1);
+        let kept: Vec<(Rect, Vec<u32>)> = arena
+            .regions()
+            .map(|(r, pois)| (r, pois.iter().map(|p| p.id).collect()))
+            .collect();
+        assert_eq!(
+            kept,
+            vec![
+                (Rect::from_coords(8.0, 8.0, 10.0, 9.0), vec![3]),
+                (Rect::from_coords(2.0, 2.0, 4.0, 4.0), vec![5]),
+            ]
+        );
+        assert!(ledger.is_quarantined(1, 1));
+    }
+
+    /// Hostile peer caches — NaN and inverted rectangles, regions outside
+    /// or straddling the world, unknown handles, POIs outside their own
+    /// rectangle, beside honest regions — sanitized in the arena and by
+    /// the owned oracle, with every reply malformed and with none, over
+    /// two epochs so the first's strikes quarantine peers in the second:
+    /// the same spans, reject counts, strikes and stats.
+    #[test]
+    fn hostile_replies_match_the_owned_oracle() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let world = Rect::from_coords(0.0, 0.0, 10.0, 10.0);
+        // (rejected, struck, skipped, received) over every exchange.
+        let mut seen = [0usize; 4];
+        for seed in 0..40u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let table = PoiTable::from_pois((0..60).map(|i| {
+                Poi::new(
+                    i,
+                    Point::new(rng.gen_range(-3.0..13.0), rng.gen_range(-3.0..13.0)),
+                )
+            }));
+            let inside = |r: &Rect| -> Vec<PoiId> {
+                table
+                    .iter()
+                    .filter(|p| r.contains(p.pos))
+                    .map(|p| p.handle())
+                    .collect()
+            };
+            let hosts = 10;
+            let positions: Vec<Point> = (0..hosts)
+                .map(|_| Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
+                .collect();
+            let mut caches = vec![HostCache::new(100, ReplacementPolicy::default())];
+            for _ in 1..hosts {
+                let mut c = HostCache::new(100, ReplacementPolicy::default());
+                for _ in 0..rng.gen_range(0..6) {
+                    let (x, y) = (rng.gen_range(-6.0..14.0), rng.gen_range(-6.0..14.0));
+                    let (w, h) = (rng.gen_range(0.0..5.0), rng.gen_range(0.0..5.0));
+                    let honest = Rect::from_coords(x, y, x + w, y + h);
+                    let (r, ids) = match rng.gen_range(0..8) {
+                        0 => (Rect { x1: f64::NAN, ..honest }, inside(&honest)),
+                        1 => (Rect { x1: x + w + 1.0, ..honest }, Vec::new()),
+                        2 => (honest, {
+                            let mut ids = inside(&honest);
+                            ids.push(PoiId(1_000 + rng.gen_range(0..50u32)));
+                            ids
+                        }),
+                        3 => (honest, {
+                            let mut ids = inside(&honest);
+                            ids.extend(table.iter().find(|p| !honest.contains(p.pos)).map(|p| p.handle()));
+                            ids
+                        }),
+                        // Honest: inside, straddling or outside the world.
+                        _ => (honest, inside(&honest)),
+                    };
+                    c.insert_unchecked(CAT, r, &ids, 0.0);
+                }
+                caches.push(c);
+            }
+            let grid = NeighborGrid::build(positions, 1.0);
+            let model = ChannelFaults::from_loss_prob(seed, 0.0, 0);
+            for malform_prob in [0.0, 1.0] {
+                let faults = ShareFaults {
+                    faults: Some(&model),
+                    drop_prob: 0.2,
+                    malform_prob,
+                    nonce: seed,
+                };
+                let peers = grid.neighbors_within(Point::new(0.5, 0.5), 1.0, Some(0));
+                let (mut ledger, mut oracle_ledger) =
+                    (QuarantineLedger::new(seed), QuarantineLedger::new(seed));
+                let mut scratch = QueryScratch::new();
+                for epoch in 0..2 {
+                    let (arena, stats) = share_exchange(
+                        0,
+                        Point::new(0.5, 0.5),
+                        1.0,
+                        1,
+                        CAT,
+                        &grid,
+                        &caches,
+                        &table,
+                        Some(&world),
+                        faults,
+                        Some((&mut ledger, epoch)),
+                        &mut scratch,
+                        &mut NoopRecorder,
+                    );
+                    let (want, want_stats) = owned_exchange(
+                        &peers,
+                        &caches,
+                        &table,
+                        Some(&world),
+                        faults,
+                        &mut oracle_ledger,
+                        epoch,
+                    );
+                    let got = arena.to_replies();
+                    let at = format!("seed {seed} malform {malform_prob} epoch {epoch}");
+                    assert_eq!(got, want, "{at}");
+                    assert_eq!(stats, want_stats, "{at}");
+                    assert_eq!(ledger, oracle_ledger, "{at}");
+                    for (n, d) in seen.iter_mut().zip([
+                        stats.regions_rejected,
+                        stats.peers_struck,
+                        stats.peers_quarantined,
+                        stats.regions_received,
+                    ]) {
+                        *n += d;
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "a path went unexercised: {seen:?}");
     }
 
     #[test]
@@ -689,7 +1101,7 @@ mod tests {
             nonce: 42,
         };
         let mut rec = MetricsRecorder::new();
-        let (replies, stats) = share_exchange(
+        let (replies, stats) = owned(share_exchange(
             0,
             Point::new(0.0, 0.0),
             1.0,
@@ -701,8 +1113,9 @@ mod tests {
             None,
             some,
             None,
+            &mut QueryScratch::new(),
             &mut rec,
-        );
+        ));
         let snap = rec.snapshot();
         assert_eq!(snap.peers_contacted_total, stats.peers_contacted as u64);
         assert_eq!(snap.peer_replies_dropped, stats.replies_dropped as u64);
@@ -772,7 +1185,7 @@ mod tests {
         let mut ledger = QuarantineLedger::new(7);
 
         // Exchange 1 at epoch 0: every reply malforms, every peer struck.
-        let (replies, stats) = share_exchange(
+        let (replies, stats) = owned(share_exchange(
             0,
             Point::new(0.0, 0.0),
             1.0,
@@ -784,8 +1197,9 @@ mod tests {
             None,
             all_malformed,
             Some((&mut ledger, 0)),
+            &mut QueryScratch::new(),
             &mut NoopRecorder,
-        );
+        ));
         assert!(replies.is_empty());
         assert_eq!(stats.peers_contacted, 3);
         assert_eq!(stats.peers_struck, 3);
@@ -794,7 +1208,7 @@ mod tests {
 
         // Exchange 2 at epoch 1: all three peers are quarantined and
         // skipped before contact — no request messages at all.
-        let (replies2, stats2) = share_exchange(
+        let (replies2, stats2) = owned(share_exchange(
             0,
             Point::new(0.0, 0.0),
             1.0,
@@ -806,8 +1220,9 @@ mod tests {
             None,
             all_malformed,
             Some((&mut ledger, 1)),
+            &mut QueryScratch::new(),
             &mut NoopRecorder,
-        );
+        ));
         assert!(replies2.is_empty());
         assert_eq!(stats2.peers_contacted, 0);
         assert_eq!(stats2.peers_quarantined, 3);
@@ -828,7 +1243,7 @@ mod tests {
             nonce: 42,
         };
         let mut ledger = QuarantineLedger::new(7);
-        let (rg, sg) = share_exchange(
+        let (rg, sg) = owned(share_exchange(
             0,
             Point::new(0.0, 0.0),
             1.0,
@@ -840,8 +1255,9 @@ mod tests {
             None,
             some,
             Some((&mut ledger, 3)),
+            &mut QueryScratch::new(),
             &mut NoopRecorder,
-        );
+        ));
         let (ru, su) = gather_peer_data_checked(
             0,
             Point::new(0.0, 0.0),

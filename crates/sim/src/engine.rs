@@ -49,6 +49,7 @@ use airshare_p2p::{NeighborGrid, ShareFaults};
 use airshare_rtree::RTree;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use std::time::Instant;
 
 /// The single POI category the paper's experiments use (gas stations).
@@ -176,6 +177,16 @@ enum Found {
     Pois(Vec<Poi>),
 }
 
+impl Found {
+    /// Hands the answer's vector back to the pool it was drawn from.
+    fn recycle(self, scratch: &mut QueryScratch) {
+        match self {
+            Found::Neighbors(v) => scratch.recycle(v),
+            Found::Pois(v) => scratch.recycle(v),
+        }
+    }
+}
+
 /// What one [`QuerySpec`] arm of `process_query` resolved: all its
 /// shared tail accounts for.
 struct Resolved {
@@ -244,18 +255,20 @@ pub(crate) struct EpochCtx<'a> {
     pub(crate) outage: &'a OutageSchedule,
 }
 
-/// One host's slice of an epoch batch: its state plus its queries.
+/// One host's slice of an epoch batch: its state, moved out of the
+/// world and updated in place, plus where its queries sit in the batch.
 pub(crate) struct LiveTask {
     pub(crate) host: usize,
     pub(crate) state: HostState,
-    /// Nonce-ordered queries for this host.
-    pub(crate) queries: Vec<LiveQuery>,
+    /// This host's queries, nonce-ordered, as a range of the batch.
+    pub(crate) queries: Range<usize>,
 }
 
-/// A [`LiveTask`]'s result: the state to commit and what it answered.
-pub(crate) struct LiveDone {
-    pub(crate) host: usize,
-    pub(crate) state: HostState,
+/// What one worker's tasks produced in a batch, kept in the worker's
+/// [`QueryScratch`] (so its buffers outlive the batch) and drained at
+/// the barrier.
+#[derive(Default)]
+pub(crate) struct BatchSink {
     pub(crate) outcomes: Vec<(u64, QueryOutcome)>,
     /// One per query when the batch wants answers, else empty.
     pub(crate) answers: Vec<QueryAnswer>,
@@ -350,7 +363,7 @@ impl Simulation {
     /// [`Simulation::run_parallel_metrics`] additionally copies it into
     /// the report's snapshot.
     pub fn phase_times(&self) -> PhaseTimes {
-        self.world.phases
+        self.world.phase_times()
     }
 
     /// Runs the simulation to completion and returns the report.
@@ -480,6 +493,10 @@ impl Simulation {
             None => Vec::new(),
         };
         let mut answers: Vec<QueryAnswer> = Vec::new();
+        // Each epoch's online events and their queries, in buffers kept
+        // across epochs.
+        let mut order: Vec<usize> = Vec::new();
+        let mut batch: Vec<LiveQuery> = Vec::new();
         while scheduler.peek_time() < horizon {
             let first = scheduler.next_query();
             let epoch = (first.time / epoch_len) as u64;
@@ -559,11 +576,14 @@ impl Simulation {
             // and online flags go in, so the batch is known before the
             // barrier and the grid bins only what it can reach.
             let t_phase = Instant::now();
-            let mut order: Vec<usize> = (0..epoch_events.len())
-                .filter(|&k| self.world.is_online(epoch_events[k].host))
-                .collect();
-            order.sort_by_key(|&k| epoch_events[k].host);
-            let mut batch: Vec<LiveQuery> = Vec::with_capacity(order.len());
+            order.clear();
+            order.extend(
+                (0..epoch_events.len()).filter(|&k| self.world.is_online(epoch_events[k].host)),
+            );
+            // Host-major, then event order: the key is unique, so the
+            // unstable sort is the stable sort by host.
+            order.sort_unstable_by_key(|&k| (epoch_events[k].host, k));
+            batch.clear();
             for run in order.chunk_by(|&a, &b| epoch_events[a].host == epoch_events[b].host) {
                 let host = epoch_events[run[0]].host;
                 let model = &mut self.hosts[host];
@@ -598,14 +618,14 @@ impl Simulation {
             self.world.begin_epoch_near(epoch, &batch, pool);
 
             match &mut trace {
-                None => self.world.execute_batch(batch, pool, ctxs, None),
+                None => self.world.execute_batch(&mut batch, pool, ctxs, None),
                 Some(trace) => {
                     // Answers come back nonce-ordered; pair them with
                     // their inputs in the same order, the trace's own.
                     self.world
-                        .execute_batch(batch.clone(), pool, ctxs, Some(&mut answers));
-                    batch.sort_by_key(|q| q.nonce);
-                    for (q, a) in batch.into_iter().zip(answers.drain(..)) {
+                        .execute_batch(&mut batch, pool, ctxs, Some(&mut answers));
+                    batch.sort_unstable_by_key(|q| q.nonce);
+                    for (q, a) in batch.iter().zip(answers.drain(..)) {
                         debug_assert_eq!(q.nonce, a.nonce);
                         trace.queries.push(RecordedQuery {
                             nonce: q.nonce,
@@ -652,11 +672,10 @@ fn advance_fleet(
     } else {
         n.div_ceil(pool.threads() * 4).max(1024)
     };
-    let chunks: Vec<_> = hosts
+    let chunks = hosts
         .chunks_mut(chunk_len)
-        .zip(positions.chunks_mut(chunk_len))
-        .collect();
-    pool.map(chunks, |_, (hosts, positions)| {
+        .zip(positions.chunks_mut(chunk_len));
+    pool.for_each_with(&mut vec![(); pool.threads()], chunks, |(), _, (hosts, positions)| {
         for (m, p) in hosts.iter_mut().zip(positions) {
             *p = m.position_at(config, t);
         }
@@ -664,37 +683,29 @@ fn advance_fleet(
 }
 
 impl EpochCtx<'_> {
-    /// Runs one host's slice of an epoch batch: its queries in nonce
+    /// Runs one host's slice of an epoch batch: its `queries` in nonce
     /// order, against the shared epoch snapshot, with all mutations
-    /// host-local. An answer is assembled per query only when the batch
-    /// wants them.
+    /// host-local (in `task.state`). Outcomes — and, when the batch wants
+    /// them, answers — go to the worker's [`BatchSink`] in `scratch`.
     pub(crate) fn run_live_host(
         &self,
-        mut task: LiveTask,
+        task: &mut LiveTask,
+        queries: &[LiveQuery],
         want_answers: bool,
         scratch: &mut QueryScratch,
         rec: &mut dyn Recorder,
-    ) -> LiveDone {
-        let state = &mut task.state;
-        let mut outcomes = Vec::new();
-        let mut answers = Vec::with_capacity(if want_answers { task.queries.len() } else { 0 });
-        for item in &task.queries {
+    ) {
+        for item in queries {
             let mut answer = want_answers.then(|| QueryAnswer {
                 nonce: item.nonce,
                 host: item.host as u32,
                 ids: Vec::new(),
                 quality: AnswerQuality::Failed,
             });
-            if let Some(o) = self.process_query(item, state, scratch, rec, answer.as_mut()) {
-                outcomes.push((item.nonce, o));
-            }
-            answers.extend(answer);
-        }
-        LiveDone {
-            host: task.host,
-            state: task.state,
-            outcomes,
-            answers,
+            let outcome = self.process_query(item, &mut task.state, scratch, rec, answer.as_mut());
+            let sink = scratch.retained::<BatchSink>();
+            sink.outcomes.extend(outcome.map(|o| (item.nonce, o)));
+            sink.answers.extend(answer);
         }
     }
 
@@ -754,6 +765,9 @@ impl EpochCtx<'_> {
         // of a racefree shard; replies still pass through drop decisions
         // (fault layer) and region validation, so a flaky or inconsistent
         // peer costs coverage, never correctness. ---
+        // The merged region is rebuilt in the worker's retained buffers,
+        // and the replies land in the scratch's arena.
+        let mut mvr = std::mem::take(scratch.retained::<MergedRegion>());
         let guard = Some((&mut q.quarantine, self.epoch));
         let (replies, share) = airshare_p2p::share_exchange(
             host,
@@ -767,6 +781,7 @@ impl EpochCtx<'_> {
             Some(self.world),
             share_faults,
             guard,
+            scratch,
             rec,
         );
         if cfg.use_own_cache {
@@ -778,21 +793,15 @@ impl EpochCtx<'_> {
                 });
             }
         }
-        // Merge handle-level: peer regions first (reply order), then the
-        // querier's own cache — all resolved once against the canonical
-        // table, never materialized as owned POI vectors.
+        // Merge: peer regions first (reply order, resolved while their
+        // claims were checked), then the querier's own cache, resolved
+        // here against the canonical table.
         let own = cfg
             .use_own_cache
             .then(|| q.cache.share_regions(CAT))
             .into_iter()
             .flatten();
-        let mvr = MergedRegion::from_id_regions(
-            self.table,
-            replies
-                .iter()
-                .flat_map(|r| r.regions.iter().map(|(vr, ids)| (*vr, ids.as_slice())))
-                .chain(own),
-        );
+        mvr.refill(replies, self.table, own);
 
         let client = match self.faults {
             Some(f) => OnAirClient::with_faults(self.index, self.schedule, f),
@@ -814,7 +823,10 @@ impl EpochCtx<'_> {
                 match sbnn_rec(qpos, &sbnn_cfg, &mvr, channel, scratch, rec) {
                     SbnnOutcome::Resolved(res) => {
                         let adopt = res.adoptable.as_ref().map(|(vr, p)| (*vr, p.as_slice()));
-                        let quality = self.settle(q, item, res.air, adopt, rec);
+                        let quality = self.settle(q, item, res.air, adopt, scratch, rec);
+                        if let Some((_, pois)) = res.adoptable {
+                            scratch.recycle(pois);
+                        }
                         let min_correctness = (res.resolved_by == ResolvedBy::PeersApproximate)
                             .then(|| {
                                 (res.neighbors.iter())
@@ -844,7 +856,7 @@ impl EpochCtx<'_> {
                         } else {
                             AnswerQuality::Stale
                         };
-                        self.outage_served(q, Found::Neighbors(heap.entries().to_vec()), quality)
+                        self.outage_served(q, Found::Neighbors(heap.into_entries()), quality)
                     }
                 }
             }
@@ -857,7 +869,8 @@ impl EpochCtx<'_> {
                         // A resolved window is fully known: its own
                         // verified region.
                         let adopt = Some((rect, res.pois.as_slice()));
-                        let quality = self.settle(q, item, res.air, adopt, rec);
+                        let quality = self.settle(q, item, res.air, adopt, scratch, rec);
+                        scratch.recycle(res.reduced_windows);
                         let (resolution, window_coverage) = match res.resolved_by {
                             ResolvedBy::PeersVerified => (Resolution::Peers, None),
                             _ => (Resolution::Broadcast, Some(res.coverage)),
@@ -887,6 +900,7 @@ impl EpochCtx<'_> {
                         } else {
                             AnswerQuality::Failed
                         };
+                        scratch.recycle(missing);
                         self.outage_served(q, Found::Pois(partial), quality)
                     }
                 }
@@ -908,6 +922,8 @@ impl EpochCtx<'_> {
             a.quality = quality;
         }
         if !measuring {
+            r.found.recycle(scratch);
+            *scratch.retained::<MergedRegion>() = mvr;
             return None;
         }
         rec.record(TraceEvent::QueryQuality { quality });
@@ -971,6 +987,8 @@ impl EpochCtx<'_> {
                 }
             }
         }
+        r.found.recycle(scratch);
+        *scratch.retained::<MergedRegion>() = mvr;
         Some(out)
     }
 
@@ -980,13 +998,15 @@ impl EpochCtx<'_> {
     /// any, is cached — unless retrieval lost buckets: a degraded answer
     /// may be missing POIs, and adopting its region would cache an
     /// incomplete "verified" claim and poison every peer it is later
-    /// shared with. Returns the answer's grade.
+    /// shared with. Returns the answer's grade. The region's handles are
+    /// collected in a vector from `scratch`'s pool.
     fn settle(
         &self,
         q: &mut HostState,
         item: &LiveQuery,
         air: Option<AccessStats>,
         adopt: Option<(Rect, &[Poi])>,
+        scratch: &mut QueryScratch,
         rec: &mut dyn Recorder,
     ) -> AnswerQuality {
         if air.is_some() {
@@ -1002,7 +1022,8 @@ impl EpochCtx<'_> {
             return AnswerQuality::Degraded;
         }
         if let Some((vr, pois)) = adopt {
-            let ids: Vec<PoiId> = pois.iter().map(Poi::handle).collect();
+            let mut ids: Vec<PoiId> = scratch.take_vec();
+            ids.extend(pois.iter().map(Poi::handle));
             let ctx = CacheContext {
                 pos: item.pos,
                 heading: item.heading,
@@ -1019,6 +1040,7 @@ impl EpochCtx<'_> {
             if let Some(reason) = reason {
                 rec.record(TraceEvent::CacheRejected { reason });
             }
+            scratch.recycle(ids);
         }
         AnswerQuality::Exact
     }

@@ -24,7 +24,9 @@
 //! replayed against a `LiveWorld` is answered identically by
 //! construction (DESIGN.md §14).
 
-use crate::engine::{fold_outcome, EpochCtx, HostState, LiveTask, QueryAnswer, QuerySpec};
+use crate::engine::{
+    fold_outcome, BatchSink, EpochCtx, HostState, LiveTask, QueryAnswer, QueryOutcome, QuerySpec,
+};
 use crate::fleet::FleetStore;
 use crate::{BackendKind, ConfigError, SimConfig, SimReport};
 use airshare_broadcast::{
@@ -39,7 +41,6 @@ use airshare_p2p::NeighborGrid;
 use airshare_rtree::RTree;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Seed domain for per-host quarantine backoff jitter.
@@ -100,11 +101,16 @@ pub struct LiveWorld {
     centers: Vec<Point>,
     /// The live caches of hosts that wrote since the last boundary (a
     /// batch commit or a crash wipe), parked between batches while the
-    /// column shows their epoch-start copies. Empty after `begin_epoch`.
-    written: BTreeMap<usize, HostCache>,
+    /// column shows their epoch-start copies, sorted by host. Empty
+    /// after `begin_epoch`.
+    written: Vec<(usize, HostCache)>,
     /// Retired copies, arenas kept for the next epoch's writers: as
     /// many as an epoch has had writers, not as many as hosts.
     spare: Vec<HostCache>,
+    /// A batch's tasks, one per querying host in host order, and its
+    /// measured outcomes; kept for their buffers.
+    tasks: Vec<LiveTask>,
+    outcomes: Vec<(u64, QueryOutcome)>,
     /// The epoch currently being served.
     epoch: u64,
     range: f64,
@@ -205,8 +211,10 @@ impl LiveWorld {
             grid,
             rings,
             centers: Vec::new(),
-            written: BTreeMap::new(),
+            written: Vec::new(),
             spare: Vec::new(),
+            tasks: Vec::new(),
+            outcomes: Vec::new(),
             epoch: 0,
             range,
             report: SimReport::default(),
@@ -275,7 +283,7 @@ impl LiveWorld {
         self.fleet.online[host] = false;
         let mut cache = self.take_cache(host);
         cache.clear();
-        self.written.insert(host, cache);
+        self.park(host, cache);
         self.fleet.quarantines[host].clear();
         self.report.hosts_crashed += 1;
         rec.record(TraceEvent::HostCrashed {
@@ -335,9 +343,13 @@ impl LiveWorld {
     /// stand-in: what a host saw of itself all along, peers see from here.
     pub(crate) fn install_written(&mut self) {
         let t_phase = Instant::now();
-        while let Some((host, cache)) = self.written.pop_first() {
+        for (host, cache) in self.written.drain(..) {
             let copy = std::mem::replace(&mut self.fleet.caches[host], cache);
-            self.spare.push(copy);
+            // A copy of a cache that held nothing took no spare buffer
+            // (see `take_cache`) and is worth none.
+            if !copy.is_empty() {
+                self.spare.push(copy);
+            }
         }
         self.phases.snapshot_ns += t_phase.elapsed().as_nanos() as u64;
     }
@@ -346,17 +358,35 @@ impl LiveWorld {
     /// this epoch parked, else the column's original — the host's own warm
     /// arena — leaving peers a copy in a retired buffer (if one is spare).
     fn take_cache(&mut self, host: usize) -> HostCache {
-        self.written.remove(&host).unwrap_or_else(|| {
-            let column = &mut self.fleet.caches[host];
-            let copy = match self.spare.pop() {
-                Some(mut buf) => {
-                    buf.clone_from(column);
-                    buf
-                }
-                None => column.clone(),
-            };
-            std::mem::replace(column, copy)
-        })
+        let parked = self.written.binary_search_by_key(&host, |&(h, _)| h);
+        if let Ok(at) = parked {
+            return self.written.remove(at).1;
+        }
+        let column = &mut self.fleet.caches[host];
+        // A copy of a cache that holds nothing needs no spare buffer's
+        // capacity (a never-written one clones without allocating), and
+        // filling a spare with it would drop the spare's warm lists.
+        let spare = if column.is_empty() {
+            None
+        } else {
+            self.spare.pop()
+        };
+        let copy = match spare {
+            Some(mut buf) => {
+                buf.clone_from(column);
+                buf
+            }
+            None => column.clone(),
+        };
+        std::mem::replace(column, copy)
+    }
+
+    /// Parks `host`'s live cache until the next boundary.
+    fn park(&mut self, host: usize, cache: HostCache) {
+        match self.written.binary_search_by_key(&host, |&(h, _)| h) {
+            Ok(at) => self.written[at].1 = cache,
+            Err(at) => self.written.insert(at, (host, cache)),
+        }
     }
 
     /// Executes one admitted batch on the pool and commits the barrier:
@@ -368,60 +398,62 @@ impl LiveWorld {
     /// touching the world. Returns every query's answer, nonce-ordered.
     pub fn execute_epoch<R: Recorder + Send>(
         &mut self,
-        queries: Vec<LiveQuery>,
+        mut queries: Vec<LiveQuery>,
         pool: &ExecPool,
         ctxs: &mut [(R, QueryScratch)],
     ) -> Vec<QueryAnswer> {
         let mut answers = Vec::with_capacity(queries.len());
-        self.execute_batch(queries, pool, ctxs, Some(&mut answers));
+        self.execute_batch(&mut queries, pool, ctxs, Some(&mut answers));
         answers
     }
 
     /// [`LiveWorld::execute_epoch`] with the answers optional: a closed
     /// loop that only wants the report passes `None` and no answer is
     /// ever assembled. Answers are appended to the sink, which is then
-    /// sorted by nonce.
+    /// sorted by nonce. `queries` is left sorted by host, then nonce.
+    ///
+    /// Every buffer the batch needs — the tasks, each worker's outcome
+    /// sink (in its scratch), the outcome list folded at the barrier — is
+    /// kept across batches, so a warm batch allocates nothing but what
+    /// the pool's extra workers cost to spawn.
     pub(crate) fn execute_batch<R: Recorder + Send>(
         &mut self,
-        queries: Vec<LiveQuery>,
+        queries: &mut [LiveQuery],
         pool: &ExecPool,
         ctxs: &mut [(R, QueryScratch)],
         mut answers: Option<&mut Vec<QueryAnswer>>,
     ) {
         let t_phase = Instant::now();
-        // Shard by host: all of one host's queries stay on one worker.
-        // BTreeMap gives host-id task order.
-        let mut by_host: BTreeMap<usize, Vec<LiveQuery>> = BTreeMap::new();
-        for q in queries {
-            if self.is_online(q.host) {
-                by_host.entry(q.host).or_default().push(q);
+        // Shard by host: all of one host's queries stay on one task, and
+        // tasks run in host-id order. Nonces are unique, so the order is
+        // total and the unstable sort exact.
+        queries.sort_unstable_by_key(|q| (q.host, q.nonce));
+        // Move host state out *before* the EpochCtx borrows the world.
+        let mut start = 0;
+        for run in queries.chunk_by(|a, b| a.host == b.host) {
+            let (host, range) = (run[0].host, start..start + run.len());
+            start = range.end;
+            if self.is_online(host) {
+                let state = HostState {
+                    cache: self.take_cache(host),
+                    sync: self.fleet.sync_state(host),
+                    quarantine: std::mem::take(&mut self.fleet.quarantines[host]),
+                    resyncs: 0,
+                };
+                self.tasks.push(LiveTask {
+                    host,
+                    state,
+                    queries: range,
+                });
             } else if let Some(sink) = answers.as_deref_mut() {
-                sink.push(QueryAnswer {
+                sink.extend(run.iter().map(|q| QueryAnswer {
                     nonce: q.nonce,
                     host: q.host as u32,
                     ids: Vec::new(),
                     quality: AnswerQuality::Failed,
-                });
+                }));
             }
         }
-        // Move host state out *before* the EpochCtx borrows the world;
-        // per-host queries run in nonce (= admission) order.
-        let tasks: Vec<LiveTask> = by_host
-            .into_iter()
-            .map(|(host, mut queries)| {
-                queries.sort_by_key(|q| q.nonce);
-                LiveTask {
-                    host,
-                    queries,
-                    state: HostState {
-                        cache: self.take_cache(host),
-                        sync: self.fleet.sync_state(host),
-                        quarantine: std::mem::take(&mut self.fleet.quarantines[host]),
-                        resyncs: 0,
-                    },
-                }
-            })
-            .collect();
 
         let ctx = EpochCtx {
             cfg: &self.cfg,
@@ -438,32 +470,49 @@ impl LiveWorld {
             outage: &self.outage,
         };
         let want_answers = answers.is_some();
-        let done = pool.map_with(ctxs, tasks, |(rec, scratch), _, task| {
-            ctx.run_live_host(task, want_answers, scratch, rec)
+        let queries = &*queries;
+        pool.for_each_with(ctxs, self.tasks.iter_mut(), |(rec, scratch), _, task| {
+            let mine = &queries[task.queries.clone()];
+            ctx.run_live_host(task, mine, want_answers, scratch, rec)
         });
 
-        // Barrier: commit host state in host-id order (`map_with`
-        // returns results in task order), then fold outcomes in nonce
-        // order so every accumulation is scheduling-independent.
-        let mut outcomes = Vec::new();
-        for d in done {
-            self.written.insert(d.host, d.state.cache);
-            self.fleet.set_sync_state(d.host, d.state.sync);
-            self.fleet.quarantines[d.host] = d.state.quarantine;
-            self.report.outage_resyncs += d.state.resyncs;
-            outcomes.extend(d.outcomes);
-            if let Some(sink) = answers.as_deref_mut() {
-                sink.extend(d.answers);
+        // Barrier: commit host state in host-id order (the tasks'
+        // order), then fold outcomes in nonce order so every
+        // accumulation is scheduling-independent.
+        let mut tasks = std::mem::take(&mut self.tasks);
+        for task in tasks.drain(..) {
+            let state = task.state;
+            self.park(task.host, state.cache);
+            self.fleet.set_sync_state(task.host, state.sync);
+            self.fleet.quarantines[task.host] = state.quarantine;
+            self.report.outage_resyncs += state.resyncs;
+        }
+        self.tasks = tasks;
+        for (_, scratch) in ctxs.iter_mut() {
+            let sink = scratch.retained::<BatchSink>();
+            self.outcomes.append(&mut sink.outcomes);
+            if let Some(out) = answers.as_deref_mut() {
+                out.append(&mut sink.answers);
             }
         }
-        outcomes.sort_by_key(|&(nonce, _)| nonce);
-        for (_, o) in outcomes {
+        self.outcomes.sort_unstable_by_key(|&(nonce, _)| nonce);
+        for (_, o) in self.outcomes.drain(..) {
             fold_outcome(&mut self.report, o);
         }
         if let Some(sink) = answers {
             sink.sort_by_key(|a| a.nonce);
         }
         self.phases.query_ns += t_phase.elapsed().as_nanos() as u64;
+    }
+
+    /// Wall-clock time of every barrier and batch so far, by phase:
+    /// `grid` (the neighbor-grid refresh), `snapshot` (the parked caches'
+    /// install) and `query` (sharding, execution and commit). `advance`
+    /// stays zero here — moving the fleet is its client's work. This is
+    /// measurement only, never part of the world's output: the report
+    /// does not carry it, and [`PhaseTimes`]' equality ignores it.
+    pub fn phase_times(&self) -> PhaseTimes {
+        self.phases
     }
 
     /// The accumulated report of every batch executed so far: what
@@ -500,6 +549,13 @@ mod tests {
             heading: None,
             spec: QuerySpec::Knn { k: 3 },
         }
+    }
+
+    /// `host`'s cache as parked since the last boundary, if it wrote.
+    fn parked(world: &LiveWorld, host: usize) -> Option<&HostCache> {
+        (world.written.iter())
+            .find(|&&(h, _)| h == host)
+            .map(|(_, c)| c)
     }
 
     /// What a peer asking `cache` would be shown.
@@ -578,7 +634,7 @@ mod tests {
             }
             // The boundary publishes exactly what the writers hold.
             let live: Vec<_> = (0..world.hosts())
-                .map(|h| shared(world.written.get(&h).unwrap_or(&world.fleet.caches[h])))
+                .map(|h| shared(parked(&world, h).unwrap_or(&world.fleet.caches[h])))
                 .collect();
             world.begin_epoch(epoch);
             assert!(
@@ -612,7 +668,7 @@ mod tests {
                 if (epoch, half) == (6, 0) {
                     assert!(reference[3].region_count(CAT) > 0, "nothing to wipe");
                     world.disconnect(3, epoch, &mut NoopRecorder);
-                    assert_eq!(world.written[&3].region_count(CAT), 0);
+                    assert_eq!(parked(&world, 3).unwrap().region_count(CAT), 0);
                 }
                 for (h, frozen) in reference.iter().enumerate() {
                     assert_eq!(

@@ -7,8 +7,11 @@
 //! 3. A metrics run (`run_parallel_metrics`, here on a sequential pool)
 //!    fills the snapshot, and its counters agree with the report's own
 //!    accounting.
+//! 4. A live world driven from outside reports where its barrier time
+//!    went, as the simulator does.
 
 use airshare::prelude::*;
+use airshare::sim::{LiveQuery, LiveWorld};
 
 fn tiny(seed: u64) -> SimConfig {
     let p = params::synthetic_suburbia().scaled(0.004);
@@ -98,4 +101,44 @@ fn run_metrics_fills_a_consistent_snapshot() {
     let mut plain = Simulation::try_new(faulty(7)).expect("valid config").run();
     plain.metrics = report.metrics.clone();
     assert_eq!(plain, report);
+}
+
+#[test]
+fn a_live_world_times_its_grid_and_query_phases() {
+    let mut world = LiveWorld::try_new(tiny(3)).expect("valid config");
+    let side = world.config().params.world_mi;
+    let hosts = world.hosts();
+    let pool = ExecPool::fixed(2);
+    let mut ctxs = vec![(NoopRecorder, QueryScratch::new()); 2];
+    assert_eq!(world.phase_times().total_ns(), 0, "nothing ran yet");
+    let mut nonce = 0;
+    for epoch in 0..4u64 {
+        let at = |h: usize| {
+            let f = (h as f64 + epoch as f64 * 0.37) / hosts as f64;
+            Point::new(side * f.fract(), side * (3.0 * f).fract())
+        };
+        for h in 0..hosts {
+            world.connect(h);
+            world.update_position(h, at(h));
+        }
+        world.begin_epoch(epoch);
+        let batch: Vec<LiveQuery> = (0..hosts)
+            .map(|h| {
+                nonce += 1;
+                LiveQuery {
+                    nonce,
+                    host: h,
+                    at_min: epoch as f64 * 0.25,
+                    pos: at(h),
+                    heading: None,
+                    spec: QuerySpec::Knn { k: 3 },
+                }
+            })
+            .collect();
+        assert_eq!(world.execute_epoch(batch, &pool, &mut ctxs).len(), hosts);
+    }
+    let phases = world.phase_times();
+    assert!(phases.grid_ns > 0, "{phases:?}");
+    assert!(phases.query_ns > 0, "{phases:?}");
+    assert_eq!(phases.advance_ns, 0, "the world moved no host: {phases:?}");
 }
