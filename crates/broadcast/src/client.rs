@@ -428,7 +428,22 @@ fn clip_to_world(r: Rect, world: Rect) -> Rect {
 mod tests {
     use super::*;
     use airshare_hilbert::Grid;
-    use airshare_obs::NoopRecorder;
+    use airshare_obs::{MetricsRecorder, NoopRecorder};
+
+    /// A [`MetricsRecorder`] plus a count of `FrameLost` events, which
+    /// the snapshot leaves to the report.
+    #[derive(Default)]
+    struct Traced {
+        metrics: MetricsRecorder,
+        frames_lost: u64,
+    }
+
+    impl Recorder for Traced {
+        fn record(&mut self, event: TraceEvent) {
+            self.frames_lost += u64::from(matches!(event, TraceEvent::FrameLost { .. }));
+            self.metrics.record(event);
+        }
+    }
 
     /// [`OnAirClient::retrieve_rec`] into a fresh vector.
     fn retrieved<B: AirIndexBackend + ?Sized>(
@@ -689,13 +704,12 @@ mod tests {
         // On a fully dead channel every appearance is corrupt, so the
         // counters are exact: N retries + 1 lost bucket per request, and
         // N + 1 FrameLost events apiece.
-        use airshare_obs::MetricsRecorder;
         let (index, schedule) = channel(200, 1);
         let buckets = [0usize, 1, 2];
         for budget in [0u32, 1, 5] {
             let faults = ChannelFaults::from_loss_prob(1, 1.0, budget);
             let client = OnAirClient::with_faults(&index, &schedule, &faults);
-            let mut rec = MetricsRecorder::new();
+            let mut rec = Traced::default();
             let (pois, stats) = retrieved(&client, 0, &buckets, &mut rec);
             assert!(pois.is_empty());
             assert_eq!(stats.lost_buckets, buckets.len() as u64, "budget {budget}");
@@ -705,7 +719,7 @@ mod tests {
                 "budget {budget}"
             );
             assert_eq!(
-                rec.snapshot().frames_lost_total,
+                rec.frames_lost,
                 u64::from(budget + 1) * buckets.len() as u64,
                 "budget {budget}"
             );
@@ -718,14 +732,13 @@ mod tests {
 
     #[test]
     fn traced_retrieval_matches_fault_counters() {
-        use airshare_obs::MetricsRecorder;
         let (index, schedule) = channel(300, 2);
         let faults = ChannelFaults::from_loss_prob(7, 0.3, 2);
         let client = OnAirClient::with_faults(&index, &schedule, &faults);
         let buckets: Vec<usize> = (0..index.data_buckets()).collect();
-        let mut rec = MetricsRecorder::new();
+        let mut rec = Traced::default();
         let (pois, stats) = retrieved(&client, 0, &buckets, &mut rec);
-        let snap = rec.snapshot();
+        let snap = rec.metrics.snapshot();
         assert_eq!(snap.probes_total, 1);
         assert_eq!(snap.index_buckets_total, schedule.index_buckets() as u64);
         assert_eq!(
@@ -734,7 +747,7 @@ mod tests {
         );
         // Every corrupt appearance is one FrameLost, including the final
         // appearance of an abandoned bucket.
-        assert_eq!(snap.frames_lost_total, stats.retries + stats.lost_buckets);
+        assert_eq!(rec.frames_lost, stats.retries + stats.lost_buckets);
         // Tracing must not perturb the protocol: plain call is identical.
         let (pois2, stats2) = retrieved(&client, 0, &buckets, &mut NoopRecorder);
         assert_eq!(stats, stats2);

@@ -278,12 +278,13 @@ fn nnv_detailed(
 /// [`SbnnOutcome::Unresolved`] whenever peers cannot finish).
 ///
 /// The channel fallback's protocol steps are traced into `rec`, and the
-/// terminal [`TraceEvent::QueryResolved`] (with the broadcast cost, or
-/// zeros for peer-resolved queries) is emitted whenever the outcome is
-/// resolved. All working sets — NNV's and the channel's index path —
-/// live in `scratch`, and the outcome's vectors are drawn from its
-/// pools: a caller that hands them back with [`QueryScratch::recycle`]
-/// runs every warm query without heap allocation.
+/// terminal [`TraceEvent::QueryResolved`] is emitted for every
+/// outcome: with the broadcast cost, zeros for peer-resolved queries,
+/// or [`ResolutionKind::Unresolved`] and zeros for an unresolved one.
+/// All working sets — NNV's and the channel's index path — live in
+/// `scratch`, and the outcome's vectors are drawn from its pools: a
+/// caller that hands them back with [`QueryScratch::recycle`] runs every
+/// warm query without heap allocation.
 pub fn sbnn_rec(
     q: Point,
     cfg: &SbnnConfig,
@@ -295,14 +296,15 @@ pub fn sbnn_rec(
     let mut nnv = std::mem::take(scratch.retained::<NnvScratch>());
     let outcome = sbnn_inner(q, cfg, mvr, air, &mut nnv, scratch, rec);
     *scratch.retained::<NnvScratch>() = nnv;
-    if let SbnnOutcome::Resolved(res) = &outcome {
-        let cost = res.air.unwrap_or_default();
-        rec.record(TraceEvent::QueryResolved {
-            by: res.resolved_by.into(),
-            tuning: cost.tuning,
-            latency: cost.latency,
-        });
-    }
+    let (by, cost) = match &outcome {
+        SbnnOutcome::Resolved(res) => (res.resolved_by.into(), res.air.unwrap_or_default()),
+        SbnnOutcome::Unresolved(_) => (ResolutionKind::Unresolved, AccessStats::default()),
+    };
+    rec.record(TraceEvent::QueryResolved {
+        by,
+        tuning: cost.tuning,
+        latency: cost.latency,
+    });
     outcome
 }
 

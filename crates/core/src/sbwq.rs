@@ -3,7 +3,7 @@
 use crate::MergedRegion;
 use airshare_broadcast::{AirIndexBackend, OnAirClient, Poi, QueryScratch};
 use airshare_geom::{Rect, RectUnion, RegionScratch};
-use airshare_obs::{AccessStats, Recorder, TraceEvent};
+use airshare_obs::{AccessStats, Recorder, ResolutionKind, TraceEvent};
 
 use crate::ResolvedBy;
 
@@ -76,11 +76,12 @@ impl SbwqOutcome {
 ///    those on air, merging with the POIs already known in `w ∩ MVR`.
 ///
 /// The channel fallback's protocol steps are traced into `rec`, and the
-/// terminal [`TraceEvent::QueryResolved`] (with the broadcast cost, or
-/// zeros for peer-resolved queries) is emitted whenever the outcome is
-/// resolved. All working sets — the window difference and the channel's
-/// index path — live in `scratch`, and the outcome's vectors are drawn
-/// from its pools: a caller that hands them back with
+/// terminal [`TraceEvent::QueryResolved`] is emitted for every
+/// outcome: with the broadcast cost, zeros for peer-resolved queries,
+/// or [`ResolutionKind::Unresolved`] and zeros for an unresolved one.
+/// All working sets — the window difference and the channel's index
+/// path — live in `scratch`, and the outcome's vectors are drawn from
+/// its pools: a caller that hands them back with
 /// [`QueryScratch::recycle`] runs every warm query without heap
 /// allocation.
 pub fn sbwq_rec(
@@ -94,14 +95,15 @@ pub fn sbwq_rec(
     let mut region = std::mem::take(scratch.retained::<SbwqScratch>());
     let outcome = sbwq_inner(w, cfg, mvr, air, &mut region.0, scratch, rec);
     *scratch.retained::<SbwqScratch>() = region;
-    if let SbwqOutcome::Resolved(res) = &outcome {
-        let cost = res.air.unwrap_or_default();
-        rec.record(TraceEvent::QueryResolved {
-            by: res.resolved_by.into(),
-            tuning: cost.tuning,
-            latency: cost.latency,
-        });
-    }
+    let (by, cost) = match &outcome {
+        SbwqOutcome::Resolved(res) => (res.resolved_by.into(), res.air.unwrap_or_default()),
+        SbwqOutcome::Unresolved { .. } => (ResolutionKind::Unresolved, AccessStats::default()),
+    };
+    rec.record(TraceEvent::QueryResolved {
+        by,
+        tuning: cost.tuning,
+        latency: cost.latency,
+    });
     outcome
 }
 

@@ -2,9 +2,10 @@
 
 /// How a query was ultimately resolved.
 ///
-/// Mirrors the algorithm layer's `ResolvedBy` (the three series of the
-/// paper's Figures 10–12) but lives here so the substrate crates can
-/// speak about resolution without depending on the algorithm crate.
+/// The first three mirror the algorithm layer's `ResolvedBy` (the three
+/// series of the paper's Figures 10–12) but live here so the substrate
+/// crates can speak about resolution without depending on the algorithm
+/// crate. The fourth is the outage case, which no paper series counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ResolutionKind {
     /// Answered entirely from peer data with verification (SBNN/SBWQ).
@@ -13,6 +14,10 @@ pub enum ResolutionKind {
     PeersApproximate,
     /// Answered by listening to the broadcast channel.
     Broadcast,
+    /// Not resolved: peers could not finish and the channel was silent
+    /// (a base-station outage). The caller serves what peer and cache
+    /// knowledge held, graded `Stale` or `Failed`.
+    Unresolved,
 }
 
 impl ResolutionKind {
@@ -22,6 +27,7 @@ impl ResolutionKind {
             ResolutionKind::PeersVerified => "peers_verified",
             ResolutionKind::PeersApproximate => "peers_approximate",
             ResolutionKind::Broadcast => "broadcast",
+            ResolutionKind::Unresolved => "unresolved",
         }
     }
 }
@@ -139,14 +145,17 @@ pub enum TraceEvent {
         /// Why the entry was refused.
         reason: CacheRejectReason,
     },
-    /// The query resolved; terminal event of every query context.
+    /// The query resolved, or was left unresolved by an outage;
+    /// terminal event of every query context.
     QueryResolved {
-        /// Resolution path.
+        /// Resolution path ([`ResolutionKind::Unresolved`] for an outage
+        /// answer).
         by: ResolutionKind,
-        /// Tuning time paid on the channel (ticks; 0 for peer answers).
+        /// Tuning time paid on the channel (ticks; 0 for peer and
+        /// unresolved answers).
         tuning: u64,
-        /// Access latency paid on the channel (ticks; 0 for peer
-        /// answers).
+        /// Access latency paid on the channel (ticks; 0 for peer and
+        /// unresolved answers).
         latency: u64,
     },
     /// Quality grade of a measured query's answer (emitted by the
@@ -209,17 +218,6 @@ pub enum TraceEvent {
         /// The departing host's id.
         host: u32,
     },
-    /// A submitted query passed admission into an epoch batch.
-    QueryAdmitted {
-        /// Admission-queue depth observed when the query was admitted.
-        depth: u32,
-    },
-    /// A submitted query bounced off the full admission queue
-    /// (backpressure); the client was told when to retry.
-    QueryRejected {
-        /// Suggested retry delay in broadcast ticks.
-        retry_after_ticks: u64,
-    },
     /// The service committed one epoch barrier: sessions updated, grid
     /// rebuilt, and the epoch's admitted batch executed.
     EpochCommitted {
@@ -259,8 +257,6 @@ impl TraceEvent {
             TraceEvent::QuarantinedPeerSkipped { .. } => "quarantined_peer_skipped",
             TraceEvent::SessionRegistered { .. } => "session_registered",
             TraceEvent::SessionClosed { .. } => "session_closed",
-            TraceEvent::QueryAdmitted { .. } => "query_admitted",
-            TraceEvent::QueryRejected { .. } => "query_rejected",
             TraceEvent::EpochCommitted { .. } => "epoch_committed",
             TraceEvent::ServiceDrained { .. } => "service_drained",
         }
@@ -303,10 +299,6 @@ mod tests {
             TraceEvent::QuarantinedPeerSkipped { peer: 0 },
             TraceEvent::SessionRegistered { host: 0 },
             TraceEvent::SessionClosed { host: 0 },
-            TraceEvent::QueryAdmitted { depth: 0 },
-            TraceEvent::QueryRejected {
-                retry_after_ticks: 1,
-            },
             TraceEvent::EpochCommitted { epoch: 0, batch: 0 },
             TraceEvent::ServiceDrained { pending: 0 },
         ];

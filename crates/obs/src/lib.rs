@@ -17,7 +17,9 @@
 //!   without (tested end-to-end in the umbrella crate).
 //! * [`MetricsRecorder`] — aggregates events straight into a
 //!   [`MetricsSnapshot`]'s counts and log-scaled [`Histogram`]s, with
-//!   p50/p90/p95/p99 extraction.
+//!   p50/p90/p95/p99 extraction. It counts only what no report counts:
+//!   resolutions, answer grades, churn, faults and admissions are owned
+//!   by the simulation's and the service's reports.
 //! * [`JsonlTraceRecorder`] — a deterministic per-query event log, one
 //!   JSON object per line, consumable by the `trace` experiment of `airshare-paper`.
 //! * [`stats`] — the unified statistics module: [`AccessStats`] (moved

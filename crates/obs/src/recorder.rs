@@ -1,6 +1,6 @@
 //! The `Recorder` sink trait and the concrete recorders.
 
-use crate::event::{AnswerQuality, ResolutionKind, TraceEvent};
+use crate::event::{ResolutionKind, TraceEvent};
 use crate::stats::{Histogram, PercentileSummary, PhaseTimes};
 use std::fmt::Write as _;
 
@@ -47,61 +47,35 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
 }
 
 /// Aggregated view of a [`MetricsRecorder`], as plain numbers.
+///
+/// The snapshot counts only what no report counts. Every fact a
+/// `SimReport` or `ServiceReport` already owns — resolutions, answer
+/// grades, crashes, restarts, resyncs, peer contacts, dropped replies,
+/// lost frames, quarantine, admissions and rejections — is read there;
+/// its events stay in the trace, where a test-side fold can check the
+/// two agree. What remains is the channel and cache work behind the
+/// per-layer ladder, the service's session and barrier events, and the
+/// tuning and latency distributions.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Queries observed (one per `begin_query`).
     pub queries_total: u64,
-    /// Queries resolved from verified peer data.
-    pub resolved_peers_verified: u64,
-    /// Queries resolved from peer data approximately.
-    pub resolved_peers_approximate: u64,
-    /// Queries resolved on the broadcast channel.
-    pub resolved_broadcast: u64,
     /// Channel probes started.
     pub probes_total: u64,
     /// Index buckets tuned.
     pub index_buckets_total: u64,
     /// Data buckets downloaded.
     pub data_buckets_total: u64,
-    /// Corrupt bucket appearances (includes the final appearance of an
-    /// abandoned bucket).
-    pub frames_lost_total: u64,
-    /// Peers contacted across all share exchanges.
-    pub peers_contacted_total: u64,
-    /// Peer replies lost in transit.
-    pub peer_replies_dropped: u64,
     /// Cache contributions (hits) observed.
     pub cache_hits_total: u64,
     /// Cache admissions refused.
     pub cache_rejected_total: u64,
-    /// Measured answers graded `Exact`.
-    pub answers_exact: u64,
-    /// Measured answers graded `Degraded` (lost buckets).
-    pub answers_degraded: u64,
-    /// Measured answers graded `Stale` (served through an outage).
-    pub answers_stale: u64,
-    /// Measured answers graded `Failed` (outage, no knowledge).
-    pub answers_failed: u64,
-    /// Host crashes applied at epoch boundaries.
-    pub hosts_crashed_total: u64,
-    /// Host restarts / late-join admissions at epoch boundaries.
-    pub hosts_restarted_total: u64,
     /// Queries issued while the base station was silent.
     pub outages_blocked_total: u64,
-    /// Hosts resynchronized to the index after an outage.
-    pub resyncs_total: u64,
-    /// Quarantine strikes booked against peers.
-    pub quarantine_strikes_total: u64,
-    /// Peer contacts avoided due to active quarantine.
-    pub quarantine_skips_total: u64,
     /// Sessions opened with the serving base station.
     pub sessions_registered_total: u64,
     /// Sessions closed (client disconnects).
     pub sessions_closed_total: u64,
-    /// Queries that passed admission into an epoch batch.
-    pub queries_admitted_total: u64,
-    /// Queries bounced off the full admission queue (backpressure).
-    pub queries_rejected_total: u64,
     /// Epoch barriers committed by the service scheduler.
     pub epochs_committed_total: u64,
     /// Graceful drains completed.
@@ -135,31 +109,14 @@ impl MetricsSnapshot {
     /// `tests/parallel.rs` checks).
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         self.queries_total += other.queries_total;
-        self.resolved_peers_verified += other.resolved_peers_verified;
-        self.resolved_peers_approximate += other.resolved_peers_approximate;
-        self.resolved_broadcast += other.resolved_broadcast;
         self.probes_total += other.probes_total;
         self.index_buckets_total += other.index_buckets_total;
         self.data_buckets_total += other.data_buckets_total;
-        self.frames_lost_total += other.frames_lost_total;
-        self.peers_contacted_total += other.peers_contacted_total;
-        self.peer_replies_dropped += other.peer_replies_dropped;
         self.cache_hits_total += other.cache_hits_total;
         self.cache_rejected_total += other.cache_rejected_total;
-        self.answers_exact += other.answers_exact;
-        self.answers_degraded += other.answers_degraded;
-        self.answers_stale += other.answers_stale;
-        self.answers_failed += other.answers_failed;
-        self.hosts_crashed_total += other.hosts_crashed_total;
-        self.hosts_restarted_total += other.hosts_restarted_total;
         self.outages_blocked_total += other.outages_blocked_total;
-        self.resyncs_total += other.resyncs_total;
-        self.quarantine_strikes_total += other.quarantine_strikes_total;
-        self.quarantine_skips_total += other.quarantine_skips_total;
         self.sessions_registered_total += other.sessions_registered_total;
         self.sessions_closed_total += other.sessions_closed_total;
-        self.queries_admitted_total += other.queries_admitted_total;
-        self.queries_rejected_total += other.queries_rejected_total;
         self.epochs_committed_total += other.epochs_committed_total;
         self.drains_total += other.drains_total;
         self.tuning_hist.merge(&other.tuning_hist);
@@ -175,7 +132,9 @@ impl MetricsSnapshot {
 /// Feed it to a run, then call [`MetricsRecorder::snapshot`] for the
 /// percentile view. Tuning and latency are recorded per query at its
 /// terminal [`TraceEvent::QueryResolved`] event (peer-resolved queries
-/// contribute zeros — they never touched the channel).
+/// contribute zeros — they never touched the channel; unresolved
+/// outage answers contribute nothing). Events whose fact a report owns
+/// (see [`MetricsSnapshot`]) are observed and not counted.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRecorder {
     /// The running totals; `tuning`/`latency` are filled in only by
@@ -215,42 +174,32 @@ impl Recorder for MetricsRecorder {
             TraceEvent::ProbeStarted { .. } => m.probes_total += 1,
             TraceEvent::IndexBucketTuned { count } => m.index_buckets_total += count as u64,
             TraceEvent::DataBucketTuned { .. } => m.data_buckets_total += 1,
-            TraceEvent::FrameLost { .. } => m.frames_lost_total += 1,
-            TraceEvent::PeerContacted { .. } => m.peers_contacted_total += 1,
-            TraceEvent::PeerReplyDropped { .. } => m.peer_replies_dropped += 1,
             TraceEvent::CacheHit { .. } => m.cache_hits_total += 1,
             TraceEvent::CacheRejected { .. } => m.cache_rejected_total += 1,
             TraceEvent::QueryResolved {
-                by,
-                tuning,
-                latency,
+                by: ResolutionKind::Unresolved,
+                ..
+            } => {}
+            TraceEvent::QueryResolved {
+                tuning, latency, ..
             } => {
-                match by {
-                    ResolutionKind::PeersVerified => m.resolved_peers_verified += 1,
-                    ResolutionKind::PeersApproximate => m.resolved_peers_approximate += 1,
-                    ResolutionKind::Broadcast => m.resolved_broadcast += 1,
-                }
                 m.tuning_hist.record(tuning);
                 m.latency_hist.record(latency);
             }
-            TraceEvent::QueryQuality { quality } => match quality {
-                AnswerQuality::Exact => m.answers_exact += 1,
-                AnswerQuality::Degraded => m.answers_degraded += 1,
-                AnswerQuality::Stale => m.answers_stale += 1,
-                AnswerQuality::Failed => m.answers_failed += 1,
-            },
-            TraceEvent::HostCrashed { .. } => m.hosts_crashed_total += 1,
-            TraceEvent::HostRestarted { .. } => m.hosts_restarted_total += 1,
             TraceEvent::OutageBlocked { .. } => m.outages_blocked_total += 1,
-            TraceEvent::Resynced { .. } => m.resyncs_total += 1,
-            TraceEvent::PeerQuarantined { .. } => m.quarantine_strikes_total += 1,
-            TraceEvent::QuarantinedPeerSkipped { .. } => m.quarantine_skips_total += 1,
             TraceEvent::SessionRegistered { .. } => m.sessions_registered_total += 1,
             TraceEvent::SessionClosed { .. } => m.sessions_closed_total += 1,
-            TraceEvent::QueryAdmitted { .. } => m.queries_admitted_total += 1,
-            TraceEvent::QueryRejected { .. } => m.queries_rejected_total += 1,
             TraceEvent::EpochCommitted { .. } => m.epochs_committed_total += 1,
             TraceEvent::ServiceDrained { .. } => m.drains_total += 1,
+            TraceEvent::FrameLost { .. }
+            | TraceEvent::PeerContacted { .. }
+            | TraceEvent::PeerReplyDropped { .. }
+            | TraceEvent::QueryQuality { .. }
+            | TraceEvent::HostCrashed { .. }
+            | TraceEvent::HostRestarted { .. }
+            | TraceEvent::Resynced { .. }
+            | TraceEvent::PeerQuarantined { .. }
+            | TraceEvent::QuarantinedPeerSkipped { .. } => {}
         }
     }
 }
@@ -382,14 +331,6 @@ impl Recorder for JsonlTraceRecorder {
                 self.buf,
                 "{{\"query\":{q},\"event\":\"{name}\",\"host\":{host}}}"
             ),
-            TraceEvent::QueryAdmitted { depth } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"depth\":{depth}}}"
-            ),
-            TraceEvent::QueryRejected { retry_after_ticks } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"retry_after_ticks\":{retry_after_ticks}}}"
-            ),
             TraceEvent::EpochCommitted { epoch, batch } => writeln!(
                 self.buf,
                 "{{\"query\":{q},\"event\":\"{name}\",\"epoch\":{epoch},\"batch\":{batch}}}"
@@ -405,7 +346,7 @@ impl Recorder for JsonlTraceRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::CacheRejectReason;
+    use crate::event::{AnswerQuality, CacheRejectReason};
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -446,19 +387,22 @@ mod tests {
             tuning: 0,
             latency: 0,
         });
+        // An outage answer ends its context but paid no channel cost.
+        m.begin_query(2, 300);
+        m.record(TraceEvent::QueryResolved {
+            by: ResolutionKind::Unresolved,
+            tuning: 0,
+            latency: 0,
+        });
         let s = m.snapshot();
-        assert_eq!(s.queries_total, 2);
-        assert_eq!(s.resolved_broadcast, 1);
-        assert_eq!(s.resolved_peers_verified, 1);
+        assert_eq!(s.queries_total, 3);
         assert_eq!(s.probes_total, 1);
         assert_eq!(s.index_buckets_total, 3);
         assert_eq!(s.data_buckets_total, 1);
-        assert_eq!(s.frames_lost_total, 1);
-        assert_eq!(s.peers_contacted_total, 1);
-        assert_eq!(s.peer_replies_dropped, 1);
         assert_eq!(s.cache_hits_total, 1);
         assert_eq!(s.cache_rejected_total, 1);
         assert_eq!(s.tuning.count, 2);
+        assert_eq!(s.latency.count, 2);
         assert_eq!(s.latency.max, 88);
     }
 
@@ -548,17 +492,14 @@ mod tests {
         for e in chaos {
             m.record(e);
         }
-        let s = m.snapshot();
-        assert_eq!(s.hosts_crashed_total, 1);
-        assert_eq!(s.hosts_restarted_total, 1);
-        assert_eq!(s.outages_blocked_total, 1);
-        assert_eq!(s.answers_exact, 1);
-        assert_eq!(s.answers_stale, 1);
-        assert_eq!(s.answers_failed, 1);
-        assert_eq!(s.answers_degraded, 0);
-        assert_eq!(s.resyncs_total, 1);
-        assert_eq!(s.quarantine_strikes_total, 1);
-        assert_eq!(s.quarantine_skips_total, 1);
+        // Grades, churn, resyncs and quarantine belong to the report:
+        // only the blocked query is the snapshot's to count.
+        let expected = MetricsSnapshot {
+            queries_total: 1,
+            outages_blocked_total: 1,
+            ..MetricsSnapshot::default()
+        };
+        assert_eq!(m.snapshot(), expected);
 
         let mut t = JsonlTraceRecorder::new();
         t.begin_query(1, 0);
@@ -579,10 +520,6 @@ mod tests {
             TraceEvent::SessionRegistered { host: 2 },
             TraceEvent::SessionRegistered { host: 9 },
             TraceEvent::SessionClosed { host: 2 },
-            TraceEvent::QueryAdmitted { depth: 4 },
-            TraceEvent::QueryRejected {
-                retry_after_ticks: 350,
-            },
             TraceEvent::EpochCommitted { epoch: 12, batch: 7 },
             TraceEvent::ServiceDrained { pending: 3 },
         ];
@@ -594,8 +531,6 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.sessions_registered_total, 2);
         assert_eq!(s.sessions_closed_total, 1);
-        assert_eq!(s.queries_admitted_total, 1);
-        assert_eq!(s.queries_rejected_total, 1);
         assert_eq!(s.epochs_committed_total, 1);
         assert_eq!(s.drains_total, 1);
 
@@ -606,8 +541,6 @@ mod tests {
         }
         let log = t.into_string();
         assert!(log.contains("{\"query\":4,\"event\":\"session_registered\",\"host\":9}"));
-        assert!(log
-            .contains("{\"query\":4,\"event\":\"query_rejected\",\"retry_after_ticks\":350}"));
         assert!(log.contains("{\"query\":4,\"event\":\"epoch_committed\",\"epoch\":12,\"batch\":7}"));
         assert!(log.contains("{\"query\":4,\"event\":\"service_drained\",\"pending\":3}"));
     }

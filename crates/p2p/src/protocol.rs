@@ -1089,7 +1089,23 @@ mod tests {
 
     #[test]
     fn traced_exchange_counts_match_share_stats() {
-        use airshare_obs::MetricsRecorder;
+        /// Counts the events a share exchange emits.
+        #[derive(Default)]
+        struct Counts {
+            contacted: u64,
+            dropped: u64,
+            hits: u64,
+        }
+        impl Recorder for Counts {
+            fn record(&mut self, event: TraceEvent) {
+                match event {
+                    TraceEvent::PeerContacted { .. } => self.contacted += 1,
+                    TraceEvent::PeerReplyDropped { .. } => self.dropped += 1,
+                    TraceEvent::CacheHit { .. } => self.hits += 1,
+                    _ => {}
+                }
+            }
+        }
         let positions: Vec<Point> = (0..9).map(|i| Point::new(i as f64 * 0.05, 0.0)).collect();
         let (caches, table) = fleet(&positions);
         let grid = NeighborGrid::build(positions, 1.0);
@@ -1100,7 +1116,7 @@ mod tests {
             malform_prob: 0.0,
             nonce: 42,
         };
-        let mut rec = MetricsRecorder::new();
+        let mut rec = Counts::default();
         let (replies, stats) = owned(share_exchange(
             0,
             Point::new(0.0, 0.0),
@@ -1116,10 +1132,9 @@ mod tests {
             &mut QueryScratch::new(),
             &mut rec,
         ));
-        let snap = rec.snapshot();
-        assert_eq!(snap.peers_contacted_total, stats.peers_contacted as u64);
-        assert_eq!(snap.peer_replies_dropped, stats.replies_dropped as u64);
-        assert_eq!(snap.cache_hits_total, stats.peers_with_data as u64);
+        assert_eq!(rec.contacted, stats.peers_contacted as u64);
+        assert_eq!(rec.dropped, stats.replies_dropped as u64);
+        assert_eq!(rec.hits, stats.peers_with_data as u64);
         // Tracing must not perturb the exchange.
         let (r2, s2) = gather_peer_data_checked(
             0,

@@ -26,10 +26,11 @@
 //! return from `park`, so a wake-up is never lost and a spurious one
 //! costs a pass (DESIGN.md §14, "Wake protocol").
 //!
-//! Every service event — sessions, admissions, rejections, epoch
-//! commits, the final drain — lands on the threaded [`Recorder`]s, and
-//! `drain` returns the merged [`MetricsSnapshot`] plus the same
-//! [`SimReport`] a simulation run produces.
+//! Every scheduler event — sessions, epoch commits, the final drain —
+//! lands on the threaded [`Recorder`]s, and `drain` returns the merged
+//! [`MetricsSnapshot`] plus the same [`SimReport`] a simulation run
+//! produces. Admissions and rejections are counted once, in
+//! [`ServiceReport`]'s `accepted` and `rejected`.
 
 use crate::{Pacing, ServeConfig, ServeError};
 use airshare_broadcast::QueryScratch;
@@ -112,8 +113,6 @@ struct Shared {
     /// this at barriers). Each flag stands alone — it publishes no other
     /// data — so `Relaxed` suffices.
     sessions: Vec<AtomicBool>,
-    /// Client-side rejection metrics (merged into the final snapshot).
-    client_rec: Mutex<MetricsRecorder>,
     accepted: AtomicU64,
     rejected: AtomicU64,
     queue_capacity: usize,
@@ -131,16 +130,22 @@ impl Shared {
 }
 
 /// Everything a drained service hands back.
+///
+/// Each fact has one owner: query outcomes are in `report`, admissions
+/// and rejections in `accepted` and `rejected`, and `metrics` keeps only
+/// what neither counts (sessions, barriers, drains, channel work).
 #[derive(Clone, Debug)]
 pub struct ServiceReport {
     /// The world's accumulated report — the same [`SimReport`] a
     /// simulation run produces, enabling field-for-field replay parity.
     pub report: SimReport,
-    /// Merged observability: scheduler + worker + client recorders.
+    /// Merged observability: the scheduler's and the workers' recorders.
     pub metrics: MetricsSnapshot,
-    /// Submissions that entered the admission queue.
+    /// Submissions that entered the admission queue (the only count of
+    /// admissions).
     pub accepted: u64,
-    /// Submissions bounced by backpressure.
+    /// Submissions bounced by backpressure (the only count of
+    /// rejections).
     pub rejected: u64,
     /// Passes of the scheduler loop over the service's life. A pass
     /// either makes progress or ends in a park, so an idle service adds
@@ -300,11 +305,6 @@ impl ServiceHandle {
             drop(queue);
             let retry_after_ticks = self.shared.retry_after_ticks();
             self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .client_rec
-                .lock()
-                .unwrap()
-                .record(TraceEvent::QueryRejected { retry_after_ticks });
             return Err(ServeError::QueueFull { retry_after_ticks });
         }
         let (tx, rx) = mpsc::channel();
@@ -351,7 +351,6 @@ impl Service {
             queue: Mutex::new(VecDeque::new()),
             control: Mutex::new(Vec::new()),
             sessions: (0..world.hosts()).map(|_| AtomicBool::new(false)).collect(),
-            client_rec: Mutex::new(MetricsRecorder::new()),
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             queue_capacity: cfg.queue_capacity.max(1),
@@ -398,8 +397,6 @@ impl Service {
             .expect("drain consumes the service, so nothing joined the scheduler before it")
             .expect("service scheduler thread panicked");
         let shared = &self.handle.shared;
-        let client = shared.client_rec.lock().unwrap().snapshot();
-        out.metrics.merge(&client);
         out.accepted = shared.accepted.load(Ordering::Relaxed);
         out.rejected = shared.rejected.load(Ordering::Relaxed);
         out
@@ -515,16 +512,11 @@ impl Scheduler {
         }
     }
 
-    /// Moves every queued control message and query into staging,
-    /// recording admissions.
+    /// Moves every queued control message and query into staging.
     fn drain_inbox(&mut self) {
         self.cmds.extend(std::mem::take(&mut *self.shared.control.lock().unwrap()));
         let popped: Vec<Pending> = self.shared.queue.lock().unwrap().drain(..).collect();
-        let n = popped.len();
-        for (i, p) in popped.into_iter().enumerate() {
-            self.rec.record(TraceEvent::QueryAdmitted {
-                depth: (n - i - 1) as u32,
-            });
+        for p in popped {
             let epoch = p.tag.expect("lockstep submissions are tagged").epoch;
             self.staged.entry(epoch).or_default().push(p);
         }
@@ -694,17 +686,13 @@ impl Scheduler {
         let mut queue = self.shared.queue.lock().unwrap();
         let depth0 = queue.len();
         let admitted = allow.min(depth0);
-        for i in 0..admitted {
-            let mut p = queue.pop_front().expect("sized above");
+        for mut p in queue.drain(..admitted) {
             p.tag = Some(QueryTag {
                 nonce: self.nonce,
                 at_min: now_min,
                 epoch: target,
             });
             self.nonce += 1;
-            self.rec.record(TraceEvent::QueryAdmitted {
-                depth: (depth0 - i - 1) as u32,
-            });
             self.open_batch.push(p);
         }
         drop(queue);

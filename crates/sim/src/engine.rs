@@ -43,7 +43,7 @@ use airshare_mobility::{
 };
 use airshare_obs::{
     AccessStats, AnswerQuality, CacheRejectReason, MetricsRecorder, NoopRecorder, PhaseTimes,
-    Recorder, ShareStats, TraceEvent,
+    Recorder, ResolutionKind, ShareStats, TraceEvent,
 };
 use airshare_p2p::{NeighborGrid, ShareFaults};
 use airshare_rtree::RTree;
@@ -138,13 +138,6 @@ impl Mobility for HostMobility {
     }
 }
 
-/// How one query was resolved, as the report counts it.
-enum Resolution {
-    Peers,
-    Approx,
-    Broadcast,
-}
-
 /// Everything one measured query contributes to the report. Buffered
 /// shard-locally and folded in global event order at the epoch barrier,
 /// so float and counter accumulation order is independent of scheduling.
@@ -158,7 +151,7 @@ pub(crate) struct QueryOutcome {
     /// The answer broke its declared bound under the chaos oracle
     /// (validate runs only; must never happen).
     bound_violation: bool,
-    resolution: Resolution,
+    resolution: ResolutionKind,
     air: Option<AccessStats>,
     /// On-air baseline `(latency, tuning)` for the same query.
     baseline: Option<(u64, u64)>,
@@ -192,7 +185,7 @@ impl Found {
 struct Resolved {
     found: Found,
     quality: AnswerQuality,
-    resolution: Resolution,
+    resolution: ResolutionKind,
     air: Option<AccessStats>,
     /// MVR coverage, for window queries that needed the channel.
     window_coverage: Option<f64>,
@@ -837,11 +830,7 @@ impl EpochCtx<'_> {
                         Resolved {
                             found: Found::Neighbors(res.neighbors),
                             quality,
-                            resolution: match res.resolved_by {
-                                ResolvedBy::PeersVerified => Resolution::Peers,
-                                ResolvedBy::PeersApproximate => Resolution::Approx,
-                                ResolvedBy::Broadcast => Resolution::Broadcast,
-                            },
+                            resolution: res.resolved_by.into(),
                             air: res.air,
                             window_coverage: None,
                             min_correctness,
@@ -871,14 +860,12 @@ impl EpochCtx<'_> {
                         let adopt = Some((rect, res.pois.as_slice()));
                         let quality = self.settle(q, item, res.air, adopt, scratch, rec);
                         scratch.recycle(res.reduced_windows);
-                        let (resolution, window_coverage) = match res.resolved_by {
-                            ResolvedBy::PeersVerified => (Resolution::Peers, None),
-                            _ => (Resolution::Broadcast, Some(res.coverage)),
-                        };
+                        let window_coverage =
+                            (res.resolved_by == ResolvedBy::Broadcast).then_some(res.coverage);
                         Resolved {
                             found: Found::Pois(res.pois),
                             quality,
-                            resolution,
+                            resolution: res.resolved_by.into(),
                             air: res.air,
                             window_coverage,
                             min_correctness: None,
@@ -1046,8 +1033,8 @@ impl EpochCtx<'_> {
     }
 
     /// An answer served off peer and cache knowledge alone, through an
-    /// outage: the host owes a resync. A `Failed` one still counts as
-    /// broadcast-resolved, as the reports always have.
+    /// outage: the host owes a resync. It is `Unresolved`, whatever its
+    /// grade: no `by_*` series of the report counts it.
     fn outage_served(&self, q: &mut HostState, found: Found, quality: AnswerQuality) -> Resolved {
         debug_assert!(
             self.outage.is_silent(self.epoch),
@@ -1057,10 +1044,7 @@ impl EpochCtx<'_> {
         Resolved {
             found,
             quality,
-            resolution: match quality {
-                AnswerQuality::Failed => Resolution::Broadcast,
-                _ => Resolution::Peers,
-            },
+            resolution: ResolutionKind::Unresolved,
             air: None,
             window_coverage: None,
             min_correctness: None,
@@ -1176,9 +1160,10 @@ pub(crate) fn fold_outcome(report: &mut SimReport, o: QueryOutcome) {
         report.bound_violations += 1;
     }
     match o.resolution {
-        Resolution::Peers => report.queries.by_peers += 1,
-        Resolution::Approx => report.queries.by_approx += 1,
-        Resolution::Broadcast => report.queries.by_broadcast += 1,
+        ResolutionKind::PeersVerified => report.queries.by_peers += 1,
+        ResolutionKind::PeersApproximate => report.queries.by_approx += 1,
+        ResolutionKind::Broadcast => report.queries.by_broadcast += 1,
+        ResolutionKind::Unresolved => {}
     }
     if let Some(air) = o.air {
         report.record_air(air);

@@ -53,6 +53,13 @@ impl QualityStats {
 }
 
 /// Query-resolution counters — one per workload type.
+///
+/// The three `by_*` series are the paper's (Figs. 10–13) and count only
+/// resolved queries. An outage answer (`ResolutionKind::Unresolved`,
+/// graded `Stale` or `Failed`) is in none of them, so
+/// `by_peers + by_approx + by_broadcast + quality.stale + quality.failed
+/// == total`. These are the run's only resolution counts:
+/// `MetricsSnapshot` keeps none.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Total measured queries.
@@ -61,7 +68,8 @@ pub struct QueryStats {
     pub by_peers: u64,
     /// Solved from peers approximately (kNN only).
     pub by_approx: u64,
-    /// Solved by listening to the broadcast channel.
+    /// Solved by listening to the broadcast channel (each one also
+    /// recorded in `broadcast_latency`).
     pub by_broadcast: u64,
 }
 

@@ -8,9 +8,14 @@
 //! 3. The chaos oracle holds: exact answers match ground truth, stale
 //!    answers respect their staleness bound, and every measured query
 //!    gets exactly one quality grade.
+//! 4. Under chaos the trace still records every fact the report counts,
+//!    and an outage answer counts in no resolution series.
+
+mod common;
 
 use airshare::prelude::*;
 use airshare::sim::ChurnConfig;
+use common::TraceLedger;
 use proptest::prelude::*;
 
 fn tiny(seed: u64) -> SimConfig {
@@ -105,18 +110,49 @@ fn zeroed_chaos_config_is_byte_identical_to_baseline() {
 
 #[test]
 fn chaos_metrics_reach_the_trace_snapshot() {
-    let r = Simulation::try_new(chaotic(23))
-        .expect("valid config")
-        .run_parallel_metrics(&ExecPool::sequential());
-    let m = r.metrics.expect("run_parallel_metrics fills this");
-    // The recorder sees warm-up traffic too, so its counters can only
-    // be at least the report's measured-window counters.
-    assert!(m.answers_exact + m.answers_degraded + m.answers_stale + m.answers_failed >= r.quality.total());
-    assert!(m.hosts_crashed_total >= r.hosts_crashed);
-    assert!(m.hosts_restarted_total >= r.hosts_restarted);
-    assert!(m.resyncs_total >= r.outage_resyncs);
-    assert!(m.outages_blocked_total > 0, "no OutageBlocked events traced");
-    assert!(m.quarantine_strikes_total > 0, "no quarantine events traced");
+    for kind in [QueryKind::Knn, QueryKind::Window] {
+        let mut cfg = chaotic(23);
+        cfg.query_kind = kind;
+        let mut ledger = TraceLedger::default();
+        let r = Simulation::try_new(cfg.clone())
+            .expect("valid config")
+            .run_with(&mut ledger);
+        assert!(r.faults.quarantine_strikes > 0, "{kind:?}: nobody struck");
+        ledger.assert_matches(&r, &format!("{kind:?}"));
+
+        let m = Simulation::try_new(cfg)
+            .expect("valid config")
+            .run_parallel_metrics(&ExecPool::sequential())
+            .metrics
+            .expect("run_parallel_metrics fills this");
+        assert!(
+            m.outages_blocked_total > 0,
+            "{kind:?}: no OutageBlocked traced"
+        );
+    }
+}
+
+#[test]
+fn outage_answers_count_in_no_resolution_series() {
+    for kind in [QueryKind::Knn, QueryKind::Window] {
+        let mut cfg = chaotic(23);
+        cfg.query_kind = kind;
+        let r = Simulation::try_new(cfg).expect("valid config").run();
+        let q = &r.queries;
+        assert!(
+            r.quality.stale + r.quality.failed > 0,
+            "{kind:?}: no outage answer"
+        );
+        // Only channel answers are broadcast answers...
+        assert_eq!(q.by_broadcast, r.broadcast_latency.count, "{kind:?}");
+        // ...and every measured query is in one series or is an outage
+        // answer.
+        assert_eq!(
+            q.by_peers + q.by_approx + q.by_broadcast + r.quality.stale + r.quality.failed,
+            q.total,
+            "{kind:?}"
+        );
+    }
 }
 
 proptest! {

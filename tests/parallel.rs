@@ -258,12 +258,12 @@ proptest! {
                     1 => rec.record(TraceEvent::IndexBucketTuned {
                         count: (tuning % 7) as u32 + 1,
                     }),
-                    2 => rec.record(TraceEvent::FrameLost {
+                    2 => rec.record(TraceEvent::DataBucketTuned {
                         bucket: (latency % 13) as u32,
-                        retry: 0,
+                        tick: tuning,
                     }),
-                    _ => rec.record(TraceEvent::PeerContacted {
-                        peer: (latency % 31) as u32,
+                    _ => rec.record(TraceEvent::CacheHit {
+                        regions: (latency % 31) as u32,
                     }),
                 }
                 rec.record(TraceEvent::QueryResolved {

@@ -39,7 +39,6 @@ fn assert_service_parity(cfg: SimConfig, serve_cfg: impl FnOnce(SimConfig) -> Se
     );
     assert_eq!(report.metrics.drains_total, 1, "drain not recorded");
     assert_eq!(report.accepted, outcome.submitted);
-    assert!(report.metrics.queries_admitted_total >= outcome.submitted);
     assert!(report.metrics.epochs_committed_total as usize >= trace.epochs.len());
 }
 

@@ -112,7 +112,6 @@ fn no_wakeup_is_lost_under_concurrent_round_trips() {
     });
     let report = service.drain();
     assert_eq!(report.accepted, (CLIENTS * ROUND_TRIPS) as u64);
-    assert_eq!(report.metrics.queries_admitted_total, report.accepted);
 }
 
 #[test]
@@ -142,5 +141,4 @@ fn budget_starved_queue_is_admitted_in_order_as_the_budget_refills() {
     }
     let report = service.drain();
     assert_eq!(report.accepted, 50);
-    assert_eq!(report.metrics.queries_admitted_total, 50);
 }
