@@ -115,8 +115,11 @@ pub trait AirIndexBackend: std::fmt::Debug + Send + Sync {
     fn buckets_for_window_scratch(&self, w: &Rect, scratch: &mut QueryScratch);
 
     /// Bucket set covering the MBR of the kNN search circle of the given
-    /// `radius` around `q`, left in `scratch.buckets()`.
-    fn buckets_for_knn_scratch(&self, q: Point, radius: f64, scratch: &mut QueryScratch);
+    /// `radius` around `q`, left in `scratch.buckets()`: the window
+    /// planner over that square.
+    fn buckets_for_knn_scratch(&self, q: Point, radius: f64, scratch: &mut QueryScratch) {
+        self.buckets_for_window_scratch(&Rect::centered_square(q, radius), scratch);
+    }
 
     /// Bound-filtered kNN bucket set (§3.3.3): the [`buckets_for_knn_scratch`]
     /// set for `outer`, minus buckets whose MBR lies entirely within the
@@ -130,7 +133,15 @@ pub trait AirIndexBackend: std::fmt::Debug + Send + Sync {
         outer: f64,
         inner: Option<f64>,
         scratch: &mut QueryScratch,
-    );
+    ) {
+        self.buckets_for_knn_scratch(q, outer, scratch);
+        if let Some(r_in) = inner {
+            let buckets = self.buckets();
+            scratch
+                .buckets
+                .retain(|&id| buckets[id].mbr.max_distance_to_point(q) > r_in);
+        }
+    }
 
     /// Bucket set for a collection of reduced windows (§3.4.2): the
     /// deduplicated union of the per-window sets, left in

@@ -170,26 +170,6 @@ impl AirIndexBackend for AirIndex {
         self.buckets_for_intervals_into(&scratch.intervals, &mut scratch.buckets);
     }
 
-    fn buckets_for_knn_scratch(&self, q: Point, radius: f64, scratch: &mut QueryScratch) {
-        let mbr = Rect::centered_square(q, radius);
-        self.buckets_for_window_scratch(&mbr, scratch);
-    }
-
-    fn buckets_for_knn_filtered_scratch(
-        &self,
-        q: Point,
-        outer: f64,
-        inner: Option<f64>,
-        scratch: &mut QueryScratch,
-    ) {
-        self.buckets_for_knn_scratch(q, outer, scratch);
-        if let Some(r_in) = inner {
-            scratch
-                .buckets
-                .retain(|&id| self.buckets[id].mbr.max_distance_to_point(q) > r_in);
-        }
-    }
-
     /// Bucket set for a collection of reduced windows (§3.4.2): the union
     /// of the buckets of each window `w′`, left in `scratch.buckets()`.
     ///

@@ -182,25 +182,6 @@ impl AirIndexBackend for RtreeAirIndex {
         self.scan_mbrs(w, scratch);
     }
 
-    fn buckets_for_knn_scratch(&self, q: Point, radius: f64, scratch: &mut QueryScratch) {
-        self.scan_mbrs(&Rect::centered_square(q, radius), scratch);
-    }
-
-    fn buckets_for_knn_filtered_scratch(
-        &self,
-        q: Point,
-        outer: f64,
-        inner: Option<f64>,
-        scratch: &mut QueryScratch,
-    ) {
-        self.buckets_for_knn_scratch(q, outer, scratch);
-        if let Some(r_in) = inner {
-            scratch
-                .buckets
-                .retain(|&id| self.buckets[id].mbr.max_distance_to_point(q) > r_in);
-        }
-    }
-
     fn buckets_for_windows_scratch(&self, windows: &[Rect], scratch: &mut QueryScratch) {
         scratch.buckets.clear();
         for b in &self.buckets {

@@ -57,8 +57,6 @@ pub struct ShareStats {
     pub peers_contacted: usize,
     /// Peers that replied with at least one region.
     pub peers_with_data: usize,
-    /// Total regions transferred.
-    pub regions_received: usize,
     /// Total POIs transferred.
     pub pois_received: usize,
     /// Replies lost in transit (fault injection).
@@ -95,13 +93,6 @@ pub struct FaultStats {
     /// Quarantine strikes booked against peers for malformed or
     /// consistency-failing replies.
     pub quarantine_strikes: u64,
-}
-
-impl FaultStats {
-    /// True when no fault of any kind was observed.
-    pub fn is_clean(&self) -> bool {
-        *self == FaultStats::default()
-    }
 }
 
 /// Wall-clock time spent in each phase of the engine's epoch loop,
@@ -547,15 +538,5 @@ mod tests {
         // Timing never breaks equality: determinism suites compare
         // snapshots across runs with different wall clocks.
         assert_eq!(a, PhaseTimes::default());
-    }
-
-    #[test]
-    fn fault_stats_clean_detection() {
-        assert!(FaultStats::default().is_clean());
-        let f = FaultStats {
-            retries_total: 1,
-            ..FaultStats::default()
-        };
-        assert!(!f.is_clean());
     }
 }

@@ -387,7 +387,6 @@ pub fn share_exchange<'s>(
             regions: kept as u32,
         });
         stats.peers_with_data += 1;
-        stats.regions_received += kept;
         stats.pois_received += arena.pois.len() - pois;
     }
     (arena, stats)
@@ -858,7 +857,6 @@ mod tests {
                 continue;
             }
             stats.peers_with_data += 1;
-            stats.regions_received += regions.len();
             stats.pois_received += regions.iter().map(|(_, p)| p.len()).sum::<usize>();
             replies.push(PeerReply { peer, regions });
         }
@@ -1049,7 +1047,7 @@ mod tests {
                         stats.regions_rejected,
                         stats.peers_struck,
                         stats.peers_quarantined,
-                        stats.regions_received,
+                        stats.peers_with_data,
                     ]) {
                         *n += d;
                     }

@@ -1,59 +1,41 @@
-//! The closed-loop simulator and the query-resolution path.
+//! The closed-loop simulator: the paper's mobile-host module (§4.1).
 //!
-//! [`Simulation`] is the paper's mobile-host module (§4.1): it moves
-//! hosts, schedules their queries and plans their churn — and nothing
-//! else. Everything a base station and its sessions own lives in the
-//! [`LiveWorld`] it holds, and each epoch it does what any client fleet
-//! does: churn, position updates, `begin_epoch` (here its crate-internal
-//! form `begin_epoch_near`, which is handed the batch), one batch. The
-//! barrier itself (grid, cache install, by-host sharding, commit, report
-//! fold) is in `live.rs`; what stays here is `EpochCtx::process_query`, the
-//! resolution of one query against one epoch's committed world: SBNN
-//! (Algorithm 2) or SBWQ with its channel fallback, then one accounting
-//! tail shared by both query kinds.
+//! [`Simulation`] moves hosts, schedules their queries and plans their
+//! churn — and nothing else. Everything a base station and its sessions
+//! own lives in the [`LiveWorld`] it holds, and it reaches that world
+//! only through methods (plus the position column `advance_fleet`
+//! fills), as the serving layer does. Each epoch it does what any client
+//! fleet does: churn, position updates, `begin_epoch` (here its
+//! crate-internal form `begin_epoch_near`, which is handed the batch),
+//! one batch. The barrier (grid, cache install, by-host sharding,
+//! commit, report fold) is in `live.rs`, and the resolution of each
+//! query in `resolve.rs`.
 //!
 //! Queries are grouped by *epoch* (the neighbor-grid refresh interval).
 //! Within one epoch every host observes the same committed world: peer
 //! positions from the epoch-start grid and peer caches as of the epoch's
-//! start — the fleet's cache column itself, in which a writing host
-//! leaves a copy. A host's own cache stays live to itself, and its
-//! writes commit at the epoch barrier in host-id order. Per-query
-//! randomness comes from RNG streams seed-split per `(host, epoch)`, and
-//! per-query outcomes are folded into the report in global event order —
-//! so [`Simulation::run_parallel`] is **bit-identical** to the sequential
+//! start. Mobility and window sampling draw from RNG streams that do not
+//! depend on scheduling (window draws are seed-split per `(host,
+//! epoch)`), and the world folds outcomes in global event order — so
+//! [`Simulation::run_parallel`] is **bit-identical** to the sequential
 //! [`Simulation::run`] for every thread count.
 
 use crate::fleet::FleetStore;
-use crate::live::{LiveQuery, LiveWorld};
 use crate::traffic::{EpochRecord, RecordedQuery, TrafficTrace};
-use crate::{ConfigError, MobilityModel, ParamSet, QueryKind, SimConfig, SimReport};
-use airshare_broadcast::{
-    AirIndexBackend, ChannelFaults, OnAirClient, OutageSchedule, Poi, PoiCategory, PoiId, PoiTable,
-    QueryScratch, Schedule,
+use crate::{
+    ConfigError, LiveQuery, LiveWorld, MobilityModel, ParamSet, QueryAnswer, QueryKind, QuerySpec,
+    SimConfig, SimReport,
 };
-use airshare_cache::{CacheContext, HostCache, InsertOutcome, QuarantineLedger};
-use airshare_core::{
-    sbnn_rec, sbwq_rec, MergedRegion, NnCandidate, ResolvedBy, SbnnConfig, SbnnOutcome, SbwqConfig,
-    SbwqOutcome,
-};
+use airshare_broadcast::{ChannelFaults, PoiTable, QueryScratch};
 use airshare_exec::{split_seed, ExecPool};
 use airshare_geom::{Point, Rect};
 use airshare_mobility::{
     GridRoadWaypoint, Mobility, MobilityConfig, QueryEvent, QueryScheduler, RandomWaypoint,
 };
-use airshare_obs::{
-    AccessStats, AnswerQuality, CacheRejectReason, MetricsRecorder, NoopRecorder, PhaseTimes,
-    Recorder, ResolutionKind, ShareStats, TraceEvent,
-};
-use airshare_p2p::{NeighborGrid, ShareFaults};
-use airshare_rtree::RTree;
+use airshare_obs::{MetricsRecorder, NoopRecorder, PhaseTimes, Recorder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::ops::Range;
 use std::time::Instant;
-
-/// The single POI category the paper's experiments use (gas stations).
-const CAT: PoiCategory = PoiCategory::GAS_STATION;
 
 /// Salt separating the window-sampling seed domain from every other
 /// stream derived from the master seed.
@@ -68,50 +50,6 @@ const RESTART_KEY_SALT: u64 = 0x9E57_A27A_0000_0002;
 
 /// Seed domain for late-joiner admission epochs.
 const JOIN_SEED_SALT: u64 = 0x10A7_5EED_0000_0003;
-
-/// A host's relationship to the broadcast channel.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SyncState {
-    /// Simulated minute of the last successful channel access (or of
-    /// coming online). Bounds the staleness of outage-served answers.
-    pub(crate) last_sync_min: f64,
-    /// The host answered queries without the channel (outage) or just
-    /// came online; its next successful access counts as a resync.
-    pub(crate) needs_resync: bool,
-}
-
-/// What one query asks — decoupled from the run-level [`QueryKind`]
-/// knob so recorded traffic can replay its sampled windows verbatim and
-/// the live service (`airshare-serve`) can mix query kinds per request.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum QuerySpec {
-    /// The `k` nearest neighbors around the querying position.
-    Knn {
-        /// Neighbors requested.
-        k: usize,
-    },
-    /// All POIs inside a rectangle.
-    Window {
-        /// The query window.
-        rect: Rect,
-    },
-}
-
-/// One query's answer as a client receives it: the POI id set plus the
-/// answer's quality grade. Produced for every query — warm-up included —
-/// so a replay can check parity over the whole workload.
-#[derive(Clone, Debug, PartialEq)]
-pub struct QueryAnswer {
-    /// The query's global nonce (the simulator's event index, or the
-    /// service's admission ticket).
-    pub nonce: u64,
-    /// The querying host.
-    pub host: u32,
-    /// Result POI ids, in resolution order.
-    pub ids: Vec<u32>,
-    /// Quality grade of the answer.
-    pub quality: AnswerQuality,
-}
 
 /// One host's mobility stream: trajectory state only. The parameters
 /// every host shares are held once, as `Simulation::mobility`, and passed
@@ -138,135 +76,6 @@ impl Mobility for HostMobility {
     }
 }
 
-/// Everything one measured query contributes to the report. Buffered
-/// shard-locally and folded in global event order at the epoch barrier,
-/// so float and counter accumulation order is independent of scheduling.
-pub(crate) struct QueryOutcome {
-    share: ShareStats,
-    /// The answer's quality tier: `Exact`, `Degraded` (lossy retrieval),
-    /// `Stale` or `Failed` (outage-served).
-    quality: AnswerQuality,
-    /// Staleness bound in minutes, for `Stale` answers.
-    stale_age_min: f64,
-    /// The answer broke its declared bound under the chaos oracle
-    /// (validate runs only; must never happen).
-    bound_violation: bool,
-    resolution: ResolutionKind,
-    air: Option<AccessStats>,
-    /// On-air baseline `(latency, tuning)` for the same query.
-    baseline: Option<(u64, u64)>,
-    filter_saved: u64,
-    /// MVR coverage, for window queries that needed the channel.
-    window_coverage: Option<f64>,
-    /// Lemma 3.2 calibration sample, for validated approximate answers.
-    calibration: Option<(f64, bool)>,
-    mismatch: bool,
-}
-
-/// One query's answer set as resolution found it. kNN candidates keep
-/// their distances for the oracle.
-enum Found {
-    Neighbors(Vec<NnCandidate>),
-    Pois(Vec<Poi>),
-}
-
-impl Found {
-    /// Hands the answer's vector back to the pool it was drawn from.
-    fn recycle(self, scratch: &mut QueryScratch) {
-        match self {
-            Found::Neighbors(v) => scratch.recycle(v),
-            Found::Pois(v) => scratch.recycle(v),
-        }
-    }
-}
-
-/// What one [`QuerySpec`] arm of `process_query` resolved: all its
-/// shared tail accounts for.
-struct Resolved {
-    found: Found,
-    quality: AnswerQuality,
-    resolution: ResolutionKind,
-    air: Option<AccessStats>,
-    /// MVR coverage, for window queries that needed the channel.
-    window_coverage: Option<f64>,
-    /// An approximate kNN answer's least predicted correctness among its
-    /// unverified neighbors: the Lemma 3.2 calibration input.
-    min_correctness: Option<f64>,
-}
-
-/// The chaos oracle's kNN check over `(answer, truth)` distances, rank
-/// by rank ascending. An `Exact` answer equals the truth within 1e-9.
-/// Any other grade can only have *missed* POIs (lost buckets, or peer
-/// knowledge alone), so no distance of it may beat the true one.
-fn knn_holds(exact: bool, mut ranks: impl Iterator<Item = (f64, f64)>) -> bool {
-    if exact {
-        ranks.all(|(a, b)| (a - b).abs() < 1e-9)
-    } else {
-        !ranks.any(|(a, b)| a + 1e-9 < b)
-    }
-}
-
-/// The chaos oracle's window check, on sorted ids. An `Exact` answer
-/// equals the truth; any other grade can only have dropped POIs, so it
-/// must be a subset.
-fn window_holds(exact: bool, got: &[u32], truth: &[u32]) -> bool {
-    if exact {
-        got == truth
-    } else {
-        got.iter().all(|id| truth.binary_search(id).is_ok())
-    }
-}
-
-/// One host's mutable state, moved out of the world for a batch. A
-/// query's inputs arrive beside it as a [`LiveQuery`].
-pub(crate) struct HostState {
-    pub(crate) cache: HostCache,
-    pub(crate) sync: SyncState,
-    pub(crate) quarantine: QuarantineLedger,
-    /// Resync transitions this batch performed (warm-up included).
-    pub(crate) resyncs: u64,
-}
-
-/// The immutable world every worker shares within one epoch: a borrow
-/// of the [`LiveWorld`] minus the per-host state its tasks carry.
-pub(crate) struct EpochCtx<'a> {
-    pub(crate) cfg: &'a SimConfig,
-    pub(crate) world: &'a Rect,
-    /// The canonical POI table peer-shared handles resolve against.
-    pub(crate) table: &'a PoiTable,
-    pub(crate) index: &'a dyn AirIndexBackend,
-    pub(crate) schedule: &'a Schedule,
-    pub(crate) oracle: &'a RTree<u32>,
-    pub(crate) faults: Option<&'a ChannelFaults>,
-    pub(crate) grid: &'a NeighborGrid,
-    /// What peers see: the fleet's cache column, as of the epoch's start.
-    pub(crate) snapshot: &'a [HostCache],
-    pub(crate) range: f64,
-    /// This epoch's number (outage membership, quarantine clock).
-    pub(crate) epoch: u64,
-    /// Base-station outage windows over epoch numbers.
-    pub(crate) outage: &'a OutageSchedule,
-}
-
-/// One host's slice of an epoch batch: its state, moved out of the
-/// world and updated in place, plus where its queries sit in the batch.
-pub(crate) struct LiveTask {
-    pub(crate) host: usize,
-    pub(crate) state: HostState,
-    /// This host's queries, nonce-ordered, as a range of the batch.
-    pub(crate) queries: Range<usize>,
-}
-
-/// What one worker's tasks produced in a batch, kept in the worker's
-/// [`QueryScratch`] (so its buffers outlive the batch) and drained at
-/// the barrier.
-#[derive(Default)]
-pub(crate) struct BatchSink {
-    pub(crate) outcomes: Vec<(u64, QueryOutcome)>,
-    /// One per query when the batch wants answers, else empty.
-    pub(crate) answers: Vec<QueryAnswer>,
-}
-
 /// One full system: base station, channel, fleet, caches.
 ///
 /// The simulation owns the *client* side — mobility, the query
@@ -288,6 +97,9 @@ pub struct Simulation {
     /// Precomputed churn transitions `(epoch, host, comes_online)`,
     /// sorted by `(epoch, host)`; a pure function of the master seed.
     churn_plan: Vec<(u64, usize, bool)>,
+    /// Wall-clock time of churn application, mobility advance and
+    /// query-input derivation (the world times everything else).
+    advance_ns: u64,
     /// A run has consumed the mobility streams and the world.
     ran: bool,
 }
@@ -301,7 +113,7 @@ impl Simulation {
     pub fn try_new(cfg: SimConfig) -> Result<Self, ConfigError> {
         let mut world = LiveWorld::try_new(cfg)?;
         let cfg = world.config();
-        let mut mobility = MobilityConfig::vehicular(world.bounds);
+        let mut mobility = MobilityConfig::vehicular(world.bounds());
         mobility.speed_min *= cfg.params.speed_scale;
         mobility.speed_max *= cfg.params.speed_scale;
         let hosts: Vec<HostMobility> = (0..cfg.params.mh_number)
@@ -318,12 +130,15 @@ impl Simulation {
             })
             .collect();
         let (online, churn_plan) = plan_churn(cfg);
-        world.fleet.online = online;
+        for host in (0..online.len()).filter(|&h| online[h]) {
+            world.connect(host);
+        }
         Ok(Self {
             world,
             mobility,
             hosts,
             churn_plan,
+            advance_ns: 0,
             ran: false,
         })
     }
@@ -331,11 +146,6 @@ impl Simulation {
     /// The configuration.
     pub fn config(&self) -> &SimConfig {
         self.world.config()
-    }
-
-    /// The global POI set (for external validation).
-    pub fn pois(&self) -> &[Poi] {
-        self.world.poi_table().as_slice()
     }
 
     /// The canonical POI table every cached or peer-shared handle
@@ -356,7 +166,9 @@ impl Simulation {
     /// [`Simulation::run_parallel_metrics`] additionally copies it into
     /// the report's snapshot.
     pub fn phase_times(&self) -> PhaseTimes {
-        self.world.phase_times()
+        let mut phases = self.world.phase_times();
+        phases.advance_ns += self.advance_ns;
+        phases
     }
 
     /// Runs the simulation to completion and returns the report.
@@ -379,9 +191,10 @@ impl Simulation {
     }
 
     /// Runs sequentially while recording the full workload into a
-    /// [`TrafficTrace`]: per-epoch fleet state (positions, online flags,
-    /// churn transitions) plus every query's inputs *and* its
-    /// oracle-checked answer (POI ids + [`AnswerQuality`]). The report
+    /// [`TrafficTrace`]: the initial online set, per-epoch fleet state
+    /// (position deltas, churn transitions) plus every query's inputs
+    /// *and* its oracle-checked answer (POI ids +
+    /// [`AnswerQuality`](crate::AnswerQuality)). The report
     /// is bit-identical to a plain [`Simulation::run`]; the trace is
     /// what `airshare-serve`'s replay client drives against the live
     /// service, asserting answer-set parity.
@@ -431,7 +244,7 @@ impl Simulation {
             merged.merge(rec);
         }
         let mut snapshot = merged.snapshot();
-        snapshot.phases = self.world.phases;
+        snapshot.phases = self.phase_times();
         report.metrics = Some(snapshot);
         report
     }
@@ -466,7 +279,7 @@ impl Simulation {
         if let Some(trace) = &mut trace {
             // Pristine churn-plan state: who is on the air before the
             // first epoch's transitions apply.
-            trace.initial_online = self.world.fleet.online.clone();
+            trace.initial_online = self.world.fleet().online().to_vec();
         }
         // First `churn_plan` entry not yet applied.
         let mut churn_cursor = 0;
@@ -537,12 +350,12 @@ impl Simulation {
                 t_build,
                 pool,
             );
-            self.world.phases.advance_ns += t_phase.elapsed().as_nanos() as u64;
+            self.advance_ns += t_phase.elapsed().as_nanos() as u64;
             if let Some(trace) = &mut trace {
                 // Only hosts whose position actually changed since the
                 // previous recorded epoch (a paused waypoint host costs
                 // nothing).
-                let moved = (self.world.fleet.positions.iter())
+                let moved = (self.world.fleet().positions().iter())
                     .zip(last_rec_positions.iter_mut())
                     .enumerate()
                     .filter_map(|(h, (&now, old))| {
@@ -555,7 +368,6 @@ impl Simulation {
                 trace.epochs.push(EpochRecord {
                     epoch,
                     moved,
-                    online: self.world.fleet.online.clone(),
                     churn: epoch_churn,
                 });
             }
@@ -600,13 +412,18 @@ impl Simulation {
                                 k: cfg.params.knn_k,
                             },
                             QueryKind::Window => QuerySpec::Window {
-                                rect: sample_window(&cfg.params, &self.world.bounds, pos, &mut rng),
+                                rect: sample_window(
+                                    &cfg.params,
+                                    &self.mobility.world,
+                                    pos,
+                                    &mut rng,
+                                ),
                             },
                         },
                     });
                 }
             }
-            self.world.phases.advance_ns += t_phase.elapsed().as_nanos() as u64;
+            self.advance_ns += t_phase.elapsed().as_nanos() as u64;
             next_index += epoch_events.len() as u64;
             self.world.begin_epoch_near(epoch, &batch, pool);
 
@@ -673,383 +490,6 @@ fn advance_fleet(
             *p = m.position_at(config, t);
         }
     });
-}
-
-impl EpochCtx<'_> {
-    /// Runs one host's slice of an epoch batch: its `queries` in nonce
-    /// order, against the shared epoch snapshot, with all mutations
-    /// host-local (in `task.state`). Outcomes — and, when the batch wants
-    /// them, answers — go to the worker's [`BatchSink`] in `scratch`.
-    pub(crate) fn run_live_host(
-        &self,
-        task: &mut LiveTask,
-        queries: &[LiveQuery],
-        want_answers: bool,
-        scratch: &mut QueryScratch,
-        rec: &mut dyn Recorder,
-    ) {
-        for item in queries {
-            let mut answer = want_answers.then(|| QueryAnswer {
-                nonce: item.nonce,
-                host: item.host as u32,
-                ids: Vec::new(),
-                quality: AnswerQuality::Failed,
-            });
-            let outcome = self.process_query(item, &mut task.state, scratch, rec, answer.as_mut());
-            let sink = scratch.retained::<BatchSink>();
-            sink.outcomes.extend(outcome.map(|o| (item.nonce, o)));
-            sink.answers.extend(answer);
-        }
-    }
-
-    /// Resolves one query. Returns its contribution to the report, or
-    /// `None` during warm-up (cache effects still apply).
-    ///
-    /// The query's inputs — position, heading, and the fully-sampled
-    /// [`QuerySpec`] — are supplied by the client fleet (derived from
-    /// mobility in the simulator, submitted over the wire in the serving
-    /// layer). When `answer` is set, the answer's POI ids and
-    /// [`AnswerQuality`] are always filled in, warm-up or not: the
-    /// service answers every query, while the report only counts
-    /// measured ones.
-    ///
-    /// Each [`QuerySpec`] arm only resolves (SBNN or SBWQ, then
-    /// [`EpochCtx::settle`] or [`EpochCtx::outage_served`]); one tail
-    /// then accounts, in order: LRU touch, answer, warm-up cut,
-    /// `QueryQuality` trace, outcome, on-air baseline, chaos oracle.
-    pub(crate) fn process_query(
-        &self,
-        item: &LiveQuery,
-        q: &mut HostState,
-        scratch: &mut QueryScratch,
-        rec: &mut dyn Recorder,
-        answer: Option<&mut QueryAnswer>,
-    ) -> Option<QueryOutcome> {
-        let cfg = self.cfg;
-        let &LiveQuery {
-            nonce,
-            host,
-            at_min: t,
-            pos: qpos,
-            ref spec,
-            ..
-        } = item;
-        let measuring = t >= cfg.warmup_min;
-        let tune_in = (t * cfg.ticks_per_min as f64) as u64;
-        rec.begin_query(nonce, tune_in);
-        let share_faults = ShareFaults {
-            faults: self.faults,
-            drop_prob: cfg.faults.peer_drop_prob,
-            malform_prob: cfg.faults.peer_malform_prob,
-            nonce,
-        };
-        // Base-station outage: membership is decided on the *epoch
-        // number* — the same integer arithmetic that groups events —
-        // so the sequential and parallel engines can never disagree on
-        // a float edge.
-        let silent = self.outage.is_silent(self.epoch);
-        if silent {
-            rec.record(TraceEvent::OutageBlocked { tick: tune_in });
-        }
-
-        // --- P2P gather against the epoch snapshot: peer positions from
-        // the epoch-start grid, peer caches from the epoch-start commit.
-        // The ε-staleness is bounded by the epoch length and is the price
-        // of a racefree shard; replies still pass through drop decisions
-        // (fault layer) and region validation, so a flaky or inconsistent
-        // peer costs coverage, never correctness. ---
-        // The merged region is rebuilt in the worker's retained buffers,
-        // and the replies land in the scratch's arena.
-        let mut mvr = std::mem::take(scratch.retained::<MergedRegion>());
-        let guard = Some((&mut q.quarantine, self.epoch));
-        let (replies, share) = airshare_p2p::share_exchange(
-            host,
-            qpos,
-            self.range,
-            cfg.p2p_hops,
-            CAT,
-            self.grid,
-            self.snapshot,
-            self.table,
-            Some(self.world),
-            share_faults,
-            guard,
-            scratch,
-            rec,
-        );
-        if cfg.use_own_cache {
-            // Own reads are live — a host always trusts its freshest self.
-            let own_regions = q.cache.region_count(CAT);
-            if own_regions > 0 {
-                rec.record(TraceEvent::CacheHit {
-                    regions: own_regions as u32,
-                });
-            }
-        }
-        // Merge: peer regions first (reply order, resolved while their
-        // claims were checked), then the querier's own cache, resolved
-        // here against the canonical table.
-        let own = cfg
-            .use_own_cache
-            .then(|| q.cache.share_regions(CAT))
-            .into_iter()
-            .flatten();
-        mvr.refill(replies, self.table, own);
-
-        let client = match self.faults {
-            Some(f) => OnAirClient::with_faults(self.index, self.schedule, f),
-            None => OnAirClient::new(self.index, self.schedule),
-        };
-        let channel = (!silent).then_some((&client, tune_in));
-
-        let r = match *spec {
-            QuerySpec::Knn { k } => {
-                let sbnn_cfg = SbnnConfig {
-                    k,
-                    accept_approx: cfg.accept_approx,
-                    min_correctness: cfg.min_correctness,
-                    lambda: cfg.params.poi_density(),
-                    use_bound_filtering: cfg.use_bound_filtering,
-                    vr_policy: cfg.vr_policy,
-                    domain: cfg.clip_domain.then_some(*self.world),
-                };
-                match sbnn_rec(qpos, &sbnn_cfg, &mvr, channel, scratch, rec) {
-                    SbnnOutcome::Resolved(res) => {
-                        let adopt = res.adoptable.as_ref().map(|(vr, p)| (*vr, p.as_slice()));
-                        let quality = self.settle(q, item, res.air, adopt, scratch, rec);
-                        if let Some((_, pois)) = res.adoptable {
-                            scratch.recycle(pois);
-                        }
-                        let min_correctness = (res.resolved_by == ResolvedBy::PeersApproximate)
-                            .then(|| {
-                                (res.neighbors.iter())
-                                    .filter(|n| !n.verified)
-                                    .filter_map(|n| n.correctness)
-                                    .fold(1.0_f64, f64::min)
-                            });
-                        Resolved {
-                            found: Found::Neighbors(res.neighbors),
-                            quality,
-                            resolution: res.resolved_by.into(),
-                            air: res.air,
-                            window_coverage: None,
-                            min_correctness,
-                        }
-                    }
-                    SbnnOutcome::Unresolved(heap) => {
-                        // Outage: no channel fallback. Serve whatever the
-                        // merged peer/cache knowledge held, tagged Stale
-                        // (or Failed when it held nothing).
-                        let quality = if heap.is_empty() {
-                            AnswerQuality::Failed
-                        } else {
-                            AnswerQuality::Stale
-                        };
-                        self.outage_served(q, Found::Neighbors(heap.into_entries()), quality)
-                    }
-                }
-            }
-            QuerySpec::Window { rect } => {
-                let sbwq_cfg = SbwqConfig {
-                    use_window_reduction: cfg.use_window_reduction,
-                };
-                match sbwq_rec(&rect, &sbwq_cfg, &mvr, channel, scratch, rec) {
-                    SbwqOutcome::Resolved(res) => {
-                        // A resolved window is fully known: its own
-                        // verified region.
-                        let adopt = Some((rect, res.pois.as_slice()));
-                        let quality = self.settle(q, item, res.air, adopt, scratch, rec);
-                        scratch.recycle(res.reduced_windows);
-                        let window_coverage =
-                            (res.resolved_by == ResolvedBy::Broadcast).then_some(res.coverage);
-                        Resolved {
-                            found: Found::Pois(res.pois),
-                            quality,
-                            resolution: res.resolved_by.into(),
-                            air: res.air,
-                            window_coverage,
-                            min_correctness: None,
-                        }
-                    }
-                    SbwqOutcome::Unresolved { partial, missing } => {
-                        // Outage: answer from the covered sub-windows only.
-                        // The answer is a *subset* of the truth; its
-                        // quality depends on how much area peers covered.
-                        let wa = rect.area();
-                        let coverage = if wa > 0.0 {
-                            let miss: f64 = missing.iter().map(Rect::area).sum();
-                            (1.0 - miss / wa).clamp(0.0, 1.0)
-                        } else {
-                            0.0
-                        };
-                        let quality = if coverage > 1e-9 {
-                            AnswerQuality::Stale
-                        } else {
-                            AnswerQuality::Failed
-                        };
-                        scratch.recycle(missing);
-                        self.outage_served(q, Found::Pois(partial), quality)
-                    }
-                }
-            }
-        };
-
-        // --- Accounting: one tail for every arm. ---
-        let area = match *spec {
-            QuerySpec::Knn { .. } => Rect::centered_square(qpos, self.range),
-            QuerySpec::Window { rect } => rect,
-        };
-        q.cache.touch(CAT, &area, t);
-        let quality = r.quality;
-        if let Some(a) = answer {
-            a.ids = match &r.found {
-                Found::Neighbors(found) => found.iter().map(|c| c.poi.id).collect(),
-                Found::Pois(found) => found.iter().map(|p| p.id).collect(),
-            };
-            a.quality = quality;
-        }
-        if !measuring {
-            r.found.recycle(scratch);
-            *scratch.retained::<MergedRegion>() = mvr;
-            return None;
-        }
-        rec.record(TraceEvent::QueryQuality { quality });
-        let mut out = QueryOutcome {
-            share,
-            quality,
-            stale_age_min: match quality {
-                AnswerQuality::Stale | AnswerQuality::Failed => (t - q.sync.last_sync_min).max(0.0),
-                _ => 0.0,
-            },
-            bound_violation: false,
-            resolution: r.resolution,
-            air: r.air,
-            baseline: None,
-            filter_saved: 0,
-            window_coverage: r.window_coverage,
-            calibration: None,
-            mismatch: false,
-        };
-        // What the pure on-air algorithm would have paid (not defined
-        // during an outage — the baseline host faces the same silent
-        // channel). Bound filtering (§3.3.3) saves kNN buckets only.
-        let base = match *spec {
-            _ if silent => None,
-            QuerySpec::Knn { k } => client.knn_cost(tune_in, qpos, k, scratch),
-            QuerySpec::Window { rect } => Some(client.window_cost(tune_in, &rect, scratch)),
-        };
-        if let Some(base) = base {
-            out.baseline = Some((base.latency, base.tuning));
-            if let (QuerySpec::Knn { .. }, Some(air)) = (spec, r.air) {
-                debug_assert!(
-                    air.buckets <= base.buckets,
-                    "bound filtering fetched more than a cold query"
-                );
-                out.filter_saved = base.buckets.saturating_sub(air.buckets);
-            }
-        }
-        if cfg.validate {
-            let exact = quality == AnswerQuality::Exact;
-            let holds = match &r.found {
-                Found::Neighbors(found) => {
-                    let truth = self.oracle.knn(qpos, found.len());
-                    let ranks = found.iter().zip(&truth);
-                    knn_holds(exact, ranks.map(|(a, b)| (a.distance, b.distance)))
-                }
-                Found::Pois(found) => {
-                    let mut got: Vec<u32> = found.iter().map(|p| p.id).collect();
-                    let window = self.oracle.window(&area);
-                    let mut truth: Vec<u32> = window.into_iter().map(|(_, &id)| id).collect();
-                    got.sort_unstable();
-                    truth.sort_unstable();
-                    window_holds(exact, &got, &truth)
-                }
-            };
-            match r.min_correctness {
-                Some(min_c) => out.calibration = Some((min_c, holds)),
-                None if exact => out.mismatch = !holds,
-                None => {
-                    out.bound_violation = !holds;
-                    debug_assert!(holds, "{quality:?} answer left ground truth at t={t}");
-                }
-            }
-        }
-        r.found.recycle(scratch);
-        *scratch.retained::<MergedRegion>() = mvr;
-        Some(out)
-    }
-
-    /// Settles a resolved query with the host. A channel access
-    /// refreshes its sync clock, recording a resync if it was answering
-    /// through an outage or restart. The answer's verified region, if
-    /// any, is cached — unless retrieval lost buckets: a degraded answer
-    /// may be missing POIs, and adopting its region would cache an
-    /// incomplete "verified" claim and poison every peer it is later
-    /// shared with. Returns the answer's grade. The region's handles are
-    /// collected in a vector from `scratch`'s pool.
-    fn settle(
-        &self,
-        q: &mut HostState,
-        item: &LiveQuery,
-        air: Option<AccessStats>,
-        adopt: Option<(Rect, &[Poi])>,
-        scratch: &mut QueryScratch,
-        rec: &mut dyn Recorder,
-    ) -> AnswerQuality {
-        if air.is_some() {
-            q.sync.last_sync_min = item.at_min;
-            if std::mem::take(&mut q.sync.needs_resync) {
-                q.resyncs += 1;
-                rec.record(TraceEvent::Resynced {
-                    host: item.host as u32,
-                });
-            }
-        }
-        if air.is_some_and(|a| a.is_degraded()) {
-            return AnswerQuality::Degraded;
-        }
-        if let Some((vr, pois)) = adopt {
-            let mut ids: Vec<PoiId> = scratch.take_vec();
-            ids.extend(pois.iter().map(Poi::handle));
-            let ctx = CacheContext {
-                pos: item.pos,
-                heading: item.heading,
-                now: item.at_min,
-            };
-            let reason = match q
-                .cache
-                .insert_ids(self.table, CAT, vr, &ids, item.at_min, &ctx)
-            {
-                InsertOutcome::Stored => None,
-                InsertOutcome::RejectedInconsistent => Some(CacheRejectReason::Inconsistent),
-                InsertOutcome::RejectedNoCapacity => Some(CacheRejectReason::NoCapacity),
-            };
-            if let Some(reason) = reason {
-                rec.record(TraceEvent::CacheRejected { reason });
-            }
-            scratch.recycle(ids);
-        }
-        AnswerQuality::Exact
-    }
-
-    /// An answer served off peer and cache knowledge alone, through an
-    /// outage: the host owes a resync. It is `Unresolved`, whatever its
-    /// grade: no `by_*` series of the report counts it.
-    fn outage_served(&self, q: &mut HostState, found: Found, quality: AnswerQuality) -> Resolved {
-        debug_assert!(
-            self.outage.is_silent(self.epoch),
-            "unresolved on a live channel"
-        );
-        q.sync.needs_resync = true;
-        Resolved {
-            found,
-            quality,
-            resolution: ResolutionKind::Unresolved,
-            air: None,
-            window_coverage: None,
-            min_correctness: None,
-        }
-    }
 }
 
 /// Samples a query window per Table 4: mean area = `window_pct` % of
@@ -1141,50 +581,6 @@ fn sample_normal(rng: &mut SmallRng, mean: f64, sd: f64) -> f64 {
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
     mean + sd * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// Cap on recorded (predicted correctness, was-correct) samples for
-/// approximate answers.
-const CALIBRATION_CAP: usize = 100_000;
-
-/// Folds one measured query into the report. Called in global event
-/// order regardless of thread count.
-pub(crate) fn fold_outcome(report: &mut SimReport, o: QueryOutcome) {
-    report.queries.total += 1;
-    report.record_share(&o.share);
-    if o.quality == AnswerQuality::Degraded {
-        report.faults.queries_degraded += 1;
-    }
-    report.record_quality(o.quality, o.stale_age_min);
-    if o.bound_violation {
-        report.bound_violations += 1;
-    }
-    match o.resolution {
-        ResolutionKind::PeersVerified => report.queries.by_peers += 1,
-        ResolutionKind::PeersApproximate => report.queries.by_approx += 1,
-        ResolutionKind::Broadcast => report.queries.by_broadcast += 1,
-        ResolutionKind::Unresolved => {}
-    }
-    if let Some(air) = o.air {
-        report.record_air(air);
-    }
-    if let Some((latency, tuning)) = o.baseline {
-        report.baseline_latency.record(latency);
-        report.baseline_tuning.record(tuning);
-    }
-    report.filter_saved_buckets += o.filter_saved;
-    if let Some(cov) = o.window_coverage {
-        report.partial_coverage_sum += cov;
-        report.partial_coverage_count += 1;
-    }
-    if o.mismatch {
-        report.exact_mismatches += 1;
-    }
-    if let Some(sample) = o.calibration {
-        if report.calibration.len() < CALIBRATION_CAP {
-            report.calibration.push(sample);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1573,35 +969,5 @@ mod tests {
         assert_eq!(with_inert.hosts_restarted, 0);
         assert_eq!(with_inert.quality.stale, 0);
         assert_eq!(with_inert.quality.failed, 0);
-    }
-
-    #[test]
-    fn knn_oracle_checks_exactness_and_the_bound() {
-        let truth = [1.0, 2.0, 3.0];
-        let holds = |exact: bool, got: &[f64]| knn_holds(exact, got.iter().copied().zip(truth));
-        // Exact: every rank equal within 1e-9, in either direction.
-        assert!(holds(true, &[1.0, 2.0 + 1e-12, 3.0]));
-        assert!(!holds(true, &[1.0, 2.5, 3.0]), "farther at a rank");
-        assert!(!holds(true, &[1.0, 2.0, 2.9]), "closer at a rank");
-        // Any other grade may only have missed POIs: farther stays in
-        // the bound, closer than the truth at any rank breaks it.
-        assert!(holds(false, &truth));
-        assert!(holds(false, &[1.0, 2.5, 4.0]));
-        assert!(holds(false, &[]));
-        assert!(!holds(false, &[1.0, 1.5, 4.0]));
-    }
-
-    #[test]
-    fn window_oracle_checks_exactness_and_the_bound() {
-        let truth = [2, 5, 9];
-        // Exact: the very set, no id missing and none extra.
-        assert!(window_holds(true, &[2, 5, 9], &truth));
-        assert!(!window_holds(true, &[2, 9], &truth), "missing id");
-        assert!(!window_holds(true, &[2, 5, 7, 9], &truth), "extra id");
-        // Any other grade may only have dropped POIs: a subset holds,
-        // an id outside the truth breaks the bound.
-        assert!(window_holds(false, &[], &truth));
-        assert!(window_holds(false, &[2, 9], &truth));
-        assert!(!window_holds(false, &[2, 7], &truth));
     }
 }

@@ -17,7 +17,6 @@
 //! simulator writing the position column); external callers get
 //! read-only column views.
 
-use crate::engine::SyncState;
 use airshare_cache::{HostCache, QuarantineLedger};
 use airshare_geom::Point;
 
@@ -93,20 +92,5 @@ impl FleetStore {
     /// Whether a host owes a resync on its next channel access.
     pub fn needs_resync(&self, host: usize) -> bool {
         self.needs_resync[host]
-    }
-
-    /// Assembles the `Copy` working value the query path mutates, from
-    /// the sync columns.
-    pub(crate) fn sync_state(&self, host: usize) -> SyncState {
-        SyncState {
-            last_sync_min: self.last_sync_min[host],
-            needs_resync: self.needs_resync[host],
-        }
-    }
-
-    /// Scatters a working sync value back into the columns.
-    pub(crate) fn set_sync_state(&mut self, host: usize, s: SyncState) {
-        self.last_sync_min[host] = s.last_sync_min;
-        self.needs_resync[host] = s.needs_resync;
     }
 }

@@ -12,11 +12,19 @@
 //!   scaling for laptop-sized runs.
 //! * [`SimConfig`] — everything Table 4 lists, plus the knobs the
 //!   ablation benches sweep.
-//! * [`Simulation::run`] — the event loop; returns a [`SimReport`] with
-//!   the exact series the paper's figures plot (fractions of queries
-//!   solved by SBNN / approximate SBNN / the broadcast channel), access
-//!   latency and tuning time, P2P traffic, and optional ground-truth
-//!   validation counters.
+//! * [`LiveWorld`] — the paper's base-station module (§4.1): the POI
+//!   world, air index, schedule and per-host session state, its epoch
+//!   barrier (`live.rs`), and the resolution of each query — P2P
+//!   gather, SBNN/SBWQ, channel fallback, accounting (`resolve.rs`).
+//!   It poses no queries; a client fleet submits them.
+//! * [`Simulation::run`] — the mobile-host module (`engine.rs`), one
+//!   such client: per epoch it applies churn, moves the hosts, derives
+//!   their queries, and hands the batch to its `LiveWorld`. Returns a
+//!   [`SimReport`] with the exact series the paper's figures plot
+//!   (fractions of queries solved by SBNN / approximate SBNN / the
+//!   broadcast channel), access latency and tuning time, P2P traffic,
+//!   and optional ground-truth validation counters. The serving layer
+//!   (`airshare-serve`) is the other client.
 //!
 //! Everything is deterministic given the config's `seed`.
 
@@ -29,6 +37,7 @@ mod fleet;
 mod live;
 pub mod params;
 mod report;
+mod resolve;
 mod traffic;
 
 pub use airshare_obs::{AnswerQuality, FaultStats, MetricsSnapshot};
@@ -36,9 +45,10 @@ pub use config::{
     BackendKind, ChurnConfig, ConfigError, FaultConfig, MobilityModel, ParseBackendError,
     QueryKind, SimConfig,
 };
-pub use engine::{QueryAnswer, QuerySpec, Simulation};
+pub use engine::Simulation;
 pub use fleet::FleetStore;
 pub use live::{LiveQuery, LiveWorld};
 pub use params::ParamSet;
 pub use report::{LatencySummary, QualityStats, QueryStats, SimReport};
+pub use resolve::{QueryAnswer, QuerySpec};
 pub use traffic::{EpochRecord, RecordedQuery, TrafficTrace};

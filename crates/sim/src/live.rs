@@ -19,16 +19,14 @@
 //! Two client fleets drive it: the serving layer (`airshare-serve`),
 //! whose clients are sessions on the wire, and the closed-loop
 //! [`crate::Simulation`], whose clients are its own mobility models and
-//! query scheduler. Both run this file's barrier and resolve queries
-//! through the same `EpochCtx::process_query`, so a recorded workload
-//! replayed against a `LiveWorld` is answered identically by
-//! construction (DESIGN.md §14).
+//! query scheduler. Both run this file's barrier, whose workers resolve
+//! each query with `LiveWorld::process_query` (`resolve.rs`), so a
+//! recorded workload replayed against a `LiveWorld` is answered
+//! identically by construction (DESIGN.md §14).
 
-use crate::engine::{
-    fold_outcome, BatchSink, EpochCtx, HostState, LiveTask, QueryAnswer, QueryOutcome, QuerySpec,
-};
 use crate::fleet::FleetStore;
-use crate::{BackendKind, ConfigError, SimConfig, SimReport};
+use crate::resolve::{fold_outcome, BatchSink, LiveTask, QueryOutcome};
+use crate::{BackendKind, ConfigError, QueryAnswer, QuerySpec, SimConfig, SimReport};
 use airshare_broadcast::{
     wire, AirIndex, AirIndexBackend, BuildParams, ChannelFaults, OutageSchedule, Poi, PoiTable,
     QueryScratch, RtreeAirIndex, Schedule,
@@ -66,25 +64,30 @@ pub struct LiveQuery {
 }
 
 /// The base station as a long-lived, incrementally-driven world.
+///
+/// The crate-visible fields are what the resolver (`resolve.rs`) reads;
+/// clients, the simulator included, go through methods.
 pub struct LiveWorld {
-    cfg: SimConfig,
+    pub(crate) cfg: SimConfig,
     pub(crate) bounds: Rect,
     /// The canonical POI table: the one copy of every POI payload.
     /// Caches, peer replies, and the index all refer into it by handle.
-    table: PoiTable,
+    pub(crate) table: PoiTable,
     /// The broadcast organization, behind the backend trait: the
     /// `BackendKind` knob picks the concrete index at build time.
-    index: Box<dyn AirIndexBackend>,
-    schedule: Schedule,
-    oracle: RTree<u32>,
+    pub(crate) index: Box<dyn AirIndexBackend>,
+    pub(crate) schedule: Schedule,
+    /// The chaos oracle's ground truth.
+    pub(crate) oracle: RTree<u32>,
     /// Deterministic fault decision source; `None` when the fault config
     /// is inert, so the ideal-channel path pays nothing.
-    faults: Option<ChannelFaults>,
+    pub(crate) faults: Option<ChannelFaults>,
     /// Base-station silence windows over epoch numbers.
-    outage: OutageSchedule,
+    pub(crate) outage: OutageSchedule,
     /// Columnar per-session state: online flags, last reported
     /// positions (offline hosts keep theirs), sync clocks, arena-backed
-    /// caches (what peers see: as of the last barrier), quarantine ledgers.
+    /// caches (what peers see: as of the last barrier), quarantine
+    /// ledgers. The simulator writes the position column directly.
     pub(crate) fleet: FleetStore,
     /// Epoch-start neighbor grid over online hosts. Its buffers are
     /// reserved for the world's extent once and refilled at each
@@ -92,7 +95,7 @@ pub struct LiveWorld {
     /// cell per epoch, so a delta would save nothing): of the whole
     /// fleet in `begin_epoch`, of the hosts the epoch's queries can
     /// reach in `begin_epoch_near`.
-    grid: NeighborGrid,
+    pub(crate) grid: NeighborGrid,
     /// Grid cells a query's peer flood can reach from its own cell:
     /// `p2p_hops × ⌈range/cell⌉`.
     rings: u32,
@@ -112,13 +115,14 @@ pub struct LiveWorld {
     tasks: Vec<LiveTask>,
     outcomes: Vec<(u64, QueryOutcome)>,
     /// The epoch currently being served.
-    epoch: u64,
-    range: f64,
+    pub(crate) epoch: u64,
+    /// Radio range in miles.
+    pub(crate) range: f64,
     report: SimReport,
     /// Wall-clock grid / snapshot / query time of every barrier so far
     /// (`advance` belongs to whoever moves the fleet). Measurement
     /// only — never part of the world's output.
-    pub(crate) phases: PhaseTimes,
+    phases: PhaseTimes,
 }
 
 impl LiveWorld {
@@ -225,6 +229,11 @@ impl LiveWorld {
     /// The configuration the world was built from.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
+    }
+
+    /// The service area: the square world POIs and hosts live in.
+    pub(crate) fn bounds(&self) -> Rect {
+        self.bounds
     }
 
     /// Fleet capacity (maximum host id + 1).
@@ -428,21 +437,21 @@ impl LiveWorld {
         // tasks run in host-id order. Nonces are unique, so the order is
         // total and the unstable sort exact.
         queries.sort_unstable_by_key(|q| (q.host, q.nonce));
-        // Move host state out *before* the EpochCtx borrows the world.
+        // Move each querying host's state out into its task, so the
+        // workers can share the rest of the world read-only.
+        let mut tasks = std::mem::take(&mut self.tasks);
         let mut start = 0;
         for run in queries.chunk_by(|a, b| a.host == b.host) {
             let (host, range) = (run[0].host, start..start + run.len());
             start = range.end;
             if self.is_online(host) {
-                let state = HostState {
+                tasks.push(LiveTask {
+                    host,
                     cache: self.take_cache(host),
-                    sync: self.fleet.sync_state(host),
+                    last_sync_min: self.fleet.last_sync_min[host],
+                    needs_resync: self.fleet.needs_resync[host],
                     quarantine: std::mem::take(&mut self.fleet.quarantines[host]),
                     resyncs: 0,
-                };
-                self.tasks.push(LiveTask {
-                    host,
-                    state,
                     queries: range,
                 });
             } else if let Some(sink) = answers.as_deref_mut() {
@@ -455,37 +464,35 @@ impl LiveWorld {
             }
         }
 
-        let ctx = EpochCtx {
-            cfg: &self.cfg,
-            world: &self.bounds,
-            table: &self.table,
-            index: self.index.as_ref(),
-            schedule: &self.schedule,
-            oracle: &self.oracle,
-            faults: self.faults.as_ref(),
-            grid: &self.grid,
-            snapshot: &self.fleet.caches,
-            range: self.range,
-            epoch: self.epoch,
-            outage: &self.outage,
-        };
+        // Each task runs its host's queries in nonce order against the
+        // epoch's committed world; outcomes (and, when the batch wants
+        // them, answers) go to the worker's sink in its scratch.
         let want_answers = answers.is_some();
-        let queries = &*queries;
-        pool.for_each_with(ctxs, self.tasks.iter_mut(), |(rec, scratch), _, task| {
-            let mine = &queries[task.queries.clone()];
-            ctx.run_live_host(task, mine, want_answers, scratch, rec)
+        let (world, queries) = (&*self, &*queries);
+        pool.for_each_with(ctxs, tasks.iter_mut(), |(rec, scratch), _, task| {
+            for item in &queries[task.queries.clone()] {
+                let mut answer = want_answers.then(|| QueryAnswer {
+                    nonce: item.nonce,
+                    host: item.host as u32,
+                    ids: Vec::new(),
+                    quality: AnswerQuality::Failed,
+                });
+                let outcome = world.process_query(item, task, scratch, rec, answer.as_mut());
+                let sink = scratch.retained::<BatchSink>();
+                sink.outcomes.extend(outcome.map(|o| (item.nonce, o)));
+                sink.answers.extend(answer);
+            }
         });
 
         // Barrier: commit host state in host-id order (the tasks'
         // order), then fold outcomes in nonce order so every
         // accumulation is scheduling-independent.
-        let mut tasks = std::mem::take(&mut self.tasks);
         for task in tasks.drain(..) {
-            let state = task.state;
-            self.park(task.host, state.cache);
-            self.fleet.set_sync_state(task.host, state.sync);
-            self.fleet.quarantines[task.host] = state.quarantine;
-            self.report.outage_resyncs += state.resyncs;
+            self.park(task.host, task.cache);
+            self.fleet.last_sync_min[task.host] = task.last_sync_min;
+            self.fleet.needs_resync[task.host] = task.needs_resync;
+            self.fleet.quarantines[task.host] = task.quarantine;
+            self.report.outage_resyncs += task.resyncs;
         }
         self.tasks = tasks;
         for (_, scratch) in ctxs.iter_mut() {

@@ -2,17 +2,17 @@
 //! simulator, replayable against the live service.
 //!
 //! [`crate::Simulation::run_recording`] produces a [`TrafficTrace`]: the
-//! fleet's per-epoch state (positions, online set, churn transitions)
+//! fleet's per-epoch state (position deltas and churn transitions, from
+//! which a replay rebuilds the online set)
 //! plus every query's *inputs* (time, position, heading, fully-sampled
 //! [`QuerySpec`]) and its oracle-checked *answer* (POI ids +
 //! [`AnswerQuality`]). A replay client feeds the inputs to
 //! `airshare-serve` and asserts the service's answers match — the
 //! replay-parity contract (DESIGN.md §14).
 
+use crate::QuerySpec;
 use airshare_geom::Point;
 use airshare_obs::AnswerQuality;
-
-use crate::engine::QuerySpec;
 
 /// One recorded query: everything the service needs to re-pose it, plus
 /// the simulator's answer to check against.
@@ -58,8 +58,6 @@ pub struct EpochRecord {
     /// Recording full vectors instead made trace memory scale with
     /// `hosts × epochs` — paused or slow hosts now cost nothing.
     pub moved: Vec<(u32, Point)>,
-    /// The online set *after* this epoch's churn applied.
-    pub online: Vec<bool>,
     /// Churn transitions at this boundary: `(host, planned_epoch,
     /// came_online)`. `planned_epoch` is the plan's epoch number (it can
     /// trail `epoch` when empty epochs were skipped) and seeds the

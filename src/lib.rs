@@ -67,12 +67,16 @@
 //!
 //! ## Parallel runs
 //!
-//! [`sim::Simulation::run_parallel`] shards each epoch's hosts across an
+//! The simulator is a client of the base station, [`sim::LiveWorld`]:
+//! each epoch it applies churn, moves its hosts and derives their
+//! queries, then hands the batch to the world, which shards it by host.
+//! [`sim::Simulation::run_parallel`] runs those shards across an
 //! [`exec::ExecPool`] and produces a report **bit-identical** to the
 //! sequential [`sim::Simulation::run`] for any thread count: within an
-//! epoch peers observe the previous epoch's committed caches, every RNG
-//! draw comes from a per-`(host, epoch)` stream, and outcomes commit in
-//! global event order at the epoch barrier.
+//! epoch peers observe the previous epoch's committed caches, every
+//! per-query draw comes from a per-`(host, epoch)` stream or is hashed
+//! from the query's nonce, and outcomes commit in global event order at
+//! the epoch barrier.
 //!
 //! ```
 //! use airshare::prelude::*;

@@ -143,11 +143,33 @@ fn phase_times_are_populated_without_touching_the_report() {
     let phases = sim.phase_times();
     assert!(phases.total_ns() > 0, "a run must accumulate phase time");
     assert!(phases.query_ns > 0, "queries ran, so query time is nonzero");
+    // The simulator times the fleet's advance and the world its grid:
+    // both halves must reach the accessor.
+    assert!(
+        phases.advance_ns > 0,
+        "the fleet moved, so advance time is nonzero"
+    );
+    assert!(
+        phases.grid_ns > 0,
+        "the grid refreshed, so grid time is nonzero"
+    );
     let snapshot = report
         .metrics
         .as_ref()
         .expect("run_parallel_metrics fills this");
-    assert!(snapshot.phases.total_ns() > 0, "snapshot carries the phases");
+    // `PhaseTimes`' `==` is always true, so compare field by field: the
+    // snapshot carries exactly what the accessor reports, no phase lost.
+    let got = snapshot.phases;
+    assert_eq!(
+        (got.advance_ns, got.grid_ns, got.query_ns, got.snapshot_ns),
+        (
+            phases.advance_ns,
+            phases.grid_ns,
+            phases.query_ns,
+            phases.snapshot_ns
+        ),
+        "snapshot phases differ from sim.phase_times()"
+    );
     // PhaseTimes comparison is identity-blind by design, so two runs
     // with different wall clocks still produce equal snapshots.
     let second = Simulation::try_new(tiny(13))

@@ -45,6 +45,13 @@ same file: the plain name would only forward to its sibling while
 filling in a default (a no-op recorder, a fresh scratch or buffer), so
 callers pass that default themselves.
 
+Fifth rule: the simulator's modules depend one way. `crates/sim/src/
+engine.rs` is the mobile-host side (`Simulation`: mobility, query
+scheduling, churn) and a client of the base-station side (`LiveWorld`,
+its barrier and the query resolver), as the serving layer is. So in
+`crates/sim/src` only `engine.rs` itself and `lib.rs` (which declares
+and re-exports it) may name `crate::engine`; comments do not count.
+
 Usage: python3 tools/check_api_lint.py  (run from the repo root)
 """
 
@@ -96,6 +103,10 @@ USE_STMT = re.compile(r"^[ \t]*(pub(\([^)]*\))?[ \t]+)?use\b[^;]*;", re.MULTILIN
 CHAR_LIT = re.compile(r"'(\\.|[^\\'])'")
 # What the twin rule pairs a plain name with.
 TWIN_SUFFIXES = ("_rec", "_into")
+# The direction rule: who may name the simulator's client module.
+SIM_SRC = "crates/sim/src"
+ENGINE_PATH = re.compile(r"\bcrate::engine\b")
+ENGINE_NAMERS = {"engine.rs", "lib.rs"}
 
 
 def signatures(text):
@@ -230,6 +241,21 @@ def twins(root):
     return out
 
 
+def engine_namers(root):
+    """Returns each line of a `crates/sim/src` file other than
+    `engine.rs` and `lib.rs` that names `crate::engine` outside a
+    comment, as "<path>:<line>: <line>"."""
+    out = []
+    for path in sorted((root / SIM_SRC).glob("**/*.rs")):
+        if path.name in ENGINE_NAMERS:
+            continue
+        rel = path.relative_to(root).as_posix()
+        for i, line in enumerate(strip_comments(path.read_text()).splitlines()):
+            if ENGINE_PATH.search(line):
+                out.append(f"{rel}:{i + 1}: {line.strip()}")
+    return out
+
+
 def main():
     root = Path(__file__).resolve().parent.parent
     violations = []
@@ -255,6 +281,7 @@ def main():
     stale = ALLOWED - seen_allowed
     test_only, stale_test_only = test_only_fns(root)
     twin_fns = twins(root)
+    backward = engine_namers(root)
     if stale:
         print("stale allowlist entries (signature gone or no longer owned):")
         for key in sorted(stale):
@@ -299,12 +326,29 @@ def main():
             "and let its callers pass the default (a NoopRecorder, a fresh\n"
             "QueryScratch or buffer) to the twin."
         )
-    if stale or violations or env_violations or test_only or stale_test_only or twin_fns:
+    if backward:
+        print(f"{SIM_SRC} modules naming crate::engine (the simulator's client side):")
+        for v in backward:
+            print(f"  {v}")
+        print(
+            "\nThe world, its barrier and the resolver know nothing of the\n"
+            "Simulation that drives them. Move what they need out of engine.rs\n"
+            "(shared types live in resolve.rs and are re-exported from lib.rs)."
+        )
+    if (
+        stale
+        or violations
+        or env_violations
+        or test_only
+        or stale_test_only
+        or twin_fns
+        or backward
+    ):
         return 1
     print(
         f"api lint ok: {len(seen_allowed)} sanctioned owned-POI boundaries, "
         f"no library env reads, {len(TEST_ONLY)} test-only fixtures, "
-        "no default-filling twins"
+        "no default-filling twins, no module naming crate::engine"
     )
     return 0
 
