@@ -20,7 +20,6 @@
 
 use crate::{Bucket, IndexError, PoiTable, QueryScratch};
 use airshare_geom::{Point, Rect};
-use bytes::Bytes;
 
 /// How many per-bucket descriptors fit in one on-air index bucket. The
 /// descriptor is a few words (key range or MBR, arrival offset), so a
@@ -147,15 +146,4 @@ pub trait AirIndexBackend: std::fmt::Debug + Send + Sync {
     /// deduplicated union of the per-window sets, left in
     /// `scratch.buckets()`.
     fn buckets_for_windows_scratch(&self, windows: &[Rect], scratch: &mut QueryScratch);
-
-    /// Wire-encodes one bucket of the on-air index segment (CRC-framed
-    /// via [`crate::wire::frame_payload`]). The payload layout is
-    /// backend-specific — curve-range descriptors for the Hilbert
-    /// backend, MBR descriptors for the R-tree backend — but every frame
-    /// carries the shared CRC-32 trailer so receivers detect corruption
-    /// uniformly.
-    ///
-    /// `segment_bucket` indexes into `0..self.index_buckets()`; an
-    /// out-of-range index is a caller bug and panics.
-    fn encode_index_bucket(&self, segment_bucket: usize) -> Result<Bytes, crate::wire::WireError>;
 }

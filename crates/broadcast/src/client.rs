@@ -47,7 +47,8 @@ pub struct OnAirWindowResult {
 enum Appearance {
     /// The bucket arrived intact; its download completed at `tick`.
     Intact { tick: u64 },
-    /// The CRC failed; `retry` re-fetches of this bucket came before.
+    /// The appearance was lost; `retry` re-fetches of this bucket came
+    /// before.
     Corrupt { retry: u32 },
 }
 
@@ -106,7 +107,7 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
     }
 
     /// Creates a client for a channel subject to a fault model: bucket
-    /// appearances may arrive corrupt (detected via the wire CRC) and are
+    /// appearances may be lost (see [`ChannelFaults`]) and are
     /// re-fetched on the bucket's next cycle occurrence, up to the
     /// model's retry budget.
     pub fn with_faults(
@@ -136,7 +137,7 @@ impl<'a, B: AirIndexBackend + ?Sized> OnAirClient<'a, B> {
     /// sharing exists to mitigate.
     ///
     /// Under a fault model, a corrupt appearance costs its tuning tick
-    /// (the client listened and got a CRC failure) and pushes the
+    /// (the client listened and got an unusable frame) and pushes the
     /// download to the bucket's next cycle occurrence; after the retry
     /// budget is exhausted the bucket is abandoned and counted in
     /// [`AccessStats::lost_buckets`], so the caller can report the

@@ -1,29 +1,22 @@
 //! Deterministic, seeded channel fault model.
 //!
-//! Real broadcast channels corrupt frames; the CRC-32 trailer
-//! ([`crate::wire`]) makes that *detectable*, and this module makes it
-//! *simulable*. A [`ChannelFaults`] decides — purely as a function of
-//! `(fault seed, bucket id, cycle occurrence)` — whether a given on-air
-//! appearance of a bucket arrives intact. Because the decision is a hash
-//! rather than a draw from a shared RNG stream, fault injection never
-//! perturbs the simulator's other randomness: a run with loss probability
-//! zero is bit-identical to a run without the fault layer, and a run with
-//! loss is exactly reproducible from its seed.
-//!
-//! The loss probability can be given directly or derived from a physical
-//! bit-error rate: a frame of `B` bytes survives with probability
-//! `(1 - BER)^(8B)`, so `p_loss = 1 - (1 - BER)^(8B)` — longer frames are
-//! proportionally more fragile, which is why bucket capacity interacts
-//! with channel quality.
+//! Real broadcast channels lose frames; this module makes that
+//! *simulable* without serializing a byte. A [`ChannelFaults`] decides —
+//! purely as a function of `(fault seed, bucket id, cycle occurrence)` —
+//! whether a given on-air appearance of a bucket arrives intact. Because
+//! the decision is a hash rather than a draw from a shared RNG stream,
+//! fault injection never perturbs the simulator's other randomness: a
+//! run with loss probability zero is bit-identical to a run without the
+//! fault layer, and a run with loss is exactly reproducible from its
+//! seed.
 
 use crate::BucketId;
 
 /// Per-appearance bucket loss model for the broadcast channel.
 ///
-/// A lost appearance models a frame whose CRC check failed at the
-/// receiver: the client paid the tuning tick to download it, got
-/// detectable garbage, and must wait for the bucket's next cycle
-/// occurrence to retry.
+/// A lost appearance models a frame the receiver could not use: the
+/// client paid the tuning tick to download it, found it corrupt, and
+/// must wait for the bucket's next cycle occurrence to retry.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChannelFaults {
     seed: u64,

@@ -4,7 +4,6 @@ use crate::backend::{AirIndexBackend, BuildParams, INDEX_FANOUT};
 use crate::{Bucket, BucketId, Poi, PoiTable, QueryScratch};
 use airshare_geom::{Point, Rect};
 use airshare_hilbert::Grid;
-use bytes::{BufMut, Bytes, BytesMut};
 
 /// The broadcast server's data organization.
 ///
@@ -207,30 +206,6 @@ impl AirIndexBackend for AirIndex {
         }
         intervals.truncate(write);
         self.buckets_for_intervals_into(intervals, buckets);
-    }
-
-    /// Payload layout: for each data bucket in this index bucket's slice
-    /// of broadcast order — `u32` bucket id, `u64` curve range low,
-    /// `u64` curve range high, `u16` POI count — CRC-framed.
-    fn encode_index_bucket(&self, segment_bucket: usize) -> Result<Bytes, crate::wire::WireError> {
-        assert!(
-            segment_bucket < self.index_buckets,
-            "index bucket {segment_bucket} out of range ({} index buckets)",
-            self.index_buckets
-        );
-        let start = segment_bucket * INDEX_FANOUT;
-        let end = ((segment_bucket + 1) * INDEX_FANOUT).min(self.buckets.len());
-        let slice = self.buckets.get(start..end).unwrap_or(&[]);
-        let mut payload = BytesMut::with_capacity(slice.len() * 22);
-        for b in slice {
-            let count =
-                u16::try_from(b.pois.len()).map_err(|_| crate::wire::WireError::Overflow)?;
-            payload.put_u32(b.id as u32);
-            payload.put_u64(b.hilbert_range.0);
-            payload.put_u64(b.hilbert_range.1);
-            payload.put_u16(count);
-        }
-        Ok(crate::wire::frame_payload(&payload))
     }
 }
 

@@ -31,7 +31,9 @@
 //!   `crates/rtree`'s STR bulk loader) as the shipping alternative.
 //!
 //! Time is measured in **ticks**, one tick being the airtime of one
-//! bucket. Multiply by (bucket bytes ÷ channel bit-rate) for seconds.
+//! bucket; no bucket is ever serialized. A lost appearance is a seeded
+//! hash of `(seed, bucket, cycle)` ([`ChannelFaults`]), not a corrupted
+//! frame.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +49,6 @@ mod rtree_index;
 mod schedule;
 mod scratch;
 mod table;
-pub mod wire;
 
 pub use backend::{AirIndexBackend, BuildParams};
 pub use bucket::{Bucket, BucketId};

@@ -79,11 +79,6 @@ impl Poi {
         }
     }
 
-    /// Creates a POI with an explicit category.
-    pub fn with_category(id: u32, pos: Point, category: PoiCategory) -> Self {
-        Self { id, pos, category }
-    }
-
     /// The typed handle naming this POI in handle-based APIs.
     #[inline]
     pub fn handle(&self) -> PoiId {
@@ -106,11 +101,5 @@ mod tests {
         assert!((poi.distance_to(Point::ORIGIN) - 5.0).abs() < 1e-12);
         assert_eq!(poi.category, PoiCategory::GAS_STATION);
         assert_eq!(poi.handle(), PoiId(7));
-    }
-
-    #[test]
-    fn category_constructor() {
-        let p = Poi::with_category(1, Point::ORIGIN, PoiCategory(3));
-        assert_eq!(p.category, PoiCategory(3));
     }
 }

@@ -5,7 +5,6 @@ use crate::backend::{AirIndexBackend, BuildParams, INDEX_FANOUT};
 use crate::{Bucket, IndexError, Poi, PoiTable, QueryScratch};
 use airshare_geom::{Point, Rect};
 use airshare_rtree::RTree;
-use bytes::{BufMut, Bytes, BytesMut};
 
 /// One descriptor in an on-air R-tree index bucket: a child subtree
 /// summarized by its MBR, POI count, and the first data bucket it covers
@@ -19,9 +18,6 @@ struct IndexEntry {
     /// Number of POIs under the child.
     count: u32,
 }
-
-/// Serialized size of one [`IndexEntry`]: `u32` + 4 × `f64` + `u32`.
-const INDEX_ENTRY_BYTES: usize = 4 + 32 + 4;
 
 /// The alternative air-index backend: `crates/rtree`'s STR bulk-loaded
 /// R-tree packed into broadcast buckets.
@@ -190,34 +186,11 @@ impl AirIndexBackend for RtreeAirIndex {
             }
         }
     }
-
-    /// Payload layout: for each child descriptor of the node — `u32`
-    /// first covered data bucket, MBR as 4 × `f64`
-    /// (`x1`, `y1`, `x2`, `y2`), `u32` POI count — CRC-framed.
-    fn encode_index_bucket(&self, segment_bucket: usize) -> Result<Bytes, crate::wire::WireError> {
-        assert!(
-            segment_bucket < self.index_nodes.len(),
-            "index bucket {segment_bucket} out of range ({} index buckets)",
-            self.index_nodes.len()
-        );
-        let node = &self.index_nodes[segment_bucket];
-        let mut payload = BytesMut::with_capacity(node.len() * INDEX_ENTRY_BYTES);
-        for e in node {
-            payload.put_u32(e.first_bucket);
-            payload.put_f64(e.mbr.x1);
-            payload.put_f64(e.mbr.y1);
-            payload.put_f64(e.mbr.x2);
-            payload.put_f64(e.mbr.y2);
-            payload.put_u32(e.count);
-        }
-        Ok(crate::wire::frame_payload(&payload))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{verify_payload, CRC_TRAILER_BYTES};
 
     fn params(cap: usize) -> BuildParams {
         BuildParams {
@@ -353,22 +326,17 @@ mod tests {
     }
 
     #[test]
-    fn index_buckets_encode_and_verify() {
+    fn index_nodes_respect_fanout() {
         let idx = setup(2000, 4); // 500 data buckets -> two index levels
         assert!(idx.index_buckets() > 1);
-        for i in 0..idx.index_buckets() {
-            let frame = idx.encode_index_bucket(i).unwrap();
-            let payload = verify_payload(&frame).unwrap();
-            assert_eq!(payload.len() % INDEX_ENTRY_BYTES, 0);
-            let entries = payload.len() / INDEX_ENTRY_BYTES;
-            assert!((1..=INDEX_FANOUT).contains(&entries));
-            assert_eq!(frame.len(), payload.len() + CRC_TRAILER_BYTES);
+        for node in &idx.index_nodes {
+            assert!((1..=INDEX_FANOUT).contains(&node.len()));
         }
         // Root bucket comes first and summarizes everything.
-        let root = idx.encode_index_bucket(0).unwrap();
-        let root_payload = verify_payload(&root).unwrap();
-        let root_entries = root_payload.len() / INDEX_ENTRY_BYTES;
-        assert_eq!(root_entries, idx.data_buckets().div_ceil(INDEX_FANOUT));
+        assert_eq!(
+            idx.index_nodes[0].len(),
+            idx.data_buckets().div_ceil(INDEX_FANOUT)
+        );
     }
 
     #[test]
@@ -380,8 +348,7 @@ mod tests {
         let chosen = QueryScratch::planned(|s| idx.buckets_for_window_scratch(&everything, s));
         assert!(chosen.is_empty());
         assert!(idx.knn_search_radius(Point::ORIGIN, 1).is_none());
-        let frame = idx.encode_index_bucket(0).unwrap();
-        assert!(verify_payload(&frame).unwrap().is_empty());
+        assert!(idx.index_nodes[0].is_empty());
         assert_eq!(
             RtreeAirIndex::try_build(&crate::PoiTable::new(), &params(0)).unwrap_err(),
             IndexError::ZeroBucketCapacity

@@ -1,11 +1,7 @@
 //! Property tests for the broadcast substrate: schedule timing
-//! invariants, on-air query exactness against brute force, the cost-only
-//! baselines against the retrievals they shadow, and wire format
-//! roundtrips.
+//! invariants, on-air query exactness against brute force, and the
+//! cost-only baselines against the retrievals they shadow.
 
-use airshare_broadcast::wire::{
-    decode_bucket, encode_bucket, frame_payload, verify_payload, WireError,
-};
 use airshare_broadcast::{
     AirIndex, AirIndexBackend, BuildParams, ChannelFaults, OnAirClient, Poi, PoiTable,
     QueryScratch, RtreeAirIndex, Schedule,
@@ -126,55 +122,6 @@ proptest! {
             .collect();
         want.sort_unstable();
         prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn wire_roundtrip_any_bucket(coords in arb_coords(), cap in 1usize..32) {
-        let (index, _) = build(&coords, cap, 1);
-        for b in index.buckets() {
-            let frame = encode_bucket(b).expect("in-range fields");
-            let (id, h_lo, pois) = decode_bucket(frame).expect("roundtrip");
-            prop_assert_eq!(id, b.id);
-            prop_assert_eq!(h_lo, b.hilbert_range.0);
-            prop_assert_eq!(pois.len(), b.pois.len());
-            for (a, e) in pois.iter().zip(&b.pois) {
-                prop_assert_eq!(a.id, e.id);
-                prop_assert_eq!(a.pos, e.pos);
-            }
-        }
-    }
-
-    #[test]
-    fn wire_byte_flip_is_detected_or_harmless(
-        coords in arb_coords(),
-        cap in 1usize..32,
-        which in any::<prop::sample::Index>(),
-        pos in any::<prop::sample::Index>(),
-        mask in 1u8..=255,
-    ) {
-        let (index, _) = build(&coords, cap, 1);
-        let b = &index.buckets()[which.index(index.buckets().len())];
-        let frame = encode_bucket(b).expect("in-range fields");
-        let clean = decode_bucket(frame.clone()).expect("clean frame decodes");
-        let mut corrupted = frame.to_vec();
-        corrupted[pos.index(frame.len())] ^= mask;
-        // A flipped byte must either fail the checksum or (if the flip
-        // happens to cancel out, which CRC-32 prevents for single-byte
-        // damage) decode to exactly the clean contents — never to
-        // silently different data.
-        match decode_bucket(bytes::Bytes::from(corrupted)) {
-            Err(_) => {}
-            Ok(decoded) => {
-                prop_assert_eq!(decoded.0, clean.0);
-                prop_assert_eq!(decoded.1, clean.1);
-                prop_assert_eq!(decoded.2.len(), clean.2.len());
-                for (a, e) in decoded.2.iter().zip(&clean.2) {
-                    prop_assert_eq!(a.id, e.id);
-                    prop_assert_eq!(a.pos, e.pos);
-                    prop_assert_eq!(a.category, e.category);
-                }
-            }
-        }
     }
 
     #[test]
@@ -308,56 +255,4 @@ fn cost_forms_share_a_warm_scratch_with_the_planner() {
             .knn_rec(40, q, 5, &mut warm, &mut NoopRecorder)
             .map(|r| r.stats)
     );
-}
-
-// Generic-frame wire coverage: `frame_payload`/`verify_payload` are the
-// CRC layer every on-air frame (data buckets, index segments, service
-// replies) rides on; until now they were only exercised indirectly
-// through bucket encoding.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn frame_payload_roundtrips(payload in prop::collection::vec(any::<u8>(), 0..512)) {
-        let frame = frame_payload(&payload);
-        // 4-byte CRC-32 trailer, nothing else.
-        prop_assert_eq!(frame.len(), payload.len() + 4);
-        prop_assert_eq!(verify_payload(&frame), Ok(&payload[..]));
-    }
-
-    #[test]
-    fn frame_rejects_any_flipped_bit(
-        payload in prop::collection::vec(any::<u8>(), 0..256),
-        at in any::<prop::sample::Index>(),
-        bit in 0u8..8,
-    ) {
-        let frame = frame_payload(&payload);
-        let mut corrupt = frame.to_vec();
-        let i = at.index(corrupt.len());
-        corrupt[i] ^= 1u8 << bit;
-        // A single flipped bit — payload or trailer — never verifies.
-        prop_assert_eq!(verify_payload(&corrupt), Err(WireError::ChecksumMismatch));
-    }
-
-    #[test]
-    fn frame_rejects_truncation(
-        payload in prop::collection::vec(any::<u8>(), 0..256),
-        keep in any::<prop::sample::Index>(),
-    ) {
-        let frame = frame_payload(&payload);
-        let cut = keep.index(frame.len());
-        let out = verify_payload(&frame[..cut]);
-        if cut < 4 {
-            prop_assert_eq!(out, Err(WireError::Truncated));
-        } else {
-            // Still long enough to carry a trailer, but it now covers
-            // the wrong bytes: only an (astronomically unlikely, and
-            // with these cases seeds, never observed) CRC collision
-            // could pass. Truncated-to-empty frames whose original
-            // payload was empty are the one legitimate prefix.
-            if cut != frame.len() {
-                prop_assert!(out.is_err());
-            }
-        }
-    }
 }

@@ -55,21 +55,18 @@ struct Slot {
     generation: u32,
     live: bool,
     vr: Rect,
-    created_at: f64,
     last_used: f64,
     start: u32,
     len: u32,
 }
 
 /// A borrowed view of one live cache entry: the verified region, its
-/// timestamps, and the POI membership as handles into the canonical
+/// last-use time, and the POI membership as handles into the canonical
 /// [`PoiTable`].
 #[derive(Clone, Copy, Debug)]
 pub struct EntryView<'a> {
     /// The verified region.
     pub vr: Rect,
-    /// Simulation time the entry was created (minutes).
-    pub created_at: f64,
     /// Last time this entry served a query (for LRU).
     pub last_used: f64,
     /// Handles of the POIs inside `vr`, in stored order.
@@ -169,7 +166,6 @@ impl EntryArena {
     pub fn insert(
         &mut self,
         vr: Rect,
-        created_at: f64,
         last_used: f64,
         ids: impl IntoIterator<Item = PoiId>,
     ) -> EntryId {
@@ -183,7 +179,6 @@ impl EntryArena {
             generation: 0, // patched below for reused slots
             live: true,
             vr,
-            created_at,
             last_used,
             start,
             len,
@@ -241,7 +236,6 @@ impl EntryArena {
     pub fn get(&self, id: EntryId) -> Option<EntryView<'_>> {
         self.slot(id).map(|s| EntryView {
             vr: s.vr,
-            created_at: s.created_at,
             last_used: s.last_used,
             poi_ids: &self.pool[s.start as usize..(s.start + s.len) as usize],
         })
@@ -343,11 +337,10 @@ mod tests {
     #[test]
     fn insert_get_remove_round_trip() {
         let mut a = EntryArena::new();
-        let e = a.insert(rect(1.0), 1.0, 2.0, ids(0..3));
+        let e = a.insert(rect(1.0), 2.0, ids(0..3));
         assert_eq!(a.len(), 1);
         let v = a.get(e).unwrap();
         assert_eq!(v.vr, rect(1.0));
-        assert_eq!(v.created_at, 1.0);
         assert_eq!(v.last_used, 2.0);
         assert_eq!(v.poi_ids, &[PoiId(0), PoiId(1), PoiId(2)]);
         assert!(a.remove(e));
@@ -359,9 +352,9 @@ mod tests {
     #[test]
     fn stale_handle_never_aliases_reused_slot() {
         let mut a = EntryArena::new();
-        let e1 = a.insert(rect(1.0), 0.0, 0.0, ids(0..2));
+        let e1 = a.insert(rect(1.0), 0.0, ids(0..2));
         a.remove(e1);
-        let e2 = a.insert(rect(2.0), 0.0, 0.0, ids(5..9));
+        let e2 = a.insert(rect(2.0), 0.0, ids(5..9));
         // Slot was reused but the old handle stays dead.
         assert_eq!(e1.index(), e2.index());
         assert!(a.get(e1).is_none());
@@ -371,9 +364,9 @@ mod tests {
     #[test]
     fn compaction_preserves_spans_and_frees_garbage() {
         let mut a = EntryArena::new();
-        let keep1 = a.insert(rect(1.0), 0.0, 0.0, ids(0..10));
-        let drop1 = a.insert(rect(2.0), 0.0, 0.0, ids(10..30));
-        let keep2 = a.insert(rect(3.0), 0.0, 0.0, ids(30..35));
+        let keep1 = a.insert(rect(1.0), 0.0, ids(0..10));
+        let drop1 = a.insert(rect(2.0), 0.0, ids(10..30));
+        let keep2 = a.insert(rect(3.0), 0.0, ids(30..35));
         a.remove(drop1);
         assert_eq!(a.pool_live(), 15);
         a.compact();
@@ -391,7 +384,7 @@ mod tests {
                 let victim = live.remove((round as usize) % live.len());
                 a.remove(victim);
             }
-            live.push(a.insert(rect(1.0), 0.0, 0.0, ids(round..round + 10)));
+            live.push(a.insert(rect(1.0), 0.0, ids(round..round + 10)));
         }
         // 8 live entries × 10 ids; pool bounded ~2× the live watermark.
         assert!(a.pool.capacity() <= 400, "pool grew to {}", a.pool.capacity());
@@ -404,11 +397,11 @@ mod tests {
     fn view_consistency_checks_against_table() {
         let table = PoiTable::from_pois([Poi::new(0, Point::new(0.5, 0.5))]);
         let mut a = EntryArena::new();
-        let good = a.insert(rect(1.0), 0.0, 0.0, [PoiId(0)]);
-        let unresolvable = a.insert(rect(1.0), 0.0, 0.0, [PoiId(7)]);
+        let good = a.insert(rect(1.0), 0.0, [PoiId(0)]);
+        let unresolvable = a.insert(rect(1.0), 0.0, [PoiId(7)]);
         assert!(a.get(good).unwrap().is_consistent(&table));
         assert!(!a.get(unresolvable).unwrap().is_consistent(&table));
-        let outside = a.insert(rect(0.25), 0.0, 0.0, [PoiId(0)]);
+        let outside = a.insert(rect(0.25), 0.0, [PoiId(0)]);
         assert!(!a.get(outside).unwrap().is_consistent(&table));
         let nan = Rect {
             x1: 0.0,
@@ -416,7 +409,7 @@ mod tests {
             x2: f64::NAN,
             y2: 1.0,
         };
-        let malformed = a.insert(nan, 0.0, 0.0, []);
+        let malformed = a.insert(nan, 0.0, []);
         assert!(!a.get(malformed).unwrap().is_consistent(&table));
     }
 }

@@ -213,7 +213,6 @@ impl HostCache {
     ) -> InsertOutcome {
         let offered = EntryView {
             vr,
-            created_at: now,
             last_used: now,
             poi_ids: ids,
         };
@@ -238,7 +237,6 @@ impl HostCache {
         self.make_room(ci, &vr, len, ctx);
         let eid = self.arena.insert(
             vr,
-            now,
             now,
             ids.iter()
                 .copied()
@@ -304,7 +302,7 @@ impl HostCache {
     /// wrong POIs for a region but cannot forge POI coordinates.
     pub fn insert_unchecked(&mut self, category: PoiCategory, vr: Rect, ids: &[PoiId], now: f64) {
         let ci = self.cat_index(category);
-        let eid = self.arena.insert(vr, now, now, ids.iter().copied());
+        let eid = self.arena.insert(vr, now, ids.iter().copied());
         self.cats[ci].1.push(eid);
     }
 
@@ -520,7 +518,7 @@ mod tests {
         );
         let e = c.entries(CAT).next().unwrap();
         assert!(e.is_empty());
-        assert_eq!((e.vr, e.created_at, e.last_used), (vr, 3.0, 3.0));
+        assert_eq!((e.vr, e.last_used), (vr, 3.0));
     }
 
     #[test]
@@ -662,7 +660,6 @@ mod tests {
         let vb = b.entries(CAT).next().unwrap();
         assert_eq!(va.vr, vb.vr);
         assert_eq!(va.poi_ids, vb.poi_ids);
-        assert_eq!(va.created_at, vb.created_at);
         assert_eq!(va.last_used, vb.last_used);
     }
 

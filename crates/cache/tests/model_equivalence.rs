@@ -27,7 +27,6 @@ const CAT: PoiCategory = PoiCategory::GAS_STATION;
 struct OwnedEntry {
     vr: Rect,
     pois: Vec<Poi>,
-    created_at: f64,
     last_used: f64,
 }
 
@@ -255,7 +254,6 @@ proptest! {
                     OwnedEntry {
                         vr,
                         pois,
-                        created_at: now,
                         last_used: now,
                     },
                     &ctx,
@@ -266,7 +264,6 @@ proptest! {
             prop_assert_eq!(cache.region_count(CAT), reference.entries.len());
             for (got, want) in cache.entries(CAT).zip(&reference.entries) {
                 prop_assert_eq!(got.vr, want.vr);
-                prop_assert_eq!(got.created_at, want.created_at);
                 prop_assert_eq!(got.last_used, want.last_used);
                 let want_ids: Vec<PoiId> = want.pois.iter().map(Poi::handle).collect();
                 prop_assert_eq!(got.poi_ids, want_ids.as_slice());
@@ -290,7 +287,7 @@ proptest! {
         steps in prop::collection::vec((0u8..10, 0usize..64, 0u32..16), 1..120),
     ) {
         let mut arena = EntryArena::new();
-        let mut live: Vec<(EntryId, Rect, Vec<PoiId>, f64, f64)> = Vec::new();
+        let mut live: Vec<(EntryId, Rect, Vec<PoiId>, f64)> = Vec::new();
         let mut dead: Vec<EntryId> = Vec::new();
         let mut next_id = 0u32;
 
@@ -307,16 +304,15 @@ proptest! {
                 // Clone round-trip: handles stay valid in the copy.
                 3 => {
                     let copy = arena.clone();
-                    for (id, vr, ids, created, used) in &live {
+                    for (id, vr, ids, used) in &live {
                         let v = copy.get(*id).expect("live handle lost by clone");
                         prop_assert_eq!(v.vr, *vr);
                         prop_assert_eq!(v.poi_ids, ids.as_slice());
-                        prop_assert_eq!(v.created_at, *created);
                         prop_assert_eq!(v.last_used, *used);
                     }
                     // clone_from into a dirty destination too.
                     let mut dst = EntryArena::new();
-                    dst.insert(Rect::from_coords(0.0, 0.0, 1.0, 1.0), 0.0, 0.0, [PoiId(0)]);
+                    dst.insert(Rect::from_coords(0.0, 0.0, 1.0, 1.0), 0.0, [PoiId(0)]);
                     dst.clone_from(&arena);
                     for (id, _, ids, ..) in &live {
                         prop_assert_eq!(
@@ -331,8 +327,8 @@ proptest! {
                     let vr = Rect::from_coords(0.0, 0.0, 1.0 + t, 2.0 + t);
                     let ids: Vec<PoiId> = (next_id..next_id + n).map(PoiId).collect();
                     next_id += n;
-                    let id = arena.insert(vr, t, t + 0.5, ids.iter().copied());
-                    live.push((id, vr, ids, t, t + 0.5));
+                    let id = arena.insert(vr, t + 0.5, ids.iter().copied());
+                    live.push((id, vr, ids, t + 0.5));
                 }
             }
 
@@ -341,11 +337,10 @@ proptest! {
                 arena.pool_live(),
                 live.iter().map(|(_, _, ids, ..)| ids.len()).sum::<usize>()
             );
-            for (id, vr, ids, created, used) in &live {
+            for (id, vr, ids, used) in &live {
                 let v = arena.get(*id).expect("live handle must resolve");
                 prop_assert_eq!(v.vr, *vr);
                 prop_assert_eq!(v.poi_ids, ids.as_slice());
-                prop_assert_eq!(v.created_at, *created);
                 prop_assert_eq!(v.last_used, *used);
             }
             for id in &dead {

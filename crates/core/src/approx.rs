@@ -20,22 +20,15 @@ pub fn unverified_area(q: Point, dist: f64, mvr: &MergedRegion) -> f64 {
     unverified_area_of_tiles(q, dist, tiles, None)
 }
 
-/// [`unverified_area`] restricted to a bounded service domain: disk area
-/// beyond the domain boundary cannot hide POIs (there are none outside
-/// the served region), so counting it would systematically underestimate
-/// correctness for hosts near the edge of the world.
-pub fn unverified_area_in(q: Point, dist: f64, mvr: &MergedRegion, domain: &Rect) -> f64 {
-    let mut scratch = RegionScratch::default();
-    let tiles = mvr.region().disjoint_rects(&mut scratch);
-    unverified_area_of_tiles(q, dist, tiles, Some(domain))
-}
-
 /// The unverified area over the MVR's tiles ([`RectUnion::disjoint_rects`],
 /// which NNV computes once per query): the disk's area (in `domain`, if
 /// given) minus its area in each tile, summed in tile order as
 /// `disk_region_area` does. Tiles are clipped to the domain, so one
-/// poking past it cancels no in-domain area. Clamped at zero: fp noise
-/// must never produce a negative area (a probability above 1).
+/// poking past it cancels no in-domain area. A domain matters at the
+/// edge of the world: disk area outside the served region cannot hide
+/// POIs, so counting it would underestimate correctness there. Clamped
+/// at zero: fp noise must never produce a negative area (a probability
+/// above 1).
 ///
 /// [`RectUnion::disjoint_rects`]: airshare_geom::RectUnion::disjoint_rects
 pub fn unverified_area_of_tiles(q: Point, dist: f64, tiles: &[Rect], domain: Option<&Rect>) -> f64 {
@@ -119,7 +112,8 @@ mod tests {
         let bounded = candidate_correctness(q, 2.0, &m, 0.5, Some(&world));
         assert!(bounded > unbounded);
         // A quarter of the disk is inside: u = π·4/4.
-        let u = unverified_area_in(q, 2.0, &m, &world);
+        let tiles = m.region().disjoint_rects(&mut RegionScratch::default()).to_vec();
+        let u = unverified_area_of_tiles(q, 2.0, &tiles, Some(&world));
         assert!((u - std::f64::consts::PI) .abs() < 1e-9);
     }
 
@@ -133,7 +127,11 @@ mod tests {
         let disk = Disk::new(q, dist);
         let expect = disk_rect_area(disk, &world)
             - disk_rect_area(disk, &Rect::from_coords(0.0, 4.0, 0.5, 6.0));
-        let u = unverified_area_in(q, dist, &mvr(&[tile]), &world);
+        let tiles = mvr(&[tile])
+            .region()
+            .disjoint_rects(&mut RegionScratch::default())
+            .to_vec();
+        let u = unverified_area_of_tiles(q, dist, &tiles, Some(&world));
         assert!((u - expect).abs() < 1e-12, "u = {u}, expected {expect}");
         assert_eq!(u, unverified_area_of_tiles(q, dist, &[tile], Some(&world)));
     }

@@ -177,17 +177,6 @@ fn sbwq_inner(
     })
 }
 
-/// The verified region a host may cache after a window query: the window
-/// itself when resolved (it is then fully known), regardless of how the
-/// gaps were filled.
-pub fn adoptable_window_region(w: &Rect, result: &SbwqResult) -> (Rect, Vec<Poi>) {
-    debug_assert!({
-        // All POIs lie inside w.
-        result.pois.iter().all(|p| w.contains(p.pos))
-    });
-    (*w, result.pois.clone())
-}
-
 /// Convenience for tests and diagnostics: the fraction of `w` covered by
 /// a region union.
 pub fn window_coverage(w: &Rect, region: &RectUnion) -> f64 {

@@ -17,7 +17,7 @@
 use airshare_broadcast::{
     AirIndex, AirIndexBackend, OnAirClient, Poi, PoiTable, QueryScratch, Schedule,
 };
-use airshare_core::approx::{unverified_area, unverified_area_in, unverified_area_of_tiles};
+use airshare_core::approx::{unverified_area, unverified_area_of_tiles};
 use airshare_core::{
     nnv, sbnn_rec, sbwq_rec, MergedRegion, ResolvedBy, SbnnConfig, SbwqConfig, SbwqOutcome,
 };
@@ -244,7 +244,9 @@ proptest! {
                 for (pt, &id) in tree.window(&w) {
                     if !have.contains(&id) {
                         prop_assert!(
-                            missing.iter().any(|m| m.inflate(1e-9).unwrap().contains(pt)),
+                            missing.iter().any(|m| Rect::from_coords(
+                                m.x1 - 1e-9, m.y1 - 1e-9, m.x2 + 1e-9, m.y2 + 1e-9
+                            ).contains(pt)),
                             "missing POI {id} at {pt:?} not in any gap"
                         );
                     }
@@ -270,7 +272,7 @@ proptest! {
         prop_assert_eq!(unverified_area(q, dist, &mvr).to_bits(), unbounded.to_bits(), "{}", case);
         // Members inside the domain are unchanged by the clip.
         let bounded = (disk_rect_area(disk, &world()) - covered).max(0.0);
-        let clipped = unverified_area_in(q, dist, &mvr, &world());
+        let clipped = unverified_area_of_tiles(q, dist, &tiles, Some(&world()));
         prop_assert_eq!(clipped.to_bits(), bounded.to_bits(), "{}", case);
     }
 }

@@ -48,11 +48,6 @@ impl IntervalSet {
         self.runs.is_empty()
     }
 
-    /// Total length of all intervals.
-    pub fn total_len(&self) -> f64 {
-        self.runs.iter().map(|(lo, hi)| hi - lo).sum()
-    }
-
     /// Membership test (closed semantics up to ε).
     pub fn contains(&self, x: f64) -> bool {
         // Binary search on lower endpoints.
@@ -179,7 +174,10 @@ mod tests {
         let b = set(&[(2.0, 4.0)]);
         let u = a.union(&b);
         assert_eq!(u.runs(), &[(0.0, 1.0), (2.0, 4.0)]);
-        assert!(approx_eq(u.total_len(), 3.0));
+        assert!(approx_eq(
+            u.runs().iter().map(|(lo, hi)| hi - lo).sum(),
+            3.0
+        ));
     }
 
     #[test]

@@ -70,20 +70,14 @@ pub fn meters_to_miles(m: f64) -> f64 {
     m / METERS_PER_MILE
 }
 
-/// Converts miles to meters.
-#[inline]
-pub fn miles_to_meters(mi: f64) -> f64 {
-    mi * METERS_PER_MILE
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn unit_conversions_roundtrip() {
-        assert!(approx_eq(meters_to_miles(miles_to_meters(3.25)), 3.25));
-        assert!(approx_eq(miles_to_meters(1.0), 1609.344));
+        assert!(approx_eq(meters_to_miles(3.25 * METERS_PER_MILE), 3.25));
+        assert!(approx_eq(meters_to_miles(1609.344), 1.0));
     }
 
     #[test]

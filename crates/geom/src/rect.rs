@@ -173,18 +173,6 @@ impl Rect {
     pub fn clamp_point(&self, p: Point) -> Point {
         Point::new(p.x.clamp(self.x1, self.x2), p.y.clamp(self.y1, self.y2))
     }
-
-    /// Expands each side outward by `delta` (inward when negative).
-    /// Returns `None` if a negative delta would invert the rectangle.
-    pub fn inflate(&self, delta: f64) -> Option<Rect> {
-        let r = Rect {
-            x1: self.x1 - delta,
-            y1: self.y1 - delta,
-            x2: self.x2 + delta,
-            y2: self.y2 + delta,
-        };
-        (r.x1 <= r.x2 && r.y1 <= r.y2).then_some(r)
-    }
 }
 
 impl fmt::Debug for Rect {
@@ -289,15 +277,6 @@ mod tests {
         // Covering a contained rectangle grows nothing.
         assert_eq!(a.union_mbr(&b), a);
         assert!(b.union_mbr(&a).area() > b.area());
-    }
-
-    #[test]
-    fn inflate_roundtrip_and_inversion() {
-        let a = r(1.0, 1.0, 3.0, 3.0);
-        let grown = a.inflate(0.5).unwrap();
-        assert_eq!(grown, r(0.5, 0.5, 3.5, 3.5));
-        assert_eq!(grown.inflate(-0.5).unwrap(), a);
-        assert_eq!(a.inflate(-2.0), None);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! * [`RectUnion::disjoint_rects`] / [`RectUnion::area`] — a disjoint slab
 //!   decomposition, which also powers the exact disk∩region areas behind
 //!   Lemma 3.2.
-//! * [`RectUnion::covers_rect`] / [`RectUnion::rect_difference`] — window
-//!   coverage and window reduction `w → w′` for SBWQ.
+//! * [`RectUnion::rect_difference`] — window coverage (an empty
+//!   difference) and window reduction `w → w′` for SBWQ.
 
 use crate::intervals::{canonicalize, difference_into};
 use crate::{Point, Rect, Segment, EPSILON};
@@ -364,13 +364,6 @@ impl RectUnion {
     // Coverage and difference (SBWQ)
     // ------------------------------------------------------------------
 
-    /// `w` is entirely covered by the union (up to ε slivers). When this
-    /// holds, an SBWQ window query is fully answerable from peer caches.
-    pub fn covers_rect(&self, w: &Rect) -> bool {
-        self.rect_difference(w, &mut RegionScratch::default())
-            .is_empty()
-    }
-
     /// The uncovered parts `w \ union`, as disjoint rectangles — SBWQ's
     /// reduced query windows `w′`. Adjacent slabs with identical uncovered
     /// spans are coalesced so the output stays small. The rectangles are
@@ -560,9 +553,13 @@ mod tests {
     #[test]
     fn covers_rect_full_partial_none() {
         let u = RectUnion::from_rects([r(0.0, 0.0, 2.0, 2.0), r(2.0, 0.0, 4.0, 2.0)]);
-        assert!(u.covers_rect(&r(0.5, 0.5, 3.5, 1.5))); // spans the seam
-        assert!(!u.covers_rect(&r(1.0, 1.0, 5.0, 1.5))); // hangs off the right
-        assert!(!u.covers_rect(&r(10.0, 10.0, 11.0, 11.0)));
+        let covers = |w: Rect| {
+            u.rect_difference(&w, &mut RegionScratch::default())
+                .is_empty()
+        };
+        assert!(covers(r(0.5, 0.5, 3.5, 1.5))); // spans the seam
+        assert!(!covers(r(1.0, 1.0, 5.0, 1.5))); // hangs off the right
+        assert!(!covers(r(10.0, 10.0, 11.0, 11.0)));
     }
 
     #[test]

@@ -115,8 +115,8 @@ pub enum TraceEvent {
         /// Absolute tick at which the download completed.
         tick: u64,
     },
-    /// A bucket appearance arrived corrupt (CRC failure) and was not
-    /// usable; the client re-tunes on the next cycle if budget remains.
+    /// A bucket appearance was lost on the channel; the client re-tunes
+    /// on the next cycle if budget remains.
     FrameLost {
         /// The bucket's id in the broadcast file.
         bucket: u32,

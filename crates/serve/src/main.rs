@@ -66,6 +66,9 @@ fn parse_args() -> Args {
                 args.scale = val()
                     .parse()
                     .unwrap_or_else(|_| fail("--scale: not a float"));
+                if !(args.scale > 0.0 && args.scale <= 1.0) {
+                    fail(&format!("--scale: {} is not in (0, 1]", args.scale));
+                }
             }
             "--queue" => {
                 args.queue = val()

@@ -136,13 +136,9 @@ impl std::error::Error for ConfigError {}
 /// randomness shifts).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultConfig {
-    /// Direct per-appearance bucket loss probability on the broadcast
-    /// channel (a bucket whose frame fails its CRC check).
+    /// Per-appearance bucket loss probability on the broadcast channel
+    /// (a bucket whose frame the receiver could not use).
     pub bucket_loss_prob: f64,
-    /// Physical bit-error rate; converted to an additional loss
-    /// probability via the frame size (`1 - (1 - BER)^bits`). Composes
-    /// with `bucket_loss_prob` as independent loss sources.
-    pub bit_error_rate: f64,
     /// Probability that a contacted peer's share reply is lost.
     pub peer_drop_prob: f64,
     /// Probability that a contacted peer's share reply arrives
@@ -160,7 +156,6 @@ impl Default for FaultConfig {
     fn default() -> Self {
         FaultConfig {
             bucket_loss_prob: 0.0,
-            bit_error_rate: 0.0,
             peer_drop_prob: 0.0,
             peer_malform_prob: 0.0,
             // Inert until a rate is raised; three retries is a sane
@@ -173,26 +168,13 @@ impl Default for FaultConfig {
 impl FaultConfig {
     /// Whether every fault source is disabled.
     pub fn is_inert(&self) -> bool {
-        self.bucket_loss_prob <= 0.0
-            && self.bit_error_rate <= 0.0
-            && self.peer_drop_prob <= 0.0
-            && self.peer_malform_prob <= 0.0
-    }
-
-    /// The combined per-appearance bucket loss probability for a given
-    /// frame size: direct loss and BER-derived loss as independent
-    /// events.
-    pub fn combined_loss_prob(&self, frame_bytes: usize) -> f64 {
-        let ber = self.bit_error_rate.clamp(0.0, 1.0);
-        let from_ber = 1.0 - (1.0 - ber).powf((frame_bytes * 8) as f64);
-        let direct = self.bucket_loss_prob.clamp(0.0, 1.0);
-        1.0 - (1.0 - direct) * (1.0 - from_ber)
+        self.bucket_loss_prob <= 0.0 && self.peer_drop_prob <= 0.0 && self.peer_malform_prob <= 0.0
     }
 
     /// Builds the deterministic decision source for a run. `seed` should
     /// derive from the master simulation seed so runs stay reproducible.
-    pub fn channel_faults(&self, seed: u64, frame_bytes: usize) -> ChannelFaults {
-        ChannelFaults::from_loss_prob(seed, self.combined_loss_prob(frame_bytes), self.retry_budget)
+    pub fn channel_faults(&self, seed: u64) -> ChannelFaults {
+        ChannelFaults::from_loss_prob(seed, self.bucket_loss_prob, self.retry_budget)
     }
 }
 
@@ -488,7 +470,6 @@ impl SimConfig {
         for (name, v) in [
             ("min_correctness", self.min_correctness),
             ("faults.bucket_loss_prob", self.faults.bucket_loss_prob),
-            ("faults.bit_error_rate", self.faults.bit_error_rate),
             ("faults.peer_drop_prob", self.faults.peer_drop_prob),
             ("faults.peer_malform_prob", self.faults.peer_malform_prob),
             ("churn.crash_prob", self.churn.crash_prob),
@@ -539,23 +520,17 @@ mod tests {
     fn fault_config_defaults_are_inert_and_compose() {
         let f = FaultConfig::default();
         assert!(f.is_inert());
-        assert_eq!(f.combined_loss_prob(228), 0.0);
         let lossy = FaultConfig {
             bucket_loss_prob: 0.1,
-            bit_error_rate: 1e-4,
             ..FaultConfig::default()
         };
         assert!(!lossy.is_inert());
-        let from_ber = 1.0 - (1.0 - 1e-4f64).powf(228.0 * 8.0);
-        let expect = 1.0 - 0.9 * (1.0 - from_ber);
-        assert!((lossy.combined_loss_prob(228) - expect).abs() < 1e-12);
         // Peer drops alone also de-inert the config.
         let flaky = FaultConfig {
             peer_drop_prob: 0.2,
             ..FaultConfig::default()
         };
         assert!(!flaky.is_inert());
-        assert_eq!(flaky.combined_loss_prob(228), 0.0);
     }
 
     #[test]

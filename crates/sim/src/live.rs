@@ -28,7 +28,7 @@ use crate::fleet::FleetStore;
 use crate::resolve::{fold_outcome, BatchSink, LiveTask, QueryOutcome};
 use crate::{BackendKind, ConfigError, QueryAnswer, QuerySpec, SimConfig, SimReport};
 use airshare_broadcast::{
-    wire, AirIndex, AirIndexBackend, BuildParams, ChannelFaults, OutageSchedule, Poi, PoiTable,
+    AirIndex, AirIndexBackend, BuildParams, ChannelFaults, OutageSchedule, Poi, PoiTable,
     QueryScratch, RtreeAirIndex, Schedule,
 };
 use airshare_cache::{HostCache, QuarantineLedger};
@@ -180,12 +180,8 @@ impl LiveWorld {
         // Fault decisions are hashed from their own seed (derived from
         // the master seed), never drawn from an RNG stream: an inert
         // fault config leaves every other random stream untouched.
-        let faults = (!cfg.faults.is_inert()).then(|| {
-            cfg.faults.channel_faults(
-                cfg.seed ^ 0xFA17_5EED_0000_0001,
-                wire::bucket_frame_bytes(cfg.bucket_capacity),
-            )
-        });
+        let faults = (!cfg.faults.is_inert())
+            .then(|| cfg.faults.channel_faults(cfg.seed ^ 0xFA17_5EED_0000_0001));
         // All sessions start offline, at the origin, in sync; `connect`
         // admits them.
         let fleet = FleetStore {

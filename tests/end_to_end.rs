@@ -164,9 +164,9 @@ fn window_query_roundtrip_through_caches() {
     got1.sort_unstable();
     assert_eq!(got1, truth1);
 
-    // Cache the whole window as a verified region.
-    let (vr, pois) = airshare::core::adoptable_window_region(&w1, &r1);
-    let mvr = MergedRegion::from_regions([(vr, pois)]);
+    // Cache the whole window as a verified region: resolved, it is
+    // fully known.
+    let mvr = MergedRegion::from_regions([(w1, r1.pois.clone())]);
 
     // Sub-window: fully covered, answered exactly with no channel.
     let sub = Rect::from_coords(4.5, 4.5, 6.0, 6.5);
@@ -218,6 +218,6 @@ fn umbrella_reexports_are_usable() {
     assert_eq!(c.decode(c.encode(3, 7)), (3, 7));
     let t: airshare::rtree::RTree<u8> = airshare::rtree::RTree::bulk_load(Vec::new());
     assert!(t.is_empty());
-    assert_eq!(airshare::geom::miles_to_meters(1.0), 1609.344);
+    assert_eq!(airshare::geom::meters_to_miles(1609.344), 1.0);
     assert!(p.is_finite());
 }

@@ -8,8 +8,8 @@ canonical `PoiTable` and made handles (`PoiId`) the currency of every
 hot path. Owned `Vec<Poi>` in a *public function signature* is now the
 exception, reserved for the sanctioned payload boundaries:
 
-  * air-interface transfer (building an index, decoding a bucket,
-    a client retrieving payloads off the air), and
+  * air-interface transfer (building an index, a client retrieving
+    payloads off the air), and
   * explicit resolve/export bridges that turn handles back into
     payloads for callers who want them.
 
@@ -27,17 +27,19 @@ lines, so a run is reproduced by its arguments alone. The script fails on
 library source (each file up to its first `#[cfg(test)]`; `main.rs`
 files are binaries and exempt). Comment lines are ignored.
 
-Third rule: no public function exists only for its own unit tests. Every
-bare `pub fn` in a library source must be named somewhere outside its
-defining file's test module: in the non-test part of any library source
-(its own file included, the definition line excepted), in a binary, an
-example, an integration test or `benchmark/src`. `#[cfg(test)]` modules
-do not count, so a sibling test module keeps nothing alive. Nor do
-comments (a doc link is not a call) or `use`/`pub use` statements (a
-re-export is not a call). Matching is by name, so a helper sharing a
+Third rule: no public function exists only for tests. Every bare
+`pub fn` in a library source must be named somewhere in code that is
+not a test: the non-test part of any library source (its own file
+included, the definition line excepted), a binary, an example or
+`benchmark/src`. Tests do not count, wherever they live: neither
+`#[cfg(test)]` modules nor the integration tests under `tests/` and
+`crates/*/tests/`. Nor do comments (a doc link is not a call) or
+`use`/`pub use` statements (a re-export is not a call). Matching is by name, so a helper sharing a
 name with a live function slips through; the rule catches the unique
-names that accrete as test-only API. Deliberate test fixtures are
-listed in TEST_ONLY with the reason they are public.
+names that accrete as test-only API. A reference or oracle that tests
+compare the production path against, and a deliberate test fixture, are
+listed in TEST_ONLY with the reason they are public; a convenience only
+tests call is deleted and inlined where it was used.
 
 Fourth rule: one public entry point per operation. A bare `pub fn X`
 may not sit beside a bare `pub fn X_rec` or `pub fn X_into` in the
@@ -52,11 +54,18 @@ its barrier and the query resolver), as the serving layer is. So in
 `crates/sim/src` only `engine.rs` itself and `lib.rs` (which declares
 and re-exports it) may name `crate::engine`; comments do not count.
 
+Sixth rule: no orphan dependency. Every `[workspace.dependencies]` entry
+in the root `Cargo.toml` is named by some workspace member's manifest,
+and every directory under `vendor/` is the path of one of those entries.
+A capability deleted with its last caller takes its dependency and its
+vendored stub with it.
+
 Usage: python3 tools/check_api_lint.py  (run from the repo root)
 """
 
 import re
 import sys
+import tomllib
 from collections import Counter
 from pathlib import Path
 
@@ -64,14 +73,12 @@ from pathlib import Path
 ALLOWED = {
     # Air-interface payload boundaries: POIs genuinely move here.
     "crates/broadcast/src/index.rs::try_build",
-    "crates/broadcast/src/wire.rs::decode_bucket",
     "crates/broadcast/src/client.rs::retrieve_rec",
     # Explicit export/resolve bridges (handle -> payload, by request).
     "crates/broadcast/src/table.rs::to_vec",
     "crates/p2p/src/protocol.rs::resolve",
     # Query-result assembly: algorithm outputs are payloads by design.
     "crates/core/src/mvr.rs::from_regions",
-    "crates/core/src/sbwq.rs::adoptable_window_region",
 }
 
 # Public functions whose only callers are test modules, on purpose,
@@ -82,18 +89,48 @@ TEST_ONLY = {
     "crates/cache/src/host_cache.rs::insert_unchecked",
     # The one float tolerance every geom test module compares with.
     "crates/geom/src/lib.rs::approx_eq",
+    # The pool's live-handle count: the arena's churn proptest checks
+    # compaction's garbage accounting against the handles it holds.
+    "crates/cache/src/arena.rs::pool_live",
+    # Exact disk-region area: the oracle the tiled unverified area
+    # (Lemma 3.2) is compared against bit for bit.
+    "crates/geom/src/disk_mod.rs::disk_region_area",
+    # The interval XOR the per-line boundary sweep is checked against.
+    "crates/geom/src/intervals.rs::symmetric_difference",
+    # Union interior by boundary distance: the reduced windows of
+    # `rect_difference` are checked to lie outside it.
+    "crates/geom/src/region.rs::contains_interior",
+    # The whole boundary edge set, the oracle of the swept boundary
+    # distance queries.
+    "crates/geom/src/region.rs::boundary_edges",
+    # The covered part of a window, which `rect_difference` must
+    # complement exactly.
+    "crates/geom/src/region.rs::rect_intersection",
+    # The curve's inverse: encode is checked to be a bijection whose
+    # consecutive cells are adjacent.
+    "crates/hilbert/src/curve.rs::decode",
+    # Table-free encode and allocating interval decomposition: the
+    # references the production paths are compared against.
+    "crates/hilbert/src/curve.rs::encode_reference",
+    "crates/hilbert/src/curve.rs::intervals_for_rect_reference",
+    # A cell's world rectangle, the inverse `cell_of` is checked against.
+    "crates/hilbert/src/grid.rs::cell_rect",
+    # The brute-force scan the R-tree's kNN and window answers are
+    # compared against.
+    "crates/rtree/src/scan.rs::from_items",
+    # The R-tree's structural invariants, checked after every build.
+    "crates/rtree/src/tree.rs::check_invariants",
 }
 
 FN_NAME = re.compile(r"\bfn\s+([A-Za-z0-9_]+)")
 ENV_READ = re.compile(r"\benv::var(s|_os)?\b")
 
 SRC_GLOBS = ["src/**/*.rs", "crates/*/src/**/*.rs"]
-# Everything else whose code may call library functions: examples,
-# integration tests and the benchmark harness.
+# Everything else whose code may keep a library function alive: the
+# examples and the benchmark harness. Tests are not callers: a function
+# only tests call is test-only API, wherever those tests live.
 CALLER_GLOBS = [
     "examples/**/*.rs",
-    "tests/**/*.rs",
-    "crates/*/tests/**/*.rs",
     "benchmark/src/**/*.rs",
 ]
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -107,6 +144,8 @@ TWIN_SUFFIXES = ("_rec", "_into")
 SIM_SRC = "crates/sim/src"
 ENGINE_PATH = re.compile(r"\bcrate::engine\b")
 ENGINE_NAMERS = {"engine.rs", "lib.rs"}
+# The orphan rule: the manifest tables a member names a dependency in.
+DEP_TABLES = ("dependencies", "dev-dependencies", "build-dependencies")
 
 
 def signatures(text):
@@ -256,6 +295,36 @@ def engine_namers(root):
     return out
 
 
+def orphan_deps(root):
+    """Returns the `[workspace.dependencies]` entries that no member
+    manifest names, and the `vendor/*` directories that no entry is the
+    path of."""
+    workspace = tomllib.loads((root / "Cargo.toml").read_text())
+    entries = workspace["workspace"]["dependencies"]
+    manifests = [workspace] if "package" in workspace else []
+    for glob in workspace["workspace"]["members"]:
+        for path in sorted(root.glob(f"{glob}/Cargo.toml")):
+            manifests.append(tomllib.loads(path.read_text()))
+    named = set()
+    for manifest in manifests:
+        for table in [manifest, *manifest.get("target", {}).values()]:
+            for key in DEP_TABLES:
+                named.update(table.get(key, {}))
+    orphans = sorted(set(entries) - named)
+    paths = {
+        Path(e["path"]).as_posix()
+        for e in entries.values()
+        if isinstance(e, dict) and "path" in e
+    }
+    vendor = root / "vendor"
+    stray = sorted(
+        d.relative_to(root).as_posix()
+        for d in (vendor.iterdir() if vendor.is_dir() else [])
+        if d.is_dir() and d.relative_to(root).as_posix() not in paths
+    )
+    return orphans, stray
+
+
 def main():
     root = Path(__file__).resolve().parent.parent
     violations = []
@@ -282,6 +351,7 @@ def main():
     test_only, stale_test_only = test_only_fns(root)
     twin_fns = twins(root)
     backward = engine_namers(root)
+    orphans, stray = orphan_deps(root)
     if stale:
         print("stale allowlist entries (signature gone or no longer owned):")
         for key in sorted(stale):
@@ -305,12 +375,13 @@ def main():
             "flags, never the environment."
         )
     if test_only:
-        print("public functions called only from their own unit tests:")
+        print("public functions called only from tests:")
         for v in test_only:
             print(f"  {v}")
         print(
-            "\nDelete the function and its tests, or make it private to the\n"
-            "test module. A deliberate test fixture goes in TEST_ONLY in\n"
+            "\nDelete the function and inline it where tests used it, or make\n"
+            "it private to the test module. A reference or oracle that tests\n"
+            "compare production against goes in TEST_ONLY in\n"
             "tools/check_api_lint.py with the reason it is public."
         )
     if stale_test_only:
@@ -335,6 +406,19 @@ def main():
             "Simulation that drives them. Move what they need out of engine.rs\n"
             "(shared types live in resolve.rs and are re-exported from lib.rs)."
         )
+    if orphans:
+        print("workspace dependencies no member names:")
+        for name in orphans:
+            print(f"  {name}")
+    if stray:
+        print("vendor/ directories no workspace dependency points at:")
+        for path in stray:
+            print(f"  {path}")
+    if orphans or stray:
+        print(
+            "\nDelete the [workspace.dependencies] entry in Cargo.toml and its\n"
+            "vendored stub together with the last code that used them."
+        )
     if (
         stale
         or violations
@@ -343,12 +427,15 @@ def main():
         or stale_test_only
         or twin_fns
         or backward
+        or orphans
+        or stray
     ):
         return 1
     print(
         f"api lint ok: {len(seen_allowed)} sanctioned owned-POI boundaries, "
-        f"no library env reads, {len(TEST_ONLY)} test-only fixtures, "
-        "no default-filling twins, no module naming crate::engine"
+        f"no library env reads, {len(TEST_ONLY)} test-only references and "
+        "fixtures, no default-filling twins, no module naming crate::engine, "
+        "no orphan dependency"
     )
     return 0
 
