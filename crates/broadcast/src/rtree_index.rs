@@ -6,19 +6,6 @@ use crate::{Bucket, IndexError, Poi, PoiTable, QueryScratch};
 use airshare_geom::{Point, Rect};
 use airshare_rtree::RTree;
 
-/// One descriptor in an on-air R-tree index bucket: a child subtree
-/// summarized by its MBR, POI count, and the first data bucket it covers
-/// (the arrival pointer a tuning client dozes toward).
-#[derive(Clone, Copy, Debug)]
-struct IndexEntry {
-    /// First data bucket (broadcast order) covered by the child.
-    first_bucket: u32,
-    /// MBR of every POI under the child.
-    mbr: Rect,
-    /// Number of POIs under the child.
-    count: u32,
-}
-
 /// The alternative air-index backend: `crates/rtree`'s STR bulk-loaded
 /// R-tree packed into broadcast buckets.
 ///
@@ -31,7 +18,8 @@ struct IndexEntry {
 /// * **Index segment** — the internal nodes of a fan-out-64 tree over
 ///   the data buckets, broadcast root level first. Each node is
 ///   one index bucket listing up to 64 child descriptors
-///   (MBR + POI count + first covered data bucket).
+///   (MBR + POI count + first covered data bucket). Only its length
+///   reaches the schedule, so only the node count is kept.
 /// * **Query mapping** — window and kNN predicates select every data
 ///   bucket whose MBR intersects the search rectangle; the kNN first
 ///   scan accumulates mindist-sorted buckets until their counts reach
@@ -46,52 +34,22 @@ struct IndexEntry {
 pub struct RtreeAirIndex {
     world: Rect,
     buckets: Vec<Bucket>,
-    /// On-air index nodes, root level first; one inner `Vec` per index
-    /// bucket.
-    index_nodes: Vec<Vec<IndexEntry>>,
+    /// On-air index nodes (one bucket each) over `buckets`.
+    index_buckets: usize,
     poi_count: usize,
 }
 
 impl RtreeAirIndex {
-    /// Builds the fan-out-64 internal-node levels bottom-up from the
-    /// per-data-bucket descriptors, returning the node list root level
-    /// first.
-    fn build_index_nodes(buckets: &[Bucket]) -> Vec<Vec<IndexEntry>> {
-        let mut level: Vec<IndexEntry> = buckets
-            .iter()
-            .map(|b| IndexEntry {
-                first_bucket: b.id as u32,
-                mbr: b.mbr,
-                count: b.pois.len() as u32,
-            })
-            .collect();
-        // levels[i] holds the node contents created at step i (leaf-most
-        // first); the surviving single summary entry is not broadcast.
-        let mut levels: Vec<Vec<Vec<IndexEntry>>> = Vec::new();
-        while level.len() > 1 {
-            let mut parents = Vec::with_capacity(level.len().div_ceil(INDEX_FANOUT));
-            let mut nodes = Vec::with_capacity(parents.capacity());
-            for chunk in level.chunks(INDEX_FANOUT) {
-                let mbr = chunk
-                    .iter()
-                    .skip(1)
-                    .fold(chunk[0].mbr, |acc, e| acc.union_mbr(&e.mbr));
-                parents.push(IndexEntry {
-                    first_bucket: chunk[0].first_bucket,
-                    mbr,
-                    count: chunk.iter().map(|e| e.count).sum(),
-                });
-                nodes.push(chunk.to_vec());
-            }
-            levels.push(nodes);
-            level = parents;
+    /// The number of internal nodes of a fan-out-64 tree over
+    /// `data_buckets` leaves, level by level up to the root: Σ⌈n/64⌉,
+    /// and a lone root bucket when there are zero or one data buckets.
+    fn index_bucket_count(data_buckets: usize) -> usize {
+        let (mut level, mut nodes) = (data_buckets, 0);
+        while level > 1 {
+            level = level.div_ceil(INDEX_FANOUT);
+            nodes += level;
         }
-        if levels.is_empty() {
-            // Zero or one data bucket: a single root index bucket lists
-            // whatever there is.
-            return vec![level];
-        }
-        levels.into_iter().rev().flatten().collect()
+        nodes.max(1)
     }
 
     /// Data buckets whose MBR intersects `pred`, pushed onto
@@ -121,11 +79,10 @@ impl AirIndexBackend for RtreeAirIndex {
             let seq: Vec<u64> = (0..chunk.len() as u64).map(|j| base + j).collect();
             buckets.push(Bucket::build(i, chunk.to_vec(), &seq));
         }
-        let index_nodes = Self::build_index_nodes(&buckets);
         Ok(Self {
             world: params.world,
+            index_buckets: Self::index_bucket_count(buckets.len()),
             buckets,
-            index_nodes,
             poi_count,
         })
     }
@@ -139,7 +96,7 @@ impl AirIndexBackend for RtreeAirIndex {
     }
 
     fn index_buckets(&self) -> usize {
-        self.index_nodes.len()
+        self.index_buckets
     }
 
     fn poi_count(&self) -> usize {
@@ -151,27 +108,32 @@ impl AirIndexBackend for RtreeAirIndex {
     /// are guaranteed; the radius is the largest maxdist among the taken
     /// buckets, so their POIs — hence ≥ k POIs — all lie within it. Uses
     /// only information the index segment carries (MBR + count).
+    ///
+    /// The order is walked without a buffer, so the scan allocates
+    /// nothing: each step takes the smallest key above the last one
+    /// taken, one pass over the buckets per bucket taken.
     fn knn_search_radius(&self, q: Point, k: usize) -> Option<f64> {
         if k == 0 || self.poi_count < k {
             return None;
         }
-        let mut order: Vec<(f64, usize)> = self
-            .buckets
-            .iter()
-            .map(|b| (b.mbr.distance_to_point(q), b.id))
-            .collect();
-        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let key = |b: &Bucket| (b.mbr.distance_to_point(q), b.id);
+        let cmp = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        let mut last: Option<(f64, usize)> = None;
         let mut covered = 0usize;
         let mut radius = 0.0_f64;
-        for &(_, id) in &order {
-            let b = &self.buckets[id];
+        loop {
+            let next = (self.buckets.iter().map(key))
+                .filter(|c| last.is_none_or(|l| cmp(&l, c).is_lt()))
+                .min_by(cmp)
+                .expect("poi_count >= k guarantees coverage");
+            let b = &self.buckets[next.1];
             covered += b.pois.len();
             radius = radius.max(b.mbr.max_distance_to_point(q));
             if covered >= k {
                 return Some(radius);
             }
+            last = Some(next);
         }
-        unreachable!("poi_count >= k guarantees coverage");
     }
 
     fn buckets_for_window_scratch(&self, w: &Rect, scratch: &mut QueryScratch) {
@@ -264,8 +226,23 @@ mod tests {
     fn knn_radius_guarantees_k_objects() {
         let idx = setup(400, 8);
         let q = Point::new(32.0, 32.0);
-        for k in [1, 3, 10, 25] {
+        // The reference walk: every bucket sorted by `(mindist, id)`.
+        let mut order: Vec<&Bucket> = idx.buckets().iter().collect();
+        order.sort_by(|a, b| {
+            let (da, db) = (a.mbr.distance_to_point(q), b.mbr.distance_to_point(q));
+            da.total_cmp(&db).then(a.id.cmp(&b.id))
+        });
+        for k in [1, 3, 10, 25, 400] {
             let r = idx.knn_search_radius(q, k).unwrap();
+            let (mut covered, mut want) = (0, 0.0_f64);
+            for b in &order {
+                covered += b.pois.len();
+                want = want.max(b.mbr.max_distance_to_point(q));
+                if covered >= k {
+                    break;
+                }
+            }
+            assert_eq!(r, want, "k = {k}");
             let count = idx
                 .buckets()
                 .iter()
@@ -325,18 +302,46 @@ mod tests {
         }
     }
 
+    /// The index nodes over `data_buckets` leaves, built level by level:
+    /// each level's entries chunked into nodes of at most 64 children
+    /// until one summary remains (it is not broadcast), root level first.
+    /// Zero or one data bucket gets a single root node listing it.
+    fn level_build(data_buckets: usize) -> Vec<Vec<usize>> {
+        let mut level: Vec<usize> = (0..data_buckets).collect();
+        let mut levels = Vec::new();
+        while level.len() > 1 {
+            let nodes: Vec<Vec<usize>> =
+                level.chunks(INDEX_FANOUT).map(<[usize]>::to_vec).collect();
+            level = (0..nodes.len()).collect();
+            levels.push(nodes);
+        }
+        if levels.is_empty() {
+            return vec![level];
+        }
+        levels.into_iter().rev().flatten().collect()
+    }
+
     #[test]
     fn index_nodes_respect_fanout() {
-        let idx = setup(2000, 4); // 500 data buckets -> two index levels
-        assert!(idx.index_buckets() > 1);
-        for node in &idx.index_nodes {
-            assert!((1..=INDEX_FANOUT).contains(&node.len()));
+        for n in 0..=4200 {
+            let nodes = level_build(n);
+            assert_eq!(
+                RtreeAirIndex::index_bucket_count(n),
+                nodes.len(),
+                "{n} buckets"
+            );
+            if n > 1 {
+                assert!(nodes
+                    .iter()
+                    .all(|node| (1..=INDEX_FANOUT).contains(&node.len())));
+            }
         }
+        let idx = setup(2000, 4); // 500 data buckets -> two index levels
+        let nodes = level_build(idx.data_buckets());
+        assert_eq!(idx.index_buckets(), nodes.len());
+        assert_eq!(nodes.len(), 1 + 8);
         // Root bucket comes first and summarizes everything.
-        assert_eq!(
-            idx.index_nodes[0].len(),
-            idx.data_buckets().div_ceil(INDEX_FANOUT)
-        );
+        assert_eq!(nodes[0].len(), idx.data_buckets().div_ceil(INDEX_FANOUT));
     }
 
     #[test]
@@ -348,7 +353,9 @@ mod tests {
         let chosen = QueryScratch::planned(|s| idx.buckets_for_window_scratch(&everything, s));
         assert!(chosen.is_empty());
         assert!(idx.knn_search_radius(Point::ORIGIN, 1).is_none());
-        assert!(idx.index_nodes[0].is_empty());
+        // The lone root index bucket lists nothing.
+        assert_eq!(level_build(0), [Vec::<usize>::new()]);
+        assert_eq!(idx.index_buckets(), level_build(idx.data_buckets()).len());
         assert_eq!(
             RtreeAirIndex::try_build(&crate::PoiTable::new(), &params(0)).unwrap_err(),
             IndexError::ZeroBucketCapacity

@@ -71,18 +71,23 @@ impl PoiTable {
         handle
     }
 
+    /// The slot of a handle's POI in [`as_slice`](Self::as_slice), or
+    /// `None` for a handle this table never interned. Slots ascend with
+    /// ids, so a set of slots read in order is a set of POIs in id order.
+    #[inline]
+    pub fn slot(&self, id: PoiId) -> Option<usize> {
+        if self.dense {
+            (id.index() < self.pois.len()).then_some(id.index())
+        } else {
+            self.pois.binary_search_by_key(&id.raw(), |p| p.id).ok()
+        }
+    }
+
     /// Resolves a handle to its canonical POI, or `None` for a handle
     /// this table never interned (e.g. a forged id in a peer reply).
     #[inline]
     pub fn get(&self, id: PoiId) -> Option<&Poi> {
-        if self.dense {
-            self.pois.get(id.index())
-        } else {
-            self.pois
-                .binary_search_by_key(&id.raw(), |p| p.id)
-                .ok()
-                .map(|i| &self.pois[i])
-        }
+        self.slot(id).map(|i| &self.pois[i])
     }
 
     /// Whether the table holds this handle.
@@ -140,6 +145,8 @@ mod tests {
             assert_eq!(t.get(PoiId(i)).unwrap().pos.x, i as f64);
         }
         assert!(t.get(PoiId(10)).is_none());
+        assert_eq!(t.slot(PoiId(9)), Some(9));
+        assert_eq!(t.slot(PoiId(10)), None);
     }
 
     #[test]
@@ -153,6 +160,8 @@ mod tests {
         assert_eq!(t.get(PoiId(3)).unwrap().pos.x, 3.0);
         assert_eq!(t.get(PoiId(100)).unwrap().pos.x, 100.0);
         assert!(t.get(PoiId(4)).is_none());
+        assert_eq!(t.slot(PoiId(7)), Some(1));
+        assert_eq!(t.slot(PoiId(4)), None);
         // as_slice is id-sorted even for sparse tables.
         let ids: Vec<u32> = t.as_slice().iter().map(|p| p.id).collect();
         assert_eq!(ids, [3, 7, 100]);

@@ -1,15 +1,16 @@
 //! Asserts the hot-path claim directly: once a [`QueryScratch`]'s
-//! buffers are warm, the index-path query methods perform **zero heap
-//! allocations**. A counting global allocator makes the claim checkable
-//! instead of an audit comment.
+//! buffers are warm, the index-path query methods of both backends
+//! perform **zero heap allocations**. A counting global allocator makes
+//! the claim checkable instead of an audit comment.
 //!
 //! This lives in an integration test because the library itself is
 //! `#![forbid(unsafe_code)]`; implementing [`GlobalAlloc`] requires
 //! `unsafe`, and an integration test is its own crate.
 
-use airshare_broadcast::{AirIndex, AirIndexBackend, Poi, QueryScratch};
+use airshare_broadcast::{
+    AirIndex, AirIndexBackend, BuildParams, Poi, PoiTable, QueryScratch, RtreeAirIndex,
+};
 use airshare_geom::{Point, Rect};
-use airshare_hilbert::Grid;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -51,12 +52,17 @@ fn world_pois(n: u32, side: f64) -> Vec<Poi> {
         .collect()
 }
 
-#[test]
-fn warm_scratch_queries_do_not_allocate() {
+/// The allocations one backend's second, warm pass over the query set
+/// made.
+fn warm_query_allocations<B: AirIndexBackend>() -> u64 {
     let side = 16.0;
     let world = Rect::from_coords(0.0, 0.0, side, side);
-    let grid = Grid::new(world, 8);
-    let index = AirIndex::try_build(world_pois(500, side), grid, 8).unwrap();
+    let params = BuildParams {
+        world,
+        hilbert_order: 8,
+        bucket_capacity: 8,
+    };
+    let index = B::try_build(&PoiTable::from_pois(world_pois(500, side)), &params).unwrap();
 
     let mut scratch = QueryScratch::new();
     let queries: Vec<(Point, Rect)> = (0..32)
@@ -102,10 +108,18 @@ fn warm_scratch_queries_do_not_allocate() {
     let got = run_all(&mut scratch);
     let after = allocations();
     assert_eq!(got, expected);
+    after - before
+}
+
+/// One test for both backends: the allocation counter is process-wide,
+/// so a second test running beside this one would land in its window.
+#[test]
+fn warm_scratch_queries_do_not_allocate() {
+    let curve = warm_query_allocations::<AirIndex>();
+    let rtree = warm_query_allocations::<RtreeAirIndex>();
     assert_eq!(
-        after - before,
-        0,
-        "warm index-path queries allocated {} times",
-        after - before
+        (curve, rtree),
+        (0, 0),
+        "warm index-path queries allocated (Hilbert, R-tree) times"
     );
 }

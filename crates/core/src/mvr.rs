@@ -20,7 +20,11 @@ use airshare_p2p::{PeerReply, ReplyArena};
 #[derive(Clone, Debug, Default)]
 pub struct MergedRegion {
     region: RectUnion,
+    /// Sorted by id, unique.
     pois: Vec<Poi>,
+    /// One bit per [`PoiTable`] slot, marking the POIs a merge has
+    /// seen; all clear between merges.
+    seen: Vec<u64>,
 }
 
 impl MergedRegion {
@@ -32,20 +36,16 @@ impl MergedRegion {
     /// [`PeerReply`]s.
     pub fn from_replies(replies: &[PeerReply], table: &PoiTable) -> Self {
         let mut m = Self::default();
-        for (vr, ids) in replies.iter().flat_map(|r| &r.regions) {
-            m.region.push(*vr);
-            m.pois
-                .extend(ids.iter().filter_map(|&id| table.get(id).copied()));
-        }
-        m.dedup_pois();
+        let regions = replies.iter().flat_map(|r| &r.regions);
+        m.merge(table, regions.map(|(vr, ids)| (*vr, ids.as_slice())), []);
         m
     }
 
     /// Rebuilds in place from the replies a share exchange left in its
     /// arena (the `MapOverlay` step of Algorithm 1, specialized to MBRs)
-    /// followed by `own` handle regions — the querier's own cache, whose
-    /// handles are resolved through `table` here (unresolvable ones are
-    /// dropped). POIs are deduplicated by id. Reuses this value's buffers:
+    /// followed by `own` handle regions — the querier's own cache. All
+    /// handles are resolved through `table`; unresolvable ones are
+    /// dropped. POIs are deduplicated by id. Reuses this value's buffers:
     /// allocation-free once they reach their high-water marks.
     pub fn refill<'a>(
         &mut self,
@@ -53,25 +53,53 @@ impl MergedRegion {
         table: &PoiTable,
         own: impl IntoIterator<Item = (Rect, &'a [PoiId])>,
     ) {
-        self.region.clear();
-        self.pois.clear();
-        for (vr, pois) in replies.regions() {
-            self.region.push(vr);
-            self.pois.extend_from_slice(pois);
-        }
-        for (vr, ids) in own {
-            self.region.push(vr);
-            self.pois
-                .extend(ids.iter().filter_map(|&id| table.get(id).copied()));
-        }
-        self.dedup_pois();
+        self.merge(table, replies.regions(), own);
     }
 
-    /// Sorts the POIs by id and drops repeats. Equal ids are one table
-    /// entry, so the unstable sort keeps exactly what a stable one would.
-    fn dedup_pois(&mut self) {
-        self.pois.sort_unstable_by_key(|p| p.id);
-        self.pois.dedup_by_key(|p| p.id);
+    /// Replaces the region with the rectangles of `peers`, then `own`,
+    /// and the POIs with the table entries their handles name, each
+    /// once, in id order: a handle marks its table slot in `seen`, and
+    /// the POIs are read off the marked slots, which ascend with ids.
+    fn merge<'p, 'o>(
+        &mut self,
+        table: &PoiTable,
+        peers: impl IntoIterator<Item = (Rect, &'p [PoiId])>,
+        own: impl IntoIterator<Item = (Rect, &'o [PoiId])>,
+    ) {
+        self.region.clear();
+        self.pois.clear();
+        let words = table.len().div_ceil(64);
+        if self.seen.len() < words {
+            self.seen.resize(words, 0);
+        }
+        // The marked words lie in `lo..hi`.
+        let (mut lo, mut hi) = (words, 0);
+        let mut mark = |vr: Rect, ids: &[PoiId]| {
+            self.region.push(vr);
+            for &id in ids {
+                if let Some(slot) = table.slot(id) {
+                    let w = slot / 64;
+                    self.seen[w] |= 1 << (slot % 64);
+                    lo = lo.min(w);
+                    hi = hi.max(w + 1);
+                }
+            }
+        };
+        for (vr, ids) in peers {
+            mark(vr, ids);
+        }
+        for (vr, ids) in own {
+            mark(vr, ids);
+        }
+        let slots = table.as_slice();
+        for w in lo..hi {
+            let mut bits = std::mem::take(&mut self.seen[w]);
+            while bits != 0 {
+                self.pois
+                    .push(slots[w * 64 + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
     }
 
     /// Builds directly from `(VR, POIs)` pairs (used in tests and by
@@ -88,6 +116,7 @@ impl MergedRegion {
         Self {
             region: RectUnion::from_rects(rects),
             pois,
+            seen: Vec::new(),
         }
     }
 
@@ -96,7 +125,7 @@ impl MergedRegion {
         &self.region
     }
 
-    /// All known POIs (deduplicated), unordered.
+    /// All known POIs, deduplicated, in id order.
     pub fn pois(&self) -> &[Poi] {
         &self.pois
     }

@@ -16,7 +16,9 @@
 //!   with [`airshare_obs::ShareStats`] accounting (peers contacted,
 //!   regions and POIs transferred) so experiments can report P2P
 //!   traffic. Replies land in a [`ReplyArena`] retained in the query's
-//!   scratch, so a warm exchange allocates nothing.
+//!   scratch — spans of [`PoiId`](airshare_broadcast::PoiId) handles,
+//!   checked against the receiver's table but not copied out of it — so
+//!   a warm exchange allocates nothing.
 //!   [`gather_peer_data_checked`] is its single-hop, untraced short
 //!   form, with the replies copied out as owned [`PeerReply`]s.
 

@@ -99,7 +99,7 @@ impl ShareFaults<'_> {
 }
 
 /// One sanitized region of a peer's reply: the region as clipped to the
-/// world and the span of the arena's POIs it holds.
+/// world and the span of the arena's POI handles it holds.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct ReplySpan {
     peer: usize,
@@ -110,14 +110,14 @@ struct ReplySpan {
 
 /// Where [`share_exchange`] leaves the replies of one query, retained
 /// in a [`QueryScratch`] so that a warm exchange allocates nothing:
-/// `(peer, clipped VR, POI span)` records over one buffer of POIs, each
-/// resolved once against the canonical [`PoiTable`] while its claim was
-/// checked. The peer list, the flood frontier and the visited marks of
-/// a multi-hop exchange are kept here too.
+/// `(peer, clipped VR, POI span)` records over one buffer of [`PoiId`]
+/// handles, each checked against the canonical [`PoiTable`] when its
+/// region was admitted. The peer list, the flood frontier and the
+/// visited marks of a multi-hop exchange are kept here too.
 #[derive(Clone, Debug, Default)]
 pub struct ReplyArena {
     spans: Vec<ReplySpan>,
-    pois: Vec<Poi>,
+    ids: Vec<PoiId>,
     /// Peers discovered, in contact order.
     peers: Vec<usize>,
     /// The flood's current and next hop (multi-hop only).
@@ -130,18 +130,17 @@ pub struct ReplyArena {
 
 impl ReplyArena {
     /// The sanitized regions of the last exchange in reply order, each
-    /// with the POIs it holds.
-    pub fn regions(&self) -> impl Iterator<Item = (Rect, &[Poi])> + '_ {
-        self.spans
-            .iter()
-            .map(|s| (s.vr, &self.pois[s.start..s.end]))
+    /// with the handles of the POIs it holds (every one resolvable in
+    /// the table the exchange checked them against).
+    pub fn regions(&self) -> impl Iterator<Item = (Rect, &[PoiId])> + '_ {
+        self.spans.iter().map(|s| (s.vr, &self.ids[s.start..s.end]))
     }
 
     /// The replies as owned [`PeerReply`]s, one per peer with data.
     fn to_replies(&self) -> Vec<PeerReply> {
         let mut out: Vec<PeerReply> = Vec::new();
         for s in &self.spans {
-            let ids = self.pois[s.start..s.end].iter().map(Poi::handle).collect();
+            let ids = self.ids[s.start..s.end].to_vec();
             match out.last_mut() {
                 Some(r) if r.peer == s.peer => r.regions.push((s.vr, ids)),
                 _ => out.push(PeerReply {
@@ -212,14 +211,14 @@ impl ReplyArena {
         }
     }
 
-    /// Admits one region of `peer`'s reply: resolves each claimed handle
-    /// through `table` into the POI buffer while checking the claim, and
-    /// clips the region to `world`, keeping only the POIs the clipped
+    /// Admits one region of `peer`'s reply: clips the region to `world`
+    /// and, in one pass over the claimed handles, checks each claim
+    /// against `table` and keeps the handles of the POIs the clipped
     /// region holds. A region is rejected whole — and `false` returned,
     /// with nothing left in the buffers — when it is structurally
-    /// malformed (a non-finite or inverted edge), claims a handle the
-    /// table cannot resolve or a POI whose canonical position lies
-    /// outside the rectangle, or lies outside the world.
+    /// malformed (a non-finite or inverted edge), lies outside the
+    /// world, or claims a handle the table cannot resolve or a POI whose
+    /// canonical position lies outside the rectangle.
     fn admit(
         &mut self,
         peer: usize,
@@ -237,39 +236,32 @@ impl ReplyArena {
         if !well_formed {
             return false;
         }
-        let start = self.pois.len();
-        for &id in ids {
-            match table.get(id) {
-                Some(p) if r.contains(p.pos) => self.pois.push(*p),
-                _ => {
-                    self.pois.truncate(start);
-                    return false;
-                }
-            }
-        }
         let clipped = match world {
             Some(w) => match r.intersection(w) {
                 Some(c) => c,
-                None => {
-                    self.pois.truncate(start);
-                    return false;
-                }
+                None => return false,
             },
             None => r,
         };
-        let mut end = start;
-        for i in start..self.pois.len() {
-            if clipped.contains(self.pois[i].pos) {
-                self.pois[end] = self.pois[i];
-                end += 1;
+        let start = self.ids.len();
+        for &id in ids {
+            match table.get(id) {
+                Some(p) if r.contains(p.pos) => {
+                    if clipped.contains(p.pos) {
+                        self.ids.push(id);
+                    }
+                }
+                _ => {
+                    self.ids.truncate(start);
+                    return false;
+                }
             }
         }
-        self.pois.truncate(end);
         self.spans.push(ReplySpan {
             peer,
             vr: clipped,
             start,
-            end,
+            end: self.ids.len(),
         });
         true
     }
@@ -332,7 +324,7 @@ pub fn share_exchange<'s>(
     let arena = scratch.retained::<ReplyArena>();
     arena.discover(querier, querier_pos, range, hops, grid, caches.len());
     arena.spans.clear();
-    arena.pois.clear();
+    arena.ids.clear();
 
     let mut stats = ShareStats::default();
     for at in 0..arena.peers.len() {
@@ -358,7 +350,7 @@ pub fn share_exchange<'s>(
         // makes every region structurally malformed, so sanitation
         // rejects the whole payload through its normal path.
         let malformed = faults.malforms_reply(peer);
-        let (spans, pois) = (arena.spans.len(), arena.pois.len());
+        let (spans, ids) = (arena.spans.len(), arena.ids.len());
         let mut rejected = 0usize;
         for (mut r, ids) in caches[peer].share_regions(category) {
             if malformed {
@@ -387,7 +379,7 @@ pub fn share_exchange<'s>(
             regions: kept as u32,
         });
         stats.peers_with_data += 1;
-        stats.pois_received += arena.pois.len() - pois;
+        stats.pois_received += arena.ids.len() - ids;
     }
     (arena, stats)
 }
@@ -929,7 +921,7 @@ mod tests {
         assert_eq!(stats.peers_struck, 1);
         let kept: Vec<(Rect, Vec<u32>)> = arena
             .regions()
-            .map(|(r, pois)| (r, pois.iter().map(|p| p.id).collect()))
+            .map(|(r, ids)| (r, ids.iter().map(|id| id.raw()).collect()))
             .collect();
         assert_eq!(
             kept,
