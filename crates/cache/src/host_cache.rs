@@ -1,17 +1,23 @@
 //! The per-host cache.
 //!
-//! The cache is handle-based: entries live in an [`EntryArena`] (flat
-//! slot + POI-handle pools, generational [`EntryId`] handles) and POI
-//! *payloads* live once in the workspace-wide [`PoiTable`] — the cache
-//! stores only 4-byte [`PoiId`]s. A region comes in one way,
-//! [`HostCache::insert_ids`], as `(region, POI handles)` checked against
-//! the table; it goes out as handles ([`HostCache::entries`],
-//! [`HostCache::share_regions`]), which a reader resolves with
-//! [`PoiTable::get`].
+//! A host's cache is two flat buffers: an entry list holding one
+//! verified region per entry, every category's entries side by side,
+//! and a buffer of the 4-byte [`PoiId`] handles those entries' spans
+//! point into. POI *payloads* live once in the workspace-wide
+//! [`PoiTable`]. A region comes in one way, [`HostCache::insert_ids`],
+//! as `(region, POI handles)` checked against the table; it goes out as
+//! handles ([`HostCache::entries`], [`HostCache::share_regions`]), which
+//! a reader resolves with [`PoiTable::get`]. A peer reading a reply
+//! follows three pointers: the cache, its entry list, its handle buffer.
+//!
+//! A removal closes its gap in the handle buffer at once. A category
+//! holds at most its capacity in handles, so the shift is short, and a
+//! warm cache neither allocates nor keeps dead handles.
 
-use crate::{EntryArena, EntryId, EntryView, ReplacementPolicy};
+use crate::ReplacementPolicy;
 use airshare_broadcast::{PoiCategory, PoiId, PoiTable};
 use airshare_geom::{Point, Rect};
+use std::ops::Range;
 
 /// What [`HostCache::insert_ids`] did with the offered region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,6 +41,65 @@ pub struct CacheContext {
     pub now: f64,
 }
 
+/// A borrowed view of one cache entry: the verified region, its
+/// last-use time, and the POI membership as handles into the canonical
+/// [`PoiTable`].
+#[derive(Clone, Copy, Debug)]
+pub struct EntryView<'a> {
+    /// The verified region.
+    pub vr: Rect,
+    /// Last time this entry served a query (for LRU).
+    pub last_used: f64,
+    /// Handles of the POIs inside `vr`, in stored order.
+    pub poi_ids: &'a [PoiId],
+}
+
+impl<'a> EntryView<'a> {
+    /// Number of POIs carried.
+    pub fn len(&self) -> usize {
+        self.poi_ids.len()
+    }
+
+    /// The entry carries no POIs.
+    pub fn is_empty(&self) -> bool {
+        self.poi_ids.is_empty()
+    }
+
+    /// Whether the entry honors the containment invariant *against the
+    /// canonical table*: well-formed finite region, every handle
+    /// resolvable, every resolved position inside the region.
+    pub fn is_consistent(&self, table: &PoiTable) -> bool {
+        let r = &self.vr;
+        r.x1.is_finite()
+            && r.y1.is_finite()
+            && r.x2.is_finite()
+            && r.y2.is_finite()
+            && r.x1 <= r.x2
+            && r.y1 <= r.y2
+            && self
+                .poi_ids
+                .iter()
+                .all(|&id| table.get(id).is_some_and(|p| r.contains(p.pos)))
+    }
+}
+
+/// One stored verified region: its POI membership is the
+/// `[start, start + len)` span of the cache's handle buffer.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    cat: PoiCategory,
+    vr: Rect,
+    last_used: f64,
+    start: u32,
+    len: u32,
+}
+
+impl Entry {
+    fn span(&self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
 /// A mobile host's query-result cache.
 ///
 /// Storage is organized per POI category ("data type"); the capacity
@@ -50,12 +115,19 @@ pub struct HostCache {
     /// 1.0 = only full containment (strict subsumption).
     subsume_overlap: f64,
     policy: ReplacementPolicy,
-    arena: EntryArena,
-    /// Per-category entry lists, in first-touch category order. A small
-    /// ordered Vec beats a HashMap here: real workloads hold one or two
-    /// categories, and Vec iteration order is deterministic.
-    cats: Vec<(PoiCategory, Vec<EntryId>)>,
+    /// Every category's entries in one list. A category's storage order
+    /// is its entries' order here: an insert appends, subsumption keeps
+    /// the order of the rest, and eviction moves the category's last
+    /// entry into the victim's place.
+    entries: Vec<Entry>,
+    /// The entries' POI handles, one contiguous span per entry.
+    ids: Vec<PoiId>,
 }
+
+// The peer loop reads one of these per peer out of the fleet's cache
+// column; a regrowth should fail the build, not only the memory budget.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<HostCache>() <= 72);
 
 impl Clone for HostCache {
     fn clone(&self) -> Self {
@@ -63,8 +135,8 @@ impl Clone for HostCache {
             capacity_per_category: self.capacity_per_category,
             subsume_overlap: self.subsume_overlap,
             policy: self.policy,
-            arena: self.arena.clone(),
-            cats: self.cats.clone(),
+            entries: self.entries.clone(),
+            ids: self.ids.clone(),
         }
     }
 
@@ -75,19 +147,8 @@ impl Clone for HostCache {
         self.capacity_per_category = source.capacity_per_category;
         self.subsume_overlap = source.subsume_overlap;
         self.policy = source.policy;
-        self.arena.clone_from(&source.arena);
-        // By hand rather than `Vec::clone_from`: tuples have no
-        // `clone_from` specialization, so the delegating form would
-        // reallocate every per-category entry list on every copy.
-        self.cats.truncate(source.cats.len());
-        let shared = self.cats.len();
-        for ((dst_cat, dst_list), (src_cat, src_list)) in
-            self.cats.iter_mut().zip(&source.cats)
-        {
-            *dst_cat = *src_cat;
-            dst_list.clone_from(src_list);
-        }
-        self.cats.extend(source.cats[shared..].iter().cloned());
+        self.entries.clone_from(&source.entries);
+        self.ids.clone_from(&source.ids);
     }
 }
 
@@ -101,8 +162,8 @@ impl HostCache {
             capacity_per_category,
             subsume_overlap: 1.0,
             policy,
-            arena: EntryArena::new(),
-            cats: Vec::new(),
+            entries: Vec::new(),
+            ids: Vec::new(),
         }
     }
 
@@ -117,49 +178,25 @@ impl HostCache {
         self
     }
 
-    fn list(&self, category: PoiCategory) -> Option<&[EntryId]> {
-        self.cats
-            .iter()
-            .find(|(c, _)| *c == category)
-            .map(|(_, l)| l.as_slice())
+    /// The entries of one category, in storage order.
+    fn of(&self, category: PoiCategory) -> impl Iterator<Item = &Entry> + '_ {
+        self.entries.iter().filter(move |e| e.cat == category)
     }
 
-    fn cat_index(&mut self, category: PoiCategory) -> usize {
-        match self.cats.iter().position(|(c, _)| *c == category) {
-            Some(i) => i,
-            None => {
-                self.cats.push((category, Vec::new()));
-                self.cats.len() - 1
-            }
-        }
-    }
-
-    /// Whether the cache holds no category at all: it never stored a
-    /// region, or was cleared since.
+    /// Whether the cache holds no region at all: it never stored one,
+    /// or was cleared since.
     pub fn is_empty(&self) -> bool {
-        self.cats.is_empty()
+        self.entries.is_empty()
     }
 
     /// Cached POI count for a category.
     pub fn poi_count(&self, category: PoiCategory) -> usize {
-        self.list(category)
-            .map(|l| l.iter().map(|&e| self.arena.poi_len(e)).sum())
-            .unwrap_or(0)
+        self.of(category).map(|e| e.len as usize).sum()
     }
 
     /// Number of verified regions cached for a category.
     pub fn region_count(&self, category: PoiCategory) -> usize {
-        self.list(category).map_or(0, <[EntryId]>::len)
-    }
-
-    /// The entry handles cached for a category, in storage order.
-    pub fn entry_ids(&self, category: PoiCategory) -> &[EntryId] {
-        self.list(category).unwrap_or(&[])
-    }
-
-    /// A view of one entry, or `None` for a stale handle.
-    pub fn get(&self, id: EntryId) -> Option<EntryView<'_>> {
-        self.arena.get(id)
+        self.of(category).count()
     }
 
     /// Views of the verified regions cached for a category, in storage
@@ -168,9 +205,11 @@ impl HostCache {
         &self,
         category: PoiCategory,
     ) -> impl Iterator<Item = EntryView<'_>> + '_ {
-        self.entry_ids(category)
-            .iter()
-            .map(|&e| self.arena.get(e).expect("live handle"))
+        self.of(category).map(|e| EntryView {
+            vr: e.vr,
+            last_used: e.last_used,
+            poi_ids: &self.ids[e.span()],
+        })
     }
 
     /// The share reply a peer receives on request: every verified region
@@ -233,51 +272,85 @@ impl HostCache {
         } else {
             (vr, ids.len())
         };
-        let ci = self.cat_index(category);
-        self.make_room(ci, &vr, len, ctx);
-        let eid = self.arena.insert(
+        self.make_room(category, &vr, len, ctx);
+        self.push(
+            category,
             vr,
             now,
             ids.iter()
                 .copied()
                 .filter(|&id| table.get(id).is_some_and(|p| vr.contains(p.pos))),
         );
-        self.cats[ci].1.push(eid);
         InsertOutcome::Stored
+    }
+
+    /// Appends an entry, its handles at the end of the handle buffer.
+    fn push(
+        &mut self,
+        cat: PoiCategory,
+        vr: Rect,
+        last_used: f64,
+        ids: impl IntoIterator<Item = PoiId>,
+    ) {
+        let start = self.ids.len();
+        self.ids.extend(ids);
+        self.entries.push(Entry {
+            cat,
+            vr,
+            last_used,
+            start: start as u32,
+            len: (self.ids.len() - start) as u32,
+        });
+    }
+
+    /// Removes the entry at `i`, keeping the others in order, and closes
+    /// its gap in the handle buffer.
+    fn remove(&mut self, i: usize) {
+        let gone = self.entries.remove(i);
+        self.ids.drain(gone.span());
+        for e in &mut self.entries {
+            if e.start > gone.start {
+                e.start -= gone.len;
+            }
+        }
     }
 
     /// Drops subsumed entries, then evicts worst-scored entries until an
     /// incoming entry of `len` POIs fits both budgets. The incoming entry
     /// itself is never a victim: it answers the query in flight.
-    fn make_room(&mut self, ci: usize, new_vr: &Rect, len: usize, ctx: &CacheContext) {
+    fn make_room(&mut self, category: PoiCategory, new_vr: &Rect, len: usize, ctx: &CacheContext) {
         let threshold = self.subsume_overlap;
-        let arena = &mut self.arena;
-        let list = &mut self.cats[ci].1;
-        list.retain(|&eid| {
-            let evr = arena.vr(eid);
-            let subsumed = new_vr.contains_rect(&evr)
+        let subsumed = |evr: &Rect| {
+            new_vr.contains_rect(evr)
                 || (threshold < 1.0
                     && evr.area() > 0.0
                     && new_vr
-                        .intersection(&evr)
-                        .is_some_and(|i| i.area() >= threshold * evr.area()));
-            if subsumed {
-                arena.remove(eid);
+                        .intersection(evr)
+                        .is_some_and(|i| i.area() >= threshold * evr.area()))
+        };
+        let mut i = 0;
+        while i < self.entries.len() {
+            let e = &self.entries[i];
+            if e.cat == category && subsumed(&e.vr) {
+                self.remove(i);
+            } else {
+                i += 1;
             }
-            !subsumed
-        });
+        }
         let budget = self.capacity_per_category.saturating_sub(len);
-        while !list.is_empty()
-            && (list.iter().map(|&e| arena.poi_len(e)).sum::<usize>() > budget
-                || list.len() + 1 > self.capacity_per_category)
-        {
-            let (worst, _) = list
-                .iter()
-                .enumerate()
-                .map(|(i, &e)| {
+        loop {
+            let (regions, pois) =
+                (self.of(category)).fold((0, 0), |(r, p), e| (r + 1, p + e.len as usize));
+            if regions == 0 || (pois <= budget && regions < self.capacity_per_category) {
+                return;
+            }
+            // `max_by` keeps the last of equal scores, in storage order.
+            let (worst, _) = (self.entries.iter().enumerate())
+                .filter(|(_, e)| e.cat == category)
+                .map(|(i, e)| {
                     let score = self.policy.score_parts(
-                        &arena.vr(e),
-                        arena.last_used(e),
+                        &e.vr,
+                        e.last_used,
                         ctx.pos,
                         ctx.heading,
                         ctx.now,
@@ -285,9 +358,14 @@ impl HostCache {
                     (i, score)
                 })
                 .max_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("non-empty list");
-            let victim = list.swap_remove(worst);
-            arena.remove(victim);
+                .expect("non-empty category");
+            // A `swap_remove` within the category: its last entry takes
+            // the victim's place, whatever other categories sit between.
+            let last = (self.entries.iter())
+                .rposition(|e| e.cat == category)
+                .expect("non-empty category");
+            self.entries.swap(worst, last);
+            self.remove(last);
         }
     }
 
@@ -301,27 +379,22 @@ impl HostCache {
     /// through the canonical table, so a byzantine entry can claim the
     /// wrong POIs for a region but cannot forge POI coordinates.
     pub fn insert_unchecked(&mut self, category: PoiCategory, vr: Rect, ids: &[PoiId], now: f64) {
-        let ci = self.cat_index(category);
-        let eid = self.arena.insert(vr, now, ids.iter().copied());
-        self.cats[ci].1.push(eid);
+        self.push(category, vr, now, ids.iter().copied());
     }
 
     /// Marks entries intersecting `area` as used at `now` (LRU upkeep).
     pub fn touch(&mut self, category: PoiCategory, area: &Rect, now: f64) {
-        let arena = &mut self.arena;
-        for (_, list) in self.cats.iter().filter(|(c, _)| *c == category) {
-            for &eid in list {
-                if arena.vr(eid).intersects(area) {
-                    arena.set_last_used(eid, now);
-                }
+        for e in &mut self.entries {
+            if e.cat == category && e.vr.intersects(area) {
+                e.last_used = now;
             }
         }
     }
 
     /// Drops everything (e.g. on simulation reset).
     pub fn clear(&mut self) {
-        self.cats.clear();
-        self.arena.clear();
+        self.entries.clear();
+        self.ids.clear();
     }
 }
 
@@ -661,6 +734,56 @@ mod tests {
         assert_eq!(va.vr, vb.vr);
         assert_eq!(va.poi_ids, vb.poi_ids);
         assert_eq!(va.last_used, vb.last_used);
+    }
+
+    #[test]
+    fn view_consistency_checks_against_table() {
+        let table = PoiTable::from_pois([Poi::new(0, Point::new(0.5, 0.5))]);
+        let view = |vr: Rect, poi_ids: &[PoiId]| {
+            EntryView {
+                vr,
+                last_used: 0.0,
+                poi_ids,
+            }
+            .is_consistent(&table)
+        };
+        let unit = Rect::from_coords(0.0, 0.0, 1.0, 1.0);
+        assert!(view(unit, &[PoiId(0)]));
+        assert!(!view(unit, &[PoiId(7)]), "unresolvable handle");
+        let quarter = Rect::from_coords(0.0, 0.0, 0.25, 0.25);
+        assert!(!view(quarter, &[PoiId(0)]), "POI outside the region");
+        let nan = Rect {
+            x1: 0.0,
+            y1: 0.0,
+            x2: f64::NAN,
+            y2: 1.0,
+        };
+        assert!(!view(nan, &[]), "malformed region");
+    }
+
+    #[test]
+    fn steady_state_churn_does_not_grow_pool_unboundedly() {
+        // 1,000 disjoint 10-POI regions through an 80-POI cache: every
+        // insert past the eighth evicts, and removals close their gaps,
+        // so both buffers stay within one doubling of the live set.
+        let at = |i: u32| Point::new((i / 10) as f64 * 3.0 + 0.05 * (i % 10) as f64, 0.0);
+        let pois: Vec<Poi> = (0..10_000).map(|i| Poi::new(i, at(i))).collect();
+        let table = PoiTable::from_pois(pois.iter().copied());
+        let mut c = HostCache::new(80, ReplacementPolicy::DistanceOnly);
+        for round in 0..1000u32 {
+            let x = round as f64 * 3.0;
+            let vr = Rect::from_coords(x - 0.5, -0.5, x + 1.0, 0.5);
+            let ids: Vec<PoiId> = (round * 10..round * 10 + 10).map(PoiId).collect();
+            let out = c.insert_ids(&table, CAT, vr, &ids, round as f64, &ctx(x, 0.0));
+            assert_eq!(out, InsertOutcome::Stored);
+        }
+        assert_eq!((c.region_count(CAT), c.poi_count(CAT)), (8, 80));
+        let grown = (c.entries.capacity(), c.ids.capacity());
+        assert!(grown.0 <= 16 && grown.1 <= 160, "buffers grew to {grown:?}");
+        // Every surviving span still names its own region's POIs.
+        for e in c.entries(CAT) {
+            assert!(e.is_consistent(&table) && e.len() == 10);
+        }
     }
 
     #[test]

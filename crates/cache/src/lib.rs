@@ -16,8 +16,9 @@
 //!   `PoiTable`. Oversized incoming regions are *shrunk around the
 //!   host* (scaled down until their POI count fits), preserving the
 //!   invariant.
-//! * [`EntryArena`] — the flat storage behind it: one verified region
-//!   per generational [`EntryId`], read back as an [`EntryView`].
+//!   Each host keeps two flat buffers, one entry list for every
+//!   category and one buffer of POI handles, read back as
+//!   [`EntryView`]s.
 //! * [`ReplacementPolicy`] — the paper's direction + distance policy
 //!   (after Ren & Dunham's semantic caching), plus distance-only and LRU
 //!   baselines for the ablation benchmarks.
@@ -28,12 +29,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena;
 mod host_cache;
 mod policy;
 mod quarantine;
 
-pub use arena::{EntryArena, EntryId, EntryView};
-pub use host_cache::{CacheContext, HostCache, InsertOutcome};
+pub use host_cache::{CacheContext, EntryView, HostCache, InsertOutcome};
 pub use policy::ReplacementPolicy;
 pub use quarantine::QuarantineLedger;

@@ -1,25 +1,26 @@
-//! Arena/interning equivalence against the pre-refactor cache.
+//! Flat-storage equivalence against the pre-refactor cache.
 //!
-//! The fleet-scale refactor moved cache entries into an [`EntryArena`]
-//! (generational handles, shared POI pool, amortized in-place
-//! compaction) and POI payloads into the canonical [`PoiTable`]. These
-//! properties pin that the move is *invisible*: a reference
-//! implementation of the pre-refactor cache — owned `Vec<Poi>` entries,
-//! its own copy of the shrink/subsume/evict arithmetic on carried
-//! positions — is driven with the identical operation sequence, and the
-//! arena-backed [`HostCache`], fed the same regions as handles through
+//! Cache entries live in two flat buffers per host — one entry list
+//! shared by every category, one buffer of POI handles — and POI
+//! payloads live once in the canonical [`PoiTable`]. These properties
+//! pin that the layout is *invisible*: a reference implementation of
+//! the pre-refactor cache — one owned `Vec<Poi>`-entry list per
+//! category, its own copy of the shrink/subsume/evict arithmetic on
+//! carried positions — is driven with the identical operation sequence,
+//! and [`HostCache`], fed the same regions as handles through
 //! [`HostCache::insert_ids`], must match it entry for entry (regions,
-//! timestamps, POI membership and order) at every step. A second
-//! property drives the arena itself through insert/remove/compact/clone
-//! churn against a shadow list and checks that every live handle
-//! round-trips exactly and every dead handle stays dead.
-
+//! timestamps, POI membership and order) in every category at every
+//! step. The operations interleave three categories, so an eviction's
+//! in-category `swap_remove` is checked with other categories' entries
+//! sitting between the victim and its replacement. After every step a
+//! `clone_from` into a dirty destination must reproduce the cache.
 use airshare_broadcast::{Poi, PoiCategory, PoiId, PoiTable};
-use airshare_cache::{CacheContext, EntryArena, EntryId, HostCache, ReplacementPolicy};
+use airshare_cache::{CacheContext, HostCache, ReplacementPolicy};
 use airshare_geom::{Point, Rect};
 use proptest::prelude::*;
 
-const CAT: PoiCategory = PoiCategory::GAS_STATION;
+/// The categories the operations interleave.
+const CATS: [PoiCategory; 3] = [PoiCategory(0), PoiCategory(1), PoiCategory(2)];
 
 /// One owned cache entry of the reference: a region and exactly the
 /// POIs inside it, payloads and all.
@@ -77,12 +78,12 @@ impl OwnedEntry {
     }
 }
 
-/// The cache as it was before the arena refactor: one owned entry per
-/// region, no handles, no interning. Mirrors the production admission
-/// and touch paths operation for operation (same shrink search, same
-/// subsumption test, same `score_parts` eviction scan, same
-/// `swap_remove`), so any divergence is the arena's or the handle
-/// path's fault.
+/// One category of the cache as it was before handles and flat storage:
+/// one owned entry per region, no handles, no interning. Mirrors the
+/// production admission and touch paths operation for operation (same
+/// shrink search, same subsumption test, same `score_parts` eviction
+/// scan, same `swap_remove`), so any divergence is the flat layout's or
+/// the handle path's fault.
 struct ReferenceCache {
     capacity: usize,
     subsume_overlap: f64,
@@ -154,7 +155,7 @@ impl ReferenceCache {
 /// One generated step: `kind` selects insert (most draws) vs touch;
 /// the geometry fields are interpreted per kind.
 type OpTuple = (
-    u8,                  // kind: 0 = touch, else insert
+    (u8, usize),         // kind (0 = touch, else insert), index into `CATS`
     f64,                 // cx
     f64,                 // cy
     f64,                 // half-extent
@@ -166,7 +167,7 @@ type OpTuple = (
 
 fn arb_op() -> impl Strategy<Value = OpTuple> {
     (
-        0u8..5,
+        (0u8..5, 0..CATS.len()),
         0.0..20.0f64,
         0.0..20.0f64,
         0.2..3.0f64,
@@ -195,19 +196,32 @@ fn normalize(h: Option<(f64, f64)>) -> Option<(f64, f64)> {
     })
 }
 
+/// Every category's entries, in storage order, as owned values.
+fn contents(cache: &HostCache) -> Vec<Vec<(Rect, f64, Vec<PoiId>)>> {
+    (CATS.iter())
+        .map(|&cat| {
+            (cache.entries(cat))
+                .map(|e| (e.vr, e.last_used, e.poi_ids.to_vec()))
+                .collect()
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The arena-backed cache equals the owned-storage reference at
-    /// every step of an arbitrary insert/touch sequence: same regions
-    /// in the same order, same timestamps, same POI membership in the
-    /// same stored order. Eviction churn keeps the arena compacting
-    /// (garbage crosses the half-pool threshold constantly at these
-    /// capacities), so pool compaction is exercised under the
-    /// equivalence check, not just in isolation.
+    /// The flat cache equals one owned-storage reference per category
+    /// at every step of an arbitrary insert/touch sequence over three
+    /// interleaved categories: same regions in the same order, same
+    /// timestamps, same POI membership in the same stored order. Every
+    /// eviction and subsumption closes a gap in the shared handle
+    /// buffer, so span bookkeeping is exercised under the equivalence
+    /// check. After each step, `clone_from` into a destination still
+    /// holding an older state (and, before the first step, foreign
+    /// entries and settings) must reproduce the cache exactly.
     #[test]
     fn arena_cache_matches_prerefactor_reference(
-        ops in prop::collection::vec(arb_op(), 1..50),
+        ops in prop::collection::vec(arb_op(), 1..60),
         capacity in 1usize..25,
         policy_idx in 0usize..3,
         subsume_raw in 0.5..1.5f64,
@@ -221,7 +235,7 @@ proptest! {
         // only), half on a fractional-overlap threshold.
         let subsume = if subsume_raw >= 1.0 { 1.0 } else { subsume_raw };
         let table = PoiTable::from_pois(ops.iter().enumerate().flat_map(
-            |(i, (kind, cx, cy, half, offs, ..))| {
+            |(i, ((kind, _), cx, cy, half, offs, ..))| {
                 if *kind == 0 {
                     Vec::new()
                 } else {
@@ -230,16 +244,25 @@ proptest! {
             },
         ));
         let mut cache = HostCache::new(capacity, policy).with_subsume_overlap(subsume);
-        let mut reference = ReferenceCache::new(capacity, policy, subsume);
+        let mut reference: Vec<ReferenceCache> = (0..CATS.len())
+            .map(|_| ReferenceCache::new(capacity, policy, subsume))
+            .collect();
+        let mut copy = HostCache::new(capacity + 3, ReplacementPolicy::Lru);
+        for (n, cat) in [(4, CATS[2]), (0, PoiCategory(9)), (2, CATS[0])] {
+            let vr = Rect::from_coords(-5.0, -5.0, -4.0, -4.0);
+            let ids: Vec<PoiId> = (0..n).map(PoiId).collect();
+            copy.insert_unchecked(cat, vr, &ids, -1.0);
+        }
 
-        for (i, (kind, cx, cy, half, offs, host_x, host_y, heading)) in
+        for (i, ((kind, ci), cx, cy, half, offs, host_x, host_y, heading)) in
             ops.iter().enumerate()
         {
             let now = i as f64;
+            let (cat, reference_cat) = (CATS[*ci], &mut reference[*ci]);
             if *kind == 0 {
                 let area = Rect::centered_square(Point::new(*cx, *cy), *half);
-                cache.touch(CAT, &area, now);
-                reference.touch(&area, now);
+                cache.touch(cat, &area, now);
+                reference_cat.touch(&area, now);
             } else {
                 let vr = Rect::centered_square(Point::new(*cx, *cy), *half);
                 let pois = pois_of(*cx, *cy, *half, offs, (i * 100) as u32);
@@ -249,8 +272,8 @@ proptest! {
                     now,
                 };
                 let ids: Vec<PoiId> = pois.iter().map(Poi::handle).collect();
-                cache.insert_ids(&table, CAT, vr, &ids, now, &ctx);
-                reference.insert(
+                cache.insert_ids(&table, cat, vr, &ids, now, &ctx);
+                reference_cat.insert(
                     OwnedEntry {
                         vr,
                         pois,
@@ -260,92 +283,34 @@ proptest! {
                 );
             }
 
-            // Entry-for-entry equality, in storage order, after every op.
-            prop_assert_eq!(cache.region_count(CAT), reference.entries.len());
-            for (got, want) in cache.entries(CAT).zip(&reference.entries) {
-                prop_assert_eq!(got.vr, want.vr);
-                prop_assert_eq!(got.last_used, want.last_used);
-                let want_ids: Vec<PoiId> = want.pois.iter().map(Poi::handle).collect();
-                prop_assert_eq!(got.poi_ids, want_ids.as_slice());
-                // And interning round-trips: resolving the handles
-                // through the canonical table recovers the owned POIs.
-                for (&id, wp) in got.poi_ids.iter().zip(&want.pois) {
-                    prop_assert_eq!(table.get(id), Some(wp));
-                }
-            }
-        }
-    }
-
-    /// Arena handles round-trip exactly through arbitrary
-    /// insert/remove/compact/clone churn: every live handle resolves to
-    /// the values it was inserted with (compaction moves pool spans but
-    /// must not change them), every removed handle stays dead even
-    /// after its slot is reused, and `clone`/`clone_from` reproduce the
-    /// arena handle-for-handle.
-    #[test]
-    fn arena_compaction_round_trips(
-        steps in prop::collection::vec((0u8..10, 0usize..64, 0u32..16), 1..120),
-    ) {
-        let mut arena = EntryArena::new();
-        let mut live: Vec<(EntryId, Rect, Vec<PoiId>, f64)> = Vec::new();
-        let mut dead: Vec<EntryId> = Vec::new();
-        let mut next_id = 0u32;
-
-        for (i, &(kind, pick, n)) in steps.iter().enumerate() {
-            match kind {
-                // Remove a live entry (pool span becomes garbage).
-                0 | 1 if !live.is_empty() => {
-                    let (id, ..) = live.remove(pick % live.len());
-                    prop_assert!(arena.remove(id));
-                    dead.push(id);
-                }
-                // Explicit compaction on top of the automatic ones.
-                2 => arena.compact(),
-                // Clone round-trip: handles stay valid in the copy.
-                3 => {
-                    let copy = arena.clone();
-                    for (id, vr, ids, used) in &live {
-                        let v = copy.get(*id).expect("live handle lost by clone");
-                        prop_assert_eq!(v.vr, *vr);
-                        prop_assert_eq!(v.poi_ids, ids.as_slice());
-                        prop_assert_eq!(v.last_used, *used);
-                    }
-                    // clone_from into a dirty destination too.
-                    let mut dst = EntryArena::new();
-                    dst.insert(Rect::from_coords(0.0, 0.0, 1.0, 1.0), 0.0, [PoiId(0)]);
-                    dst.clone_from(&arena);
-                    for (id, _, ids, ..) in &live {
-                        prop_assert_eq!(
-                            dst.get(*id).expect("clone_from lost handle").poi_ids,
-                            ids.as_slice()
-                        );
+            // Entry-for-entry equality, in storage order, in every
+            // category, after every op.
+            for (&cat, reference) in CATS.iter().zip(&reference) {
+                prop_assert_eq!(cache.region_count(cat), reference.entries.len());
+                prop_assert_eq!(
+                    cache.poi_count(cat),
+                    reference.entries.iter().map(|e| e.pois.len()).sum::<usize>()
+                );
+                for (got, want) in cache.entries(cat).zip(&reference.entries) {
+                    prop_assert_eq!(got.vr, want.vr);
+                    prop_assert_eq!(got.last_used, want.last_used);
+                    let want_ids: Vec<PoiId> = want.pois.iter().map(Poi::handle).collect();
+                    prop_assert_eq!(got.poi_ids, want_ids.as_slice());
+                    // And interning round-trips: resolving the handles
+                    // through the canonical table recovers the owned POIs.
+                    for (&id, wp) in got.poi_ids.iter().zip(&want.pois) {
+                        prop_assert_eq!(table.get(id), Some(wp));
                     }
                 }
-                // Insert a fresh entry.
-                _ => {
-                    let t = i as f64;
-                    let vr = Rect::from_coords(0.0, 0.0, 1.0 + t, 2.0 + t);
-                    let ids: Vec<PoiId> = (next_id..next_id + n).map(PoiId).collect();
-                    next_id += n;
-                    let id = arena.insert(vr, t + 0.5, ids.iter().copied());
-                    live.push((id, vr, ids, t + 0.5));
-                }
             }
 
-            prop_assert_eq!(arena.len(), live.len());
-            prop_assert_eq!(
-                arena.pool_live(),
-                live.iter().map(|(_, _, ids, ..)| ids.len()).sum::<usize>()
-            );
-            for (id, vr, ids, used) in &live {
-                let v = arena.get(*id).expect("live handle must resolve");
-                prop_assert_eq!(v.vr, *vr);
-                prop_assert_eq!(v.poi_ids, ids.as_slice());
-                prop_assert_eq!(v.last_used, *used);
-            }
-            for id in &dead {
-                prop_assert!(arena.get(*id).is_none(), "dead handle resurrected");
-            }
+            // A dirty destination becomes the cache, entries in order;
+            // and the copy behaves as the cache: its next admission
+            // follows the original's settings.
+            copy.clone_from(&cache);
+            prop_assert_eq!(contents(&copy), contents(&cache));
+            prop_assert_eq!(copy.region_count(PoiCategory(9)), 0);
+            prop_assert_eq!(copy.is_empty(), cache.is_empty());
         }
     }
 }

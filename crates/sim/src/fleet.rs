@@ -8,10 +8,11 @@
 //!
 //! [`FleetStore`] is that storage. [`crate::LiveWorld`] owns the one
 //! instance of a run — the closed-loop simulator drives that world as a
-//! client, so it and `airshare-serve` ride the same arenas. The scalar
+//! client, so it and `airshare-serve` ride the same columns. The scalar
 //! columns (`online`, `positions`, sync state) are plain `Vec`s; the
-//! per-host caches and quarantine ledgers are arena-backed structures
-//! from `airshare-cache` (see `EntryArena`), indexed by host id.
+//! per-host caches (one flat entry list and one POI-handle buffer each)
+//! and quarantine ledgers come from `airshare-cache`, indexed by host
+//! id.
 //!
 //! Mutation stays inside the crate (the world's epoch barrier, plus the
 //! simulator writing the position column); external callers get
@@ -23,8 +24,8 @@ use airshare_geom::Point;
 /// Struct-of-arrays storage for every mobile host's mutable state.
 ///
 /// One instance holds the whole fleet; a host is an index. Columns:
-/// online flags, positions, channel-sync scalars, arena-backed caches,
-/// and quarantine ledgers. See the module docs for why this is columnar.
+/// online flags, positions, channel-sync scalars, caches, and
+/// quarantine ledgers. See the module docs for why this is columnar.
 pub struct FleetStore {
     /// Which hosts are on the air (churn state).
     pub(crate) online: Vec<bool>,
@@ -36,7 +37,7 @@ pub struct FleetStore {
     /// Whether each host owes a resync (answered through an outage or
     /// just came online).
     pub(crate) needs_resync: Vec<bool>,
-    /// Per-host verified-region caches (arena-backed, handle-based) —
+    /// Per-host verified-region caches (flat, handle-based) —
     /// the one cache column, and what peers read: as of the last
     /// barrier for a host that has queried (or crashed) since, whose
     /// live cache the world holds aside until the next one; complete

@@ -85,7 +85,7 @@ pub struct LiveWorld {
     /// Base-station silence windows over epoch numbers.
     pub(crate) outage: OutageSchedule,
     /// Columnar per-session state: online flags, last reported
-    /// positions (offline hosts keep theirs), sync clocks, arena-backed
+    /// positions (offline hosts keep theirs), sync clocks, handle-based
     /// caches (what peers see: as of the last barrier), quarantine
     /// ledgers. The simulator writes the position column directly.
     pub(crate) fleet: FleetStore,
@@ -107,7 +107,7 @@ pub struct LiveWorld {
     /// column shows their epoch-start copies, sorted by host. Empty
     /// after `begin_epoch`.
     written: Vec<(usize, HostCache)>,
-    /// Retired copies, arenas kept for the next epoch's writers: as
+    /// Retired copies, buffers kept for the next epoch's writers: as
     /// many as an epoch has had writers, not as many as hosts.
     spare: Vec<HostCache>,
     /// A batch's tasks, one per querying host in host order, and its
@@ -361,7 +361,7 @@ impl LiveWorld {
 
     /// Takes `host`'s live cache for writing: what an earlier batch of
     /// this epoch parked, else the column's original — the host's own warm
-    /// arena — leaving peers a copy in a retired buffer (if one is spare).
+    /// buffers — leaving peers a copy in a retired buffer (if one is spare).
     fn take_cache(&mut self, host: usize) -> HostCache {
         let parked = self.written.binary_search_by_key(&host, |&(h, _)| h);
         if let Ok(at) = parked {
@@ -574,6 +574,62 @@ mod tests {
     /// What a peer asking `cache` would be shown.
     fn shared(cache: &HostCache) -> Vec<(Rect, Vec<PoiId>)> {
         (cache.share_regions(CAT).map(|(r, ids)| (r, ids.to_vec()))).collect()
+    }
+
+    /// A kNN query for zero neighbors or for more than the world holds
+    /// is graded `Failed` with no ids on a live channel, and leaves the
+    /// host's cache, sync clock and resync flag as they were. Both used
+    /// to reach SBNN: `k = 0` panicked building its heap, and `k` past
+    /// the POI count came back unresolved and flagged a resync.
+    #[test]
+    fn out_of_range_k_fails_without_touching_the_host() {
+        let mut cfg = small_cfg();
+        cfg.warmup_min = 0.0;
+        let epoch_min = cfg.epoch_min;
+        let mut world = LiveWorld::try_new(cfg).unwrap();
+        let pool = ExecPool::fixed(1);
+        let mut ctxs = vec![(NoopRecorder, QueryScratch::new())];
+        let spot = Point::new(0.5 * world.bounds.x2, 0.5 * world.bounds.y2);
+        world.connect(0);
+        world.update_position(0, spot);
+        world.begin_epoch(0);
+        world.execute_epoch(vec![knn(1, 0, 0.25 * epoch_min, spot)], &pool, &mut ctxs);
+        world.begin_epoch(1);
+        let entries = |c: &HostCache| -> Vec<(Rect, f64, Vec<PoiId>)> {
+            (c.entries(CAT))
+                .map(|e| (e.vr, e.last_used, e.poi_ids.to_vec()))
+                .collect()
+        };
+        let cached = entries(&world.fleet.caches[0]);
+        assert!(!cached.is_empty(), "the valid query cached nothing");
+        let synced = world.fleet.last_sync_min(0);
+        let before = world.report().clone();
+
+        let pois = world.poi_table().len();
+        let at_min = 1.5 * epoch_min;
+        let batch = [0, pois + 1].map(|k| LiveQuery {
+            spec: QuerySpec::Knn { k },
+            ..knn(2 + k as u64, 0, at_min, spot)
+        });
+        let answers = world.execute_epoch(batch.to_vec(), &pool, &mut ctxs);
+        assert_eq!(answers.len(), 2);
+        for a in &answers {
+            assert_eq!((a.quality, a.ids.len()), (AnswerQuality::Failed, 0), "{a:?}");
+        }
+        let own = parked(&world, 0).expect("the host wrote nothing back");
+        assert_eq!(entries(own), cached, "the cache was touched");
+        assert_eq!(world.fleet.last_sync_min(0), synced);
+        assert!(!world.fleet.needs_resync(0), "a live channel owed a resync");
+        // Both count as measured `Failed` queries that no series
+        // resolved and that contacted no peer.
+        let after = world.report();
+        assert_eq!(after.queries.total, before.queries.total + 2);
+        assert_eq!(after.quality.failed, before.quality.failed + 2);
+        let resolved = |r: &SimReport| {
+            let q = &r.queries;
+            (q.by_peers, q.by_approx, q.by_broadcast, r.share_peers_contacted)
+        };
+        assert_eq!(resolved(after), resolved(&before));
     }
 
     /// A crash of a dark host and a restart of a live one are no-ops:

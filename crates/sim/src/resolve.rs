@@ -115,6 +115,27 @@ pub(crate) struct QueryOutcome {
     mismatch: bool,
 }
 
+impl QueryOutcome {
+    /// An out-of-range query's contribution: a `Failed` answer that
+    /// contacted no peer, used no channel and no series counts as
+    /// resolved.
+    fn unanswerable() -> Self {
+        QueryOutcome {
+            share: ShareStats::default(),
+            quality: AnswerQuality::Failed,
+            stale_age_min: 0.0,
+            bound_violation: false,
+            resolution: ResolutionKind::Unresolved,
+            air: None,
+            baseline: None,
+            filter_saved: 0,
+            window_coverage: None,
+            calibration: None,
+            mismatch: false,
+        }
+    }
+}
+
 /// One query's answer set as resolution found it. kNN candidates keep
 /// their distances for the oracle.
 enum Found {
@@ -183,6 +204,21 @@ impl LiveWorld {
         let measuring = t >= cfg.warmup_min;
         let tune_in = (t * cfg.ticks_per_min as f64) as u64;
         rec.begin_query(nonce, tune_in);
+        // A kNN query for no neighbor, or for more than the world holds,
+        // has no answer: SBNN's heap holds at least one candidate, and
+        // past the POI count even a live channel leaves it unresolved.
+        // It is graded `Failed`, with no ids, before any peer, cache,
+        // sync clock or resync flag is touched.
+        if let QuerySpec::Knn { k } = *spec {
+            if !(1..=self.table.len()).contains(&k) {
+                return measuring.then(|| {
+                    rec.record(TraceEvent::QueryQuality {
+                        quality: AnswerQuality::Failed,
+                    });
+                    QueryOutcome::unanswerable()
+                });
+            }
+        }
         let share_faults = ShareFaults {
             faults: self.faults.as_ref(),
             drop_prob: cfg.faults.peer_drop_prob,

@@ -4,9 +4,9 @@
 //! Walks the three layers of `airshare::fleet`:
 //! 1. the canonical [`PoiTable`] and its 4-byte [`PoiId`] handles —
 //!    POI payloads live once, everything else refers;
-//! 2. the arena-backed [`HostCache`]: generational entry handles,
-//!    handle-native inserts, and handle-level share replies resolved
-//!    through the table;
+//! 2. the flat [`HostCache`]: one entry list and one POI-handle buffer
+//!    per host, handle-native inserts, and handle-level share replies
+//!    resolved through the table;
 //! 3. the columnar [`FleetStore`] a simulation exposes, plus the
 //!    handle-carrying peer exchange (`gather_peer_data_checked` →
 //!    `MergedRegion::from_replies`).
@@ -38,8 +38,8 @@ fn main() {
         resolved.pos
     );
 
-    // --- 2. Arena-backed caches: entries are generational handles,
-    // POI membership is a span of PoiIds in a shared pool. ---
+    // --- 2. Flat caches: each entry's POI membership is a span of
+    // PoiIds in the cache's one handle buffer. ---
     let mut cache = HostCache::new(20, ReplacementPolicy::default());
     let vr = Rect::from_coords(0.0, 0.0, 4.0, 4.0);
     let ids: Vec<PoiId> = pois
@@ -55,13 +55,12 @@ fn main() {
     // Handle-native insert: no owned Vec<Poi> anywhere on the path
     // (this is the allocation-free steady-state API the engine uses).
     cache.insert_ids(&table, CAT, vr, &ids, 0.0, &ctx);
-    let entry_id: EntryId = cache.entry_ids(CAT)[0];
-    let view: EntryView<'_> = cache.get(entry_id).expect("just inserted");
+    let view: EntryView<'_> = cache.entries(CAT).next().expect("just inserted");
     println!(
-        "cache: region {:?} carries {} POI handles (entry {:?})",
+        "cache: region {:?} carries {} POI handles {:?}",
         view.vr,
         view.len(),
-        entry_id
+        view.poi_ids
     );
     // Need payloads back? Resolve the shared handles through the table.
     let snap: Vec<(Rect, Vec<Poi>)> = cache

@@ -123,18 +123,19 @@ pub use airshare_broadcast as broadcast;
 pub use airshare_cache as cache;
 
 /// Fleet-scale storage, re-exported flat: the canonical POI table and
-/// its handles, the cache entry arena and its generational handles,
-/// and the columnar fleet store.
+/// its handles, the view of one cache entry, and the columnar fleet
+/// store.
 ///
 /// These are the types behind the million-host engine (DESIGN.md §15):
 /// POI payloads live once in a [`fleet::PoiTable`] and everything else
 /// — caches, peer replies, index backends — refers to them by
-/// [`fleet::PoiId`]; per-host cache entries live in a
-/// [`fleet::EntryArena`] addressed by generational [`fleet::EntryId`]s;
-/// per-host scalars live in [`fleet::FleetStore`] columns.
+/// [`fleet::PoiId`]; a host's cache keeps its entries in one flat list
+/// and their POI handles in one buffer, read back as
+/// [`fleet::EntryView`]s; per-host scalars live in [`fleet::FleetStore`]
+/// columns.
 pub mod fleet {
     pub use airshare_broadcast::{Poi, PoiId, PoiTable};
-    pub use airshare_cache::{EntryArena, EntryId, EntryView};
+    pub use airshare_cache::EntryView;
     pub use airshare_sim::FleetStore;
 }
 pub use airshare_core as core;
@@ -155,8 +156,7 @@ pub mod prelude {
         PoiId, PoiTable, QueryScratch, RtreeAirIndex, Schedule,
     };
     pub use airshare_cache::{
-        CacheContext, EntryArena, EntryId, EntryView, HostCache, QuarantineLedger,
-        ReplacementPolicy,
+        CacheContext, EntryView, HostCache, QuarantineLedger, ReplacementPolicy,
     };
     pub use airshare_core::{
         nnv, sbnn_rec, sbwq_rec, HeapState, MergedRegion, NnCandidate, ResolvedBy, ResultHeap,

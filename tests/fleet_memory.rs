@@ -1,10 +1,10 @@
 //! The fleet-scale memory budget, measured per host: a world at LA-City
 //! densities stretched to 20,000 hosts, run for a few epochs through
-//! `run_parallel`, must peak below 365 bytes of live heap per host.
-//! Fleet state is columnar and arena-backed, there is one cache column
-//! (DESIGN.md §15), and a host's mobility stream holds only its own
-//! state (§16): a return to owned per-host `Vec` storage, a second
-//! `HostCache` per host (152 B of inline struct), a per-host copy of
+//! `run_parallel`, must peak below 290 bytes of live heap per host.
+//! Fleet state is columnar and each cache is two flat buffers, there is
+//! one cache column (DESIGN.md §15), and a host's mobility stream holds
+//! only its own state (§16): a return to owned per-host `Vec` storage, a
+//! second `HostCache` per host (72 B of inline struct), a per-host copy of
 //! the shared `MobilityConfig` (64 B) or of the quarantine policy (24 B)
 //! blows through the budget. And a barrier costs what its writers cost, not
 //! what the population does: a fresh world's first `begin_epoch` must
@@ -60,10 +60,10 @@ fn measuring() -> MutexGuard<'static, ()> {
 
 const HOSTS: usize = 20_000;
 
-/// Measured here: 351 B/host. With a per-host copy of the quarantine
-/// policy in every ledger it reads 375, and with one of the shared
-/// mobility config as well 439; this budget is set to refuse both.
-const BUDGET_BYTES_PER_HOST: usize = 365;
+/// Measured here: 270 B/host. A per-host copy of the quarantine policy
+/// in every ledger adds 24 B (294), and one of the shared mobility
+/// config as well 88 B (358); this budget is set to refuse both.
+const BUDGET_BYTES_PER_HOST: usize = 290;
 
 /// LA-City densities with the area grown to hold `hosts` hosts, under
 /// a light query load: the budget is about fleet storage, not queries.
@@ -113,7 +113,7 @@ fn the_first_barrier_allocates_nothing_per_host() {
     world.begin_epoch(0);
     let grown = LIVE.load(Ordering::Relaxed).saturating_sub(before);
 
-    // A per-host copy of the cache column would be 30.5 MiB here.
+    // A per-host copy of the cache column would be 13.7 MiB here.
     assert!(
         grown < 1 << 20,
         "begin_epoch(0) on {IDLE_HOSTS} idle hosts left {grown} more bytes live"

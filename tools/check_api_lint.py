@@ -89,9 +89,6 @@ TEST_ONLY = {
     "crates/cache/src/host_cache.rs::insert_unchecked",
     # The one float tolerance every geom test module compares with.
     "crates/geom/src/lib.rs::approx_eq",
-    # The pool's live-handle count: the arena's churn proptest checks
-    # compaction's garbage accounting against the handles it holds.
-    "crates/cache/src/arena.rs::pool_live",
     # Exact disk-region area: the oracle the tiled unverified area
     # (Lemma 3.2) is compared against bit for bit.
     "crates/geom/src/disk_mod.rs::disk_region_area",
