@@ -47,6 +47,39 @@ fn arb_coords() -> impl Strategy<Value = Vec<(f64, f64)>> {
     prop::collection::vec((0.0..SIDE, 0.0..SIDE), 20..200)
 }
 
+/// Float inputs as drawn, or (`lattice`) snapped to the integer grid,
+/// which is the Hilbert cell grid at `hilbert_order` 5: POIs on cell
+/// lines and window edges, ties at the k-th distance, and queries on
+/// the half-grid or on a POI.
+fn snap_coords(lattice: bool, coords: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
+    if !lattice {
+        return coords;
+    }
+    coords.into_iter().map(|(x, y)| (x.floor(), y.floor())).collect()
+}
+
+/// The query point: on the half-grid, or (`pick == 0`) on a POI.
+fn snap_query(lattice: bool, q: Point, pick: usize, coords: &[(f64, f64)]) -> Point {
+    match (lattice, pick) {
+        (false, _) => q,
+        (true, 0) => {
+            let (x, y) = coords[(q.x as usize) % coords.len()];
+            Point::new(x, y)
+        }
+        (true, _) => Point::new((2.0 * q.x).round() / 2.0, (2.0 * q.y).round() / 2.0),
+    }
+}
+
+/// A window on the grid, each side zero about a third of the time, so
+/// segment and point windows are common.
+fn snap_window(lattice: bool, (x, y, w, h): (f64, f64, f64, f64)) -> Rect {
+    if !lattice {
+        return Rect::from_coords(x, y, x + w, y + h);
+    }
+    let (w, h) = ((1.5 * w - 1.0).max(0.0).floor(), (1.5 * h - 1.0).max(0.0).floor());
+    Rect::from_coords(x.floor(), y.floor(), x.floor() + w, y.floor() + h)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -54,6 +87,7 @@ proptest! {
     /// bit-exact via `total_cmp`, which is robust to ties in POI ids).
     #[test]
     fn knn_result_sets_match_across_backends(
+        (lattice, pick) in (any::<bool>(), 0usize..4),
         coords in arb_coords(),
         qx in 0.0..SIDE, qy in 0.0..SIDE,
         k in 1usize..10,
@@ -61,10 +95,11 @@ proptest! {
         tune in 0u64..2_000,
     ) {
         prop_assume!(coords.len() >= k);
+        let coords = snap_coords(lattice, coords);
         let (hilbert, rtree, hs, rs) = build_pair(&coords, cap, 4);
         let hc = OnAirClient::new(&hilbert, &hs);
         let rc = OnAirClient::new(&rtree, &rs);
-        let q = Point::new(qx, qy);
+        let q = snap_query(lattice, Point::new(qx, qy), pick, &coords);
         let (scratch, rec) = (&mut QueryScratch::new(), &mut NoopRecorder);
         let hres = hc.knn_rec(tune, q, k, scratch, rec).expect("enough POIs");
         let rres = rc.knn_rec(tune, q, k, scratch, rec).expect("enough POIs");
@@ -74,23 +109,26 @@ proptest! {
         hd.sort_by(f64::total_cmp);
         rd.sort_by(f64::total_cmp);
         for (a, b) in hd.iter().zip(&rd) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "q {:?}, k {}", q, k);
         }
     }
 
-    /// Both backends return exactly the same POI id set for any window.
+    /// Both backends return exactly the same POI id set for any window,
+    /// and it is the set of POIs the closed window contains.
     #[test]
     fn window_result_sets_match_across_backends(
+        lattice in any::<bool>(),
         coords in arb_coords(),
         wx in 0.0..SIDE - 4.0, wy in 0.0..SIDE - 4.0,
         ww in 0.1..4.0f64, wh in 0.1..4.0f64,
         cap in 1usize..16,
         tune in 0u64..2_000,
     ) {
+        let coords = snap_coords(lattice, coords);
         let (hilbert, rtree, hs, rs) = build_pair(&coords, cap, 2);
         let hc = OnAirClient::new(&hilbert, &hs);
         let rc = OnAirClient::new(&rtree, &rs);
-        let w = Rect::from_coords(wx, wy, wx + ww, wy + wh);
+        let w = snap_window(lattice, (wx, wy, ww, wh));
         let (scratch, rec) = (&mut QueryScratch::new(), &mut NoopRecorder);
         let mut hids: Vec<u32> =
             hc.window_rec(tune, &w, scratch, rec).pois.iter().map(|p| p.id).collect();
@@ -98,7 +136,12 @@ proptest! {
             rc.window_rec(tune, &w, scratch, rec).pois.iter().map(|p| p.id).collect();
         hids.sort_unstable();
         rids.sort_unstable();
-        prop_assert_eq!(hids, rids);
+        let truth: Vec<u32> = (coords.iter().enumerate())
+            .filter(|&(_, &(x, y))| w.contains(Point::new(x, y)))
+            .map(|(i, _)| i as u32)
+            .collect();
+        prop_assert_eq!(&hids, &truth, "hilbert, window {:?}", w);
+        prop_assert_eq!(&rids, &truth, "rtree, window {:?}", w);
     }
 
     /// The Hilbert backend behind a trait object is bit-identical to the

@@ -1,7 +1,8 @@
 //! The fleet-scale memory claim, measured: once a 10,000-host fleet of
-//! arena-backed caches is warm, a full epoch of steady-state cache
-//! traffic — handle-native inserts (with eviction and pool compaction),
-//! LRU touches, and the per-epoch snapshot refresh — performs **zero**
+//! caches (each one flat entry list and one handle buffer) is warm, a
+//! full epoch of steady-state cache traffic — handle-native inserts
+//! (with eviction closing its gap in the handle buffer), LRU touches,
+//! and the per-epoch snapshot refresh — performs **zero**
 //! heap allocations. A counting global allocator makes the claim
 //! checkable instead of an audit comment.
 //!
@@ -48,7 +49,7 @@ const HOSTS: usize = 10_000;
 const CAT: PoiCategory = PoiCategory::GAS_STATION;
 const CAPACITY: usize = 12;
 /// Distinct regions a host rotates through; > capacity in POIs, so
-/// every steady-state insert evicts and the arenas keep compacting.
+/// every steady-state insert evicts and closes a gap in the handle buffer.
 const VARIANTS: usize = 5;
 const POIS_PER_REGION: u32 = 6;
 
@@ -113,10 +114,10 @@ fn warm_fleet_epoch_does_not_allocate() {
         .collect();
     let mut snapshot: Vec<HostCache> = fleet.clone();
 
-    // Warm-up: arenas, pools, free lists, category lists, and snapshot
-    // buffers all grow to their high-water marks. Several epochs so
-    // every host cycles through all region variants (worst-case pool
-    // occupancy) and compaction scratch buffers are sized.
+    // Warm-up: entry lists, handle buffers and snapshot buffers all
+    // grow to their high-water marks. Several epochs so every host
+    // cycles through all region variants (worst-case handle-buffer
+    // occupancy).
     let mut expected = 0;
     for epoch in 0..2 * VARIANTS {
         expected = run_epoch(epoch, &mut fleet, &mut snapshot, &table, &regions);

@@ -37,4 +37,4 @@ mod sbwq;
 pub use heap::{HeapState, NnCandidate, ResultHeap};
 pub use mvr::MergedRegion;
 pub use sbnn::{nnv, sbnn_rec, ResolvedBy, SbnnConfig, SbnnOutcome, SbnnResult, VrPolicy};
-pub use sbwq::{sbwq_rec, window_coverage, SbwqConfig, SbwqOutcome, SbwqResult};
+pub use sbwq::{sbwq_rec, SbwqConfig, SbwqOutcome, SbwqResult};

@@ -2,7 +2,7 @@
 
 use crate::MergedRegion;
 use airshare_broadcast::{AirIndexBackend, OnAirClient, Poi, QueryScratch};
-use airshare_geom::{Rect, RectUnion, RegionScratch};
+use airshare_geom::{Rect, RegionScratch};
 use airshare_obs::{AccessStats, Recorder, ResolutionKind, TraceEvent};
 
 use crate::ResolvedBy;
@@ -36,7 +36,9 @@ pub struct SbwqResult {
     /// The reduced windows `w′` that had to be fetched on air (empty when
     /// peers covered everything).
     pub reduced_windows: Vec<Rect>,
-    /// Fraction of the window's area covered by the MVR at query time.
+    /// Fraction of the window's area covered by the MVR at query time:
+    /// 1 when peers covered the window, 0 for a degenerate window (a
+    /// segment or a point) that needed the channel.
     pub coverage: f64,
     /// Broadcast cost when the channel was used.
     pub air: Option<AccessStats>,
@@ -121,13 +123,6 @@ fn sbwq_inner(
     rec: &mut dyn Recorder,
 ) -> SbwqOutcome {
     let missing = mvr.region().rect_difference(w, region);
-    let covered_area = (w.area() - missing.iter().map(Rect::area).sum::<f64>()).max(0.0);
-    let coverage = if w.area() > 0.0 {
-        covered_area / w.area()
-    } else {
-        1.0
-    };
-
     let mut pois = scratch.take_vec();
     pois.extend(mvr.pois_in_rect(w).copied());
 
@@ -150,6 +145,11 @@ fn sbwq_inner(
         };
     };
 
+    let coverage = if w.is_degenerate() {
+        0.0
+    } else {
+        (w.area() - missing.iter().map(Rect::area).sum::<f64>()).max(0.0) / w.area()
+    };
     let fetched = if cfg.use_window_reduction {
         reduced_windows.extend_from_slice(missing);
         client.window_reduced_rec(tune_in, missing, scratch, rec)
@@ -175,21 +175,6 @@ fn sbwq_inner(
         coverage,
         air: Some(stats),
     })
-}
-
-/// Convenience for tests and diagnostics: the fraction of `w` covered by
-/// a region union.
-pub fn window_coverage(w: &Rect, region: &RectUnion) -> f64 {
-    if w.area() <= 0.0 {
-        return 1.0;
-    }
-    let mut scratch = RegionScratch::default();
-    let missing: f64 = region
-        .rect_difference(w, &mut scratch)
-        .iter()
-        .map(Rect::area)
-        .sum();
-    ((w.area() - missing) / w.area()).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -250,10 +235,23 @@ mod tests {
                 assert_eq!(partial.len(), 1);
                 assert!(!missing.is_empty());
                 let miss_area: f64 = missing.iter().map(Rect::area).sum();
-                assert!((miss_area - 6.0).abs() < 1e-9, "missing {miss_area}");
+                assert_eq!(miss_area, 6.0);
             }
             SbwqOutcome::Resolved(_) => panic!("should be unresolved"),
         }
+    }
+
+    /// Runs `w` over `m` with a channel broadcasting `pois`.
+    fn with_channel(w: &Rect, m: &MergedRegion, pois: Vec<Poi>) -> SbwqResult {
+        use airshare_broadcast::{AirIndex, Schedule};
+        let world = Rect::from_coords(0.0, 0.0, 8.0, 8.0);
+        let index = AirIndex::try_build(pois, airshare_hilbert::Grid::new(world, 3), 2).unwrap();
+        let schedule = Schedule::new(index.data_buckets(), index.index_buckets(), 2);
+        let client = OnAirClient::new(&index, &schedule);
+        let air = Some((&client.as_dyn(), 0));
+        sbwq_rec(w, &SbwqConfig::default(), m, air, &mut QueryScratch::new(), &mut NoopRecorder)
+            .resolved()
+            .expect("with a channel, window queries always resolve")
     }
 
     #[test]
@@ -271,24 +269,44 @@ mod tests {
             SbwqOutcome::Unresolved { .. } => {}
             _ => panic!(),
         }
-        assert!((window_coverage(&w, m.region()) - 0.5).abs() < 1e-9);
+        let res = with_channel(&w, &m, vec![poi(1, 3.0, 1.0)]);
+        assert_eq!(res.resolved_by, ResolvedBy::Broadcast);
+        assert_eq!(res.coverage, 0.5);
+        assert_eq!(res.pois.iter().map(|p| p.id).collect::<Vec<_>>(), [1]);
     }
 
     #[test]
-    fn empty_window_is_trivially_covered() {
+    fn degenerate_window_is_covered_only_by_a_containing_member() {
+        // A zero-width window over an empty MVR is not known to be
+        // empty: without a channel it stays unresolved, whole.
         let m = mvr(vec![]);
-        let w = Rect::from_coords(1.0, 1.0, 1.0, 5.0); // zero width
-        let res = sbwq_rec(
+        let w = Rect::from_coords(1.0, 1.0, 1.0, 5.0);
+        match sbwq_rec(
             &w,
             &SbwqConfig::default(),
             &m,
             None,
             &mut QueryScratch::new(),
             &mut NoopRecorder,
-        )
-        .resolved()
-        .expect("degenerate window");
-        assert!(res.pois.is_empty());
+        ) {
+            SbwqOutcome::Unresolved { partial, missing } => {
+                assert!(partial.is_empty());
+                assert_eq!(missing, [w]);
+            }
+            SbwqOutcome::Resolved(r) => panic!("resolved by {:?}", r.resolved_by),
+        }
+        // With a channel, the POI on the segment and the one at the
+        // point come back, and the coverage reads 0.
+        for (w, id) in [(w, 2), (Rect::from_coords(3.0, 3.0, 3.0, 3.0), 3)] {
+            let res = with_channel(&w, &m, vec![poi(2, 1.0, 2.5), poi(3, 3.0, 3.0)]);
+            assert_eq!(res.resolved_by, ResolvedBy::Broadcast);
+            assert_eq!(res.coverage, 0.0);
+            assert_eq!(res.pois.iter().map(|p| p.id).collect::<Vec<_>>(), [id]);
+        }
+        // A member containing the segment resolves it from peers.
+        let m = mvr(vec![(Rect::from_coords(0.0, 0.0, 2.0, 6.0), vec![poi(2, 1.0, 2.5)])]);
+        let res = with_channel(&w, &m, vec![poi(2, 1.0, 2.5)]);
         assert_eq!(res.resolved_by, ResolvedBy::PeersVerified);
+        assert_eq!(res.pois.iter().map(|p| p.id).collect::<Vec<_>>(), [2]);
     }
 }

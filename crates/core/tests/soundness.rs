@@ -13,6 +13,10 @@
 //!   exact;
 //! * Lemma 3.2's tiled unverified area is the disk-minus-union sum it
 //!   replaces, bit for bit.
+//!
+//! Each property runs over float inputs and over lattice ones (see
+//! [`Layout`]), where shared edges, POIs on region and window edges,
+//! ties and degenerate windows are the rule rather than measure zero.
 
 use airshare_broadcast::{
     AirIndex, AirIndexBackend, OnAirClient, Poi, PoiTable, QueryScratch, Schedule,
@@ -80,21 +84,102 @@ fn arb_vrs() -> impl Strategy<Value = Vec<Rect>> {
     })
 }
 
+/// How a case places its inputs.
+///
+/// * `Float` — anywhere, as drawn.
+/// * `Lattice` — POIs, VRs and windows on the integer grid, which is
+///   the cell grid of `Grid::new(world(), 5)`, and queries on the
+///   half-grid or on a POI. Shared VR edges, POIs on VR and window
+///   edges, ties at the k-th distance, and point and segment windows
+///   (zero width or height) are common.
+/// * `Sliver` — the lattice with every other VR moved right by 5e-10
+///   and every other POI by 2.5e-10, so 5e-10 gaps between abutting
+///   VRs hold POIs, and windows reach 5e-10 past VR edges.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Layout {
+    Float,
+    Lattice,
+    Sliver,
+}
+
+fn arb_layout() -> impl Strategy<Value = Layout> {
+    (0usize..3).prop_map(|i| [Layout::Float, Layout::Lattice, Layout::Sliver][i])
+}
+
+impl Layout {
+    /// The sliver a coordinate at odd `i` moves by, in `Sliver`.
+    fn nudge(self, i: usize, by: f64) -> f64 {
+        if self == Layout::Sliver && i % 2 == 1 {
+            by
+        } else {
+            0.0
+        }
+    }
+
+    fn coords(self, coords: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
+        if self == Layout::Float {
+            return coords;
+        }
+        (coords.into_iter().enumerate())
+            .map(|(i, (x, y))| (x.floor() + self.nudge(i, 2.5e-10), y.floor()))
+            .collect()
+    }
+
+    fn vrs(self, vrs: Vec<Rect>) -> Vec<Rect> {
+        if self == Layout::Float {
+            return vrs;
+        }
+        (vrs.into_iter().enumerate())
+            .map(|(i, r)| {
+                let d = self.nudge(i, 5e-10);
+                let (x, y) = (r.x1.floor(), r.y1.floor());
+                Rect::from_coords(x + d, y, x + r.width().ceil() + d, y + r.height().ceil())
+            })
+            .collect()
+    }
+
+    /// The query point: on the half-grid, or (`pick == 0`) on a POI.
+    fn query(self, q: Point, pick: usize, coords: &[(f64, f64)]) -> Point {
+        if self == Layout::Float {
+            return q;
+        }
+        if pick == 0 {
+            let (x, y) = coords[(q.x as usize) % coords.len()];
+            return Point::new(x, y);
+        }
+        Point::new((2.0 * q.x).round() / 2.0, (2.0 * q.y).round() / 2.0)
+    }
+
+    /// The window: on the grid, each side zero a third of the time (so
+    /// segment and point windows are common); in `Sliver`, reaching
+    /// 5e-10 past the grid line on the right when `pick` is odd.
+    fn window(self, (x, y, w, h): (f64, f64, f64, f64), pick: usize) -> Rect {
+        if self == Layout::Float {
+            return Rect::from_coords(x, y, x + w, y + h);
+        }
+        let (x, y) = (x.floor(), y.floor());
+        let (w, h) = ((w - 1.0).max(0.0).floor(), (h - 1.0).max(0.0).floor());
+        Rect::from_coords(x, y, x + w + self.nudge(pick, 5e-10), y + h)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn verified_neighbors_are_true_neighbors(
+        (layout, pick) in (arb_layout(), 0usize..4),
         coords in arb_coords(200),
         vrs in arb_vrs(),
         qx in 0.0..WORLD, qy in 0.0..WORLD,
         k in 1usize..8,
     ) {
+        let (coords, vrs) = (layout.coords(coords), layout.vrs(vrs));
         let (pois, tree) = dataset(&coords);
         let replies = consistent_replies(&pois, &vrs);
         let table = PoiTable::from_pois(pois.iter().copied());
         let mvr = MergedRegion::from_replies(&replies, &table);
-        let q = Point::new(qx, qy);
+        let q = layout.query(Point::new(qx, qy), pick, &coords);
         let heap = nnv(q, k, &mvr, 0.3);
         let truth = tree.knn(q, k);
         for (rank, entry) in heap.entries().iter().enumerate() {
@@ -102,7 +187,7 @@ proptest! {
                 // Lemma 3.1: a verified entry at rank i IS the true i-th NN.
                 prop_assert!(
                     (entry.distance - truth[rank].distance).abs() < 1e-9,
-                    "rank {rank}: verified {} vs truth {}",
+                    "rank {rank}: verified {} vs truth {} (q {q:?}, vrs {vrs:?})",
                     entry.distance,
                     truth[rank].distance
                 );
@@ -127,6 +212,7 @@ proptest! {
 
     #[test]
     fn sbnn_with_broadcast_fallback_is_exact(
+        (layout, pick) in (arb_layout(), 0usize..4),
         coords in arb_coords(150),
         vrs in arb_vrs(),
         qx in 0.0..WORLD, qy in 0.0..WORLD,
@@ -134,6 +220,7 @@ proptest! {
         tune_in in 0u64..500,
         filtering in any::<bool>(),
     ) {
+        let (coords, vrs) = (layout.coords(coords), layout.vrs(vrs));
         let (pois, tree) = dataset(&coords);
         let index = AirIndex::try_build(pois.clone(), Grid::new(world(), 5), 4).unwrap();
         let schedule = Schedule::new(index.data_buckets(), index.index_buckets(), 4);
@@ -141,7 +228,7 @@ proptest! {
         let replies = consistent_replies(&pois, &vrs);
         let table = PoiTable::from_pois(pois.iter().copied());
         let mvr = MergedRegion::from_replies(&replies, &table);
-        let q = Point::new(qx, qy);
+        let q = layout.query(Point::new(qx, qy), pick, &coords);
         let cfg = SbnnConfig {
             accept_approx: false, // force exactness end to end
             min_correctness: 1.0,
@@ -156,7 +243,7 @@ proptest! {
         for (got, want) in res.neighbors.iter().zip(&truth) {
             prop_assert!(
                 (got.distance - want.distance).abs() < 1e-9,
-                "{} vs {} (by {:?})", got.distance, want.distance, res.resolved_by
+                "{} vs {} (by {:?}, q {:?}, vrs {:?})", got.distance, want.distance, res.resolved_by, q, vrs
             );
         }
         // The adoptable region, when present, is sound: it contains
@@ -176,13 +263,14 @@ proptest! {
 
     #[test]
     fn sbwq_resolves_exactly(
+        (layout, pick) in (arb_layout(), 0usize..4),
         coords in arb_coords(150),
         vrs in arb_vrs(),
         wx in 0.0..WORLD - 5.0, wy in 0.0..WORLD - 5.0,
         ww in 0.5..5.0f64, wh in 0.5..5.0f64,
-        tune_in in 0u64..500,
-        reduction in any::<bool>(),
+        (tune_in, reduction) in (0u64..500, any::<bool>()),
     ) {
+        let (coords, vrs) = (layout.coords(coords), layout.vrs(vrs));
         let (pois, tree) = dataset(&coords);
         let index = AirIndex::try_build(pois.clone(), Grid::new(world(), 5), 4).unwrap();
         let schedule = Schedule::new(index.data_buckets(), index.index_buckets(), 4);
@@ -190,7 +278,7 @@ proptest! {
         let replies = consistent_replies(&pois, &vrs);
         let table = PoiTable::from_pois(pois.iter().copied());
         let mvr = MergedRegion::from_replies(&replies, &table);
-        let w = Rect::from_coords(wx, wy, wx + ww, wy + wh);
+        let w = layout.window((wx, wy, ww, wh), pick);
         let cfg = SbwqConfig { use_window_reduction: reduction };
         let res = sbwq_rec(&w, &cfg, &mvr, Some((&client.as_dyn(), tune_in)), &mut QueryScratch::new(), &mut NoopRecorder)
             .resolved()
@@ -199,28 +287,31 @@ proptest! {
         got.sort_unstable();
         let mut want: Vec<u32> = tree.window(&w).into_iter().map(|(_, &id)| id).collect();
         want.sort_unstable();
-        prop_assert_eq!(&got, &want, "window {:?} by {:?}", w, res.resolved_by);
+        prop_assert_eq!(&got, &want, "window {:?} by {:?}, vrs {:?}", w, res.resolved_by, vrs);
         // Coverage bookkeeping is consistent with the resolution path.
         if res.resolved_by == ResolvedBy::PeersVerified {
             prop_assert!(res.air.is_none());
-            prop_assert!((res.coverage - 1.0).abs() < 1e-9);
+            prop_assert_eq!(res.coverage, 1.0);
         } else {
             prop_assert!(res.air.is_some());
+            prop_assert!(res.coverage < 1.0 || !reduction, "{:?} covered {}", w, res.coverage);
         }
     }
 
     #[test]
     fn sbwq_partial_results_are_subset_of_truth(
+        (layout, pick) in (arb_layout(), 0usize..4),
         coords in arb_coords(150),
         vrs in arb_vrs(),
         wx in 0.0..WORLD - 5.0, wy in 0.0..WORLD - 5.0,
         ww in 0.5..5.0f64, wh in 0.5..5.0f64,
     ) {
+        let (coords, vrs) = (layout.coords(coords), layout.vrs(vrs));
         let (pois, tree) = dataset(&coords);
         let replies = consistent_replies(&pois, &vrs);
         let table = PoiTable::from_pois(pois.iter().copied());
         let mvr = MergedRegion::from_replies(&replies, &table);
-        let w = Rect::from_coords(wx, wy, wx + ww, wy + wh);
+        let w = layout.window((wx, wy, ww, wh), pick);
         match sbwq_rec(&w, &SbwqConfig::default(), &mvr, None, &mut QueryScratch::new(), &mut NoopRecorder) {
             SbwqOutcome::Resolved(res) => {
                 // Fully covered: exact.
@@ -229,7 +320,7 @@ proptest! {
                 let mut want: Vec<u32> =
                     tree.window(&w).into_iter().map(|(_, &id)| id).collect();
                 want.sort_unstable();
-                prop_assert_eq!(got, want);
+                prop_assert_eq!(got, want, "window {:?}, vrs {:?}", w, vrs);
             }
             SbwqOutcome::Unresolved { partial, missing } => {
                 // Partial POIs are all true window members…
@@ -244,10 +335,8 @@ proptest! {
                 for (pt, &id) in tree.window(&w) {
                     if !have.contains(&id) {
                         prop_assert!(
-                            missing.iter().any(|m| Rect::from_coords(
-                                m.x1 - 1e-9, m.y1 - 1e-9, m.x2 + 1e-9, m.y2 + 1e-9
-                            ).contains(pt)),
-                            "missing POI {id} at {pt:?} not in any gap"
+                            missing.iter().any(|m| m.contains(pt)),
+                            "missing POI {id} at {pt:?} not in any gap of {w:?}"
                         );
                     }
                 }
@@ -257,10 +346,12 @@ proptest! {
 
     #[test]
     fn tiled_unverified_area_matches_disk_region_area(
+        layout in arb_layout(),
         vrs in arb_vrs(),
         (qx, qy) in (0.0..WORLD, 0.0..WORLD),
         dist in 0.0..12.0f64,
     ) {
+        let vrs = layout.vrs(vrs);
         let mvr = MergedRegion::from_regions(vrs.iter().map(|r| (*r, Vec::new())));
         let (q, disk) = (Point::new(qx, qy), Disk::new(Point::new(qx, qy), dist));
         let case = format!("vrs {vrs:?}, q {q:?}, dist {dist}");
@@ -274,5 +365,55 @@ proptest! {
         let bounded = (disk_rect_area(disk, &world()) - covered).max(0.0);
         let clipped = unverified_area_of_tiles(q, dist, &tiles, Some(&world()));
         prop_assert_eq!(clipped.to_bits(), bounded.to_bits(), "{}", case);
+    }
+}
+
+/// Two peer VRs 5e-10 apart with a POI in the gap, and a third VR whose
+/// right edge a window overhangs by 5e-10 with a POI in the overhang:
+/// the gap and the overhang are outside the MVR, so neither a kNN answer
+/// nor a window answer may be verified across them.
+#[test]
+fn sliver_gaps_are_not_verified() {
+    let coords = [(1.0 + 2.5e-10, 0.5), (0.9, 0.15), (5.0 + 2.5e-10, 5.5)];
+    let vrs = [
+        Rect::from_coords(0.0, 0.0, 1.0, 1.0),
+        Rect::from_coords(1.0 + 5e-10, 0.0, 2.0, 1.0),
+        Rect::from_coords(4.0, 5.0, 5.0, 6.0),
+    ];
+    let (pois, tree) = dataset(&coords);
+    let index = AirIndex::try_build(pois.clone(), Grid::new(world(), 5), 4).unwrap();
+    let schedule = Schedule::new(index.data_buckets(), index.index_buckets(), 4);
+    let client = OnAirClient::new(&index, &schedule);
+    let table = PoiTable::from_pois(pois.iter().copied());
+    let mvr = MergedRegion::from_replies(&consistent_replies(&pois, &vrs), &table);
+    let air = Some((&client.as_dyn(), 0));
+
+    // kNN from inside the left VR: the gap POI, 0.1 away, is nearest.
+    let q = Point::new(0.9, 0.5);
+    let cfg = SbnnConfig {
+        accept_approx: false,
+        min_correctness: 1.0,
+        ..SbnnConfig::paper_defaults(1, 0.3)
+    };
+    let res = sbnn_rec(q, &cfg, &mvr, air, &mut QueryScratch::new(), &mut NoopRecorder)
+        .resolved()
+        .expect("with a channel, exact queries always resolve");
+    let got: Vec<(u32, f64)> = res.neighbors.iter().map(|n| (n.poi.id, n.distance)).collect();
+    let want = tree.knn(q, 1)[0].distance;
+    assert_eq!(got.len(), 1);
+    assert_eq!((got[0].0, got[0].1.to_bits()), (0, want.to_bits()), "by {:?}", res.resolved_by);
+
+    // Windows across the gap, and 5e-10 past the third VR's edge.
+    for (w, id) in [
+        (Rect::from_coords(0.5, 0.25, 1.5, 0.75), 0),
+        (Rect::from_coords(4.5, 5.25, 5.0 + 5e-10, 5.75), 2),
+    ] {
+        let res = sbwq_rec(&w, &SbwqConfig::default(), &mvr, air, &mut QueryScratch::new(), &mut NoopRecorder)
+            .resolved()
+            .expect("with a channel, window queries always resolve");
+        let got: Vec<u32> = res.pois.iter().map(|p| p.id).collect();
+        assert_eq!(got, [id], "window {w:?} by {:?}", res.resolved_by);
+        assert_eq!(res.resolved_by, ResolvedBy::Broadcast);
+        assert!(res.coverage < 1.0, "window {w:?} covered {}", res.coverage);
     }
 }

@@ -4,15 +4,14 @@
 //! extraction, coverage, difference) to unions, intersections and
 //! symmetric differences of closed 1-D intervals. [`IntervalSet`] keeps a
 //! canonical sorted list of disjoint, non-touching intervals so the set
-//! operations stay linear.
-
-use crate::EPSILON;
+//! operations stay linear. Every comparison is exact.
 
 /// A canonical set of disjoint closed intervals on the real line.
 ///
 /// Canonical form: sorted by lower endpoint, pairwise disjoint, and with
-/// gaps strictly wider than [`EPSILON`] (abutting or ε-close intervals are
-/// merged). Degenerate intervals (width ≤ ε) are dropped.
+/// gaps of positive width (overlapping or abutting intervals are merged).
+/// Degenerate intervals (zero width) are dropped, however close to each
+/// other the rest lie.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct IntervalSet {
     /// Canonical intervals as `(lo, hi)` pairs with `lo < hi`.
@@ -48,11 +47,11 @@ impl IntervalSet {
         self.runs.is_empty()
     }
 
-    /// Membership test (closed semantics up to ε).
+    /// Membership test (closed semantics).
     pub fn contains(&self, x: f64) -> bool {
         // Binary search on lower endpoints.
-        let idx = self.runs.partition_point(|&(lo, _)| lo <= x + EPSILON);
-        idx > 0 && x <= self.runs[idx - 1].1 + EPSILON
+        let idx = self.runs.partition_point(|&(lo, _)| lo <= x);
+        idx > 0 && x <= self.runs[idx - 1].1
     }
 
     /// Set union.
@@ -69,7 +68,7 @@ impl IntervalSet {
             let (blo, bhi) = other.runs[j];
             let lo = alo.max(blo);
             let hi = ahi.min(bhi);
-            if hi - lo > EPSILON {
+            if hi > lo {
                 out.push((lo, hi));
             }
             if ahi < bhi {
@@ -105,12 +104,12 @@ impl IntervalSet {
 /// reuse buffers. The sort need not be stable — intervals with bit-equal
 /// lower ends merge to their maximum in any order — and so never allocates.
 pub(crate) fn canonicalize(v: &mut Vec<(f64, f64)>) {
-    v.retain(|&(lo, hi)| hi - lo > EPSILON);
+    v.retain(|&(lo, hi)| hi > lo);
     v.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
     let mut len = 0;
     for i in 0..v.len() {
         let (lo, hi) = v[i];
-        if len > 0 && lo <= v[len - 1].1 + EPSILON {
+        if len > 0 && lo <= v[len - 1].1 {
             v[len - 1].1 = v[len - 1].1.max(hi);
         } else {
             v[len] = (lo, hi);
@@ -132,7 +131,7 @@ pub(crate) fn difference_into(a: &[(f64, f64)], b: &[(f64, f64)], out: &mut Vec<
         let mut k = j;
         while k < b.len() && b[k].0 < ahi {
             let (blo, bhi) = b[k];
-            if blo - cursor > EPSILON {
+            if blo > cursor {
                 out.push((cursor, blo.min(ahi)));
             }
             cursor = cursor.max(bhi);
@@ -141,7 +140,7 @@ pub(crate) fn difference_into(a: &[(f64, f64)], b: &[(f64, f64)], out: &mut Vec<
             }
             k += 1;
         }
-        if ahi - cursor > EPSILON {
+        if ahi > cursor {
             out.push((cursor, ahi));
         }
     }
@@ -164,8 +163,14 @@ mod tests {
 
     #[test]
     fn degenerate_intervals_are_dropped() {
-        let s = set(&[(1.0, 1.0), (2.0, 2.0 + EPSILON / 2.0)]);
-        assert!(s.is_empty());
+        // Only zero (or negative) width is degenerate: a sliver of any
+        // positive width is kept, and so is a gap of any positive width.
+        let s = set(&[(1.0, 1.0), (3.0, 2.0), (2.0, 2.0 + 5e-10)]);
+        assert_eq!(s.runs(), &[(2.0, 2.0 + 5e-10)]);
+        let s = set(&[(0.0, 1.0), (1.0 + 5e-10, 2.0)]);
+        assert_eq!(s.runs(), &[(0.0, 1.0), (1.0 + 5e-10, 2.0)]);
+        assert!(!s.contains(1.0 + 2.5e-10));
+        assert!(s.contains(1.0) && s.contains(1.0 + 5e-10));
     }
 
     #[test]

@@ -20,10 +20,12 @@
 //!   used to compute the *unverified region* area `u` that drives the
 //!   correctness probability `e^{-λu}` of Lemma 3.2.
 //!
-//! All computations are `f64`-exact where the inputs allow it (interval
-//! arithmetic over input coordinates) and closed-form otherwise (circular
-//! segment integrals). Nothing in this crate allocates on hot paths
-//! beyond the output collections.
+//! Rectangles, unions and windows are closed sets, and every membership,
+//! coverage and boundary test compares input coordinates exactly: no
+//! tolerance decides an answer. Areas are `f64` sums of exact interval
+//! lengths, and closed-form where they must be (circular segment
+//! integrals). Nothing in this crate allocates on hot paths beyond the
+//! output collections.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,18 +50,6 @@ pub mod disk {
     };
 }
 
-/// Comparison tolerance used when collapsing floating-point coordinates
-/// that should be identical (e.g. abutting rectangle borders produced by
-/// the same source data). World coordinates are in miles, so `1e-9` miles
-/// is ~2 micrometres — far below any physical feature of the simulation.
-pub const EPSILON: f64 = 1e-9;
-
-/// Returns `true` when `a` and `b` are equal up to [`EPSILON`].
-#[inline]
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() <= EPSILON
-}
-
 /// Meters per mile; the paper quotes transmission ranges in meters but
 /// simulates a 20 mi × 20 mi world.
 pub const METERS_PER_MILE: f64 = 1609.344;
@@ -68,6 +58,18 @@ pub const METERS_PER_MILE: f64 = 1609.344;
 #[inline]
 pub fn meters_to_miles(m: f64) -> f64 {
     m / METERS_PER_MILE
+}
+
+/// The tolerance geom's own tests compare computed lengths and areas
+/// with. No production comparison uses one: regions and windows are
+/// closed sets, tested exactly.
+#[cfg(test)]
+pub(crate) const EPSILON: f64 = 1e-9;
+
+/// `a` and `b` are equal up to [`EPSILON`] (tests only).
+#[cfg(test)]
+pub(crate) fn approx_eq(a: f64, b: f64) -> bool {
+    (a - b).abs() <= EPSILON
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Axis-aligned rectangles (minimum bounding rectangles).
 
-use crate::{Point, EPSILON};
+use crate::Point;
 use core::fmt;
 
 /// An axis-aligned rectangle `[x1, x2] × [y1, y2]`, the workspace's MBR
@@ -86,10 +86,11 @@ impl Rect {
         Point::new((self.x1 + self.x2) * 0.5, (self.y1 + self.y2) * 0.5)
     }
 
-    /// The rectangle is degenerate (zero area) up to [`EPSILON`].
+    /// The rectangle is degenerate: a segment or a point, of zero width
+    /// or zero height.
     #[inline]
     pub fn is_degenerate(&self) -> bool {
-        self.width() <= EPSILON || self.height() <= EPSILON
+        self.width() <= 0.0 || self.height() <= 0.0
     }
 
     /// Closed containment: boundary points count as inside.
@@ -231,6 +232,9 @@ mod tests {
         assert!(!a.intersects_interior(&b));
         let i = a.intersection(&b).unwrap();
         assert!(approx_eq(i.area(), 0.0));
+        assert!(i.is_degenerate());
+        // Only zero width is degenerate: a sliver of any width is not.
+        assert!(!r(1.0, 0.0, 1.0 + 5e-10, 1.0).is_degenerate());
     }
 
     #[test]

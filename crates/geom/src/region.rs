@@ -19,9 +19,13 @@
 //!   Lemma 3.2.
 //! * [`RectUnion::rect_difference`] — window coverage (an empty
 //!   difference) and window reduction `w → w′` for SBWQ.
+//!
+//! The union and the windows are closed sets, and every test compares
+//! member coordinates exactly: a gap between two members, however
+//! narrow, is a gap, with boundary on both sides of it.
 
 use crate::intervals::{canonicalize, difference_into};
-use crate::{Point, Rect, Segment, EPSILON};
+use crate::{Point, Rect, Segment};
 
 /// A union of axis-aligned rectangles in the plane.
 ///
@@ -133,13 +137,10 @@ impl RectUnion {
     /// Strict containment in the *interior* of the union. A point on the
     /// shared border of two abutting rectangles is interior to the union
     /// even though it is on the boundary of both members, so this cannot
-    /// be answered per-rectangle; we test a ball of radius ε via the
-    /// boundary distance (capped at 2ε: only that near a line is swept).
+    /// be answered per-rectangle: `p` is interior when it lies in the
+    /// union off its boundary.
     pub fn contains_interior(&self, p: Point) -> bool {
-        self.contains(p)
-            && self
-                .distance_to_boundary_within(p, 2.0 * EPSILON, &mut RegionScratch::default())
-                .is_some_and(|d| d > EPSILON)
+        self.contains(p) && self.distance_to_boundary(p).is_some_and(|(d, _)| d > 0.0)
     }
 
     // ------------------------------------------------------------------
@@ -182,7 +183,7 @@ impl RectUnion {
     }
 
     /// The candidate lines of one sweep direction, into `coords`: the
-    /// members' sorted, ε-deduplicated `x` coordinates when `vertical`,
+    /// members' sorted, deduplicated `x` coordinates when `vertical`,
     /// else their `y`s. (Equal floats are bit-identical, so the unstable
     /// sort is exact.)
     fn lines(&self, vertical: bool, coords: &mut Vec<f64>) {
@@ -190,7 +191,7 @@ impl RectUnion {
         coords.clear();
         coords.extend(self.rects.iter().flat_map(sides));
         coords.sort_unstable_by(f64::total_cmp);
-        coords.dedup_by(|a, b| (*a - *b).abs() <= EPSILON);
+        coords.dedup();
     }
 
     /// The boundary runs on line `c` (vertical: `x = c`), left in
@@ -210,9 +211,9 @@ impl RectUnion {
                 (r.y1, r.y2, (r.x1, r.x2))
             };
             s.before[below] = free;
-            below += usize::from(fixed_lo + EPSILON < c && fixed_hi >= c - EPSILON);
+            below += usize::from(fixed_lo < c && fixed_hi >= c);
             s.after[above] = free;
-            above += usize::from(fixed_hi - EPSILON > c && fixed_lo <= c + EPSILON);
+            above += usize::from(fixed_hi > c && fixed_lo <= c);
         }
         s.before.truncate(below);
         s.after.truncate(above);
@@ -333,17 +334,7 @@ impl RectUnion {
         self.lines(true, coords);
         for w in coords.windows(2) {
             let (xa, xb) = (w[0], w[1]);
-            if xb - xa <= EPSILON {
-                continue;
-            }
-            covered.clear();
-            covered.extend(
-                self.rects
-                    .iter()
-                    .filter(|r| r.x1 <= xa + EPSILON && r.x2 >= xb - EPSILON)
-                    .map(|r| (r.y1, r.y2)),
-            );
-            canonicalize(covered);
+            self.slab_cover(xa, xb, covered);
             out.extend(
                 covered
                     .iter()
@@ -351,6 +342,19 @@ impl RectUnion {
             );
         }
         out
+    }
+
+    /// The canonical `y` runs covered across the whole slab `[xa, xb]`,
+    /// into `covered`: each member spanning the slab contributes its
+    /// `y` extent.
+    fn slab_cover(&self, xa: f64, xb: f64, covered: &mut Vec<(f64, f64)>) {
+        covered.clear();
+        covered.extend(
+            (self.rects.iter())
+                .filter(|r| r.x1 <= xa && r.x2 >= xb)
+                .map(|r| (r.y1, r.y2)),
+        );
+        canonicalize(covered);
     }
 
     /// Exact area of the union.
@@ -364,10 +368,13 @@ impl RectUnion {
     // Coverage and difference (SBWQ)
     // ------------------------------------------------------------------
 
-    /// The uncovered parts `w \ union`, as disjoint rectangles — SBWQ's
-    /// reduced query windows `w′`. Adjacent slabs with identical uncovered
-    /// spans are coalesced so the output stays small. The rectangles are
-    /// left in (and borrowed from) `scratch`.
+    /// The uncovered parts `w \ union`, as disjoint closed rectangles —
+    /// SBWQ's reduced query windows `w′`; empty exactly when the union
+    /// covers `w`. Adjacent slabs with identical uncovered spans are
+    /// coalesced so the output stays small. A degenerate `w` (a segment
+    /// or a point) is covered only when one member contains it, and is
+    /// otherwise its own reduced window. The rectangles are left in (and
+    /// borrowed from) `scratch`.
     pub fn rect_difference<'s>(&self, w: &Rect, scratch: &'s mut RegionScratch) -> &'s [Rect] {
         let RegionScratch {
             coords: xs,
@@ -380,6 +387,9 @@ impl RectUnion {
         } = scratch;
         out.clear();
         if w.is_degenerate() {
+            if !self.rects.iter().any(|r| r.contains_rect(w)) {
+                out.push(*w);
+            }
             return out;
         }
         xs.clear();
@@ -396,36 +406,22 @@ impl RectUnion {
         }
         // Equal floats are bit-identical, so the unstable sort is exact.
         xs.sort_unstable_by(f64::total_cmp);
-        xs.dedup_by(|a, b| (*a - *b).abs() <= EPSILON);
+        xs.dedup();
 
         // `IntervalSet::single(w.y1, w.y2)`'s runs, without its buffer.
-        let span = [(w.y1, w.y2)];
-        let full: &[(f64, f64)] = if w.y2 - w.y1 > EPSILON { &span } else { &[] };
+        let full = [(w.y1, w.y2)];
         open.clear();
         for win in xs.windows(2) {
             let (xa, xb) = (win[0], win[1]);
-            if xb - xa <= EPSILON {
-                continue;
-            }
-            covered.clear();
-            covered.extend(
-                self.rects
-                    .iter()
-                    .filter(|r| r.x1 <= xa + EPSILON && r.x2 >= xb - EPSILON)
-                    .map(|r| (r.y1, r.y2)),
-            );
-            canonicalize(covered);
+            self.slab_cover(xa, xb, covered);
             uncovered.clear();
-            difference_into(full, covered, uncovered);
+            difference_into(&full, covered, uncovered);
             next_open.clear();
             for &(lo, hi) in uncovered.iter() {
                 // Extend an open rect with the same y-run, else start one.
-                if let Some(&(plo, phi, idx)) = open
-                    .iter()
-                    .find(|&&(plo, phi, _)| (plo - lo).abs() <= EPSILON && (phi - hi).abs() <= EPSILON)
-                {
+                if let Some(&(_, _, idx)) = open.iter().find(|o| (o.0, o.1) == (lo, hi)) {
                     out[idx].x2 = xb;
-                    next_open.push((plo, phi, idx));
+                    next_open.push((lo, hi, idx));
                 } else {
                     out.push(Rect::from_coords(xa, lo, xb, hi));
                     next_open.push((lo, hi, out.len() - 1));
@@ -665,7 +661,8 @@ mod tests {
 
     #[test]
     fn line_runs_are_interval_set_symmetric_difference() {
-        // Snapped coordinates make shared, nested and ε-close sides common.
+        // Snapped coordinates make shared, nested and sliver-apart sides
+        // common.
         let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
         let mut next = |n: u64| {
             seed = seed
@@ -677,7 +674,7 @@ mod tests {
             let rects: Vec<Rect> = (0..1 + next(8))
                 .map(|_| {
                     let (x, y) = (next(8) as f64, next(8) as f64);
-                    let jitter = [0.0, EPSILON / 2.0, 0.25][next(3) as usize];
+                    let jitter = [0.0, 5e-10, 0.25][next(3) as usize];
                     r(
                         x,
                         y,
@@ -699,9 +696,9 @@ mod tests {
                                 (r.y1, r.y2, (r.x1, r.x2))
                             };
                             let hit = if before {
-                                lo + EPSILON < c && hi >= c - EPSILON
+                                lo < c && hi >= c
                             } else {
-                                hi - EPSILON > c && lo <= c + EPSILON
+                                hi > c && lo <= c
                             };
                             hit.then_some(free)
                         }))
@@ -715,6 +712,44 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn sliver_gaps_are_boundary() {
+        // Two members 5e-10 apart: the gap is not part of the union, so
+        // its sides are boundary and a window across it is uncovered.
+        let u = RectUnion::from_rects([r(0.0, 0.0, 1.0, 1.0), r(1.0 + 5e-10, 0.0, 2.0, 1.0)]);
+        let (d, e) = u.distance_to_boundary(Point::new(0.9, 0.5)).unwrap();
+        assert!(approx_eq(d, 0.1), "d = {d}");
+        assert_eq!((e.axis, e.at), (crate::Axis::Vertical, 1.0));
+        assert!(!u.contains(Point::new(1.0 + 2.5e-10, 0.5)));
+        assert!(!u.contains_interior(Point::new(1.0, 0.5)));
+        let w = r(0.5, 0.25, 1.5, 0.75);
+        let diff = u.rect_difference(&w, &mut RegionScratch::default()).to_vec();
+        assert_eq!(diff, [r(1.0, 0.25, 1.0 + 5e-10, 0.75)]);
+        // A window reaching 5e-10 past a member's edge is uncovered too.
+        let v = RectUnion::from(r(0.0, 0.0, 1.0, 1.0));
+        let w = r(0.5, 0.25, 1.0 + 5e-10, 0.75);
+        let diff = v.rect_difference(&w, &mut RegionScratch::default()).to_vec();
+        assert_eq!(diff, [r(1.0, 0.25, 1.0 + 5e-10, 0.75)]);
+        // The tiling leaves the gap's slab empty.
+        let tiles = u.disjoint_rects(&mut RegionScratch::default()).to_vec();
+        assert_eq!(tiles, [r(0.0, 0.0, 1.0, 1.0), r(1.0 + 5e-10, 0.0, 2.0, 1.0)]);
+    }
+
+    #[test]
+    fn degenerate_windows_are_covered_by_a_containing_member() {
+        let u = RectUnion::from_rects([r(0.0, 0.0, 1.0, 1.0), r(1.0, 0.0, 2.0, 1.0)]);
+        let diff = |w: Rect| u.rect_difference(&w, &mut RegionScratch::default()).to_vec();
+        // A point, and a segment, inside one member (its edge included).
+        assert!(diff(r(0.5, 0.5, 0.5, 0.5)).is_empty());
+        assert!(diff(r(1.0, 0.0, 1.0, 1.0)).is_empty());
+        assert!(diff(r(0.25, 1.0, 0.75, 1.0)).is_empty());
+        // Outside the union, or across a seam no one member spans: the
+        // window is its own reduced window.
+        for w in [r(3.0, 0.5, 3.0, 0.5), r(0.5, 0.5, 1.5, 0.5), r(0.5, 0.5, 0.5, 1.5)] {
+            assert_eq!(diff(w), [w]);
         }
     }
 

@@ -4,7 +4,7 @@
 //! vertical segments, so the region code represents boundary edges with
 //! the compact [`Segment`] type rather than general line segments.
 
-use crate::{Point, EPSILON};
+use crate::Point;
 
 /// Orientation of an axis-aligned segment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -53,10 +53,10 @@ impl Segment {
         self.hi - self.lo
     }
 
-    /// The segment is degenerate (a point) up to [`EPSILON`].
+    /// The segment is degenerate: a point, of zero length.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() <= EPSILON
+        self.len() <= 0.0
     }
 
     /// Minimum Euclidean distance from `p` to the segment.
@@ -105,5 +105,6 @@ mod tests {
     fn degenerate_segment_is_empty() {
         assert!(Segment::vertical(0.0, 1.0, 1.0).is_empty());
         assert!(!Segment::vertical(0.0, 1.0, 1.1).is_empty());
+        assert!(!Segment::vertical(0.0, 1.0, 1.0 + 5e-10).is_empty());
     }
 }

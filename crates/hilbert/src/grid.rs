@@ -72,20 +72,16 @@ impl Grid {
         Rect::from_coords(x1, y1, x1 + w, y1 + h)
     }
 
-    /// The smallest cell rectangle covering a world rectangle (clipped to
-    /// the world). Returns `None` when `r` lies entirely outside.
+    /// The cell rectangle covering a world rectangle (clipped to the
+    /// world): every cell the closed rectangle touches, found by the
+    /// same floor that places POIs ([`Grid::cell_of`]), so a POI inside
+    /// `r` lies in a covered cell even on `r`'s far edges. Returns `None`
+    /// when `r` lies entirely outside.
     pub fn cell_rect_for(&self, r: &Rect) -> Option<CellRect> {
         let clipped = r.intersection(&self.world)?;
         let (x1, y1) = self.cell_of(Point::new(clipped.x1, clipped.y1));
-        // Nudge the max corner inward so an exact upper boundary does not
-        // spill into the next cell row/column.
-        let (w, h) = self.cell_size();
-        let hi = Point::new(
-            (clipped.x2 - w * 1e-9).max(clipped.x1),
-            (clipped.y2 - h * 1e-9).max(clipped.y1),
-        );
-        let (x2, y2) = self.cell_of(hi);
-        Some(CellRect::new(x1, y1, x2.max(x1), y2.max(y1)))
+        let (x2, y2) = self.cell_of(Point::new(clipped.x2, clipped.y2));
+        Some(CellRect::new(x1, y1, x2, y2))
     }
 
     /// Curve intervals (inclusive) covering a world rectangle — the set of
@@ -150,9 +146,18 @@ mod tests {
     #[test]
     fn cell_rect_for_exact_cell_boundaries() {
         let g = grid();
-        // Window exactly equal to one cell must not spill over.
+        // A closed window equal to one cell touches the next row and
+        // column, where `cell_of` places a POI on its far edges.
         let q = g.cell_rect(3, 4);
-        assert_eq!(g.cell_rect_for(&q).unwrap(), CellRect::new(3, 4, 3, 4));
+        let cr = g.cell_rect_for(&q).unwrap();
+        assert_eq!(cr, CellRect::new(3, 4, 4, 5));
+        for p in [Point::new(q.x2, q.y2), Point::new(q.x2, q.y1), Point::new(q.x1, q.y2)] {
+            let (cx, cy) = g.cell_of(p);
+            assert!(cr.contains(cx, cy), "{p:?} in cell ({cx}, {cy}) outside {cr:?}");
+        }
+        // Inside the world's far edge nothing spills: the last cell holds it.
+        let last = g.cell_rect(7, 7);
+        assert_eq!(g.cell_rect_for(&last).unwrap(), CellRect::new(7, 7, 7, 7));
     }
 
     #[test]

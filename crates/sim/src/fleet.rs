@@ -84,14 +84,4 @@ impl FleetStore {
     pub fn cache(&self, host: usize) -> &HostCache {
         &self.caches[host]
     }
-
-    /// Minute of a host's last successful channel access.
-    pub fn last_sync_min(&self, host: usize) -> f64 {
-        self.last_sync_min[host]
-    }
-
-    /// Whether a host owes a resync on its next channel access.
-    pub fn needs_resync(&self, host: usize) -> bool {
-        self.needs_resync[host]
-    }
 }

@@ -602,7 +602,7 @@ mod tests {
         };
         let cached = entries(&world.fleet.caches[0]);
         assert!(!cached.is_empty(), "the valid query cached nothing");
-        let synced = world.fleet.last_sync_min(0);
+        let synced = world.fleet.last_sync_min[0];
         let before = world.report().clone();
 
         let pois = world.poi_table().len();
@@ -618,8 +618,8 @@ mod tests {
         }
         let own = parked(&world, 0).expect("the host wrote nothing back");
         assert_eq!(entries(own), cached, "the cache was touched");
-        assert_eq!(world.fleet.last_sync_min(0), synced);
-        assert!(!world.fleet.needs_resync(0), "a live channel owed a resync");
+        assert_eq!(world.fleet.last_sync_min[0], synced);
+        assert!(!world.fleet.needs_resync[0], "a live channel owed a resync");
         // Both count as measured `Failed` queries that no series
         // resolved and that contacted no peer.
         let after = world.report();
@@ -630,6 +630,41 @@ mod tests {
             (q.by_peers, q.by_approx, q.by_broadcast, r.share_peers_contacted)
         };
         assert_eq!(resolved(after), resolved(&before));
+    }
+
+    /// A point window on a POI and a zero-width window through it come
+    /// back `Exact` with that POI and hold against the oracle: a
+    /// degenerate window is covered only by a cached region containing
+    /// it, so a host that has none fetches it on air.
+    #[test]
+    fn degenerate_windows_are_answered_exactly() {
+        let mut cfg = small_cfg();
+        cfg.warmup_min = 0.0;
+        cfg.validate = true;
+        let epoch_min = cfg.epoch_min;
+        let mut world = LiveWorld::try_new(cfg).unwrap();
+        let pool = ExecPool::fixed(1);
+        let mut ctxs = vec![(NoopRecorder, QueryScratch::new())];
+        let poi = *world.poi_table().get(PoiId(0)).expect("the world has POIs");
+        let at = poi.pos;
+        world.connect(0);
+        world.update_position(0, at);
+        world.begin_epoch(0);
+        let windows = [
+            Rect::from_coords(at.x, at.y, at.x, at.y),
+            Rect::from_coords(at.x, at.y - 1e-3, at.x, at.y + 1e-3),
+        ];
+        let batch = windows.map(|rect| LiveQuery {
+            spec: QuerySpec::Window { rect },
+            ..knn(rect.height().to_bits(), 0, 0.25 * epoch_min, at)
+        });
+        let answers = world.execute_epoch(batch.to_vec(), &pool, &mut ctxs);
+        for (a, w) in answers.iter().zip(&windows) {
+            assert_eq!((a.quality, a.ids.as_slice()), (AnswerQuality::Exact, &[poi.id][..]), "{w:?}");
+        }
+        let report = world.report();
+        assert_eq!(report.queries.total, 2);
+        assert_eq!(report.exact_mismatches, 0);
     }
 
     /// A crash of a dark host and a restart of a live one are no-ops:
@@ -652,7 +687,7 @@ mod tests {
             world.reconnect(live, 4, &mut rec);
         }
         assert!(
-            !world.fleet.needs_resync(1),
+            !world.fleet.needs_resync[1],
             "a healthy host was made to resync"
         );
         let report = world.report();

@@ -355,19 +355,13 @@ impl LiveWorld {
                     }
                     SbwqOutcome::Unresolved { partial, missing } => {
                         // Outage: answer from the covered sub-windows only.
-                        // The answer is a *subset* of the truth; its
-                        // quality depends on how much area peers covered.
-                        let wa = rect.area();
-                        let coverage = if wa > 0.0 {
-                            let miss: f64 = missing.iter().map(Rect::area).sum();
-                            (1.0 - miss / wa).clamp(0.0, 1.0)
-                        } else {
-                            0.0
-                        };
-                        let quality = if coverage > 1e-9 {
-                            AnswerQuality::Stale
-                        } else {
+                        // The answer is a *subset* of the truth: Stale when
+                        // peers covered part of the window, Failed when the
+                        // whole window is missing.
+                        let quality = if missing[..] == [rect] {
                             AnswerQuality::Failed
+                        } else {
+                            AnswerQuality::Stale
                         };
                         scratch.recycle(missing);
                         self.outage_served(task, Found::Pois(partial), quality)

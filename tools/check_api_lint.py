@@ -33,10 +33,14 @@ not a test: the non-test part of any library source (its own file
 included, the definition line excepted), a binary, an example or
 `benchmark/src`. Tests do not count, wherever they live: neither
 `#[cfg(test)]` modules nor the integration tests under `tests/` and
-`crates/*/tests/`. Nor do comments (a doc link is not a call) or
-`use`/`pub use` statements (a re-export is not a call). Matching is by name, so a helper sharing a
-name with a live function slips through; the rule catches the unique
-names that accrete as test-only API. A reference or oracle that tests
+`crates/*/tests/`. Nor do comments (a doc link is not a call),
+`use`/`pub use` statements (a re-export is not a call), or field names:
+a field declaration or struct-literal field (`name:` not followed by a
+second `:`) and a field read (`.name` followed by neither `(` nor
+`::`), so a column accessor named like its column is not kept alive by
+the column. Matching is by name, so a helper sharing a name with a live
+function or local slips through; the rule catches the unique names that
+accrete as test-only API. A reference or oracle that tests
 compare the production path against, and a deliberate test fixture, are
 listed in TEST_ONLY with the reason they are public; a convenience only
 tests call is deleted and inlined where it was used.
@@ -87,8 +91,6 @@ TEST_ONLY = {
     # Stores a region without the consistency check, so `p2p` tests can
     # stand up a byzantine peer whose cache disagrees with the table.
     "crates/cache/src/host_cache.rs::insert_unchecked",
-    # The one float tolerance every geom test module compares with.
-    "crates/geom/src/lib.rs::approx_eq",
     # Exact disk-region area: the oracle the tiled unverified area
     # (Lemma 3.2) is compared against bit for bit.
     "crates/geom/src/disk_mod.rs::disk_region_area",
@@ -131,6 +133,10 @@ CALLER_GLOBS = [
     "benchmark/src/**/*.rs",
 ]
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# What follows a field name where it is declared or initialised (`name:`),
+# and what follows a `.name` that is a method call or path, not a read.
+FIELD_NAME = re.compile(r"[ \t]*:(?!:)")
+CALL_OR_PATH = re.compile(r"\s*(\(|::)")
 # A `use` or `pub use` statement, possibly spanning lines, up to its `;`.
 USE_STMT = re.compile(r"^[ \t]*(pub(\([^)]*\))?[ \t]+)?use\b[^;]*;", re.MULTILINE)
 # A char literal such as '"' or '\\', which must not open a string.
@@ -217,8 +223,20 @@ def strip_comments(text):
 
 def call_idents(text):
     """The identifiers in `text` that can be calls: comments and
-    `use`/`pub use` statements removed."""
-    return IDENT.findall(USE_STMT.sub("", strip_comments(text)))
+    `use`/`pub use` statements removed, and field names skipped — a
+    field declaration or struct-literal field (`name:`, not `name::`)
+    and a field read (`.name` followed by neither `(` nor `::`)."""
+    text = USE_STMT.sub("", strip_comments(text))
+    out = []
+    for m in IDENT.finditer(text):
+        start, end = m.span()
+        if FIELD_NAME.match(text, end):
+            continue
+        dot = start > 0 and text[start - 1] == "." and text[start - 2 : start] != ".."
+        if dot and not CALL_OR_PATH.match(text, end):
+            continue
+        out.append(m.group(0))
+    return out
 
 
 def non_test(text):
