@@ -48,18 +48,15 @@ pub struct BuildParams {
 /// buckets in broadcast order plus the index segment that precedes them
 /// on air. Every query-planning method is *sound by contract*:
 ///
-/// * [`buckets_for_window_scratch`] must select every bucket containing
-///   a POI inside the window;
 /// * [`knn_search_radius`] must return a radius whose closed ball around
 ///   `q` is certain to contain at least `k` POIs, using only information
 ///   an index segment carries;
-/// * [`buckets_for_knn_scratch`] must select every bucket containing a
-///   POI inside the MBR of that search circle, so the retrieved square
-///   is a sound verified region;
-/// * [`buckets_for_knn_filtered_scratch`] may drop only buckets whose
-///   entire MBR lies within the verified inner circle (§3.3.3);
-/// * [`buckets_for_windows_scratch`] must equal the deduplicated union
-///   of the per-window bucket sets (§3.4.2).
+/// * [`buckets_for_windows_scratch`] must select every bucket containing
+///   a POI inside any of the windows, and equal the deduplicated union
+///   of the per-window bucket sets (§3.4.2). It is the backend's one
+///   window planner: the single-window and kNN planners are provided
+///   methods over it, so a kNN square retrieves every bucket holding a
+///   POI inside it and is a sound verified region.
 ///
 /// All bucket sets are left in `scratch.buckets()`, sorted ascending and
 /// deduplicated, so retrieval order (and therefore access latency) is
@@ -71,10 +68,7 @@ pub struct BuildParams {
 /// [`crate::OnAirClient`]'s type parameter. [`try_build`] is the only
 /// `Self: Sized` member.
 ///
-/// [`buckets_for_window_scratch`]: AirIndexBackend::buckets_for_window_scratch
 /// [`knn_search_radius`]: AirIndexBackend::knn_search_radius
-/// [`buckets_for_knn_scratch`]: AirIndexBackend::buckets_for_knn_scratch
-/// [`buckets_for_knn_filtered_scratch`]: AirIndexBackend::buckets_for_knn_filtered_scratch
 /// [`buckets_for_windows_scratch`]: AirIndexBackend::buckets_for_windows_scratch
 /// [`try_build`]: AirIndexBackend::try_build
 pub trait AirIndexBackend: std::fmt::Debug + Send + Sync {
@@ -110,8 +104,11 @@ pub trait AirIndexBackend: std::fmt::Debug + Send + Sync {
     fn knn_search_radius(&self, q: Point, k: usize) -> Option<f64>;
 
     /// Bucket set for a world-space window query, left in
-    /// `scratch.buckets()` (sorted, deduplicated).
-    fn buckets_for_window_scratch(&self, w: &Rect, scratch: &mut QueryScratch);
+    /// `scratch.buckets()` (sorted, deduplicated): the window planner
+    /// over the one window.
+    fn buckets_for_window_scratch(&self, w: &Rect, scratch: &mut QueryScratch) {
+        self.buckets_for_windows_scratch(std::slice::from_ref(w), scratch);
+    }
 
     /// Bucket set covering the MBR of the kNN search circle of the given
     /// `radius` around `q`, left in `scratch.buckets()`: the window
@@ -120,30 +117,8 @@ pub trait AirIndexBackend: std::fmt::Debug + Send + Sync {
         self.buckets_for_window_scratch(&Rect::centered_square(q, radius), scratch);
     }
 
-    /// Bound-filtered kNN bucket set (§3.3.3): the [`buckets_for_knn_scratch`]
-    /// set for `outer`, minus buckets whose MBR lies entirely within the
-    /// verified inner circle of radius `inner` around `q`. Left in
-    /// `scratch.buckets()`.
-    ///
-    /// [`buckets_for_knn_scratch`]: AirIndexBackend::buckets_for_knn_scratch
-    fn buckets_for_knn_filtered_scratch(
-        &self,
-        q: Point,
-        outer: f64,
-        inner: Option<f64>,
-        scratch: &mut QueryScratch,
-    ) {
-        self.buckets_for_knn_scratch(q, outer, scratch);
-        if let Some(r_in) = inner {
-            let buckets = self.buckets();
-            scratch
-                .buckets
-                .retain(|&id| buckets[id].mbr.max_distance_to_point(q) > r_in);
-        }
-    }
-
-    /// Bucket set for a collection of reduced windows (§3.4.2): the
-    /// deduplicated union of the per-window sets, left in
-    /// `scratch.buckets()`.
+    /// Bucket set for a collection of windows — one query window, or the
+    /// reduced windows of §3.4.2: the deduplicated union of the
+    /// per-window sets, left in `scratch.buckets()`.
     fn buckets_for_windows_scratch(&self, windows: &[Rect], scratch: &mut QueryScratch);
 }

@@ -44,7 +44,7 @@ impl ChannelFaults {
     /// Maximum re-fetches *after* the free first appearance of each
     /// bucket — budget `N` examines at most `N + 1` appearances, and
     /// budget 0 means single-shot (any loss abandons the bucket). See
-    /// `OnAirClient::retrieve_rec` for the full contract.
+    /// `OnAirClient`'s private `retrieve` for the full contract.
     pub fn retry_budget(&self) -> u32 {
         self.retry_budget
     }

@@ -23,9 +23,9 @@
 //! * [`OnAirClient`] — the client access protocol (initial probe → index
 //!   search → data retrieval) and the two baseline algorithms the paper
 //!   improves on: the on-air kNN query (Figure 4) and the on-air window
-//!   query (Figure 8), plus the *bound-filtered* variants that SBNN/SBWQ
-//!   use to shrink retrieval after partial peer verification (§3.3.3 and
-//!   §3.4.2).
+//!   query (Figure 8). The search bounds and reduced windows SBNN/SBWQ
+//!   derive from partial peer verification (§3.3.3 and §3.4.2) only
+//!   shrink the set of buckets each one downloads.
 //! * [`AirIndexBackend`] — the pluggable index contract behind
 //!   [`AirIndex`], with [`RtreeAirIndex`] (an on-air R-tree reusing
 //!   `crates/rtree`'s STR bulk loader) as the shipping alternative.

@@ -223,9 +223,10 @@ proptest! {
 
 #[test]
 fn cost_forms_share_a_warm_scratch_with_the_planner() {
-    // One scratch, as an epoch worker holds it: a filtered plan, a cost
-    // query, the filtered plan again. The cost query neither depends on
-    // what the scratch held nor leaves anything the planner trips on.
+    // One scratch, as an epoch worker holds it: a filtered retrieval, a
+    // cost query, the filtered retrieval again. The cost query neither
+    // depends on what the scratch held nor leaves anything the planner
+    // trips on.
     let coords: Vec<(f64, f64)> = (0..150)
         .map(|i| ((i * 37 % 32) as f64 + 0.5, (i * 11 % 32) as f64 + 0.25))
         .collect();
@@ -237,16 +238,25 @@ fn cost_forms_share_a_warm_scratch_with_the_planner() {
 
     let cold_knn = client.knn_cost(40, q, 5, &mut QueryScratch::new());
     let cold_window = client.window_cost(40, &w, &mut QueryScratch::new());
-    let mut cold = QueryScratch::new();
-    index.buckets_for_knn_filtered_scratch(q, 9.0, Some(3.0), &mut cold);
+    // The filtered retrieval leaves its plan in the scratch.
+    let known: Vec<Poi> = (index.buckets().iter().flat_map(|b| &b.pois))
+        .filter(|p| p.distance_to(q) <= 3.0)
+        .copied()
+        .collect();
+    let (inner, outer) = (Some(3.0), Some(9.0));
+    let filtered = |scratch: &mut QueryScratch| {
+        let res = client
+            .knn_filtered_rec(40, q, 5, &known, inner, outer, scratch, &mut NoopRecorder)
+            .expect("enough POIs");
+        (scratch.buckets().to_vec(), res.stats)
+    };
+    let cold = filtered(&mut QueryScratch::new());
 
     let mut warm = QueryScratch::new();
     for _ in 0..3 {
-        index.buckets_for_knn_filtered_scratch(q, 9.0, Some(3.0), &mut warm);
-        assert_eq!(warm.buckets(), cold.buckets());
+        assert_eq!(filtered(&mut warm), cold);
         assert_eq!(client.knn_cost(40, q, 5, &mut warm), cold_knn);
-        index.buckets_for_knn_filtered_scratch(q, 9.0, Some(3.0), &mut warm);
-        assert_eq!(warm.buckets(), cold.buckets());
+        assert_eq!(filtered(&mut warm), cold);
         assert_eq!(client.window_cost(40, &w, &mut warm), cold_window);
     }
     assert_eq!(

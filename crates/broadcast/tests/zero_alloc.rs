@@ -1,6 +1,7 @@
 //! Asserts the hot-path claim directly: once a [`QueryScratch`]'s
-//! buffers are warm, the index-path query methods of both backends
-//! perform **zero heap allocations**. A counting global allocator makes
+//! buffers are warm, the index-path query methods of both backends, and
+//! a bound-filtered on-air retrieval whose vectors go back to the
+//! scratch, perform **zero heap allocations**. A counting global allocator makes
 //! the claim checkable instead of an audit comment.
 //!
 //! This lives in an integration test because the library itself is
@@ -8,9 +9,11 @@
 //! `unsafe`, and an integration test is its own crate.
 
 use airshare_broadcast::{
-    AirIndex, AirIndexBackend, BuildParams, Poi, PoiTable, QueryScratch, RtreeAirIndex,
+    AirIndex, AirIndexBackend, BuildParams, OnAirClient, Poi, PoiTable, QueryScratch,
+    RtreeAirIndex, Schedule,
 };
 use airshare_geom::{Point, Rect};
+use airshare_obs::NoopRecorder;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -62,7 +65,10 @@ fn warm_query_allocations<B: AirIndexBackend>() -> u64 {
         hilbert_order: 8,
         bucket_capacity: 8,
     };
-    let index = B::try_build(&PoiTable::from_pois(world_pois(500, side)), &params).unwrap();
+    let pois = world_pois(500, side);
+    let index = B::try_build(&PoiTable::from_pois(pois.clone()), &params).unwrap();
+    let schedule = Schedule::new(index.data_buckets(), index.index_buckets(), 2);
+    let client = OnAirClient::new(&index, &schedule);
 
     let mut scratch = QueryScratch::new();
     let queries: Vec<(Point, Rect)> = (0..32)
@@ -82,17 +88,31 @@ fn warm_query_allocations<B: AirIndexBackend>() -> u64 {
         .iter()
         .map(|&(q, w)| [w, Rect::centered_square(q, 1.0)])
         .collect();
+    // Each kNN query's inner bound is half its search radius, and the
+    // client knows every POI within it.
+    let bounds: Vec<(f64, Vec<Poi>)> = queries
+        .iter()
+        .map(|&(q, _)| {
+            let radius = index.knn_search_radius(q, 5).unwrap();
+            let known = pois.iter().filter(|p| p.distance_to(q) <= radius * 0.5);
+            (radius, known.copied().collect())
+        })
+        .collect();
 
     let run_all = |scratch: &mut QueryScratch| {
         let mut sink = 0usize;
-        for (&(q, w), pair) in queries.iter().zip(&window_pairs) {
+        for ((&(q, w), pair), (radius, known)) in queries.iter().zip(&window_pairs).zip(&bounds) {
             index.buckets_for_window_scratch(&w, scratch);
             sink += scratch.buckets().len();
-            let radius = index.knn_search_radius(q, 5).unwrap();
-            index.buckets_for_knn_scratch(q, radius, scratch);
+            index.buckets_for_knn_scratch(q, *radius, scratch);
             sink += scratch.buckets().len();
-            index.buckets_for_knn_filtered_scratch(q, radius, Some(radius * 0.5), scratch);
-            sink += scratch.buckets().len();
+            let inner = Some(radius * 0.5);
+            let res = client
+                .knn_filtered_rec(0, q, 5, known, inner, None, scratch, &mut NoopRecorder)
+                .unwrap();
+            sink += scratch.buckets().len() + res.neighbors.len();
+            scratch.recycle(res.neighbors);
+            scratch.recycle(res.retrieved);
             index.buckets_for_windows_scratch(pair, scratch);
             sink += scratch.buckets().len();
         }

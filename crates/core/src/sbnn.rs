@@ -349,12 +349,9 @@ fn sbnn_inner(
     } else {
         (None, None)
     };
-    let result =
-        match client.knn_filtered_rec(tune_in, q, cfg.k, mvr.pois(), inner, outer, scratch, rec) {
-            Some(r) => Some(r),
-            None => client.knn_rec(tune_in, q, cfg.k, scratch, rec),
-        };
-    let Some(res) = result else {
+    let Some(res) =
+        client.knn_filtered_rec(tune_in, q, cfg.k, mvr.pois(), inner, outer, scratch, rec)
+    else {
         // Fewer than k POIs exist in the whole dataset.
         return SbnnOutcome::Unresolved(heap);
     };

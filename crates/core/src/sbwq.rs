@@ -150,13 +150,12 @@ fn sbwq_inner(
     } else {
         (w.area() - missing.iter().map(Rect::area).sum::<f64>()).max(0.0) / w.area()
     };
-    let fetched = if cfg.use_window_reduction {
+    if cfg.use_window_reduction {
         reduced_windows.extend_from_slice(missing);
-        client.window_reduced_rec(tune_in, missing, scratch, rec)
     } else {
         reduced_windows.push(*w);
-        client.window_rec(tune_in, w, scratch, rec)
-    };
+    }
+    let fetched = client.window_reduced_rec(tune_in, &reduced_windows, scratch, rec);
     let stats = fetched.stats;
 
     // Merge: known POIs in the covered part + fetched POIs in the

@@ -94,7 +94,7 @@
 //! ## Observability
 //!
 //! Every query-path operation has one public entry point, and it takes
-//! an [`obs::Recorder`] as an argument (`OnAirClient::knn_rec`,
+//! an [`obs::Recorder`] as an argument (`OnAirClient::knn_filtered_rec`,
 //! [`core::sbnn_rec`], [`core::sbwq_rec`], …); [`sim::Simulation::run_with`]
 //! accepts one for a whole run. Pass the inert [`obs::NoopRecorder`]
 //! when no trace is wanted: a recorder observes but never steers. To get

@@ -18,6 +18,10 @@ struct QueryFacts {
     contacted: u64,
     /// `PeerReplyDropped`.
     dropped: u64,
+    /// `ProbeStarted`: one per on-air access.
+    probes: u64,
+    /// `DataBucketTuned`: buckets that arrived intact.
+    data_tuned: u64,
     /// `FrameLost`.
     frames_lost: u64,
     /// `PeerQuarantined`.
@@ -33,6 +37,8 @@ impl QueryFacts {
         }
         self.contacted += o.contacted;
         self.dropped += o.dropped;
+        self.probes += o.probes;
+        self.data_tuned += o.data_tuned;
         self.frames_lost += o.frames_lost;
         self.struck += o.struck;
         self.skipped += o.skipped;
@@ -84,6 +90,9 @@ impl TraceLedger {
             ],
             contacted: r.share_peers_contacted,
             dropped: r.faults.replies_dropped,
+            // A broadcast-resolved query is one access, whatever it lost.
+            probes: q.by_broadcast,
+            data_tuned: r.broadcast_buckets.sum - r.faults.buckets_lost_total,
             frames_lost: r.faults.retries_total + r.faults.buckets_lost_total,
             struck: r.faults.quarantine_strikes,
             skipped: r.faults.peers_quarantined,
@@ -111,6 +120,8 @@ impl Recorder for TraceLedger {
             }
             TraceEvent::PeerContacted { .. } => q.contacted += 1,
             TraceEvent::PeerReplyDropped { .. } => q.dropped += 1,
+            TraceEvent::ProbeStarted { .. } => q.probes += 1,
+            TraceEvent::DataBucketTuned { .. } => q.data_tuned += 1,
             TraceEvent::FrameLost { .. } => q.frames_lost += 1,
             TraceEvent::PeerQuarantined { .. } => q.struck += 1,
             TraceEvent::QuarantinedPeerSkipped { .. } => q.skipped += 1,

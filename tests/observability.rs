@@ -6,7 +6,8 @@
 //!    [`NoopRecorder`] returns a report equal to a plain `run()`.
 //! 3. A metrics run (`run_parallel_metrics`, here on a sequential pool)
 //!    fills the snapshot, and the trace records every fact the report
-//!    counts (folded by a test-side ledger, with equality).
+//!    counts (folded by a test-side ledger, with equality), one on-air
+//!    access per broadcast-resolved query included.
 //! 4. A live world driven from outside reports where its barrier time
 //!    went, as the simulator does.
 
@@ -108,6 +109,18 @@ fn run_metrics_fills_a_consistent_snapshot() {
         .run_with(&mut ledger);
     assert!(traced.faults.replies_dropped > 0 && traced.faults.retries_total > 0);
     ledger.assert_matches(&traced, "faulty(7)");
+
+    // A single-shot lossy channel: a kNN query that loses buckets is
+    // still one access, and the report counts that access.
+    let mut lossy = tiny(7);
+    lossy.faults.bucket_loss_prob = 0.3;
+    lossy.faults.retry_budget = 0;
+    let mut ledger = TraceLedger::default();
+    let traced = Simulation::try_new(lossy)
+        .expect("valid config")
+        .run_with(&mut ledger);
+    assert!(traced.faults.buckets_lost_total > 0);
+    ledger.assert_matches(&traced, "tiny(7), loss 0.3, budget 0");
 }
 
 #[test]

@@ -33,7 +33,8 @@ not a test: the non-test part of any library source (its own file
 included, the definition line excepted), a binary, an example or
 `benchmark/src`. Tests do not count, wherever they live: neither
 `#[cfg(test)]` modules nor the integration tests under `tests/` and
-`crates/*/tests/`. Nor do comments (a doc link is not a call),
+`crates/*/tests/`. Nor do comments (a doc link is not a call), string
+literals (a panic message naming its function is not a call),
 `use`/`pub use` statements (a re-export is not a call), or field names:
 a field declaration or struct-literal field (`name:` not followed by a
 second `:`) and a field read (`.name` followed by neither `(` nor
@@ -77,7 +78,6 @@ from pathlib import Path
 ALLOWED = {
     # Air-interface payload boundaries: POIs genuinely move here.
     "crates/broadcast/src/index.rs::try_build",
-    "crates/broadcast/src/client.rs::retrieve_rec",
     # Explicit export/resolve bridges (handle -> payload, by request).
     "crates/broadcast/src/table.rs::to_vec",
     "crates/p2p/src/protocol.rs::resolve",
@@ -190,10 +190,11 @@ def env_reads(text):
             yield i + 1, stripped
 
 
-def strip_comments(text):
+def strip_comments(text, blank_strings=False):
     """`text` without its `//` and `/* */` comments (doc comments
     included). String and char literals are skipped over, so a `//`
-    inside one stays; line breaks are kept."""
+    inside one stays; line breaks are kept. With `blank_strings`, each
+    string literal's contents go as well, all but its line breaks."""
     out, i, n = [], 0, len(text)
     while i < n:
         c = text[i]
@@ -205,7 +206,10 @@ def strip_comments(text):
             j = i + 1
             while j < n and text[j] != '"':
                 j += 2 if text[j] == "\\" else 1
-            out.append(text[i : j + 1])
+            lit = text[i : j + 1]
+            if blank_strings:
+                lit = '"' + "\n" * lit.count("\n") + '"'
+            out.append(lit)
             i = j + 1
         elif text.startswith("//", i):
             j = text.find("\n", i)
@@ -222,11 +226,12 @@ def strip_comments(text):
 
 
 def call_idents(text):
-    """The identifiers in `text` that can be calls: comments and
-    `use`/`pub use` statements removed, and field names skipped — a
-    field declaration or struct-literal field (`name:`, not `name::`)
-    and a field read (`.name` followed by neither `(` nor `::`)."""
-    text = USE_STMT.sub("", strip_comments(text))
+    """The identifiers in `text` that can be calls: comments, string
+    literals' contents and `use`/`pub use` statements removed, and field
+    names skipped — a field declaration or struct-literal field
+    (`name:`, not `name::`) and a field read (`.name` followed by
+    neither `(` nor `::`)."""
+    text = USE_STMT.sub("", strip_comments(text, blank_strings=True))
     out = []
     for m in IDENT.finditer(text):
         start, end = m.span()
