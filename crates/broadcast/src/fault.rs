@@ -124,7 +124,9 @@ mod tests {
     fn loss_rate_tracks_probability() {
         let f = ChannelFaults::from_loss_prob(1, 0.25, 0);
         let n = 40_000u64;
-        let lost = (0..n).filter(|&o| f.bucket_lost(o as usize % 64, o)).count();
+        let lost = (0..n)
+            .filter(|&o| f.bucket_lost(o as usize % 64, o))
+            .count();
         let rate = lost as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.01, "empirical rate {rate}");
     }

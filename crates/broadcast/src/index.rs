@@ -80,9 +80,7 @@ impl AirIndex {
         out.clear();
         for &(lo, hi) in intervals {
             // Binary search for the first bucket whose range may reach lo.
-            let start = self
-                .buckets
-                .partition_point(|b| b.hilbert_range.1 < lo);
+            let start = self.buckets.partition_point(|b| b.hilbert_range.1 < lo);
             for b in &self.buckets[start..] {
                 if b.hilbert_range.0 > hi {
                     break;

@@ -55,9 +55,9 @@ pub use bucket::{Bucket, BucketId};
 pub use client::{OnAirClient, OnAirKnnResult, OnAirWindowResult};
 pub use fault::ChannelFaults;
 pub use index::{AirIndex, IndexError};
-pub use rtree_index::RtreeAirIndex;
 pub use outage::OutageSchedule;
 pub use poi::{Poi, PoiCategory, PoiId};
+pub use rtree_index::RtreeAirIndex;
 pub use schedule::{Schedule, ScheduleError};
 pub use scratch::QueryScratch;
 pub use table::PoiTable;

@@ -34,7 +34,11 @@ fn params(cap: usize) -> BuildParams {
 
 /// Build both backends over the same POI set and wrap each in a client
 /// with a schedule sized to its own bucket layout.
-fn build_pair(coords: &[(f64, f64)], cap: usize, m: usize) -> (AirIndex, RtreeAirIndex, Schedule, Schedule) {
+fn build_pair(
+    coords: &[(f64, f64)],
+    cap: usize,
+    m: usize,
+) -> (AirIndex, RtreeAirIndex, Schedule, Schedule) {
     let p = params(cap);
     let hilbert = <AirIndex as AirIndexBackend>::try_build(&pois(coords), &p).unwrap();
     let rtree = <RtreeAirIndex as AirIndexBackend>::try_build(&pois(coords), &p).unwrap();
@@ -55,7 +59,10 @@ fn snap_coords(lattice: bool, coords: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
     if !lattice {
         return coords;
     }
-    coords.into_iter().map(|(x, y)| (x.floor(), y.floor())).collect()
+    coords
+        .into_iter()
+        .map(|(x, y)| (x.floor(), y.floor()))
+        .collect()
 }
 
 /// The query point: on the half-grid, or (`pick == 0`) on a POI.
@@ -76,7 +83,10 @@ fn snap_window(lattice: bool, (x, y, w, h): (f64, f64, f64, f64)) -> Rect {
     if !lattice {
         return Rect::from_coords(x, y, x + w, y + h);
     }
-    let (w, h) = ((1.5 * w - 1.0).max(0.0).floor(), (1.5 * h - 1.0).max(0.0).floor());
+    let (w, h) = (
+        (1.5 * w - 1.0).max(0.0).floor(),
+        (1.5 * h - 1.0).max(0.0).floor(),
+    );
     Rect::from_coords(x.floor(), y.floor(), x.floor() + w, y.floor() + h)
 }
 
@@ -212,11 +222,16 @@ fn rtree_layout_hash(coords: &[(f64, f64)], cap: usize) -> u64 {
 fn rtree_bucket_order_is_pinned() {
     let mut state = 7u64;
     let mut next = || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         (state >> 11) as f64 / (1u64 << 53) as f64 * SIDE
     };
     let coords: Vec<(f64, f64)> = (0..1000).map(|_| (next(), next())).collect();
-    let got = [rtree_layout_hash(&coords, 8), rtree_layout_hash(&coords, 64)];
+    let got = [
+        rtree_layout_hash(&coords, 8),
+        rtree_layout_hash(&coords, 64),
+    ];
     assert_eq!(
         got,
         [284112087575334561, 15068673420082736737],

@@ -201,10 +201,7 @@ impl HostCache {
 
     /// Views of the verified regions cached for a category, in storage
     /// order.
-    pub fn entries(
-        &self,
-        category: PoiCategory,
-    ) -> impl Iterator<Item = EntryView<'_>> + '_ {
+    pub fn entries(&self, category: PoiCategory) -> impl Iterator<Item = EntryView<'_>> + '_ {
         self.of(category).map(|e| EntryView {
             vr: e.vr,
             last_used: e.last_used,
@@ -348,13 +345,9 @@ impl HostCache {
             let (worst, _) = (self.entries.iter().enumerate())
                 .filter(|(_, e)| e.cat == category)
                 .map(|(i, e)| {
-                    let score = self.policy.score_parts(
-                        &e.vr,
-                        e.last_used,
-                        ctx.pos,
-                        ctx.heading,
-                        ctx.now,
-                    );
+                    let score =
+                        self.policy
+                            .score_parts(&e.vr, e.last_used, ctx.pos, ctx.heading, ctx.now);
                     (i, score)
                 })
                 .max_by(|a, b| a.1.total_cmp(&b.1))

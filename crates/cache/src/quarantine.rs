@@ -124,7 +124,8 @@ impl SaturatingShl for u64 {
 /// The workspace's standard splitmix-based avalanche over three words
 /// (same construction as the broadcast fault layer).
 fn mix3(seed: u64, a: u64, b: u64) -> u64 {
-    let mut h = seed ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+    let mut h =
+        seed ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
     h ^= h >> 30;
     h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     h ^= h >> 27;

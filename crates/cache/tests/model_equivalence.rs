@@ -72,7 +72,12 @@ impl OwnedEntry {
         let vr = scaled(lo);
         OwnedEntry {
             vr,
-            pois: self.pois.iter().copied().filter(|p| vr.contains(p.pos)).collect(),
+            pois: self
+                .pois
+                .iter()
+                .copied()
+                .filter(|p| vr.contains(p.pos))
+                .collect(),
             ..*self
         }
     }
@@ -127,13 +132,9 @@ impl ReferenceCache {
                 .iter()
                 .enumerate()
                 .map(|(i, e)| {
-                    let score = self.policy.score_parts(
-                        &e.vr,
-                        e.last_used,
-                        ctx.pos,
-                        ctx.heading,
-                        ctx.now,
-                    );
+                    let score =
+                        self.policy
+                            .score_parts(&e.vr, e.last_used, ctx.pos, ctx.heading, ctx.now);
                     (i, score)
                 })
                 .max_by(|a, b| a.1.total_cmp(&b.1))
@@ -155,14 +156,14 @@ impl ReferenceCache {
 /// One generated step: `kind` selects insert (most draws) vs touch;
 /// the geometry fields are interpreted per kind.
 type OpTuple = (
-    (u8, usize),         // kind (0 = touch, else insert), index into `CATS`
-    f64,                 // cx
-    f64,                 // cy
-    f64,                 // half-extent
-    Vec<(f64, f64)>,     // POI offsets inside the region (inserts)
-    f64,                 // host x
-    f64,                 // host y
-    Option<(f64, f64)>,  // raw heading (normalized before use)
+    (u8, usize),        // kind (0 = touch, else insert), index into `CATS`
+    f64,                // cx
+    f64,                // cy
+    f64,                // half-extent
+    Vec<(f64, f64)>,    // POI offsets inside the region (inserts)
+    f64,                // host x
+    f64,                // host y
+    Option<(f64, f64)>, // raw heading (normalized before use)
 );
 
 fn arb_op() -> impl Strategy<Value = OpTuple> {
@@ -183,9 +184,7 @@ fn arb_op() -> impl Strategy<Value = OpTuple> {
 fn pois_of(cx: f64, cy: f64, half: f64, offs: &[(f64, f64)], id0: u32) -> Vec<Poi> {
     offs.iter()
         .enumerate()
-        .map(|(i, &(fx, fy))| {
-            Poi::new(id0 + i as u32, Point::new(cx + fx * half, cy + fy * half))
-        })
+        .map(|(i, &(fx, fy))| Poi::new(id0 + i as u32, Point::new(cx + fx * half, cy + fy * half)))
         .collect()
 }
 

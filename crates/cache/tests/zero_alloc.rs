@@ -126,13 +126,7 @@ fn warm_fleet_epoch_does_not_allocate() {
 
     // Steady state: one more full epoch, zero allocations.
     let before = allocations();
-    let got = run_epoch(
-        2 * VARIANTS,
-        &mut fleet,
-        &mut snapshot,
-        &table,
-        &regions,
-    );
+    let got = run_epoch(2 * VARIANTS, &mut fleet, &mut snapshot, &table, &regions);
     let after = allocations();
     assert_eq!(got, expected, "steady state drifted");
     assert_eq!(

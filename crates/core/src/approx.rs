@@ -96,9 +96,7 @@ mod tests {
         let m = mvr(&[Rect::from_coords(-10.0, -10.0, 10.0, 10.0)]);
         let u = unverified_area(Point::ORIGIN, 2.0, &m);
         assert!(u < 1e-9);
-        assert!(
-            (candidate_correctness(Point::ORIGIN, 2.0, &m, 0.3, None) - 1.0).abs() < 1e-9
-        );
+        assert!((candidate_correctness(Point::ORIGIN, 2.0, &m, 0.3, None) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -112,9 +110,12 @@ mod tests {
         let bounded = candidate_correctness(q, 2.0, &m, 0.5, Some(&world));
         assert!(bounded > unbounded);
         // A quarter of the disk is inside: u = π·4/4.
-        let tiles = m.region().disjoint_rects(&mut RegionScratch::default()).to_vec();
+        let tiles = m
+            .region()
+            .disjoint_rects(&mut RegionScratch::default())
+            .to_vec();
         let u = unverified_area_of_tiles(q, 2.0, &tiles, Some(&world));
-        assert!((u - std::f64::consts::PI) .abs() < 1e-9);
+        assert!((u - std::f64::consts::PI).abs() < 1e-9);
     }
 
     #[test]

@@ -246,15 +246,24 @@ mod tests {
         let b = reply(1, Rect::from_coords(0.0, 0.0, 1.0, 4.0), vec![]);
         let m = MergedRegion::from_replies(&[a, b], &PoiTable::new());
         let q = Point::new(2.0, 0.5);
-        let d = m.region().distance_to_boundary_within(q, 10.0, &mut RegionScratch::default()).unwrap();
+        let d = m
+            .region()
+            .distance_to_boundary_within(q, 10.0, &mut RegionScratch::default())
+            .unwrap();
         assert!((d - 0.5).abs() < 1e-9, "d = {d}");
         // Cap below the true distance: returns the cap (ball of that
         // radius is proven covered).
-        assert_eq!(m.region().distance_to_boundary_within(q, 0.2, &mut RegionScratch::default()), Some(0.2));
+        assert_eq!(
+            m.region()
+                .distance_to_boundary_within(q, 0.2, &mut RegionScratch::default()),
+            Some(0.2)
+        );
         // The pruned region answers the same below the prune radius.
         let pruned = pruned_to_disk(&m, q, 0.75);
         assert_eq!(
-            pruned.region().distance_to_boundary_within(q, 0.75, &mut RegionScratch::default()),
+            pruned
+                .region()
+                .distance_to_boundary_within(q, 0.75, &mut RegionScratch::default()),
             Some(d)
         );
     }
@@ -280,7 +289,10 @@ mod tests {
                 .map(|e| e.distance_to_point(q))
                 .fold(f64::INFINITY, f64::min);
             for cap in [0.1, 0.5, 100.0] {
-                let fast = m.region().distance_to_boundary_within(q, cap, &mut RegionScratch::default()).unwrap();
+                let fast = m
+                    .region()
+                    .distance_to_boundary_within(q, cap, &mut RegionScratch::default())
+                    .unwrap();
                 assert_eq!(fast, slow.min(cap), "{q:?} cap {cap}");
             }
         }
@@ -298,11 +310,12 @@ mod tests {
             Poi::new(1, Point::new(3.0, 1.0)),
             Poi::new(2, Point::new(21.0, 21.0)),
         ];
-        let m = MergedRegion::from_regions(
-            rects
-                .iter()
-                .map(|r| (*r, pois.iter().filter(|p| r.contains(p.pos)).copied().collect())),
-        );
+        let m = MergedRegion::from_regions(rects.iter().map(|r| {
+            (
+                *r,
+                pois.iter().filter(|p| r.contains(p.pos)).copied().collect(),
+            )
+        }));
         let q = Point::new(1.2, 1.0);
         let pruned = pruned_to_disk(&m, q, 2.5);
         // The far rect and its POI are gone…

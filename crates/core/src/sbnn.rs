@@ -453,10 +453,7 @@ mod tests {
 
     #[test]
     fn nnv_nothing_verified_when_q_outside_mvr() {
-        let mvr = region(
-            &[Rect::from_coords(0.0, 0.0, 2.0, 2.0)],
-            &[(1, 1.0, 1.0)],
-        );
+        let mvr = region(&[Rect::from_coords(0.0, 0.0, 2.0, 2.0)], &[(1, 1.0, 1.0)]);
         let heap = nnv(Point::new(5.0, 5.0), 1, &mvr, 0.1);
         assert_eq!(heap.len(), 1);
         assert!(!heap.entries()[0].verified);
@@ -547,10 +544,7 @@ mod tests {
 
     #[test]
     fn unresolved_heap_carries_partial_results() {
-        let mvr = region(
-            &[Rect::from_coords(-1.0, -1.0, 1.0, 1.0)],
-            &[(1, 0.1, 0.0)],
-        );
+        let mvr = region(&[Rect::from_coords(-1.0, -1.0, 1.0, 1.0)], &[(1, 0.1, 0.0)]);
         let cfg = SbnnConfig {
             accept_approx: false,
             ..SbnnConfig::paper_defaults(5, 0.1)

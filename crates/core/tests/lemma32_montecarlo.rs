@@ -66,9 +66,9 @@ fn predicted_correctness_matches_empirical_frequency() {
     let mut clear = 0usize;
     for _ in 0..trials {
         let field = poisson_field(&mut rng, lambda, &world);
-        let hidden = field.iter().any(|p| {
-            p.distance(q) <= candidate_dist && !vr.contains(*p)
-        });
+        let hidden = field
+            .iter()
+            .any(|p| p.distance(q) <= candidate_dist && !vr.contains(*p));
         if !hidden {
             clear += 1;
         }

@@ -227,7 +227,8 @@ mod tests {
     #[test]
     fn map_is_identical_across_thread_counts() {
         let tasks: Vec<u64> = (0..257).collect();
-        let reference = ExecPool::sequential().map(tasks.clone(), |i, t| split_seed(t, i as u64, 7));
+        let reference =
+            ExecPool::sequential().map(tasks.clone(), |i, t| split_seed(t, i as u64, 7));
         for threads in [2, 3, 4, 7, 16] {
             let got =
                 ExecPool::fixed(threads).map(tasks.clone(), |i, t| split_seed(t, i as u64, 7));
@@ -254,11 +255,15 @@ mod tests {
     fn map_with_gives_each_worker_a_private_context() {
         let pool = ExecPool::fixed(3);
         let mut tallies = vec![0usize; pool.threads()];
-        let out = pool.map_with(&mut tallies, (0..50).collect::<Vec<usize>>(), |tally, i, t| {
-            *tally += 1;
-            assert_eq!(i, t);
-            t
-        });
+        let out = pool.map_with(
+            &mut tallies,
+            (0..50).collect::<Vec<usize>>(),
+            |tally, i, t| {
+                *tally += 1;
+                assert_eq!(i, t);
+                t
+            },
+        );
         assert_eq!(out, (0..50).collect::<Vec<_>>());
         // Every task was tallied exactly once across the contexts.
         assert_eq!(tallies.iter().sum::<usize>(), 50);

@@ -23,7 +23,10 @@ pub struct Disk {
 impl Disk {
     /// Creates a disk; negative radii are clamped to zero.
     pub fn new(center: Point, radius: f64) -> Self {
-        Self { center, radius: radius.max(0.0) }
+        Self {
+            center,
+            radius: radius.max(0.0),
+        }
     }
 
     /// Disk area `πr²`.
@@ -91,7 +94,10 @@ fn edge_contribution(a: Point, b: Point, r: f64) -> f64 {
     let disc = qb * qb - 4.0 * qa * qc;
     if disc > 0.0 {
         let sqrt_disc = disc.sqrt();
-        for t in [(-qb - sqrt_disc) / (2.0 * qa), (-qb + sqrt_disc) / (2.0 * qa)] {
+        for t in [
+            (-qb - sqrt_disc) / (2.0 * qa),
+            (-qb + sqrt_disc) / (2.0 * qa),
+        ] {
             if t > 0.0 && t < 1.0 {
                 ts[nts] = t;
                 nts += 1;

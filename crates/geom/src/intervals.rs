@@ -227,10 +227,7 @@ mod tests {
     fn symmetric_difference_is_xor() {
         let a = set(&[(0.0, 4.0)]);
         let b = set(&[(2.0, 6.0)]);
-        assert_eq!(
-            a.symmetric_difference(&b).runs(),
-            &[(0.0, 2.0), (4.0, 6.0)]
-        );
+        assert_eq!(a.symmetric_difference(&b).runs(), &[(0.0, 2.0), (4.0, 6.0)]);
     }
 
     #[test]

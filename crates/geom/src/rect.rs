@@ -293,9 +293,6 @@ mod tests {
     fn clamp_point_projects_onto_rect() {
         let a = r(0.0, 0.0, 1.0, 1.0);
         assert_eq!(a.clamp_point(Point::new(5.0, -3.0)), Point::new(1.0, 0.0));
-        assert_eq!(
-            a.clamp_point(Point::new(0.3, 0.7)),
-            Point::new(0.3, 0.7)
-        );
+        assert_eq!(a.clamp_point(Point::new(0.3, 0.7)), Point::new(0.3, 0.7));
     }
 }

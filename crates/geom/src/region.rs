@@ -538,10 +538,7 @@ mod tests {
         assert!(approx_eq(total, u.area()));
         for (i, a) in tiles.iter().enumerate() {
             for b in &tiles[i + 1..] {
-                assert!(
-                    !a.intersects_interior(b),
-                    "tiles overlap: {a:?} vs {b:?}"
-                );
+                assert!(!a.intersects_interior(b), "tiles overlap: {a:?} vs {b:?}");
             }
         }
     }
@@ -562,7 +559,9 @@ mod tests {
     fn rect_difference_computes_reduced_windows() {
         let u = RectUnion::from(r(0.0, 0.0, 2.0, 2.0));
         let w = r(1.0, 1.0, 3.0, 3.0);
-        let diff = u.rect_difference(&w, &mut RegionScratch::default()).to_vec();
+        let diff = u
+            .rect_difference(&w, &mut RegionScratch::default())
+            .to_vec();
         let area: f64 = diff.iter().map(Rect::area).sum();
         // w has area 4, covered quarter is 1x1 = 1.
         assert!(approx_eq(area, 3.0));
@@ -576,14 +575,19 @@ mod tests {
     #[test]
     fn rect_difference_empty_when_covered() {
         let u = RectUnion::from(r(0.0, 0.0, 4.0, 4.0));
-        assert!(u.rect_difference(&r(1.0, 1.0, 2.0, 2.0), &mut RegionScratch::default()).to_vec().is_empty());
+        assert!(u
+            .rect_difference(&r(1.0, 1.0, 2.0, 2.0), &mut RegionScratch::default())
+            .to_vec()
+            .is_empty());
     }
 
     #[test]
     fn rect_difference_is_whole_window_when_disjoint() {
         let u = RectUnion::from(r(0.0, 0.0, 1.0, 1.0));
         let w = r(5.0, 5.0, 6.0, 7.0);
-        let diff = u.rect_difference(&w, &mut RegionScratch::default()).to_vec();
+        let diff = u
+            .rect_difference(&w, &mut RegionScratch::default())
+            .to_vec();
         assert_eq!(diff.len(), 1);
         assert!(approx_eq(diff[0].area(), w.area()));
     }
@@ -594,7 +598,9 @@ mod tests {
         // the remainder share y-runs and should merge horizontally.
         let u = RectUnion::from(r(1.0, 0.0, 2.0, 1.0));
         let w = r(0.0, 0.0, 3.0, 2.0);
-        let diff = u.rect_difference(&w, &mut RegionScratch::default()).to_vec();
+        let diff = u
+            .rect_difference(&w, &mut RegionScratch::default())
+            .to_vec();
         let area: f64 = diff.iter().map(Rect::area).sum();
         assert!(approx_eq(area, 6.0 - 1.0));
         // Slab coalescing keeps the piece count minimal for this shape
@@ -646,17 +652,28 @@ mod tests {
         // L-shape; q deep in the wide arm: true boundary distance 0.5.
         let u = RectUnion::from_rects([r(0.0, 0.0, 4.0, 1.0), r(0.0, 0.0, 1.0, 4.0)]);
         let q = Point::new(2.0, 0.5);
-        let d = u.distance_to_boundary_within(q, 10.0, &mut RegionScratch::default()).unwrap();
+        let d = u
+            .distance_to_boundary_within(q, 10.0, &mut RegionScratch::default())
+            .unwrap();
         assert_eq!(d, u.distance_to_boundary(q).unwrap().0);
         assert!(approx_eq(d, 0.5), "d = {d}");
-        assert_eq!(u.distance_to_boundary_within(q, 0.2, &mut RegionScratch::default()), Some(0.2));
-        assert_eq!(u.distance_to_boundary_within(q, 0.0, &mut RegionScratch::default()), Some(0.0));
+        assert_eq!(
+            u.distance_to_boundary_within(q, 0.2, &mut RegionScratch::default()),
+            Some(0.2)
+        );
+        assert_eq!(
+            u.distance_to_boundary_within(q, 0.0, &mut RegionScratch::default()),
+            Some(0.0)
+        );
         // Outside the region the distance is still to the nearest edge.
         assert_eq!(
             u.distance_to_boundary_within(Point::new(6.0, 0.5), 9.0, &mut RegionScratch::default()),
             Some(2.0)
         );
-        assert_eq!(RectUnion::new().distance_to_boundary_within(q, 1.0, &mut RegionScratch::default()), None);
+        assert_eq!(
+            RectUnion::new().distance_to_boundary_within(q, 1.0, &mut RegionScratch::default()),
+            None
+        );
     }
 
     #[test]
@@ -726,29 +743,43 @@ mod tests {
         assert!(!u.contains(Point::new(1.0 + 2.5e-10, 0.5)));
         assert!(!u.contains_interior(Point::new(1.0, 0.5)));
         let w = r(0.5, 0.25, 1.5, 0.75);
-        let diff = u.rect_difference(&w, &mut RegionScratch::default()).to_vec();
+        let diff = u
+            .rect_difference(&w, &mut RegionScratch::default())
+            .to_vec();
         assert_eq!(diff, [r(1.0, 0.25, 1.0 + 5e-10, 0.75)]);
         // A window reaching 5e-10 past a member's edge is uncovered too.
         let v = RectUnion::from(r(0.0, 0.0, 1.0, 1.0));
         let w = r(0.5, 0.25, 1.0 + 5e-10, 0.75);
-        let diff = v.rect_difference(&w, &mut RegionScratch::default()).to_vec();
+        let diff = v
+            .rect_difference(&w, &mut RegionScratch::default())
+            .to_vec();
         assert_eq!(diff, [r(1.0, 0.25, 1.0 + 5e-10, 0.75)]);
         // The tiling leaves the gap's slab empty.
         let tiles = u.disjoint_rects(&mut RegionScratch::default()).to_vec();
-        assert_eq!(tiles, [r(0.0, 0.0, 1.0, 1.0), r(1.0 + 5e-10, 0.0, 2.0, 1.0)]);
+        assert_eq!(
+            tiles,
+            [r(0.0, 0.0, 1.0, 1.0), r(1.0 + 5e-10, 0.0, 2.0, 1.0)]
+        );
     }
 
     #[test]
     fn degenerate_windows_are_covered_by_a_containing_member() {
         let u = RectUnion::from_rects([r(0.0, 0.0, 1.0, 1.0), r(1.0, 0.0, 2.0, 1.0)]);
-        let diff = |w: Rect| u.rect_difference(&w, &mut RegionScratch::default()).to_vec();
+        let diff = |w: Rect| {
+            u.rect_difference(&w, &mut RegionScratch::default())
+                .to_vec()
+        };
         // A point, and a segment, inside one member (its edge included).
         assert!(diff(r(0.5, 0.5, 0.5, 0.5)).is_empty());
         assert!(diff(r(1.0, 0.0, 1.0, 1.0)).is_empty());
         assert!(diff(r(0.25, 1.0, 0.75, 1.0)).is_empty());
         // Outside the union, or across a seam no one member spans: the
         // window is its own reduced window.
-        for w in [r(3.0, 0.5, 3.0, 0.5), r(0.5, 0.5, 1.5, 0.5), r(0.5, 0.5, 0.5, 1.5)] {
+        for w in [
+            r(3.0, 0.5, 3.0, 0.5),
+            r(0.5, 0.5, 1.5, 0.5),
+            r(0.5, 0.5, 0.5, 1.5),
+        ] {
             assert_eq!(diff(w), [w]);
         }
     }

@@ -37,14 +37,24 @@ impl Segment {
     #[inline]
     pub fn vertical(at: f64, lo: f64, hi: f64) -> Self {
         debug_assert!(lo <= hi);
-        Self { axis: Axis::Vertical, at, lo, hi }
+        Self {
+            axis: Axis::Vertical,
+            at,
+            lo,
+            hi,
+        }
     }
 
     /// Horizontal segment at `y = at` from `x = lo` to `x = hi`.
     #[inline]
     pub fn horizontal(at: f64, lo: f64, hi: f64) -> Self {
         debug_assert!(lo <= hi);
-        Self { axis: Axis::Horizontal, at, lo, hi }
+        Self {
+            axis: Axis::Horizontal,
+            at,
+            lo,
+            hi,
+        }
     }
 
     /// Segment length on the free axis.
@@ -85,20 +95,14 @@ mod tests {
         // Perpendicular projection hits the segment.
         assert!(approx_eq(s.distance_to_point(Point::new(5.0, 2.0)), 3.0));
         // Beyond the top endpoint: distance to (2, 4).
-        assert!(approx_eq(
-            s.distance_to_point(Point::new(5.0, 8.0)),
-            5.0
-        ));
+        assert!(approx_eq(s.distance_to_point(Point::new(5.0, 8.0)), 5.0));
     }
 
     #[test]
     fn horizontal_distance_perpendicular_and_endpoint() {
         let s = Segment::horizontal(1.0, -1.0, 1.0);
         assert!(approx_eq(s.distance_to_point(Point::new(0.0, 3.0)), 2.0));
-        assert!(approx_eq(
-            s.distance_to_point(Point::new(4.0, 5.0)),
-            5.0
-        ));
+        assert!(approx_eq(s.distance_to_point(Point::new(4.0, 5.0)), 5.0));
     }
 
     #[test]

@@ -16,12 +16,7 @@ fn len(s: &IntervalSet) -> f64 {
 }
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
-    (
-        -50.0..50.0f64,
-        -50.0..50.0f64,
-        0.01..30.0f64,
-        0.01..30.0f64,
-    )
+    (-50.0..50.0f64, -50.0..50.0f64, 0.01..30.0f64, 0.01..30.0f64)
         .prop_map(|(x, y, w, h)| Rect::from_coords(x, y, x + w, y + h))
 }
 
@@ -91,7 +86,11 @@ fn oracle_union_area(rects: &[Rect]) -> f64 {
             }
         }
         if let Some(x) = inter {
-            let sign = if mask.count_ones() % 2 == 1 { 1.0 } else { -1.0 };
+            let sign = if mask.count_ones() % 2 == 1 {
+                1.0
+            } else {
+                -1.0
+            };
             area += sign * x.area();
         }
     }

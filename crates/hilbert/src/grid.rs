@@ -20,10 +20,7 @@ impl Grid {
     /// Creates a grid of the given curve order over `world`.
     /// Panics when `world` is degenerate.
     pub fn new(world: Rect, order: u32) -> Self {
-        assert!(
-            !world.is_degenerate(),
-            "world rect must have positive area"
-        );
+        assert!(!world.is_degenerate(), "world rect must have positive area");
         Self {
             world,
             curve: HilbertCurve::new(order),
@@ -140,7 +137,9 @@ mod tests {
         // Covering cells: x in [1,4], y in [1,2].
         assert_eq!(cr, CellRect::new(1, 1, 4, 2));
         // Query entirely outside the world: no cells.
-        assert!(g.cell_rect_for(&Rect::from_coords(20.0, 20.0, 30.0, 30.0)).is_none());
+        assert!(g
+            .cell_rect_for(&Rect::from_coords(20.0, 20.0, 30.0, 30.0))
+            .is_none());
     }
 
     #[test]
@@ -151,9 +150,16 @@ mod tests {
         let q = g.cell_rect(3, 4);
         let cr = g.cell_rect_for(&q).unwrap();
         assert_eq!(cr, CellRect::new(3, 4, 4, 5));
-        for p in [Point::new(q.x2, q.y2), Point::new(q.x2, q.y1), Point::new(q.x1, q.y2)] {
+        for p in [
+            Point::new(q.x2, q.y2),
+            Point::new(q.x2, q.y1),
+            Point::new(q.x1, q.y2),
+        ] {
             let (cx, cy) = g.cell_of(p);
-            assert!(cr.contains(cx, cy), "{p:?} in cell ({cx}, {cy}) outside {cr:?}");
+            assert!(
+                cr.contains(cx, cy),
+                "{p:?} in cell ({cx}, {cy}) outside {cr:?}"
+            );
         }
         // Inside the world's far edge nothing spills: the last cell holds it.
         let last = g.cell_rect(7, 7);

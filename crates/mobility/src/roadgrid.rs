@@ -39,7 +39,10 @@ impl Hop {
             (0.0, 0.0)
         } else {
             let dt = self.arrive - self.depart;
-            ((self.to.x - self.from.x) / dt, (self.to.y - self.from.y) / dt)
+            (
+                (self.to.x - self.from.x) / dt,
+                (self.to.y - self.from.y) / dt,
+            )
         }
     }
 }
@@ -201,8 +204,10 @@ mod tests {
                 let fy = (p.y / 0.5).round() * 0.5;
                 // Paused points are grid intersections or L-corners (also
                 // on-grid in x); both coordinates must be near multiples.
-                assert!((p.x - fx).abs() < 1e-6 && (p.y - fy).abs() < 1e-6,
-                    "pause off-grid at {p:?}");
+                assert!(
+                    (p.x - fx).abs() < 1e-6 && (p.y - fy).abs() < 1e-6,
+                    "pause off-grid at {p:?}"
+                );
                 checked += 1;
             }
         }

@@ -94,7 +94,10 @@ impl Leg {
             (0.0, 0.0)
         } else {
             let dt = self.arrive - self.depart;
-            ((self.to.x - self.from.x) / dt, (self.to.y - self.from.y) / dt)
+            (
+                (self.to.x - self.from.x) / dt,
+                (self.to.y - self.from.y) / dt,
+            )
         }
     }
 }

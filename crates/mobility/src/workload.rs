@@ -158,10 +158,7 @@ mod tests {
         }
         let avg = events.len() / 50;
         for (h, &c) in counts.iter().enumerate() {
-            assert!(
-                c > avg / 2 && c < avg * 2,
-                "host {h} got {c}, avg {avg}"
-            );
+            assert!(c > avg / 2 && c < avg * 2, "host {h} got {c}, avg {avg}");
         }
     }
 

@@ -273,7 +273,10 @@ mod tests {
             TraceEvent::ProbeStarted { tick: 0 },
             TraceEvent::IndexBucketTuned { count: 1 },
             TraceEvent::DataBucketTuned { bucket: 0, tick: 0 },
-            TraceEvent::FrameLost { bucket: 0, retry: 0 },
+            TraceEvent::FrameLost {
+                bucket: 0,
+                retry: 0,
+            },
             TraceEvent::PeerContacted { peer: 0 },
             TraceEvent::PeerReplyDropped { peer: 0 },
             TraceEvent::CacheHit { regions: 1 },

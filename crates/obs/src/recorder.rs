@@ -520,7 +520,10 @@ mod tests {
             TraceEvent::SessionRegistered { host: 2 },
             TraceEvent::SessionRegistered { host: 9 },
             TraceEvent::SessionClosed { host: 2 },
-            TraceEvent::EpochCommitted { epoch: 12, batch: 7 },
+            TraceEvent::EpochCommitted {
+                epoch: 12,
+                batch: 7,
+            },
             TraceEvent::ServiceDrained { pending: 3 },
         ];
         let mut m = MetricsRecorder::new();
@@ -541,7 +544,9 @@ mod tests {
         }
         let log = t.into_string();
         assert!(log.contains("{\"query\":4,\"event\":\"session_registered\",\"host\":9}"));
-        assert!(log.contains("{\"query\":4,\"event\":\"epoch_committed\",\"epoch\":12,\"batch\":7}"));
+        assert!(
+            log.contains("{\"query\":4,\"event\":\"epoch_committed\",\"epoch\":12,\"batch\":7}")
+        );
         assert!(log.contains("{\"query\":4,\"event\":\"service_drained\",\"pending\":3}"));
     }
 

@@ -94,8 +94,7 @@ impl<T> RTree<T> {
                 slice.sort_by(|a, b| a.0.center().y.total_cmp(&b.0.center().y));
                 let mut slice = slice.into_iter().peekable();
                 while slice.peek().is_some() {
-                    let children: Vec<(Rect, Node<T>)> =
-                        slice.by_ref().take(max_entries).collect();
+                    let children: Vec<(Rect, Node<T>)> = slice.by_ref().take(max_entries).collect();
                     let mbr = children
                         .iter()
                         .map(|c| c.0)
@@ -106,7 +105,10 @@ impl<T> RTree<T> {
             }
             level = next;
         }
-        let root = level.pop().map(|(_, n)| n).unwrap_or(Node::Leaf(Vec::new()));
+        let root = level
+            .pop()
+            .map(|(_, n)| n)
+            .unwrap_or(Node::Leaf(Vec::new()));
         Self { root, len }
     }
 
@@ -312,9 +314,13 @@ mod tests {
         let mut state = 0x2545F4914F6CDD1Du64;
         (0..n)
             .map(|i| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 let x = (state >> 16 & 0xFFFF) as f64 / 655.36;
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 let y = (state >> 16 & 0xFFFF) as f64 / 655.36;
                 (Point::new(x, y), i)
             })

@@ -50,7 +50,10 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::QueueFull { retry_after_ticks } => {
-                write!(f, "admission queue full; retry after ~{retry_after_ticks} ticks")
+                write!(
+                    f,
+                    "admission queue full; retry after ~{retry_after_ticks} ticks"
+                )
             }
             ServeError::Draining => write!(f, "service is draining"),
             ServeError::Stopped => write!(f, "service has stopped"),

@@ -58,9 +58,7 @@ fn parse_args() -> Args {
                 };
             }
             "--seed" => {
-                args.seed = val()
-                    .parse()
-                    .unwrap_or_else(|_| fail("--seed: not a u64"));
+                args.seed = val().parse().unwrap_or_else(|_| fail("--seed: not a u64"));
             }
             "--scale" => {
                 args.scale = val()
@@ -119,8 +117,7 @@ fn main() {
         Service::start(serve_cfg).unwrap_or_else(|e| fail(&format!("service start: {e}")));
     let handle = service.handle();
 
-    let outcome =
-        replay(&handle, &trace).unwrap_or_else(|e| fail(&format!("replay aborted: {e}")));
+    let outcome = replay(&handle, &trace).unwrap_or_else(|e| fail(&format!("replay aborted: {e}")));
     let report = service.drain();
 
     let report_parity = report.report == sim_report;

@@ -439,13 +439,20 @@ impl SimConfig {
         if self.p2p_hops == 0 {
             return Err(ConfigError::ZeroP2pHops);
         }
-        if self.mobility == (MobilityModel::GridRoads { spacing_milli_mi: 0 }) {
+        if self.mobility
+            == (MobilityModel::GridRoads {
+                spacing_milli_mi: 0,
+            })
+        {
             return Err(ConfigError::ZeroRoadSpacing);
         }
         if self.ticks_per_min == 0 {
             return Err(ConfigError::ZeroTicksPerMinute);
         }
-        for (name, v) in [("measure_min", self.measure_min), ("warmup_min", self.warmup_min)] {
+        for (name, v) in [
+            ("measure_min", self.measure_min),
+            ("warmup_min", self.warmup_min),
+        ] {
             if !(v.is_finite() && v >= 0.0) {
                 return Err(ConfigError::BadDuration(name));
             }
@@ -591,9 +598,13 @@ mod tests {
         assert!(matches!(c.check(), Err(ConfigError::BadSpeedScale(_))));
 
         let mut c = good();
-        c.mobility = MobilityModel::GridRoads { spacing_milli_mi: 0 };
+        c.mobility = MobilityModel::GridRoads {
+            spacing_milli_mi: 0,
+        };
         assert_eq!(c.check(), Err(ConfigError::ZeroRoadSpacing));
-        c.mobility = MobilityModel::GridRoads { spacing_milli_mi: 1 };
+        c.mobility = MobilityModel::GridRoads {
+            spacing_milli_mi: 1,
+        };
         assert_eq!(c.check(), Ok(()));
 
         let mut c = good();

@@ -485,11 +485,15 @@ fn advance_fleet(
     let chunks = hosts
         .chunks_mut(chunk_len)
         .zip(positions.chunks_mut(chunk_len));
-    pool.for_each_with(&mut vec![(); pool.threads()], chunks, |(), _, (hosts, positions)| {
-        for (m, p) in hosts.iter_mut().zip(positions) {
-            *p = m.position_at(config, t);
-        }
-    });
+    pool.for_each_with(
+        &mut vec![(); pool.threads()],
+        chunks,
+        |(), _, (hosts, positions)| {
+            for (m, p) in hosts.iter_mut().zip(positions) {
+                *p = m.position_at(config, t);
+            }
+        },
+    );
 }
 
 /// Samples a query window per Table 4: mean area = `window_pct` % of
@@ -538,8 +542,7 @@ fn plan_churn(cfg: &SimConfig) -> (Vec<bool>, Vec<(u64, usize, bool)>) {
     let mut phase: Vec<Phase> = (0..n)
         .map(|h| {
             if h >= n - late {
-                let join =
-                    1 + split_seed(cfg.seed ^ JOIN_SEED_SALT, h as u64, 0) % join_span;
+                let join = 1 + split_seed(cfg.seed ^ JOIN_SEED_SALT, h as u64, 0) % join_span;
                 Phase::NotJoined(join)
             } else {
                 Phase::Online
@@ -564,8 +567,7 @@ fn plan_churn(cfg: &SimConfig) -> (Vec<bool>, Vec<(u64, usize, bool)>) {
                     }
                 }
                 Phase::Offline => {
-                    if decide.event_fires(cfg.churn.restart_prob, h as u64 ^ RESTART_KEY_SALT, e)
-                    {
+                    if decide.event_fires(cfg.churn.restart_prob, h as u64 ^ RESTART_KEY_SALT, e) {
                         plan.push((e, h, true));
                         *ph = Phase::Online;
                     }
@@ -719,7 +721,10 @@ mod tests {
             cfg.measure_min = 8.0;
             let r = Simulation::try_new(cfg).unwrap().run();
             assert_eq!(r.exact_mismatches, 0, "multihop broke exactness");
-            (r.mean_peers_contacted(), r.queries.pct_peers() + r.queries.pct_approx())
+            (
+                r.mean_peers_contacted(),
+                r.queries.pct_peers() + r.queries.pct_approx(),
+            )
         };
         let (peers1, solved1) = reach(1);
         let (peers3, solved3) = reach(3);
@@ -772,7 +777,10 @@ mod tests {
         cfg.faults.bucket_loss_prob = 0.15;
         cfg.faults.retry_budget = 50;
         let recovered = Simulation::try_new(cfg).unwrap().run();
-        assert!(recovered.faults.retries_total > 0, "15% loss produced no retries");
+        assert!(
+            recovered.faults.retries_total > 0,
+            "15% loss produced no retries"
+        );
         assert_eq!(recovered.faults.buckets_lost_total, 0);
         assert_eq!(recovered.faults.queries_degraded, 0);
         assert_eq!(recovered.exact_mismatches, 0);
@@ -783,7 +791,10 @@ mod tests {
         cfg.faults.bucket_loss_prob = 0.3;
         cfg.faults.retry_budget = 0;
         let degraded = Simulation::try_new(cfg).unwrap().run();
-        assert!(degraded.faults.buckets_lost_total > 0, "30% loss with no retries lost nothing");
+        assert!(
+            degraded.faults.buckets_lost_total > 0,
+            "30% loss with no retries lost nothing"
+        );
         assert!(degraded.faults.queries_degraded > 0);
         assert_eq!(degraded.exact_mismatches, 0);
     }
@@ -805,7 +816,10 @@ mod tests {
         cfg.faults.peer_drop_prob = 1.0;
         cfg.use_own_cache = false;
         let report = Simulation::try_new(cfg).unwrap().run();
-        assert!(report.faults.replies_dropped > 0, "total drop produced no drops");
+        assert!(
+            report.faults.replies_dropped > 0,
+            "total drop produced no drops"
+        );
         // With every reply lost and no own cache, nothing resolves by
         // peers — but every answer is still exact via the channel.
         assert_eq!(report.queries.by_peers, 0);
@@ -839,7 +853,11 @@ mod tests {
             cfg.validate = false;
             cfg.faults.bucket_loss_prob = loss;
             cfg.faults.retry_budget = 50;
-            Simulation::try_new(cfg).unwrap().run().broadcast_latency.mean()
+            Simulation::try_new(cfg)
+                .unwrap()
+                .run()
+                .broadcast_latency
+                .mean()
         };
         let (l0, l10, l20) = (run(0.0), run(0.10), run(0.20));
         assert!(l10 > l0, "10% loss should cost latency: {l10} !> {l0}");
@@ -885,7 +903,9 @@ mod tests {
 
     #[test]
     fn chaos_runs_are_deterministic_and_parallel_identical() {
-        let sequential = Simulation::try_new(chaos_cfg(QueryKind::Knn)).unwrap().run();
+        let sequential = Simulation::try_new(chaos_cfg(QueryKind::Knn))
+            .unwrap()
+            .run();
         assert!(sequential.hosts_crashed > 0, "5% crash rate crashed nobody");
         assert!(sequential.hosts_restarted > 0, "nobody restarted or joined");
         for threads in [1, 2, 4] {

@@ -614,7 +614,11 @@ mod tests {
         let answers = world.execute_epoch(batch.to_vec(), &pool, &mut ctxs);
         assert_eq!(answers.len(), 2);
         for a in &answers {
-            assert_eq!((a.quality, a.ids.len()), (AnswerQuality::Failed, 0), "{a:?}");
+            assert_eq!(
+                (a.quality, a.ids.len()),
+                (AnswerQuality::Failed, 0),
+                "{a:?}"
+            );
         }
         let own = parked(&world, 0).expect("the host wrote nothing back");
         assert_eq!(entries(own), cached, "the cache was touched");
@@ -627,7 +631,12 @@ mod tests {
         assert_eq!(after.quality.failed, before.quality.failed + 2);
         let resolved = |r: &SimReport| {
             let q = &r.queries;
-            (q.by_peers, q.by_approx, q.by_broadcast, r.share_peers_contacted)
+            (
+                q.by_peers,
+                q.by_approx,
+                q.by_broadcast,
+                r.share_peers_contacted,
+            )
         };
         assert_eq!(resolved(after), resolved(&before));
     }
@@ -660,7 +669,11 @@ mod tests {
         });
         let answers = world.execute_epoch(batch.to_vec(), &pool, &mut ctxs);
         for (a, w) in answers.iter().zip(&windows) {
-            assert_eq!((a.quality, a.ids.as_slice()), (AnswerQuality::Exact, &[poi.id][..]), "{w:?}");
+            assert_eq!(
+                (a.quality, a.ids.as_slice()),
+                (AnswerQuality::Exact, &[poi.id][..]),
+                "{w:?}"
+            );
         }
         let report = world.report();
         assert_eq!(report.queries.total, 2);

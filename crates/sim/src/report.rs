@@ -231,7 +231,6 @@ impl SimReport {
             self.broadcast_latency.sum as f64 / self.queries.total as f64
         }
     }
-
 }
 
 #[cfg(test)]

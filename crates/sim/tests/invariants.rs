@@ -119,7 +119,10 @@ fn rtree_backend_runs_exactly_and_deterministically() {
             serial.queries.total,
             serial.queries.by_peers + serial.queries.by_approx + serial.queries.by_broadcast
         );
-        assert!(serial.queries.by_broadcast > 0, "{kind:?} exercised the air index");
+        assert!(
+            serial.queries.by_broadcast > 0,
+            "{kind:?} exercised the air index"
+        );
         // Epoch-sharded parallel execution is bit-identical for this
         // backend too, at every pool width.
         for threads in [2, 4] {
@@ -137,8 +140,12 @@ fn rtree_backend_runs_exactly_and_deterministically() {
 
 #[test]
 fn seeds_change_outcomes_but_not_structure() {
-    let a = Simulation::try_new(micro(QueryKind::Knn, 100)).unwrap().run();
-    let b = Simulation::try_new(micro(QueryKind::Knn, 200)).unwrap().run();
+    let a = Simulation::try_new(micro(QueryKind::Knn, 100))
+        .unwrap()
+        .run();
+    let b = Simulation::try_new(micro(QueryKind::Knn, 200))
+        .unwrap()
+        .run();
     // Different seeds → different workloads (almost surely).
     assert_ne!(
         (a.queries.total, a.broadcast_latency.sum),

@@ -36,8 +36,9 @@ fn assert_replay_parity(cfg: SimConfig, threads: usize) {
 
     let mut live = LiveWorld::try_new(cfg).unwrap();
     let pool = ExecPool::fixed(threads);
-    let mut ctxs: Vec<(NoopRecorder, QueryScratch)> =
-        (0..threads).map(|_| (NoopRecorder, QueryScratch::new())).collect();
+    let mut ctxs: Vec<(NoopRecorder, QueryScratch)> = (0..threads)
+        .map(|_| (NoopRecorder, QueryScratch::new()))
+        .collect();
     let mut rec = NoopRecorder;
 
     for (host, &up) in trace.initial_online.iter().enumerate() {
@@ -76,7 +77,11 @@ fn assert_replay_parity(cfg: SimConfig, threads: usize) {
             .collect();
         let answers = live.execute_epoch(batch, &pool, &mut ctxs);
 
-        let expected: Vec<_> = trace.queries.iter().filter(|q| q.epoch == er.epoch).collect();
+        let expected: Vec<_> = trace
+            .queries
+            .iter()
+            .filter(|q| q.epoch == er.epoch)
+            .collect();
         assert_eq!(answers.len(), expected.len());
         for (got, want) in answers.iter().zip(&expected) {
             assert_eq!(got.nonce, want.nonce);

@@ -65,7 +65,14 @@ fn main() {
     // Need payloads back? Resolve the shared handles through the table.
     let snap: Vec<(Rect, Vec<Poi>)> = cache
         .share_regions(CAT)
-        .map(|(vr, ids)| (vr, ids.iter().filter_map(|&id| table.get(id).copied()).collect()))
+        .map(|(vr, ids)| {
+            (
+                vr,
+                ids.iter()
+                    .filter_map(|&id| table.get(id).copied())
+                    .collect(),
+            )
+        })
         .collect();
     println!(
         "resolved snapshot: {} regions, {} owned POIs",
@@ -108,7 +115,9 @@ fn main() {
     let report = sim.run();
     let fleet: &FleetStore = sim.fleet();
     let online = fleet.online().iter().filter(|&&b| b).count();
-    let cached: usize = (0..fleet.len()).map(|h| fleet.cache(h).poi_count(CAT)).sum();
+    let cached: usize = (0..fleet.len())
+        .map(|h| fleet.cache(h).poi_count(CAT))
+        .sum();
     println!(
         "simulated fleet: {} hosts ({} online), {} POIs cached fleet-wide, \
          {} queries answered ({} by peers)",

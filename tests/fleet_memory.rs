@@ -55,7 +55,9 @@ static ALLOC: TrackingAlloc = TrackingAlloc;
 static MEASURING: Mutex<()> = Mutex::new(());
 
 fn measuring() -> MutexGuard<'static, ()> {
-    MEASURING.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    MEASURING
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 const HOSTS: usize = 20_000;

@@ -73,7 +73,10 @@ fn noop_recorder_changes_nothing() {
     let observed = Simulation::try_new(faulty(6))
         .expect("valid config")
         .run_with(&mut rec);
-    assert_eq!(plain, observed, "JsonlTraceRecorder perturbed the simulation");
+    assert_eq!(
+        plain, observed,
+        "JsonlTraceRecorder perturbed the simulation"
+    );
 }
 
 #[test]

@@ -88,7 +88,10 @@ fn window_workload_is_thread_count_invariant() {
         let parallel = Simulation::try_new(cfg())
             .expect("valid config")
             .run_parallel(&ExecPool::fixed(threads));
-        assert_eq!(parallel, sequential, "window report diverged at {threads} threads");
+        assert_eq!(
+            parallel, sequential,
+            "window report diverged at {threads} threads"
+        );
     }
 }
 
@@ -210,7 +213,9 @@ fn epoch_snapshot_hides_inserts_from_peers_until_the_next_epoch() {
         c.use_own_cache = false;
         c
     };
-    let many_epochs = Simulation::try_new(refreshed()).expect("valid config").run();
+    let many_epochs = Simulation::try_new(refreshed())
+        .expect("valid config")
+        .run();
     assert!(
         many_epochs.queries.by_peers + many_epochs.queries.by_approx > 0,
         "epoch barriers never published any cache state"
@@ -218,7 +223,9 @@ fn epoch_snapshot_hides_inserts_from_peers_until_the_next_epoch() {
 
     // The parallel runtime agrees in both regimes.
     for cfg in [frozen(), refreshed()] {
-        let seq = Simulation::try_new(cfg.clone()).expect("valid config").run();
+        let seq = Simulation::try_new(cfg.clone())
+            .expect("valid config")
+            .run();
         let par = Simulation::try_new(cfg)
             .expect("valid config")
             .run_parallel(&ExecPool::fixed(4));

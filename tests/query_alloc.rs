@@ -150,9 +150,14 @@ fn a_warm_query_frees_nothing_and_keeps_what_it_allocates() {
         let (one, queries, ..) = marginal(&cfg, 1);
         inert.push(one);
         let per_query = one.allocations as f64 / queries as f64;
-        eprintln!("{kind:?}, 1 thread: {one:?} over {queries} warm queries ({per_query:.3} per query)");
+        eprintln!(
+            "{kind:?}, 1 thread: {one:?} over {queries} warm queries ({per_query:.3} per query)"
+        );
         assert_eq!(one.frees, 0, "{kind:?}: a warm epoch freed memory");
-        assert!(per_query < 1.0, "{kind:?}: {per_query:.3} allocations per warm query");
+        assert!(
+            per_query < 1.0,
+            "{kind:?}: {per_query:.3} allocations per warm query"
+        );
 
         let (two, queries, ..) = marginal(&cfg, 2);
         eprintln!("{kind:?}, 2 threads: {two:?} over {queries} warm queries");
@@ -186,7 +191,10 @@ fn a_warm_query_frees_nothing_and_keeps_what_it_allocates() {
             strikes,
         ];
         eprintln!("{kind:?}, chaos: {chaos:?} over {queries} warm queries; dropped, retries, stale, strikes {fired:?}");
-        assert!(fired.iter().all(|&n| n > 0), "{kind:?}: a fault never fired: {fired:?}");
+        assert!(
+            fired.iter().all(|&n| n > 0),
+            "{kind:?}: a fault never fired: {fired:?}"
+        );
         assert_eq!(chaos.frees, 0, "{kind:?}: a faulty warm epoch freed memory");
         assert!(
             chaos.allocations <= inert.allocations + strikes,

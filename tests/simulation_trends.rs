@@ -65,18 +65,23 @@ fn moderate_windows_largely_covered_by_peers() {
     // needs full-scale cache truncation — window POI content ∝ area is
     // quantized near zero at laptop scale; see EXPERIMENTS.md.)
     let pct = |wpct: f64| {
-        let mut cfg = SimConfig::paper_defaults(
-            params::la_city().scaled(0.02),
-            QueryKind::Window,
-            5,
-        );
+        let mut cfg =
+            SimConfig::paper_defaults(params::la_city().scaled(0.02), QueryKind::Window, 5);
         cfg.warmup_min = 150.0;
         cfg.measure_min = 40.0;
         cfg.params.window_pct = wpct;
         run(cfg).queries.pct_peers()
     };
-    assert!(pct(3.0) > 50.0, "3% windows under-covered: {:.1}%", pct(3.0));
-    assert!(pct(1.0) > 50.0, "1% windows under-covered: {:.1}%", pct(1.0));
+    assert!(
+        pct(3.0) > 50.0,
+        "3% windows under-covered: {:.1}%",
+        pct(3.0)
+    );
+    assert!(
+        pct(1.0) > 50.0,
+        "1% windows under-covered: {:.1}%",
+        pct(1.0)
+    );
 }
 
 #[test]
