@@ -21,7 +21,7 @@ fn build(coords: &[(f64, f64)], cap: usize, m: usize) -> (AirIndex, Schedule) {
         .collect();
     let grid = Grid::new(Rect::from_coords(0.0, 0.0, SIDE, SIDE), 5);
     let index = AirIndex::try_build(pois, grid, cap).unwrap();
-    let schedule = Schedule::new(index.data_buckets(), index.index_buckets(), m);
+    let schedule = Schedule::try_new(index.data_buckets(), index.index_buckets(), m).unwrap();
     (index, schedule)
 }
 
@@ -38,7 +38,7 @@ proptest! {
         idx in 1usize..8,
         m in 1usize..16,
     ) {
-        let s = Schedule::new(data, idx, m);
+        let s = Schedule::try_new(data, idx, m).unwrap();
         let mut offsets: Vec<u64> = (0..data).map(|b| s.bucket_offset(b)).collect();
         // Strictly increasing in bucket id and inside the cycle.
         for w in offsets.windows(2) {
@@ -61,7 +61,7 @@ proptest! {
         t1 in 0u64..10_000,
         dt in 0u64..1_000,
     ) {
-        let s = Schedule::new(data, 2, m);
+        let s = Schedule::try_new(data, 2, m).unwrap();
         let b = b % data;
         let c1 = s.bucket_completion_after(b, t1);
         let c2 = s.bucket_completion_after(b, t1 + dt);

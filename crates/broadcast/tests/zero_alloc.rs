@@ -67,7 +67,7 @@ fn warm_query_allocations<B: AirIndexBackend>() -> u64 {
     };
     let pois = world_pois(500, side);
     let index = B::try_build(&PoiTable::from_pois(pois.clone()), &params).unwrap();
-    let schedule = Schedule::new(index.data_buckets(), index.index_buckets(), 2);
+    let schedule = Schedule::try_new(index.data_buckets(), index.index_buckets(), 2).unwrap();
     let client = OnAirClient::new(&index, &schedule);
 
     let mut scratch = QueryScratch::new();

@@ -64,6 +64,9 @@ pub fn replay(handle: &ServiceHandle, trace: &TrafficTrace) -> Result<ReplayRepo
         }
     }
 
+    // `run_engine` records queries in epoch order, so one cursor walks
+    // them beside the epochs.
+    let mut queries = trace.queries.iter().enumerate().peekable();
     for er in &trace.epochs {
         for &(host, planned_epoch, up) in &er.churn {
             if up {
@@ -78,10 +81,9 @@ pub fn replay(handle: &ServiceHandle, trace: &TrafficTrace) -> Result<ReplayRepo
         for &(host, pos) in &er.moved {
             handle.update_position(host as usize, pos, Some(er.epoch))?;
         }
-        for (qi, q) in trace.queries.iter().enumerate() {
-            if q.epoch != er.epoch {
-                continue;
-            }
+        // A query whose epoch has no record is not replayed.
+        while queries.next_if(|(_, q)| q.epoch < er.epoch).is_some() {}
+        while let Some((qi, q)) = queries.next_if(|(_, q)| q.epoch == er.epoch) {
             let req = QueryRequest {
                 host: q.host as usize,
                 pos: q.pos,

@@ -29,7 +29,7 @@ fn build_world(n: usize, side: f64, seed: u64) -> World {
     let oracle = RTree::bulk_load(pois.iter().map(|p| (p.pos, p.id)).collect());
     let table = PoiTable::from_pois(pois.iter().copied());
     let index = AirIndex::try_build(pois, Grid::new(world, 6), 8).unwrap();
-    let schedule = Schedule::new(index.data_buckets(), index.index_buckets(), 4);
+    let schedule = Schedule::try_new(index.data_buckets(), index.index_buckets(), 4).unwrap();
     World {
         index,
         schedule,

@@ -80,7 +80,6 @@ ALLOWED = {
     "crates/broadcast/src/index.rs::try_build",
     # Explicit export/resolve bridges (handle -> payload, by request).
     "crates/broadcast/src/table.rs::to_vec",
-    "crates/p2p/src/protocol.rs::resolve",
     # Query-result assembly: algorithm outputs are payloads by design.
     "crates/core/src/mvr.rs::from_regions",
 }
