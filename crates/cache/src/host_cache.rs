@@ -130,6 +130,9 @@ pub struct HostCache {
 const _: () = assert!(std::mem::size_of::<HostCache>() <= 72);
 
 impl Clone for HostCache {
+    /// A cache that never held an entry has no buffers, and its clone
+    /// allocates nothing: a fleet hands such clones of one template to
+    /// hosts that have no cache of their own yet.
     fn clone(&self) -> Self {
         Self {
             capacity_per_category: self.capacity_per_category,

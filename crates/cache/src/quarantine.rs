@@ -8,7 +8,9 @@
 //! for an exponentially growing window of epochs. Strikes decay with
 //! quiet time, so a peer that misbehaved once during a radio glitch is
 //! forgiven, while a persistently bad peer backs off toward a
-//! 64-epoch cap.
+//! 64-epoch cap. A fresh ledger holds no record and allocates nothing,
+//! so a fleet keeps ledgers only for hosts that have struck a peer and
+//! builds a fresh one from the host's seed for the rest.
 //!
 //! Backoff jitter is derived by hashing the ledger seed with the peer id
 //! and strike count — fully deterministic, so the epoch-sharded parallel

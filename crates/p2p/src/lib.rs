@@ -13,6 +13,7 @@
 //!   simulator rebuilds it as hosts move.
 //! * [`share_exchange`] — the request/reply exchange in full (hop
 //!   count, reply validation, fault injection, quarantine, tracing),
+//!   reading peer caches through [`PeerCaches`] (host id → cache),
 //!   with [`airshare_obs::ShareStats`] accounting (peers contacted,
 //!   regions and POIs transferred) so experiments can report P2P
 //!   traffic. Replies land in a [`ReplyArena`] retained in the query's
@@ -30,5 +31,6 @@ mod protocol;
 
 pub use grid::NeighborGrid;
 pub use protocol::{
-    gather_peer_data_checked, share_exchange, PeerReply, QuarantineGuard, ReplyArena, ShareFaults,
+    gather_peer_data_checked, share_exchange, PeerCaches, PeerReply, QuarantineGuard, ReplyArena,
+    ShareFaults,
 };

@@ -27,6 +27,28 @@ const MALFORM_NONCE_SALT: u64 = 0x3A1F_A17E_D000_0001;
 /// ledger plus the current epoch the decisions are evaluated at.
 pub type QuarantineGuard<'a> = Option<(&'a mut QuarantineLedger, u64)>;
 
+/// The peer caches a share exchange reads: each host's cache, by host
+/// id. A slice or vector of caches is one (`caches[i]` is host `i`'s);
+/// so is a fleet that stores caches only for the hosts holding one.
+pub trait PeerCaches {
+    /// One past the largest host id: a multi-hop flood sizes its visited
+    /// marks by it.
+    fn hosts(&self) -> usize;
+
+    /// Host `host`'s cache.
+    fn cache(&self, host: usize) -> &HostCache;
+}
+
+impl<T: AsRef<[HostCache]> + ?Sized> PeerCaches for T {
+    fn hosts(&self) -> usize {
+        self.as_ref().len()
+    }
+
+    fn cache(&self, host: usize) -> &HostCache {
+        &self.as_ref()[host]
+    }
+}
+
 /// One peer's reply to a share request: its verified regions with the
 /// handles of the POIs inside each (`⟨p.VR, p.O⟩` in the paper's
 /// notation, with `p.O` as [`PoiId`]s). The owned form of a
@@ -257,7 +279,8 @@ impl ReplyArena {
 /// count) is traced into `rec`. The replies are left in the
 /// [`ReplyArena`] retained in `scratch`, which is returned borrowed.
 ///
-/// `caches[i]` must be host `i`'s cache; `grid` must reflect current
+/// `caches` maps every host id the grid holds to that host's cache; it
+/// is read once per contacted peer. `grid` must reflect current
 /// positions; `table` is the canonical POI store claims resolve
 /// against. With `hops == 1` the grid's neighbor list is taken as is —
 /// the paper's single-hop exchange. With `hops > 1` peers relay the
@@ -288,14 +311,14 @@ impl ReplyArena {
 /// # Panics
 /// Panics if `hops == 0`.
 #[allow(clippy::too_many_arguments)]
-pub fn share_exchange<'s>(
+pub fn share_exchange<'s, C: PeerCaches + ?Sized>(
     querier: usize,
     querier_pos: Point,
     range: f64,
     hops: usize,
     category: PoiCategory,
     grid: &NeighborGrid,
-    caches: &[HostCache],
+    caches: &C,
     table: &PoiTable,
     world: Option<&Rect>,
     faults: ShareFaults<'_>,
@@ -305,7 +328,7 @@ pub fn share_exchange<'s>(
 ) -> (&'s ReplyArena, ShareStats) {
     assert!(hops >= 1, "at least one hop");
     let arena = scratch.retained::<ReplyArena>();
-    arena.discover(querier, querier_pos, range, hops, grid, caches.len());
+    arena.discover(querier, querier_pos, range, hops, grid, caches.hosts());
     arena.spans.clear();
     arena.ids.clear();
 
@@ -321,7 +344,8 @@ pub fn share_exchange<'s>(
         }
         stats.peers_contacted += 1;
         rec.record(TraceEvent::PeerContacted { peer: peer as u32 });
-        if caches[peer].region_count(category) == 0 {
+        let cache = caches.cache(peer);
+        if cache.region_count(category) == 0 {
             continue;
         }
         if faults.drops_reply(peer) {
@@ -335,7 +359,7 @@ pub fn share_exchange<'s>(
         let malformed = faults.malforms_reply(peer);
         let (spans, ids) = (arena.spans.len(), arena.ids.len());
         let mut rejected = 0usize;
-        for (mut r, ids) in caches[peer].share_regions(category) {
+        for (mut r, ids) in cache.share_regions(category) {
             if malformed {
                 r.x1 = f64::NAN;
             }

@@ -330,8 +330,12 @@ impl ServiceHandle {
 
     /// Lockstep only: declares every epoch `<= epoch` fully submitted,
     /// releasing those barriers. Monotonic; later fences only extend it.
+    /// `fence(u64::MAX)` releases every epoch below `u64::MAX`; that last
+    /// one commits only with the drain.
     pub fn fence(&self, epoch: u64) {
-        self.shared.fence.fetch_max(epoch + 1, Ordering::Release);
+        self.shared
+            .fence
+            .fetch_max(epoch.saturating_add(1), Ordering::Release);
         self.scheduler.unpark();
     }
 }
@@ -909,5 +913,38 @@ mod tests {
             .collect();
         assert_eq!(replayed, answers);
         assert_eq!(lockstep.drain().report, report.report);
+    }
+
+    /// A fence at the last epoch releases every barrier before it, like
+    /// any fence: it neither overflows (a panic under debug assertions)
+    /// nor wraps to 0 (the fence lost), so a query tagged with a low
+    /// epoch is answered.
+    #[test]
+    fn a_fence_at_the_last_epoch_releases_the_barriers_below_it() {
+        let cfg = world();
+        let epoch_min = cfg.epoch_min;
+        let lockstep = Service::start(ServeConfig::lockstep(cfg)).unwrap();
+        let handle = lockstep.handle();
+        handle.register(0, Some(1)).unwrap();
+        handle.update_position(0, pos(0), Some(1)).unwrap();
+        let rx = handle
+            .submit(QueryRequest {
+                host: 0,
+                pos: pos(0),
+                heading: None,
+                spec: QuerySpec::Knn { k: 3 },
+                tag: Some(QueryTag {
+                    nonce: 0,
+                    at_min: 1.5 * epoch_min,
+                    epoch: 1,
+                }),
+            })
+            .unwrap();
+        handle.fence(u64::MAX);
+        let answer = rx
+            .recv_timeout(REPLY_TIMEOUT)
+            .expect("the fenced query was not answered");
+        assert_eq!((answer.nonce, answer.host, answer.ids.len()), (0, 0, 3));
+        assert_eq!(lockstep.drain().report.queries.total, 1);
     }
 }

@@ -15,6 +15,9 @@
 //! A host has one cache (§3.2) and the cache column *is* what peers
 //! read — every cache as of the last barrier: a writer leaves a copy
 //! there and keeps the original (parked in `written` between batches).
+//! A host that has never installed a region has no column entry and
+//! reads as the fleet's empty template; its quarantine ledger likewise
+//! exists only once it has struck a peer.
 //!
 //! Two client fleets drive it: the serving layer (`airshare-serve`),
 //! whose clients are sessions on the wire, and the closed-loop
@@ -85,9 +88,10 @@ pub struct LiveWorld {
     /// Base-station silence windows over epoch numbers.
     pub(crate) outage: OutageSchedule,
     /// Columnar per-session state: online flags, last reported
-    /// positions (offline hosts keep theirs), sync clocks, handle-based
-    /// caches (what peers see: as of the last barrier), quarantine
-    /// ledgers. The simulator writes the position column directly.
+    /// positions (offline hosts keep theirs), sync clocks, and — only
+    /// for the hosts holding one — handle-based caches (what peers see:
+    /// as of the last barrier) and quarantine ledgers. The simulator
+    /// writes the position column directly.
     pub(crate) fleet: FleetStore,
     /// Epoch-start neighbor grid over online hosts. Its buffers are
     /// reserved for the world's extent once and refilled at each
@@ -129,11 +133,12 @@ impl LiveWorld {
     /// Builds the world from a validated configuration: POIs placed
     /// uniformly at random (the paper's own Poisson-field assumption),
     /// the air index behind the configured backend, the `(1, m)`
-    /// schedule, the ground-truth R-tree, and per-host caches, sync
-    /// clocks and quarantine ledgers. Every draw is a function of the
-    /// configuration's seed alone, so two worlds built from one config
-    /// agree on every POI, bucket, fault seed, and ledger. All sessions
-    /// start offline with empty caches.
+    /// schedule, the ground-truth R-tree, and per-host sync clocks.
+    /// Every draw is a function of the configuration's seed alone, so
+    /// two worlds built from one config agree on every POI, bucket,
+    /// fault seed, and ledger seed. All sessions start offline with
+    /// empty caches and ledgers, which take no per-host storage until a
+    /// host fills one.
     pub fn try_new(cfg: SimConfig) -> Result<Self, ConfigError> {
         cfg.check()?;
         let side = cfg.params.world_mi;
@@ -166,17 +171,8 @@ impl LiveWorld {
         let schedule = Schedule::try_for_backend(index.as_ref(), cfg.index_m)
             .map_err(|_| ConfigError::ZeroIndexReplication)?;
         let n = cfg.params.mh_number;
-        let caches = (0..n)
-            .map(|_| {
-                HostCache::new(cfg.params.cache_size, cfg.policy)
-                    .with_subsume_overlap(cfg.subsume_overlap)
-            })
-            .collect();
-        let quarantines = (0..n)
-            .map(|h| {
-                QuarantineLedger::new(split_seed(cfg.seed ^ QUARANTINE_SEED_SALT, h as u64, 0))
-            })
-            .collect();
+        let template = HostCache::new(cfg.params.cache_size, cfg.policy)
+            .with_subsume_overlap(cfg.subsume_overlap);
         // Fault decisions are hashed from their own seed (derived from
         // the master seed), never drawn from an RNG stream: an inert
         // fault config leaves every other random stream untouched.
@@ -184,14 +180,7 @@ impl LiveWorld {
             .then(|| cfg.faults.channel_faults(cfg.seed ^ 0xFA17_5EED_0000_0001));
         // All sessions start offline, at the origin, in sync; `connect`
         // admits them.
-        let fleet = FleetStore {
-            online: vec![false; n],
-            positions: vec![Point::new(0.0, 0.0); n],
-            last_sync_min: vec![0.0; n],
-            needs_resync: vec![false; n],
-            caches,
-            quarantines,
-        };
+        let fleet = FleetStore::new(n, template);
         let range = meters_to_miles(cfg.params.tx_range_m);
         let cell = range.max(1e-3);
         let mut grid = NeighborGrid::with_bounds(&bounds, cell, n);
@@ -281,6 +270,7 @@ impl LiveWorld {
     /// Closes a session as a crash: the host goes dark and all volatile
     /// state (cache, quarantine memory) is wiped; peers see the wipe from
     /// the next boundary on. A host that is already offline is left alone.
+    /// The ledger goes at once: only the host itself reads it.
     pub fn disconnect(&mut self, host: usize, planned_epoch: u64, rec: &mut dyn Recorder) {
         if !self.fleet.online[host] {
             return;
@@ -289,7 +279,7 @@ impl LiveWorld {
         let mut cache = self.take_cache(host);
         cache.clear();
         self.park(host, cache);
-        self.fleet.quarantines[host].clear();
+        self.fleet.quarantines.remove(&host);
         self.report.hosts_crashed += 1;
         rec.record(TraceEvent::HostCrashed {
             host: host as u32,
@@ -346,14 +336,17 @@ impl LiveWorld {
 
     /// Swaps every parked cache back into the column, retiring its
     /// stand-in: what a host saw of itself all along, peers see from here.
+    /// A host without a slot gets one for a non-empty cache; an empty one
+    /// leaves it reading as the template.
     pub(crate) fn install_written(&mut self) {
         let t_phase = Instant::now();
         for (host, cache) in self.written.drain(..) {
-            let copy = std::mem::replace(&mut self.fleet.caches[host], cache);
             // A copy of a cache that held nothing took no spare buffer
             // (see `take_cache`) and is worth none.
-            if !copy.is_empty() {
-                self.spare.push(copy);
+            if let Some(copy) = self.fleet.install(host, cache) {
+                if !copy.is_empty() {
+                    self.spare.push(copy);
+                }
             }
         }
         self.phases.snapshot_ns += t_phase.elapsed().as_nanos() as u64;
@@ -361,13 +354,16 @@ impl LiveWorld {
 
     /// Takes `host`'s live cache for writing: what an earlier batch of
     /// this epoch parked, else the column's original — the host's own warm
-    /// buffers — leaving peers a copy in a retired buffer (if one is spare).
+    /// buffers — leaving peers a copy in a retired buffer (if one is spare),
+    /// else, for a host without a slot, a fresh empty cache.
     fn take_cache(&mut self, host: usize) -> HostCache {
         let parked = self.written.binary_search_by_key(&host, |&(h, _)| h);
         if let Ok(at) = parked {
             return self.written.remove(at).1;
         }
-        let column = &mut self.fleet.caches[host];
+        let Some(column) = self.fleet.cache_mut(host) else {
+            return self.fleet.empty_cache();
+        };
         // A copy of a cache that holds nothing needs no spare buffer's
         // capacity (a never-written one clones without allocating), and
         // filling a spare with it would drop the spare's warm lists.
@@ -384,6 +380,22 @@ impl LiveWorld {
             None => column.clone(),
         };
         std::mem::replace(column, copy)
+    }
+
+    /// Takes `host`'s quarantine ledger for a batch: the map's, leaving
+    /// an empty stand-in the barrier overwrites (taking rather than
+    /// removing keeps the map's nodes, so a warm batch frees nothing),
+    /// else a fresh ledger under the host's jitter seed, a function of
+    /// the configuration's seed alone.
+    fn take_ledger(&mut self, host: usize) -> QuarantineLedger {
+        match self.fleet.quarantines.get_mut(&host) {
+            Some(ledger) => std::mem::take(ledger),
+            None => QuarantineLedger::new(split_seed(
+                self.cfg.seed ^ QUARANTINE_SEED_SALT,
+                host as u64,
+                0,
+            )),
+        }
     }
 
     /// Parks `host`'s live cache until the next boundary.
@@ -446,7 +458,7 @@ impl LiveWorld {
                     cache: self.take_cache(host),
                     last_sync_min: self.fleet.last_sync_min[host],
                     needs_resync: self.fleet.needs_resync[host],
-                    quarantine: std::mem::take(&mut self.fleet.quarantines[host]),
+                    quarantine: self.take_ledger(host),
                     resyncs: 0,
                     queries: range,
                 });
@@ -487,7 +499,12 @@ impl LiveWorld {
             self.park(task.host, task.cache);
             self.fleet.last_sync_min[task.host] = task.last_sync_min;
             self.fleet.needs_resync[task.host] = task.needs_resync;
-            self.fleet.quarantines[task.host] = task.quarantine;
+            // A ledger only grows inside a batch: one taken from the map
+            // goes back over its stand-in, and a fresh one only if it
+            // struck somebody.
+            if !task.quarantine.is_empty() {
+                self.fleet.quarantines.insert(task.host, task.quarantine);
+            }
             self.report.outage_resyncs += task.resyncs;
         }
         self.tasks = tasks;
@@ -529,6 +546,7 @@ impl LiveWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::NO_SLOT;
     use crate::{params, QueryKind, Simulation};
     use airshare_broadcast::{PoiCategory, PoiId};
     use airshare_obs::NoopRecorder;
@@ -600,7 +618,7 @@ mod tests {
                 .map(|e| (e.vr, e.last_used, e.poi_ids.to_vec()))
                 .collect()
         };
-        let cached = entries(&world.fleet.caches[0]);
+        let cached = entries(world.fleet.cache(0));
         assert!(!cached.is_empty(), "the valid query cached nothing");
         let synced = world.fleet.last_sync_min[0];
         let before = world.report().clone();
@@ -714,14 +732,20 @@ mod tests {
     /// work on their own originals. Two batches per epoch (as the
     /// scaled service submits them), a crash and a restart between
     /// barriers, a crash between batches, and the end of a closed run.
+    /// Beside the writers sit two online hosts that never write, both
+    /// in range of host 0: a peer that never queries (and crashes and
+    /// restarts with host 1) and a querier whose every query is out of
+    /// range. Neither ever takes a cache slot.
     #[test]
     fn peers_read_the_epoch_start_column_and_writers_their_own() {
         let cfg = small_cfg();
         let epoch_min = cfg.epoch_min;
         let mut world = LiveWorld::try_new(cfg).unwrap();
         let side = world.bounds.x2;
-        let hosts = 12.min(world.hosts());
-        for h in 0..hosts {
+        let hosts = 12;
+        let (idle_peer, idle_querier) = (hosts, hosts + 1);
+        assert!(idle_querier < world.hosts());
+        for h in 0..=idle_querier {
             world.connect(h);
         }
         let pool = ExecPool::fixed(2);
@@ -731,31 +755,41 @@ mod tests {
             match epoch {
                 2 => {
                     assert!(
-                        world.fleet.caches[1].region_count(CAT) > 0,
+                        world.fleet.cache(1).region_count(CAT) > 0,
                         "the crash must wipe something peers could see"
                     );
-                    world.disconnect(1, epoch, &mut NoopRecorder);
+                    for h in [1, idle_peer] {
+                        world.disconnect(h, epoch, &mut NoopRecorder);
+                    }
                 }
-                4 => world.reconnect(1, epoch, &mut NoopRecorder),
+                4 => {
+                    for h in [1, idle_peer] {
+                        world.reconnect(h, epoch, &mut NoopRecorder);
+                    }
+                }
                 _ => {}
             }
+            // The idle hosts stand where host 0 does.
             let at = |h: usize| {
+                let h = if h < hosts { h } else { 0 };
                 let f = (h as f64 + 0.5 + 0.1 * epoch as f64) / (hosts as f64 + 1.0);
                 Point::new(f * side, (1.0 - f) * side)
             };
-            for h in 0..hosts {
+            for h in 0..=idle_querier {
                 world.update_position(h, at(h));
             }
             // The boundary publishes exactly what the writers hold.
             let live: Vec<_> = (0..world.hosts())
-                .map(|h| shared(parked(&world, h).unwrap_or(&world.fleet.caches[h])))
+                .map(|h| shared(parked(&world, h).unwrap_or(world.fleet.cache(h))))
                 .collect();
             world.begin_epoch(epoch);
             assert!(
                 world.written.is_empty(),
                 "epoch {epoch}: a writer left parked"
             );
-            let reference = world.fleet.caches.clone();
+            let reference: Vec<HostCache> = (0..world.hosts())
+                .map(|h| world.fleet.cache(h).clone())
+                .collect();
             for (h, live) in live.iter().enumerate() {
                 assert_eq!(
                     &shared(&reference[h]),
@@ -769,10 +803,15 @@ mod tests {
                 // both halves, so its second task starts from `written`.
                 let batch: Vec<LiveQuery> = (0..hosts)
                     .filter(|&h| (h == 0 || h % 2 == half) && (h, epoch) != (1, 1))
+                    .chain([idle_querier])
                     .map(|host| {
                         nonce += 1;
                         let at_min = (epoch as f64 + 0.25 + 0.5 * half as f64) * epoch_min;
-                        knn(nonce, host, at_min, at(host))
+                        let k = if host == idle_querier { 0 } else { 3 };
+                        LiveQuery {
+                            spec: QuerySpec::Knn { k },
+                            ..knn(nonce, host, at_min, at(host))
+                        }
                     })
                     .collect();
                 let posed = batch.len();
@@ -786,7 +825,7 @@ mod tests {
                 }
                 for (h, frozen) in reference.iter().enumerate() {
                     assert_eq!(
-                        shared(&world.fleet.caches[h]),
+                        shared(world.fleet.cache(h)),
                         shared(frozen),
                         "host {h}'s peers saw epoch {epoch} move under them (batch {half})"
                     );
@@ -800,8 +839,15 @@ mod tests {
             }
         }
         assert!(
-            world.fleet.caches.iter().any(|c| c.region_count(CAT) > 0),
-            "no cache ever committed a region"
+            (0..hosts).all(|h| world.fleet.slot[h] != NO_SLOT),
+            "a writer holds no slot"
+        );
+        for h in [idle_peer, idle_querier] {
+            assert_eq!(world.fleet.slot[h], NO_SLOT, "idle host {h} took a slot");
+        }
+        assert!(
+            world.fleet.quarantines.is_empty(),
+            "an inert channel struck a peer"
         );
 
         // Own view live: a lone host's first query goes on air and
@@ -823,9 +869,9 @@ mod tests {
             (2, 1),
             "own insert unseen: {q:?}"
         );
-        assert_eq!(world.fleet.caches[0].region_count(CAT), 0);
+        assert_eq!(world.fleet.cache(0).region_count(CAT), 0);
         world.begin_epoch(1);
-        assert!(world.fleet.caches[0].region_count(CAT) > 0);
+        assert!(world.fleet.cache(0).region_count(CAT) > 0);
 
         // A closed run ends installed: with the whole horizon in one
         // epoch, everything `fleet()` shows was written in the last one.

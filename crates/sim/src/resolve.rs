@@ -235,7 +235,8 @@ impl LiveWorld {
         }
 
         // --- P2P gather against the epoch snapshot: peer positions from
-        // the epoch-start grid, peer caches from the epoch-start commit.
+        // the epoch-start grid, peer caches from the epoch-start commit
+        // (a peer without a cache slot shows the empty template).
         // The ε-staleness is bounded by the epoch length and is the price
         // of a racefree shard; replies still pass through drop decisions
         // (fault layer) and region validation, so a flaky or inconsistent
@@ -251,7 +252,7 @@ impl LiveWorld {
             cfg.p2p_hops,
             CAT,
             &self.grid,
-            &self.fleet.caches,
+            &self.fleet,
             &self.table,
             Some(&self.bounds),
             share_faults,

@@ -1,21 +1,26 @@
 //! The fleet-scale memory budget, measured per host: a world at LA-City
 //! densities stretched to 20,000 hosts, run for a few epochs through
-//! `run_parallel`, must peak below 290 bytes of live heap per host.
-//! Fleet state is columnar and each cache is two flat buffers, there is
-//! one cache column (DESIGN.md §15), and a host's mobility stream holds
-//! only its own state (§16): a return to owned per-host `Vec` storage, a
-//! second `HostCache` per host (72 B of inline struct), a per-host copy of
-//! the shared `MobilityConfig` (64 B) or of the quarantine policy (24 B)
-//! blows through the budget. And a barrier costs what its writers cost, not
-//! what the population does: a fresh world's first `begin_epoch` must
-//! not allocate per host.
+//! `run_parallel`, must peak below 190 bytes of live heap per host.
+//! Fleet state is columnar, each cache is two flat buffers, and a host
+//! holds a cache or a quarantine ledger only once it has one (DESIGN.md
+//! §15); a host's mobility stream holds only its own state (§16). The
+//! budget refuses an eager cache column coming back (72 B of inline
+//! `HostCache` per host), an eager ledger column (32 B), a second
+//! `HostCache` per host, a return to owned per-host `Vec` storage and a
+//! per-host copy of the shared `MobilityConfig` (64 B). An idle world
+//! keeps no more per host than its scalar columns and cache slot, beside
+//! its POIs and the grid's reservation. And a barrier costs what its
+//! writers cost, not what the population does: a fresh world's first
+//! `begin_epoch` must not allocate per host.
 //!
 //! The test lives in a binary of its own because it installs a global
 //! allocator, and implementing [`GlobalAlloc`] requires `unsafe`.
 
+use airshare::geom::meters_to_miles;
 use airshare::prelude::*;
 use airshare::sim::{LiveWorld, ParamSet};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -62,10 +67,10 @@ fn measuring() -> MutexGuard<'static, ()> {
 
 const HOSTS: usize = 20_000;
 
-/// Measured here: 270 B/host. A per-host copy of the quarantine policy
-/// in every ledger adds 24 B (294), and one of the shared mobility
-/// config as well 88 B (358); this budget is set to refuse both.
-const BUDGET_BYTES_PER_HOST: usize = 290;
+/// Measured here: 172 B/host (270 with eager cache and ledger columns).
+/// Either column back adds 72 B (244) or 32 B (204) a host; this budget
+/// is set to refuse both.
+const BUDGET_BYTES_PER_HOST: usize = 190;
 
 /// LA-City densities with the area grown to hold `hosts` hosts, under
 /// a light query load: the budget is about fleet storage, not queries.
@@ -101,6 +106,53 @@ fn peak_live_heap_per_host_stays_inside_the_fleet_budget() {
     assert!(
         per_host <= BUDGET_BYTES_PER_HOST,
         "peak live heap {per_host} B/host ({peak} B) over the {BUDGET_BYTES_PER_HOST} B/host budget"
+    );
+}
+
+/// Live bytes a freshly built world keeps.
+fn world_bytes(cfg: SimConfig) -> usize {
+    let before = LIVE.load(Ordering::Relaxed);
+    let world = LiveWorld::try_new(cfg).expect("valid config");
+    let kept = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    drop(world);
+    kept
+}
+
+/// What a built world keeps per host before any host queries: the
+/// online flag, position, sync minute, resync flag and cache slot.
+const IDLE_COLUMN_BYTES: usize =
+    2 * size_of::<bool>() + size_of::<Point>() + size_of::<f64>() + size_of::<u32>();
+
+#[test]
+fn an_idle_world_holds_no_cache_or_ledger_per_host() {
+    const IDLE_HOSTS: usize = 200_000;
+    let _one_at_a_time = measuring();
+    let cfg = SimConfig::paper_defaults(fleet_params(IDLE_HOSTS), QueryKind::Knn, 42);
+    let idle = world_bytes(cfg.clone());
+    // The same POIs, index and oracle with one host: what the world
+    // keeps besides its hosts.
+    let mut lone = cfg.clone();
+    lone.params.mh_number = 1;
+    let shared = world_bytes(lone);
+    // The neighbor grid's buffers, reserved for the whole fleet.
+    let side = cfg.params.world_mi;
+    let before = LIVE.load(Ordering::Relaxed);
+    let grid = NeighborGrid::with_bounds(
+        &Rect::from_coords(0.0, 0.0, side, side),
+        meters_to_miles(cfg.params.tx_range_m),
+        IDLE_HOSTS,
+    );
+    let reserved = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    drop(grid);
+
+    // Measured here: 28.9 B/host (the lone world's grid reserves some
+    // of the big one's cells). An eager cache column would add 72 B a
+    // host, an eager ledger column 32 B; the 8 B of slack refuses both.
+    let per_host = idle.saturating_sub(shared + reserved) as f64 / IDLE_HOSTS as f64;
+    assert!(
+        per_host <= (IDLE_COLUMN_BYTES + 8) as f64,
+        "an idle world keeps {per_host:.1} B/host besides its POIs and grid \
+         ({idle} B in all), over {IDLE_COLUMN_BYTES} B of columns and 8 B of slack"
     );
 }
 
