@@ -427,13 +427,13 @@ fn clip_to_world(r: Rect, world: Rect) -> Rect {
 pub(crate) mod tests {
     use super::*;
     use airshare_hilbert::Grid;
-    use airshare_obs::{MetricsRecorder, NoopRecorder};
+    use airshare_obs::{MetricsSnapshot, NoopRecorder};
 
-    /// A [`MetricsRecorder`] plus a count of `FrameLost` events, which
+    /// A [`MetricsSnapshot`] plus a count of `FrameLost` events, which
     /// the snapshot leaves to the report, and the buckets downloaded.
     #[derive(Default)]
     struct Traced {
-        metrics: MetricsRecorder,
+        metrics: MetricsSnapshot,
         frames_lost: u64,
         tuned: Vec<BucketId>,
     }
@@ -775,7 +775,7 @@ pub(crate) mod tests {
             assert_eq!(stats.lost_buckets, stats.buckets, "budget {budget}");
             let frames = stats.retries + stats.lost_buckets;
             assert_eq!(rec.frames_lost, frames, "budget {budget}");
-            assert_eq!(rec.metrics.snapshot().probes_total, 1, "budget {budget}");
+            assert_eq!(rec.metrics.probes_total, 1, "budget {budget}");
         }
     }
 
@@ -787,7 +787,7 @@ pub(crate) mod tests {
         let buckets: Vec<usize> = (0..index.data_buckets()).collect();
         let mut rec = Traced::default();
         let (pois, stats) = retrieved(&client, 0, &buckets, &mut rec);
-        let snap = rec.metrics.snapshot();
+        let snap = &rec.metrics;
         assert_eq!(snap.probes_total, 1);
         assert_eq!(snap.index_buckets_total, schedule.index_buckets() as u64);
         assert_eq!(

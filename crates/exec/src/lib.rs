@@ -11,7 +11,7 @@
 //!   list out over one shared queue and returns results **in input
 //!   order**, regardless of which worker ran what; [`ExecPool::map_with`]
 //!   additionally threads a per-worker mutable context (e.g. a
-//!   shard-local `MetricsRecorder`) through every task the worker
+//!   shard-local `MetricsSnapshot`) through every task the worker
 //!   executes. Both sit on [`ExecPool::for_each_with`], which writes
 //!   results through the tasks themselves and so allocates nothing of
 //!   its own: the simulator's epoch loop dispatches through it.

@@ -34,13 +34,12 @@ impl ResolutionKind {
 
 /// The quality of one answered query, from best to worst.
 ///
-/// Replaces the older binary "degraded" flag: under fleet-level chaos
-/// (base-station outages, host churn) an answer can be worse than
-/// *missing a few buckets* — it can be served entirely from possibly
-/// stale cached knowledge, or not at all. Every non-`Exact` quality
-/// carries a declared bound the chaos oracle can check: the answer set
-/// is a subset of the ground truth (window queries) or its distances
-/// dominate the true nearest neighbors (kNN).
+/// Under fleet-level chaos (base-station outages, host churn) an answer
+/// can be worse than *missing a few buckets* — it can be served
+/// entirely from possibly stale cached knowledge, or not at all. Every
+/// non-`Exact` quality carries a declared bound the chaos oracle can
+/// check: the answer set is a subset of the ground truth (window
+/// queries) or its distances dominate the true nearest neighbors (kNN).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AnswerQuality {
     /// Resolved normally: verified peer data, an accepted approximate
@@ -234,31 +233,93 @@ pub enum TraceEvent {
     },
 }
 
+/// One payload value of a [`TraceEvent`]: an integer, or one of the
+/// three enums' stable strings.
+#[derive(Clone, Copy)]
+pub(crate) enum Value {
+    Int(u64),
+    Str(&'static str),
+}
+
+fn int(key: &'static str, v: impl Into<u64>) -> Option<(&'static str, Value)> {
+    Some((key, Value::Int(v.into())))
+}
+
+fn text(key: &'static str, s: &'static str) -> Option<(&'static str, Value)> {
+    Some((key, Value::Str(s)))
+}
+
 impl TraceEvent {
-    /// The event's stable name (used by the JSONL trace and metric
-    /// labels).
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::ProbeStarted { .. } => "probe_started",
-            TraceEvent::IndexBucketTuned { .. } => "index_bucket_tuned",
-            TraceEvent::DataBucketTuned { .. } => "data_bucket_tuned",
-            TraceEvent::FrameLost { .. } => "frame_lost",
-            TraceEvent::PeerContacted { .. } => "peer_contacted",
-            TraceEvent::PeerReplyDropped { .. } => "peer_reply_dropped",
-            TraceEvent::CacheHit { .. } => "cache_hit",
-            TraceEvent::CacheRejected { .. } => "cache_rejected",
-            TraceEvent::QueryResolved { .. } => "query_resolved",
-            TraceEvent::QueryQuality { .. } => "query_quality",
-            TraceEvent::HostCrashed { .. } => "host_crashed",
-            TraceEvent::HostRestarted { .. } => "host_restarted",
-            TraceEvent::OutageBlocked { .. } => "outage_blocked",
-            TraceEvent::Resynced { .. } => "resynced",
-            TraceEvent::PeerQuarantined { .. } => "peer_quarantined",
-            TraceEvent::QuarantinedPeerSkipped { .. } => "quarantined_peer_skipped",
-            TraceEvent::SessionRegistered { .. } => "session_registered",
-            TraceEvent::SessionClosed { .. } => "session_closed",
-            TraceEvent::EpochCommitted { .. } => "epoch_committed",
-            TraceEvent::ServiceDrained { .. } => "service_drained",
+    /// The event's stable name and its `(key, value)` payload in wire
+    /// order, unused slots last and `None`: the one description of its
+    /// wire form, which the JSONL trace writes field by field.
+    pub(crate) fn describe(&self) -> (&'static str, [Option<(&'static str, Value)>; 3]) {
+        match *self {
+            Self::ProbeStarted { tick } => ("probe_started", [int("tick", tick), None, None]),
+            Self::IndexBucketTuned { count } => {
+                ("index_bucket_tuned", [int("count", count), None, None])
+            }
+            Self::DataBucketTuned { bucket, tick } => (
+                "data_bucket_tuned",
+                [int("bucket", bucket), int("tick", tick), None],
+            ),
+            Self::FrameLost { bucket, retry } => (
+                "frame_lost",
+                [int("bucket", bucket), int("retry", retry), None],
+            ),
+            Self::PeerContacted { peer } => ("peer_contacted", [int("peer", peer), None, None]),
+            Self::PeerReplyDropped { peer } => {
+                ("peer_reply_dropped", [int("peer", peer), None, None])
+            }
+            Self::CacheHit { regions } => ("cache_hit", [int("regions", regions), None, None]),
+            Self::CacheRejected { reason } => (
+                "cache_rejected",
+                [text("reason", reason.as_str()), None, None],
+            ),
+            Self::QueryResolved {
+                by,
+                tuning,
+                latency,
+            } => (
+                "query_resolved",
+                [
+                    text("by", by.as_str()),
+                    int("tuning", tuning),
+                    int("latency", latency),
+                ],
+            ),
+            Self::QueryQuality { quality } => (
+                "query_quality",
+                [text("quality", quality.as_str()), None, None],
+            ),
+            Self::HostCrashed { host, epoch } => (
+                "host_crashed",
+                [int("host", host), int("epoch", epoch), None],
+            ),
+            Self::HostRestarted { host, epoch } => (
+                "host_restarted",
+                [int("host", host), int("epoch", epoch), None],
+            ),
+            Self::OutageBlocked { tick } => ("outage_blocked", [int("tick", tick), None, None]),
+            Self::Resynced { host } => ("resynced", [int("host", host), None, None]),
+            Self::PeerQuarantined { peer, until_epoch } => (
+                "peer_quarantined",
+                [int("peer", peer), int("until_epoch", until_epoch), None],
+            ),
+            Self::QuarantinedPeerSkipped { peer } => {
+                ("quarantined_peer_skipped", [int("peer", peer), None, None])
+            }
+            Self::SessionRegistered { host } => {
+                ("session_registered", [int("host", host), None, None])
+            }
+            Self::SessionClosed { host } => ("session_closed", [int("host", host), None, None]),
+            Self::EpochCommitted { epoch, batch } => (
+                "epoch_committed",
+                [int("epoch", epoch), int("batch", batch), None],
+            ),
+            Self::ServiceDrained { pending } => {
+                ("service_drained", [int("pending", pending), None, None])
+            }
         }
     }
 }
@@ -305,7 +366,7 @@ mod tests {
             TraceEvent::EpochCommitted { epoch: 0, batch: 0 },
             TraceEvent::ServiceDrained { pending: 0 },
         ];
-        let mut names: Vec<&str> = events.iter().map(TraceEvent::name).collect();
+        let mut names: Vec<&str> = events.iter().map(|e| e.describe().0).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), events.len());

@@ -15,17 +15,15 @@
 //!   is provably free: its methods are empty `#[inline]` bodies, and a
 //!   simulation run with an inert recorder is bit-identical to one
 //!   without (tested end-to-end in the umbrella crate).
-//! * [`MetricsRecorder`] — aggregates events straight into a
-//!   [`MetricsSnapshot`]'s counts and log-scaled [`Histogram`]s, with
-//!   p50/p90/p95/p99 extraction. It counts only what no report counts:
-//!   resolutions, answer grades, churn, faults and admissions are owned
-//!   by the simulation's and the service's reports.
+//! * [`MetricsSnapshot`] — the metrics recorder, and the aggregate a
+//!   run reports: counters plus log-scaled [`Histogram`]s of tuning time
+//!   and access latency. It counts only what no report counts
+//!   (resolutions, grades, churn, faults and admissions are the reports').
 //! * [`JsonlTraceRecorder`] — a deterministic per-query event log, one
-//!   JSON object per line, consumable by the `trace` experiment of `airshare-paper`.
-//! * [`stats`] — the unified statistics module: [`AccessStats`] (moved
-//!   here from `airshare-broadcast`), [`ShareStats`] (moved from
-//!   `airshare-p2p`), the grouped [`FaultStats`] counters, and the
-//!   histogram-backed [`LatencySummary`].
+//!   JSON object per line, as `airshare-paper trace` prints it.
+//! * [`stats`] — the unified statistics module: the per-operation
+//!   [`AccessStats`] and [`ShareStats`], the grouped [`FaultStats`]
+//!   counters, and the histogram-backed [`LatencySummary`].
 //!
 //! The crate is dependency-free so every substrate crate can use it
 //! without layering concerns.
@@ -38,7 +36,7 @@ mod recorder;
 pub mod stats;
 
 pub use event::{AnswerQuality, CacheRejectReason, ResolutionKind, TraceEvent};
-pub use recorder::{JsonlTraceRecorder, MetricsRecorder, MetricsSnapshot, NoopRecorder, Recorder};
+pub use recorder::{JsonlTraceRecorder, MetricsSnapshot, NoopRecorder, Recorder};
 pub use stats::{
     AccessStats, FaultStats, Histogram, LatencySummary, PercentileSummary, PhaseTimes, ShareStats,
 };

@@ -1,7 +1,7 @@
 //! The `Recorder` sink trait and the concrete recorders.
 
-use crate::event::{ResolutionKind, TraceEvent};
-use crate::stats::{Histogram, PercentileSummary, PhaseTimes};
+use crate::event::{ResolutionKind, TraceEvent, Value};
+use crate::stats::{Histogram, PhaseTimes};
 use std::fmt::Write as _;
 
 /// A sink for trace events emitted along a query's resolution path.
@@ -46,16 +46,20 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
     }
 }
 
-/// Aggregated view of a [`MetricsRecorder`], as plain numbers.
+/// Aggregates trace events into counters and log-scaled histograms:
+/// the metrics recorder, and the plain numbers it is read as.
 ///
-/// The snapshot counts only what no report counts. Every fact a
-/// `SimReport` or `ServiceReport` already owns — resolutions, answer
-/// grades, crashes, restarts, resyncs, peer contacts, dropped replies,
-/// lost frames, quarantine, admissions and rejections — is read there;
-/// its events stay in the trace, where a test-side fold can check the
-/// two agree. What remains is the channel and cache work behind the
-/// per-layer ladder, the service's session and barrier events, and the
-/// tuning and latency distributions.
+/// It counts only what no report counts. Every fact a `SimReport` or
+/// `ServiceReport` already owns — resolutions, answer grades, crashes,
+/// restarts, resyncs, peer contacts, dropped replies, lost frames,
+/// quarantine, admissions and rejections — is read there; its events
+/// stay in the trace, where a test-side fold can check the two agree.
+/// What remains is the channel and cache work behind the per-layer
+/// ladder, the service's session and barrier events, and the tuning
+/// and latency distributions. Tuning and latency are recorded per query
+/// at its terminal [`TraceEvent::QueryResolved`] event (peer-resolved
+/// queries contribute zeros — they never touched the channel;
+/// unresolved outage answers contribute nothing).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Queries observed (one per `begin_query`).
@@ -80,27 +84,21 @@ pub struct MetricsSnapshot {
     pub epochs_committed_total: u64,
     /// Graceful drains completed.
     pub drains_total: u64,
-    /// Tuning-time percentiles across resolved queries (ticks).
-    pub tuning: PercentileSummary,
-    /// Access-latency percentiles across resolved queries (ticks).
-    pub latency: PercentileSummary,
-    /// The full tuning-time histogram behind [`MetricsSnapshot::tuning`].
-    /// Histogram bounds are fixed, so snapshots merge exactly.
-    pub tuning_hist: Histogram,
-    /// The full access-latency histogram behind
-    /// [`MetricsSnapshot::latency`].
-    pub latency_hist: Histogram,
-    /// Wall-clock breakdown of the engine's epoch loop, filled in by
-    /// the driving runtime (not by trace events). Compares equal
-    /// regardless of values — timing is measurement, not simulation
-    /// output — so determinism checks over snapshots stay valid.
+    /// Tuning time across resolved queries (ticks); read it through
+    /// [`Histogram::percentiles`]. Histogram bounds are fixed, so
+    /// snapshots merge exactly.
+    pub tuning: Histogram,
+    /// Access latency across resolved queries (ticks).
+    pub latency: Histogram,
+    /// Wall-clock breakdown of the epoch loop, filled in by the driving
+    /// runtime (not by trace events). Compares equal regardless of
+    /// values — timing is measurement, not simulation output — so
+    /// determinism checks over snapshots stay valid.
     pub phases: PhaseTimes,
 }
 
 impl MetricsSnapshot {
-    /// Folds another snapshot in: counters add, histograms merge, and
-    /// the percentile summaries are recomputed from the merged
-    /// histograms.
+    /// Folds another snapshot in: counters add and histograms merge.
     ///
     /// Every ingredient is a commutative, associative exact sum, so
     /// folding shard-local snapshots in any grouping yields the same
@@ -119,63 +117,27 @@ impl MetricsSnapshot {
         self.sessions_closed_total += other.sessions_closed_total;
         self.epochs_committed_total += other.epochs_committed_total;
         self.drains_total += other.drains_total;
-        self.tuning_hist.merge(&other.tuning_hist);
-        self.latency_hist.merge(&other.latency_hist);
-        self.tuning = self.tuning_hist.percentiles();
-        self.latency = self.latency_hist.percentiles();
+        self.tuning.merge(&other.tuning);
+        self.latency.merge(&other.latency);
         self.phases.merge(other.phases);
     }
 }
 
-/// Aggregates trace events into counters and log-scaled histograms.
-///
-/// Feed it to a run, then call [`MetricsRecorder::snapshot`] for the
-/// percentile view. Tuning and latency are recorded per query at its
-/// terminal [`TraceEvent::QueryResolved`] event (peer-resolved queries
-/// contribute zeros — they never touched the channel; unresolved
-/// outage answers contribute nothing). Events whose fact a report owns
-/// (see [`MetricsSnapshot`]) are observed and not counted.
-#[derive(Clone, Debug, Default)]
-pub struct MetricsRecorder {
-    /// The running totals; `tuning`/`latency` are filled in only by
-    /// [`MetricsRecorder::snapshot`].
-    totals: MetricsSnapshot,
-}
-
-impl MetricsRecorder {
-    /// A recorder with all metrics at zero.
-    pub fn new() -> MetricsRecorder {
-        MetricsRecorder::default()
-    }
-
-    /// The current aggregate view.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut s = self.totals.clone();
-        s.tuning = s.tuning_hist.percentiles();
-        s.latency = s.latency_hist.percentiles();
-        s
-    }
-
-    /// Folds another recorder's observations in (exact; see
-    /// [`MetricsSnapshot::merge`]).
-    pub fn merge(&mut self, other: &MetricsRecorder) {
-        self.totals.merge(&other.totals);
-    }
-}
-
-impl Recorder for MetricsRecorder {
+/// Integer adds only — no formatting, no allocation: the serve workers
+/// record on their hot path. Events whose fact a report owns are
+/// observed and not counted.
+impl Recorder for MetricsSnapshot {
     fn begin_query(&mut self, _id: u64, _tick: u64) {
-        self.totals.queries_total += 1;
+        self.queries_total += 1;
     }
 
     fn record(&mut self, event: TraceEvent) {
-        let m = &mut self.totals;
         match event {
-            TraceEvent::ProbeStarted { .. } => m.probes_total += 1,
-            TraceEvent::IndexBucketTuned { count } => m.index_buckets_total += count as u64,
-            TraceEvent::DataBucketTuned { .. } => m.data_buckets_total += 1,
-            TraceEvent::CacheHit { .. } => m.cache_hits_total += 1,
-            TraceEvent::CacheRejected { .. } => m.cache_rejected_total += 1,
+            TraceEvent::ProbeStarted { .. } => self.probes_total += 1,
+            TraceEvent::IndexBucketTuned { count } => self.index_buckets_total += count as u64,
+            TraceEvent::DataBucketTuned { .. } => self.data_buckets_total += 1,
+            TraceEvent::CacheHit { .. } => self.cache_hits_total += 1,
+            TraceEvent::CacheRejected { .. } => self.cache_rejected_total += 1,
             TraceEvent::QueryResolved {
                 by: ResolutionKind::Unresolved,
                 ..
@@ -183,14 +145,14 @@ impl Recorder for MetricsRecorder {
             TraceEvent::QueryResolved {
                 tuning, latency, ..
             } => {
-                m.tuning_hist.record(tuning);
-                m.latency_hist.record(latency);
+                self.tuning.record(tuning);
+                self.latency.record(latency);
             }
-            TraceEvent::OutageBlocked { .. } => m.outages_blocked_total += 1,
-            TraceEvent::SessionRegistered { .. } => m.sessions_registered_total += 1,
-            TraceEvent::SessionClosed { .. } => m.sessions_closed_total += 1,
-            TraceEvent::EpochCommitted { .. } => m.epochs_committed_total += 1,
-            TraceEvent::ServiceDrained { .. } => m.drains_total += 1,
+            TraceEvent::OutageBlocked { .. } => self.outages_blocked_total += 1,
+            TraceEvent::SessionRegistered { .. } => self.sessions_registered_total += 1,
+            TraceEvent::SessionClosed { .. } => self.sessions_closed_total += 1,
+            TraceEvent::EpochCommitted { .. } => self.epochs_committed_total += 1,
+            TraceEvent::ServiceDrained { .. } => self.drains_total += 1,
             TraceEvent::FrameLost { .. }
             | TraceEvent::PeerContacted { .. }
             | TraceEvent::PeerReplyDropped { .. }
@@ -209,8 +171,7 @@ impl Recorder for MetricsRecorder {
 /// same-seed runs produce byte-identical output.
 ///
 /// The log accumulates in memory; drain it with
-/// [`JsonlTraceRecorder::into_string`] (or borrow via
-/// [`JsonlTraceRecorder::as_str`]).
+/// [`JsonlTraceRecorder::into_string`].
 #[derive(Clone, Debug, Default)]
 pub struct JsonlTraceRecorder {
     buf: String,
@@ -221,11 +182,6 @@ impl JsonlTraceRecorder {
     /// An empty trace.
     pub fn new() -> JsonlTraceRecorder {
         JsonlTraceRecorder::default()
-    }
-
-    /// The log so far.
-    pub fn as_str(&self) -> &str {
-        &self.buf
     }
 
     /// Lines written so far.
@@ -249,97 +205,15 @@ impl Recorder for JsonlTraceRecorder {
     }
 
     fn record(&mut self, event: TraceEvent) {
-        let q = self.query;
-        let name = event.name();
-        let _ = match event {
-            TraceEvent::ProbeStarted { tick } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"tick\":{tick}}}"
-            ),
-            TraceEvent::IndexBucketTuned { count } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"count\":{count}}}"
-            ),
-            TraceEvent::DataBucketTuned { bucket, tick } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"bucket\":{bucket},\"tick\":{tick}}}"
-            ),
-            TraceEvent::FrameLost { bucket, retry } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"bucket\":{bucket},\"retry\":{retry}}}"
-            ),
-            TraceEvent::PeerContacted { peer } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"peer\":{peer}}}"
-            ),
-            TraceEvent::PeerReplyDropped { peer } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"peer\":{peer}}}"
-            ),
-            TraceEvent::CacheHit { regions } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"regions\":{regions}}}"
-            ),
-            TraceEvent::CacheRejected { reason } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"reason\":\"{}\"}}",
-                reason.as_str()
-            ),
-            TraceEvent::QueryResolved {
-                by,
-                tuning,
-                latency,
-            } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"by\":\"{}\",\"tuning\":{tuning},\"latency\":{latency}}}",
-                by.as_str()
-            ),
-            TraceEvent::QueryQuality { quality } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"quality\":\"{}\"}}",
-                quality.as_str()
-            ),
-            TraceEvent::HostCrashed { host, epoch } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"host\":{host},\"epoch\":{epoch}}}"
-            ),
-            TraceEvent::HostRestarted { host, epoch } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"host\":{host},\"epoch\":{epoch}}}"
-            ),
-            TraceEvent::OutageBlocked { tick } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"tick\":{tick}}}"
-            ),
-            TraceEvent::Resynced { host } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"host\":{host}}}"
-            ),
-            TraceEvent::PeerQuarantined { peer, until_epoch } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"peer\":{peer},\"until_epoch\":{until_epoch}}}"
-            ),
-            TraceEvent::QuarantinedPeerSkipped { peer } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"peer\":{peer}}}"
-            ),
-            TraceEvent::SessionRegistered { host } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"host\":{host}}}"
-            ),
-            TraceEvent::SessionClosed { host } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"host\":{host}}}"
-            ),
-            TraceEvent::EpochCommitted { epoch, batch } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"epoch\":{epoch},\"batch\":{batch}}}"
-            ),
-            TraceEvent::ServiceDrained { pending } => writeln!(
-                self.buf,
-                "{{\"query\":{q},\"event\":\"{name}\",\"pending\":{pending}}}"
-            ),
-        };
+        let (name, payload) = event.describe();
+        let _ = write!(self.buf, "{{\"query\":{},\"event\":\"{name}\"", self.query);
+        for (key, value) in payload.into_iter().flatten() {
+            let _ = match value {
+                Value::Int(v) => write!(self.buf, ",\"{key}\":{v}"),
+                Value::Str(s) => write!(self.buf, ",\"{key}\":\"{s}\""),
+            };
+        }
+        self.buf.push_str("}\n");
     }
 }
 
@@ -376,7 +250,7 @@ mod tests {
 
     #[test]
     fn metrics_recorder_aggregates_all_events() {
-        let mut m = MetricsRecorder::new();
+        let mut m = MetricsSnapshot::default();
         m.begin_query(0, 120);
         for e in sample_events() {
             m.record(e);
@@ -394,46 +268,133 @@ mod tests {
             tuning: 0,
             latency: 0,
         });
-        let s = m.snapshot();
-        assert_eq!(s.queries_total, 3);
-        assert_eq!(s.probes_total, 1);
-        assert_eq!(s.index_buckets_total, 3);
-        assert_eq!(s.data_buckets_total, 1);
-        assert_eq!(s.cache_hits_total, 1);
-        assert_eq!(s.cache_rejected_total, 1);
-        assert_eq!(s.tuning.count, 2);
-        assert_eq!(s.latency.count, 2);
-        assert_eq!(s.latency.max, 88);
+        assert_eq!(m.queries_total, 3);
+        assert_eq!(m.probes_total, 1);
+        assert_eq!(m.index_buckets_total, 3);
+        assert_eq!(m.data_buckets_total, 1);
+        assert_eq!(m.cache_hits_total, 1);
+        assert_eq!(m.cache_rejected_total, 1);
+        assert_eq!(m.tuning.count(), 2);
+        assert_eq!(m.latency.count(), 2);
+        assert_eq!(m.latency.max(), 88);
     }
 
     #[test]
     fn jsonl_lines_are_exact_and_repeatable() {
+        // One event of every variant, then every other value of the
+        // three string-valued fields.
+        let mut events = vec![
+            TraceEvent::ProbeStarted { tick: 120 },
+            TraceEvent::IndexBucketTuned { count: 3 },
+            TraceEvent::DataBucketTuned {
+                bucket: 17,
+                tick: 140,
+            },
+            TraceEvent::FrameLost {
+                bucket: 17,
+                retry: 1,
+            },
+            TraceEvent::PeerContacted { peer: 5 },
+            TraceEvent::PeerReplyDropped { peer: 6 },
+            TraceEvent::CacheHit { regions: 2 },
+            TraceEvent::CacheRejected {
+                reason: CacheRejectReason::Inconsistent,
+            },
+            TraceEvent::QueryResolved {
+                by: ResolutionKind::PeersVerified,
+                tuning: 12,
+                latency: 88,
+            },
+            TraceEvent::QueryQuality {
+                quality: AnswerQuality::Exact,
+            },
+            TraceEvent::HostCrashed { host: 3, epoch: 7 },
+            TraceEvent::HostRestarted { host: 3, epoch: 9 },
+            TraceEvent::OutageBlocked { tick: 4200 },
+            TraceEvent::Resynced { host: 4 },
+            TraceEvent::PeerQuarantined {
+                peer: 8,
+                until_epoch: 12,
+            },
+            TraceEvent::QuarantinedPeerSkipped { peer: 9 },
+            TraceEvent::SessionRegistered { host: 10 },
+            TraceEvent::SessionClosed { host: 11 },
+            TraceEvent::EpochCommitted {
+                epoch: 13,
+                batch: 14,
+            },
+            TraceEvent::ServiceDrained { pending: 15 },
+            TraceEvent::CacheRejected {
+                reason: CacheRejectReason::NoCapacity,
+            },
+        ];
+        for by in [
+            ResolutionKind::PeersApproximate,
+            ResolutionKind::Broadcast,
+            ResolutionKind::Unresolved,
+        ] {
+            events.push(TraceEvent::QueryResolved {
+                by,
+                tuning: 0,
+                latency: u64::MAX,
+            });
+        }
+        for quality in [
+            AnswerQuality::Degraded,
+            AnswerQuality::Stale,
+            AnswerQuality::Failed,
+        ] {
+            events.push(TraceEvent::QueryQuality { quality });
+        }
         let render = || {
             let mut t = JsonlTraceRecorder::new();
             t.begin_query(7, 120);
-            for e in sample_events() {
+            for &e in &events {
                 t.record(e);
             }
             t.into_string()
         };
+        let expected = [
+            r#"{"query":7,"event":"begin_query","tick":120}"#,
+            r#"{"query":7,"event":"probe_started","tick":120}"#,
+            r#"{"query":7,"event":"index_bucket_tuned","count":3}"#,
+            r#"{"query":7,"event":"data_bucket_tuned","bucket":17,"tick":140}"#,
+            r#"{"query":7,"event":"frame_lost","bucket":17,"retry":1}"#,
+            r#"{"query":7,"event":"peer_contacted","peer":5}"#,
+            r#"{"query":7,"event":"peer_reply_dropped","peer":6}"#,
+            r#"{"query":7,"event":"cache_hit","regions":2}"#,
+            r#"{"query":7,"event":"cache_rejected","reason":"inconsistent"}"#,
+            r#"{"query":7,"event":"query_resolved","by":"peers_verified","tuning":12,"latency":88}"#,
+            r#"{"query":7,"event":"query_quality","quality":"exact"}"#,
+            r#"{"query":7,"event":"host_crashed","host":3,"epoch":7}"#,
+            r#"{"query":7,"event":"host_restarted","host":3,"epoch":9}"#,
+            r#"{"query":7,"event":"outage_blocked","tick":4200}"#,
+            r#"{"query":7,"event":"resynced","host":4}"#,
+            r#"{"query":7,"event":"peer_quarantined","peer":8,"until_epoch":12}"#,
+            r#"{"query":7,"event":"quarantined_peer_skipped","peer":9}"#,
+            r#"{"query":7,"event":"session_registered","host":10}"#,
+            r#"{"query":7,"event":"session_closed","host":11}"#,
+            r#"{"query":7,"event":"epoch_committed","epoch":13,"batch":14}"#,
+            r#"{"query":7,"event":"service_drained","pending":15}"#,
+            r#"{"query":7,"event":"cache_rejected","reason":"no_capacity"}"#,
+            r#"{"query":7,"event":"query_resolved","by":"peers_approximate","tuning":0,"latency":18446744073709551615}"#,
+            r#"{"query":7,"event":"query_resolved","by":"broadcast","tuning":0,"latency":18446744073709551615}"#,
+            r#"{"query":7,"event":"query_resolved","by":"unresolved","tuning":0,"latency":18446744073709551615}"#,
+            r#"{"query":7,"event":"query_quality","quality":"degraded"}"#,
+            r#"{"query":7,"event":"query_quality","quality":"stale"}"#,
+            r#"{"query":7,"event":"query_quality","quality":"failed"}"#,
+        ];
         let a = render();
         assert_eq!(a, render());
-        assert_eq!(a.lines().count(), 10);
-        assert!(a.starts_with("{\"query\":7,\"event\":\"begin_query\",\"tick\":120}\n"));
-        assert!(a.contains(
-            "{\"query\":7,\"event\":\"query_resolved\",\"by\":\"broadcast\",\"tuning\":12,\"latency\":88}"
-        ));
-        for line in a.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-        }
+        assert_eq!(a, expected.map(|l| format!("{l}\n")).concat());
     }
 
     #[test]
     fn snapshot_merge_matches_single_recorder() {
         // Two shard recorders vs one recorder observing everything.
-        let mut a = MetricsRecorder::new();
-        let mut b = MetricsRecorder::new();
-        let mut whole = MetricsRecorder::new();
+        let mut a = MetricsSnapshot::default();
+        let mut b = MetricsSnapshot::default();
+        let mut whole = MetricsSnapshot::default();
         a.begin_query(0, 120);
         whole.begin_query(0, 120);
         for e in sample_events() {
@@ -450,18 +411,13 @@ mod tests {
         b.record(done);
         whole.record(done);
 
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, whole.snapshot());
-
-        // Recorder-level merge agrees with snapshot-level merge.
-        let mut rec = a.clone();
-        rec.merge(&b);
-        assert_eq!(rec.snapshot(), whole.snapshot());
+        let mut merged = a;
+        merged.merge(&b);
+        assert_eq!(merged, whole);
 
         // Merging an empty snapshot is the identity.
         let before = merged.clone();
-        merged.merge(&MetricsRecorder::new().snapshot());
+        merged.merge(&MetricsSnapshot::default());
         assert_eq!(merged, before);
     }
 
@@ -487,7 +443,7 @@ mod tests {
             },
             TraceEvent::QuarantinedPeerSkipped { peer: 5 },
         ];
-        let mut m = MetricsRecorder::new();
+        let mut m = MetricsSnapshot::default();
         m.begin_query(0, 0);
         for e in chaos {
             m.record(e);
@@ -499,7 +455,7 @@ mod tests {
             outages_blocked_total: 1,
             ..MetricsSnapshot::default()
         };
-        assert_eq!(m.snapshot(), expected);
+        assert_eq!(m, expected);
 
         let mut t = JsonlTraceRecorder::new();
         t.begin_query(1, 0);
@@ -526,16 +482,15 @@ mod tests {
             },
             TraceEvent::ServiceDrained { pending: 3 },
         ];
-        let mut m = MetricsRecorder::new();
+        let mut m = MetricsSnapshot::default();
         m.begin_query(0, 0);
         for e in service {
             m.record(e);
         }
-        let s = m.snapshot();
-        assert_eq!(s.sessions_registered_total, 2);
-        assert_eq!(s.sessions_closed_total, 1);
-        assert_eq!(s.epochs_committed_total, 1);
-        assert_eq!(s.drains_total, 1);
+        assert_eq!(m.sessions_registered_total, 2);
+        assert_eq!(m.sessions_closed_total, 1);
+        assert_eq!(m.epochs_committed_total, 1);
+        assert_eq!(m.drains_total, 1);
 
         let mut t = JsonlTraceRecorder::new();
         t.begin_query(4, 0);

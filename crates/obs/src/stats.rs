@@ -72,9 +72,6 @@ pub struct ShareStats {
 }
 
 /// Run-level fault accounting, grouped in one place.
-///
-/// Replaces the loose counters that previously sat directly on the
-/// simulation report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Channel re-fetches forced by corrupt bucket appearances.
@@ -187,11 +184,6 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
     fn bucket_index(v: u64) -> usize {
         if v < SUB_BUCKETS as u64 {
             return v as usize;
@@ -265,26 +257,6 @@ impl Histogram {
         self.max
     }
 
-    /// Median (p50).
-    pub fn p50(&self) -> u64 {
-        self.value_at_quantile(0.50)
-    }
-
-    /// 90th percentile.
-    pub fn p90(&self) -> u64 {
-        self.value_at_quantile(0.90)
-    }
-
-    /// 95th percentile.
-    pub fn p95(&self) -> u64 {
-        self.value_at_quantile(0.95)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> u64 {
-        self.value_at_quantile(0.99)
-    }
-
     /// Component-wise sum with another histogram (bounds are fixed, so
     /// merging is exact).
     pub fn merge(&mut self, other: &Histogram) {
@@ -298,15 +270,15 @@ impl Histogram {
         }
     }
 
-    /// The fixed percentile set, extracted in one pass.
+    /// The fixed percentile set.
     pub fn percentiles(&self) -> PercentileSummary {
         PercentileSummary {
             count: self.count,
             mean: self.mean(),
-            p50: self.p50(),
-            p90: self.p90(),
-            p95: self.p95(),
-            p99: self.p99(),
+            p50: self.value_at_quantile(0.50),
+            p90: self.value_at_quantile(0.90),
+            p95: self.value_at_quantile(0.95),
+            p99: self.value_at_quantile(0.99),
             max: self.max,
         }
     }
@@ -440,16 +412,17 @@ mod tests {
 
     #[test]
     fn histogram_percentiles_on_uniform_range() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         for v in 1..=1000u64 {
             h.record(v);
         }
         assert_eq!(h.count(), 1000);
         assert_eq!(h.max(), 1000);
         // Lower-bound estimates: within 25 % below the true quantile.
-        let p50 = h.p50();
+        let p = h.percentiles();
+        let p50 = p.p50;
         assert!(p50 <= 500 && p50 as f64 >= 500.0 * 0.75, "p50={p50}");
-        let p99 = h.p99();
+        let p99 = p.p99;
         assert!(p99 <= 990 && p99 as f64 >= 990.0 * 0.75, "p99={p99}");
         let p100 = h.value_at_quantile(1.0);
         assert!((750..=1000).contains(&p100), "p100={p100}");
@@ -457,9 +430,9 @@ mod tests {
 
     #[test]
     fn histogram_merge_equals_combined_recording() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut both = Histogram::new();
+        let mut a = Histogram::default();
+        let mut b = Histogram::default();
+        let mut both = Histogram::default();
         for v in 0..500u64 {
             a.record(v * 3);
             both.record(v * 3);
@@ -478,7 +451,7 @@ mod tests {
         let s = LatencySummary::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.percentiles(), PercentileSummary::default());
-        let h = Histogram::new();
+        let h = Histogram::default();
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.value_at_quantile(0.5), 0);
     }

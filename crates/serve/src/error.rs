@@ -27,6 +27,12 @@ pub enum ServeError {
         /// The offending host id.
         host: usize,
     },
+    /// The host's session is already open: a second `register` is
+    /// refused, and nothing is staged.
+    AlreadyRegistered {
+        /// The offending host id.
+        host: usize,
+    },
     /// A reported position has a NaN or infinite coordinate. (A finite
     /// position outside the world is accepted as reported.)
     BadPosition {
@@ -62,6 +68,9 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::UnknownSession { host } => {
                 write!(f, "host {host} has no open session")
+            }
+            ServeError::AlreadyRegistered { host } => {
+                write!(f, "host {host} already has an open session")
             }
             ServeError::BadPosition { host } => {
                 write!(f, "host {host} reported a non-finite position")

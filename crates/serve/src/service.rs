@@ -39,7 +39,7 @@ use crate::{Pacing, ServeConfig, ServeError};
 use airshare_broadcast::QueryScratch;
 use airshare_exec::ExecPool;
 use airshare_geom::Point;
-use airshare_obs::{MetricsRecorder, MetricsSnapshot, Recorder, TraceEvent};
+use airshare_obs::{MetricsSnapshot, Recorder, TraceEvent};
 use airshare_sim::{ConfigError, LiveQuery, LiveWorld, QueryAnswer, QuerySpec, SimReport};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -141,7 +141,8 @@ pub struct ServiceReport {
     /// The world's accumulated report — the same [`SimReport`] a
     /// simulation run produces, enabling field-for-field replay parity.
     pub report: SimReport,
-    /// Merged observability: the scheduler's and the workers' recorders.
+    /// Merged observability: the scheduler's and the workers' recorders,
+    /// with the world's phase times.
     pub metrics: MetricsSnapshot,
     /// Submissions that entered the admission queue (the only count of
     /// admissions).
@@ -209,8 +210,9 @@ impl ServiceHandle {
             .ok_or(ServeError::BadQuery { host })
     }
 
-    fn set_session(&self, host: usize, open: bool) {
-        self.shared.sessions[host].store(open, Ordering::Relaxed);
+    /// Sets a host's session flag, returning whether it was open.
+    fn set_session(&self, host: usize, open: bool) -> bool {
+        self.shared.sessions[host].swap(open, Ordering::Relaxed)
     }
 
     fn push_cmd(&self, barrier: Option<u64>, cmd: Command) {
@@ -229,11 +231,14 @@ impl ServiceHandle {
 
     /// Opens a session for a host joining fresh (cold cache, pristine
     /// sync clock). Takes effect at the given barrier epoch (`None` =
-    /// the next one committed).
+    /// the next one committed). A host whose session is open is refused
+    /// with [`ServeError::AlreadyRegistered`], and nothing is staged.
     pub fn register(&self, host: usize, barrier: Option<u64>) -> Result<(), ServeError> {
         self.check_open()?;
         self.check_host(host)?;
-        self.set_session(host, true);
+        if self.set_session(host, true) {
+            return Err(ServeError::AlreadyRegistered { host });
+        }
         self.push_cmd(barrier, Command::Register { host });
         Ok(())
     }
@@ -448,8 +453,8 @@ enum Clock {
 struct Scheduler {
     world: LiveWorld,
     pool: ExecPool,
-    ctxs: Vec<(MetricsRecorder, QueryScratch)>,
-    rec: MetricsRecorder,
+    ctxs: Vec<(MetricsSnapshot, QueryScratch)>,
+    rec: MetricsSnapshot,
     shared: Arc<Shared>,
     pacing: Pacing,
     epoch_min: f64,
@@ -478,9 +483,9 @@ impl Scheduler {
             world,
             pool: ExecPool::fixed(threads),
             ctxs: (0..threads)
-                .map(|_| (MetricsRecorder::new(), QueryScratch::new()))
+                .map(|_| (MetricsSnapshot::default(), QueryScratch::new()))
                 .collect(),
-            rec: MetricsRecorder::new(),
+            rec: MetricsSnapshot::default(),
             shared,
             pacing: cfg.pacing,
             epoch_min: cfg.sim.epoch_min,
@@ -518,9 +523,10 @@ impl Scheduler {
         for (r, _) in &self.ctxs {
             self.rec.merge(r);
         }
+        self.rec.phases = self.world.phase_times();
         ServiceReport {
             report: self.world.report().clone(),
-            metrics: self.rec.snapshot(),
+            metrics: std::mem::take(&mut self.rec),
             accepted: 0,
             rejected: 0,
             scheduler_passes: passes,
@@ -548,32 +554,35 @@ impl Scheduler {
         }
     }
 
+    /// Applies one command, recording a session event when it changed
+    /// the host's online state: a reconnect of a live host or a
+    /// disconnect of a dark one is a no-op, and counts nothing.
     fn apply(&mut self, cmd: Command) {
+        let (Command::Register { host }
+        | Command::Reconnect { host, .. }
+        | Command::Disconnect { host, .. }
+        | Command::UpdatePosition { host, .. }) = cmd;
+        let was_online = self.world.is_online(host);
         match cmd {
-            Command::Register { host } => {
-                self.world.connect(host);
-                self.rec
-                    .record(TraceEvent::SessionRegistered { host: host as u32 });
-            }
+            Command::Register { host } => self.world.connect(host),
             Command::Reconnect {
                 host,
                 planned_epoch,
-            } => {
-                self.world.reconnect(host, planned_epoch, &mut self.rec);
-                self.rec
-                    .record(TraceEvent::SessionRegistered { host: host as u32 });
-            }
+            } => self.world.reconnect(host, planned_epoch, &mut self.rec),
             Command::Disconnect {
                 host,
                 planned_epoch,
-            } => {
-                self.world.disconnect(host, planned_epoch, &mut self.rec);
-                self.rec
-                    .record(TraceEvent::SessionClosed { host: host as u32 });
-            }
-            Command::UpdatePosition { host, pos } => {
-                self.world.update_position(host, pos);
-            }
+            } => self.world.disconnect(host, planned_epoch, &mut self.rec),
+            Command::UpdatePosition { host, pos } => self.world.update_position(host, pos),
+        }
+        let online = self.world.is_online(host);
+        if online != was_online {
+            let host = host as u32;
+            self.rec.record(if online {
+                TraceEvent::SessionRegistered { host }
+            } else {
+                TraceEvent::SessionClosed { host }
+            });
         }
     }
 
@@ -883,6 +892,11 @@ mod tests {
         // Every epoch the clock entered committed its barrier: 0 to 7,
         // the query-less 6 included.
         assert_eq!(report.metrics.epochs_committed_total, 8);
+        // The world's phase clocks reach the drained snapshot; a live
+        // world's clients advance it, so it spends nothing on that.
+        let phases = report.metrics.phases;
+        assert!(phases.grid_ns > 0 && phases.query_ns > 0, "{phases:?}");
+        assert_eq!(phases.advance_ns, 0);
 
         let (answers_2, report_2) = run_scaled(2);
         assert_eq!(answers_2, answers);

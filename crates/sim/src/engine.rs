@@ -32,7 +32,7 @@ use airshare_geom::{Point, Rect};
 use airshare_mobility::{
     GridRoadWaypoint, Mobility, MobilityConfig, QueryEvent, QueryScheduler, RandomWaypoint,
 };
-use airshare_obs::{MetricsRecorder, NoopRecorder, PhaseTimes, Recorder};
+use airshare_obs::{MetricsSnapshot, NoopRecorder, PhaseTimes, Recorder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -227,7 +227,7 @@ impl Simulation {
         self.run_engine(pool, &mut ctxs, None)
     }
 
-    /// [`Simulation::run_parallel`] with per-worker [`MetricsRecorder`]s:
+    /// [`Simulation::run_parallel`] with per-worker [`MetricsSnapshot`]s:
     /// the returned report's `metrics` field carries the aggregated trace
     /// view (per-event counters plus tuning/latency percentiles over
     /// *every* query, peer-resolved ones included as zeros). Each worker
@@ -236,14 +236,13 @@ impl Simulation {
     /// (`ExecPool::sequential()` included).
     pub fn run_parallel_metrics(&mut self, pool: &ExecPool) -> SimReport {
         let mut ctxs: Vec<_> = (0..pool.threads())
-            .map(|_| (MetricsRecorder::new(), QueryScratch::new()))
+            .map(|_| (MetricsSnapshot::default(), QueryScratch::new()))
             .collect();
         let mut report = self.run_engine(pool, &mut ctxs, None);
-        let mut merged = MetricsRecorder::new();
+        let mut snapshot = MetricsSnapshot::default();
         for (rec, _) in &ctxs {
-            merged.merge(rec);
+            snapshot.merge(rec);
         }
-        let mut snapshot = merged.snapshot();
         snapshot.phases = self.phase_times();
         report.metrics = Some(snapshot);
         report

@@ -723,8 +723,10 @@ mod tests {
         );
         let report = world.report();
         assert_eq!((report.hosts_crashed, report.hosts_restarted), (1, 1));
-        let seen = |name| rec.0.iter().filter(|e| e.name() == name).count();
-        assert_eq!((seen("host_crashed"), seen("host_restarted")), (1, 1));
+        let seen = |f: fn(&TraceEvent) -> bool| rec.0.iter().filter(|e| f(e)).count();
+        let crashed = seen(|e| matches!(e, TraceEvent::HostCrashed { .. }));
+        let restarted = seen(|e| matches!(e, TraceEvent::HostRestarted { .. }));
+        assert_eq!((crashed, restarted), (1, 1));
     }
 
     /// The cache column is the peers' view: equal to every host's live

@@ -66,6 +66,6 @@ fn main() {
         report.accepted,
         report.rejected,
         report.metrics.epochs_committed_total,
-        report.metrics.tuning.p95
+        report.metrics.tuning.percentiles().p95
     );
 }

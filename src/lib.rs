@@ -113,7 +113,7 @@
 //! let m = report.metrics.expect("run_parallel_metrics always fills this");
 //! // The trace sees warm-up queries too, so it can only count more.
 //! assert!(m.queries_total >= report.queries.total);
-//! println!("p95 tuning = {} ticks", m.tuning.p95);
+//! println!("p95 tuning = {} ticks", m.tuning.percentiles().p95);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -168,8 +168,7 @@ pub mod prelude {
     pub use airshare_mobility::{Mobility, MobilityConfig, QueryScheduler, RandomWaypoint};
     pub use airshare_obs::{
         AccessStats, AnswerQuality, FaultStats, Histogram, JsonlTraceRecorder, LatencySummary,
-        MetricsRecorder, MetricsSnapshot, NoopRecorder, PercentileSummary, Recorder, ShareStats,
-        TraceEvent,
+        MetricsSnapshot, NoopRecorder, PercentileSummary, Recorder, ShareStats, TraceEvent,
     };
     pub use airshare_p2p::{gather_peer_data_checked, NeighborGrid, PeerReply, ShareFaults};
     pub use airshare_rtree::RTree;

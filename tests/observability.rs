@@ -93,11 +93,12 @@ fn run_metrics_fills_a_consistent_snapshot() {
     // more than the report's measured window. With no outage every
     // query resolves, and each resolution is one histogram sample.
     assert!(m.queries_total >= report.queries.total);
-    assert_eq!(m.tuning.count, m.queries_total);
-    assert_eq!(m.latency.count, m.queries_total);
+    assert_eq!(m.tuning.count(), m.queries_total);
+    assert_eq!(m.latency.count(), m.queries_total);
     assert!(m.probes_total >= report.queries.by_broadcast);
-    assert!(m.latency.p50 <= m.latency.p95 && m.latency.p95 <= m.latency.p99);
-    assert!(m.latency.p99 <= m.latency.max);
+    let latency = m.latency.percentiles();
+    assert!(latency.p50 <= latency.p95 && latency.p95 <= latency.p99);
+    assert!(latency.p99 <= latency.max);
 
     // The plain report part matches an untraced run of the same seed.
     let mut plain = Simulation::try_new(faulty(7)).expect("valid config").run();

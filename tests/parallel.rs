@@ -238,7 +238,7 @@ fn epoch_snapshot_hides_inserts_from_peers_until_the_next_epoch() {
 // ---------------------------------------------------------------------
 
 fn hist_of(values: &[u64]) -> Histogram {
-    let mut h = Histogram::new();
+    let mut h = Histogram::default();
     for &v in values {
         h.record(v);
     }
@@ -279,7 +279,7 @@ proptest! {
         c in prop::collection::vec((0u32..4, 0u64..5_000, 0u64..5_000), 0..60),
     ) {
         // Decode each sampled triple into a short query trace.
-        let feed = |rec: &mut MetricsRecorder, events: &[(u32, u64, u64)]| {
+        let feed = |rec: &mut MetricsSnapshot, events: &[(u32, u64, u64)]| {
             for (i, &(kind, tuning, latency)) in events.iter().enumerate() {
                 rec.begin_query(i as u64, tuning);
                 match kind {
@@ -307,9 +307,9 @@ proptest! {
             }
         };
         let snap = |events: &[(u32, u64, u64)]| {
-            let mut rec = MetricsRecorder::new();
+            let mut rec = MetricsSnapshot::default();
             feed(&mut rec, events);
-            rec.snapshot()
+            rec
         };
 
         // (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)
@@ -323,10 +323,10 @@ proptest! {
         prop_assert_eq!(&left, &right);
 
         // Both equal one recorder that saw every event.
-        let mut whole = MetricsRecorder::new();
+        let mut whole = MetricsSnapshot::default();
         feed(&mut whole, &a);
         feed(&mut whole, &b);
         feed(&mut whole, &c);
-        prop_assert_eq!(&left, &whole.snapshot());
+        prop_assert_eq!(&left, &whole);
     }
 }

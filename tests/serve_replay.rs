@@ -138,6 +138,27 @@ fn submissions_validate_sessions_and_tags() {
         Err(ServeError::UnknownSession { host: 0 })
     ));
     handle.register(0, None).unwrap();
+    // An open session is not registered again, however many handles
+    // race for it: exactly one of these four gets in.
+    assert_eq!(
+        handle.register(0, None),
+        Err(ServeError::AlreadyRegistered { host: 0 })
+    );
+    assert_eq!(
+        ServeError::AlreadyRegistered { host: 0 }.to_string(),
+        "host 0 already has an open session"
+    );
+    let opened = std::thread::scope(|s| {
+        let racers: Vec<_> = (0..4)
+            .map(|_| s.spawn(|| handle.register(1, None).is_ok()))
+            .collect();
+        racers
+            .into_iter()
+            .map(|r| r.join().unwrap())
+            .filter(|&ok| ok)
+            .count()
+    });
+    assert_eq!(opened, 1);
     // Lockstep requires a tag.
     assert!(matches!(
         handle.submit(req(0, None)),
@@ -209,6 +230,8 @@ fn submissions_validate_sessions_and_tags() {
     let report = service.drain();
     assert_eq!(report.accepted, 1);
     assert_eq!(report.metrics.drains_total, 1);
+    // The refused registrations staged nothing: hosts 0 and 1 opened once.
+    assert_eq!(report.metrics.sessions_registered_total, 2);
 
     // A drained service refuses everything.
     assert!(matches!(handle.register(1, None), Err(ServeError::Stopped)));
@@ -280,7 +303,8 @@ fn scaled_service_serves_live_traffic() {
 fn repeated_churn_calls_count_once() {
     // Nothing but `check_open` + `check_host` stands between a client
     // and the world's churn calls: a second `disconnect` of a dark host
-    // or `reconnect` of a live one must not crash or restart it again.
+    // or `reconnect` of a live one must not crash or restart it again,
+    // nor count as a session closed or opened.
     let service = Service::start(ServeConfig::lockstep(base_cfg(QueryKind::Knn, 3))).unwrap();
     let handle = service.handle();
     handle.register(0, Some(0)).unwrap();
@@ -291,6 +315,12 @@ fn repeated_churn_calls_count_once() {
         handle.reconnect(0, barrier, Some(barrier)).unwrap();
     }
     handle.fence(4);
-    let report = service.drain().report;
+    let drained = service.drain();
+    let report = drained.report;
     assert_eq!((report.hosts_crashed, report.hosts_restarted), (1, 1));
+    let m = drained.metrics;
+    assert_eq!(
+        (m.sessions_registered_total, m.sessions_closed_total),
+        (2, 1)
+    );
 }

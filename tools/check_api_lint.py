@@ -65,6 +65,10 @@ and every directory under `vendor/` is the path of one of those entries.
 A capability deleted with its last caller takes its dependency and its
 vendored stub with it.
 
+On success the script also prints the library's size: the lines of
+every library source up to its first `#[cfg(test)]`, the figure
+ROADMAP.md's aim 2 tracks.
+
 Usage: python3 tools/check_api_lint.py  (run from the repo root)
 """
 
@@ -251,6 +255,15 @@ def non_test(text):
             break
         lines.append(line)
     return lines
+
+
+def library_lines(root):
+    """The non-test line count of every library source."""
+    return sum(
+        len(non_test(path.read_text()))
+        for glob in SRC_GLOBS
+        for path in root.glob(glob)
+    )
 
 
 def test_only_fns(root):
@@ -454,7 +467,7 @@ def main():
         f"api lint ok: {len(seen_allowed)} sanctioned owned-POI boundaries, "
         f"no library env reads, {len(TEST_ONLY)} test-only references and "
         "fixtures, no default-filling twins, no module naming crate::engine, "
-        "no orphan dependency"
+        f"no orphan dependency; {library_lines(root):,} non-test library lines"
     )
     return 0
 
