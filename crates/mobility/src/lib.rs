@@ -10,6 +10,14 @@
 //!   travel at a uniform-random speed, pause, repeat. Positions are
 //!   evaluated *analytically* at any (monotonically advancing) time, so
 //!   the simulator never ticks hosts that nobody is looking at.
+//! * [`WaypointFleet`] — the same trajectories for a whole fleet, stored
+//!   by column: each host's current leg (56 B) in the column an epoch's
+//!   [`WaypointFleet::advance`] streams, and its RNG and own clock (40 B)
+//!   in one that only a leg's end or the host's own evaluation
+//!   ([`WaypointFleet::host`]) reads, so the pass writes nothing of a
+//!   host that is mid-leg. A fleet clock set by each advance keeps the
+//!   one-host model's rewind check. Both forms step legs through one
+//!   function.
 //! * [`GridRoadWaypoint`] — a synthetic Manhattan-grid road network
 //!   variant (the paper's road map is unavailable; see DESIGN.md §2).
 //!   Hosts travel along axis-aligned streets with L-shaped routes.
@@ -31,7 +39,7 @@ mod waypoint;
 mod workload;
 
 pub use roadgrid::GridRoadWaypoint;
-pub use waypoint::{MobilityConfig, RandomWaypoint};
+pub use waypoint::{AdvanceTask, MobilityConfig, RandomWaypoint, WaypointFleet};
 pub use workload::{PoissonProcess, QueryEvent, QueryScheduler};
 
 use airshare_geom::Point;

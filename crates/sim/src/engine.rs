@@ -30,7 +30,7 @@ use airshare_broadcast::{ChannelFaults, PoiTable, QueryScratch};
 use airshare_exec::{split_seed, ExecPool};
 use airshare_geom::{Point, Rect};
 use airshare_mobility::{
-    GridRoadWaypoint, Mobility, MobilityConfig, QueryEvent, QueryScheduler, RandomWaypoint,
+    GridRoadWaypoint, Mobility, MobilityConfig, QueryEvent, QueryScheduler, WaypointFleet,
 };
 use airshare_obs::{MetricsSnapshot, NoopRecorder, PhaseTimes, Recorder};
 use rand::rngs::SmallRng;
@@ -51,27 +51,33 @@ const RESTART_KEY_SALT: u64 = 0x9E57_A27A_0000_0002;
 /// Seed domain for late-joiner admission epochs.
 const JOIN_SEED_SALT: u64 = 0x10A7_5EED_0000_0003;
 
-/// One host's mobility stream: trajectory state only. The parameters
-/// every host shares are held once, as `Simulation::mobility`, and passed
-/// to each call.
-enum HostMobility {
-    /// Stored inline: at a million hosts, one heap box per waypoint
-    /// stream is pure pointer-chasing overhead.
-    Waypoint(RandomWaypoint),
-    Roads(Box<GridRoadWaypoint>),
+/// Every host's trajectory state, by column. The parameters every host
+/// shares are held once, as `Simulation::mobility`, and passed to each
+/// call.
+enum FleetMobility {
+    Waypoint(WaypointFleet),
+    /// The ablation-only road-grid model, one host per element.
+    Roads(Vec<GridRoadWaypoint>),
 }
 
-impl Mobility for HostMobility {
-    fn position_at(&mut self, config: &MobilityConfig, t: f64) -> Point {
-        match self {
-            HostMobility::Waypoint(m) => m.position_at(config, t),
-            HostMobility::Roads(m) => m.position_at(config, t),
+impl FleetMobility {
+    /// Host `host`'s position and heading at `t`, on its own clock.
+    fn observe(
+        &mut self,
+        config: &MobilityConfig,
+        host: usize,
+        t: f64,
+    ) -> (Point, Option<(f64, f64)>) {
+        fn at(
+            m: &mut impl Mobility,
+            config: &MobilityConfig,
+            t: f64,
+        ) -> (Point, Option<(f64, f64)>) {
+            (m.position_at(config, t), m.heading_at(config, t))
         }
-    }
-    fn velocity_at(&mut self, config: &MobilityConfig, t: f64) -> (f64, f64) {
         match self {
-            HostMobility::Waypoint(m) => m.velocity_at(config, t),
-            HostMobility::Roads(m) => m.velocity_at(config, t),
+            FleetMobility::Waypoint(fleet) => at(&mut fleet.host(host), config, t),
+            FleetMobility::Roads(models) => at(&mut models[host], config, t),
         }
     }
 }
@@ -93,7 +99,7 @@ pub struct Simulation {
     /// The mobility parameters every host shares, held once.
     mobility: MobilityConfig,
     /// Each host's trajectory state, driven with `mobility`.
-    hosts: Vec<HostMobility>,
+    hosts: FleetMobility,
     /// Precomputed churn transitions `(epoch, host, comes_online)`,
     /// sorted by `(epoch, host)`; a pure function of the master seed.
     churn_plan: Vec<(u64, usize, bool)>,
@@ -116,19 +122,20 @@ impl Simulation {
         let mut mobility = MobilityConfig::vehicular(world.bounds());
         mobility.speed_min *= cfg.params.speed_scale;
         mobility.speed_max *= cfg.params.speed_scale;
-        let hosts: Vec<HostMobility> = (0..cfg.params.mh_number)
-            .map(|i| {
-                let seed = cfg.seed ^ (0x9E3779B97F4A7C15u64.wrapping_mul(i as u64 + 1));
-                match cfg.mobility {
-                    MobilityModel::RandomWaypoint => {
-                        HostMobility::Waypoint(RandomWaypoint::new(&mobility, seed))
-                    }
-                    MobilityModel::GridRoads { spacing_milli_mi } => HostMobility::Roads(Box::new(
-                        GridRoadWaypoint::new(&mobility, spacing_milli_mi as f64 / 1000.0, seed),
-                    )),
-                }
-            })
-            .collect();
+        let n = cfg.params.mh_number;
+        let seed = |i: usize| cfg.seed ^ (0x9E3779B97F4A7C15u64.wrapping_mul(i as u64 + 1));
+        let hosts = match cfg.mobility {
+            MobilityModel::RandomWaypoint => {
+                FleetMobility::Waypoint(WaypointFleet::new(&mobility, n, seed))
+            }
+            MobilityModel::GridRoads { spacing_milli_mi } => FleetMobility::Roads(
+                (0..n)
+                    .map(|i| {
+                        GridRoadWaypoint::new(&mobility, spacing_milli_mi as f64 / 1000.0, seed(i))
+                    })
+                    .collect(),
+            ),
+        };
         let (online, churn_plan) = plan_churn(cfg);
         for host in (0..online.len()).filter(|&h| online[h]) {
             world.connect(host);
@@ -294,7 +301,7 @@ impl Simulation {
         // position vectors. NaN never equals a position, so the first
         // record carries every host.
         let mut last_rec_positions = match &trace {
-            Some(_) => vec![Point::new(f64::NAN, f64::NAN); self.hosts.len()],
+            Some(_) => vec![Point::new(f64::NAN, f64::NAN); self.world.hosts()],
             None => Vec::new(),
         };
         let mut answers: Vec<QueryAnswer> = Vec::new();
@@ -390,7 +397,6 @@ impl Simulation {
             batch.clear();
             for run in order.chunk_by(|&a, &b| epoch_events[a].host == epoch_events[b].host) {
                 let host = epoch_events[run[0]].host;
-                let model = &mut self.hosts[host];
                 // The stream's only consumer is window sampling.
                 let mut rng = SmallRng::seed_from_u64(split_seed(
                     cfg.seed ^ WINDOW_SEED_SALT,
@@ -399,13 +405,13 @@ impl Simulation {
                 ));
                 for &k in run {
                     let at_min = epoch_events[k].time;
-                    let pos = model.position_at(&self.mobility, at_min);
+                    let (pos, heading) = self.hosts.observe(&self.mobility, host, at_min);
                     batch.push(LiveQuery {
                         nonce: next_index + k as u64,
                         host,
                         at_min,
                         pos,
-                        heading: model.heading_at(&self.mobility, at_min),
+                        heading,
                         spec: match cfg.query_kind {
                             QueryKind::Knn => QuerySpec::Knn {
                                 k: cfg.params.knn_k,
@@ -458,41 +464,47 @@ impl Simulation {
     }
 }
 
-/// Advances every host's mobility stream to `t` under the fleet's one
-/// `config`, writing the position column. Offline hosts advance too, so mobility streams stay aligned
-/// across churn configurations; they are merely undiscoverable.
+/// Advances every host's trajectory to `t` under the fleet's one
+/// `config`, writing the position column. Offline hosts advance too, so
+/// mobility streams stay aligned across churn configurations; they are
+/// merely undiscoverable.
 ///
 /// Hosts are mutually independent here, so the work is chunked over
 /// contiguous host ranges and fanned out on `pool` — chunk scheduling
 /// cannot affect the result. Small fleets run as one inline chunk.
 fn advance_fleet(
     config: &MobilityConfig,
-    hosts: &mut [HostMobility],
+    hosts: &mut FleetMobility,
     positions: &mut [Point],
     t: f64,
     pool: &ExecPool,
 ) {
-    let n = hosts.len();
+    let n = positions.len();
     // Oversplit ~4× past the worker count so the pool's shared queue
-    // can level uneven chunks (waypoint hosts mid-pause advance much
-    // faster than ones mid-leg).
+    // can level uneven chunks (a chunk whose hosts end many legs takes
+    // longer).
     let chunk_len = if n < 4096 {
-        n
+        n.max(1)
     } else {
         n.div_ceil(pool.threads() * 4).max(1024)
     };
-    let chunks = hosts
-        .chunks_mut(chunk_len)
-        .zip(positions.chunks_mut(chunk_len));
-    pool.for_each_with(
-        &mut vec![(); pool.threads()],
-        chunks,
-        |(), _, (hosts, positions)| {
-            for (m, p) in hosts.iter_mut().zip(positions) {
-                *p = m.position_at(config, t);
-            }
-        },
-    );
+    let ctxs = &mut vec![(); pool.threads()];
+    match hosts {
+        FleetMobility::Waypoint(fleet) => {
+            let tasks = fleet.advance(t, positions, chunk_len);
+            pool.for_each_with(ctxs, tasks, |(), _, task| task.run(config));
+        }
+        FleetMobility::Roads(models) => {
+            let chunks = models
+                .chunks_mut(chunk_len)
+                .zip(positions.chunks_mut(chunk_len));
+            pool.for_each_with(ctxs, chunks, |(), _, (models, positions)| {
+                for (m, p) in models.iter_mut().zip(positions) {
+                    *p = m.position_at(config, t);
+                }
+            });
+        }
+    }
 }
 
 /// Samples a query window per Table 4: mean area = `window_pct` % of
@@ -873,15 +885,6 @@ mod tests {
         let report = Simulation::try_new(cfg).unwrap().run();
         assert!(report.queries.total > 0);
         assert_eq!(report.exact_mismatches, 0);
-    }
-
-    #[test]
-    fn a_host_stream_holds_only_state() {
-        // The shared `MobilityConfig` (64 B) lives once on the
-        // `Simulation`; a million-host fleet streams this column through
-        // `advance_fleet` every epoch.
-        let size = std::mem::size_of::<HostMobility>();
-        assert!(size <= 104, "HostMobility is {size} B");
     }
 
     /// The full chaos stack at once: host churn, two outage windows, and

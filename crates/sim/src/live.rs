@@ -98,7 +98,7 @@ pub struct LiveWorld {
     /// boundary by a counting sort from scratch (88 % of hosts change
     /// cell per epoch, so a delta would save nothing): of the whole
     /// fleet in `begin_epoch`, of the hosts the epoch's queries can
-    /// reach in `begin_epoch_near`.
+    /// reach in `begin_epoch_near`. Empty until the first boundary.
     pub(crate) grid: NeighborGrid,
     /// Grid cells a query's peer flood can reach from its own cell:
     /// `p2p_hops × ⌈range/cell⌉`.
@@ -183,8 +183,10 @@ impl LiveWorld {
         let fleet = FleetStore::new(n, template);
         let range = meters_to_miles(cfg.params.tx_range_m);
         let cell = range.max(1e-3);
-        let mut grid = NeighborGrid::with_bounds(&bounds, cell, n);
-        grid.refresh_active(&fleet.positions, &fleet.online);
+        // No host is online yet, so there is nothing to bin: the empty
+        // grid answers every lookup as a refresh of this fleet would,
+        // with nothing, until the first barrier fills it.
+        let grid = NeighborGrid::with_bounds(&bounds, cell, n);
         let reach = (range / cell).ceil() as u32;
         let rings = u32::try_from(cfg.p2p_hops).map_or(u32::MAX, |h| h.saturating_mul(reach));
         Ok(LiveWorld {

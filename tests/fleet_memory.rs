@@ -1,14 +1,15 @@
 //! The fleet-scale memory budget, measured per host: a world at LA-City
 //! densities stretched to 20,000 hosts, run for a few epochs through
-//! `run_parallel`, must peak below 190 bytes of live heap per host.
+//! `run_parallel`, must peak below 172 bytes of live heap per host.
 //! Fleet state is columnar, each cache is two flat buffers, and a host
 //! holds a cache or a quarantine ledger only once it has one (DESIGN.md
-//! §15); a host's mobility stream holds only its own state (§16). The
-//! budget refuses an eager cache column coming back (72 B of inline
-//! `HostCache` per host), an eager ledger column (32 B), a second
-//! `HostCache` per host, a return to owned per-host `Vec` storage and a
-//! per-host copy of the shared `MobilityConfig` (64 B). An idle world
-//! keeps no more per host than its scalar columns and cache slot, beside
+//! §15); a host's mobility state is one 56 B leg and one 40 B stream
+//! (RNG and clock, §16). The budget refuses an eager cache column coming
+//! back (72 B of inline `HostCache` per host), an eager ledger column
+//! (32 B), a second `HostCache` per host, a return to owned per-host
+//! `Vec` storage, a per-host copy of the shared `MobilityConfig` (64 B)
+//! and a return to the 104 B per-host mobility stream that the leg and
+//! stream columns replaced. An idle world keeps no more per host than its scalar columns and cache slot, beside
 //! its POIs and the grid's reservation. And a barrier costs what its
 //! writers cost, not what the population does: a fresh world's first
 //! `begin_epoch` must not allocate per host.
@@ -67,10 +68,12 @@ fn measuring() -> MutexGuard<'static, ()> {
 
 const HOSTS: usize = 20_000;
 
-/// Measured here: 172 B/host (270 with eager cache and ledger columns).
-/// Either column back adds 72 B (244) or 32 B (204) a host; this budget
-/// is set to refuse both.
-const BUDGET_BYTES_PER_HOST: usize = 190;
+/// Measured here: 167–168 B/host (172 while each host's mobility was one
+/// 104 B stream and the grid kept no slot column; 270 with eager cache
+/// and ledger columns as well). Either column back adds 72 B (~240) or
+/// 32 B (~200) a host, and the 104 B stream 8 B (~176); this budget is
+/// set to refuse all three.
+const BUDGET_BYTES_PER_HOST: usize = 172;
 
 /// LA-City densities with the area grown to hold `hosts` hosts, under
 /// a light query load: the budget is about fleet storage, not queries.

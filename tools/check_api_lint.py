@@ -24,7 +24,9 @@ Second rule: library code reads no environment variable. Settings
 reach the library through its config types and the binaries' command
 lines, so a run is reproduced by its arguments alone. The script fails on
 `env::var`, `env::var_os` or `env::vars` in the non-test part of any
-library source (each file up to its first `#[cfg(test)]`; `main.rs`
+library source (each file up to its first top-level `#[cfg(test)]`,
+one that starts its line: an indented one gates a single item, such as
+a test-only enum variant, and the library goes on after it; `main.rs`
 files are binaries and exempt). Comment lines are ignored.
 
 Third rule: no public function exists only for tests. Every bare
@@ -66,7 +68,7 @@ A capability deleted with its last caller takes its dependency and its
 vendored stub with it.
 
 On success the script also prints the library's size: the lines of
-every library source up to its first `#[cfg(test)]`, the figure
+every library source up to its first top-level `#[cfg(test)]`, the figure
 ROADMAP.md's aim 2 tracks.
 
 Usage: python3 tools/check_api_lint.py  (run from the repo root)
@@ -182,10 +184,11 @@ def signatures(text):
 
 
 def env_reads(text):
-    """Yields (line_no, line) for each env read before `#[cfg(test)]`."""
+    """Yields (line_no, line) for each env read before the top-level
+    `#[cfg(test)]`."""
     for i, line in enumerate(text.splitlines()):
         stripped = line.strip()
-        if stripped.startswith("#[cfg(test)]"):
+        if line.startswith("#[cfg(test)]"):
             return
         if stripped.startswith("//"):
             continue
@@ -248,10 +251,11 @@ def call_idents(text):
 
 
 def non_test(text):
-    """The part of a source file before its first `#[cfg(test)]`."""
+    """The part of a source file before its first top-level
+    `#[cfg(test)]`."""
     lines = []
     for line in text.splitlines():
-        if line.strip().startswith("#[cfg(test)]"):
+        if line.startswith("#[cfg(test)]"):
             break
         lines.append(line)
     return lines
