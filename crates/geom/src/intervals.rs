@@ -1,10 +1,12 @@
 //! One-dimensional interval-set algebra.
 //!
-//! The rectangle-union sweep reduces every 2-D question (boundary
-//! extraction, coverage, difference) to unions, intersections and
-//! symmetric differences of closed 1-D intervals. [`IntervalSet`] keeps a
-//! canonical sorted list of disjoint, non-touching intervals so the set
-//! operations stay linear. Every comparison is exact.
+//! Every 2-D question the rectangle union answers (boundary extraction,
+//! tiling, window difference) restricts, on one line or slab, to unions,
+//! differences and symmetric differences of closed 1-D intervals: the
+//! runs the union's cell grid yields there must be exactly these. So
+//! [`IntervalSet`] is the oracle the grid's runs are tested against. It
+//! keeps a canonical sorted list of disjoint, non-touching intervals so
+//! the set operations stay linear. Every comparison is exact.
 
 /// A canonical set of disjoint closed intervals on the real line.
 ///
@@ -100,10 +102,10 @@ impl IntervalSet {
     }
 }
 
-/// Puts `v` in [`IntervalSet`]'s canonical form in place, so sweeps can
-/// reuse buffers. The sort need not be stable — intervals with bit-equal
-/// lower ends merge to their maximum in any order — and so never allocates.
-pub(crate) fn canonicalize(v: &mut Vec<(f64, f64)>) {
+/// Puts `v` in [`IntervalSet`]'s canonical form in place. The sort need
+/// not be stable — intervals with bit-equal lower ends merge to their
+/// maximum in any order — and so never allocates.
+fn canonicalize(v: &mut Vec<(f64, f64)>) {
     v.retain(|&(lo, hi)| hi > lo);
     v.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
     let mut len = 0;
@@ -120,7 +122,7 @@ pub(crate) fn canonicalize(v: &mut Vec<(f64, f64)>) {
 }
 
 /// Appends the canonical runs of `a \ b` to `out`; both inputs canonical.
-pub(crate) fn difference_into(a: &[(f64, f64)], b: &[(f64, f64)], out: &mut Vec<(f64, f64)>) {
+fn difference_into(a: &[(f64, f64)], b: &[(f64, f64)], out: &mut Vec<(f64, f64)>) {
     let mut j = 0;
     for &(alo, ahi) in a {
         let mut cursor = alo;

@@ -3,88 +3,107 @@
 //! Each peer contributes its verified region as an MBR; SBNN/SBWQ operate
 //! on the union `MVR = VR₁ ∪ … ∪ VRⱼ`. The paper invokes the general
 //! `MapOverlay` algorithm of de Berg et al.; because every input is an
-//! axis-aligned rectangle, the overlay specializes to exact sweep-line
-//! interval algebra, which is what this module implements:
+//! axis-aligned rectangle, the overlay specializes to a grid cut along
+//! the members' own edges, each cell wholly inside the union or wholly
+//! outside it. Every question below is read off that one grid:
 //!
 //! * [`RectUnion::contains`] — is the query host inside the MVR?
 //!   (precondition of Lemma 3.1)
 //! * [`RectUnion::distance_to_boundary_within`] /
 //!   [`RectUnion::distance_to_boundary`] — the distance `‖q, e_s‖` to the
-//!   nearest boundary edge `e_s`, the verification radius of Lemma 3.1,
-//!   found by sweeping candidate lines nearest first and stopping at the
-//!   bound. [`RectUnion::boundary_edges`] is the whole edge set `E`, the
-//!   reference both are checked against.
-//! * [`RectUnion::disjoint_rects`] / [`RectUnion::area`] — a disjoint slab
-//!   decomposition, which also powers the exact disk∩region areas behind
-//!   Lemma 3.2.
+//!   nearest boundary edge `e_s`, the verification radius of Lemma 3.1:
+//!   the minimum over [`RectUnion::boundary_edges`], the runs of each cut
+//!   line along which the cells on its two sides differ.
+//! * [`RectUnion::disjoint_rects`] / [`RectUnion::area`] — the covered
+//!   runs of each column of cells, a disjoint tiling, which also powers
+//!   the exact disk∩region areas behind Lemma 3.2.
 //! * [`RectUnion::rect_difference`] — window coverage (an empty
-//!   difference) and window reduction `w → w′` for SBWQ.
+//!   difference) and window reduction `w → w′` for SBWQ: the uncovered
+//!   runs of each column of the window's own cut.
 //!
 //! The union and the windows are closed sets, and every test compares
 //! member coordinates exactly: a gap between two members, however
-//! narrow, is a gap, with boundary on both sides of it.
+//! narrow, is a column or row of uncovered cells, with boundary on both
+//! sides of it.
 
-use crate::intervals::{canonicalize, difference_into};
 use crate::{Point, Rect, Segment};
 
 /// A union of axis-aligned rectangles in the plane.
 ///
 /// The rectangle list is kept as provided (minus degenerate members);
-/// all queries are answered by sweeps over the list, so construction is
-/// O(n) and nothing is cached — peers number in the tens, and the region
-/// NNV asks about is pruned afresh for every query.
+/// all queries are answered by cutting the list into cells afresh, so
+/// construction is O(n) and nothing is cached — peers number in the
+/// tens, and the region NNV asks about is pruned afresh for every query.
 #[derive(Clone, Debug, Default)]
 pub struct RectUnion {
     rects: Vec<Rect>,
 }
 
-/// The buffers one boundary sweep reuses across its lines, sized up front
-/// so that no line reallocates: each member adds at most one interval per
-/// side, and `a \ b` has at most `|a| + |b|` runs.
+/// A window cut into cells along member edges, with the members over
+/// each cell. `xs` and `ys` are sorted and distinct, and cell `(i, j)`
+/// spans `[xs[i − 1], xs[i]] × [ys[j − 1], ys[j]]`: the first and last
+/// cell of each axis lie off the cut, and no member covers them.
 #[derive(Clone, Debug, Default)]
-struct LineScratch {
-    before: Vec<(f64, f64)>,
-    after: Vec<(f64, f64)>,
-    runs: Vec<(f64, f64)>,
+struct Cells {
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    /// Members over each cell, `x` outer: cell `(i, j)` is at
+    /// `i · (ys.len() + 1) + j`, so a column of cells is contiguous.
+    count: Vec<i32>,
 }
 
-impl LineScratch {
-    /// Room for a sweep over `rects` members (no-op once warm).
-    fn reserve(&mut self, rects: usize) {
-        self.before.reserve(rects);
-        self.after.reserve(rects);
-        self.runs.reserve(4 * rects);
+impl Cells {
+    fn covered(&self, i: usize, j: usize) -> bool {
+        self.count[i * (self.ys.len() + 1) + j] > 0
+    }
+
+    /// Every boundary edge, in [`RectUnion::boundary_edges`] order: on
+    /// each cut line, the runs whose cells on its two sides differ.
+    fn edges(&self, mut f: impl FnMut(Segment)) {
+        for (k, &x) in self.xs.iter().enumerate() {
+            let differs = |j| self.covered(k, j) != self.covered(k + 1, j);
+            runs(&self.ys, differs, |lo, hi| f(Segment::vertical(x, lo, hi)));
+        }
+        for (k, &y) in self.ys.iter().enumerate() {
+            let differs = |i| self.covered(i, k) != self.covered(i, k + 1);
+            runs(&self.xs, differs, |lo, hi| {
+                f(Segment::horizontal(y, lo, hi))
+            });
+        }
     }
 }
 
-/// The working buffers of [`RectUnion`]'s sweeps — boundary distance,
+/// Calls `f(lo, hi)` on each maximal run of cells along `coords` — cell
+/// `t` spans `coords[t − 1]..coords[t]` — on which `keep(t)` holds, in
+/// ascending order.
+fn runs(coords: &[f64], keep: impl Fn(usize) -> bool, mut f: impl FnMut(f64, f64)) {
+    let mut start = None;
+    for t in 1..=coords.len() {
+        match (start, t < coords.len() && keep(t)) {
+            (None, true) => start = Some(coords[t - 1]),
+            (Some(lo), false) => {
+                f(lo, coords[t - 1]);
+                start = None;
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The working buffers of [`RectUnion`]'s queries — boundary distance,
 /// tiling and window difference. They carry no state between calls, so
-/// one value per worker, reused across queries, makes those sweeps
+/// one value per worker, reused across queries, makes those queries
 /// allocation-free once its buffers reach their high-water marks.
 #[derive(Clone, Debug, Default)]
 pub struct RegionScratch {
-    /// Candidate lines, nearest first: `(gap, vertical, coordinate)`.
-    lines: Vec<(f64, bool, f64)>,
-    /// One sweep direction's sorted, deduplicated member coordinates.
-    coords: Vec<f64>,
-    line: LineScratch,
-    /// One slab's covered `y` runs, and the window's uncovered ones.
-    covered: Vec<(f64, f64)>,
-    uncovered: Vec<(f64, f64)>,
-    /// Rectangles still being extended across slabs, keyed by `y` run
-    /// (`(ylo, yhi, index in out)`), this slab's and the next's.
+    cells: Cells,
+    /// Difference rectangles still being extended across columns, keyed
+    /// by `y` run (`(ylo, yhi, index in out)`), this column's and the
+    /// next's.
     open: Vec<(f64, f64, usize)>,
     next_open: Vec<(f64, f64, usize)>,
     /// The tiling or difference a call returns.
     out: Vec<Rect>,
-}
-
-fn segment_on(vertical: bool, c: f64, lo: f64, hi: f64) -> Segment {
-    if vertical {
-        Segment::vertical(c, lo, hi)
-    } else {
-        Segment::horizontal(c, lo, hi)
-    }
 }
 
 impl RectUnion {
@@ -143,6 +162,56 @@ impl RectUnion {
         self.contains(p) && self.distance_to_boundary(p).is_some_and(|(d, _)| d > 0.0)
     }
 
+    /// Cuts `window` into `cells` along its own sides and the edges that
+    /// lie strictly inside it of the members that meet its interior; the
+    /// window defaults to the union's MBR, which gives every member edge.
+    /// Each member adds ±1 at its four corners of a difference array, and
+    /// two prefix-sum passes total the members over each cell. With no
+    /// window and no member, the cut is empty.
+    fn cut(&self, window: Option<&Rect>, cells: &mut Cells) {
+        let Cells { xs, ys, count } = cells;
+        xs.clear();
+        ys.clear();
+        count.clear();
+        let Some(w) = window.copied().or_else(|| self.mbr()) else {
+            return;
+        };
+        let members = || self.rects.iter().filter(|r| r.intersects_interior(&w));
+        xs.reserve(2 * self.rects.len() + 2);
+        ys.reserve(2 * self.rects.len() + 2);
+        xs.extend([w.x1, w.x2]);
+        ys.extend([w.y1, w.y2]);
+        for r in members() {
+            xs.extend([r.x1, r.x2].into_iter().filter(|&x| w.x1 < x && x < w.x2));
+            ys.extend([r.y1, r.y2].into_iter().filter(|&y| w.y1 < y && y < w.y2));
+        }
+        // Equal floats are bit-identical, so the unstable sort is exact.
+        for v in [&mut *xs, &mut *ys] {
+            v.sort_unstable_by(f64::total_cmp);
+            v.dedup();
+        }
+        let stride = ys.len() + 1;
+        count.resize((xs.len() + 1) * stride, 0);
+        // A member over `[xs[a], xs[b]]` covers cells `a + 1 ..= b`.
+        let after = |v: &[f64], c: f64| v.partition_point(|&e| e < c) + 1;
+        for r in members() {
+            let (i0, i1) = (after(xs, r.x1.max(w.x1)), after(xs, r.x2.min(w.x2)));
+            let (j0, j1) = (after(ys, r.y1.max(w.y1)), after(ys, r.y2.min(w.y2)));
+            count[i0 * stride + j0] += 1;
+            count[i0 * stride + j1] -= 1;
+            count[i1 * stride + j0] -= 1;
+            count[i1 * stride + j1] += 1;
+        }
+        for column in count.chunks_exact_mut(stride) {
+            for j in 1..stride {
+                column[j] += column[j - 1];
+            }
+        }
+        for k in stride..count.len() {
+            count[k] += count[k - stride];
+        }
+    }
+
     // ------------------------------------------------------------------
     // Boundary extraction
     // ------------------------------------------------------------------
@@ -152,77 +221,13 @@ impl RectUnion {
     /// ascending `y`, each line's runs in ascending order.
     ///
     /// An edge portion lies on the union boundary iff exactly one of its
-    /// two sides is interior to the union. For each candidate grid line we
-    /// build the interval sets covered on either side and keep their
-    /// symmetric difference. Computed on demand: this is the reference
-    /// oracle; the distance queries sweep only the lines they need.
+    /// two sides is interior to the union: on each cut line, the runs
+    /// whose cells on either side differ in coverage.
     pub fn boundary_edges(&self) -> Vec<Segment> {
-        let mut out = Vec::new();
-        let (mut coords, mut s) = (Vec::new(), LineScratch::default());
-        s.reserve(self.rects.len());
-        self.for_each_edge(&mut coords, &mut s, |e| out.push(e));
+        let (mut cells, mut out) = (Cells::default(), Vec::new());
+        self.cut(None, &mut cells);
+        cells.edges(|e| out.push(e));
         out
-    }
-
-    /// Every boundary edge, in [`RectUnion::boundary_edges`] order.
-    fn for_each_edge(
-        &self,
-        coords: &mut Vec<f64>,
-        s: &mut LineScratch,
-        mut f: impl FnMut(Segment),
-    ) {
-        for vertical in [true, false] {
-            self.lines(vertical, coords);
-            for &c in coords.iter() {
-                self.line_runs(vertical, c, s);
-                for &(lo, hi) in &s.runs {
-                    f(segment_on(vertical, c, lo, hi));
-                }
-            }
-        }
-    }
-
-    /// The candidate lines of one sweep direction, into `coords`: the
-    /// members' sorted, deduplicated `x` coordinates when `vertical`,
-    /// else their `y`s. (Equal floats are bit-identical, so the unstable
-    /// sort is exact.)
-    fn lines(&self, vertical: bool, coords: &mut Vec<f64>) {
-        let sides = |r: &Rect| if vertical { [r.x1, r.x2] } else { [r.y1, r.y2] };
-        coords.clear();
-        coords.extend(self.rects.iter().flat_map(sides));
-        coords.sort_unstable_by(f64::total_cmp);
-        coords.dedup();
-    }
-
-    /// The boundary runs on line `c` (vertical: `x = c`), left in
-    /// `s.runs`: the spans covered on exactly one side of the line. The
-    /// arithmetic is [`crate::IntervalSet`]'s — canonical sides, then
-    /// `(before \ after) ∪ (after \ before)` — done in `s`'s buffers.
-    fn line_runs(&self, vertical: bool, c: f64, s: &mut LineScratch) {
-        // Interior just below / left of the line, and just above / right:
-        // each member is written, and kept if it touches (no branch).
-        let (mut below, mut above) = (0, 0);
-        s.before.resize(self.rects.len(), (0.0, 0.0));
-        s.after.resize(self.rects.len(), (0.0, 0.0));
-        for r in &self.rects {
-            let (fixed_lo, fixed_hi, free) = if vertical {
-                (r.x1, r.x2, (r.y1, r.y2))
-            } else {
-                (r.y1, r.y2, (r.x1, r.x2))
-            };
-            s.before[below] = free;
-            below += usize::from(fixed_lo < c && fixed_hi >= c);
-            s.after[above] = free;
-            above += usize::from(fixed_hi > c && fixed_lo <= c);
-        }
-        s.before.truncate(below);
-        s.after.truncate(above);
-        canonicalize(&mut s.before);
-        canonicalize(&mut s.after);
-        s.runs.clear();
-        difference_into(&s.before, &s.after, &mut s.runs);
-        difference_into(&s.after, &s.before, &mut s.runs);
-        canonicalize(&mut s.runs);
     }
 
     /// Distance from `p` to the nearest boundary edge, together with that
@@ -231,24 +236,16 @@ impl RectUnion {
     /// When `p` is inside the union this is the verification radius of
     /// Lemma 3.1: every POI closer to `p` than this distance is a
     /// guaranteed (verified) nearest neighbor. Of several nearest edges,
-    /// the one returned is the first met by the sweep of
-    /// [`RectUnion::distance_to_boundary_within`]: lines by ascending gap
-    /// `|c − p|` (ties: vertical first, then by `c`), runs along a line
-    /// by ascending position.
+    /// the one returned is the first in [`RectUnion::boundary_edges`]
+    /// order.
     pub fn distance_to_boundary(&self, p: Point) -> Option<(f64, Segment)> {
         let (d, edge) = self.nearest_boundary(p, f64::INFINITY, &mut RegionScratch::default());
         Some((d, edge?))
     }
 
-    /// `min(‖p, e_s‖, cap)`; `None` when the region is empty.
-    ///
-    /// Candidate lines of both axes are swept nearest first, stopping at
-    /// the first whose gap `|c − p|` reaches `min(best so far, cap)`: an
-    /// edge on line `c` lies `hypot(c − p, ·) ≥ |c − p|` away, so no later
-    /// line can lower the answer — the same `f64` as the minimum over
-    /// [`RectUnion::boundary_edges`], capped (debug builds check this).
-    /// When every line lies beyond `cap`, nothing is swept. The sweep
-    /// works in `scratch`'s buffers.
+    /// `min(‖p, e_s‖, cap)`, the minimum over
+    /// [`RectUnion::boundary_edges`] capped at `cap`; `None` when the
+    /// region is empty. The cut is made in `scratch`'s buffers.
     pub fn distance_to_boundary_within(
         &self,
         p: Point,
@@ -258,103 +255,44 @@ impl RectUnion {
         (!self.is_empty()).then(|| self.nearest_boundary(p, cap, scratch).0)
     }
 
-    /// The nearest-first sweep behind both distance queries. Every
-    /// buffer is sized once up front, so a fresh scratch costs a fixed
-    /// number of allocations and a warm one none.
+    /// The scan behind both distance queries.
     fn nearest_boundary(
         &self,
         p: Point,
         cap: f64,
         scratch: &mut RegionScratch,
     ) -> (f64, Option<Segment>) {
-        let RegionScratch {
-            lines,
-            coords,
-            line: s,
-            ..
-        } = scratch;
-        let n = self.rects.len();
-        lines.clear();
-        lines.reserve(4 * n);
-        coords.reserve(2 * n);
-        s.reserve(n);
-        for vertical in [true, false] {
-            let at = if vertical { p.x } else { p.y };
-            self.lines(vertical, coords);
-            lines.extend(coords.iter().map(|&c| ((c - at).abs(), vertical, c)));
-        }
-        lines.sort_unstable_by(|a, b| {
-            a.0.total_cmp(&b.0)
-                .then(b.1.cmp(&a.1))
-                .then(a.2.total_cmp(&b.2))
-        });
+        self.cut(None, &mut scratch.cells);
         let (mut best, mut edge) = (f64::INFINITY, None);
-        for &(gap, vertical, c) in lines.iter() {
-            if gap >= best.min(cap) {
-                break;
+        scratch.cells.edges(|e| {
+            let d = e.distance_to_point(p);
+            if d < best {
+                (best, edge) = (d, Some(e));
             }
-            self.line_runs(vertical, c, s);
-            for &(lo, hi) in &s.runs {
-                let e = segment_on(vertical, c, lo, hi);
-                let d = e.distance_to_point(p);
-                if d < best {
-                    (best, edge) = (d, Some(e));
-                }
-            }
-        }
-        let d = best.min(cap);
-        debug_assert_eq!(
-            d.to_bits(),
-            {
-                let mut full = f64::INFINITY;
-                self.for_each_edge(coords, s, |e| full = full.min(e.distance_to_point(p)));
-                full.min(cap).to_bits()
-            },
-            "nearest-first boundary distance {d} from {p:?} (cap {cap}) differs from the full sweep"
-        );
-        (d, edge)
+        });
+        (best.min(cap), edge)
     }
 
     // ------------------------------------------------------------------
     // Disjoint decomposition / area
     // ------------------------------------------------------------------
 
-    /// Decomposes the union into disjoint rectangles via a vertical-slab
-    /// sweep. The output rectangles tile the union exactly (shared borders
-    /// only) and are convenient for exact area integrals; slab by slab.
-    /// The tiling is left in (and borrowed from) `scratch`.
+    /// Decomposes the union into disjoint rectangles: the covered runs of
+    /// each column of cells, column by column. The output rectangles tile
+    /// the union exactly (shared borders only) and are convenient for
+    /// exact area integrals. The tiling is left in (and borrowed from)
+    /// `scratch`.
     pub fn disjoint_rects<'s>(&self, scratch: &'s mut RegionScratch) -> &'s [Rect] {
-        let RegionScratch {
-            coords,
-            covered,
-            out,
-            ..
-        } = scratch;
+        let RegionScratch { cells, out, .. } = scratch;
+        self.cut(None, cells);
         out.clear();
-        self.lines(true, coords);
-        for w in coords.windows(2) {
-            let (xa, xb) = (w[0], w[1]);
-            self.slab_cover(xa, xb, covered);
-            out.extend(
-                covered
-                    .iter()
-                    .map(|&(lo, hi)| Rect::from_coords(xa, lo, xb, hi)),
-            );
+        for (i, x) in cells.xs.windows(2).enumerate() {
+            let covered = |j| cells.covered(i + 1, j);
+            runs(&cells.ys, covered, |lo, hi| {
+                out.push(Rect::from_coords(x[0], lo, x[1], hi));
+            });
         }
         out
-    }
-
-    /// The canonical `y` runs covered across the whole slab `[xa, xb]`,
-    /// into `covered`: each member spanning the slab contributes its
-    /// `y` extent.
-    fn slab_cover(&self, xa: f64, xb: f64, covered: &mut Vec<(f64, f64)>) {
-        covered.clear();
-        covered.extend(
-            (self.rects.iter())
-                .filter(|r| r.x1 <= xa && r.x2 >= xb)
-                .map(|r| (r.y1, r.y2)),
-        );
-        canonicalize(covered);
     }
 
     /// Exact area of the union.
@@ -370,20 +308,18 @@ impl RectUnion {
 
     /// The uncovered parts `w \ union`, as disjoint closed rectangles —
     /// SBWQ's reduced query windows `w′`; empty exactly when the union
-    /// covers `w`. Adjacent slabs with identical uncovered spans are
-    /// coalesced so the output stays small. A degenerate `w` (a segment
-    /// or a point) is covered only when one member contains it, and is
-    /// otherwise its own reduced window. The rectangles are left in (and
-    /// borrowed from) `scratch`.
+    /// covers `w`. They are the uncovered runs of each column of `w`'s
+    /// cut; adjacent columns with identical runs are coalesced so the
+    /// output stays small. A degenerate `w` (a segment or a point) is
+    /// covered only when one member contains it, and is otherwise its
+    /// own reduced window. The rectangles are left in (and borrowed from)
+    /// `scratch`.
     pub fn rect_difference<'s>(&self, w: &Rect, scratch: &'s mut RegionScratch) -> &'s [Rect] {
         let RegionScratch {
-            coords: xs,
-            covered,
-            uncovered,
+            cells,
             open,
             next_open,
             out,
-            ..
         } = scratch;
         out.clear();
         if w.is_degenerate() {
@@ -392,32 +328,13 @@ impl RectUnion {
             }
             return out;
         }
-        xs.clear();
-        xs.extend([w.x1, w.x2]);
-        for r in &self.rects {
-            if r.intersects_interior(w) {
-                if r.x1 > w.x1 && r.x1 < w.x2 {
-                    xs.push(r.x1);
-                }
-                if r.x2 > w.x1 && r.x2 < w.x2 {
-                    xs.push(r.x2);
-                }
-            }
-        }
-        // Equal floats are bit-identical, so the unstable sort is exact.
-        xs.sort_unstable_by(f64::total_cmp);
-        xs.dedup();
-
-        // `IntervalSet::single(w.y1, w.y2)`'s runs, without its buffer.
-        let full = [(w.y1, w.y2)];
+        self.cut(Some(w), cells);
         open.clear();
-        for win in xs.windows(2) {
-            let (xa, xb) = (win[0], win[1]);
-            self.slab_cover(xa, xb, covered);
-            uncovered.clear();
-            difference_into(&full, covered, uncovered);
+        for (i, x) in cells.xs.windows(2).enumerate() {
+            let (xa, xb) = (x[0], x[1]);
             next_open.clear();
-            for &(lo, hi) in uncovered.iter() {
+            let uncovered = |j| !cells.covered(i + 1, j);
+            runs(&cells.ys, uncovered, |lo, hi| {
                 // Extend an open rect with the same y-run, else start one.
                 if let Some(&(_, _, idx)) = open.iter().find(|o| (o.0, o.1) == (lo, hi)) {
                     out[idx].x2 = xb;
@@ -426,7 +343,7 @@ impl RectUnion {
                     out.push(Rect::from_coords(xa, lo, xb, hi));
                     next_open.push((lo, hi, out.len() - 1));
                 }
-            }
+            });
             std::mem::swap(open, next_open);
         }
         out
@@ -676,35 +593,57 @@ mod tests {
         );
     }
 
-    #[test]
-    fn line_runs_are_interval_set_symmetric_difference() {
-        // Snapped coordinates make shared, nested and sliver-apart sides
-        // common.
+    /// Member lists on snapped coordinates, so shared, nested and
+    /// sliver-apart sides are common, each with a window drawn the same
+    /// way.
+    fn snapped_cases() -> impl Iterator<Item = (Vec<Rect>, Rect)> {
         let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut next = |n: u64| {
+        let mut next = move |n: u64| {
             seed = seed
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             (seed >> 33) % n
         };
-        for _ in 0..200 {
-            let rects: Vec<Rect> = (0..1 + next(8))
-                .map(|_| {
-                    let (x, y) = (next(8) as f64, next(8) as f64);
-                    let jitter = [0.0, 5e-10, 0.25][next(3) as usize];
-                    r(
-                        x,
-                        y,
-                        x + 1.0 + next(4) as f64 + jitter,
-                        y + 1.0 + next(4) as f64,
-                    )
-                })
-                .collect();
+        let mut rect = move || {
+            let (x, y) = (next(8) as f64, next(8) as f64);
+            let jitter = [0.0, 5e-10, 0.25][next(3) as usize];
+            let (w, h) = (1.0 + next(4) as f64, 1.0 + next(4) as f64);
+            (r(x, y, x + w + jitter, y + h), next(8))
+        };
+        (0..200).map(move |_| {
+            let (first, more) = rect();
+            let mut rects = vec![first];
+            rects.extend((0..more).map(|_| rect().0));
+            (rects, rect().0)
+        })
+    }
+
+    /// The members' distinct coordinates on one axis, ascending.
+    fn sides(rects: &[Rect], vertical: bool) -> Vec<f64> {
+        let mut v: Vec<f64> = (rects.iter())
+            .flat_map(|r| if vertical { [r.x1, r.x2] } else { [r.y1, r.y2] })
+            .collect();
+        v.sort_by(f64::total_cmp);
+        v.dedup();
+        v
+    }
+
+    /// The `y` extents of the members spanning the slab `[xa, xb]`.
+    fn slab_cover(rects: &[Rect], xa: f64, xb: f64) -> IntervalSet {
+        IntervalSet::from_intervals(
+            (rects.iter())
+                .filter(|r| r.x1 <= xa && r.x2 >= xb)
+                .map(|r| (r.y1, r.y2)),
+        )
+    }
+
+    #[test]
+    fn line_runs_are_interval_set_symmetric_difference() {
+        for (rects, _) in snapped_cases() {
             let u = RectUnion::from_rects(rects.iter().copied());
-            let (mut s, mut coords) = (LineScratch::default(), Vec::new());
+            let mut expect = Vec::new();
             for vertical in [true, false] {
-                u.lines(vertical, &mut coords);
-                for &c in &coords {
+                for c in sides(&rects, vertical) {
                     let side = |before: bool| {
                         IntervalSet::from_intervals(rects.iter().filter_map(|r| {
                             let (lo, hi, free) = if vertical {
@@ -720,14 +659,65 @@ mod tests {
                             hit.then_some(free)
                         }))
                     };
-                    u.line_runs(vertical, c, &mut s);
-                    let expect = side(true).symmetric_difference(&side(false));
-                    assert_eq!(
-                        s.runs,
-                        expect.runs(),
-                        "{rects:?} line {c} vertical {vertical}"
-                    );
+                    let line = side(true).symmetric_difference(&side(false));
+                    expect.extend(line.runs().iter().map(|&(lo, hi)| {
+                        if vertical {
+                            Segment::vertical(c, lo, hi)
+                        } else {
+                            Segment::horizontal(c, lo, hi)
+                        }
+                    }));
                 }
+            }
+            assert_eq!(u.boundary_edges(), expect, "{rects:?}");
+        }
+    }
+
+    #[test]
+    fn tile_runs_are_the_interval_set_union_of_spanning_members() {
+        let mut scratch = RegionScratch::default();
+        for (rects, _) in snapped_cases() {
+            let u = RectUnion::from_rects(rects.iter().copied());
+            let mut expect = Vec::new();
+            for x in sides(&rects, true).windows(2) {
+                let covered = slab_cover(&rects, x[0], x[1]);
+                expect.extend((covered.runs().iter()).map(|&(lo, hi)| r(x[0], lo, x[1], hi)));
+            }
+            assert_eq!(u.disjoint_rects(&mut scratch), expect, "{rects:?}");
+        }
+    }
+
+    #[test]
+    fn difference_runs_are_the_window_less_the_covered_runs() {
+        let mut scratch = RegionScratch::default();
+        for (rects, w) in snapped_cases() {
+            let u = RectUnion::from_rects(rects.iter().copied());
+            let diff = u.rect_difference(&w, &mut scratch);
+            // Slabs of the window cut along every member side inside it:
+            // each piece spans whole slabs, and in each slab the pieces
+            // over it are `single(w) \ covered`, in order.
+            let mut xs = vec![w.x1, w.x2];
+            xs.extend(
+                sides(&rects, true)
+                    .into_iter()
+                    .filter(|&x| w.x1 < x && x < w.x2),
+            );
+            xs.sort_by(f64::total_cmp);
+            for d in diff {
+                assert!(
+                    xs.contains(&d.x1) && xs.contains(&d.x2),
+                    "{d:?} of {rects:?} \\ {w:?}"
+                );
+            }
+            for x in xs.windows(2) {
+                let mut pieces: Vec<(f64, f64)> = (diff.iter())
+                    .filter(|d| d.x1 <= x[0] && d.x2 >= x[1])
+                    .map(|d| (d.y1, d.y2))
+                    .collect();
+                pieces.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let expect =
+                    IntervalSet::single(w.y1, w.y2).difference(&slab_cover(&rects, x[0], x[1]));
+                assert_eq!(pieces, expect.runs(), "slab {x:?} of {rects:?} \\ {w:?}");
             }
         }
     }

@@ -1,12 +1,14 @@
 //! One boundary-distance query allocates a fixed number of buffers,
-//! however many member rectangles — and so candidate lines — it sweeps:
-//! the per-line work runs in buffers sized once per call. A count that
-//! grows with the union means per-line allocation came back.
+//! however many member rectangles — and so cells — it cuts: the cut's
+//! buffers are sized once per call. A count that grows with the union
+//! means per-line or per-column allocation came back. And a warm
+//! `RegionScratch` serves the distance, the tiling and the window
+//! difference with no allocation at all.
 //!
 //! The test lives in a binary of its own because it installs a global
 //! allocator, and implementing [`GlobalAlloc`] requires `unsafe`.
 
-use airshare_geom::{Point, Rect, RectUnion};
+use airshare_geom::{Point, Rect, RectUnion, RegionScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -68,4 +70,22 @@ fn boundary_distance_allocations_do_not_grow_with_the_union() {
         allocations_of_one_query(&large),
         "allocations per query grew with the member count"
     );
+}
+
+#[test]
+fn a_warm_scratch_allocates_nothing() {
+    let u = comb(40);
+    let w = Rect::from_coords(25.0, 90.0, 75.0, 120.0);
+    let mut scratch = RegionScratch::default();
+    let round = |scratch: &mut RegionScratch| {
+        let before = ALLOCATIONS.with(Cell::get);
+        let d = u.distance_to_boundary_within(Point::new(50.0, 50.0), 80.0, scratch);
+        let tiles = u.disjoint_rects(scratch).len();
+        let pieces = u.rect_difference(&w, scratch).len();
+        let after = ALLOCATIONS.with(Cell::get);
+        assert_eq!((d, tiles, pieces), (Some(50.0), 79, 49));
+        after - before
+    };
+    assert!(round(&mut scratch) > 0, "a fresh scratch sizes its buffers");
+    assert_eq!(round(&mut scratch), 0, "a warm scratch allocated");
 }

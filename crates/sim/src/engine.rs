@@ -464,6 +464,17 @@ impl Simulation {
     }
 }
 
+/// Fleets smaller than this advance inline on the caller. Probed on 2
+/// vCPUs, `advance_fleet` alone per epoch, inline against fanned out
+/// over `ExecPool::fixed(2)`, three alternating runs each: the
+/// 18,660-host city world 0.14–0.15 ms inline against 0.16–0.26 ms
+/// fanned out; LA densities at 18,661 and 24,576 hosts tie (0.10–0.14
+/// ms both ways); from 32,768 hosts up fanning out wins — 0.17–0.19
+/// against 0.17–0.23 ms there, 0.28–0.30 against 0.36–0.38 at 65,536,
+/// 0.57–0.74 against 0.89–1.20 at 131,072, 1.09–1.33 against 2.24–2.45
+/// at 262,144, and 4.5–5.1 against 7.8–9.6 ms at a million.
+const ADVANCE_FAN_OUT_HOSTS: usize = 1 << 15;
+
 /// Advances every host's trajectory to `t` under the fleet's one
 /// `config`, writing the position column. Offline hosts advance too, so
 /// mobility streams stay aligned across churn configurations; they are
@@ -471,7 +482,8 @@ impl Simulation {
 ///
 /// Hosts are mutually independent here, so the work is chunked over
 /// contiguous host ranges and fanned out on `pool` — chunk scheduling
-/// cannot affect the result. Small fleets run as one inline chunk.
+/// cannot affect the result. Fleets under [`ADVANCE_FAN_OUT_HOSTS`] run
+/// as one inline chunk.
 fn advance_fleet(
     config: &MobilityConfig,
     hosts: &mut FleetMobility,
@@ -483,7 +495,7 @@ fn advance_fleet(
     // Oversplit ~4× past the worker count so the pool's shared queue
     // can level uneven chunks (a chunk whose hosts end many legs takes
     // longer).
-    let chunk_len = if n < 4096 {
+    let chunk_len = if n < ADVANCE_FAN_OUT_HOSTS {
         n.max(1)
     } else {
         n.div_ceil(pool.threads() * 4).max(1024)

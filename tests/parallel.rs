@@ -98,7 +98,7 @@ fn window_workload_is_thread_count_invariant() {
 #[test]
 fn chunked_fleet_advance_is_thread_count_invariant() {
     // The parallel fleet-advance pass (chunked churn application +
-    // mobility stepping) only engages past its 4096-host threshold, so
+    // mobility stepping) only engages from its 32,768-host threshold, so
     // this config runs a fleet large enough to split into real chunks,
     // with heavy churn so crash wipes, cold restarts, and late joins
     // all land inside the chunked pass. The report must stay
@@ -106,7 +106,7 @@ fn chunked_fleet_advance_is_thread_count_invariant() {
     // count.
     let cfg = |seed| {
         let mut c = tiny(seed);
-        c.params.mh_number = 6000;
+        c.params.mh_number = 33_000;
         c.warmup_min = 2.0;
         c.measure_min = 4.0;
         c.validate = false;

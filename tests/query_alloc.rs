@@ -16,7 +16,8 @@
 //!   result vectors come from and go back to the scratch's pools, and the
 //!   epoch loop keeps its batch, tasks and outcome lists. Two threads:
 //!   exactly what spawning the extra worker frees, once per parallel
-//!   dispatch (two per epoch: the mobility advance and the query batch).
+//!   dispatch (one per epoch: the query batch; the mobility advance of
+//!   so small a fleet runs inline).
 //! * **What is allocated is kept.** With nothing freed, every allocation
 //!   left is a buffer growing to a new high-water mark: mostly per-host
 //!   cache storage filling toward its capacity (a host here poses about
@@ -93,9 +94,10 @@ impl std::ops::Sub for Heap {
 
 /// Epochs in the extra 30 minutes (epochs are 0.25 min).
 const EXTRA_EPOCHS: u64 = 120;
-/// Parallel dispatches per epoch on a 2-thread pool: the mobility
-/// advance (4,665 hosts is past its inline cut) and the query batch.
-const DISPATCHES_PER_EPOCH: u64 = 2;
+/// Parallel dispatches per epoch on a 2-thread pool: the query batch
+/// alone (the mobility advance of 4,665 hosts runs inline, under its
+/// 32,768-host cut).
+const DISPATCHES_PER_EPOCH: u64 = 1;
 
 fn city(kind: QueryKind) -> SimConfig {
     let mut cfg = SimConfig::paper_defaults(params::la_city().scaled(0.05), kind, 7);

@@ -99,13 +99,15 @@ TEST_ONLY = {
     # Exact disk-region area: the oracle the tiled unverified area
     # (Lemma 3.2) is compared against bit for bit.
     "crates/geom/src/disk_mod.rs::disk_region_area",
-    # The interval XOR the per-line boundary sweep is checked against.
+    # The interval XOR the cell grid's line runs (the boundary edges on
+    # each cut line) are checked against.
     "crates/geom/src/intervals.rs::symmetric_difference",
     # Union interior by boundary distance: the reduced windows of
     # `rect_difference` are checked to lie outside it.
     "crates/geom/src/region.rs::contains_interior",
-    # The whole boundary edge set, the oracle of the swept boundary
-    # distance queries.
+    # The whole boundary edge set, each cut line's runs in order: what
+    # the line runs are compared against `IntervalSet` through, and the
+    # set the boundary distance is the minimum over.
     "crates/geom/src/region.rs::boundary_edges",
     # The covered part of a window, which `rect_difference` must
     # complement exactly.
